@@ -117,13 +117,16 @@ remote-bench:
 	$(GO) build -o "$$tmp/contentiond" ./cmd/contentiond && \
 	$(GO) run ./cmd/loadgen -remote 2 -exec "$$tmp/contentiond" -duration 3s -conc 8 -label $(LABEL) -o BENCH_$(LABEL)_remote.json
 
-# Hot-path gate: the surface-vs-DP randomized differential (bit-exact
-# at grid nodes, ≤1e-3 relative between them), the staleness and
-# invalidation protocol, the zero-allocation pins on warm surface and
+# Hot-path gate: the slowdown kernel's two contracts (0 allocs on
+# never-seen contender sets, the same bits for every permutation of a
+# multiset), the surface-vs-DP randomized differential (bit-exact at
+# grid nodes, ≤1e-3 relative between them), the staleness and
+# invalidation protocol, the zero-allocation pins on surface and
 # binary-decode paths, the binary round-trip and fast-path
 # differentials, the binary decoder fuzz corpus (seeds only — `make
 # fuzz` explores), and a binary+surface loadgen smoke.
 hotpath-gate:
+	$(GO) test -run 'AllocationFree|Permutation' ./internal/core
 	$(GO) test -run 'TestSurface' ./internal/surface
 	$(GO) test -run 'TestBinary|TestFastPath' ./internal/serve
 	$(GO) test -run 'FuzzDecodeBinaryRequest' ./internal/serve

@@ -228,9 +228,9 @@ func BenchmarkSlowdownEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictComm measures one cached end-to-end communication
-// prediction (slowdown mixture + dedicated model) for a fixed
-// contender set — the per-call cost a scheduler pays after warm-up.
+// BenchmarkPredictComm measures one end-to-end communication
+// prediction (slowdown kernel + dedicated model) for a two-contender
+// set — the per-call cost a scheduler pays on every placement.
 func BenchmarkPredictComm(b *testing.B) {
 	env := benchEnv(b)
 	pred := env.Pred

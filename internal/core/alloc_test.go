@@ -1,48 +1,59 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
-// TestPredictCommAllocationFree is the regression test for the
-// hot-path copy audit: after the first call warms the slowdown cache
-// for a contender set, PredictComm must not allocate at all — a
-// scheduler may evaluate it on every placement decision.
-func TestPredictCommAllocationFree(t *testing.T) {
+// assertColdAllocationFree pins the kernel's allocation contract for
+// one Predict method: pricing a contender set the predictor has never
+// seen costs zero allocations at p = 1, 16 and 64 (the whole
+// stack-scratch range) — a scheduler may evaluate a fresh candidate
+// placement on every decision.
+func assertColdAllocationFree(t *testing.T, name string, call func(p *Predictor, cs []Contender) error) {
 	p, err := NewPredictor(fullCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := robustContenders()
-	sets := []DataSet{{N: 400, Words: 512}}
-	// Warm the cache for this contender multiset.
-	if _, err := p.PredictComm(HostToBack, sets, cs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := p.PredictComm(HostToBack, sets, cs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm PredictComm allocates %.1f objects/op, want 0", allocs)
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 16, kernelStackP} {
+		t.Run(fmt.Sprintf("%s/p=%d", name, n), func(t *testing.T) {
+			// One never-seen multiset per call (AllocsPerRun adds a warm-up).
+			const runs = 100
+			keys := make([][]Contender, runs+1)
+			for i := range keys {
+				keys[i] = randomContenders(rng, n)
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := call(p, keys[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			if allocs != 0 {
+				t.Fatalf("%s on a never-seen p=%d set allocates %.1f objects/op, want 0", name, n, allocs)
+			}
+		})
 	}
 }
 
-// TestPredictCompAllocationFree: same contract for the computation path.
-func TestPredictCompAllocationFree(t *testing.T) {
-	p, err := NewPredictor(fullCalibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := robustContenders()
-	if _, err := p.PredictComp(2, cs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := p.PredictComp(2, cs); err != nil {
-			t.Fatal(err)
-		}
+func TestPredictCommAllocationFree(t *testing.T) {
+	sets := []DataSet{{N: 400, Words: 512}}
+	assertColdAllocationFree(t, "PredictComm", func(p *Predictor, cs []Contender) error {
+		_, err := p.PredictComm(HostToBack, sets, cs)
+		return err
 	})
-	if allocs != 0 {
-		t.Fatalf("warm PredictComp allocates %.1f objects/op, want 0", allocs)
-	}
+}
+
+func TestPredictCompAllocationFree(t *testing.T) {
+	assertColdAllocationFree(t, "PredictComp", func(p *Predictor, cs []Contender) error {
+		_, err := p.PredictComp(2, cs)
+		return err
+	})
+	assertColdAllocationFree(t, "PredictCompWithJ", func(p *Predictor, cs []Contender) error {
+		_, err := p.PredictCompWithJ(2, cs, 500)
+		return err
+	})
 }

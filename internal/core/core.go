@@ -29,8 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"contention/internal/prob"
 )
 
 // DataSet is a group of same-sized messages: N messages of Words words
@@ -184,22 +182,24 @@ type DelayTables struct {
 
 // ValidateReport checks table invariants — every entry finite and
 // non-negative, every j key positive — returning all violations found.
+// Paths are rendered only for violations: the package-level slowdown
+// functions validate their tables on every call.
 func (t DelayTables) ValidateReport() *ValidationReport {
 	r := &ValidationReport{}
-	check := func(name string, xs []float64) {
+	check := func(xs []float64, path func(i int) string) {
 		for i, v := range xs {
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				r.Add(fmt.Sprintf("%s[%d]", name, i), "delay %v must be finite and non-negative", v)
+				r.Add(path(i), "delay %v must be finite and non-negative", v)
 			}
 		}
 	}
-	check("CompOnComm", t.CompOnComm)
-	check("CommOnComm", t.CommOnComm)
+	check(t.CompOnComm, func(i int) string { return fmt.Sprintf("CompOnComm[%d]", i) })
+	check(t.CommOnComm, func(i int) string { return fmt.Sprintf("CommOnComm[%d]", i) })
 	for j, xs := range t.CommOnComp {
 		if j <= 0 {
 			r.Add(fmt.Sprintf("CommOnComp[%d]", j), "message-size key must be positive")
 		}
-		check(fmt.Sprintf("CommOnComp[%d]", j), xs)
+		check(xs, func(i int) string { return fmt.Sprintf("CommOnComp[%d][%d]", j, i) })
 	}
 	return r
 }
@@ -232,8 +232,7 @@ func (t DelayTables) JGrid() []int {
 	return grid
 }
 
-// errNoJColumns is the shared "no delay^{i,j} columns" failure, reused
-// by the cached kernel so both paths return the identical error.
+// errNoJColumns is the "no delay^{i,j} columns" failure.
 var errNoJColumns = errors.New("core: no delay^{i,j} columns calibrated")
 
 // NearestJ selects the calibrated j column closest to the requested
@@ -262,31 +261,6 @@ func SimpleSlowdown(p int) float64 {
 	return float64(p + 1)
 }
 
-// probabilities builds the pcomp/pcomm Poisson-binomial distributions
-// from the contender set.
-func probabilities(cs []Contender) (comp, comm *prob.Calc, err error) {
-	comp, err = prob.New()
-	if err != nil {
-		return nil, nil, err
-	}
-	comm, err = prob.New()
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, c := range cs {
-		if err := c.Validate(); err != nil {
-			return nil, nil, err
-		}
-		if err := comp.Add(c.CompFraction()); err != nil {
-			return nil, nil, err
-		}
-		if err := comm.Add(c.CommFraction); err != nil {
-			return nil, nil, err
-		}
-	}
-	return comp, comm, nil
-}
-
 // CommSlowdown is the Sun/Paragon communication slowdown:
 //
 //	1 + Σ_i pcomp_i × delay^i_comp + Σ_i pcomm_i × delay^i_comm.
@@ -294,16 +268,7 @@ func CommSlowdown(cs []Contender, t DelayTables) (float64, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
 	}
-	comp, comm, err := probabilities(cs)
-	if err != nil {
-		return 0, err
-	}
-	s := 1.0
-	for i := 1; i <= len(cs); i++ {
-		s += comp.P(i) * lookup(t.CompOnComm, i)
-		s += comm.P(i) * lookup(t.CommOnComm, i)
-	}
-	return s, nil
+	return commMixture(cs, t.CompOnComm, t.CommOnComm)
 }
 
 // CompSlowdown is the Sun/Paragon computation slowdown:
@@ -313,13 +278,7 @@ func CommSlowdown(cs []Contender, t DelayTables) (float64, error) {
 // where j is the maximum message size used by the contenders (the
 // paper's guidance). Use CompSlowdownWithJ to force a specific j.
 func CompSlowdown(cs []Contender, t DelayTables) (float64, error) {
-	j := 0
-	for _, c := range cs {
-		if c.MsgWords > j {
-			j = c.MsgWords
-		}
-	}
-	return CompSlowdownWithJ(cs, t, j)
+	return CompSlowdownWithJ(cs, t, autoJ(cs))
 }
 
 // CompSlowdownWithJ is CompSlowdown with an explicit message size used
@@ -329,22 +288,7 @@ func CompSlowdownWithJ(cs []Contender, t DelayTables, j int) (float64, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
 	}
-	comp, comm, err := probabilities(cs)
-	if err != nil {
-		return 0, err
-	}
-	s := 1.0
-	for i := 1; i <= len(cs); i++ {
-		s += comp.P(i) * float64(i)
-		if comm.P(i) > 0 {
-			d, err := t.CommOnCompDelay(i, j)
-			if err != nil {
-				return 0, err
-			}
-			s += comm.P(i) * d
-		}
-	}
-	return s, nil
+	return compMixture(cs, t.CommOnComp, t.JGrid(), j)
 }
 
 // CM2ExecTime is the paper's back-end execution law:

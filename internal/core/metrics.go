@@ -3,18 +3,10 @@ package core
 import "contention/internal/obs"
 
 // Hot-path telemetry. Every handle is a package-level atomic; recording
-// is a single flag load when telemetry is disabled, so the warm
+// is a single flag load when telemetry is disabled, so the
 // PredictComm/PredictComp 0 allocs/op contract (alloc_test.go) holds
 // with instrumentation compiled in.
 var (
-	mCacheCommHits = obs.NewCounter(obs.MetricCacheCommHits,
-		"comm-slowdown mixtures served from the memo cache")
-	mCacheCommMisses = obs.NewCounter(obs.MetricCacheCommMisses,
-		"comm-slowdown mixtures computed by a fresh Poisson-binomial DP")
-	mCacheCompHits = obs.NewCounter(obs.MetricCacheCompHits,
-		"comp-slowdown mixtures served from the memo cache")
-	mCacheCompMisses = obs.NewCounter(obs.MetricCacheCompMisses,
-		"comp-slowdown mixtures computed by a fresh Poisson-binomial DP")
 	mPredictComm = obs.NewCounter(obs.MetricPredictComm,
 		"communication cost predictions evaluated")
 	mPredictComp = obs.NewCounter(obs.MetricPredictComp,

@@ -14,48 +14,6 @@ func withTelemetry(t *testing.T) {
 	t.Cleanup(func() { obs.SetEnabled(false) })
 }
 
-// TestCacheCountersMove checks that the slowdown memo caches report
-// their hits and misses: a fresh predictor misses on the first mixture
-// evaluation and hits on the warm repeat, for both the comm and comp
-// paths.
-func TestCacheCountersMove(t *testing.T) {
-	withTelemetry(t)
-	p, err := NewPredictor(fullCalibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := robustContenders()
-	sets := []DataSet{{N: 400, Words: 512}}
-
-	h0, m0 := mCacheCommHits.Value(), mCacheCommMisses.Value()
-	if _, err := p.PredictComm(HostToBack, sets, cs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PredictComm(HostToBack, sets, cs); err != nil {
-		t.Fatal(err)
-	}
-	if d := mCacheCommMisses.Value() - m0; d < 1 {
-		t.Fatalf("comm cache misses moved by %d, want ≥ 1", d)
-	}
-	if d := mCacheCommHits.Value() - h0; d < 1 {
-		t.Fatalf("comm cache hits moved by %d, want ≥ 1", d)
-	}
-
-	h0, m0 = mCacheCompHits.Value(), mCacheCompMisses.Value()
-	if _, err := p.PredictComp(2, cs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PredictComp(2, cs); err != nil {
-		t.Fatal(err)
-	}
-	if d := mCacheCompMisses.Value() - m0; d < 1 {
-		t.Fatalf("comp cache misses moved by %d, want ≥ 1", d)
-	}
-	if d := mCacheCompHits.Value() - h0; d < 1 {
-		t.Fatalf("comp cache hits moved by %d, want ≥ 1", d)
-	}
-}
-
 // TestPredictionCountersMove checks the prediction tallies: single
 // predictions count one each, batches count their grid size and record
 // it in the batch-size histogram, and a stale predictor's robust

@@ -58,18 +58,17 @@ func (c Calibration) Validate() error { return c.ValidateReport().Err() }
 // calibration and a contender set. It is the façade a scheduler uses to
 // rank candidate allocations.
 //
-// A Predictor is goroutine-safe: its calibration is immutable, per-call
-// state lives in an internal slowdown cache guarded by a mutex, and the
-// staleness mark is synchronized. Many scheduler goroutines (or the
-// parallel experiment runner) may share one Predictor; they also share
-// its memoized slowdown kernels.
+// A Predictor is goroutine-safe: its calibration is immutable, the
+// slowdown kernel keeps per-call state on the caller's stack, and the
+// staleness mark is an atomic. Many scheduler goroutines (or the
+// parallel experiment runner) may share one Predictor without
+// contending on anything.
 type Predictor struct {
 	cal    Calibration
 	report *ValidationReport // validation findings captured at construction
 
 	// Derived at construction so the prediction hot path never rebuilds
 	// a validation report or re-sorts the calibrated j columns.
-	cache     *slowdownCache
 	jGrid     []int
 	checksum  uint64   // TablesChecksum of cal.Tables, for surface stamping
 	tablesErr error    // fatal delay-table violations, if any
@@ -85,7 +84,6 @@ type Predictor struct {
 // initDerived populates the construction-time caches shared by the
 // strict and lenient constructors.
 func (p *Predictor) initDerived() {
-	p.cache = newSlowdownCache()
 	p.jGrid = p.cal.Tables.JGrid()
 	p.checksum = TablesChecksum(p.cal.Tables)
 	p.tablesErr = p.cal.Tables.Validate()
@@ -162,39 +160,31 @@ func (p *Predictor) DedicatedComm(dir Direction, sets []DataSet) (float64, error
 	return m.Dedicated(sets)
 }
 
-// commSlowdown is the memoized CommSlowdown over the predictor's
-// (immutable) delay tables.
+// commSlowdown is CommSlowdown over the predictor's (immutable,
+// validated once) delay tables.
 func (p *Predictor) commSlowdown(cs []Contender) (float64, error) {
 	if p.tablesErr != nil {
 		return 0, p.tablesErr
 	}
-	return p.cache.commSlowdown(cs, p.cal.Tables)
+	return commMixture(cs, p.cal.Tables.CompOnComm, p.cal.Tables.CommOnComm)
 }
 
-// compSlowdownWithJ is the memoized CompSlowdownWithJ analogue.
+// compSlowdownWithJ is the CompSlowdownWithJ analogue.
 func (p *Predictor) compSlowdownWithJ(cs []Contender, j int) (float64, error) {
 	if p.tablesErr != nil {
 		return 0, p.tablesErr
 	}
-	return p.cache.compSlowdownWithJ(cs, p.cal.Tables, p.jGrid, j)
+	return compMixture(cs, p.cal.Tables.CommOnComp, p.jGrid, j)
 }
 
-// compSlowdown resolves the paper's auto-j rule (the maximum contender
-// message size) and evaluates the memoized computation slowdown.
+// compSlowdown is compSlowdownWithJ under the paper's auto-j rule.
 func (p *Predictor) compSlowdown(cs []Contender) (float64, error) {
-	j := 0
-	for _, c := range cs {
-		if c.MsgWords > j {
-			j = c.MsgWords
-		}
-	}
-	return p.compSlowdownWithJ(cs, j)
+	return p.compSlowdownWithJ(cs, autoJ(cs))
 }
 
 // PredictComm returns the slowdown-adjusted communication cost
-// C = dcomm × slowdown for the given contender set. The slowdown
-// mixture is memoized on the contender multiset, so sweeping message
-// sizes against a fixed contender set costs one DP total.
+// C = dcomm × slowdown for the given contender set: one slowdown DP
+// per call (PredictCommBatch amortizes it over a message-size sweep).
 func (p *Predictor) PredictComm(dir Direction, sets []DataSet, cs []Contender) (float64, error) {
 	mPredictComm.Inc()
 	dcomm, err := p.DedicatedComm(dir, sets)
@@ -235,13 +225,12 @@ func (p *Predictor) PredictCompWithJ(dcomp float64, cs []Contender, j int) (floa
 	return dcomp * s, nil
 }
 
-// CommSlowdown is the memoized communication-slowdown mixture for the
-// predictor's calibration (the package-level CommSlowdown, cached on
-// the contender multiset).
+// CommSlowdown is the communication-slowdown mixture for the
+// predictor's calibration.
 func (p *Predictor) CommSlowdown(cs []Contender) (float64, error) { return p.commSlowdown(cs) }
 
-// CompSlowdown is the memoized computation-slowdown mixture with the
-// paper's auto-selected j (maximum contender message size).
+// CompSlowdown is the computation-slowdown mixture with the paper's
+// auto-selected j (maximum contender message size).
 func (p *Predictor) CompSlowdown(cs []Contender) (float64, error) { return p.compSlowdown(cs) }
 
 // CompSlowdownWithJ is CompSlowdown with an explicit j column.

@@ -9,10 +9,10 @@ import (
 
 // TestPredictorConcurrentUse hammers one shared Predictor from the
 // worker pool exactly the way the parallel experiment engine does:
-// many goroutines predicting over overlapping contender multisets
-// (shared cache entries) while others miss the cache and fill it, plus
-// concurrent MarkStale/ClearStale flips. Run under `go test -race` this
-// is the goroutine-safety gate for the cached hot path.
+// many goroutines predicting over overlapping contender multisets on
+// two shared predictors, plus concurrent MarkStale/ClearStale flips.
+// Run under `go test -race` this is the goroutine-safety gate for the
+// prediction hot path.
 func TestPredictorConcurrentUse(t *testing.T) {
 	p, err := NewPredictor(fullCalibration())
 	if err != nil {
@@ -37,7 +37,8 @@ func TestPredictorConcurrentUse(t *testing.T) {
 		}
 	}
 
-	fresh, err := NewPredictor(fullCalibration()) // cold cache, filled under race
+	// A second predictor: answers must not depend on which one is asked.
+	fresh, err := NewPredictor(fullCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}

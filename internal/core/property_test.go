@@ -132,9 +132,8 @@ func TestPropertySlowdownBounds(t *testing.T) {
 
 // TestPropertyPredictorMonotoneInIdenticalContenders lifts monotonicity
 // to the Predictor API: predicted comm and comp costs are non-decreasing
-// in the number of identical contenders sharing the node, across the
-// cached (warm) path — the serving layer's degraded-mode comparisons
-// rely on this ordering.
+// in the number of identical contenders sharing the node — the serving
+// layer's degraded-mode comparisons rely on this ordering.
 func TestPropertyPredictorMonotoneInIdenticalContenders(t *testing.T) {
 	p, err := NewPredictor(fullCalibration())
 	if err != nil {

@@ -5,9 +5,9 @@
 // evaluates those functions once, on a dense grid, at calibration-load
 // time; this file defines the interface the Predictor consumes, the
 // checksum that version-stamps a surface against the delay tables it
-// was built from, and the Try* fast-path methods that answer from the
-// surface (or the sharded memo cache) without ever running the DP —
-// returning ok=false to send the caller down the full slow path.
+// was built from, and the Try* probes that answer from the surface
+// without ever running the DP — returning ok=false to send the caller
+// to the exact kernel.
 package core
 
 import (
@@ -121,13 +121,13 @@ func homogeneousFraction(cs []Contender) (float64, bool) {
 
 // --- Try fast path -----------------------------------------------------------
 //
-// The Try* methods are the warm path the serving batcher bypass rides:
-// surface lookup first, sharded-cache probe second, and ok=false —
-// never an error, never a DP — when neither can answer. They are
-// allocation-free and safe under concurrent MarkStale/AttachSurface.
+// The Try* methods are surface-only probes: a surface lookup, and
+// ok=false — never an error, never a DP — when the surface cannot
+// answer. They are allocation-free and safe under concurrent
+// MarkStale/AttachSurface.
 
 // TryCommSlowdown answers the communication-slowdown mixture from the
-// surface or the memo cache, without running the DP.
+// surface, without running the DP.
 func (p *Predictor) TryCommSlowdown(cs []Contender) (float64, bool) {
 	if p.tablesErr != nil || p.stale.Load() != nil {
 		return 0, false
@@ -141,7 +141,7 @@ func (p *Predictor) TryCommSlowdown(cs []Contender) (float64, bool) {
 		}
 		mSurfaceMissComm.Inc()
 	}
-	return p.cache.probeComm(cs)
+	return 0, false
 }
 
 // TryCompSlowdownWithJ answers the computation-slowdown mixture for an
@@ -159,23 +159,17 @@ func (p *Predictor) TryCompSlowdownWithJ(cs []Contender, j int) (float64, bool) 
 		}
 		mSurfaceMissComp.Inc()
 	}
-	return p.cache.probeCompWithJ(cs, p.jGrid, j)
+	return 0, false
 }
 
 // TryCompSlowdown is TryCompSlowdownWithJ under the paper's auto-j rule
 // (maximum contender message size).
 func (p *Predictor) TryCompSlowdown(cs []Contender) (float64, bool) {
-	j := 0
-	for _, c := range cs {
-		if c.MsgWords > j {
-			j = c.MsgWords
-		}
-	}
-	return p.TryCompSlowdownWithJ(cs, j)
+	return p.TryCompSlowdownWithJ(cs, autoJ(cs))
 }
 
 // TryPredictComm is the fast-path PredictComm: dcomm × slowdown when
-// the slowdown is already resident, ok=false otherwise (including when
+// the surface holds the slowdown, ok=false otherwise (including when
 // the dedicated model cannot price the transfer — the slow path owns
 // error reporting).
 func (p *Predictor) TryPredictComm(dir Direction, sets []DataSet, cs []Contender) (float64, bool) {

@@ -23,8 +23,7 @@ type Env struct {
 	// Opts records the calibration options used.
 	Opts calibrate.Options
 	// Pred is the shared predictor over Cal. It is goroutine-safe and
-	// memoizes slowdown mixtures, so every driver drawing from it
-	// amortizes the Poisson-binomial DP across the whole suite.
+	// stateless per call, so every driver draws from the one instance.
 	Pred *core.Predictor
 	// Pool is the worker pool drivers fan sweep points out on. nil (or
 	// runner.Serial()) runs everything inline; the parallel pool
@@ -79,7 +78,7 @@ func SharedEnv() (*Env, error) {
 }
 
 // WithPool returns a shallow copy of the Env that fans out on p. The
-// calibrations and the memoized predictor stay shared.
+// calibrations and the predictor stay shared.
 func (e *Env) WithPool(p *runner.Pool) *Env {
 	c := *e
 	c.Pool = p

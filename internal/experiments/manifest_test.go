@@ -10,9 +10,9 @@ import (
 
 // TestBuildManifestFromRun is the end-to-end telemetry check: a full
 // suite run with recording on must produce a manifest whose summary
-// sections are nonzero and internally consistent — cache traffic, pool
-// utilization from a parallel pool, one driver report per suite driver
-// — and the manifest must survive a write/read round trip.
+// sections are nonzero and internally consistent — prediction tallies,
+// pool utilization from a parallel pool, one driver report per suite
+// driver — and the manifest must survive a write/read round trip.
 func TestBuildManifestFromRun(t *testing.T) {
 	obs.SetEnabled(true)
 	t.Cleanup(func() { obs.SetEnabled(false) })
@@ -24,16 +24,6 @@ func TestBuildManifestFromRun(t *testing.T) {
 	m := BuildManifest(e, "experiments-test", map[string]string{"parallel": "true"})
 	if m.Schema != obs.ManifestSchema {
 		t.Fatalf("schema %q, want %q", m.Schema, obs.ManifestSchema)
-	}
-
-	if m.Cache == nil || m.Cache.CommHits+m.Cache.CommMisses == 0 {
-		t.Fatalf("no comm cache traffic recorded: %+v", m.Cache)
-	}
-	if m.Cache.CompHits+m.Cache.CompMisses == 0 {
-		t.Fatalf("no comp cache traffic recorded: %+v", m.Cache)
-	}
-	if m.Cache.HitRate <= 0 || m.Cache.HitRate > 1 {
-		t.Fatalf("cache hit rate %v out of (0,1]", m.Cache.HitRate)
 	}
 
 	if m.Predictions == nil || m.Predictions.Comm == 0 || m.Predictions.Comp == 0 {
@@ -81,8 +71,8 @@ func TestBuildManifestFromRun(t *testing.T) {
 	// The summary must agree with the embedded snapshot it was derived
 	// from.
 	snap := obs.Snapshot{Metrics: m.Metrics}
-	if hits := snap.Counter(obs.MetricCacheCommHits); hits != m.Cache.CommHits {
-		t.Fatalf("summary comm hits %d ≠ snapshot %d", m.Cache.CommHits, hits)
+	if comm := snap.Counter(obs.MetricPredictComm); comm != m.Predictions.Comm {
+		t.Fatalf("summary comm predictions %d ≠ snapshot %d", m.Predictions.Comm, comm)
 	}
 	if tasks := snap.Counter(obs.MetricPoolTasks); tasks != m.Pool.Tasks {
 		t.Fatalf("summary pool tasks %d ≠ snapshot %d", m.Pool.Tasks, tasks)
@@ -96,7 +86,7 @@ func TestBuildManifestFromRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Pool.Tasks != m.Pool.Tasks || back.Cache.CommHits != m.Cache.CommHits {
+	if back.Pool.Tasks != m.Pool.Tasks || back.Predictions.Comm != m.Predictions.Comm {
 		t.Fatalf("round trip changed the manifest: %+v vs %+v", back.Pool, m.Pool)
 	}
 }

@@ -15,7 +15,7 @@ func goldenRegistry(t *testing.T) *Registry {
 	t.Helper()
 	withTelemetry(t)
 	r := NewRegistry()
-	r.Counter("core_cache_comm_hits_total", "comm-slowdown cache hits").Add(42)
+	r.Counter("core_predict_comm_total", "communication cost predictions evaluated").Add(42)
 	v := r.CounterVec("faults_injected_total", "injected fault events", "kind")
 	v.With("link-drop").Add(3)
 	v.With("host-stall").Inc()
@@ -61,8 +61,8 @@ func TestExpositionShape(t *testing.T) {
 	r := goldenRegistry(t)
 	text := r.PrometheusText()
 	for _, want := range []string{
-		"# TYPE core_cache_comm_hits_total counter",
-		"core_cache_comm_hits_total 42",
+		"# TYPE core_predict_comm_total counter",
+		"core_predict_comm_total 42",
 		`faults_injected_total{kind="link-drop"} 3`,
 		"# TYPE runner_task_seconds histogram",
 		`runner_task_seconds_bucket{le="+Inf"} 4`,

@@ -45,16 +45,6 @@ type PoolReport struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// CacheReport summarizes the slowdown-kernel cache.
-type CacheReport struct {
-	CommHits   int64 `json:"comm_hits"`
-	CommMisses int64 `json:"comm_misses"`
-	CompHits   int64 `json:"comp_hits"`
-	CompMisses int64 `json:"comp_misses"`
-	// HitRate is hits/(hits+misses) over both mixtures, 0 when unused.
-	HitRate float64 `json:"hit_rate"`
-}
-
 // PredictionReport tallies predictor activity.
 type PredictionReport struct {
 	Comm     int64 `json:"comm"`
@@ -129,7 +119,6 @@ type Manifest struct {
 	FaultSeeds  []int64            `json:"fault_seeds,omitempty"`
 	Drivers     []DriverReport     `json:"drivers,omitempty"`
 	Pool        *PoolReport        `json:"pool,omitempty"`
-	Cache       *CacheReport       `json:"cache,omitempty"`
 	Predictions *PredictionReport  `json:"predictions,omitempty"`
 	Faults      map[string]int64   `json:"faults,omitempty"`
 	Reliability *ReliabilityReport `json:"reliability,omitempty"`
@@ -153,8 +142,8 @@ func NewManifest(command string) *Manifest {
 	return &Manifest{Schema: ManifestSchema, Command: command}
 }
 
-// FillFromSnapshot derives the summary sections (pool, cache,
-// predictions, faults, reliability) from a registry snapshot using the
+// FillFromSnapshot derives the summary sections (pool, predictions,
+// faults, reliability) from a registry snapshot using the
 // canonical metric names, and embeds the snapshot itself. Sections
 // whose counters never moved are filled with zeros rather than omitted,
 // so consumers can rely on their presence.
@@ -176,17 +165,6 @@ func (m *Manifest) FillFromSnapshot(s Snapshot) {
 		pool.Workers = m.Pool.Workers
 	}
 	m.Pool = pool
-
-	cache := &CacheReport{
-		CommHits:   s.Counter(MetricCacheCommHits),
-		CommMisses: s.Counter(MetricCacheCommMisses),
-		CompHits:   s.Counter(MetricCacheCompHits),
-		CompMisses: s.Counter(MetricCacheCompMisses),
-	}
-	if total := cache.CommHits + cache.CommMisses + cache.CompHits + cache.CompMisses; total > 0 {
-		cache.HitRate = float64(cache.CommHits+cache.CompHits) / float64(total)
-	}
-	m.Cache = cache
 
 	m.Predictions = &PredictionReport{
 		Comm:     s.Counter(MetricPredictComm),

@@ -56,8 +56,6 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	r.Counter(MetricPoolAsync, "").Add(6)
 	r.Counter(MetricPoolInline, "").Add(4)
 	r.Gauge(MetricPoolMaxInFlight, "").Set(3)
-	r.Counter(MetricCacheCommHits, "").Add(8)
-	r.Counter(MetricCacheCommMisses, "").Add(2)
 	r.Counter(MetricPredictComm, "").Add(10)
 	r.Counter(MetricPredictDegraded, "").Add(1)
 	r.CounterVec(MetricFaultsInjected, "", "kind").With("link-drop").Add(5)
@@ -76,9 +74,6 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	}
 	if m.Pool.MaxInFlight != 3 {
 		t.Fatalf("max in flight = %d", m.Pool.MaxInFlight)
-	}
-	if m.Cache.CommHits != 8 || m.Cache.HitRate != 0.8 {
-		t.Fatalf("cache = %+v", m.Cache)
 	}
 	if m.Predictions.Comm != 10 || m.Predictions.Degraded != 1 {
 		t.Fatalf("predictions = %+v", m.Predictions)
@@ -107,7 +102,7 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 	if got.Command != "experiments" || got.Schema != ManifestSchema {
 		t.Fatalf("roundtrip header = %+v", got)
 	}
-	if len(got.Metrics) != len(m.Metrics) || got.Cache.CommHits != m.Cache.CommHits {
+	if len(got.Metrics) != len(m.Metrics) || got.Predictions.Comm != m.Predictions.Comm {
 		t.Fatal("roundtrip lost metrics")
 	}
 	// No temp litter from the atomic write.

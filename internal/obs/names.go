@@ -6,7 +6,9 @@ package obs
 // snake_case, a subsystem prefix, `_total` on counters, base units
 // (seconds, bytes) in the name.
 const (
-	// internal/core — the prediction hot path.
+	// internal/core — the prediction hot path. Nothing registers the
+	// four MetricCache* names since the slowdown memo was removed; they
+	// stay declared because bench/run.go reads them and bench/ is frozen.
 	MetricCacheCommHits   = "core_cache_comm_hits_total"
 	MetricCacheCommMisses = "core_cache_comm_misses_total"
 	MetricCacheCompHits   = "core_cache_comp_hits_total"

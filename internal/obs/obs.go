@@ -9,7 +9,7 @@
 // The paper's premise is that contended performance is only predictable
 // when the contention is observable; obs turns that lens on the
 // reproduction itself. The subsystems it instruments — the runner pool,
-// the slowdown caches, the trust layer, the fault injector, the live
+// the predictor, the trust layer, the fault injector, the live
 // emulation link, the monitor — publish through one registry, so a run
 // can always answer "what did the machine actually do".
 //

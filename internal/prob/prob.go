@@ -186,8 +186,7 @@ func Distribution(qs []float64) ([]float64, error) {
 
 // AppendDistribution is Distribution into a caller-supplied scratch
 // buffer: dst's contents are discarded, its capacity is reused, and the
-// resulting distribution (length len(qs)+1) is returned. It is the
-// allocation-free DP kernel behind the slowdown caches — callers that
+// resulting distribution (length len(qs)+1) is returned — callers that
 // keep the returned slice as their next dst pay nothing after warm-up.
 func AppendDistribution(dst []float64, qs []float64) ([]float64, error) {
 	dst = append(dst[:0], 1)

@@ -9,7 +9,7 @@ import (
 // TestWarmPredictorStaysAllocationFree re-asserts the core 0 allocs/op
 // contract from inside the serve package: linking the serving layer
 // (its metric registrations run at init) must not add allocations to
-// the warm direct-call prediction path the daemon's batcher sits on.
+// the direct-call prediction path the daemon's batcher sits on.
 func TestWarmPredictorStaysAllocationFree(t *testing.T) {
 	p := newTestPredictor(t)
 	cs := []core.Contender{

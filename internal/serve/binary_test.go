@@ -184,10 +184,9 @@ func TestFastPathDifferential(t *testing.T) {
 		}
 		if resp.Fast {
 			fastSeen++
-			// Dyadic corpus fractions (k/100 is not dyadic in general, but
-			// the direct predictor warms the cache, so exactness at grid
-			// nodes is checked by the surface differential; here the pinned
-			// bound is the contract).
+			// k/100 fractions are not dyadic in general, so a fast answer
+			// may be interpolated; exactness at grid nodes is checked by the
+			// surface differential, here the pinned bound is the contract.
 			if rel := math.Abs(resp.Value-want) / want; rel > 1e-3 {
 				t.Fatalf("fast answer %v vs direct %v: rel error %.3g > 1e-3", resp.Value, want, rel)
 			}

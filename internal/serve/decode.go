@@ -80,8 +80,8 @@ type Response struct {
 	// Batch is the size of the micro-batch this answer was computed in
 	// (0 for answers that bypassed the batcher, e.g. degraded mode).
 	Batch int `json:"batch,omitempty"`
-	// Fast marks an answer served by the batcher-bypass fast path (a
-	// precomputed-surface or memo-cache lookup, no DP, no batching).
+	// Fast marks an answer served by the batcher-bypass fast path: a
+	// precomputed-surface lookup or an inline exact DP, never parked.
 	Fast bool `json:"fast,omitempty"`
 }
 

@@ -64,44 +64,51 @@ func (q *query) request() *Request {
 	return req
 }
 
+// trySurface probes the predictor's precomputed surface for q.
+func trySurface(pred *core.Predictor, q *query) (float64, bool) {
+	switch {
+	case q.kind == "comm":
+		return pred.TryPredictComm(q.dir, q.sets, q.cs)
+	case q.hasJ:
+		return pred.TryPredictCompWithJ(q.dcomp, q.cs, q.j)
+	default:
+		return pred.TryPredictComp(q.dcomp, q.cs)
+	}
+}
+
+// exact answers q with a plain Predictor call: the exact DP.
+func exact(pred *core.Predictor, q *query) (float64, error) {
+	switch {
+	case q.kind == "comm":
+		return pred.PredictComm(q.dir, q.sets, q.cs)
+	case q.hasJ:
+		return pred.PredictCompWithJ(q.dcomp, q.cs, q.j)
+	default:
+		return pred.PredictComp(q.dcomp, q.cs)
+	}
+}
+
 // Direct validates req and answers it with a plain (unbatched)
 // Predictor call — the reference evaluation the PR 5 differential
 // compares the served pipeline against, reused by the DES replay driver
-// and the sweep matrix's direct cells. With tryFast set, resident keys
-// are answered from the surface/memo fast path first (Fast=true),
-// mirroring a FastPath server; otherwise every answer is the exact DP
-// result.
+// and the sweep matrix's direct cells. With tryFast set it mirrors a
+// FastPath server that always wins its admission slot: surface-resident
+// keys are answered from the surface, everything else by the exact DP,
+// and every answer carries Fast=true. Without it every answer is the
+// exact DP result.
 func Direct(pred *core.Predictor, req *Request, tryFast bool) (Response, error) {
 	q, err := req.validate()
 	if err != nil {
 		return Response{}, err
 	}
 	if tryFast {
-		var v float64
-		var ok bool
-		switch {
-		case q.kind == "comm":
-			v, ok = pred.TryPredictComm(q.dir, q.sets, q.cs)
-		case q.hasJ:
-			v, ok = pred.TryPredictCompWithJ(q.dcomp, q.cs, q.j)
-		default:
-			v, ok = pred.TryPredictComp(q.dcomp, q.cs)
-		}
-		if ok {
+		if v, ok := trySurface(pred, &q); ok {
 			return Response{Value: v, Fast: true}, nil
 		}
 	}
-	var v float64
-	switch {
-	case q.kind == "comm":
-		v, err = pred.PredictComm(q.dir, q.sets, q.cs)
-	case q.hasJ:
-		v, err = pred.PredictCompWithJ(q.dcomp, q.cs, q.j)
-	default:
-		v, err = pred.PredictComp(q.dcomp, q.cs)
-	}
+	v, err := exact(pred, &q)
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{Value: v}, nil
+	return Response{Value: v, Fast: tryFast}, nil
 }

@@ -1,18 +1,22 @@
-// Package serve is the online prediction front end: an HTTP/JSON
-// service that answers slowdown-adjusted cost queries from the
-// Figueira–Berman model at traffic rates far beyond what per-request
-// model evaluation would allow.
+// Package serve is the online prediction front end: an HTTP service
+// (JSON and binary wire) that answers slowdown-adjusted cost queries
+// from the Figueira–Berman model.
 //
-// The core trick is micro-batching. The mixture slowdowns are pure
+// By default requests are micro-batched. The mixture slowdowns are pure
 // functions of the contender multiset (plus the delay^{i,j} column),
 // and real scheduler traffic is heavily repetitive in exactly that key
 // — many concurrent queries price different transfers under the same
-// job mix. The server therefore parks concurrent requests for one
-// batch window, groups them per (kind, direction, j, contender
-// multiset) key, and answers each group with a single
-// PredictCommBatch/PredictCompBatch call: one Poisson-binomial DP per
-// group per window, amortized over every request in it. Group
-// evaluations fan out on the shared internal/runner pool.
+// job mix. The server parks concurrent requests for one batch window,
+// groups them per (kind, direction, j, contender multiset) key, and
+// answers each group with a single PredictCommBatch/PredictCompBatch
+// call: one Poisson-binomial DP per group per window. Group evaluations
+// fan out on the shared internal/runner pool.
+//
+// With Config.FastPath a request that finds a free admission slot
+// skips the batcher and is answered inline — from the precomputed
+// surface when its key is resident there, by the exact DP otherwise
+// (the kernel costs microseconds at most, the window a millisecond);
+// only what cannot be admitted at once parks.
 //
 // Around the batcher sit the production concerns the rest of the stack
 // already provides: rm.Admission bounds concurrent and queued requests
@@ -96,13 +100,14 @@ type Config struct {
 	// Timeout is the per-request deadline ceiling applied by the HTTP
 	// handler. 0 selects DefaultTimeout.
 	Timeout time.Duration
-	// FastPath enables the batcher bypass: a request whose slowdown is
-	// already resident (precomputed surface or warm memo cache) and that
-	// wins an admission slot without waiting is answered inline —
-	// no batch window, no timer, no goroutine handoff. Answers carry
-	// Fast=true. Off by default: the bypass answers surface-resident
-	// keys from the interpolated surface, which is bit-exact only at
-	// grid nodes, so it is opt-in alongside AttachSurface.
+	// FastPath enables the batcher bypass: a request that wins an
+	// admission slot without waiting is answered inline — from the
+	// precomputed surface when its key is resident there, by the exact
+	// DP otherwise — no batch window, no timer, no goroutine handoff.
+	// Answers carry Fast=true. Off by default: the bypass answers
+	// surface-resident keys from the interpolated surface, which is
+	// bit-exact only at grid nodes, so it is opt-in alongside
+	// AttachSurface.
 	FastPath bool
 	// Sampler head-samples requests for full span trees (see trace.go).
 	// nil never starts a trace locally but still honors sampled contexts
@@ -291,13 +296,14 @@ func (s *Server) predict(ctx context.Context, q query, rt *reqTrace) (Response, 
 	}
 }
 
-// tryFast answers a query without touching the batcher: the slowdown
-// must already be resident (surface or warm cache probe — core's Try
-// methods) and an admission slot must be free right now. Everything
-// else falls through to the full Predict pipeline, which owns waiting,
-// degradation, and error reporting. The whole path is allocation-free,
-// so it is safe against pooled (binary) query slices — nothing retains
-// them past the return.
+// tryFast answers a query without touching the batcher when an
+// admission slot is free right now: from the precomputed surface when
+// the key is resident there, otherwise inline with the exact DP —
+// microseconds at most, where parking costs the batch window. Degraded
+// calibrations and model errors fall through to the full Predict
+// pipeline, which owns waiting, degradation, and error reporting. The
+// whole path is allocation-free and retains nothing, so it is safe
+// against pooled (binary) query slices.
 func (s *Server) tryFast(q *query, rt *reqTrace) (Response, bool) {
 	if !s.cfg.FastPath || s.draining.Load() {
 		return Response{}, false
@@ -308,23 +314,21 @@ func (s *Server) tryFast(q *query, rt *reqTrace) (Response, bool) {
 	}
 	defer s.adm.Release()
 	start := time.Now()
-	var v float64
-	var ok bool
-	switch {
-	case q.kind == "comm":
-		v, ok = s.cfg.Pred.TryPredictComm(q.dir, q.sets, q.cs)
-	case q.hasJ:
-		v, ok = s.cfg.Pred.TryPredictCompWithJ(q.dcomp, q.cs, q.j)
-	default:
-		v, ok = s.cfg.Pred.TryPredictComp(q.dcomp, q.cs)
+	stage, hist := "surface", stSurface
+	v, ok := trySurface(s.cfg.Pred, q)
+	if !ok && s.degradeReason() == "" {
+		var err error
+		v, err = exact(s.cfg.Pred, q)
+		ok = err == nil
+		stage, hist = "compute", stCompute
 	}
 	if !ok {
 		mFastMisses.Inc()
 		return Response{}, false
 	}
 	done := time.Now()
-	stSurface.Observe(done.Sub(start).Seconds())
-	rt.stage("surface", start, done)
+	hist.Observe(done.Sub(start).Seconds())
+	rt.stage(stage, start, done)
 	mFastHits.Inc()
 	mRequests.With(q.kind).Inc()
 	return Response{Value: v, Fast: true}, true
@@ -681,7 +685,7 @@ func (s *Server) servePredict(r *http.Request, rt *reqTrace) (Response, error) {
 	decDone := time.Now()
 	stDecode.Observe(decDone.Sub(decStart).Seconds())
 	rt.stage("decode", decStart, decDone)
-	// Fast path before the deadline context: a resident answer needs no
+	// Fast path before the deadline context: an inline answer needs no
 	// timer allocation and cannot block.
 	if resp, ok := s.tryFast(&q, rt); ok {
 		return resp, nil

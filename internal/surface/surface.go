@@ -9,11 +9,11 @@
 // smooth functions of (p, f) — for the computation slowdown, one such
 // function per calibrated delay^{i,j} column — so a 1D grid in f per
 // (p, column) captures them completely. Grid nodes are evaluated with
-// the exact package-core mixture functions (identical arithmetic,
-// identical accumulation order to the Predictor's cached DP), which
-// makes surface answers bit-exact at the nodes; between nodes linear
-// interpolation applies, with the error bound measured at build time
-// (see Stats.MaxRelError) and pinned by test to ≤ 1e-3 relative.
+// the exact package-core mixture functions (the one slowdown kernel the
+// Predictor also calls), which makes surface answers bit-exact at the
+// nodes; between nodes linear interpolation applies, with the error
+// bound measured at build time (see Stats.MaxRelError) and pinned by
+// test to ≤ 1e-3 relative.
 //
 // Grid geometry: f_k = k/Cells for k = 0..Cells with Cells a power of
 // two, so any query fraction that is itself a dyadic rational k/Cells
@@ -89,9 +89,9 @@ type Surface struct {
 	comm [][]float64
 	// comp[col][p][k]: computation slowdown per delay^{i,j} column.
 	comp map[int][][]float64
-	// comp0[p]: computation slowdown at f=0, where the cached DP skips
-	// column resolution entirely (mirrored here so f=0 answers match the
-	// cache path even on calibrations with no delay^{i,j} columns).
+	// comp0[p]: computation slowdown at f=0, where the DP skips column
+	// resolution entirely (mirrored here so f=0 answers match it even
+	// on calibrations with no delay^{i,j} columns).
 	comp0 []float64
 
 	stats Stats
@@ -255,7 +255,7 @@ func (s *Surface) Comm(p int, f float64) (float64, bool) {
 }
 
 // CompWithJ implements core.SlowdownSurface. Column resolution uses the
-// same core.NearestJ the cached DP path uses, so both select the same
+// same core.NearestJ the DP path uses, so both select the same
 // delay^{i,j} column for any message size.
 func (s *Surface) CompWithJ(p int, f float64, words int) (float64, bool) {
 	if !s.valid.Load() || p < 0 || p > s.maxP || !(f >= 0 && f <= 1) {

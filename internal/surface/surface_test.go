@@ -92,8 +92,8 @@ func TestSurfaceMatchesDP(t *testing.T) {
 }
 
 // TestSurfaceTryPath covers the Predictor integration: surface answers
-// homogeneous queries, heterogeneous queries fall to the warm memo
-// cache, and out-of-domain queries miss.
+// homogeneous queries; heterogeneous and out-of-domain queries miss —
+// the Try path is a surface-only probe.
 func TestSurfaceTryPath(t *testing.T) {
 	cal := serve.SyntheticCalibration()
 	pred, err := core.NewPredictor(cal)
@@ -118,18 +118,10 @@ func TestSurfaceTryPath(t *testing.T) {
 		t.Fatalf("TryCommSlowdown = %v ok=%v, want %v (surface-resident, dyadic)", got, ok, want)
 	}
 
-	// Heterogeneous: off-class for the surface, cold for the cache.
+	// Heterogeneous: off-class for the surface.
 	hetero := []core.Contender{{CommFraction: 0.2, MsgWords: 100}, {CommFraction: 0.4, MsgWords: 900}}
 	if _, ok := pred.TryCommSlowdown(hetero); ok {
-		t.Fatal("cold heterogeneous multiset should miss the Try path")
-	}
-	want, err = pred.CommSlowdown(hetero) // warms the memo cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok = pred.TryCommSlowdown(hetero)
-	if !ok || got != want {
-		t.Fatalf("warm heterogeneous TryCommSlowdown = %v ok=%v, want %v", got, ok, want)
+		t.Fatal("heterogeneous multiset should miss the Try path")
 	}
 
 	// Beyond the surface's contender range: must miss, not extrapolate.
@@ -220,9 +212,9 @@ func TestSurfaceInvalidation(t *testing.T) {
 	}
 }
 
-// TestSurfaceLookupAllocationFree pins the warm fast path at exactly
-// zero allocations per lookup — raw surface lookups and the full
-// Predictor Try path (surface hit, and warm-cache probe fallback).
+// TestSurfaceLookupAllocationFree pins the fast path at exactly zero
+// allocations per lookup — raw surface lookups and the full Predictor
+// Try path.
 func TestSurfaceLookupAllocationFree(t *testing.T) {
 	cal := serve.SyntheticCalibration()
 	pred, err := core.NewPredictor(cal)
@@ -237,13 +229,6 @@ func TestSurfaceLookupAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := homog(4, 0.3)
-	hetero := []core.Contender{{CommFraction: 0.2, MsgWords: 100}, {CommFraction: 0.4, MsgWords: 900}}
-	if _, err := pred.CommSlowdown(hetero); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pred.CompSlowdown(hetero); err != nil {
-		t.Fatal(err)
-	}
 	sets := []core.DataSet{{N: 10, Words: 800}}
 
 	cases := []struct {
@@ -254,22 +239,20 @@ func TestSurfaceLookupAllocationFree(t *testing.T) {
 		{"Surface.CompWithJ", func() bool { _, ok := s.CompWithJ(4, 0.3, 700); return ok }},
 		{"TryCommSlowdown/surface", func() bool { _, ok := pred.TryCommSlowdown(cs); return ok }},
 		{"TryCompSlowdownWithJ/surface", func() bool { _, ok := pred.TryCompSlowdownWithJ(cs, 500); return ok }},
-		{"TryCommSlowdown/cache", func() bool { _, ok := pred.TryCommSlowdown(hetero); return ok }},
-		{"TryCompSlowdown/cache", func() bool { _, ok := pred.TryCompSlowdown(hetero); return ok }},
 		{"TryPredictComm", func() bool { _, ok := pred.TryPredictComm(core.HostToBack, sets, cs); return ok }},
 		{"TryPredictComp", func() bool { _, ok := pred.TryPredictComp(2.5, cs); return ok }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.fn() {
-				t.Fatal("warm lookup missed")
+				t.Fatal("lookup missed")
 			}
 			if allocs := testing.AllocsPerRun(200, func() {
 				if !tc.fn() {
-					t.Fatal("warm lookup missed")
+					t.Fatal("lookup missed")
 				}
 			}); allocs != 0 {
-				t.Fatalf("warm lookup allocates %.1f allocs/op, want 0", allocs)
+				t.Fatalf("lookup allocates %.1f allocs/op, want 0", allocs)
 			}
 		})
 	}
