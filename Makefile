@@ -124,9 +124,13 @@ remote-bench:
 # invalidation protocol, the zero-allocation pins on surface and
 # binary-decode paths, the binary round-trip and fast-path
 # differentials, the binary decoder fuzz corpus (seeds only — `make
-# fuzz` explores), and a binary+surface loadgen smoke.
+# fuzz` explores), a binary+surface loadgen smoke, and the simulator's
+# own hot path: zero-allocation park/resume, hand-off, compute and send,
+# no goroutine or heap left behind by a suite pass, and exhibits
+# byte-identical to the digests recorded before the coroutine rewrite.
 hotpath-gate:
 	$(GO) test -run 'AllocationFree|Permutation' ./internal/core
+	$(GO) test -run 'AllocationFree|Leak|GoldenDigest' ./internal/des ./internal/cpu ./internal/link ./internal/experiments
 	$(GO) test -run 'TestSurface' ./internal/surface
 	$(GO) test -run 'TestBinary|TestFastPath' ./internal/serve
 	$(GO) test -run 'FuzzDecodeBinaryRequest' ./internal/serve

@@ -55,6 +55,7 @@ func main() {
 	// 4. Verify against an actual run on the simulated platform with
 	// the same contenders emulated.
 	k := contention.NewKernel()
+	defer k.Close()
 	sp, err := contention.NewSunParagon(k, params)
 	if err != nil {
 		log.Fatal(err)

@@ -49,6 +49,7 @@ func main() {
 
 	// Actual contended run on the simulated platform.
 	k := contention.NewKernel()
+	defer k.Close()
 	sp, err := contention.NewSunParagon(k, params)
 	if err != nil {
 		log.Fatal(err)

@@ -148,6 +148,7 @@ func (o Options) measureBurstWarm(dir workload.Direction, words int, setup func(
 	if err != nil {
 		return 0, err
 	}
+	defer k.Close()
 	if setup != nil {
 		setup(sp)
 	}
@@ -194,6 +195,7 @@ func (o Options) measureComputeWarm(setup func(*platform.SunParagon), warmup flo
 	if err != nil {
 		return 0, err
 	}
+	defer k.Close()
 	if setup != nil {
 		setup(sp)
 	}

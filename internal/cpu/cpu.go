@@ -22,8 +22,9 @@ type Host struct {
 	name  string
 	speed float64 // work units per second when a job runs alone
 
-	jobs       []*job
-	completion *des.Event
+	jobs       []job
+	done       []job      // finishDue's scratch, empty between calls
+	completion *des.Event // calls finishDue; created once, then re-timed
 	lastUpdate float64
 
 	busyTime     float64 // total time with ≥1 resident job
@@ -113,7 +114,7 @@ func (h *Host) ComputeWeighted(p *des.Proc, work, weight float64) {
 		return
 	}
 	h.advance()
-	h.jobs = append(h.jobs, &job{remaining: work, weight: weight, proc: p})
+	h.jobs = append(h.jobs, job{remaining: work, weight: weight, proc: p})
 	h.reschedule()
 	p.Park()
 }
@@ -130,7 +131,7 @@ func (h *Host) ComputeAsync(work float64, onDone func()) {
 		return
 	}
 	h.advance()
-	h.jobs = append(h.jobs, &job{remaining: work, weight: 1, onDone: onDone})
+	h.jobs = append(h.jobs, job{remaining: work, weight: 1, onDone: onDone})
 	h.reschedule()
 }
 
@@ -157,7 +158,8 @@ func (h *Host) advance() {
 	}
 	total := h.totalWeight()
 	eff := h.speed / h.PagingFactor()
-	for _, j := range h.jobs {
+	for i := range h.jobs {
+		j := &h.jobs[i]
 		j.remaining -= effDt * eff * j.weight / total
 	}
 }
@@ -195,14 +197,11 @@ func (h *Host) totalWeight() float64 {
 	return w
 }
 
-// reschedule (re)installs the completion event for the earliest
-// finishing job given current membership.
+// reschedule re-times the completion event — one record for the host's
+// lifetime — for the earliest finishing job given current membership.
 func (h *Host) reschedule() {
-	if h.completion != nil {
-		h.k.Cancel(h.completion)
-		h.completion = nil
-	}
 	if len(h.jobs) == 0 {
+		h.k.Cancel(h.completion)
 		return
 	}
 	total := h.totalWeight()
@@ -221,31 +220,37 @@ func (h *Host) reschedule() {
 	if next < 0 {
 		next = 0
 	}
-	h.completion = h.k.After(stallLeft+next, h.finishDue)
+	if h.completion == nil {
+		h.completion = h.k.After(stallLeft+next, h.finishDue)
+	} else {
+		h.k.Reschedule(h.completion, stallLeft+next)
+	}
 }
 
 // finishDue retires every job whose remaining work has reached zero.
+// Survivors are filtered in place and the finished jobs collected in
+// h.done, both in arrival order.
 func (h *Host) finishDue() {
-	h.completion = nil
 	h.advance()
-	var keep []*job
-	var done []*job
+	keep := h.jobs[:0]
 	for _, j := range h.jobs {
 		if j.remaining <= eps {
-			done = append(done, j)
+			h.done = append(h.done, j)
 		} else {
 			keep = append(keep, j)
 		}
 	}
+	clear(h.jobs[len(keep):])
 	h.jobs = keep
 	h.reschedule()
-	for _, j := range done {
+	for _, j := range h.done {
 		h.completed++
 		if j.proc != nil {
 			j.proc.Resume()
 		} else if j.onDone != nil {
-			fn := j.onDone
-			h.k.After(0, fn)
+			h.k.After(0, j.onDone)
 		}
 	}
+	clear(h.done)
+	h.done = h.done[:0]
 }

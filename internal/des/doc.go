@@ -4,13 +4,17 @@
 //
 // The kernel advances a virtual clock over a heap of cancelable events.
 // Simulated activities are written as ordinary imperative Go functions
-// running in "processes" (goroutines that the kernel resumes one at a
-// time, so execution is sequential and fully deterministic). Resources
-// such as processor-sharing CPUs and FCFS links are built on top of the
-// kernel's event primitives in sibling packages.
+// running in "processes": iter.Pull coroutines that the kernel resumes
+// one at a time, so execution is sequential and fully deterministic.
+// Resources such as processor-sharing CPUs and FCFS links are built on
+// top of the kernel's event primitives in sibling packages.
 //
-// Determinism: exactly one goroutine (the kernel or a single process) is
-// runnable at any instant; control transfers through unbuffered channel
-// handshakes; simultaneous events fire in schedule order (a monotonically
-// increasing sequence number breaks time ties).
+// Determinism: exactly one of the kernel and its processes runs at any
+// instant; control transfers by direct coroutine switch, never through
+// the Go scheduler; simultaneous events fire in schedule order (a
+// monotonically increasing sequence number breaks time ties).
+//
+// Lifetime: a kernel that stops with processes still parked (servers,
+// contenders that loop forever) holds one coroutine per process until
+// Close unwinds them. Every owner pairs New with a deferred Close.
 package des

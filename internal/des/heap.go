@@ -1,11 +1,13 @@
 package des
 
 // Event is a scheduled callback in virtual time. Events are created via
-// Kernel.At / Kernel.After and may be canceled before they fire.
+// Kernel.At / Kernel.After and may be canceled before they fire. A wake
+// event carries the process to resume in place of a callback.
 type Event struct {
 	at       float64
 	seq      uint64
 	fn       func()
+	proc     *Proc
 	index    int // position in the heap, -1 once fired or canceled
 	canceled bool
 }
@@ -46,37 +48,28 @@ func (h *eventHeap) push(e *Event) {
 }
 
 func (h *eventHeap) pop() *Event {
-	n := len(h.items)
-	if n == 0 {
+	if len(h.items) == 0 {
 		return nil
 	}
 	top := h.items[0]
-	h.swap(0, n-1)
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	if len(h.items) > 0 {
-		h.down(0)
-	}
-	top.index = -1
+	h.remove(0)
 	return top
 }
 
-// remove deletes the event at position i, restoring heap order.
+// remove deletes the event at position i, restoring heap order; an
+// index outside the heap (-1: already fired or canceled) is a no-op.
 func (h *eventHeap) remove(i int) {
-	n := len(h.items)
-	if i < 0 || i >= n {
+	n := len(h.items) - 1
+	if i < 0 || i > n {
 		return
 	}
-	h.items[i].index = -1
-	if i == n-1 {
-		h.items[n-1] = nil
-		h.items = h.items[:n-1]
-		return
+	if i != n {
+		h.swap(i, n)
 	}
-	h.swap(i, n-1)
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	if !h.down(i) {
+	h.items[n].index = -1
+	h.items[n] = nil
+	h.items = h.items[:n]
+	if i != n && !h.down(i) {
 		h.up(i)
 	}
 }

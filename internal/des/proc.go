@@ -1,17 +1,35 @@
+//go:build go1.23
+
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine whose execution the kernel
-// interleaves with events deterministically. At most one process (or the
-// kernel) runs at a time; a process gives up control by parking (Delay,
-// mailbox receive, resource acquisition) and is resumed by kernel events.
+// Proc is a simulated process: an iter.Pull coroutine whose execution
+// the kernel interleaves with events deterministically. At most one
+// process (or the kernel) runs at a time; a process gives up control by
+// parking (Delay, mailbox receive, resource acquisition) and is resumed
+// by kernel wake events.
 type Proc struct {
 	k    *Kernel
 	name string
-	wake chan struct{}
+	body func(p *Proc)
+
+	// The coroutine, created on first resume: next switches into the
+	// body until it parks or returns, stop makes the pending park fail,
+	// and yield (valid inside the body) switches back to the kernel.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	slot int // index in k.live
 	dead bool
 }
+
+// closeSignal is the panic value Park raises once the kernel is closing.
+type closeSignal struct{}
 
 // Name reports the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -25,104 +43,111 @@ func (p *Proc) Now() float64 { return p.k.now }
 // Spawn creates a process executing body. The body starts at the current
 // virtual time, after already-queued events at that time.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, wake: make(chan struct{})}
-	k.procs++
-	k.After(0, func() {
-		go func() {
-			defer func() {
-				p.dead = true
-				k.procs--
-				k.yield <- struct{}{}
-			}()
-			body(p)
-		}()
-		<-k.yield // wait until the process parks or finishes
-	})
+	p := &Proc{k: k, name: name, body: body, slot: len(k.live)}
+	k.wake(p, 0) // panics on a closed kernel, before p joins the live set
+	k.live = append(k.live, p)
 	return p
 }
 
-// park suspends the process until something resumes it. Must only be
-// called from the process's own goroutine.
-func (p *Proc) park() {
-	p.k.yield <- struct{}{}
-	<-p.wake
+// run is the coroutine: the body, then bookkeeping. A closeSignal ends
+// the process quietly; any other panic is re-raised with the process
+// name and, through iter.Pull, reaches whoever called Kernel.Run.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		p.retire()
+		if r := recover(); r != nil {
+			if _, closing := r.(closeSignal); !closing {
+				panic(fmt.Sprintf("des: process %q panicked: %v", p.name, r))
+			}
+		}
+	}()
+	p.body(p)
+}
+
+// retire removes a finished process from the kernel's live set.
+func (p *Proc) retire() {
+	p.dead = true
+	live := p.k.live
+	last := live[len(live)-1]
+	live[p.slot], last.slot = last, p.slot
+	live[len(live)-1] = nil
+	p.k.live = live[:len(live)-1]
 }
 
 // Park suspends the process until another simulation context calls
 // Resume. It is the low-level hook for resource implementations in
 // other packages (CPU hosts, links); application code should prefer the
-// higher-level primitives.
-func (p *Proc) Park() { p.park() }
+// higher-level primitives. Must only be called from the process's own
+// body.
+func (p *Proc) Park() {
+	if !p.yield(struct{}{}) {
+		panic(closeSignal{})
+	}
+}
 
-// resume transfers control to a parked process and waits for it to park
-// again or finish. Must only be called from kernel context (inside an
-// event callback), never from another process.
+// resume transfers control to a parked process and returns when it
+// parks again or finishes. Only Kernel.Run calls it, for a wake event.
 func (p *Proc) resume() {
 	if p.dead {
 		panic(fmt.Sprintf("des: resume of dead process %q", p.name))
 	}
-	p.wake <- struct{}{}
-	<-p.k.yield
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	p.next()
 }
 
 // Resume schedules the process to be woken at the current virtual time.
-// Safe to call from any simulation context (event or another process).
-func (p *Proc) Resume() {
-	p.k.After(0, func() { p.resume() })
-}
+// Safe to call from any simulation context (event or another process);
+// the switch itself happens later, from Kernel.Run.
+func (p *Proc) Resume() { p.k.wake(p, 0) }
 
-// Delay advances the process by d seconds of virtual time.
+// Delay advances the process by d seconds of virtual time. A zero delay
+// still yields, so same-time events interleave fairly.
 func (p *Proc) Delay(d float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", d))
-	}
-	if d == 0 {
-		// Still yield so same-time events interleave fairly.
-		p.k.After(0, func() { p.resume() })
-		p.park()
-		return
-	}
-	p.k.After(d, func() { p.resume() })
-	p.park()
+	p.k.wake(p, d)
+	p.Park()
 }
 
-// waiter is the unit parked in wait queues: resuming it hands control to
-// the process via the kernel.
-type waiter struct {
-	p *Proc
+// fifo is a slice-backed queue that keeps its backing array: pop
+// advances a head index, and once at least half the slice is dead the
+// live tail is copied down (when the queue drains that is a plain
+// reset), so steady-state traffic allocates nothing and a queue that
+// never drains stays bounded by twice its length.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head == len(q.items) {
+		return v, false
+	}
+	var zero T
+	v, q.items[q.head] = q.items[q.head], zero
+	q.head++
+	if 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v, true
 }
 
 // waitQueue is a FIFO of parked processes used by the synchronization
 // primitives and resources.
-type waitQueue struct {
-	ws []*waiter
-}
+type waitQueue struct{ fifo[*Proc] }
 
-func (q *waitQueue) empty() bool { return len(q.ws) == 0 }
-func (q *waitQueue) len() int    { return len(q.ws) }
-
-func (q *waitQueue) push(p *Proc) *waiter {
-	w := &waiter{p: p}
-	q.ws = append(q.ws, w)
-	return w
-}
-
-func (q *waitQueue) pop() *waiter {
-	if len(q.ws) == 0 {
-		return nil
+// wakeOne resumes the oldest waiter; it reports whether there was one.
+func (q *waitQueue) wakeOne() bool {
+	p, ok := q.pop()
+	if ok {
+		p.Resume()
 	}
-	w := q.ws[0]
-	q.ws = q.ws[1:]
-	return w
-}
-
-// remove deletes a specific waiter (used for timeouts); reports success.
-func (q *waitQueue) remove(w *waiter) bool {
-	for i, x := range q.ws {
-		if x == w {
-			q.ws = append(q.ws[:i], q.ws[i+1:]...)
-			return true
-		}
-	}
-	return false
+	return ok
 }

@@ -5,7 +5,7 @@ package des
 type Mailbox[T any] struct {
 	k     *Kernel
 	name  string
-	msgs  []T
+	msgs  fifo[T]
 	queue waitQueue
 }
 
@@ -15,38 +15,27 @@ func NewMailbox[T any](k *Kernel, name string) *Mailbox[T] {
 }
 
 // Len reports the number of queued messages.
-func (m *Mailbox[T]) Len() int { return len(m.msgs) }
+func (m *Mailbox[T]) Len() int { return m.msgs.len() }
 
 // Send enqueues v and wakes one parked receiver, if any. Send is safe to
 // call from event callbacks as well as processes.
 func (m *Mailbox[T]) Send(v T) {
-	m.msgs = append(m.msgs, v)
-	if w := m.queue.pop(); w != nil {
-		w.p.Resume()
-	}
+	m.msgs.push(v)
+	m.queue.wakeOne()
 }
 
 // Recv returns the oldest message, parking p until one is available.
 func (m *Mailbox[T]) Recv(p *Proc) T {
-	for len(m.msgs) == 0 {
+	for m.msgs.len() == 0 {
 		m.queue.push(p)
-		p.park()
+		p.Park()
 	}
-	v := m.msgs[0]
-	m.msgs = m.msgs[1:]
+	v, _ := m.msgs.pop()
 	return v
 }
 
 // TryRecv returns the oldest message without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.msgs) == 0 {
-		return zero, false
-	}
-	v := m.msgs[0]
-	m.msgs = m.msgs[1:]
-	return v, true
-}
+func (m *Mailbox[T]) TryRecv() (T, bool) { return m.msgs.pop() }
 
 // Semaphore is a counting semaphore for processes.
 type Semaphore struct {
@@ -66,18 +55,16 @@ func NewSemaphore(k *Kernel, n int) *Semaphore {
 // Acquire takes one permit, parking p until one is available. Waiters
 // are served FIFO.
 func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 && s.queue.empty() {
-		s.avail--
-		return
+	if !s.TryAcquire() {
+		s.queue.push(p)
+		p.Park()
+		// Ownership was transferred by Release; the permit is already ours.
 	}
-	s.queue.push(p)
-	p.park()
-	// Ownership was transferred by Release; the permit is already ours.
 }
 
 // TryAcquire takes a permit if one is immediately available.
 func (s *Semaphore) TryAcquire() bool {
-	if s.avail > 0 && s.queue.empty() {
+	if s.avail > 0 && s.queue.len() == 0 {
 		s.avail--
 		return true
 	}
@@ -87,11 +74,9 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit, waking the oldest waiter if any. The
 // permit passes directly to the waiter (no barging).
 func (s *Semaphore) Release() {
-	if w := s.queue.pop(); w != nil {
-		w.p.Resume()
-		return
+	if !s.queue.wakeOne() {
+		s.avail++
 	}
-	s.avail++
 }
 
 // Available reports the number of free permits.
@@ -124,17 +109,12 @@ func (b *Barrier) Await(p *Proc) {
 	if b.n >= b.target {
 		b.n = 0
 		b.cycles++
-		for {
-			w := b.queue.pop()
-			if w == nil {
-				break
-			}
-			w.p.Resume()
+		for b.queue.wakeOne() {
 		}
 		return
 	}
 	b.queue.push(p)
-	p.park()
+	p.Park()
 }
 
 // Cycles reports how many times the barrier has tripped.
@@ -157,12 +137,7 @@ func (l *Latch) Open() {
 		return
 	}
 	l.open = true
-	for {
-		w := l.queue.pop()
-		if w == nil {
-			return
-		}
-		w.p.Resume()
+	for l.queue.wakeOne() {
 	}
 }
 
@@ -175,5 +150,5 @@ func (l *Latch) Wait(p *Proc) {
 		return
 	}
 	l.queue.push(p)
-	p.park()
+	p.Park()
 }

@@ -105,7 +105,9 @@ func CalibrationDrift(env *Env) (Result, error) {
 	}
 
 	// The resource manager surfaces the trust state to schedulers.
-	mgr, err := rm.New(des.New(), rm.Config{Tables: env.Cal.Tables, Trust: tracker})
+	k := des.New()
+	defer k.Close()
+	mgr, err := rm.New(k, rm.Config{Tables: env.Cal.Tables, Trust: tracker})
 	if err != nil {
 		return Result{}, err
 	}

@@ -32,6 +32,7 @@ func spawnDutyHogs(k *des.Kernel, plat *platform.SunCM2, n int) {
 // (M row messages of M words each way) with p contenders.
 func cm2TransferElapsed(env *Env, m, hogs int) float64 {
 	k := des.New()
+	defer k.Close()
 	plat := platform.MustNewSunCM2(k, env.CM2Params)
 	spawnDutyHogs(k, plat, hogs)
 	elapsed := -1.0
@@ -103,6 +104,7 @@ func Figure1(env *Env) (Result, error) {
 // a reduction where the Sun waits for the CM2's result.
 func Figure2(env *Env) (Result, error) {
 	k := des.New()
+	defer k.Close()
 	plat, err := platform.NewSunCM2(k, env.CM2Params)
 	if err != nil {
 		return Result{}, err
@@ -157,6 +159,7 @@ func Figure2(env *Env) (Result, error) {
 // gaussRun measures one Gaussian-elimination run on the CM2 platform.
 func gaussRun(env *Env, m, hogs int) (elapsed, busy, idle float64) {
 	k := des.New()
+	defer k.Close()
 	plat := platform.MustNewSunCM2(k, env.CM2Params)
 	spawnDutyHogs(k, plat, hogs)
 	prog := apps.GaussCM2Program(m)

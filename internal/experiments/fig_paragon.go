@@ -18,6 +18,7 @@ const burstWarmup = 0.5
 // given direction on a fresh platform with the given contenders.
 func burstElapsed(params platform.ParagonParams, dir workload.Direction, count, words int, specs []workload.AlternatorSpec) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
 	if err != nil {
 		return 0, err

@@ -84,6 +84,7 @@ func MultiMachine(env *Env) (Result, error) {
 // two contenders, either both on leg 0 or split across legs.
 func multiBurst(params platform.ParagonParams, count, words int, sameLink bool) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	legs, err := platform.NewSunMultiParagon(k, params, 2)
 	if err != nil {
 		return 0, err

@@ -131,6 +131,7 @@ func OffloadDecision(env *Env) (Result, error) {
 // contention on the Sun does not change it).
 func estimateTp(env *Env, spec apps.SORParagonSpec) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, env.ParagonParams)
 	if err != nil {
 		return 0, err
@@ -155,6 +156,7 @@ func estimateTp(env *Env, spec apps.SORParagonSpec) (float64, error) {
 // matrix out, run on the Paragon, ship the result back.
 func offloadRun(params platform.ParagonParams, m, nodes int, specs []workload.AlternatorSpec) (float64, error) {
 	k := des.New()
+	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
 	if err != nil {
 		return 0, err

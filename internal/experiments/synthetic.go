@@ -86,6 +86,7 @@ func SyntheticCM2(env *Env, programs int) (Result, error) {
 
 func syntheticRun(env *Env, prog apps.CM2Program, hogs int) (elapsed, busy, idle float64) {
 	k := des.New()
+	defer k.Close()
 	plat := platform.MustNewSunCM2(k, env.CM2Params)
 	spawnDutyHogs(k, plat, hogs)
 	k.Spawn(prog.Name, func(p *des.Proc) {

@@ -242,19 +242,25 @@ func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload
 	l.messages++
 	l.wordsMoved += words
 
-	// 3. Delivery to the peer's inbox (through the Forward hook when the
-	// service node relays it). Receive-side conversion is charged in
-	// Recv, in the receiving process's context.
+	// 3. Delivery to the peer's inbox, directly or — when the service
+	// node relays it — whenever the Forward hook calls deliver; the
+	// closure captures a copy so the direct path allocates nothing.
+	// Receive-side conversion is charged in Recv, in the receiving
+	// process's context.
 	peer := e.peer
-	deliver := func() {
-		msg.Arrived = l.k.Now()
-		peer.Port(dstPort).Send(msg)
-	}
 	if fwd := peer.cfg.Forward; fwd != nil {
-		inner := deliver
-		deliver = func() { fwd(words, inner) }
+		relayed := msg
+		fwd(words, func() { peer.deliver(relayed) })
+		return msg
 	}
-	deliver()
+	return peer.deliver(msg)
+}
+
+// deliver stamps the arrival time, posts msg to its destination port
+// and returns the stamped copy.
+func (e *Endpoint) deliver(msg Message) Message {
+	msg.Arrived = e.link.k.Now()
+	e.Port(msg.DstPort).Send(msg)
 	return msg
 }
 

@@ -312,3 +312,105 @@ func TestFaultFuncNilIsClean(t *testing.T) {
 		t.Fatalf("Retransmits = %d on a clean wire", l.Retransmits())
 	}
 }
+
+// Send's return value carries the arrival stamp on the direct path —
+// delivery happens before Send returns — and leaves it unset when the
+// peer's Forward hook relays the message, however soon the hook calls
+// deliver: the relayed copy is stamped, not the sender's.
+func TestSendReturnValueArrivalStamp(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	var sent, got Message
+	k.Spawn("recv", func(p *des.Proc) { got = b.Recv(p, "x") })
+	k.Spawn("send", func(p *des.Proc) { sent = a.Send(p, "x", "x", 100, "hello") })
+	k.Run()
+	if sent.Arrived <= 0 || sent != got {
+		t.Fatalf("direct path: Send returned %+v, receiver got %+v; want the same stamped message", sent, got)
+	}
+	if sent.Sent != 0 || sent.Queued != 0 || sent.Arrived != k.Now() {
+		t.Fatalf("direct path timestamps %+v, want sent and queued at 0, arrived at %v", sent, k.Now())
+	}
+
+	for name, hop := range map[string]float64{"immediate": 0, "delayed": 0.5} {
+		k := des.New()
+		defer k.Close()
+		_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"},
+			EndpointConfig{Name: "mpp", Forward: func(words int, deliver func()) {
+				if hop == 0 {
+					deliver()
+				} else {
+					k.After(hop, deliver)
+				}
+			}})
+		var sent, got Message
+		var returnedAt float64
+		k.Spawn("recv", func(p *des.Proc) { got = b.Recv(p, "x") })
+		k.Spawn("send", func(p *des.Proc) {
+			sent = a.Send(p, "x", "x", 100, "hello")
+			returnedAt = p.Now()
+		})
+		k.Run()
+		if sent.Arrived != 0 {
+			t.Errorf("%s forward: Send returned Arrived = %v, want it unset", name, sent.Arrived)
+		}
+		if want := returnedAt + hop; got.Arrived != want {
+			t.Errorf("%s forward: receiver's Arrived = %v, want %v", name, got.Arrived, want)
+		}
+		sent.Arrived = got.Arrived
+		if sent != got {
+			t.Errorf("%s forward: relayed copy %+v differs from the sender's %+v", name, got, sent)
+		}
+	}
+}
+
+// sendLoop streams fixed-size messages from a CPU-backed endpoint to a
+// receiver that drains them: conversion on the host, the wire
+// semaphore, the wire delay, the inbox and the receive conversion —
+// every resource a simulated message crosses.
+func sendLoop(k *des.Kernel) *Link {
+	host := cpu.NewHost(k, "sun", 1)
+	l, a, b := MustNew(k, basicCfg(),
+		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6},
+		EndpointConfig{Name: "mpp"})
+	k.Spawn("recv", func(p *des.Proc) {
+		for {
+			b.Recv(p, "x")
+		}
+	})
+	k.Spawn("send", func(p *des.Proc) {
+		for {
+			a.Send(p, "x", "x", 512, nil)
+		}
+	})
+	return l
+}
+
+func TestSendAllocationFree(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	l := sendLoop(k)
+	k.RunUntil(1)
+	before := l.Messages()
+	if got := testing.AllocsPerRun(200, func() { k.RunUntil(k.Now() + 0.1) }); got != 0 {
+		t.Errorf("%v allocs per 0.1 s of streaming, want 0", got)
+	}
+	if l.Messages() == before {
+		t.Error("no message crossed the link while measuring")
+	}
+}
+
+// BenchmarkSend prices one message end to end (send conversion, wire,
+// delivery, receive) on the direct path.
+func BenchmarkSend(b *testing.B) {
+	k := des.New()
+	defer k.Close()
+	l := sendLoop(k)
+	k.RunUntil(1)
+	start := l.Messages()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for l.Messages()-start < b.N {
+		k.RunUntil(k.Now() + 0.1)
+	}
+}

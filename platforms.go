@@ -20,6 +20,8 @@ type (
 )
 
 // NewKernel returns an empty simulation kernel with the clock at zero.
+// Pair it with a deferred Close: a kernel that stops with processes
+// still parked holds their coroutines until it is closed.
 func NewKernel() *Kernel { return des.New() }
 
 // Simulated platforms (see internal/platform).
