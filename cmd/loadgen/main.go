@@ -1,7 +1,7 @@
 // Command loadgen drives a contentiond prediction service with
-// synthetic traffic and records throughput and latency percentiles in
-// the benchjson snapshot format, so serving performance regressions are
-// caught the same way (`benchjson -diff`) as micro-benchmark ones.
+// synthetic traffic and reports throughput and latency percentiles: a
+// one-line summary on stderr and the run's JSON report on stdout. (The
+// recorded, regression-gated perf numbers come from bench/, not here.)
 //
 // Two generator shapes:
 //
@@ -32,11 +32,10 @@
 //	loadgen -mode open -rate 2000 -duration 10s   # open loop at 2 kreq/s
 //	loadgen -binary                               # binary wire format instead of JSON
 //	loadgen -binary -surface                      # + precomputed-surface fast path
-//	loadgen -cluster 4 -o BENCH_cluster.json      # 4-replica fleet behind the router
+//	loadgen -cluster 4                            # 4-replica fleet behind the router
 //	loadgen -remote 2 -exec ./contentiond         # remote-member path, child daemons
 //	loadgen -members members.json                 # remote fleet from a members file
-//	loadgen -addr 127.0.0.1:8123 -o BENCH_serve.json -label pr5
-//	loadgen -o BENCH.json -append                 # add this run to an existing snapshot
+//	loadgen -addr 127.0.0.1:8123                  # a separately started daemon
 package main
 
 import (
@@ -68,21 +67,14 @@ import (
 	"contention/internal/surface"
 )
 
-// benchmark and snapshot mirror cmd/benchjson's wire format (that
-// command is package main, so the shapes are restated here; the format
-// is pinned by the snapshot schema test in cmd/benchjson).
-type benchmark struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-type snapshot struct {
-	Label      string      `json:"label"`
-	GoOS       string      `json:"goos,omitempty"`
-	GoArch     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Benchmarks []benchmark `json:"benchmarks"`
+// report is the JSON document one run prints to stdout.
+type report struct {
+	Name     string             `json:"name"`
+	GoOS     string             `json:"goos"`
+	GoArch   string             `json:"goarch"`
+	CPU      string             `json:"cpu"`
+	Requests int64              `json:"requests"` // successful ones; the metrics are over these
+	Metrics  map[string]float64 `json:"metrics"`
 }
 
 func main() {
@@ -93,8 +85,6 @@ func main() {
 	duration := flag.Duration("duration", 3*time.Second, "run length")
 	warmup := flag.Duration("warmup", 300*time.Millisecond, "warm-up run excluded from the recorded stats")
 	seed := flag.Int64("seed", 1, "corpus seed")
-	label := flag.String("label", "loadgen", "snapshot label recorded in the JSON")
-	out := flag.String("o", "", "write benchjson snapshot to this file (default stdout)")
 	window := flag.Duration("window", serve.DefaultWindow, "micro-batch window for the self-served server")
 	clusterN := flag.Int("cluster", 0, "self-serve a supervised cluster of N in-process replicas behind the affinity router (instead of one server); ignored with -addr")
 	remoteN := flag.Int("remote", 0, "self-serve a remote-only router over N contentiond child processes from -exec; ignored with -addr")
@@ -103,8 +93,7 @@ func main() {
 	binaryMode := flag.Bool("binary", false, "send requests in the binary wire format instead of JSON")
 	surfaceMode := flag.Bool("surface", false, "self-serve with a precomputed slowdown surface attached and the batcher-bypass fast path on (single in-process server only)")
 	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N requests into a propagated trace: the context rides the trace header (JSON) or the in-band binary trace block (0 disables)")
-	stagesOut := flag.Bool("stages", false, "record per-stage latency attribution on the self-served target and emit stage-*-p50/p99-ms metrics in the snapshot")
-	appendOut := flag.Bool("append", false, "append this run's benchmarks to the existing snapshot in -o instead of overwriting it")
+	stagesOut := flag.Bool("stages", false, "record per-stage latency attribution on the self-served target and emit stage-*-p50/p99-ms metrics in the report")
 	scenarioSpec := flag.String("scenario", "", "drive a scenario schedule instead of uniform traffic: a built-in name (steady, diurnal, bursty, flashcrowd, mixed) or a spec string; paced open-loop by the schedule's offsets over -duration from -seed (overrides -mode/-rate)")
 	recordPath := flag.String("record", "", "record the -scenario run — requests and the responses they received — as a contention/trace/v1 file")
 	replayPath := flag.String("replay", "", "replay a recorded trace file, paced by its recorded offsets, and verify each response against the recorded one (exit 1 on mismatch)")
@@ -137,10 +126,6 @@ func main() {
 	}
 	if *surfaceMode && (*addr != "" || *clusterN > 0 || *remoteN > 0 || *membersPath != "") {
 		fmt.Fprintln(os.Stderr, "-surface applies only to the single self-served server (no -addr/-cluster/-remote/-members)")
-		os.Exit(2)
-	}
-	if *appendOut && *out == "" {
-		fmt.Fprintln(os.Stderr, "-append needs -o (the snapshot file to extend)")
 		os.Exit(2)
 	}
 	// Stage attribution and sampled traces both need telemetry on; with a
@@ -330,70 +315,43 @@ func main() {
 	if *surfaceMode {
 		name += "-surface"
 	}
-	snap := snapshot{
-		Label:  *label,
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		CPU:    fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
-		Benchmarks: []benchmark{{
-			Name:       name,
-			Iterations: int64(len(res.latencies)),
-			Metrics: map[string]float64{
-				"req/s":     float64(len(res.latencies)) / res.elapsed.Seconds(),
-				"p50-ms":    percentile(res.latencies, 50),
-				"p90-ms":    percentile(res.latencies, 90),
-				"p99-ms":    percentile(res.latencies, 99),
-				"p99.9-ms":  percentile(res.latencies, 99.9),
-				"max-ms":    res.latencies[len(res.latencies)-1],
-				"err%":      100 * float64(res.errors) / float64(res.total()),
-				"batched%":  100 * float64(res.batched.Load()) / float64(len(res.latencies)),
-				"fast%":     100 * float64(res.fast.Load()) / float64(len(res.latencies)),
-				"allocs/op": float64(ms1.Mallocs-ms0.Mallocs) / float64(len(res.latencies)),
-			},
-		}},
+	m := map[string]float64{
+		"req/s":     float64(len(res.latencies)) / res.elapsed.Seconds(),
+		"p50-ms":    percentile(res.latencies, 50),
+		"p90-ms":    percentile(res.latencies, 90),
+		"p99-ms":    percentile(res.latencies, 99),
+		"p99.9-ms":  percentile(res.latencies, 99.9),
+		"max-ms":    res.latencies[len(res.latencies)-1],
+		"err%":      100 * float64(res.errors) / float64(res.total()),
+		"batched%":  100 * float64(res.batched.Load()) / float64(len(res.latencies)),
+		"fast%":     100 * float64(res.fast.Load()) / float64(len(res.latencies)),
+		"allocs/op": float64(ms1.Mallocs-ms0.Mallocs) / float64(len(res.latencies)),
 	}
 	if *stagesOut {
 		for k, v := range stageMetrics(obs.Default().Snapshot()) {
-			snap.Benchmarks[0].Metrics[k] = v
+			m[k] = v
 		}
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d ok in %v — %.0f req/s, p50 %.3f ms, p99 %.3f ms, p99.9 %.3f ms, batched %.1f%%, fast %.1f%%, %.0f allocs/op\n",
 		name, len(res.latencies), res.elapsed.Round(time.Millisecond),
-		snap.Benchmarks[0].Metrics["req/s"], snap.Benchmarks[0].Metrics["p50-ms"],
-		snap.Benchmarks[0].Metrics["p99-ms"], snap.Benchmarks[0].Metrics["p99.9-ms"],
-		snap.Benchmarks[0].Metrics["batched%"], snap.Benchmarks[0].Metrics["fast%"],
-		snap.Benchmarks[0].Metrics["allocs/op"])
+		m["req/s"], m["p50-ms"], m["p99-ms"], m["p99.9-ms"], m["batched%"], m["fast%"], m["allocs/op"])
 
-	if *appendOut {
-		if prev, err := os.ReadFile(*out); err == nil {
-			var old snapshot
-			if err := json.Unmarshal(prev, &old); err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: -append %s: %v\n", *out, err)
-				os.Exit(1)
-			}
-			old.Benchmarks = append(old.Benchmarks, snap.Benchmarks...)
-			snap = old
-		}
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	if err := enc.Encode(report{
+		Name:     name,
+		GoOS:     runtime.GOOS,
+		GoArch:   runtime.GOARCH,
+		CPU:      fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
+		Requests: int64(len(res.latencies)),
+		Metrics:  m,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-// benchSafe reduces a scenario name to a benchmark-name-safe token:
+// benchSafe reduces a scenario name to a run-name-safe token:
 // alphanumerics, dashes and underscores, capped at 24 runes. Anything
 // else (a raw spec string used without a name) falls back to "custom".
 func benchSafe(s string) string {
@@ -662,8 +620,7 @@ func corpus(rng *rand.Rand, n int, binary bool) (bodies, traced [][]byte) {
 }
 
 // stageMetrics digests the serve_stage_seconds histograms into
-// stage-<name>-p50/p99-ms snapshot metrics — the `-ms` suffix makes
-// benchjson treat them as regress-guarded cost metrics.
+// stage-<name>-p50/p99-ms report metrics.
 func stageMetrics(snap obs.Snapshot) map[string]float64 {
 	out := map[string]float64{}
 	prefix := obs.MetricServeStageSeconds + `{stage="`

@@ -220,6 +220,17 @@ func (h *Host) reschedule() {
 	if next < 0 {
 		next = 0
 	}
+	if now := h.k.Now(); now+(stallLeft+next) == now {
+		// The earliest finish is below the clock's resolution at now, so
+		// the event fires at this same instant with no progress made and
+		// would be re-armed forever. Work that needs no representable
+		// time is done.
+		for i := range h.jobs {
+			if j := &h.jobs[i]; j.remaining*total/(eff*j.weight) <= next {
+				j.remaining = 0
+			}
+		}
+	}
 	if h.completion == nil {
 		h.completion = h.k.After(stallLeft+next, h.finishDue)
 	} else {

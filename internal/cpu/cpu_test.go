@@ -347,3 +347,30 @@ func TestStallValidation(t *testing.T) {
 	}()
 	h.Stall(-1)
 }
+
+// TestSubUlpRemainderRetires: at speed 1e6 past t=1e4 one ulp of the
+// clock (1.8e-12 s) is worth more work than eps, so a job can be left
+// with remaining > eps whose finish time rounds to now. Such a job must
+// be retired; re-arming its completion at the same instant never ends
+// (the run hangs until go test's -timeout).
+func TestSubUlpRemainderRetires(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	h := NewHost(k, "fast", 1e6)
+	body := func(p *des.Proc) {
+		p.Delay(1e4)
+		for i := 0; i < 2000; i++ {
+			h.Compute(p, 1+float64(i%7)/3)
+		}
+		h.Compute(p, 2e-9) // 2e-15 s of work: below the clock's resolution outright
+	}
+	k.Spawn("a", body)
+	k.Spawn("b", body)
+	k.Run()
+	if got := h.Completed(); got != 2*2001 {
+		t.Fatalf("completed %d jobs, want %d", got, 2*2001)
+	}
+	if now := k.Now(); now < 1e4 || now > 1e4+1 {
+		t.Fatalf("finished at %v, want just past 1e4", now)
+	}
+}

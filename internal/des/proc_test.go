@@ -201,80 +201,6 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasesAllAtOnce(t *testing.T) {
-	k := New()
-	b := NewBarrier(k, 3)
-	var times []float64
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("w", func(p *Proc) {
-			p.Delay(float64(i + 1))
-			b.Await(p)
-			times = append(times, p.Now())
-		})
-	}
-	k.Run()
-	if len(times) != 3 {
-		t.Fatalf("released %d procs, want 3", len(times))
-	}
-	for _, at := range times {
-		if at != 3 {
-			t.Fatalf("release times %v, want all at 3", times)
-		}
-	}
-	if b.Cycles() != 1 {
-		t.Fatalf("Cycles = %d, want 1", b.Cycles())
-	}
-}
-
-func TestBarrierIsCyclic(t *testing.T) {
-	k := New()
-	b := NewBarrier(k, 2)
-	count := 0
-	for i := 0; i < 2; i++ {
-		k.Spawn("w", func(p *Proc) {
-			for round := 0; round < 3; round++ {
-				p.Delay(1)
-				b.Await(p)
-				count++
-			}
-		})
-	}
-	k.Run()
-	if count != 6 {
-		t.Fatalf("total barrier passes = %d, want 6", count)
-	}
-	if b.Cycles() != 3 {
-		t.Fatalf("Cycles = %d, want 3", b.Cycles())
-	}
-}
-
-func TestLatchReleasesEarlyAndLateWaiters(t *testing.T) {
-	k := New()
-	l := NewLatch(k)
-	var times []float64
-	k.Spawn("early", func(p *Proc) {
-		l.Wait(p)
-		times = append(times, p.Now())
-	})
-	k.Spawn("opener", func(p *Proc) {
-		p.Delay(2)
-		l.Open()
-	})
-	k.Spawn("late", func(p *Proc) {
-		p.Delay(5)
-		l.Wait(p) // already open: returns immediately
-		times = append(times, p.Now())
-	})
-	k.Run()
-	if len(times) != 2 || times[0] != 2 || times[1] != 5 {
-		t.Fatalf("wait completions %v, want [2 5]", times)
-	}
-	if !l.Opened() {
-		t.Fatal("latch should report opened")
-	}
-}
-
 func TestResumeWakesParkedViaDelayIndirectly(t *testing.T) {
 	// A process parked in a mailbox is woken by a Send from an event
 	// callback (kernel context), not another process.

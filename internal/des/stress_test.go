@@ -7,7 +7,7 @@ import (
 )
 
 // stressRun drives a randomized mix of primitives (delays, semaphores,
-// mailboxes, barriers) and returns an event journal. Two runs with the
+// mailboxes) and returns an event journal. Two runs with the
 // same seed must journal identically — the determinism guarantee the
 // experiment reproducibility rests on.
 func stressRun(seed int64) []string {
@@ -21,7 +21,6 @@ func stressRun(seed int64) []string {
 	sem := NewSemaphore(k, 1+rng.Intn(3))
 	mb := NewMailbox[int](k, "mb")
 	nProcs := 3 + rng.Intn(5)
-	bar := NewBarrier(k, nProcs)
 
 	for i := 0; i < nProcs; i++ {
 		i := i
@@ -50,8 +49,6 @@ func stressRun(seed int64) []string {
 					log("p%d step at %.6f", i, p.Now())
 				}
 			}
-			bar.Await(p)
-			log("p%d through barrier at %.6f", i, p.Now())
 		})
 	}
 	k.Run()

@@ -84,71 +84,3 @@ func (s *Semaphore) Available() int { return s.avail }
 
 // Waiting reports the number of parked acquirers.
 func (s *Semaphore) Waiting() int { return s.queue.len() }
-
-// Barrier parks processes until a target count arrive, then releases
-// them all and resets (a cyclic barrier).
-type Barrier struct {
-	k      *Kernel
-	target int
-	n      int
-	queue  waitQueue
-	cycles int
-}
-
-// NewBarrier returns a barrier that trips every target arrivals.
-func NewBarrier(k *Kernel, target int) *Barrier {
-	if target <= 0 {
-		panic("des: barrier target must be positive")
-	}
-	return &Barrier{k: k, target: target}
-}
-
-// Await blocks p until target processes have arrived.
-func (b *Barrier) Await(p *Proc) {
-	b.n++
-	if b.n >= b.target {
-		b.n = 0
-		b.cycles++
-		for b.queue.wakeOne() {
-		}
-		return
-	}
-	b.queue.push(p)
-	p.Park()
-}
-
-// Cycles reports how many times the barrier has tripped.
-func (b *Barrier) Cycles() int { return b.cycles }
-
-// Latch is a one-shot completion signal: processes wait until Open is
-// called; afterwards Wait returns immediately.
-type Latch struct {
-	k     *Kernel
-	open  bool
-	queue waitQueue
-}
-
-// NewLatch returns a closed latch.
-func NewLatch(k *Kernel) *Latch { return &Latch{k: k} }
-
-// Open releases all current and future waiters. Idempotent.
-func (l *Latch) Open() {
-	if l.open {
-		return
-	}
-	l.open = true
-	for l.queue.wakeOne() {
-	}
-}
-
-// Opened reports whether the latch has been opened.
-func (l *Latch) Opened() bool { return l.open }
-
-// Wait parks p until the latch opens.
-func (l *Latch) Wait(p *Proc) {
-	if l.open {
-		return
-	}
-	l.queue.push(p)
-	p.Park()
-}

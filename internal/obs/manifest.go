@@ -54,9 +54,6 @@ type PredictionReport struct {
 
 // ReliabilityReport tallies the retry/timeout/degradation machinery.
 type ReliabilityReport struct {
-	EmuRetries      int64 `json:"emu_retries,omitempty"`
-	EmuRedials      int64 `json:"emu_redials,omitempty"`
-	EmuDeadlineHits int64 `json:"emu_deadline_hits,omitempty"`
 	DriftAlarms     int64 `json:"drift_alarms,omitempty"`
 	MonitorDropped  int64 `json:"monitor_dropped,omitempty"`
 	MonitorRejected int64 `json:"monitor_rejected,omitempty"`
@@ -212,9 +209,6 @@ func (m *Manifest) FillFromSnapshot(s Snapshot) {
 	}
 
 	m.Reliability = &ReliabilityReport{
-		EmuRetries:      s.Counter(MetricEmuRetries),
-		EmuRedials:      s.Counter(MetricEmuRedials),
-		EmuDeadlineHits: s.Counter(MetricEmuDeadlines),
 		DriftAlarms:     s.Counter(MetricDriftAlarms),
 		MonitorDropped:  s.Counter(MetricMonitorDropped),
 		MonitorRejected: s.Counter(MetricMonitorRejected),

@@ -59,7 +59,7 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	r.Counter(MetricPredictComm, "").Add(10)
 	r.Counter(MetricPredictDegraded, "").Add(1)
 	r.CounterVec(MetricFaultsInjected, "", "kind").With("link-drop").Add(5)
-	r.Counter(MetricEmuRetries, "").Add(7)
+	r.Counter(MetricMonitorDropped, "").Add(7)
 	r.Counter(MetricDriftAlarms, "").Inc()
 
 	m := NewManifest("experiments")
@@ -81,7 +81,7 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	if m.Faults["link-drop"] != 5 {
 		t.Fatalf("faults = %v", m.Faults)
 	}
-	if m.Reliability.EmuRetries != 7 || m.Reliability.DriftAlarms != 1 {
+	if m.Reliability.MonitorDropped != 7 || m.Reliability.DriftAlarms != 1 {
 		t.Fatalf("reliability = %+v", m.Reliability)
 	}
 	if len(m.Metrics) == 0 {

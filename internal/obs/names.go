@@ -43,13 +43,6 @@ const (
 	// internal/faults — the simulated fault injector.
 	MetricFaultsInjected = "faults_injected_total" // label: kind
 
-	// internal/emu — the live loopback-TCP emulation link.
-	MetricEmuMessages  = "emu_link_messages_total"
-	MetricEmuBytes     = "emu_link_bytes_total"
-	MetricEmuRetries   = "emu_link_retries_total"
-	MetricEmuRedials   = "emu_link_redials_total"
-	MetricEmuDeadlines = "emu_link_deadline_hits_total"
-
 	// internal/monitor — run-time workload estimation.
 	MetricMonitorAccepted = "monitor_samples_accepted_total"
 	MetricMonitorDropped  = "monitor_samples_dropped_total"

@@ -17,6 +17,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 )
@@ -82,10 +83,13 @@ type indexedErr struct {
 // Map applies fn to every item and returns the results in input order.
 // fn receives the item's index and value. On a serial pool it is a
 // plain loop that stops at the first error. On a parallel pool all
-// items are attempted (work already in flight is not interrupted, but
-// ctx is cancelled as soon as any item fails, so cooperative fns can
-// bail early) and the error returned is the one with the lowest input
-// index — deterministic regardless of scheduling.
+// items are attempted unless the caller's ctx is done (work already in
+// flight is not interrupted, but the ctx handed to fn is cancelled as
+// soon as any item fails, so cooperative fns can bail early) and the
+// error returned is the one with the lowest input index — deterministic
+// regardless of scheduling. A fn that returns context.Canceled because
+// of that internal cancellation is echoing another item's failure; its
+// error is not a candidate.
 func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx context.Context, index int, item In) (Out, error)) ([]Out, error) {
 	out := make([]Out, len(items))
 	if p.serial() {
@@ -104,7 +108,8 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 		return out, nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
+	caller := ctx
+	ctx, cancel := context.WithCancel(caller)
 	defer cancel()
 	var (
 		wg    sync.WaitGroup
@@ -122,12 +127,17 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 	for i, it := range items {
 		i, it := i, it
 		p.submit(&wg, func() {
-			if err := ctx.Err(); err != nil {
+			if err := caller.Err(); err != nil {
 				record(i, err)
 				return
 			}
 			v, err := fn(ctx, i, it)
 			if err != nil {
+				// ctx done while the caller's is not means record already
+				// holds the failure that cancelled it.
+				if caller.Err() == nil && ctx.Err() != nil && errors.Is(err, context.Canceled) {
+					return
+				}
 				record(i, err)
 				return
 			}

@@ -47,22 +47,27 @@ func TestMapParallelOrderDeterministic(t *testing.T) {
 
 // TestMapLowestIndexError: whichever goroutine fails first, the error
 // reported is the one the serial loop would have hit — the lowest index.
+// TestMapLowestIndexError: a high-index item fails first; Map cancels
+// the ctx it hands out, and neither that cancellation reaching a
+// not-yet-started lower item nor a cooperative lower item echoing it may
+// displace the real lowest-index error. Items 1 and 2 are held on
+// ctx.Done(), which closes only once item 6's failure has been recorded.
 func TestMapLowestIndexError(t *testing.T) {
 	errLo := errors.New("low")
 	errHi := errors.New("high")
 	for trial := 0; trial < 50; trial++ {
 		_, err := Map(context.Background(), New(4), []int{0, 1, 2, 3, 4, 5, 6, 7},
-			func(_ context.Context, i, v int) (int, error) {
+			func(ctx context.Context, i, v int) (int, error) {
 				switch v {
 				case 6:
-					// The high-index failure lands first...
 					return 0, errHi
 				case 2:
-					// ...the low-index one after a delay.
-					time.Sleep(200 * time.Microsecond)
+					<-ctx.Done()
 					return 0, errLo
+				case 1:
+					<-ctx.Done()
+					return 0, ctx.Err()
 				}
-				time.Sleep(50 * time.Microsecond)
 				return v, nil
 			})
 		if !errors.Is(err, errLo) {
