@@ -65,6 +65,21 @@ func TestProcessPrimitivesAllocationFree(t *testing.T) {
 	}
 }
 
+// A process whose own wake is the next event returns from Park without
+// a coroutine switch: the Delay loop is switched into once per Run,
+// however many rounds the Run covers.
+func TestDelayLoopNeedsNoResume(t *testing.T) {
+	k := New()
+	defer k.Close()
+	delayLoop(k)
+	k.RunUntil(8)
+	before := k.Resumes()
+	k.RunUntil(k.Now() + 1000)
+	if got := k.Resumes() - before; got != 1 {
+		t.Errorf("%d resumes over 1000 rounds in one Run, want 1", got)
+	}
+}
+
 func benchRounds(b *testing.B, setup func(*Kernel)) {
 	k := New()
 	defer k.Close()
@@ -75,10 +90,10 @@ func benchRounds(b *testing.B, setup func(*Kernel)) {
 	k.RunUntil(k.Now() + float64(b.N))
 }
 
-// BenchmarkDelay prices one park/resume pair: a wake event through the
-// heap and two coroutine switches.
+// BenchmarkDelay prices one park that finds its own wake next: a wake
+// event through the heap and no coroutine switch.
 func BenchmarkDelay(b *testing.B) { benchRounds(b, delayLoop) }
 
 // BenchmarkHandoff prices one semaphore hand-off between two
-// processes (two park/resume pairs per round).
+// processes (two parks and one coroutine switch per round).
 func BenchmarkHandoff(b *testing.B) { benchRounds(b, handoffLoop) }

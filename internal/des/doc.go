@@ -4,15 +4,25 @@
 //
 // The kernel advances a virtual clock over a heap of cancelable events.
 // Simulated activities are written as ordinary imperative Go functions
-// running in "processes": iter.Pull coroutines that the kernel resumes
-// one at a time, so execution is sequential and fully deterministic.
-// Resources such as processor-sharing CPUs and FCFS links are built on
-// top of the kernel's event primitives in sibling packages.
+// running in "processes": iter.Pull coroutines that run one at a time,
+// so execution is sequential and fully deterministic. Resources such as
+// processor-sharing CPUs and FCFS links are built on top of the
+// kernel's event primitives in sibling packages.
 //
-// Determinism: exactly one of the kernel and its processes runs at any
-// instant; control transfers by direct coroutine switch, never through
-// the Go scheduler; simultaneous events fire in schedule order (a
-// monotonically increasing sequence number breaks time ties).
+// Determinism: exactly one simulation context — Run, an event callback
+// or a process — executes at any instant, and events fire in (time,
+// sequence) order: a monotonically increasing sequence number breaks
+// time ties, so simultaneous events fire in schedule order. There is
+// one event loop and whoever is idle runs it: Run on its caller's
+// goroutine, and each process from inside its own Park, where the next
+// event is often the parker's own wake (no switch), a callback (run in
+// place) or another process's wake (one direct coroutine switch, never
+// through the Go scheduler). Who happens to be dispatching decides only
+// which stack an event runs on, never which event is next.
+//
+// Failure: a panic in a callback or a process body is held by whichever
+// loop caught it and re-raised by Run on its caller's goroutine once
+// every dispatching process has parked again; the kernel stays usable.
 //
 // Lifetime: a kernel that stops with processes still parked (servers,
 // contenders that loop forever) holds one coroutine per process until

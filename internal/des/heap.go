@@ -1,13 +1,15 @@
 package des
 
 // Event is a scheduled callback in virtual time. Events are created via
-// Kernel.At / Kernel.After and may be canceled before they fire. A wake
-// event carries the process to resume in place of a callback.
+// Kernel.At / Kernel.After and may be canceled before they fire. The
+// kernel's own events carry the process to resume (wake) or the Action
+// to fire (Call) in place of a callback.
 type Event struct {
 	at       float64
 	seq      uint64
 	fn       func()
 	proc     *Proc
+	act      Action
 	index    int // position in the heap, -1 once fired or canceled
 	canceled bool
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -165,6 +166,86 @@ func TestStopHaltsRun(t *testing.T) {
 		t.Fatalf("processed %d events after Stop, want 3", count)
 	}
 }
+
+// Stop ends one Run, not the kernel: the next Run starts with the flag
+// cleared and carries on from the event Stop left queued.
+func TestRunAfterStopDrainsTheRest(t *testing.T) {
+	k := New()
+	defer k.Close()
+	var finished []float64
+	for _, d := range []float64{2, 3, 7} {
+		k.Spawn("p", func(p *Proc) {
+			p.Delay(d)
+			if d == 3 {
+				k.Stop()
+			}
+			finished = append(finished, p.Now())
+		})
+	}
+	k.Run()
+	if k.Now() != 3 || len(finished) != 2 || k.Procs() != 1 {
+		t.Fatalf("after Stop: t = %v, finished %v, %d live; want 3, [2 3], 1", k.Now(), finished, k.Procs())
+	}
+	k.Run()
+	if k.Now() != 7 || len(finished) != 3 || k.Procs() != 0 || k.Pending() != 0 {
+		t.Fatalf("second Run: t = %v, finished %v, %d live, %d pending; want 7, all three, 0, 0",
+			k.Now(), finished, k.Procs(), k.Pending())
+	}
+}
+
+// actionLog is an Action: the receiver carries what a closure would
+// have captured.
+type actionLog struct {
+	k     *Kernel
+	name  string
+	order *[]string
+}
+
+func (a *actionLog) Fire() { *a.order = append(*a.order, fmt.Sprintf("%s@%v", a.name, a.k.Now())) }
+
+// Call takes its turn exactly where After would: one sequence number,
+// schedule order among simultaneous events, and a record that goes back
+// to the free list when it fires.
+func TestCallOrdersLikeAfter(t *testing.T) {
+	run := func(call func(k *Kernel, d float64, a *actionLog)) []string {
+		k := New()
+		defer k.Close()
+		var order []string
+		note := func(name string) *actionLog { return &actionLog{k: k, name: name, order: &order} }
+		k.After(1, note("a").Fire)
+		call(k, 1, note("b"))
+		k.After(1, note("c").Fire)
+		call(k, 0.5, note("d"))
+		k.Spawn("p", func(p *Proc) {
+			p.Delay(1)
+			call(k, 0, note("e"))
+			p.Delay(0)
+			note("p").Fire()
+		})
+		k.Run()
+		return order
+	}
+	got := run(func(k *Kernel, d float64, a *actionLog) { k.Call(d, a) })
+	want := run(func(k *Kernel, d float64, a *actionLog) { k.After(d, a.Fire) })
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(got) != "[d@0.5 a@1 b@1 c@1 e@1 p@1]" {
+		t.Fatalf("Call order %v, After order %v", got, want)
+	}
+
+	k := New()
+	defer k.Close()
+	var ticks tickCount
+	k.Call(1, &ticks)
+	k.Run()
+	if got := testing.AllocsPerRun(100, func() { k.Call(1, &ticks); k.Run() }); got != 0 || ticks != 102 {
+		t.Errorf("%v allocs per Call round over %d rounds, want 0 over 102", got, ticks)
+	}
+	mustPanic(t, "Call with a negative delay", func() { k.Call(-1, &ticks) })
+	mustPanic(t, "Call with a nil Action", func() { k.Call(1, nil) })
+}
+
+type tickCount int
+
+func (c *tickCount) Fire() { *c++ }
 
 func TestPendingCountsQueuedEvents(t *testing.T) {
 	k := New()

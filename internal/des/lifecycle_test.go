@@ -260,3 +260,166 @@ func TestFifoKeepsOrderAndStaysBounded(t *testing.T) {
 		t.Fatalf("drained queue not reset: head %d, len %d", q.head, len(q.items))
 	}
 }
+
+// nest builds a kernel whose first Run stacks its processes: "outer"
+// starts, parks and — dispatching from its Park — switches into
+// "middle", which parks and switches into "inner". inner's body
+// therefore runs three levels below Run, with outer and middle blocked
+// in their resume of a descendant; it gets to check that through depth.
+// Each body defers a note to unwound and logs its finish time to done.
+type nest struct {
+	k       *Kernel
+	unwound []string
+	done    map[string]float64
+}
+
+func newNest(inner func(n *nest, p *Proc)) *nest {
+	n := &nest{k: New(), done: map[string]float64{}}
+	body := func(name string, work func(p *Proc)) {
+		n.k.Spawn(name, func(p *Proc) {
+			defer func() { n.unwound = append(n.unwound, name) }()
+			work(p)
+			n.done[name] = p.Now()
+		})
+	}
+	body("outer", func(p *Proc) { p.Delay(10) })
+	body("middle", func(p *Proc) { p.Delay(20) })
+	body("inner", func(p *Proc) { inner(n, p) })
+	return n
+}
+
+// depth reports how many processes are blocked in a nested resume.
+func (n *nest) depth() int {
+	d := 0
+	for _, p := range n.k.live {
+		if p.ancestor {
+			d++
+		}
+	}
+	return d
+}
+
+// finish runs the kernel dry and checks every process ended when it
+// should have: the nest left nobody wedged.
+func (n *nest) finish(t *testing.T, innerAt float64) {
+	t.Helper()
+	n.k.Run()
+	if n.k.Procs() != 0 || n.done["outer"] != 10 || n.done["middle"] != 20 || n.done["inner"] != innerAt {
+		t.Fatalf("after the final Run: %d live, finished %v; want 0 live, outer at 10, middle at 20, inner at %v",
+			n.k.Procs(), n.done, innerAt)
+	}
+	if n.depth() != 0 {
+		t.Fatalf("%d processes still marked as ancestors", n.depth())
+	}
+	n.k.Close()
+}
+
+func TestCallbackPanicUnderNestedDispatch(t *testing.T) {
+	depth := -1
+	n := newNest(func(n *nest, p *Proc) { p.Delay(5) })
+	n.k.After(1, func() {
+		depth = n.depth() // inner is dispatching, outer and middle wait on it
+		panic("callback boom")
+	})
+	var raised any
+	func() {
+		defer func() { raised = recover() }()
+		n.k.Run()
+	}()
+	if raised != "callback boom" {
+		t.Fatalf("Run raised %v, want the callback's own value", raised)
+	}
+	if depth != 2 {
+		t.Fatalf("the callback ran %d levels below a process, want 2", depth)
+	}
+	if n.k.Procs() != 3 || n.k.Now() != 1 || len(n.unwound) != 0 {
+		t.Fatalf("after the panic: %d live at t = %v, unwound %v; want all 3 parked at 1", n.k.Procs(), n.k.Now(), n.unwound)
+	}
+	n.finish(t, 5)
+}
+
+func TestProcessPanicUnderNestedDispatch(t *testing.T) {
+	depth := -1
+	n := newNest(func(n *nest, p *Proc) {
+		depth = n.depth()
+		panic("boom")
+	})
+	msg := mustPanic(t, "Run over a process panicking two levels down", n.k.Run)
+	if msg != `des: process "inner" panicked: boom` {
+		t.Fatalf("Run raised %q, want inner's panic exactly once, not wrapped in its dispatchers' names", msg)
+	}
+	if depth != 2 {
+		t.Fatalf("inner ran %d levels below a process, want 2", depth)
+	}
+	if n.k.Procs() != 2 || fmt.Sprint(n.unwound) != "[inner]" {
+		t.Fatalf("after the panic: %d live, unwound %v; want outer and middle parked and inner gone", n.k.Procs(), n.unwound)
+	}
+	delete(n.done, "inner")
+	n.finish(t, 0)
+}
+
+func TestStopUnderNestedDispatch(t *testing.T) {
+	depth, fired := -1, false
+	n := newNest(func(n *nest, p *Proc) {
+		depth = n.depth()
+		n.k.Stop()
+		p.Delay(0)
+	})
+	n.k.After(0, func() { fired = true }) // queued behind the three starts, ahead of inner's wake
+	n.k.Run()
+	if depth != 2 {
+		t.Fatalf("Stop was called %d levels below a process, want 2", depth)
+	}
+	if fired || n.k.Pending() != 4 || n.k.Procs() != 3 {
+		t.Fatalf("after Stop: fired = %v, %d pending, %d live; want nothing fired, 4 pending, 3 live", fired, n.k.Pending(), n.k.Procs())
+	}
+	n.finish(t, 0)
+	if !fired {
+		t.Fatal("the event Stop held back never fired")
+	}
+}
+
+func TestHorizonAndCloseUnderNestedDispatch(t *testing.T) {
+	depth, fired := -1, false
+	n := newNest(func(n *nest, p *Proc) {
+		depth = n.depth()
+		defer p.Delay(1) // Close fails this park too instead of dispatching from it
+		p.Delay(30)
+	})
+	n.k.After(7, func() { fired = true })
+	n.k.RunUntil(5)
+	if depth != 2 {
+		t.Fatalf("inner parked %d levels below a process, want 2", depth)
+	}
+	if n.k.Now() != 5 || n.k.Pending() != 4 || fired {
+		t.Fatalf("at the horizon: t = %v, %d pending, fired = %v; want 5, 4, false", n.k.Now(), n.k.Pending(), fired)
+	}
+	n.k.RunUntil(8)
+	if !fired || n.k.Now() != 8 || n.k.Pending() != 3 {
+		t.Fatalf("after a larger horizon: fired = %v, t = %v, %d pending; want true, 8, 3", fired, n.k.Now(), n.k.Pending())
+	}
+	before := runtime.NumGoroutine()
+	n.k.Close()
+	if len(n.unwound) != 3 || n.k.Procs() != 0 || n.k.Pending() != 0 || n.k.Now() != 8 {
+		t.Fatalf("Close unwound %v, left %d live and %d pending at t = %v; want all three, 0, 0, 8",
+			n.unwound, n.k.Procs(), n.k.Pending(), n.k.Now())
+	}
+	if after := runtime.NumGoroutine(); after != before-3 {
+		t.Fatalf("goroutines %d -> %d across Close, want the 3 coroutines gone", before, after)
+	}
+}
+
+func TestProcessFinishingUnderNestedDispatch(t *testing.T) {
+	depth := -1
+	n := newNest(func(n *nest, p *Proc) { depth = n.depth() }) // returns while nested
+	n.k.Run()                                                  // one Run: middle and outer carry on dispatching
+	if depth != 2 {
+		t.Fatalf("inner finished %d levels below a process, want 2", depth)
+	}
+	// One start each; outer's wake is reached by middle yielding to it,
+	// and only middle, parked by that yield, is switched into again.
+	if got := n.k.Resumes(); got != 4 {
+		t.Fatalf("%d resumes, want 4", got)
+	}
+	n.finish(t, 0)
+}

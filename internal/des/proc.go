@@ -9,23 +9,25 @@ import (
 
 // Proc is a simulated process: an iter.Pull coroutine whose execution
 // the kernel interleaves with events deterministically. At most one
-// process (or the kernel) runs at a time; a process gives up control by
-// parking (Delay, mailbox receive, resource acquisition) and is resumed
-// by kernel wake events.
+// simulation context (Run, a callback or a process) executes at a time;
+// a process gives up control by parking (Delay, mailbox receive,
+// resource acquisition) and carries on when its wake event fires.
 type Proc struct {
 	k    *Kernel
 	name string
 	body func(p *Proc)
 
 	// The coroutine, created on first resume: next switches into the
-	// body until it parks or returns, stop makes the pending park fail,
-	// and yield (valid inside the body) switches back to the kernel.
+	// body until it yields or returns, stop makes the pending yield
+	// fail, and yield (valid inside the body) switches back to whoever
+	// called next — Run or the process that was dispatching.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 
-	slot int // index in k.live
-	dead bool
+	slot     int // index in k.live
+	dead     bool
+	ancestor bool // blocked in dispatch's resume of another process
 }
 
 // closeSignal is the panic value Park raises once the kernel is closing.
@@ -51,7 +53,7 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 
 // run is the coroutine: the body, then bookkeeping. A closeSignal ends
 // the process quietly; any other panic is re-raised with the process
-// name and, through iter.Pull, reaches whoever called Kernel.Run.
+// name and, through iter.Pull, reaches the dispatch that resumed it.
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
@@ -80,14 +82,22 @@ func (p *Proc) retire() {
 // other packages (CPU hosts, links); application code should prefer the
 // higher-level primitives. Must only be called from the process's own
 // body.
+//
+// A parked process does not sit idle: it runs the kernel's event loop on
+// its own goroutine until the loop reaches its wake — often the very
+// next event, and then Park returns without a single coroutine switch —
+// and yields to its resumer only when the loop tells it to (see
+// Kernel.dispatch). After a yield, being switched into again means some
+// other dispatcher consumed the wake.
 func (p *Proc) Park() {
-	if !p.yield(struct{}{}) {
+	if !p.k.dispatch(p) && !p.yield(struct{}{}) {
 		panic(closeSignal{})
 	}
 }
 
-// resume transfers control to a parked process and returns when it
-// parks again or finishes. Only Kernel.Run calls it, for a wake event.
+// resume switches into a parked (or not yet started) process and
+// returns when it yields or finishes. Only dispatch calls it, for a
+// wake event.
 func (p *Proc) resume() {
 	if p.dead {
 		panic(fmt.Sprintf("des: resume of dead process %q", p.name))
@@ -95,16 +105,19 @@ func (p *Proc) resume() {
 	if p.next == nil {
 		p.next, p.stop = iter.Pull(p.run)
 	}
+	p.k.resumes++
 	p.next()
 }
 
 // Resume schedules the process to be woken at the current virtual time.
-// Safe to call from any simulation context (event or another process);
-// the switch itself happens later, from Kernel.Run.
+// Safe to call from any simulation context (event or another process):
+// it only queues the wake event and never switches, so the caller keeps
+// running and the wake takes its turn in (time, sequence) order like
+// any other event.
 func (p *Proc) Resume() { p.k.wake(p, 0) }
 
 // Delay advances the process by d seconds of virtual time. A zero delay
-// still yields, so same-time events interleave fairly.
+// still parks, so same-time events interleave fairly.
 func (p *Proc) Delay(d float64) {
 	p.k.wake(p, d)
 	p.Park()

@@ -80,8 +80,9 @@ type EndpointConfig struct {
 	// the service node in 2-HOPS mode.
 	PreSend func(p *des.Proc, words int)
 	// Forward, when non-nil, intercepts inbound delivery on this
-	// endpoint after receive conversion: it must eventually call
-	// deliver. Used for the service-node → compute-node NX hop.
+	// endpoint: it must eventually call deliver, exactly once and from
+	// simulation context. Used for the service-node → compute-node NX
+	// hop.
 	Forward func(words int, deliver func())
 }
 
@@ -117,10 +118,27 @@ type Link struct {
 // named ports so concurrent applications do not steal each other's
 // messages.
 type Endpoint struct {
-	link  *Link
-	cfg   EndpointConfig
-	peer  *Endpoint
-	ports map[string]*des.Mailbox[Message]
+	link   *Link
+	cfg    EndpointConfig
+	peer   *Endpoint
+	ports  map[string]*des.Mailbox[Message]
+	relays []*relay // delivered Forward relays awaiting reuse
+}
+
+// relay is one message on its way through the receiving endpoint's
+// Forward hook. The records are recycled and each binds its deliver
+// func once, so a relayed message allocates nothing in steady state.
+type relay struct {
+	to      *Endpoint
+	msg     Message
+	deliver func() // r.arrive, bound when the record is made
+}
+
+func (r *relay) arrive() {
+	msg := r.msg
+	r.msg = Message{}
+	r.to.relays = append(r.to.relays, r)
+	r.to.deliver(msg)
 }
 
 // New creates a link between two endpoints.
@@ -243,14 +261,20 @@ func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload
 	l.wordsMoved += words
 
 	// 3. Delivery to the peer's inbox, directly or — when the service
-	// node relays it — whenever the Forward hook calls deliver; the
-	// closure captures a copy so the direct path allocates nothing.
-	// Receive-side conversion is charged in Recv, in the receiving
-	// process's context.
+	// node relays it — whenever the Forward hook calls deliver on a
+	// copy. Receive-side conversion is charged in Recv, in the
+	// receiving process's context.
 	peer := e.peer
 	if fwd := peer.cfg.Forward; fwd != nil {
-		relayed := msg
-		fwd(words, func() { peer.deliver(relayed) })
+		var r *relay
+		if n := len(peer.relays); n > 0 {
+			r, peer.relays = peer.relays[n-1], peer.relays[:n-1]
+		} else {
+			r = &relay{to: peer}
+			r.deliver = r.arrive
+		}
+		r.msg = msg
+		fwd(words, r.deliver)
 		return msg
 	}
 	return peer.deliver(msg)

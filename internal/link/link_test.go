@@ -6,6 +6,7 @@ import (
 
 	"contention/internal/cpu"
 	"contention/internal/des"
+	"contention/internal/mesh"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -386,17 +387,77 @@ func sendLoop(k *des.Kernel) *Link {
 	return l
 }
 
-func TestSendAllocationFree(t *testing.T) {
-	k := des.New()
-	defer k.Close()
-	l := sendLoop(k)
-	k.RunUntil(1)
-	before := l.Messages()
-	if got := testing.AllocsPerRun(200, func() { k.RunUntil(k.Now() + 0.1) }); got != 0 {
-		t.Errorf("%v allocs per 0.1 s of streaming, want 0", got)
+// hopLoop is sendLoop on a 2-HOPS platform: the receiving endpoint
+// relays every inbound message across a mesh fabric (Forward →
+// NXHopAsync) before it reaches the inbox. With contraflow, a second
+// stream of larger messages runs the other way, each paying its NX hop
+// before the wire (PreSend → NXSend): about every other inbound message
+// then reaches the service node while that hop holds the fabric and has
+// to queue behind it. queued counts those, told apart by a hop longer
+// than the dedicated fabric time.
+func hopLoop(k *des.Kernel, contraflow bool) (l *Link, queued *int) {
+	host := cpu.NewHost(k, "sun", 1)
+	mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
+	l, a, b := MustNew(k, basicCfg(),
+		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6},
+		EndpointConfig{Name: "mpp", Forward: mpp.NXHopAsync, PreSend: mpp.NXSend})
+	queued = new(int)
+	k.Spawn("recv", func(p *des.Proc) {
+		for {
+			msg := b.Recv(p, "x")
+			if hop := msg.Arrived - (msg.Queued + l.WireTime(msg.Words)); hop > mpp.NXTime(msg.Words)+1e-9 {
+				*queued++
+			}
+		}
+	})
+	k.Spawn("send", func(p *des.Proc) {
+		for {
+			a.Send(p, "x", "x", 512, nil)
+		}
+	})
+	if contraflow {
+		k.Spawn("sink", func(p *des.Proc) {
+			for {
+				a.Recv(p, "y")
+			}
+		})
+		k.Spawn("back", func(p *des.Proc) {
+			for {
+				b.Send(p, "y", "y", 2048, nil)
+			}
+		})
 	}
-	if l.Messages() == before {
-		t.Error("no message crossed the link while measuring")
+	return l, queued
+}
+
+func TestSendAllocationFree(t *testing.T) {
+	for name, tc := range map[string]struct {
+		contraflow, hops, queues bool
+	}{
+		"direct":                {},
+		"2-HOPS, free fabric":   {hops: true},
+		"2-HOPS, queued fabric": {hops: true, contraflow: true, queues: true},
+	} {
+		k := des.New()
+		defer k.Close()
+		var l *Link
+		queued := new(int)
+		if tc.hops {
+			l, queued = hopLoop(k, tc.contraflow)
+		} else {
+			l = sendLoop(k)
+		}
+		k.RunUntil(1)
+		messages, hopsQueued := l.Messages(), *queued
+		if got := testing.AllocsPerRun(200, func() { k.RunUntil(k.Now() + 0.1) }); got != 0 {
+			t.Errorf("%s: %v allocs per 0.1 s of streaming, want 0", name, got)
+		}
+		if l.Messages() == messages {
+			t.Errorf("%s: no message crossed the link while measuring", name)
+		}
+		if got := *queued - hopsQueued; (got > 0) != tc.queues {
+			t.Errorf("%s: %d hops queued behind a busy fabric while measuring, want some: %v", name, got, tc.queues)
+		}
 	}
 }
 

@@ -51,6 +51,12 @@ type Machine struct {
 	shares []int // per-node resident gang count (time-shared allocation)
 	fabric *des.Semaphore
 
+	// Recycled state of the service node's asynchronous hops (see
+	// NXHopAsync): timed-call records of finished free-fabric hops, and
+	// forwarding processes parked between queued ones.
+	hops     []*hop
+	idleFwds []*forwarder
+
 	allocated   int
 	peakInUse   int
 	inUse       int
@@ -310,25 +316,72 @@ func (m *Machine) NXSend(proc *des.Proc, words int) {
 }
 
 // NXHopAsync models the service node forwarding an externally received
-// message into the fabric without a blocking process: done fires after
-// the (possibly queued) fabric hop.
+// message into the fabric without blocking the caller: done fires after
+// the (possibly queued) fabric hop. A steady stream of hops allocates
+// nothing.
 func (m *Machine) NXHopAsync(words int, done func()) {
 	t := m.NXTime(words)
 	if m.fabric.TryAcquire() {
-		m.k.After(t, func() {
-			m.fabricBusy += t
-			m.fabricSends++
-			m.fabric.Release()
-			done()
-		})
+		var h *hop
+		if n := len(m.hops); n > 0 {
+			h, m.hops = m.hops[n-1], m.hops[:n-1]
+		} else {
+			h = &hop{m: m}
+		}
+		h.t, h.done = t, done
+		m.k.Call(t, h)
 		return
 	}
-	// Fabric busy: spawn a lightweight forwarding process that queues
-	// FCFS behind current senders.
-	m.k.Spawn("svc-fwd", func(p *des.Proc) {
-		m.NXSend(p, words)
+	// Fabric busy: a lightweight forwarding process queues FCFS behind
+	// the current senders. An idle one is woken exactly where a new one
+	// would be spawned (Spawn is a zero-delay wake too).
+	if n := len(m.idleFwds); n > 0 {
+		f := m.idleFwds[n-1]
+		m.idleFwds = m.idleFwds[:n-1]
+		f.words, f.done = words, done
+		f.p.Resume()
+		return
+	}
+	f := &forwarder{m: m, words: words, done: done}
+	f.p = m.k.Spawn("svc-fwd", f.run)
+}
+
+// hop is the completion of one free-fabric NXHopAsync.
+type hop struct {
+	m    *Machine
+	t    float64
+	done func()
+}
+
+// Fire implements des.Action: the hop's fabric time has elapsed.
+func (h *hop) Fire() {
+	m, done := h.m, h.done
+	m.fabricBusy += h.t
+	m.fabricSends++
+	m.fabric.Release()
+	h.done = nil
+	m.hops = append(m.hops, h)
+	done()
+}
+
+// forwarder is a service-node process that carries queued hops, one per
+// wake, and parks on the machine's idle list in between.
+type forwarder struct {
+	m     *Machine
+	p     *des.Proc
+	words int
+	done  func()
+}
+
+func (f *forwarder) run(p *des.Proc) {
+	for {
+		f.m.NXSend(p, f.words)
+		done := f.done
+		f.done = nil
 		done()
-	})
+		f.m.idleFwds = append(f.m.idleFwds, f)
+		p.Park()
+	}
 }
 
 // FabricBusy reports cumulative fabric occupancy.

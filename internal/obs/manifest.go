@@ -39,9 +39,9 @@ type PoolReport struct {
 	Inline      int64 `json:"inline"`
 	Async       int64 `json:"async"`
 	MaxInFlight int64 `json:"max_in_flight"`
-	// Utilization is the fraction of tasks that actually ran on a pool
-	// worker (the rest ran inline on the submitter, the pool's overflow
-	// path).
+	// Utilization is the fraction of tasks that ran on a helper
+	// goroutine holding a pool token (the rest ran inline on the
+	// goroutine that called Map).
 	Utilization float64 `json:"utilization"`
 }
 

@@ -243,13 +243,9 @@ func NewSunParagon(k *des.Kernel, params ParagonParams) (*SunParagon, error) {
 	parCfg := link.EndpointConfig{Name: "paragon"}
 	if params.Mode == TwoHops {
 		// Inbound: service node forwards across the NX fabric.
-		parCfg.Forward = func(words int, deliver func()) {
-			mpp.NXHopAsync(words, deliver)
-		}
+		parCfg.Forward = mpp.NXHopAsync
 		// Outbound: compute node hops to the service node first.
-		parCfg.PreSend = func(p *des.Proc, words int) {
-			mpp.NXSend(p, words)
-		}
+		parCfg.PreSend = mpp.NXSend
 	}
 	l, sunEnd, parEnd, err := link.New(k, params.Link, sunCfg, parCfg)
 	if err != nil {
@@ -352,9 +348,8 @@ func NewSunMultiParagon(k *des.Kernel, params ParagonParams, n int) ([]*SunParag
 		}
 		parCfg := link.EndpointConfig{Name: fmt.Sprintf("paragon/%d", i)}
 		if params.Mode == TwoHops {
-			m := mpp
-			parCfg.Forward = func(words int, deliver func()) { m.NXHopAsync(words, deliver) }
-			parCfg.PreSend = func(p *des.Proc, words int) { m.NXSend(p, words) }
+			parCfg.Forward = mpp.NXHopAsync
+			parCfg.PreSend = mpp.NXSend
 		}
 		l, sunEnd, parEnd, err := link.New(k, legParams.Link, sunCfg, parCfg)
 		if err != nil {

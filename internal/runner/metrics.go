@@ -6,18 +6,18 @@ import (
 	"contention/internal/obs"
 )
 
-// Pool telemetry. The pool has no wait queue — a task that cannot get a
-// token runs inline on the submitting goroutine — so "queue depth" is
-// expressed as the inline/async split: inline tasks are exactly the
-// ones that would have queued on a blocking pool. Utilization in the
-// run manifest is async/total.
+// Pool telemetry. The pool has no wait queue — the goroutine that calls
+// Map runs whatever its helpers do not claim — so "queue depth" is
+// expressed as the inline/async split: inline tasks ran on the caller,
+// async tasks on a helper holding a token. Utilization in the run
+// manifest is async/total.
 var (
 	mTasks = obs.NewCounter(obs.MetricPoolTasks,
 		"tasks executed through the pool, inline and async")
 	mInline = obs.NewCounter(obs.MetricPoolInline,
-		"tasks that ran inline on the submitter (serial pool or no token free)")
+		"tasks that ran inline on the goroutine that called Map")
 	mAsync = obs.NewCounter(obs.MetricPoolAsync,
-		"tasks that ran on a pool worker goroutine")
+		"tasks that ran on a helper goroutine holding a pool token")
 	mInFlight = obs.NewGauge(obs.MetricPoolInFlight,
 		"tasks currently executing")
 	mMaxInFlight = obs.NewGauge(obs.MetricPoolMaxInFlight,

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"contention/internal/obs"
@@ -18,8 +19,19 @@ func TestPoolMetricsMove(t *testing.T) {
 	const n = 16
 	t0, a0, h0 := mTasks.Value(), mAsync.Value(), mTaskSeconds.Count()
 	inflight0 := mInFlight.Value()
+	// The first two tasks to start wait for each other, so one of them
+	// runs on a helper: left alone, the caller may claim every tiny item
+	// before a helper goroutine gets going.
+	var started atomic.Int32
+	both := make(chan struct{})
 	_, err := Map(context.Background(), New(2), make([]struct{}, n),
 		func(context.Context, int, struct{}) (struct{}, error) {
+			if k := started.Add(1); k <= 2 {
+				if k == 2 {
+					close(both)
+				}
+				<-both
+			}
 			return struct{}{}, nil
 		})
 	if err != nil {

@@ -7,12 +7,13 @@
 // self-contained (fresh DES kernel, locally seeded RNGs), this makes
 // the parallel path byte-identical to the serial one.
 //
-// The pool bounds *additional* concurrency with a token bucket: a task
-// that cannot get a token runs inline on the submitting goroutine
-// instead of waiting. That keeps nested Map calls (drivers fanned out
-// by the suite, sweep points fanned out by each driver) deadlock-free
-// while the total number of running tasks stays within workers + the
-// number of callers.
+// The pool bounds *additional* concurrency with a token bucket: the
+// goroutine that calls Map works through the items itself and, for
+// every token it can get, a helper goroutine works beside it; nobody
+// ever waits for a token. That keeps nested Map calls (drivers fanned
+// out by the suite, sweep points fanned out by each driver)
+// deadlock-free while the total number of running tasks stays within
+// workers + the number of callers.
 package runner
 
 import (
@@ -20,6 +21,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool bounds how many tasks may execute concurrently. The zero value
@@ -54,9 +56,10 @@ func (p *Pool) Workers() int {
 // serial reports whether the pool degenerates to a plain loop.
 func (p *Pool) serial() bool { return p.Workers() == 1 }
 
-// submit runs task on a pool goroutine when a token is free, inline
-// otherwise, and reports completion through wg.
-func (p *Pool) submit(wg *sync.WaitGroup, task func()) {
+// help starts a pool goroutine running work when a token is free and
+// reports whether it did; the goroutine returns the token and signals
+// wg when work returns.
+func (p *Pool) help(wg *sync.WaitGroup, work func()) bool {
 	select {
 	case p.tokens <- struct{}{}:
 		wg.Add(1)
@@ -65,10 +68,11 @@ func (p *Pool) submit(wg *sync.WaitGroup, task func()) {
 				<-p.tokens
 				wg.Done()
 			}()
-			runTask(task, true)
+			work()
 		}()
+		return true
 	default:
-		runTask(task, false)
+		return false
 	}
 }
 
@@ -81,8 +85,8 @@ type indexedErr struct {
 }
 
 // Map applies fn to every item and returns the results in input order.
-// fn receives the item's index and value. On a serial pool it is a
-// plain loop that stops at the first error. On a parallel pool all
+// fn receives the item's index and value. On a serial pool, or for a
+// single item, it is a plain loop that stops at the first error. On a parallel pool all
 // items are attempted unless the caller's ctx is done (work already in
 // flight is not interrupted, but the ctx handed to fn is cancelled as
 // soon as any item fails, so cooperative fns can bail early) and the
@@ -92,7 +96,7 @@ type indexedErr struct {
 // error is not a candidate.
 func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx context.Context, index int, item In) (Out, error)) ([]Out, error) {
 	out := make([]Out, len(items))
-	if p.serial() {
+	if p.serial() || len(items) <= 1 { // nothing to fan out
 		for i, it := range items {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -108,45 +112,69 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 		return out, nil
 	}
 
-	caller := ctx
-	ctx, cancel := context.WithCancel(caller)
+	// ctx stays the caller's; fn runs under work, cancelled on the first
+	// failure.
+	work, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first *indexedErr
-	)
+	// One allocation for everything the helpers share with the caller.
+	var st struct {
+		wg        sync.WaitGroup
+		mu        sync.Mutex // guards first
+		first     *indexedErr
+		unclaimed atomic.Int64
+	}
 	record := func(i int, err error) {
-		mu.Lock()
-		if first == nil || i < first.index {
-			first = &indexedErr{index: i, err: err}
+		st.mu.Lock()
+		if st.first == nil || i < st.first.index {
+			st.first = &indexedErr{index: i, err: err}
 		}
-		mu.Unlock()
+		st.mu.Unlock()
 		cancel()
 	}
-	for i, it := range items {
-		i, it := i, it
-		p.submit(&wg, func() {
-			if err := caller.Err(); err != nil {
-				record(i, err)
+	one := func(i int) {
+		if err := ctx.Err(); err != nil {
+			record(i, err)
+			return
+		}
+		v, err := fn(work, i, items[i])
+		if err != nil {
+			// work done while the caller's ctx is not means record
+			// already holds the failure that cancelled it.
+			if ctx.Err() == nil && work.Err() != nil && errors.Is(err, context.Canceled) {
 				return
 			}
-			v, err := fn(ctx, i, it)
-			if err != nil {
-				// ctx done while the caller's is not means record already
-				// holds the failure that cancelled it.
-				if caller.Err() == nil && ctx.Err() != nil && errors.Is(err, context.Canceled) {
-					return
-				}
-				record(i, err)
-				return
-			}
-			out[i] = v
-		})
+			record(i, err)
+			return
+		}
+		out[i] = v
 	}
-	wg.Wait()
-	if first != nil {
-		return nil, first.err
+	// The caller and its helpers claim indices from one counter, highest
+	// first: sweeps list their points in ascending size, so the longest
+	// item starts first instead of running alone at the end. A claim is
+	// 1/64 of the list — one item for anything a sweep produces — so a
+	// long list of tiny items does not serialize on the counter.
+	st.unclaimed.Store(int64(len(items)))
+	chunk := int64(1 + len(items)/64)
+	claim := func(async bool) bool {
+		hi := st.unclaimed.Add(-chunk) + chunk
+		for i := hi - 1; i >= max(hi-chunk, 0); i-- {
+			runTask(func() { one(int(i)) }, async)
+		}
+		return hi > 0
+	}
+	helper := func() {
+		for claim(true) {
+		}
+	}
+	// Before each claim of its own the caller offers the rest to every
+	// free token: one released by a sibling Map becomes a helper here.
+	for more := true; more; more = claim(false) {
+		for st.unclaimed.Load() > chunk && p.help(&st.wg, helper) {
+		}
+	}
+	st.wg.Wait()
+	if st.first != nil {
+		return nil, st.first.err
 	}
 	return out, nil
 }

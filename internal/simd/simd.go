@@ -51,6 +51,7 @@ type Session struct {
 
 	queue       []float64 // pending instruction durations
 	executing   bool
+	begin, dur  float64 // of the executing instruction
 	outstanding int
 	syncWaiters []*des.Proc
 
@@ -109,25 +110,33 @@ func (s *Session) startNext() {
 		return
 	}
 	s.executing = true
-	dur := s.queue[0]
-	s.queue = s.queue[1:]
-	begin := s.b.k.Now()
-	s.b.k.After(dur, func() {
-		s.intervals = append(s.intervals, Interval{Start: begin, End: begin + dur})
-		s.busy += dur
-		s.b.totalBusy += dur
-		s.executing = false
-		s.outstanding--
-		s.slots.Release()
-		if s.outstanding == 0 {
-			waiters := s.syncWaiters
-			s.syncWaiters = nil
-			for _, w := range waiters {
-				w.Resume()
-			}
+	s.begin, s.dur = s.b.k.Now(), s.queue[0]
+	s.queue = s.queue[:copy(s.queue, s.queue[1:])] // ≤ fifoCap entries; keeps the array
+	s.b.k.Call(s.dur, (*retirement)(s))
+}
+
+// retirement is the session seen as the completion of its executing
+// instruction: the engine runs one at a time, so the session itself
+// carries the callback's state and Fire stays off Session's API.
+type retirement Session
+
+// Fire implements des.Action.
+func (r *retirement) Fire() {
+	s := (*Session)(r)
+	s.intervals = append(s.intervals, Interval{Start: s.begin, End: s.begin + s.dur})
+	s.busy += s.dur
+	s.b.totalBusy += s.dur
+	s.executing = false
+	s.outstanding--
+	s.slots.Release()
+	if s.outstanding == 0 {
+		for _, w := range s.syncWaiters {
+			w.Resume()
 		}
-		s.startNext()
-	})
+		clear(s.syncWaiters)
+		s.syncWaiters = s.syncWaiters[:0]
+	}
+	s.startNext()
 }
 
 // Sync blocks p until every issued instruction has completed — the
