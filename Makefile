@@ -51,6 +51,7 @@ fuzz:
 #    2-replica fleet emitting per-stage attribution;
 #  - a scenario run recorded to a trace file and replayed from it, every
 #    response verified against the recorded one;
+#  - an unknown experiment id is refused (before anything is calibrated);
 #  - bench/ is its own module, invisible to `go test ./...`: vet and test
 #    it here so an export it needs cannot disappear unnoticed.
 smoke:
@@ -68,7 +69,8 @@ smoke:
 	$(GO) run ./cmd/loadgen -binary -surface -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -cluster 2 -trace-sample 10 -stages -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -scenario bursty -duration 1s -binary -record "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
-	$(GO) run ./cmd/loadgen -replay "$$tmp/run.ctrc" -warmup 100ms > /dev/null
+	$(GO) run ./cmd/loadgen -replay "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
+	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"

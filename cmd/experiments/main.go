@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -97,6 +98,10 @@ func main() {
 		}
 		return
 	}
+	if *only != "" && !slices.Contains(ids, *only) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *only)
+		os.Exit(1)
+	}
 
 	fmt.Fprintln(os.Stderr, "calibrating platforms (runs the system test suite once)...")
 	env, err := experiments.NewEnv()
@@ -135,18 +140,12 @@ func main() {
 		results = append(results, r)
 		scenarioReport = rep
 	}
-	found := false
 	var selected []experiments.Result
 	for _, r := range results {
 		if *only != "" && r.ID != *only {
 			continue
 		}
-		found = true
 		selected = append(selected, r)
-	}
-	if *only != "" && !found {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *only)
-		os.Exit(1)
 	}
 	if *runReport != "" {
 		m := experiments.BuildManifest(env, "experiments", map[string]string{

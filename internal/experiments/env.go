@@ -31,6 +31,10 @@ type Env struct {
 	// sweep point simulates on its own DES kernel with locally seeded
 	// RNGs and results are assembled by index.
 	Pool *runner.Pool
+
+	// dedicated is set on the copy of the Env a suite pass runs on (see
+	// forPass) and nil on every Env a caller holds.
+	dedicated *dedicatedMemo
 }
 
 // pool returns the fan-out pool, defaulting to serial.

@@ -177,6 +177,49 @@ func TestFigure4PiecewiseShape(t *testing.T) {
 	}
 }
 
+// Figure 4 simulates the platform of the Env it is given, like Figures
+// 5 to 8: a slower wire moves every curve, and its 1-HOP cells are the
+// dedicated bursts of Figures 5 and 6, bit for bit.
+func TestFigure4FollowsEnvParams(t *testing.T) {
+	base, err := Figure4(env(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := *env(t)
+	slow.ParagonParams.Link.Bandwidth /= 2
+	r, err := Figure4(&slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range r.Series {
+		for j, y := range s.Y {
+			if y <= base.Series[i].Y[j] {
+				t.Errorf("%s at %v words: %v s on half the bandwidth, %v s on the default", s.Name, s.X[j], y, base.Series[i].Y[j])
+			}
+		}
+	}
+	for name, figure := range map[string]func(*Env) (Result, error){
+		"sun→paragon 1-HOP": Figure5,
+		"paragon→sun 1-HOP": Figure6,
+	} {
+		f, err := figure(&slow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ded, _ := f.seriesByName("dedicated")
+		four, _ := r.seriesByName(name)
+		at := map[float64]float64{}
+		for i, x := range four.X {
+			at[x] = four.Y[i]
+		}
+		for i, x := range ded.X {
+			if ded.Y[i] != at[x] {
+				t.Errorf("%s at %v words: figure 4 has %v, %s's dedicated series %v", name, x, at[x], f.ID, ded.Y[i])
+			}
+		}
+	}
+}
+
 func TestFigure5ErrorWithinPaperBand(t *testing.T) {
 	r, err := Figure5(env(t))
 	if err != nil {

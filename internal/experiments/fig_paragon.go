@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"contention/internal/core"
 	"contention/internal/des"
@@ -14,9 +16,14 @@ import (
 // burstWarmup lets contenders reach steady state before a measurement.
 const burstWarmup = 0.5
 
+// burstRuns counts burstElapsed calls, so a test can tell a simulated
+// burst from a remembered one.
+var burstRuns atomic.Int64
+
 // burstElapsed measures one burst (count messages of words each) in the
 // given direction on a fresh platform with the given contenders.
 func burstElapsed(params platform.ParagonParams, dir workload.Direction, count, words int, specs []workload.AlternatorSpec) (float64, error) {
+	burstRuns.Add(1)
 	k := des.New()
 	defer k.Close()
 	sp, err := platform.NewSunParagon(k, params)
@@ -63,6 +70,55 @@ func burstElapsed(params platform.ParagonParams, dir workload.Direction, count, 
 	return elapsed, nil
 }
 
+// dedicatedKey is everything a dedicated burst's elapsed time depends
+// on: burstElapsed's arguments with no contenders.
+type dedicatedKey struct {
+	params       platform.ParagonParams
+	dir          workload.Direction
+	count, words int
+}
+
+// dedicatedMemo remembers the dedicated bursts of one suite pass, so
+// that Figure 4's 1-HOP cells and the dedicated series of Figures 5 and
+// 6 — the same simulations — run once. Each key has its own once, so
+// drivers racing on the parallel pool simulate it exactly once and read
+// the value the serial pass computes. All and Extensions make one per
+// call and drop it on return: a memo that outlived the pass would answer
+// the next All from memory, which no run of cmd/experiments (one pass
+// per calibration) ever does.
+type dedicatedMemo struct {
+	mu     sync.Mutex
+	bursts map[dedicatedKey]func() (float64, error)
+}
+
+// forPass returns the shallow copy of the Env one suite pass runs on:
+// everything shared, plus a fresh dedicated-burst memo.
+func (e *Env) forPass() *Env {
+	c := *e
+	c.dedicated = &dedicatedMemo{bursts: map[dedicatedKey]func() (float64, error){}}
+	return &c
+}
+
+// dedicatedBurst is burstElapsed with no contenders, drawn from the
+// pass's memo when the Env belongs to one.
+func (e *Env) dedicatedBurst(params platform.ParagonParams, dir workload.Direction, count, words int) (float64, error) {
+	m := e.dedicated
+	if m == nil {
+		return burstElapsed(params, dir, count, words, nil)
+	}
+	key := dedicatedKey{params, dir, count, words}
+	m.mu.Lock()
+	burst, ok := m.bursts[key]
+	if !ok {
+		burst = sync.OnceValues(func() (float64, error) {
+			return burstElapsed(params, dir, count, words, nil)
+		})
+		m.bursts[key] = burst
+	}
+	m.mu.Unlock()
+	return burst()
+}
+
 // figure4Sizes is the message-size sweep of the dedicated-burst figure.
 var figure4Sizes = []int{16, 64, 128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096}
 
@@ -99,7 +155,9 @@ func Figure4(env *Env) (Result, error) {
 	}
 	ys, err := runner.Map(context.Background(), env.pool(), cells,
 		func(_ context.Context, _ int, c cell) (float64, error) {
-			return burstElapsed(platform.DefaultParagonParams(c.mode), c.dir, count, c.w, nil)
+			params := env.ParagonParams
+			params.Mode = c.mode
+			return env.dedicatedBurst(params, c.dir, count, c.w)
 		})
 	if err != nil {
 		return Result{}, err
@@ -167,7 +225,7 @@ func burstFigure(env *Env, id, title string, dir workload.Direction, modelDir co
 	type point struct{ ded, act float64 }
 	pts, err := runner.Map(context.Background(), env.pool(), figure56Sizes,
 		func(_ context.Context, _ int, w int) (point, error) {
-			ded, err := burstElapsed(env.ParagonParams, dir, count, w, nil)
+			ded, err := env.dedicatedBurst(env.ParagonParams, dir, count, w)
 			if err != nil {
 				return point{}, err
 			}

@@ -208,6 +208,7 @@ func runDrivers(env *Env, drivers []driver) ([]Result, error) {
 
 // All runs every table and figure driver in paper order.
 func All(env *Env) ([]Result, error) {
+	env = env.forPass()
 	return runDrivers(env, []driver{
 		{"table1-2", Tables12},
 		{"table3", Table3},
@@ -228,6 +229,7 @@ func All(env *Env) ([]Result, error) {
 // work implemented here (I/O characteristics, dynamic job mix,
 // multi-machine platforms).
 func Extensions(env *Env) ([]Result, error) {
+	env = env.forPass()
 	return runDrivers(env, []driver{
 		{"synthetic", func() (Result, error) { return SyntheticCM2(env, 30) }},
 		{"iochar", func() (Result, error) { return IOCharacteristics(env) }},

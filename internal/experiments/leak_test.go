@@ -49,3 +49,33 @@ func TestSuiteDoesNotLeak(t *testing.T) {
 		}
 	})
 }
+
+// A pass keeps only what an exhibit reads: contender traffic is dropped
+// where it lands and each dedicated burst is simulated once, so one
+// serial All allocates a couple of megabytes (1.9 MB when this was
+// written; 10.7 MB before, 87% of it unread inboxes). And the dedicated
+// memo dies with the pass: a second All on the same Env simulates
+// exactly the bursts the first did — Figure 4's 44 plus the 18 contended
+// of Figures 5 and 6, whose 18 dedicated are Figure 4's — and allocates
+// as much.
+func TestSuitePassIsSmallAndForgetsItsBursts(t *testing.T) {
+	e := env(t)
+	for pass := 1; pass <= 2; pass++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bursts := burstRuns.Load()
+		if _, err := All(e); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := burstRuns.Load() - bursts; got != 62 {
+			t.Errorf("pass %d simulated %d bursts, want 62", pass, got)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("pass %d allocated %d bytes, want at most 4 MiB", pass, got)
+		}
+	}
+	if e.dedicated != nil {
+		t.Error("All left a dedicated-burst memo on the caller's Env")
+	}
+}

@@ -166,7 +166,7 @@ func offloadRun(params platform.ParagonParams, m, nodes int, specs []workload.Al
 			return 0, err
 		}
 	}
-	workload.DrainPort(sp, "data")
+	sp.ParagonEnd.Handle("data", nil)
 	ctl := workload.BurstServer(sp, "result-server", "result")
 	elapsed := -1.0
 	var runErr error

@@ -14,6 +14,14 @@
 //     optionally receiving) host CPU, so CPU-bound contenders slow
 //     communication and communicating contenders slow computation —
 //     exactly the cross-terms the slowdown model captures.
+//
+// A message is delivered to a named port of the peer endpoint. A port is
+// an inbox that Recv drains, charging the receive-side conversion to the
+// reader; or, on an endpoint with no host CPU to charge, it may be given
+// an arrival handler (Endpoint.Handle) that runs in the delivering
+// simulation context and keeps nothing — how contention generators and
+// echo servers, whose traffic is load rather than data, receive without a
+// receiver process or a queue that grows with simulated time.
 package link
 
 import (
@@ -121,8 +129,18 @@ type Endpoint struct {
 	link   *Link
 	cfg    EndpointConfig
 	peer   *Endpoint
-	ports  map[string]*des.Mailbox[Message]
+	ports  []*port  // an endpoint has one to three; see port
 	relays []*relay // delivered Forward relays awaiting reuse
+}
+
+// port is one named destination on an endpoint: an inbox that Recv
+// drains or, once handled, a callback (nil discards) and nothing
+// retained.
+type port struct {
+	name    string
+	inbox   *des.Mailbox[Message]
+	handled bool
+	handler func(Message)
 }
 
 // relay is one message on its way through the receiving endpoint's
@@ -147,8 +165,8 @@ func New(k *des.Kernel, cfg Config, aCfg, bCfg EndpointConfig) (*Link, *Endpoint
 		return nil, nil, nil, err
 	}
 	l := &Link{k: k, cfg: cfg, wire: des.NewSemaphore(k, 1)}
-	l.a = &Endpoint{link: l, cfg: aCfg, ports: map[string]*des.Mailbox[Message]{}}
-	l.b = &Endpoint{link: l, cfg: bCfg, ports: map[string]*des.Mailbox[Message]{}}
+	l.a = &Endpoint{link: l, cfg: aCfg}
+	l.b = &Endpoint{link: l, cfg: bCfg}
 	l.a.peer, l.b.peer = l.b, l.a
 	return l, l.a, l.b, nil
 }
@@ -205,13 +223,43 @@ func (l *Link) Utilization() float64 {
 func (e *Endpoint) Name() string { return e.cfg.Name }
 
 // Port returns (creating if needed) the inbox for the given port name.
-func (e *Endpoint) Port(name string) *des.Mailbox[Message] {
-	mb, ok := e.ports[name]
-	if !ok {
-		mb = des.NewMailbox[Message](e.link.k, e.cfg.Name+"/"+name)
-		e.ports[name] = mb
+// A handled port's inbox stays empty.
+func (e *Endpoint) Port(name string) *des.Mailbox[Message] { return e.port(name).inbox }
+
+// port returns (creating if needed) the entry for the given port name.
+// The scan is a pointer comparison per entry in the usual case: callers
+// pass the same string every time, and equal strings that share their
+// bytes compare without reading them.
+func (e *Endpoint) port(name string) *port {
+	for _, pt := range e.ports {
+		if pt.name == name {
+			return pt
+		}
 	}
-	return mb
+	pt := &port{name: name, inbox: des.NewMailbox[Message](e.link.k, e.cfg.Name+"/"+name)}
+	e.ports = append(e.ports, pt)
+	return pt
+}
+
+// Handle replaces the port's inbox with fn: every message delivered to
+// the port from now on is stamped (Arrived) and passed to fn in the
+// simulation context that delivers it — the sender's process, or the
+// Forward relay's callback — instead of being queued, and a nil fn
+// discards it. fn must not block; to act over simulated time it spawns
+// a process. Call Handle before traffic arrives: messages already
+// queued stay in the inbox.
+//
+// Only an endpoint with no Host may handle a port. Receive-side
+// conversion is CPU work charged in Recv, in the receiving process; a
+// handler has no process to charge, so allowing one beside a Host would
+// silently drop that cost from the model. Recv on a handled port, whose
+// inbox nothing will ever reach, panics instead of parking forever.
+func (e *Endpoint) Handle(port string, fn func(Message)) {
+	if e.cfg.Host != nil {
+		panic(fmt.Sprintf("link: Handle(%q) on endpoint %q, whose Host charges receive conversion in Recv", port, e.cfg.Name))
+	}
+	pt := e.port(port)
+	pt.handled, pt.handler = true, fn
 }
 
 // Send transfers words of payload to dstPort on the peer endpoint,
@@ -280,11 +328,17 @@ func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload
 	return peer.deliver(msg)
 }
 
-// deliver stamps the arrival time, posts msg to its destination port
-// and returns the stamped copy.
+// deliver stamps the arrival time, hands msg to its destination port —
+// the handler if the port has one, else the inbox — and returns the
+// stamped copy.
 func (e *Endpoint) deliver(msg Message) Message {
 	msg.Arrived = e.link.k.Now()
-	e.Port(msg.DstPort).Send(msg)
+	switch pt := e.port(msg.DstPort); {
+	case !pt.handled:
+		pt.inbox.Send(msg)
+	case pt.handler != nil:
+		pt.handler(msg)
+	}
 	return msg
 }
 
@@ -292,7 +346,11 @@ func (e *Endpoint) deliver(msg Message) Message {
 // charges the receive-side data-format conversion to this endpoint's
 // CPU in the caller's context (as a Unix read of an XDR stream does).
 func (e *Endpoint) Recv(p *des.Proc, port string) Message {
-	msg := e.Port(port).Recv(p)
+	pt := e.port(port)
+	if pt.handled {
+		panic(fmt.Sprintf("link: Recv on port %q of endpoint %q, which Handle took over", port, e.cfg.Name))
+	}
+	msg := pt.inbox.Recv(p)
 	if e.cfg.Host != nil {
 		work := e.cfg.RecvStartup + e.cfg.RecvPerWord*float64(msg.Words)
 		e.cfg.Host.Compute(p, work)

@@ -2,6 +2,7 @@ package link
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"contention/internal/cpu"
@@ -365,20 +366,120 @@ func TestSendReturnValueArrivalStamp(t *testing.T) {
 	}
 }
 
+// A handled port sees every message exactly once, stamped, in send
+// order — whether delivery is the sender's own call, a Forward relay on
+// a free fabric, or one queued behind a busy fabric and carried by the
+// service node's forwarder process.
+func TestHandledPortReceivesEachMessageOnceInOrder(t *testing.T) {
+	const n = 200
+	for name, tc := range map[string]struct {
+		hops, contraflow bool
+	}{
+		"1-HOP":                 {},
+		"2-HOPS, free fabric":   {hops: true},
+		"2-HOPS, queued fabric": {hops: true, contraflow: true},
+	} {
+		k := des.New()
+		defer k.Close()
+		mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
+		bCfg := EndpointConfig{Name: "mpp"}
+		if tc.hops {
+			bCfg.Forward, bCfg.PreSend = mpp.NXHopAsync, mpp.NXSend
+		}
+		l, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, bCfg)
+		var got []Message
+		queued := 0
+		b.Handle("x", func(msg Message) {
+			if msg.Arrived != k.Now() {
+				t.Errorf("%s: message %v stamped %v at time %v", name, msg.Payload, msg.Arrived, k.Now())
+			}
+			if hop := msg.Arrived - (msg.Queued + l.WireTime(msg.Words)); hop > mpp.NXTime(msg.Words)+1e-9 {
+				queued++
+			}
+			got = append(got, msg)
+		})
+		k.Spawn("send", func(p *des.Proc) {
+			for i := 0; i < n; i++ {
+				a.Send(p, "x", "x", 512, i)
+			}
+			k.Stop()
+		})
+		if tc.contraflow {
+			// Larger messages the other way hold the fabric (PreSend)
+			// while inbound ones reach the service node.
+			a.Handle("y", nil)
+			k.Spawn("back", func(p *des.Proc) {
+				for {
+					b.Send(p, "y", "y", 2048, nil)
+				}
+			})
+		}
+		k.Run()
+		k.RunUntil(k.Now() + 1) // the last relays land after the sender stops
+		if len(got) != n {
+			t.Fatalf("%s: handler saw %d messages, want %d", name, len(got), n)
+		}
+		for i, msg := range got {
+			if msg.Payload != i || msg.Words != 512 || msg.DstPort != "x" {
+				t.Fatalf("%s: message %d is %+v", name, i, msg)
+			}
+		}
+		if b.Port("x").Len() != 0 {
+			t.Errorf("%s: handled port queued %d messages", name, b.Port("x").Len())
+		}
+		if (queued > 0) != tc.contraflow {
+			t.Errorf("%s: %d hops queued behind a busy fabric, want some: %v", name, queued, tc.contraflow)
+		}
+	}
+}
+
+// wantLinkPanic runs f and checks it panics with a "link:" message.
+func wantLinkPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "link:") {
+			t.Errorf("%s: recovered %q, want a link: panic", what, msg)
+		}
+	}()
+	f()
+}
+
+// A handler has no process to charge receive conversion to, so only a
+// host-less endpoint may have one; and a port that hands its messages
+// to a handler has nothing for Recv to return.
+func TestHandleMisusePanics(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	host := cpu.NewHost(k, "sun", 1)
+	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun", Host: host}, EndpointConfig{Name: "mpp"})
+	wantLinkPanic(t, "Handle on an endpoint with a Host", func() { a.Handle("x", nil) })
+	b.Handle("x", nil)
+	k.Spawn("recv", func(p *des.Proc) {
+		wantLinkPanic(t, "Recv on a handled port", func() { b.Recv(p, "x") })
+	})
+	k.Run()
+}
+
 // sendLoop streams fixed-size messages from a CPU-backed endpoint to a
 // receiver that drains them: conversion on the host, the wire
 // semaphore, the wire delay, the inbox and the receive conversion —
-// every resource a simulated message crosses.
-func sendLoop(k *des.Kernel) *Link {
+// every resource a simulated message crosses. With discard there is no
+// receiver: the port drops each message as it lands.
+func sendLoop(k *des.Kernel, discard bool) *Link {
 	host := cpu.NewHost(k, "sun", 1)
 	l, a, b := MustNew(k, basicCfg(),
 		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6},
 		EndpointConfig{Name: "mpp"})
-	k.Spawn("recv", func(p *des.Proc) {
-		for {
-			b.Recv(p, "x")
-		}
-	})
+	if discard {
+		b.Handle("x", nil)
+	} else {
+		k.Spawn("recv", func(p *des.Proc) {
+			for {
+				b.Recv(p, "x")
+			}
+		})
+	}
 	k.Spawn("send", func(p *des.Proc) {
 		for {
 			a.Send(p, "x", "x", 512, nil)
@@ -432,9 +533,10 @@ func hopLoop(k *des.Kernel, contraflow bool) (l *Link, queued *int) {
 
 func TestSendAllocationFree(t *testing.T) {
 	for name, tc := range map[string]struct {
-		contraflow, hops, queues bool
+		contraflow, hops, queues, discard bool
 	}{
 		"direct":                {},
+		"direct, discarded":     {discard: true},
 		"2-HOPS, free fabric":   {hops: true},
 		"2-HOPS, queued fabric": {hops: true, contraflow: true, queues: true},
 	} {
@@ -445,7 +547,7 @@ func TestSendAllocationFree(t *testing.T) {
 		if tc.hops {
 			l, queued = hopLoop(k, tc.contraflow)
 		} else {
-			l = sendLoop(k)
+			l = sendLoop(k, tc.discard)
 		}
 		k.RunUntil(1)
 		messages, hopsQueued := l.Messages(), *queued
@@ -466,7 +568,7 @@ func TestSendAllocationFree(t *testing.T) {
 func BenchmarkSend(b *testing.B) {
 	k := des.New()
 	defer k.Close()
-	l := sendLoop(k)
+	l := sendLoop(k, false)
 	k.RunUntil(1)
 	start := l.Messages()
 	b.ReportAllocs()

@@ -11,8 +11,8 @@ import (
 	"math/rand"
 
 	"contention/internal/cpu"
-
 	"contention/internal/des"
+	"contention/internal/link"
 	"contention/internal/platform"
 )
 
@@ -135,7 +135,10 @@ func MessagesPerCycle(sp *platform.SunParagon, spec AlternatorSpec) int {
 
 // SpawnAlternator starts a contender that alternates computation with
 // communication per the spec, running until the simulation horizon.
-// The returned port name carries its traffic.
+// The returned port name carries its traffic. Nobody reads what a
+// Sun→Paragon contender sends — it exists to load the Sun's CPU and the
+// wire — so its Paragon-side port discards on arrival (link.Handle)
+// and a long run retains nothing per message.
 func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
@@ -152,6 +155,7 @@ func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, erro
 
 	switch spec.Direction {
 	case SunToParagon:
+		sp.ParagonEnd.Handle(port, nil)
 		sp.K.Spawn(spec.Name, func(p *des.Proc) {
 			if spec.Phase > 0 {
 				p.Delay(spec.Phase)
@@ -282,14 +286,17 @@ type pingEnd struct{}
 // SpawnPingEcho starts the Paragon-side echo: whenever the end-marker
 // arrives on port, it replies with a one-word message (the paper's
 // ping-pong benchmark protocol: a burst of same-size messages, then one
-// word back).
+// word back). The echo is an arrival handler, not a process: the burst's
+// other messages cost the Paragon nothing (it has no host CPU to charge)
+// and are dropped where they land, and the marker spawns the one-shot
+// process that sends the reply — a zero-delay wake at the point of the
+// event sequence where a parked receiver's wake would have been.
 func SpawnPingEcho(sp *platform.SunParagon, port string) {
-	sp.K.Spawn("echo:"+port, func(p *des.Proc) {
-		for {
-			msg := sp.RecvOnParagon(p, port)
-			if _, ok := msg.Payload.(pingEnd); ok {
-				sp.SendToSun(p, port, 1)
-			}
+	name := "echo:" + port
+	reply := func(p *des.Proc) { sp.SendToSun(p, port, 1) }
+	sp.ParagonEnd.Handle(port, func(msg link.Message) {
+		if _, ok := msg.Payload.(pingEnd); ok {
+			sp.K.Spawn(name, reply)
 		}
 	})
 }
@@ -308,16 +315,6 @@ func PingPongBurst(p *des.Proc, sp *platform.SunParagon, port string, count, wor
 	sp.SunEnd.Send(p, port, port, words, pingEnd{})
 	sp.RecvOnSun(p, port)
 	return p.Now() - start
-}
-
-// DrainPort consumes messages arriving on a Paragon port forever,
-// keeping mailboxes from growing without bound in long runs.
-func DrainPort(sp *platform.SunParagon, port string) {
-	sp.K.Spawn("drain:"+port, func(p *des.Proc) {
-		for {
-			sp.RecvOnParagon(p, port)
-		}
-	})
 }
 
 // SpawnDutyHogOnHost starts a nearly-CPU-bound contender directly on a

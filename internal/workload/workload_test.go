@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"contention/internal/des"
@@ -174,9 +175,9 @@ func TestCPUHogSaturatesHost(t *testing.T) {
 	}
 }
 
-func TestDrainPortConsumes(t *testing.T) {
+func TestHandledPortKeepsNoInbox(t *testing.T) {
 	k, sp := newSP(t)
-	DrainPort(sp, "d")
+	sp.ParagonEnd.Handle("d", nil)
 	k.Spawn("s", func(p *des.Proc) {
 		for i := 0; i < 5; i++ {
 			sp.SendToParagon(p, "d", 10)
@@ -184,7 +185,71 @@ func TestDrainPortConsumes(t *testing.T) {
 	})
 	k.RunUntil(10)
 	if n := sp.ParagonEnd.Port("d").Len(); n != 0 {
-		t.Fatalf("mailbox holds %d messages, want 0 (drained)", n)
+		t.Fatalf("mailbox holds %d messages, want 0 (discarded on arrival)", n)
+	}
+	if n := sp.Link.Messages(); n != 5 {
+		t.Fatalf("%d messages crossed the link, want 5", n)
+	}
+}
+
+// The echo is a handler, not a process: it answers each end-marker with
+// exactly one one-word message, burst after burst on the same port, and
+// the one-shot process that carries a reply is gone once it is sent.
+func TestPingEchoRepliesOncePerBurst(t *testing.T) {
+	const count, words = 50, 100
+	k, sp := newSP(t)
+	procs := k.Procs()
+	SpawnPingEcho(sp, "pp")
+	if got := k.Procs(); got != procs {
+		t.Fatalf("SpawnPingEcho left %d live processes, want %d", got, procs)
+	}
+	k.Spawn("m", func(p *des.Proc) {
+		for burst := 1; burst <= 2; burst++ {
+			PingPongBurst(p, sp, "pp", count, words)
+			p.Delay(1) // a second reply would land in the Sun's inbox
+			if got, want := sp.Link.Messages(), burst*(count+1); got != want {
+				t.Errorf("after burst %d: %d messages crossed the link, want %d", burst, got, want)
+			}
+			if got, want := sp.Link.WordsMoved(), burst*(count*words+1); got != want {
+				t.Errorf("after burst %d: %d words crossed the link, want %d (one-word replies)", burst, got, want)
+			}
+			if n := sp.SunEnd.Port("pp").Len(); n != 0 {
+				t.Errorf("after burst %d: %d unread replies on the Sun", burst, n)
+			}
+		}
+	})
+	k.Run()
+	if got := k.Procs(); got != procs {
+		t.Fatalf("%d live processes after two bursts, want %d", got, procs)
+	}
+}
+
+// A contender's traffic is load, not data: a long run must not retain
+// (or allocate) anything per message it sent. One alternator per
+// direction covers the discarded Paragon-side port and the Sun-side
+// inbox its receiver keeps up with.
+func TestAlternatorsAllocateNothingPerSimulatedSecond(t *testing.T) {
+	k, sp := newSP(t)
+	defer k.Close()
+	for _, spec := range []AlternatorSpec{
+		{Name: "to", CommFraction: 0.5, MsgWords: 200, Period: 0.1, Direction: SunToParagon},
+		{Name: "from", CommFraction: 0.5, MsgWords: 200, Period: 0.1, Phase: 0.013, Direction: ParagonToSun},
+	} {
+		if _, err := SpawnAlternator(sp, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.RunUntil(5)
+	messages := sp.Link.Messages()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k.RunUntil(50)
+	runtime.ReadMemStats(&after)
+	if n := sp.Link.Messages() - messages; n < 10000 {
+		t.Fatalf("only %d messages crossed the link in 45 simulated seconds", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("45 simulated seconds of two alternators allocated %d bytes, want at most 64 KiB", got)
 	}
 }
 
