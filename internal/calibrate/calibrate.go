@@ -165,12 +165,11 @@ func (o Options) measureBurstWarm(dir workload.Direction, words int, setup func(
 			k.Stop() // contenders run forever; end the run with the probe
 		})
 	case workload.ParagonToSun:
-		ctl := workload.BurstServer(sp, "server", port)
 		k.Spawn("probe", func(p *des.Proc) {
 			if warmup > 0 {
 				p.Delay(warmup)
 			}
-			elapsed = workload.BurstFromParagon(p, sp, ctl, port, o.BurstCount, words)
+			elapsed = workload.BurstFromParagon(p, sp, port, o.BurstCount, words)
 			k.Stop()
 		})
 	default:

@@ -23,9 +23,13 @@ func computeLoop(k *des.Kernel, n int) *Host {
 }
 
 // Steady-state Compute allocates nothing: jobs are values in a reused
-// slice, finishDue filters in place, and the host re-times its one
+// slice, retireDue filters in place, and the host re-times its one
 // completion event instead of scheduling a new one per membership
-// change.
+// change. One round per Run ends every job at the horizon, where it
+// queues and parks; over eight rounds a lone job runs ahead (and
+// dispatches no event doing so), while of four equal jobs, which retire
+// together, the last to re-enter takes their completion in place and all
+// four wakes still go through the queue.
 func TestComputeAllocationFree(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		k := des.New()
@@ -39,6 +43,13 @@ func TestComputeAllocationFree(t *testing.T) {
 		}
 		if h.Completed() == before {
 			t.Errorf("%d resident jobs: no job completed while measuring", n)
+		}
+		events := k.Dispatched()
+		if got := testing.AllocsPerRun(100, func() { k.RunUntil(k.Now() + 8*round) }); got != 0 {
+			t.Errorf("%d resident jobs: %v allocs per 8 rounds, want 0", n, got)
+		}
+		if got := k.Dispatched() - events; (got <= 2*101) != (n == 1) {
+			t.Errorf("%d resident jobs: %d events dispatched over 101 runs of 8 rounds; a lone job needs two per run, shared ones four per round", n, got)
 		}
 		k.Close()
 	}

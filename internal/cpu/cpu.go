@@ -23,7 +23,7 @@ type Host struct {
 	speed float64 // work units per second when a job runs alone
 
 	jobs       []job
-	done       []job      // finishDue's scratch, empty between calls
+	done       []job      // retireDue's scratch, empty between calls
 	completion *des.Event // calls finishDue; created once, then re-timed
 	lastUpdate float64
 
@@ -47,7 +47,6 @@ type job struct {
 	remaining float64
 	weight    float64
 	proc      *des.Proc
-	onDone    func()
 }
 
 // NewHost returns a PS host with the given speed (work units/second).
@@ -115,24 +114,25 @@ func (h *Host) ComputeWeighted(p *des.Proc, work, weight float64) {
 	}
 	h.advance()
 	h.jobs = append(h.jobs, job{remaining: work, weight: weight, proc: p})
-	h.reschedule()
-	p.Park()
-}
-
-// ComputeAsync enqueues work whose completion invokes onDone in kernel
-// context instead of blocking a process. Used by resources (e.g. the
-// link's data-conversion stage) that are not themselves processes.
-func (h *Host) ComputeAsync(work float64, onDone func()) {
-	if work < 0 || math.IsNaN(work) {
-		panic(fmt.Sprintf("cpu: invalid work %v", work))
-	}
-	if work == 0 {
-		h.k.After(0, onDone)
+	d := h.untilNextFinish()
+	if !p.RunAhead(d, h.completion) {
+		h.arm(d)
+		p.Park()
 		return
 	}
-	h.advance()
-	h.jobs = append(h.jobs, job{remaining: work, weight: 1, onDone: onDone})
-	h.reschedule()
+	// Run-ahead. The completion that arm(d) would have queued is provably
+	// the very next event the kernel pops (the record's present position,
+	// which arm would have changed, is the one thing RunAhead looks
+	// past), so it was neither queued nor popped: its sequence number is
+	// consumed, the clock reads its instant, and what it does happens
+	// here. p's own wake, which retireDue left out, comes last — its job
+	// is the newest, so finishDue would have queued it last too — and
+	// runs ahead in its turn unless something now shares the instant.
+	if h.retireDue(p) {
+		p.Delay(0)
+	} else {
+		p.Park()
+	}
 }
 
 // advance applies elapsed time to all resident jobs' remaining work.
@@ -204,6 +204,22 @@ func (h *Host) reschedule() {
 		h.k.Cancel(h.completion)
 		return
 	}
+	h.arm(h.untilNextFinish())
+}
+
+// arm re-times the completion event to fire d seconds from now.
+func (h *Host) arm(d float64) {
+	if h.completion == nil {
+		h.completion = h.k.After(d, h.finishDue)
+	} else {
+		h.k.Reschedule(h.completion, d)
+	}
+}
+
+// untilNextFinish reports how long from now the next completion is due:
+// the rest of any stall window plus the earliest finish among the
+// resident jobs (at least one) at their current shares.
+func (h *Host) untilNextFinish() float64 {
 	total := h.totalWeight()
 	eff := h.speed / h.PagingFactor()
 	stallLeft := 0.0
@@ -231,17 +247,20 @@ func (h *Host) reschedule() {
 			}
 		}
 	}
-	if h.completion == nil {
-		h.completion = h.k.After(stallLeft+next, h.finishDue)
-	} else {
-		h.k.Reschedule(h.completion, stallLeft+next)
-	}
+	return stallLeft + next
 }
 
-// finishDue retires every job whose remaining work has reached zero.
+// finishDue is the completion event.
+func (h *Host) finishDue() { h.retireDue(nil) }
+
+// retireDue retires every job whose remaining work has reached zero.
 // Survivors are filtered in place and the finished jobs collected in
-// h.done, both in arrival order.
-func (h *Host) finishDue() {
+// h.done, both in arrival order; the completion event is re-timed for
+// the survivors and the finished jobs' processes are woken, in that
+// order. Except self: when the completion happens in the middle of
+// self's own ComputeWeighted (run-ahead), self is running, not parked,
+// and for its job retireDue only reports true.
+func (h *Host) retireDue(self *des.Proc) (selfDone bool) {
 	h.advance()
 	keep := h.jobs[:0]
 	for _, j := range h.jobs {
@@ -256,12 +275,13 @@ func (h *Host) finishDue() {
 	h.reschedule()
 	for _, j := range h.done {
 		h.completed++
-		if j.proc != nil {
+		if j.proc == self {
+			selfDone = true
+		} else {
 			j.proc.Resume()
-		} else if j.onDone != nil {
-			h.k.After(0, j.onDone)
 		}
 	}
 	clear(h.done)
 	h.done = h.done[:0]
+	return selfDone
 }

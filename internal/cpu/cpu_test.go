@@ -112,43 +112,6 @@ func TestZeroWorkReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestComputeAsyncCallback(t *testing.T) {
-	k := des.New()
-	h := NewHost(k, "sun", 1)
-	var at float64
-	h.ComputeAsync(3, func() { at = k.Now() })
-	k.Run()
-	if !approx(at, 3, 1e-9) {
-		t.Fatalf("async done at %v, want 3", at)
-	}
-}
-
-func TestComputeAsyncZeroWork(t *testing.T) {
-	k := des.New()
-	h := NewHost(k, "sun", 1)
-	called := false
-	h.ComputeAsync(0, func() { called = true })
-	k.Run()
-	if !called {
-		t.Fatal("zero-work async callback not invoked")
-	}
-}
-
-func TestAsyncAndProcJobsShare(t *testing.T) {
-	k := des.New()
-	h := NewHost(k, "sun", 1)
-	var procDone, asyncDone float64
-	k.Spawn("a", func(p *des.Proc) {
-		h.Compute(p, 1)
-		procDone = p.Now()
-	})
-	h.ComputeAsync(1, func() { asyncDone = k.Now() })
-	k.Run()
-	if !approx(procDone, 2, 1e-9) || !approx(asyncDone, 2, 1e-9) {
-		t.Fatalf("done at %v/%v, want 2/2", procDone, asyncDone)
-	}
-}
-
 func TestBusyTimeAndAvgLoad(t *testing.T) {
 	k := des.New()
 	h := NewHost(k, "sun", 1)

@@ -61,6 +61,15 @@ func TestProcessPrimitivesAllocationFree(t *testing.T) {
 		if got := testing.AllocsPerRun(500, func() { step(k) }); got != 0 {
 			t.Errorf("%s: %v allocs per round, want 0", name, got)
 		}
+		// One round per Run ends every wait at the horizon, where it
+		// queues; with sixteen, the waits that can run ahead do.
+		events := k.Dispatched()
+		if got := testing.AllocsPerRun(100, func() { k.RunUntil(k.Now() + 16) }); got != 0 {
+			t.Errorf("%s: %v allocs per 16 rounds, want 0", name, got)
+		}
+		if got := k.Dispatched() - events; name == "Delay" && got > 101 {
+			t.Errorf("%s: %d events dispatched over 101 runs of 16 rounds, want one per run", name, got)
+		}
 		k.Close()
 	}
 }

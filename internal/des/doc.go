@@ -18,7 +18,20 @@
 // event is often the parker's own wake (no switch), a callback (run in
 // place) or another process's wake (one direct coroutine switch, never
 // through the Go scheduler). Who happens to be dispatching decides only
-// which stack an event runs on, never which event is next.
+// which stack an event runs on, never which event is next. A wait whose
+// own wake is provably that next event — nothing queued at or before it,
+// nobody asked to stop — does not enter the loop at all: it consumes the
+// wake's sequence number and moves the clock in place (Proc.RunAhead,
+// behind Delay and cpu.Host.Compute), which no later event can tell from
+// having queued and parked.
+//
+// Not everything that acts over simulated time needs a process: an
+// Action scheduled with Call is a callback without a closure, and one
+// queued on a Semaphore with AcquireAsync waits its turn among the
+// parked processes and is called, one zero-delay event after the Release
+// that serves it, where a process's wake would stand. Resources whose
+// actors have nothing to be charged for (a host-less link endpoint's
+// senders, the mesh's service node) are state machines of such calls.
 //
 // Failure: a panic in a callback or a process body is held by whichever
 // loop caught it and re-raised by Run on its caller's goroutine once

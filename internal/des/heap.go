@@ -29,6 +29,26 @@ type eventHeap struct {
 
 func (h *eventHeap) len() int { return len(h.items) }
 
+// earliestBut reports the time of the earliest queued event other than
+// skip (which may be nil), and false when there is none. Only the root
+// can hide an earlier event than its children, so this reads at most
+// three entries.
+func (h *eventHeap) earliestBut(skip *Event) (at float64, ok bool) {
+	items := h.items
+	switch {
+	case len(items) == 0:
+		return 0, false
+	case items[0] != skip:
+		return items[0].at, true
+	case len(items) == 1:
+		return 0, false
+	case len(items) == 2 || items[1].at <= items[2].at:
+		return items[1].at, true
+	default:
+		return items[2].at, true
+	}
+}
+
 func (h *eventHeap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	if a.at != b.at {

@@ -20,8 +20,10 @@ type Kernel struct {
 	maxTime  float64
 	hasLimit bool
 
-	failure any // a panic recovered by dispatch, held until Run re-raises it
-	resumes uint64
+	failure    any // a panic recovered by dispatch, held until Run re-raises it
+	resumes    uint64
+	dispatched uint64
+	queueOnly  bool // set by tests only (export_test.go): RunAhead always declines
 }
 
 // errClosed is the panic raised by At, Spawn and Run after Close.
@@ -189,6 +191,7 @@ func (k *Kernel) dispatch(self *Proc) (woken bool) {
 			return false
 		}
 		k.heap.pop()
+		k.dispatched++
 		k.now = e.at
 		if e.fn != nil {
 			e.fn()
@@ -252,3 +255,8 @@ func (k *Kernel) Procs() int { return len(k.live) }
 // New: its first start and every wake that needed a coroutine switch. A
 // process that finds its own wake next when it parks is not counted.
 func (k *Kernel) Resumes() uint64 { return k.resumes }
+
+// Dispatched reports how many events the loop has popped off the heap
+// and fired since New. A wait that ran ahead (Proc.RunAhead) took its
+// turn without one and is not counted.
+func (k *Kernel) Dispatched() uint64 { return k.dispatched }

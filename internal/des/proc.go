@@ -117,10 +117,49 @@ func (p *Proc) resume() {
 func (p *Proc) Resume() { p.k.wake(p, 0) }
 
 // Delay advances the process by d seconds of virtual time. A zero delay
-// still parks, so same-time events interleave fairly.
+// still lets every event already queued for this instant go first, so
+// same-time events interleave fairly.
 func (p *Proc) Delay(d float64) {
+	if p.RunAhead(d, nil) {
+		return
+	}
 	p.k.wake(p, d)
 	p.Park()
+}
+
+// RunAhead is the fast path of a wait. It reports whether a wake queued
+// now for d seconds ahead would by construction be the very next event
+// the loop pops, and if so takes that event's turn in place: its
+// sequence number is consumed, the clock moves to its instant, and the
+// process carries on without the heap, the loop or a park having been
+// involved. When it reports false nothing has changed and the caller
+// queues and parks as it always did.
+//
+// The wake is provably next when nobody may be asked to stop first (no
+// Stop, no closing kernel, no held failure), its instant lies within the
+// RunUntil horizon, and every queued event is strictly later. A tie goes
+// the slow way: the queued event holds the smaller sequence number and
+// fires first. The number is consumed although no event will carry it:
+// everything scheduled afterwards is then numbered exactly as it would
+// have been, so the two ways differ in nothing a later comparison — or
+// a test reading the numbers — can see.
+//
+// own, when non-nil, is a queued event the caller is about to re-time
+// to that same wake (a resource's completion record): its present
+// position says nothing and it is the one event not looked at. Must only
+// be called from the process's own body.
+func (p *Proc) RunAhead(d float64, own *Event) bool {
+	k := p.k
+	t := k.now + checkDelay(d)
+	if k.stopped || k.closing || k.failure != nil || k.queueOnly || k.hasLimit && t > k.maxTime {
+		return false
+	}
+	if at, ok := k.heap.earliestBut(own); ok && !(at > t) {
+		return false
+	}
+	k.seq++
+	k.now = t
+	return true
 }
 
 // fifo is a slice-backed queue that keeps its backing array: pop
@@ -152,15 +191,28 @@ func (q *fifo[T]) pop() (v T, ok bool) {
 	return v, true
 }
 
-// waitQueue is a FIFO of parked processes used by the synchronization
-// primitives and resources.
-type waitQueue struct{ fifo[*Proc] }
+// waiter is one entry of a wait queue: a parked process, or the Action
+// standing in for one (Semaphore.AcquireAsync).
+type waiter struct {
+	proc *Proc
+	act  Action
+}
 
-// wakeOne resumes the oldest waiter; it reports whether there was one.
-func (q *waitQueue) wakeOne() bool {
-	p, ok := q.pop()
-	if ok {
-		p.Resume()
+// waitQueue is the FIFO of waiters behind the synchronization
+// primitives.
+type waitQueue struct{ fifo[waiter] }
+
+// wakeOne wakes the oldest waiter — a zero-delay wake for a process, a
+// zero-delay Call for an Action: one sequence number either way — and
+// reports whether there was one.
+func (q *waitQueue) wakeOne(k *Kernel) bool {
+	w, ok := q.pop()
+	switch {
+	case !ok:
+	case w.act != nil:
+		k.Call(0, w.act)
+	default:
+		w.proc.Resume()
 	}
 	return ok
 }

@@ -21,13 +21,13 @@ func (m *Mailbox[T]) Len() int { return m.msgs.len() }
 // call from event callbacks as well as processes.
 func (m *Mailbox[T]) Send(v T) {
 	m.msgs.push(v)
-	m.queue.wakeOne()
+	m.queue.wakeOne(m.k)
 }
 
 // Recv returns the oldest message, parking p until one is available.
 func (m *Mailbox[T]) Recv(p *Proc) T {
 	for m.msgs.len() == 0 {
-		m.queue.push(p)
+		m.queue.push(waiter{proc: p})
 		p.Park()
 	}
 	v, _ := m.msgs.pop()
@@ -37,7 +37,8 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 // TryRecv returns the oldest message without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) { return m.msgs.pop() }
 
-// Semaphore is a counting semaphore for processes.
+// Semaphore is a counting semaphore for processes and for the Actions
+// that stand in for them (AcquireAsync); both wait in one FIFO.
 type Semaphore struct {
 	k     *Kernel
 	avail int
@@ -56,10 +57,27 @@ func NewSemaphore(k *Kernel, n int) *Semaphore {
 // are served FIFO.
 func (s *Semaphore) Acquire(p *Proc) {
 	if !s.TryAcquire() {
-		s.queue.push(p)
+		s.queue.push(waiter{proc: p})
 		p.Park()
 		// Ownership was transferred by Release; the permit is already ours.
 	}
+}
+
+// AcquireAsync is Acquire for a caller that is not a process. It takes a
+// permit and reports true when one is immediately available; otherwise
+// it queues a, FIFO among the parked acquirers, and reports false: the
+// Release that passes a the permit schedules a.Fire() as a zero-delay
+// Call — the event, at the point of the sequence, that a parked
+// process's wake would have been.
+func (s *Semaphore) AcquireAsync(a Action) bool {
+	if a == nil {
+		panic("des: AcquireAsync with a nil Action")
+	}
+	if s.TryAcquire() {
+		return true
+	}
+	s.queue.push(waiter{act: a})
+	return false
 }
 
 // TryAcquire takes a permit if one is immediately available.
@@ -74,7 +92,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit, waking the oldest waiter if any. The
 // permit passes directly to the waiter (no barging).
 func (s *Semaphore) Release() {
-	if !s.queue.wakeOne() {
+	if !s.queue.wakeOne(s.k) {
 		s.avail++
 	}
 }
@@ -82,5 +100,5 @@ func (s *Semaphore) Release() {
 // Available reports the number of free permits.
 func (s *Semaphore) Available() int { return s.avail }
 
-// Waiting reports the number of parked acquirers.
+// Waiting reports the number of queued acquirers.
 func (s *Semaphore) Waiting() int { return s.queue.len() }

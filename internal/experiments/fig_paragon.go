@@ -52,12 +52,11 @@ func burstElapsed(params platform.ParagonParams, dir workload.Direction, count, 
 			k.Stop()
 		})
 	case workload.ParagonToSun:
-		ctl := workload.BurstServer(sp, "server", port)
 		k.Spawn("bench", func(p *des.Proc) {
 			if warmup > 0 {
 				p.Delay(warmup)
 			}
-			elapsed = workload.BurstFromParagon(p, sp, ctl, port, count, words)
+			elapsed = workload.BurstFromParagon(p, sp, port, count, words)
 			k.Stop()
 		})
 	default:

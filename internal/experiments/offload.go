@@ -167,7 +167,6 @@ func offloadRun(params platform.ParagonParams, m, nodes int, specs []workload.Al
 		}
 	}
 	sp.ParagonEnd.Handle("data", nil)
-	ctl := workload.BurstServer(sp, "result-server", "result")
 	elapsed := -1.0
 	var runErr error
 	k.Spawn("app", func(p *des.Proc) {
@@ -184,7 +183,7 @@ func offloadRun(params platform.ParagonParams, m, nodes int, specs []workload.Al
 			return
 		}
 		// Ship the solution back.
-		elapsed = workload.BurstFromParagon(p, sp, ctl, "result", m, m)
+		elapsed = workload.BurstFromParagon(p, sp, "result", m, m)
 		elapsed = p.Now() - start
 		k.Stop()
 	})

@@ -22,6 +22,15 @@
 // simulation context and keeps nothing — how contention generators and
 // echo servers, whose traffic is load rather than data, receive without a
 // receiver process or a queue that grows with simulated time.
+//
+// Sending is symmetric. Send blocks a process, which is what pays the
+// send-side conversion on an endpoint with a host CPU. An endpoint
+// without one has nothing to charge a sender for, so it can also Stream:
+// a burst of back-to-back messages carried by timed calls on a recycled
+// record, through the same steps at the same points of the event
+// sequence as a process looping on Send — how burst responders, the
+// Paragon side of a contender and the echo's reply send without a sender
+// process.
 package link
 
 import (
@@ -87,6 +96,11 @@ type EndpointConfig struct {
 	// wire is acquired — e.g. the NX hop from a Paragon compute node to
 	// the service node in 2-HOPS mode.
 	PreSend func(p *des.Proc, words int)
+	// PreSendAsync is PreSend for Stream, which has no process to block:
+	// it must call done, exactly once and from simulation context, when
+	// the hop is over, having scheduled event for event what PreSend
+	// does. An endpoint with a PreSend needs one to Stream.
+	PreSendAsync func(words int, done func())
 	// Forward, when non-nil, intercepts inbound delivery on this
 	// endpoint: it must eventually call deliver, exactly once and from
 	// simulation context. Used for the service-node → compute-node NX
@@ -126,11 +140,12 @@ type Link struct {
 // named ports so concurrent applications do not steal each other's
 // messages.
 type Endpoint struct {
-	link   *Link
-	cfg    EndpointConfig
-	peer   *Endpoint
-	ports  []*port  // an endpoint has one to three; see port
-	relays []*relay // delivered Forward relays awaiting reuse
+	link    *Link
+	cfg     EndpointConfig
+	peer    *Endpoint
+	ports   []*port   // an endpoint has one to three; see port
+	relays  []*relay  // delivered Forward relays awaiting reuse
+	streams []*stream // finished Stream records awaiting reuse
 }
 
 // port is one named destination on an endpoint: an inbox that Recv
@@ -156,7 +171,7 @@ func (r *relay) arrive() {
 	msg := r.msg
 	r.msg = Message{}
 	r.to.relays = append(r.to.relays, r)
-	r.to.deliver(msg)
+	r.to.deliver(&msg)
 }
 
 // New creates a link between two endpoints.
@@ -267,12 +282,12 @@ func (e *Endpoint) Handle(port string, fn func(Message)) {
 // conversion is pipelined and charged asynchronously). The returned
 // message carries the sender-side timestamps; the receiver's copy also
 // has Arrived set.
-func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload any) Message {
+func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload any) (msg Message) {
 	if words < 0 {
 		panic(fmt.Sprintf("link: negative message size %d", words))
 	}
 	l := e.link
-	msg := Message{Words: words, SrcPort: srcPort, DstPort: dstPort, Sent: p.Now(), Payload: payload}
+	msg.Words, msg.SrcPort, msg.DstPort, msg.Sent, msg.Payload = words, srcPort, dstPort, p.Now(), payload
 
 	// 0. Pre-wire hop on the sending side (e.g. NX to the service node).
 	if e.cfg.PreSend != nil {
@@ -288,69 +303,212 @@ func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload
 	// 2. Exclusive wire occupancy, FCFS. A lost attempt (drop or
 	// corruption injected by the fault subsystem) pays full wire time,
 	// waits a doubling retransmit backoff off the wire, and retries.
+	wt := l.WireTime(words)
 	backoff := l.cfg.PerPacket
 	for attempt := 1; ; attempt++ {
 		l.wire.Acquire(p)
 		if attempt == 1 {
 			msg.Queued = p.Now()
 		}
-		wt := l.WireTime(words)
 		p.Delay(wt)
-		l.busyTime += wt
-		l.wire.Release()
-		if l.fault == nil || attempt >= maxTxAttempts || !l.fault(words) {
+		if !l.attempted(words, wt, attempt) {
 			break
 		}
-		l.retransmits++
 		p.Delay(backoff)
 		backoff *= 2
 	}
-	l.messages++
-	l.wordsMoved += words
 
-	// 3. Delivery to the peer's inbox, directly or — when the service
-	// node relays it — whenever the Forward hook calls deliver on a
-	// copy. Receive-side conversion is charged in Recv, in the
-	// receiving process's context.
-	peer := e.peer
-	if fwd := peer.cfg.Forward; fwd != nil {
-		var r *relay
-		if n := len(peer.relays); n > 0 {
-			r, peer.relays = peer.relays[n-1], peer.relays[:n-1]
-		} else {
-			r = &relay{to: peer}
-			r.deliver = r.arrive
-		}
-		r.msg = msg
-		fwd(words, r.deliver)
-		return msg
-	}
-	return peer.deliver(msg)
+	// 3. Delivery to the peer, directly or through its Forward hook.
+	e.peer.accept(&msg)
+	return msg
 }
 
-// deliver stamps the arrival time, hands msg to its destination port —
-// the handler if the port has one, else the inbox — and returns the
-// stamped copy.
-func (e *Endpoint) deliver(msg Message) Message {
+// attempted closes one transmission attempt: its wire time is accounted,
+// the wire released, and the fault decision taken. It reports whether
+// the attempt was lost and must be retransmitted after a backoff;
+// otherwise the message counts as moved.
+func (l *Link) attempted(words int, wt float64, attempt int) (lost bool) {
+	l.busyTime += wt
+	l.wire.Release()
+	if l.fault != nil && attempt < maxTxAttempts && l.fault(words) {
+		l.retransmits++
+		return true
+	}
+	l.messages++
+	l.wordsMoved += words
+	return false
+}
+
+// accept takes a message off the wire at the receiving endpoint: it is
+// delivered to its port at once or — when the service node relays it —
+// whenever the Forward hook calls deliver on a recycled copy, in which
+// case the sender's *msg gets no arrival stamp. Receive-side conversion
+// is charged in Recv, in the receiving process's context.
+func (e *Endpoint) accept(msg *Message) {
+	fwd := e.cfg.Forward
+	if fwd == nil {
+		e.deliver(msg)
+		return
+	}
+	var r *relay
+	if n := len(e.relays); n > 0 {
+		r, e.relays = e.relays[n-1], e.relays[:n-1]
+	} else {
+		r = &relay{to: e}
+		r.deliver = r.arrive
+	}
+	r.msg = *msg
+	fwd(msg.Words, r.deliver)
+}
+
+// Stream sends count messages of words each, back to back, from srcPort
+// to dstPort on the peer endpoint, without a sending process: the burst
+// starts one zero-delay event from now — where the wake of a sender
+// asked to send it would stand — and every message then takes Send's
+// steps at the points of the event sequence where a process looping on
+// Send would take them: the pre-wire hop (PreSendAsync), the wire taken
+// at once when free or queued FIFO among the parked senders, its
+// occupancy, the fault decision with its doubling backoff, delivery. A
+// count below one schedules nothing. Stream returns at once; in steady
+// state it allocates nothing.
+//
+// Only an endpoint with no Host may stream. Send-side conversion is CPU
+// work charged to the sending process; a stream has no process to
+// charge, so allowing one beside a Host would silently drop that cost
+// from the model.
+func (e *Endpoint) Stream(srcPort, dstPort string, count, words int, payload any) {
+	if e.cfg.Host != nil {
+		panic(fmt.Sprintf("link: Stream on endpoint %q, whose Host charges send conversion to a process in Send", e.cfg.Name))
+	}
+	if e.cfg.PreSend != nil && e.cfg.PreSendAsync == nil {
+		panic(fmt.Sprintf("link: Stream on endpoint %q, whose PreSend has no PreSendAsync counterpart", e.cfg.Name))
+	}
+	if words < 0 {
+		panic(fmt.Sprintf("link: negative message size %d", words))
+	}
+	if count < 1 {
+		return
+	}
+	var s *stream
+	if n := len(e.streams); n > 0 {
+		s, e.streams = e.streams[n-1], e.streams[:n-1]
+	} else {
+		s = &stream{e: e}
+		s.preDone = s.acquire
+	}
+	s.msg = Message{Words: words, SrcPort: srcPort, DstPort: dstPort, Payload: payload}
+	s.left, s.wt, s.step = count, e.link.WireTime(words), streamBegin
+	e.link.k.Call(0, s)
+}
+
+// stream is a burst in flight (Endpoint.Stream): what a process looping
+// on Send would keep on its stack, advanced by timed calls. step names
+// what the next Fire means.
+type stream struct {
+	e       *Endpoint
+	msg     Message // the message in hand
+	left    int     // messages still to send, this one included
+	wt      float64 // wire time of one attempt
+	attempt int
+	backoff float64
+	step    streamStep
+	preDone func() // s.acquire, bound when the record is made
+}
+
+type streamStep uint8
+
+const (
+	streamBegin   streamStep = iota // start the next message
+	streamAcquire                   // (re)take the wire: a backoff has elapsed
+	streamGranted                   // a Release passed it the wire
+	streamOnWire                    // the attempt's wire time has elapsed
+)
+
+// Fire implements des.Action.
+func (s *stream) Fire() {
+	switch s.step {
+	case streamBegin:
+		s.begin()
+	case streamAcquire:
+		s.acquire()
+	case streamGranted:
+		s.occupy()
+	case streamOnWire:
+		s.transmitted()
+	}
+}
+
+// begin is Send's entry for the message in hand: the send stamp and the
+// pre-wire hop, whose completion (or absence) leads to the wire.
+func (s *stream) begin() {
+	l := s.e.link
+	s.msg.Sent = l.k.Now() // Queued and Arrived are stamped afresh before anyone reads them
+	s.attempt, s.backoff = 1, l.cfg.PerPacket
+	if pre := s.e.cfg.PreSendAsync; pre != nil {
+		pre(s.msg.Words, s.preDone)
+		return
+	}
+	s.acquire()
+}
+
+func (s *stream) acquire() {
+	s.step = streamGranted
+	if s.e.link.wire.AcquireAsync(s) {
+		s.occupy()
+	}
+}
+
+func (s *stream) occupy() {
+	l := s.e.link
+	if s.attempt == 1 {
+		s.msg.Queued = l.k.Now()
+	}
+	s.step = streamOnWire
+	l.k.Call(s.wt, s)
+}
+
+// transmitted ends an attempt: a lost one waits out its backoff off the
+// wire and retries; a good one is delivered, and the next message, if
+// any, begins in the same event, as a loop's next Send would.
+func (s *stream) transmitted() {
+	e := s.e
+	if e.link.attempted(s.msg.Words, s.wt, s.attempt) {
+		s.step = streamAcquire
+		e.link.k.Call(s.backoff, s)
+		s.backoff *= 2
+		s.attempt++
+		return
+	}
+	e.peer.accept(&s.msg)
+	if s.left--; s.left > 0 {
+		s.begin()
+		return
+	}
+	s.msg = Message{}
+	e.streams = append(e.streams, s)
+}
+
+// deliver stamps the arrival time on *msg and hands a copy to its
+// destination port: the handler if the port has one, else the inbox.
+func (e *Endpoint) deliver(msg *Message) {
 	msg.Arrived = e.link.k.Now()
 	switch pt := e.port(msg.DstPort); {
 	case !pt.handled:
-		pt.inbox.Send(msg)
+		pt.inbox.Send(*msg)
 	case pt.handler != nil:
-		pt.handler(msg)
+		pt.handler(*msg)
 	}
-	return msg
 }
 
 // Recv blocks p until a message arrives at the given local port, then
 // charges the receive-side data-format conversion to this endpoint's
 // CPU in the caller's context (as a Unix read of an XDR stream does).
-func (e *Endpoint) Recv(p *des.Proc, port string) Message {
+func (e *Endpoint) Recv(p *des.Proc, port string) (msg Message) {
 	pt := e.port(port)
 	if pt.handled {
 		panic(fmt.Sprintf("link: Recv on port %q of endpoint %q, which Handle took over", port, e.cfg.Name))
 	}
-	msg := pt.inbox.Recv(p)
+	msg = pt.inbox.Recv(p)
 	if e.cfg.Host != nil {
 		work := e.cfg.RecvStartup + e.cfg.RecvPerWord*float64(msg.Words)
 		e.cfg.Host.Compute(p, work)

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -368,8 +369,8 @@ func TestSendReturnValueArrivalStamp(t *testing.T) {
 
 // A handled port sees every message exactly once, stamped, in send
 // order — whether delivery is the sender's own call, a Forward relay on
-// a free fabric, or one queued behind a busy fabric and carried by the
-// service node's forwarder process.
+// a free fabric, or one queued behind a busy fabric that the service
+// node gets round to an event later.
 func TestHandledPortReceivesEachMessageOnceInOrder(t *testing.T) {
 	const n = 200
 	for name, tc := range map[string]struct {
@@ -430,6 +431,212 @@ func TestHandledPortReceivesEachMessageOnceInOrder(t *testing.T) {
 		if (queued > 0) != tc.contraflow {
 			t.Errorf("%s: %d hops queued behind a busy fabric, want some: %v", name, queued, tc.contraflow)
 		}
+	}
+}
+
+// streamRun is what a burst from the host-less endpoint leaves behind.
+type streamRun struct {
+	got                      []Message // as the Sun's receiver read them
+	busy                     float64
+	messages, words, resends int
+	fabricBusy               float64
+	fabricSends, hopsQueued  int // hopsQueued: pre-wire hops and contraflow relays that found the fabric busy
+	clock                    float64
+	resumes                  uint64
+}
+
+// runBurst sends 60 messages of 2048 words from the host-less endpoint
+// of a fresh Sun/MPP link to a receiver process on the Sun — from a
+// process looping on Send, or as one Stream call made at the same
+// instant — and reports everything the run leaves behind.
+func runBurst(stream bool, hops, contraflow, neighbour bool, fault FaultFunc) streamRun {
+	const n, words = 60, 2048
+	k := des.New()
+	defer k.Close()
+	host := cpu.NewHost(k, "sun", 1)
+	mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
+	bCfg := EndpointConfig{Name: "mpp"}
+	if hops {
+		bCfg.Forward, bCfg.PreSend, bCfg.PreSendAsync = mpp.NXHopAsync, mpp.NXSend, mpp.NXSendAsync
+	}
+	l, a, b := MustNew(k, basicCfg(),
+		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6, RecvStartup: 2e-4, RecvPerWord: 5e-7}, bCfg)
+	l.SetFaultFunc(fault)
+	var run streamRun
+	k.Spawn("recv", func(p *des.Proc) {
+		for len(run.got) < n {
+			run.got = append(run.got, a.Recv(p, "x"))
+		}
+	})
+	if contraflow {
+		// A Sun-side sender contends for the half-duplex wire and, in
+		// 2-HOPS, its relayed messages for the fabric.
+		b.Handle("y", func(msg Message) {
+			if hop := msg.Arrived - (msg.Queued + l.WireTime(msg.Words)); hop > mpp.NXTime(msg.Words)+1e-9 {
+				run.hopsQueued++
+			}
+		})
+		k.Spawn("back", func(p *des.Proc) {
+			for i := 0; i < n; i++ {
+				a.Send(p, "y", "y", 300+50*(i%9), nil)
+			}
+		})
+	}
+	if neighbour {
+		// Another partition's traffic keeps the fabric busy, and the
+		// burst's pre-wire hops queue among its parked sends.
+		k.Spawn("neighbour", func(p *des.Proc) {
+			for i := 0; i < 4*n; i++ {
+				mpp.NXSend(p, 3000)
+				p.Delay(1e-4)
+			}
+		})
+	}
+	if stream {
+		b.Stream("x", "x", n, words, "burst")
+	} else {
+		k.Spawn("send", func(p *des.Proc) {
+			for i := 0; i < n; i++ {
+				b.Send(p, "x", "x", words, "burst")
+			}
+		})
+	}
+	k.Run()
+	for _, msg := range run.got {
+		if !contraflow && msg.Queued-msg.Sent > mpp.NXTime(words)+1e-9 { // nobody else wants the wire
+			run.hopsQueued++
+		}
+	}
+	run.busy, run.messages, run.words, run.resends = l.BusyTime(), l.Messages(), l.WordsMoved(), l.Retransmits()
+	run.fabricBusy, run.fabricSends = mpp.FabricBusy(), mpp.FabricSends()
+	run.clock, run.resumes = k.Now(), k.Resumes()
+	return run
+}
+
+// Stream ≡ a process looping on Send: the receiver reads the same
+// messages with the same three stamps, the wire and the fabric account
+// the same occupancy, and the run ends at the same instant — to the bit,
+// since the same events fire in the same order — with nobody to switch
+// into on the sending side.
+func TestStreamMatchesSendLoop(t *testing.T) {
+	lossy := func() FaultFunc {
+		attempt := 0
+		return func(int) bool { // loses the 1st, the 2nd and every 7th attempt
+			attempt++
+			return attempt <= 2 || attempt%7 == 0
+		}
+	}
+	for name, tc := range map[string]struct {
+		hops, contraflow, neighbour bool
+		fault                       func() FaultFunc
+	}{
+		"1-HOP":                          {},
+		"2-HOPS, free fabric":            {hops: true},
+		"2-HOPS, busy fabric":            {hops: true, neighbour: true},
+		"2-HOPS, contraflow":             {hops: true, contraflow: true},
+		"1-HOP, contended wire":          {contraflow: true},
+		"1-HOP, lossy wire":              {fault: lossy},
+		"2-HOPS, contraflow, lossy wire": {hops: true, contraflow: true, neighbour: true, fault: lossy},
+	} {
+		var faults [2]FaultFunc
+		if tc.fault != nil {
+			faults = [2]FaultFunc{tc.fault(), tc.fault()}
+		}
+		want := runBurst(false, tc.hops, tc.contraflow, tc.neighbour, faults[0])
+		got := runBurst(true, tc.hops, tc.contraflow, tc.neighbour, faults[1])
+		if len(got.got) != len(want.got) || len(want.got) != 60 {
+			t.Fatalf("%s: receiver read %d messages streamed, %d sent in a loop, want 60", name, len(got.got), len(want.got))
+		}
+		for i := range want.got {
+			if got.got[i] != want.got[i] {
+				t.Fatalf("%s: message %d streamed %+v, sent in a loop %+v", name, i, got.got[i], want.got[i])
+			}
+		}
+		if got.resumes >= want.resumes {
+			t.Errorf("%s: %d resumes streaming, %d with a sending process; want fewer", name, got.resumes, want.resumes)
+		}
+		got.got, want.got, got.resumes, want.resumes = nil, nil, 0, 0
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: streamed run left %+v, send loop %+v", name, got, want)
+		}
+		if tc.fault != nil && want.resends == 0 || tc.hops && want.fabricSends == 0 || (tc.contraflow || tc.neighbour) && tc.hops != (want.hopsQueued > 0) {
+			t.Errorf("%s: the scenario did not exercise what it names: %+v", name, want)
+		}
+	}
+}
+
+// Two streams on one endpoint are two senders: they queue for the wire
+// in turn, message by message. A count below one schedules nothing.
+func TestStreamsInterleaveFIFO(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	var got []any
+	a.Handle("x", func(msg Message) { got = append(got, msg.Payload) })
+	b.Stream("x", "x", 0, 100, "none")
+	b.Stream("x", "x", -3, 100, "none")
+	if k.Pending() != 0 {
+		t.Fatalf("%d events pending after two empty streams, want 0", k.Pending())
+	}
+	b.Stream("x", "x", 3, 100, "A")
+	b.Stream("x", "x", 3, 100, "B")
+	k.Run()
+	if want := "[A B A B A B]"; fmt.Sprint(got) != want {
+		t.Fatalf("arrivals %v, want %s", got, want)
+	}
+}
+
+// A stream has no process to charge send conversion to, so only a
+// host-less endpoint may stream — and one whose processes hop before the
+// wire must be told how a stream does.
+func TestStreamMisusePanics(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	host := cpu.NewHost(k, "sun", 1)
+	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun", Host: host}, EndpointConfig{Name: "mpp"})
+	wantLinkPanic(t, "Stream on an endpoint with a Host", func() { a.Stream("x", "x", 1, 1, nil) })
+	wantLinkPanic(t, "Stream of a negative size", func() { b.Stream("x", "x", 1, -1, nil) })
+	_, _, c := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"},
+		EndpointConfig{Name: "mpp", PreSend: func(*des.Proc, int) {}})
+	wantLinkPanic(t, "Stream past a PreSend with no PreSendAsync", func() { c.Stream("x", "x", 1, 1, nil) })
+	if k.Pending() != 0 {
+		t.Fatalf("%d events pending after three refused streams, want 0", k.Pending())
+	}
+}
+
+// Stop called by an arrival handler ends the Run at the sender's next
+// wait, however far it had been running ahead — the handler runs on the
+// sender's stack, in the middle of its Send — and the next Run carries
+// on with the message after.
+func TestStopFromHandlerParksARunningAheadSender(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	host := cpu.NewHost(k, "sun", 1)
+	l, a, b := MustNew(k, basicCfg(),
+		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4}, EndpointConfig{Name: "mpp"})
+	b.Handle("x", func(msg Message) {
+		if msg.Payload == 2 {
+			k.Stop()
+		}
+	})
+	k.Spawn("send", func(p *des.Proc) {
+		for i := 0; i < 5; i++ {
+			a.Send(p, "x", "x", 100, i)
+		}
+	})
+	k.Run()
+	// The sender's only events so far were its start and nothing else:
+	// it ran ahead through three messages, and is parked in the fourth's
+	// conversion.
+	if got, want := k.Now(), 3*(1e-4+l.WireTime(100)); l.Messages() != 3 || !approx(got, want, 1e-12) || k.Dispatched() != 1 {
+		t.Fatalf("stopped with %d messages sent at %v after %d events, want 3 at %v after 1", l.Messages(), got, k.Dispatched(), want)
+	}
+	if k.Pending() != 1 || host.Load() != 1 {
+		t.Fatalf("stopped with %d events pending and %d jobs on the host, want the sender parked in its conversion", k.Pending(), host.Load())
+	}
+	k.Run()
+	if l.Messages() != 5 || k.Procs() != 0 {
+		t.Fatalf("second Run: %d messages sent, %d live processes, want 5 and 0", l.Messages(), k.Procs())
 	}
 }
 
@@ -531,22 +738,52 @@ func hopLoop(k *des.Kernel, contraflow bool) (l *Link, queued *int) {
 	return l, queued
 }
 
+// streamLoop is the Paragon→Sun contender's cycle: a Sun-side process
+// asks for a burst of eight messages, which the host-less endpoint
+// streams (with hops, each after its NX hop to the service node), reads
+// them, and asks again. The stream record, like the relays and the hop
+// records, is reused from one burst to the next.
+func streamLoop(k *des.Kernel, hops bool) *Link {
+	host := cpu.NewHost(k, "sun", 1)
+	mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
+	bCfg := EndpointConfig{Name: "mpp"}
+	if hops {
+		bCfg.PreSend, bCfg.PreSendAsync = mpp.NXSend, mpp.NXSendAsync
+	}
+	l, a, b := MustNew(k, basicCfg(),
+		EndpointConfig{Name: "sun", Host: host, RecvStartup: 1e-4, RecvPerWord: 1e-6}, bCfg)
+	k.Spawn("recv", func(p *des.Proc) {
+		for {
+			b.Stream("x", "x", 8, 512, nil)
+			for i := 0; i < 8; i++ {
+				a.Recv(p, "x")
+			}
+		}
+	})
+	return l
+}
+
 func TestSendAllocationFree(t *testing.T) {
 	for name, tc := range map[string]struct {
-		contraflow, hops, queues, discard bool
+		contraflow, hops, queues, discard, stream bool
 	}{
 		"direct":                {},
 		"direct, discarded":     {discard: true},
 		"2-HOPS, free fabric":   {hops: true},
 		"2-HOPS, queued fabric": {hops: true, contraflow: true, queues: true},
+		"streamed":              {stream: true},
+		"streamed, 2-HOPS":      {stream: true, hops: true},
 	} {
 		k := des.New()
 		defer k.Close()
 		var l *Link
 		queued := new(int)
-		if tc.hops {
+		switch {
+		case tc.stream:
+			l = streamLoop(k, tc.hops)
+		case tc.hops:
 			l, queued = hopLoop(k, tc.contraflow)
-		} else {
+		default:
 			l = sendLoop(k, tc.discard)
 		}
 		k.RunUntil(1)

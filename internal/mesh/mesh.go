@@ -51,11 +51,9 @@ type Machine struct {
 	shares []int // per-node resident gang count (time-shared allocation)
 	fabric *des.Semaphore
 
-	// Recycled state of the service node's asynchronous hops (see
-	// NXHopAsync): timed-call records of finished free-fabric hops, and
-	// forwarding processes parked between queued ones.
-	hops     []*hop
-	idleFwds []*forwarder
+	// hops recycles the records of finished asynchronous hops (see
+	// NXHopAsync and NXSendAsync).
+	hops []*hop
 
 	allocated   int
 	peakInUse   int
@@ -317,70 +315,86 @@ func (m *Machine) NXSend(proc *des.Proc, words int) {
 
 // NXHopAsync models the service node forwarding an externally received
 // message into the fabric without blocking the caller: done fires after
-// the (possibly queued) fabric hop. A steady stream of hops allocates
-// nothing.
+// the (possibly queued) fabric hop. A free fabric is taken at once; when
+// it is busy the service node gets round to the message one zero-delay
+// event later and joins the fabric's FCFS queue then, among the
+// processes parked in NXSend. No process carries the hop either way, and
+// a steady stream of hops allocates nothing.
 func (m *Machine) NXHopAsync(words int, done func()) {
-	t := m.NXTime(words)
+	h := m.newHop(words, done)
 	if m.fabric.TryAcquire() {
-		var h *hop
-		if n := len(m.hops); n > 0 {
-			h, m.hops = m.hops[n-1], m.hops[:n-1]
-		} else {
-			h = &hop{m: m}
-		}
-		h.t, h.done = t, done
-		m.k.Call(t, h)
+		h.occupy()
 		return
 	}
-	// Fabric busy: a lightweight forwarding process queues FCFS behind
-	// the current senders. An idle one is woken exactly where a new one
-	// would be spawned (Spawn is a zero-delay wake too).
-	if n := len(m.idleFwds); n > 0 {
-		f := m.idleFwds[n-1]
-		m.idleFwds = m.idleFwds[:n-1]
-		f.words, f.done = words, done
-		f.p.Resume()
-		return
-	}
-	f := &forwarder{m: m, words: words, done: done}
-	f.p = m.k.Spawn("svc-fwd", f.run)
+	h.step = hopRequest
+	m.k.Call(0, h)
 }
 
-// hop is the completion of one free-fabric NXHopAsync.
+// NXSendAsync is NXSend for a sender that is not a process (the pre-wire
+// hop of link.Endpoint.Stream): the fabric is requested at once, queued
+// for FCFS if busy, occupied for the message's fabric time, and then
+// done fires. It schedules, event for event, what a process calling
+// NXSend at the same instant would.
+func (m *Machine) NXSendAsync(words int, done func()) {
+	m.newHop(words, done).request()
+}
+
+// hop is one asynchronous fabric transfer: a recycled timed-call record
+// that walks through NXSend's steps, its next one named by step.
 type hop struct {
 	m    *Machine
 	t    float64
 	done func()
+	step hopStep
 }
 
-// Fire implements des.Action: the hop's fabric time has elapsed.
+type hopStep uint8
+
+const (
+	hopRequest   hopStep = iota // Fire asks for the fabric
+	hopGranted                  // Fire means a Release passed it the fabric
+	hopOccupying                // Fire means its fabric time has elapsed
+)
+
+func (m *Machine) newHop(words int, done func()) *hop {
+	t := m.NXTime(words)
+	var h *hop
+	if n := len(m.hops); n > 0 {
+		h, m.hops = m.hops[n-1], m.hops[:n-1]
+	} else {
+		h = &hop{m: m}
+	}
+	h.t, h.done = t, done
+	return h
+}
+
+func (h *hop) request() {
+	h.step = hopGranted
+	if h.m.fabric.AcquireAsync(h) {
+		h.occupy()
+	}
+}
+
+func (h *hop) occupy() {
+	h.step = hopOccupying
+	h.m.k.Call(h.t, h)
+}
+
+// Fire implements des.Action.
 func (h *hop) Fire() {
-	m, done := h.m, h.done
-	m.fabricBusy += h.t
-	m.fabricSends++
-	m.fabric.Release()
-	h.done = nil
-	m.hops = append(m.hops, h)
-	done()
-}
-
-// forwarder is a service-node process that carries queued hops, one per
-// wake, and parks on the machine's idle list in between.
-type forwarder struct {
-	m     *Machine
-	p     *des.Proc
-	words int
-	done  func()
-}
-
-func (f *forwarder) run(p *des.Proc) {
-	for {
-		f.m.NXSend(p, f.words)
-		done := f.done
-		f.done = nil
+	switch h.step {
+	case hopRequest:
+		h.request()
+	case hopGranted:
+		h.occupy()
+	case hopOccupying:
+		m, done := h.m, h.done
+		m.fabricBusy += h.t
+		m.fabricSends++
+		m.fabric.Release()
+		h.done = nil
+		m.hops = append(m.hops, h)
 		done()
-		f.m.idleFwds = append(f.m.idleFwds, f)
-		p.Park()
 	}
 }
 

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -220,6 +221,48 @@ func TestNXHopAsyncQueuesBehindBusyFabric(t *testing.T) {
 	k.Run()
 	if !approx(hopAt, 3, 1e-9) {
 		t.Fatalf("queued hop completed at %v, want 3", hopAt)
+	}
+}
+
+// The two asynchronous hops stand in for two different processes, and
+// differ in when they ask for a busy fabric. NXSendAsync is a sender
+// calling NXSend: it joins the queue at once. NXHopAsync is the service
+// node being handed a message: it gets round to it one zero-delay event
+// later. So of two hops started in that order at one instant behind a
+// busy fabric, the second is served first; both queue FIFO among the
+// parked processes; and neither is carried by a process.
+func TestAsyncHopsQueueAmongProcesses(t *testing.T) {
+	cfg := testCfg()
+	cfg.NXAlpha = 0
+	cfg.NXBeta = 100
+	k := des.New()
+	defer k.Close()
+	m := MustNew(k, cfg)
+	var order []string
+	done := func(who string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%v", who, k.Now())) }
+	}
+	k.Spawn("s1", func(p *des.Proc) { m.NXSend(p, 200); done("s1")() }) // busy until t=2
+	k.At(0.5, func() {
+		m.NXHopAsync(100, done("relay"))
+		m.NXSendAsync(100, done("sender"))
+	})
+	k.Spawn("s2", func(p *des.Proc) {
+		p.Delay(0.75)
+		m.NXSend(p, 100)
+		done("s2")()
+	})
+	k.At(1, func() { m.NXSendAsync(100, done("late sender")) })
+	k.RunUntil(1.5)
+	if got := k.Procs(); got != 2 {
+		t.Fatalf("%d live processes with three hops queued, want only s1 and s2", got)
+	}
+	k.Run()
+	if got, want := fmt.Sprint(order), "[s1@2 sender@3 relay@4 s2@5 late sender@6]"; got != want {
+		t.Fatalf("hops completed %s, want %s", got, want)
+	}
+	if !approx(m.FabricBusy(), 6, 1e-9) || m.FabricSends() != 5 {
+		t.Fatalf("fabric accounting busy=%v sends=%d, want 6 and 5", m.FabricBusy(), m.FabricSends())
 	}
 }
 

@@ -245,7 +245,7 @@ func NewSunParagon(k *des.Kernel, params ParagonParams) (*SunParagon, error) {
 		// Inbound: service node forwards across the NX fabric.
 		parCfg.Forward = mpp.NXHopAsync
 		// Outbound: compute node hops to the service node first.
-		parCfg.PreSend = mpp.NXSend
+		parCfg.PreSend, parCfg.PreSendAsync = mpp.NXSend, mpp.NXSendAsync
 	}
 	l, sunEnd, parEnd, err := link.New(k, params.Link, sunCfg, parCfg)
 	if err != nil {
@@ -349,7 +349,7 @@ func NewSunMultiParagon(k *des.Kernel, params ParagonParams, n int) ([]*SunParag
 		parCfg := link.EndpointConfig{Name: fmt.Sprintf("paragon/%d", i)}
 		if params.Mode == TwoHops {
 			parCfg.Forward = mpp.NXHopAsync
-			parCfg.PreSend = mpp.NXSend
+			parCfg.PreSend, parCfg.PreSendAsync = mpp.NXSend, mpp.NXSendAsync
 		}
 		l, sunEnd, parEnd, err := link.New(k, legParams.Link, sunCfg, parCfg)
 		if err != nil {

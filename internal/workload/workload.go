@@ -135,10 +135,13 @@ func MessagesPerCycle(sp *platform.SunParagon, spec AlternatorSpec) int {
 
 // SpawnAlternator starts a contender that alternates computation with
 // communication per the spec, running until the simulation horizon.
-// The returned port name carries its traffic. Nobody reads what a
-// Sun→Paragon contender sends — it exists to load the Sun's CPU and the
-// wire — so its Paragon-side port discards on arrival (link.Handle)
-// and a long run retains nothing per message.
+// The returned port name carries its traffic. A contender is one
+// process, on the Sun: the Paragon has no CPU to charge, so its side is
+// no process at all. Nobody reads what a Sun→Paragon contender sends —
+// it exists to load the Sun's CPU and the wire — so its Paragon-side
+// port discards on arrival (link.Handle) and a long run retains nothing
+// per message; and what a Paragon→Sun contender receives each cycle is
+// streamed to it (link.Stream) the moment it asks.
 func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
@@ -178,18 +181,9 @@ func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, erro
 		})
 	case ParagonToSun:
 		// The Sun-side process computes, then receives a burst the
-		// Paragon-side partner sends on request. The request travels on
-		// an internal control mailbox (zero simulated cost — it stands
-		// for the application's own synchronization).
-		ctl := des.NewMailbox[int](sp.K, "ctl:"+spec.Name)
-		sp.K.Spawn(spec.Name+":mpp", func(p *des.Proc) {
-			for {
-				count := ctl.Recv(p)
-				for i := 0; i < count; i++ {
-					sp.SendToSun(p, port, spec.MsgWords)
-				}
-			}
-		})
+		// Paragon streams on request. The request itself has zero
+		// simulated cost — it stands for the application's own
+		// synchronization.
 		sp.K.Spawn(spec.Name, func(p *des.Proc) {
 			if spec.Phase > 0 {
 				p.Delay(spec.Phase)
@@ -203,7 +197,7 @@ func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, erro
 				}
 				doIO(p)
 				if n > 0 {
-					ctl.Send(n)
+					sp.ParagonEnd.Stream(port, port, n, spec.MsgWords, nil)
 					for i := 0; i < n; i++ {
 						sp.RecvOnSun(p, port)
 					}
@@ -246,34 +240,12 @@ func BurstToParagon(p *des.Proc, sp *platform.SunParagon, port string, count, wo
 	return p.Now() - start
 }
 
-// BurstRequest asks the Paragon-side responder for a burst.
-type BurstRequest struct {
-	Count int
-	Words int
-}
-
-// BurstServer runs a Paragon-side process answering burst requests on
-// the given control mailbox: for each request it sends Count messages
-// of Words each to the Sun on the given port.
-func BurstServer(sp *platform.SunParagon, name, port string) *des.Mailbox[BurstRequest] {
-	ctl := des.NewMailbox[BurstRequest](sp.K, "burstctl:"+name)
-	sp.K.Spawn(name, func(p *des.Proc) {
-		for {
-			req := ctl.Recv(p)
-			for i := 0; i < req.Count; i++ {
-				sp.SendToSun(p, port, req.Words)
-			}
-		}
-	})
-	return ctl
-}
-
-// BurstFromParagon triggers a count×words burst from the Paragon to the
-// Sun via ctl and receives it on port, returning elapsed virtual time
-// (the Figure 6 measurement).
-func BurstFromParagon(p *des.Proc, sp *platform.SunParagon, ctl *des.Mailbox[BurstRequest], port string, count, words int) float64 {
+// BurstFromParagon has the Paragon stream a count×words burst to the
+// Sun and receives it on port, returning elapsed virtual time (the
+// Figure 6 measurement).
+func BurstFromParagon(p *des.Proc, sp *platform.SunParagon, port string, count, words int) float64 {
 	start := p.Now()
-	ctl.Send(BurstRequest{Count: count, Words: words})
+	sp.ParagonEnd.Stream(port, port, count, words, nil)
 	for i := 0; i < count; i++ {
 		sp.RecvOnSun(p, port)
 	}
@@ -288,15 +260,14 @@ type pingEnd struct{}
 // ping-pong benchmark protocol: a burst of same-size messages, then one
 // word back). The echo is an arrival handler, not a process: the burst's
 // other messages cost the Paragon nothing (it has no host CPU to charge)
-// and are dropped where they land, and the marker spawns the one-shot
-// process that sends the reply — a zero-delay wake at the point of the
-// event sequence where a parked receiver's wake would have been.
+// and are dropped where they land, and on the marker the reply is
+// streamed back (link.Stream) — its zero-delay start standing at the
+// point of the event sequence where a parked receiver's wake would have
+// been.
 func SpawnPingEcho(sp *platform.SunParagon, port string) {
-	name := "echo:" + port
-	reply := func(p *des.Proc) { sp.SendToSun(p, port, 1) }
 	sp.ParagonEnd.Handle(port, func(msg link.Message) {
 		if _, ok := msg.Payload.(pingEnd); ok {
-			sp.K.Spawn(name, reply)
+			sp.ParagonEnd.Stream(port, port, 1, 1, nil)
 		}
 	})
 }

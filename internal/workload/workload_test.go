@@ -121,10 +121,9 @@ func TestBurstToParagonElapsed(t *testing.T) {
 
 func TestBurstFromParagonElapsed(t *testing.T) {
 	k, sp := newSP(t)
-	ctl := BurstServer(sp, "server", "bench")
 	var elapsed float64
 	k.Spawn("m", func(p *des.Proc) {
-		elapsed = BurstFromParagon(p, sp, ctl, "bench", 100, 200)
+		elapsed = BurstFromParagon(p, sp, "bench", 100, 200)
 	})
 	k.Run()
 	wire := sp.Link.WireTime(200)
@@ -194,7 +193,7 @@ func TestHandledPortKeepsNoInbox(t *testing.T) {
 
 // The echo is a handler, not a process: it answers each end-marker with
 // exactly one one-word message, burst after burst on the same port, and
-// the one-shot process that carries a reply is gone once it is sent.
+// the reply is streamed, so no process ever exists on the Paragon side.
 func TestPingEchoRepliesOncePerBurst(t *testing.T) {
 	const count, words = 50, 100
 	k, sp := newSP(t)
@@ -266,6 +265,32 @@ func TestAlternatorStopEndsContender(t *testing.T) {
 	// Active roughly [0, 2): busy close to 2, then idle.
 	if busy < 1.8 || busy > 2.3 {
 		t.Fatalf("host busy %v, want ≈ 2 (contender stopped)", busy)
+	}
+}
+
+// A contender is one process, on the Sun, in either direction: what a
+// Paragon→Sun contender receives is streamed to it, so when it stops
+// nothing of it is left behind, parked or queued.
+func TestStoppedParagonToSunAlternatorLeavesNoProcess(t *testing.T) {
+	k, sp := newSP(t)
+	defer k.Close()
+	procs := k.Procs()
+	spec := AlternatorSpec{
+		Name: "from", CommFraction: 0.5, MsgWords: 200, Period: 0.1, Stop: 2.0,
+		Direction: ParagonToSun,
+	}
+	if _, err := SpawnAlternator(sp, spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.Procs(); got != procs+1 {
+		t.Fatalf("SpawnAlternator left %d live processes, want %d", got, procs+1)
+	}
+	k.RunUntil(10)
+	if sp.Link.Messages() == 0 {
+		t.Fatal("no messages moved paragon→sun")
+	}
+	if got := k.Procs(); got != procs || k.Pending() != 0 {
+		t.Fatalf("%d live processes and %d pending events after the contender stopped, want %d and 0", got, k.Pending(), procs)
 	}
 }
 
