@@ -30,8 +30,9 @@
 // queued on a Semaphore with AcquireAsync waits its turn among the
 // parked processes and is called, one zero-delay event after the Release
 // that serves it, where a process's wake would stand. Resources whose
-// actors have nothing to be charged for (a host-less link endpoint's
-// senders, the mesh's service node) are state machines of such calls.
+// actors have nothing to be charged for (link.Node's streams, the mesh's
+// service node) are state machines of such calls: whoever has a CPU to
+// charge is a process, whoever has none is an Action.
 //
 // Failure: a panic in a callback or a process body is held by whichever
 // loop caught it and re-raised by Run on its caller's goroutine once

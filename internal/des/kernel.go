@@ -167,6 +167,12 @@ func (k *Kernel) Run() {
 // the same condition in turn, so control unwinds to the owner of the
 // next event, or to Run.
 //
+// Nothing here chooses among events. Resume, Spawn, Delay and Call only
+// queue, one sequence number each, and the loop switches only for the
+// event at the top of the heap; so which event fires next — and with it
+// every simulated result — cannot depend on who is dispatching, which
+// decides only whose stack the event runs on.
+//
 // A panic out of a callback or a resumed process is recovered here and
 // held in k.failure: the dispatcher is a bystander and stays parked and
 // live, the nest unwinds by ordinary yields, and Run re-raises the value

@@ -8,8 +8,6 @@ import (
 	"contention/internal/calibrate"
 	"contention/internal/caltrust"
 	"contention/internal/core"
-	"contention/internal/des"
-	"contention/internal/rm"
 	"contention/internal/stats"
 	"contention/internal/workload"
 )
@@ -104,15 +102,10 @@ func CalibrationDrift(env *Env) (Result, error) {
 		return Result{}, err
 	}
 
-	// The resource manager surfaces the trust state to schedulers.
-	k := des.New()
-	defer k.Close()
-	mgr, err := rm.New(k, rm.Config{Tables: env.Cal.Tables, Trust: tracker})
-	if err != nil {
-		return Result{}, err
-	}
+	// What a resource manager would surface to schedulers: the tracker's
+	// trust state (rm.Manager.Health forwards exactly these two getters).
 	healthAt := func(stage string) string {
-		state, reason := mgr.Health()
+		state, reason := tracker.State(), tracker.Reason()
 		if reason != "" {
 			return fmt.Sprintf("rm health %s: %v (%s)", stage, state, reason)
 		}

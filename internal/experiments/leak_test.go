@@ -3,6 +3,9 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"contention/internal/link"
+	"contention/internal/platform"
 )
 
 // settled returns the goroutine count and the live heap after a
@@ -78,4 +81,5 @@ func TestSuitePassIsSmallAndForgetsItsBursts(t *testing.T) {
 	if e.dedicated != nil {
 		t.Error("All left a dedicated-burst memo on the caller's Env")
 	}
+	var _ *link.Node = new(platform.SunParagon).ParagonEnd // and no pass can build a Paragon-side mailbox: a Node has handlers, no inbox
 }

@@ -166,7 +166,6 @@ func offloadRun(params platform.ParagonParams, m, nodes int, specs []workload.Al
 			return 0, err
 		}
 	}
-	sp.ParagonEnd.Handle("data", nil)
 	elapsed := -1.0
 	var runErr error
 	k.Spawn("app", func(p *des.Proc) {

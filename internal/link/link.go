@@ -15,22 +15,21 @@
 //     communication and communicating contenders slow computation —
 //     exactly the cross-terms the slowdown model captures.
 //
-// A message is delivered to a named port of the peer endpoint. A port is
-// an inbox that Recv drains, charging the receive-side conversion to the
-// reader; or, on an endpoint with no host CPU to charge, it may be given
-// an arrival handler (Endpoint.Handle) that runs in the delivering
-// simulation context and keeps nothing — how contention generators and
-// echo servers, whose traffic is load rather than data, receive without a
-// receiver process or a queue that grows with simulated time.
-//
-// Sending is symmetric. Send blocks a process, which is what pays the
-// send-side conversion on an endpoint with a host CPU. An endpoint
-// without one has nothing to charge a sender for, so it can also Stream:
-// a burst of back-to-back messages carried by timed calls on a recycled
-// record, through the same steps at the same points of the event
-// sequence as a process looping on Send — how burst responders, the
-// Paragon side of a contender and the echo's reply send without a sender
-// process.
+// The link is asymmetric, as the paper's platform is, and says so in its
+// types. The front-end is an Endpoint: it has a host CPU, so whoever
+// sends or receives there is a process, which is what gets charged the
+// data-format conversion — Send blocks it through conversion and wire,
+// Recv drains a port's inbox and charges the receive side to the reader.
+// The back-end is a Node: conversion there "is spread over many nodes"
+// and costs the model nothing, so there is no process to charge and none
+// exists. A Node's port is an arrival handler (Handle) that runs in the
+// delivering simulation context and keeps nothing — a port nobody
+// handles discards — and a Node sends with Stream: a burst of
+// back-to-back messages carried by timed calls on a recycled record,
+// through Send's steps at the points of the event sequence where a
+// process looping on Send would take them. Contention generators, burst
+// responders and the ping echo are therefore one process each, on the
+// front-end, and traffic that is load rather than data is never queued.
 package link
 
 import (
@@ -46,9 +45,9 @@ type Message struct {
 	Words   int
 	SrcPort string
 	DstPort string
-	Sent    float64 // virtual time Send was called
+	Sent    float64 // virtual time Send was called (a stream: the message begun)
 	Queued  float64 // virtual time the wire was acquired
-	Arrived float64 // virtual time of delivery to the inbox
+	Arrived float64 // virtual time of delivery: into the Endpoint's inbox, or to the Node's handler
 	Payload any
 }
 
@@ -78,33 +77,34 @@ func (c Config) validate() error {
 	return nil
 }
 
-// EndpointConfig describes one side of the link.
+// EndpointConfig describes the CPU-backed end of the link.
 type EndpointConfig struct {
 	Name string
-	// Host, when non-nil, is the CPU that pays conversion costs on this
-	// side. A nil host (e.g. the MPP side, where conversion is spread
-	// over many nodes) makes conversion free.
+	// Host is the CPU that pays conversion costs on this side, in the
+	// process that sends or receives. Required — Send and Recv charge it
+	// unconditionally; an end with no CPU to charge is a Node.
 	Host *cpu.Host
-	// SendStartup/SendPerWord are CPU work units charged on this side
-	// per outgoing message and per outgoing word.
+	// SendStartup/SendPerWord are CPU work units charged to the sending
+	// process (in Send) per outgoing message and per outgoing word.
 	SendStartup, SendPerWord float64
 	// RecvStartup/RecvPerWord are CPU work units charged to the
 	// receiving process (in Recv) per incoming message and word — the
 	// data-format conversion performed in the reader's context.
 	RecvStartup, RecvPerWord float64
-	// PreSend, when non-nil, runs in the sender's process before the
-	// wire is acquired — e.g. the NX hop from a Paragon compute node to
-	// the service node in 2-HOPS mode.
-	PreSend func(p *des.Proc, words int)
-	// PreSendAsync is PreSend for Stream, which has no process to block:
-	// it must call done, exactly once and from simulation context, when
-	// the hop is over, having scheduled event for event what PreSend
-	// does. An endpoint with a PreSend needs one to Stream.
-	PreSendAsync func(words int, done func())
-	// Forward, when non-nil, intercepts inbound delivery on this
-	// endpoint: it must eventually call deliver, exactly once and from
-	// simulation context. Used for the service-node → compute-node NX
-	// hop.
+}
+
+// NodeConfig describes the host-less end of the link (the MPP side,
+// where conversion is spread over many nodes and is free).
+type NodeConfig struct {
+	Name string
+	// PreSend, when non-nil, is the hop a streamed message makes before
+	// it asks for the wire — the NX hop from a Paragon compute node to
+	// the service node in 2-HOPS mode. It must call done, exactly once
+	// and from simulation context, when the hop is over.
+	PreSend func(words int, done func())
+	// Forward, when non-nil, intercepts inbound delivery: it must
+	// eventually call deliver, exactly once and from simulation context.
+	// Used for the service-node → compute-node NX hop.
 	Forward func(words int, deliver func())
 }
 
@@ -121,12 +121,12 @@ const maxTxAttempts = 16
 // perfect wire.
 type FaultFunc func(words int) bool
 
-// Link is a half-duplex point-to-point wire between two endpoints.
+// Link is a half-duplex point-to-point wire between an Endpoint and a
+// Node.
 type Link struct {
 	k    *des.Kernel
 	cfg  Config
 	wire *des.Semaphore
-	a, b *Endpoint
 
 	busyTime   float64
 	messages   int
@@ -136,33 +136,43 @@ type Link struct {
 	retransmits int
 }
 
-// Endpoint is one side of a link; applications send from and receive at
-// named ports so concurrent applications do not steal each other's
-// messages.
+// Endpoint is the CPU-backed end of a link. Applications send from and
+// receive at named ports so concurrent applications do not steal each
+// other's messages; a port here is an inbox that Recv drains.
 type Endpoint struct {
-	link    *Link
-	cfg     EndpointConfig
-	peer    *Endpoint
-	ports   []*port   // an endpoint has one to three; see port
-	relays  []*relay  // delivered Forward relays awaiting reuse
-	streams []*stream // finished Stream records awaiting reuse
+	link  *Link
+	cfg   EndpointConfig
+	peer  *Node
+	ports []port // one to three, scanned by name
 }
 
-// port is one named destination on an endpoint: an inbox that Recv
-// drains or, once handled, a callback (nil discards) and nothing
-// retained.
 type port struct {
-	name    string
-	inbox   *des.Mailbox[Message]
-	handled bool
-	handler func(Message)
+	name  string
+	inbox *des.Mailbox[Message]
 }
 
-// relay is one message on its way through the receiving endpoint's
-// Forward hook. The records are recycled and each binds its deliver
-// func once, so a relayed message allocates nothing in steady state.
+// Node is the host-less end of a link: it has no CPU to charge, so
+// nothing on it is a process. A port here is an arrival handler, or
+// nothing at all.
+type Node struct {
+	link     *Link
+	cfg      NodeConfig
+	peer     *Endpoint
+	handlers []handler // one to three, scanned by port
+	relays   []*relay  // delivered Forward relays awaiting reuse
+	streams  []*stream // finished Stream records awaiting reuse
+}
+
+type handler struct {
+	port string
+	fn   func(Message)
+}
+
+// relay is one message on its way through the Node's Forward hook. The
+// records are recycled and each binds its deliver func once, so a
+// relayed message allocates nothing in steady state.
 type relay struct {
-	to      *Endpoint
+	to      *Node
 	msg     Message
 	deliver func() // r.arrive, bound when the record is made
 }
@@ -174,25 +184,25 @@ func (r *relay) arrive() {
 	r.to.deliver(&msg)
 }
 
-// New creates a link between two endpoints.
-func New(k *des.Kernel, cfg Config, aCfg, bCfg EndpointConfig) (*Link, *Endpoint, *Endpoint, error) {
+// New creates a link between a CPU-backed end and a host-less one.
+func New(k *des.Kernel, cfg Config, hostCfg EndpointConfig, nodeCfg NodeConfig) (*Link, *Endpoint, *Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	l := &Link{k: k, cfg: cfg, wire: des.NewSemaphore(k, 1)}
-	l.a = &Endpoint{link: l, cfg: aCfg}
-	l.b = &Endpoint{link: l, cfg: bCfg}
-	l.a.peer, l.b.peer = l.b, l.a
-	return l, l.a, l.b, nil
+	e := &Endpoint{link: l, cfg: hostCfg}
+	n := &Node{link: l, cfg: nodeCfg, peer: e}
+	e.peer = n
+	return l, e, n, nil
 }
 
 // MustNew is New but panics on config errors; for tests and fixtures.
-func MustNew(k *des.Kernel, cfg Config, aCfg, bCfg EndpointConfig) (*Link, *Endpoint, *Endpoint) {
-	l, a, b, err := New(k, cfg, aCfg, bCfg)
+func MustNew(k *des.Kernel, cfg Config, hostCfg EndpointConfig, nodeCfg NodeConfig) (*Link, *Endpoint, *Node) {
+	l, e, n, err := New(k, cfg, hostCfg, nodeCfg)
 	if err != nil {
 		panic(err)
 	}
-	return l, a, b
+	return l, e, n
 }
 
 // Config returns the wire configuration.
@@ -234,54 +244,41 @@ func (l *Link) Utilization() float64 {
 	return 0
 }
 
-// Name reports the endpoint name.
-func (e *Endpoint) Name() string { return e.cfg.Name }
+// attempted closes one transmission attempt: its wire time is accounted,
+// the wire released, and the fault decision taken. It reports whether
+// the attempt was lost and must be retransmitted after a backoff;
+// otherwise the message counts as moved.
+func (l *Link) attempted(words int, wt float64, attempt int) (lost bool) {
+	l.busyTime += wt
+	l.wire.Release()
+	if l.fault != nil && attempt < maxTxAttempts && l.fault(words) {
+		l.retransmits++
+		return true
+	}
+	l.messages++
+	l.wordsMoved += words
+	return false
+}
 
-// Port returns (creating if needed) the inbox for the given port name.
-// A handled port's inbox stays empty.
-func (e *Endpoint) Port(name string) *des.Mailbox[Message] { return e.port(name).inbox }
-
-// port returns (creating if needed) the entry for the given port name.
-// The scan is a pointer comparison per entry in the usual case: callers
-// pass the same string every time, and equal strings that share their
-// bytes compare without reading them.
-func (e *Endpoint) port(name string) *port {
-	for _, pt := range e.ports {
-		if pt.name == name {
-			return pt
+// inbox returns (creating if needed) the mailbox of the given port. The
+// scan is a pointer comparison per entry in the usual case: callers pass
+// the same string every time, and equal strings that share their bytes
+// compare without reading them.
+func (e *Endpoint) inbox(name string) *des.Mailbox[Message] {
+	for i := range e.ports {
+		if e.ports[i].name == name {
+			return e.ports[i].inbox
 		}
 	}
-	pt := &port{name: name, inbox: des.NewMailbox[Message](e.link.k, e.cfg.Name+"/"+name)}
-	e.ports = append(e.ports, pt)
-	return pt
+	box := des.NewMailbox[Message](e.link.k, e.cfg.Name+"/"+name)
+	e.ports = append(e.ports, port{name, box})
+	return box
 }
 
-// Handle replaces the port's inbox with fn: every message delivered to
-// the port from now on is stamped (Arrived) and passed to fn in the
-// simulation context that delivers it — the sender's process, or the
-// Forward relay's callback — instead of being queued, and a nil fn
-// discards it. fn must not block; to act over simulated time it spawns
-// a process. Call Handle before traffic arrives: messages already
-// queued stay in the inbox.
-//
-// Only an endpoint with no Host may handle a port. Receive-side
-// conversion is CPU work charged in Recv, in the receiving process; a
-// handler has no process to charge, so allowing one beside a Host would
-// silently drop that cost from the model. Recv on a handled port, whose
-// inbox nothing will ever reach, panics instead of parking forever.
-func (e *Endpoint) Handle(port string, fn func(Message)) {
-	if e.cfg.Host != nil {
-		panic(fmt.Sprintf("link: Handle(%q) on endpoint %q, whose Host charges receive conversion in Recv", port, e.cfg.Name))
-	}
-	pt := e.port(port)
-	pt.handled, pt.handler = true, fn
-}
-
-// Send transfers words of payload to dstPort on the peer endpoint,
-// blocking p through local conversion and wire occupancy (receiver-side
-// conversion is pipelined and charged asynchronously). The returned
-// message carries the sender-side timestamps; the receiver's copy also
-// has Arrived set.
+// Send transfers words of payload to dstPort on the Node, blocking p
+// through local conversion and wire occupancy. The returned message
+// carries the sender-side timestamps and, unless the Node's Forward hook
+// relays it, the arrival stamp.
 func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload any) (msg Message) {
 	if words < 0 {
 		panic(fmt.Sprintf("link: negative message size %d", words))
@@ -289,16 +286,8 @@ func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload
 	l := e.link
 	msg.Words, msg.SrcPort, msg.DstPort, msg.Sent, msg.Payload = words, srcPort, dstPort, p.Now(), payload
 
-	// 0. Pre-wire hop on the sending side (e.g. NX to the service node).
-	if e.cfg.PreSend != nil {
-		e.cfg.PreSend(p, words)
-	}
-
-	// 1. Outbound data-format conversion on the local CPU (if any).
-	if e.cfg.Host != nil {
-		work := e.cfg.SendStartup + e.cfg.SendPerWord*float64(words)
-		e.cfg.Host.Compute(p, work)
-	}
+	// 1. Outbound data-format conversion on the local CPU.
+	e.cfg.Host.Compute(p, e.cfg.SendStartup+e.cfg.SendPerWord*float64(words))
 
 	// 2. Exclusive wire occupancy, FCFS. A lost attempt (drop or
 	// corruption injected by the fault subsystem) pays full wire time,
@@ -318,71 +307,108 @@ func (e *Endpoint) Send(p *des.Proc, srcPort, dstPort string, words int, payload
 		backoff *= 2
 	}
 
-	// 3. Delivery to the peer, directly or through its Forward hook.
+	// 3. Delivery to the Node, directly or through its Forward hook.
 	e.peer.accept(&msg)
 	return msg
 }
 
-// attempted closes one transmission attempt: its wire time is accounted,
-// the wire released, and the fault decision taken. It reports whether
-// the attempt was lost and must be retransmitted after a backoff;
-// otherwise the message counts as moved.
-func (l *Link) attempted(words int, wt float64, attempt int) (lost bool) {
-	l.busyTime += wt
-	l.wire.Release()
-	if l.fault != nil && attempt < maxTxAttempts && l.fault(words) {
-		l.retransmits++
-		return true
-	}
-	l.messages++
-	l.wordsMoved += words
-	return false
+// Recv blocks p until a message arrives at the given local port, then
+// charges the receive-side data-format conversion to this endpoint's
+// CPU in the caller's context (as a Unix read of an XDR stream does).
+func (e *Endpoint) Recv(p *des.Proc, port string) Message {
+	msg := e.inbox(port).Recv(p)
+	e.cfg.Host.Compute(p, e.cfg.RecvStartup+e.cfg.RecvPerWord*float64(msg.Words))
+	return msg
 }
 
-// accept takes a message off the wire at the receiving endpoint: it is
-// delivered to its port at once or — when the service node relays it —
-// whenever the Forward hook calls deliver on a recycled copy, in which
-// case the sender's *msg gets no arrival stamp. Receive-side conversion
-// is charged in Recv, in the receiving process's context.
-func (e *Endpoint) accept(msg *Message) {
-	fwd := e.cfg.Forward
+// deliver stamps the arrival time on *msg and queues a copy in its
+// destination port's inbox.
+func (e *Endpoint) deliver(msg *Message) {
+	msg.Arrived = e.link.k.Now()
+	e.inbox(msg.DstPort).Send(*msg)
+}
+
+// Handle gives the port an arrival handler: every message delivered to
+// it from now on is stamped (Arrived) and passed to fn in the simulation
+// context that delivers it — the sender's process, or the Forward
+// relay's callback. fn must not block; to act over simulated time it
+// streams, or spawns a process. A port with no handler discards what
+// arrives, so traffic that is load rather than data needs no Handle,
+// and fn is never nil.
+//
+// The exhibits cannot tell a handler from the receiver process it
+// replaced, because a mailbox delivery with nobody parked on it
+// schedules nothing: a discarded message removes no event, and a parked
+// receiver's wake did nothing, for a message it ignored, but get popped.
+func (n *Node) Handle(port string, fn func(Message)) {
+	for i := range n.handlers {
+		if n.handlers[i].port == port {
+			n.handlers[i].fn = fn
+			return
+		}
+	}
+	n.handlers = append(n.handlers, handler{port, fn})
+}
+
+// accept takes a message off the wire at the Node: it is delivered to
+// its port at once or — when the service node relays it — whenever the
+// Forward hook calls deliver on a recycled copy, in which case the
+// sender's *msg gets no arrival stamp.
+func (n *Node) accept(msg *Message) {
+	fwd := n.cfg.Forward
 	if fwd == nil {
-		e.deliver(msg)
+		n.deliver(msg)
 		return
 	}
 	var r *relay
-	if n := len(e.relays); n > 0 {
-		r, e.relays = e.relays[n-1], e.relays[:n-1]
+	if m := len(n.relays); m > 0 {
+		r, n.relays = n.relays[m-1], n.relays[:m-1]
 	} else {
-		r = &relay{to: e}
+		r = &relay{to: n}
 		r.deliver = r.arrive
 	}
 	r.msg = *msg
 	fwd(msg.Words, r.deliver)
 }
 
+// deliver stamps the arrival time on *msg and hands a copy to its
+// destination port's handler, if it has one.
+func (n *Node) deliver(msg *Message) {
+	msg.Arrived = n.link.k.Now()
+	for i := range n.handlers {
+		if h := &n.handlers[i]; h.port == msg.DstPort {
+			h.fn(*msg)
+			return
+		}
+	}
+}
+
 // Stream sends count messages of words each, back to back, from srcPort
-// to dstPort on the peer endpoint, without a sending process: the burst
-// starts one zero-delay event from now — where the wake of a sender
-// asked to send it would stand — and every message then takes Send's
-// steps at the points of the event sequence where a process looping on
-// Send would take them: the pre-wire hop (PreSendAsync), the wire taken
-// at once when free or queued FIFO among the parked senders, its
-// occupancy, the fault decision with its doubling backoff, delivery. A
-// count below one schedules nothing. Stream returns at once; in steady
-// state it allocates nothing.
+// to dstPort on the Endpoint, without a sending process. A count below
+// one schedules nothing. Stream returns at once; in steady state it
+// allocates nothing.
 //
-// Only an endpoint with no Host may stream. Send-side conversion is CPU
-// work charged to the sending process; a stream has no process to
-// charge, so allowing one beside a Host would silently drop that cost
-// from the model.
-func (e *Endpoint) Stream(srcPort, dstPort string, count, words int, payload any) {
-	if e.cfg.Host != nil {
-		panic(fmt.Sprintf("link: Stream on endpoint %q, whose Host charges send conversion to a process in Send", e.cfg.Name))
-	}
-	if e.cfg.PreSend != nil && e.cfg.PreSendAsync == nil {
-		panic(fmt.Sprintf("link: Stream on endpoint %q, whose PreSend has no PreSendAsync counterpart", e.cfg.Name))
-	}
+// A process sending from here would be charged nothing — send conversion
+// is CPU work, and there is no CPU — so it would be switched into and
+// out of once per message only to release the wire, deliver and
+// re-acquire. The stream takes that process's steps at the same points
+// of the event sequence instead, each wake replaced by a timed call
+// (des.Kernel.Call) of the same delay, one sequence number each: the
+// burst starts one zero-delay call from now, where the wake of a sender
+// asked to send it would stand; the pre-wire hop (PreSend) requests the
+// fabric at once, as mesh.NXSend does; a free wire is taken inline and a
+// busy one queues the record FIFO among the parked senders
+// (des.Semaphore.AcquireAsync), the Release that passes it the wire
+// scheduling a zero-delay call where the wake was; occupancy and a lost
+// attempt's backoff are Call(d) where Delay(d) was; and the next message
+// begins in the event that delivered the last, as a loop's next Send
+// would. Every event keeps its (time, sequence) place, and the only
+// events gone are a parked sender's start-up wakes, which did nothing
+// but park it. The fault decision (Link.attempted) and the
+// Forward-or-deliver step exist once, shared with Send.
+// TestStreamMatchesSendLoop holds a stream against a reference process
+// taking those steps, == on every stamp.
+func (n *Node) Stream(srcPort, dstPort string, count, words int, payload any) {
 	if words < 0 {
 		panic(fmt.Sprintf("link: negative message size %d", words))
 	}
@@ -390,22 +416,22 @@ func (e *Endpoint) Stream(srcPort, dstPort string, count, words int, payload any
 		return
 	}
 	var s *stream
-	if n := len(e.streams); n > 0 {
-		s, e.streams = e.streams[n-1], e.streams[:n-1]
+	if m := len(n.streams); m > 0 {
+		s, n.streams = n.streams[m-1], n.streams[:m-1]
 	} else {
-		s = &stream{e: e}
+		s = &stream{n: n}
 		s.preDone = s.acquire
 	}
 	s.msg = Message{Words: words, SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-	s.left, s.wt, s.step = count, e.link.WireTime(words), streamBegin
-	e.link.k.Call(0, s)
+	s.left, s.wt, s.step = count, n.link.WireTime(words), streamBegin
+	n.link.k.Call(0, s)
 }
 
-// stream is a burst in flight (Endpoint.Stream): what a process looping
-// on Send would keep on its stack, advanced by timed calls. step names
-// what the next Fire means.
+// stream is a burst in flight (Node.Stream): what a process looping on
+// Send would keep on its stack, advanced by timed calls. step names what
+// the next Fire means.
 type stream struct {
-	e       *Endpoint
+	n       *Node
 	msg     Message // the message in hand
 	left    int     // messages still to send, this one included
 	wt      float64 // wire time of one attempt
@@ -441,10 +467,10 @@ func (s *stream) Fire() {
 // begin is Send's entry for the message in hand: the send stamp and the
 // pre-wire hop, whose completion (or absence) leads to the wire.
 func (s *stream) begin() {
-	l := s.e.link
+	l := s.n.link
 	s.msg.Sent = l.k.Now() // Queued and Arrived are stamped afresh before anyone reads them
 	s.attempt, s.backoff = 1, l.cfg.PerPacket
-	if pre := s.e.cfg.PreSendAsync; pre != nil {
+	if pre := s.n.cfg.PreSend; pre != nil {
 		pre(s.msg.Words, s.preDone)
 		return
 	}
@@ -453,13 +479,13 @@ func (s *stream) begin() {
 
 func (s *stream) acquire() {
 	s.step = streamGranted
-	if s.e.link.wire.AcquireAsync(s) {
+	if s.n.link.wire.AcquireAsync(s) {
 		s.occupy()
 	}
 }
 
 func (s *stream) occupy() {
-	l := s.e.link
+	l := s.n.link
 	if s.attempt == 1 {
 		s.msg.Queued = l.k.Now()
 	}
@@ -471,47 +497,19 @@ func (s *stream) occupy() {
 // wire and retries; a good one is delivered, and the next message, if
 // any, begins in the same event, as a loop's next Send would.
 func (s *stream) transmitted() {
-	e := s.e
-	if e.link.attempted(s.msg.Words, s.wt, s.attempt) {
+	n := s.n
+	if n.link.attempted(s.msg.Words, s.wt, s.attempt) {
 		s.step = streamAcquire
-		e.link.k.Call(s.backoff, s)
+		n.link.k.Call(s.backoff, s)
 		s.backoff *= 2
 		s.attempt++
 		return
 	}
-	e.peer.accept(&s.msg)
+	n.peer.deliver(&s.msg)
 	if s.left--; s.left > 0 {
 		s.begin()
 		return
 	}
 	s.msg = Message{}
-	e.streams = append(e.streams, s)
-}
-
-// deliver stamps the arrival time on *msg and hands a copy to its
-// destination port: the handler if the port has one, else the inbox.
-func (e *Endpoint) deliver(msg *Message) {
-	msg.Arrived = e.link.k.Now()
-	switch pt := e.port(msg.DstPort); {
-	case !pt.handled:
-		pt.inbox.Send(*msg)
-	case pt.handler != nil:
-		pt.handler(*msg)
-	}
-}
-
-// Recv blocks p until a message arrives at the given local port, then
-// charges the receive-side data-format conversion to this endpoint's
-// CPU in the caller's context (as a Unix read of an XDR stream does).
-func (e *Endpoint) Recv(p *des.Proc, port string) (msg Message) {
-	pt := e.port(port)
-	if pt.handled {
-		panic(fmt.Sprintf("link: Recv on port %q of endpoint %q, which Handle took over", port, e.cfg.Name))
-	}
-	msg = pt.inbox.Recv(p)
-	if e.cfg.Host != nil {
-		work := e.cfg.RecvStartup + e.cfg.RecvPerWord*float64(msg.Words)
-		e.cfg.Host.Compute(p, work)
-	}
-	return msg
+	n.streams = append(n.streams, s)
 }

@@ -25,7 +25,7 @@ func TestLinkConservationProperty(t *testing.T) {
 		host := cpu.NewHost(k, "sun", 1)
 		l, a, b := MustNew(k, cfg,
 			EndpointConfig{Name: "a", Host: host, SendStartup: rng.Float64() * 1e-4, SendPerWord: rng.Float64() * 1e-6},
-			EndpointConfig{Name: "b"})
+			NodeConfig{Name: "b"})
 
 		nSenders := 1 + rng.Intn(4)
 		perSender := 1 + rng.Intn(20)
@@ -48,11 +48,8 @@ func TestLinkConservationProperty(t *testing.T) {
 		for s := 0; s < nSenders; s++ {
 			s := s
 			port := fmt.Sprintf("p%d", s)
-			k.Spawn("recv"+port, func(p *des.Proc) {
-				for i := 0; i < perSender; i++ {
-					msg := b.Recv(p, port)
-					received[port] = append(received[port], msg.Payload.(int))
-				}
+			b.Handle(port, func(msg Message) {
+				received[port] = append(received[port], msg.Payload.(int))
 			})
 			k.Spawn("send"+port, func(p *des.Proc) {
 				for i, words := range plan[s] {
@@ -90,15 +87,11 @@ func TestLinkDeterminismProperty(t *testing.T) {
 		host := cpu.NewHost(k, "sun", 1)
 		_, a, b := MustNew(k, Config{Name: "e", MTU: 512, PerPacket: 1e-4, Bandwidth: 1e5},
 			EndpointConfig{Name: "a", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6},
-			EndpointConfig{Name: "b"})
+			NodeConfig{Name: "b"})
 		var arrivals []float64
 		for s := 0; s < 3; s++ {
 			port := fmt.Sprintf("p%d", s)
-			k.Spawn("r"+port, func(p *des.Proc) {
-				for i := 0; i < 10; i++ {
-					arrivals = append(arrivals, b.Recv(p, port).Arrived)
-				}
-			})
+			b.Handle(port, func(msg Message) { arrivals = append(arrivals, msg.Arrived) })
 			k.Spawn("s"+port, func(p *des.Proc) {
 				for i := 0; i < 10; i++ {
 					a.Send(p, port, port, 100*(s+1), nil)

@@ -17,9 +17,43 @@ func basicCfg() Config {
 	return Config{Name: "ether", MTU: 1024, PerPacket: 0.001, Bandwidth: 1e6}
 }
 
+// sun is the CPU-backed end for tests that are not about conversion: its
+// host charges nothing, so Send and Recv cost a zero-length wait each.
+func sun(k *des.Kernel) EndpointConfig {
+	return EndpointConfig{Name: "sun", Host: cpu.NewHost(k, "sun", 1)}
+}
+
+// sendFromNode is the process Stream stands in for, kept as the
+// reference TestStreamMatchesSendLoop compares it with: one message sent
+// from the host-less end by a process, through Send's steps — the stamp,
+// the blocking pre-wire hop, the wire, its occupancy, the fault decision
+// with its backoff, delivery — and no conversion, there being no CPU.
+func sendFromNode(p *des.Proc, n *Node, pre func(*des.Proc, int), srcPort, dstPort string, words int, payload any) {
+	l := n.link
+	msg := Message{Words: words, SrcPort: srcPort, DstPort: dstPort, Sent: p.Now(), Payload: payload}
+	if pre != nil {
+		pre(p, words)
+	}
+	wt := l.WireTime(words)
+	backoff := l.cfg.PerPacket
+	for attempt := 1; ; attempt++ {
+		l.wire.Acquire(p)
+		if attempt == 1 {
+			msg.Queued = p.Now()
+		}
+		p.Delay(wt)
+		if !l.attempted(words, wt, attempt) {
+			break
+		}
+		p.Delay(backoff)
+		backoff *= 2
+	}
+	n.peer.deliver(&msg)
+}
+
 func TestWireTimePiecewise(t *testing.T) {
 	k := des.New()
-	l, _, _ := MustNew(k, basicCfg(), EndpointConfig{Name: "a"}, EndpointConfig{Name: "b"})
+	l, _, _ := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	// One packet for sizes ≤ 1024.
 	if got, want := l.WireTime(512), 0.001+512/1e6; !approx(got, want, 1e-12) {
 		t.Fatalf("WireTime(512) = %v, want %v", got, want)
@@ -42,9 +76,9 @@ func TestWireTimePiecewise(t *testing.T) {
 
 func TestSendDeliversToNamedPort(t *testing.T) {
 	k := des.New()
-	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	_, a, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	var got Message
-	k.Spawn("recv", func(p *des.Proc) { got = b.Recv(p, "app1") })
+	b.Handle("app1", func(msg Message) { got = msg })
 	k.Spawn("send", func(p *des.Proc) { a.Send(p, "app1", "app1", 100, "hello") })
 	k.Run()
 	if got.Payload != "hello" || got.Words != 100 {
@@ -57,10 +91,10 @@ func TestSendDeliversToNamedPort(t *testing.T) {
 
 func TestPortsIsolateApplications(t *testing.T) {
 	k := des.New()
-	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	_, a, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	var got1, got2 Message
-	k.Spawn("r1", func(p *des.Proc) { got1 = b.Recv(p, "app1") })
-	k.Spawn("r2", func(p *des.Proc) { got2 = b.Recv(p, "app2") })
+	b.Handle("app1", func(msg Message) { got1 = msg })
+	b.Handle("app2", func(msg Message) { got2 = msg })
 	k.Spawn("s", func(p *des.Proc) {
 		a.Send(p, "app2", "app2", 1, "two")
 		a.Send(p, "app1", "app1", 1, "one")
@@ -75,18 +109,14 @@ func TestWireIsFCFSAndExclusive(t *testing.T) {
 	// Two senders race; second sender's message waits for the wire.
 	cfg := Config{Name: "ether", MTU: 1024, PerPacket: 0, Bandwidth: 100} // 100 words/s
 	k := des.New()
-	_, a, b := MustNew(k, cfg, EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
-	var arr1, arr2 float64
-	k.Spawn("r", func(p *des.Proc) {
-		m1 := b.Recv(p, "x")
-		m2 := b.Recv(p, "x")
-		arr1, arr2 = m1.Arrived, m2.Arrived
-	})
+	_, a, b := MustNew(k, cfg, sun(k), NodeConfig{Name: "mpp"})
+	var arrivals []float64
+	b.Handle("x", func(msg Message) { arrivals = append(arrivals, msg.Arrived) })
 	k.Spawn("s1", func(p *des.Proc) { a.Send(p, "x", "x", 100, 1) }) // 1s wire
 	k.Spawn("s2", func(p *des.Proc) { a.Send(p, "x", "x", 100, 2) }) // queued behind s1
 	k.Run()
-	if !approx(arr1, 1, 1e-9) || !approx(arr2, 2, 1e-9) {
-		t.Fatalf("arrivals %v/%v, want 1/2 (FCFS serialization)", arr1, arr2)
+	if len(arrivals) != 2 || !approx(arrivals[0], 1, 1e-9) || !approx(arrivals[1], 2, 1e-9) {
+		t.Fatalf("arrivals %v, want 1 and 2 (FCFS serialization)", arrivals)
 	}
 }
 
@@ -97,7 +127,7 @@ func TestConversionChargedToHostCPU(t *testing.T) {
 	cfg := Config{Name: "ether", MTU: 1024, PerPacket: 0, Bandwidth: 1e9}
 	_, a, _ := MustNew(k, cfg,
 		EndpointConfig{Name: "sun", Host: host, SendStartup: 1.0},
-		EndpointConfig{Name: "mpp"})
+		NodeConfig{Name: "mpp"})
 	var done float64
 	k.Spawn("hog", func(p *des.Proc) { host.Compute(p, 1e9) })
 	k.Spawn("s", func(p *des.Proc) {
@@ -113,21 +143,21 @@ func TestConversionChargedToHostCPU(t *testing.T) {
 
 func TestReceiveConversionChargedToReceiver(t *testing.T) {
 	k := des.New()
-	hostB := cpu.NewHost(k, "sunB", 1)
+	host := cpu.NewHost(k, "sun", 1)
 	cfg := Config{Name: "ether", MTU: 1024, PerPacket: 0, Bandwidth: 1e9}
 	_, a, b := MustNew(k, cfg,
-		EndpointConfig{Name: "src"},
-		EndpointConfig{Name: "dst", Host: hostB, RecvStartup: 3.0})
+		EndpointConfig{Name: "dst", Host: host, RecvStartup: 3.0},
+		NodeConfig{Name: "src"})
 	var sendDone, recvDone, arrived float64
 	k.Spawn("r", func(p *des.Proc) {
-		m := b.Recv(p, "x")
+		m := a.Recv(p, "x")
 		arrived = m.Arrived
 		recvDone = p.Now()
+		// The stream began its second message when it was done with the
+		// first, as a sending process's Send would have returned.
+		sendDone = a.Recv(p, "x").Sent
 	})
-	k.Spawn("s", func(p *des.Proc) {
-		a.Send(p, "x", "x", 1, nil)
-		sendDone = p.Now()
-	})
+	b.Stream("x", "x", 2, 1, nil)
 	k.Run()
 	if sendDone >= 1 {
 		t.Fatalf("sender blocked %v seconds; it must not wait for receive conversion", sendDone)
@@ -144,8 +174,7 @@ func TestReceiveConversionChargedToReceiver(t *testing.T) {
 func TestLinkAccounting(t *testing.T) {
 	cfg := Config{Name: "ether", MTU: 100, PerPacket: 0.5, Bandwidth: 100}
 	k := des.New()
-	l, a, b := MustNew(k, cfg, EndpointConfig{Name: "a"}, EndpointConfig{Name: "b"})
-	k.Spawn("r", func(p *des.Proc) { b.Recv(p, "x"); b.Recv(p, "x") })
+	l, a, _ := MustNew(k, cfg, sun(k), NodeConfig{Name: "mpp"})
 	k.Spawn("s", func(p *des.Proc) {
 		a.Send(p, "x", "x", 100, nil) // 0.5 + 1 = 1.5s
 		a.Send(p, "x", "x", 150, nil) // 1.0 + 1.5 = 2.5s
@@ -174,7 +203,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "nan", MTU: 1, PerPacket: 0, Bandwidth: math.NaN()},
 	}
 	for _, cfg := range bad {
-		if _, _, _, err := New(k, cfg, EndpointConfig{}, EndpointConfig{}); err == nil {
+		if _, _, _, err := New(k, cfg, sun(k), NodeConfig{}); err == nil {
 			t.Errorf("config %+v did not error", cfg)
 		}
 	}
@@ -182,7 +211,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNegativeSizePanics(t *testing.T) {
 	k := des.New()
-	_, a, _ := MustNew(k, basicCfg(), EndpointConfig{Name: "a"}, EndpointConfig{Name: "b"})
+	_, a, _ := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	k.Spawn("s", func(p *des.Proc) {
 		defer func() {
 			if recover() == nil {
@@ -198,18 +227,14 @@ func TestBidirectionalSharingHalfDuplex(t *testing.T) {
 	// Transfers in opposite directions contend for the same wire.
 	cfg := Config{Name: "ether", MTU: 1024, PerPacket: 0, Bandwidth: 100}
 	k := des.New()
-	_, a, b := MustNew(k, cfg, EndpointConfig{Name: "a"}, EndpointConfig{Name: "b"})
+	_, a, b := MustNew(k, cfg, sun(k), NodeConfig{Name: "mpp"})
 	var doneA, doneB float64
-	k.Spawn("ra", func(p *des.Proc) { a.Recv(p, "x") })
-	k.Spawn("rb", func(p *des.Proc) { b.Recv(p, "x") })
+	k.Spawn("ra", func(p *des.Proc) { doneB = a.Recv(p, "x").Arrived })
 	k.Spawn("sa", func(p *des.Proc) {
 		a.Send(p, "x", "x", 100, nil)
 		doneA = p.Now()
 	})
-	k.Spawn("sb", func(p *des.Proc) {
-		b.Send(p, "x", "x", 100, nil)
-		doneB = p.Now()
-	})
+	b.Stream("x", "x", 1, 100, nil)
 	k.Run()
 	// One of them must wait for the other: completions at 1s and 2s.
 	lo, hi := math.Min(doneA, doneB), math.Max(doneA, doneB)
@@ -222,15 +247,16 @@ func TestPreSendHookRunsBeforeWire(t *testing.T) {
 	cfg := Config{Name: "ether", MTU: 1024, PerPacket: 0, Bandwidth: 100}
 	k := des.New()
 	var hookAt float64
-	_, a, b := MustNew(k, cfg,
-		EndpointConfig{Name: "src", PreSend: func(p *des.Proc, words int) {
-			p.Delay(0.5)
-			hookAt = p.Now()
-		}},
-		EndpointConfig{Name: "dst"})
+	_, a, b := MustNew(k, cfg, sun(k),
+		NodeConfig{Name: "src", PreSend: func(words int, done func()) {
+			k.After(0.5, func() {
+				hookAt = k.Now()
+				done()
+			})
+		}})
 	var arrived float64
-	k.Spawn("r", func(p *des.Proc) { arrived = b.Recv(p, "x").Arrived })
-	k.Spawn("s", func(p *des.Proc) { a.Send(p, "x", "x", 100, nil) })
+	k.Spawn("r", func(p *des.Proc) { arrived = a.Recv(p, "x").Arrived })
+	b.Stream("x", "x", 1, 100, nil)
 	k.Run()
 	if !approx(hookAt, 0.5, 1e-9) {
 		t.Fatalf("hook ran at %v, want 0.5", hookAt)
@@ -243,13 +269,12 @@ func TestPreSendHookRunsBeforeWire(t *testing.T) {
 func TestForwardHookDelaysDelivery(t *testing.T) {
 	cfg := Config{Name: "ether", MTU: 1024, PerPacket: 0, Bandwidth: 100}
 	k := des.New()
-	_, a, b := MustNew(k, cfg,
-		EndpointConfig{Name: "src"},
-		EndpointConfig{Name: "dst", Forward: func(words int, deliver func()) {
+	_, a, b := MustNew(k, cfg, sun(k),
+		NodeConfig{Name: "dst", Forward: func(words int, deliver func()) {
 			k.After(2, deliver) // e.g. an NX hop
 		}})
 	var arrived float64
-	k.Spawn("r", func(p *des.Proc) { arrived = b.Recv(p, "x").Arrived })
+	b.Handle("x", func(msg Message) { arrived = msg.Arrived })
 	k.Spawn("s", func(p *des.Proc) { a.Send(p, "x", "x", 100, nil) })
 	k.Run()
 	if !approx(arrived, 3, 1e-9) {
@@ -261,14 +286,14 @@ func TestFaultFuncForcesRetransmit(t *testing.T) {
 	// Dropping exactly the first attempt of each message: every send
 	// pays one extra wire time plus one PerPacket backoff.
 	k := des.New()
-	l, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	l, a, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	attempt := 0
 	l.SetFaultFunc(func(words int) bool {
 		attempt++
 		return attempt == 1
 	})
 	var arrived float64
-	k.Spawn("recv", func(p *des.Proc) { b.Recv(p, "x"); arrived = p.Now() })
+	b.Handle("x", func(Message) { arrived = k.Now() })
 	k.Spawn("send", func(p *des.Proc) { a.Send(p, "x", "x", 100, nil) })
 	k.Run()
 	wire := l.WireTime(100)
@@ -291,10 +316,10 @@ func TestFaultFuncAttemptsAreBounded(t *testing.T) {
 	// retransmitting after maxTxAttempts and delivers anyway (transport
 	// gives up on reliability, the simulation stays live).
 	k := des.New()
-	l, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	l, a, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	l.SetFaultFunc(func(words int) bool { return true })
 	delivered := false
-	k.Spawn("recv", func(p *des.Proc) { b.Recv(p, "x"); delivered = true })
+	b.Handle("x", func(Message) { delivered = true })
 	k.Spawn("send", func(p *des.Proc) { a.Send(p, "x", "x", 10, nil) })
 	k.Run()
 	if !delivered {
@@ -307,8 +332,7 @@ func TestFaultFuncAttemptsAreBounded(t *testing.T) {
 
 func TestFaultFuncNilIsClean(t *testing.T) {
 	k := des.New()
-	l, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
-	k.Spawn("recv", func(p *des.Proc) { b.Recv(p, "x") })
+	l, a, _ := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	k.Spawn("send", func(p *des.Proc) { a.Send(p, "x", "x", 10, nil) })
 	k.Run()
 	if l.Retransmits() != 0 {
@@ -323,9 +347,9 @@ func TestFaultFuncNilIsClean(t *testing.T) {
 func TestSendReturnValueArrivalStamp(t *testing.T) {
 	k := des.New()
 	defer k.Close()
-	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	_, a, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	var sent, got Message
-	k.Spawn("recv", func(p *des.Proc) { got = b.Recv(p, "x") })
+	b.Handle("x", func(msg Message) { got = msg })
 	k.Spawn("send", func(p *des.Proc) { sent = a.Send(p, "x", "x", 100, "hello") })
 	k.Run()
 	if sent.Arrived <= 0 || sent != got {
@@ -338,8 +362,8 @@ func TestSendReturnValueArrivalStamp(t *testing.T) {
 	for name, hop := range map[string]float64{"immediate": 0, "delayed": 0.5} {
 		k := des.New()
 		defer k.Close()
-		_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"},
-			EndpointConfig{Name: "mpp", Forward: func(words int, deliver func()) {
+		_, a, b := MustNew(k, basicCfg(), sun(k),
+			NodeConfig{Name: "mpp", Forward: func(words int, deliver func()) {
 				if hop == 0 {
 					deliver()
 				} else {
@@ -348,7 +372,7 @@ func TestSendReturnValueArrivalStamp(t *testing.T) {
 			}})
 		var sent, got Message
 		var returnedAt float64
-		k.Spawn("recv", func(p *des.Proc) { got = b.Recv(p, "x") })
+		b.Handle("x", func(msg Message) { got = msg })
 		k.Spawn("send", func(p *des.Proc) {
 			sent = a.Send(p, "x", "x", 100, "hello")
 			returnedAt = p.Now()
@@ -383,11 +407,11 @@ func TestHandledPortReceivesEachMessageOnceInOrder(t *testing.T) {
 		k := des.New()
 		defer k.Close()
 		mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
-		bCfg := EndpointConfig{Name: "mpp"}
+		bCfg := NodeConfig{Name: "mpp"}
 		if tc.hops {
-			bCfg.Forward, bCfg.PreSend = mpp.NXHopAsync, mpp.NXSend
+			bCfg.Forward, bCfg.PreSend = mpp.NXHopAsync, mpp.NXSendAsync
 		}
-		l, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, bCfg)
+		l, a, b := MustNew(k, basicCfg(), sun(k), bCfg)
 		var got []Message
 		queued := 0
 		b.Handle("x", func(msg Message) {
@@ -408,12 +432,12 @@ func TestHandledPortReceivesEachMessageOnceInOrder(t *testing.T) {
 		if tc.contraflow {
 			// Larger messages the other way hold the fabric (PreSend)
 			// while inbound ones reach the service node.
-			a.Handle("y", nil)
-			k.Spawn("back", func(p *des.Proc) {
+			k.Spawn("sink", func(p *des.Proc) {
 				for {
-					b.Send(p, "y", "y", 2048, nil)
+					a.Recv(p, "y")
 				}
 			})
+			b.Stream("y", "y", math.MaxInt, 2048, nil)
 		}
 		k.Run()
 		k.RunUntil(k.Now() + 1) // the last relays land after the sender stops
@@ -425,16 +449,13 @@ func TestHandledPortReceivesEachMessageOnceInOrder(t *testing.T) {
 				t.Fatalf("%s: message %d is %+v", name, i, msg)
 			}
 		}
-		if b.Port("x").Len() != 0 {
-			t.Errorf("%s: handled port queued %d messages", name, b.Port("x").Len())
-		}
 		if (queued > 0) != tc.contraflow {
 			t.Errorf("%s: %d hops queued behind a busy fabric, want some: %v", name, queued, tc.contraflow)
 		}
 	}
 }
 
-// streamRun is what a burst from the host-less endpoint leaves behind.
+// streamRun is what a burst from the node leaves behind.
 type streamRun struct {
 	got                      []Message // as the Sun's receiver read them
 	busy                     float64
@@ -445,9 +466,9 @@ type streamRun struct {
 	resumes                  uint64
 }
 
-// runBurst sends 60 messages of 2048 words from the host-less endpoint
-// of a fresh Sun/MPP link to a receiver process on the Sun — from a
-// process looping on Send, or as one Stream call made at the same
+// runBurst sends 60 messages of 2048 words from the host-less end of a
+// fresh Sun/MPP link to a receiver process on the Sun — from a process
+// looping on sendFromNode, or as one Stream call made at the same
 // instant — and reports everything the run leaves behind.
 func runBurst(stream bool, hops, contraflow, neighbour bool, fault FaultFunc) streamRun {
 	const n, words = 60, 2048
@@ -455,9 +476,10 @@ func runBurst(stream bool, hops, contraflow, neighbour bool, fault FaultFunc) st
 	defer k.Close()
 	host := cpu.NewHost(k, "sun", 1)
 	mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
-	bCfg := EndpointConfig{Name: "mpp"}
+	bCfg := NodeConfig{Name: "mpp"}
+	var preSend func(*des.Proc, int)
 	if hops {
-		bCfg.Forward, bCfg.PreSend, bCfg.PreSendAsync = mpp.NXHopAsync, mpp.NXSend, mpp.NXSendAsync
+		bCfg.Forward, bCfg.PreSend, preSend = mpp.NXHopAsync, mpp.NXSendAsync, mpp.NXSend
 	}
 	l, a, b := MustNew(k, basicCfg(),
 		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6, RecvStartup: 2e-4, RecvPerWord: 5e-7}, bCfg)
@@ -497,7 +519,7 @@ func runBurst(stream bool, hops, contraflow, neighbour bool, fault FaultFunc) st
 	} else {
 		k.Spawn("send", func(p *des.Proc) {
 			for i := 0; i < n; i++ {
-				b.Send(p, "x", "x", words, "burst")
+				sendFromNode(p, b, preSend, "x", "x", words, "burst")
 			}
 		})
 	}
@@ -513,7 +535,7 @@ func runBurst(stream bool, hops, contraflow, neighbour bool, fault FaultFunc) st
 	return run
 }
 
-// Stream ≡ a process looping on Send: the receiver reads the same
+// Stream ≡ a process looping on sendFromNode: the receiver reads the same
 // messages with the same three stamps, the wire and the fabric account
 // the same occupancy, and the run ends at the same instant — to the bit,
 // since the same events fire in the same order — with nobody to switch
@@ -570,9 +592,8 @@ func TestStreamMatchesSendLoop(t *testing.T) {
 func TestStreamsInterleaveFIFO(t *testing.T) {
 	k := des.New()
 	defer k.Close()
-	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"}, EndpointConfig{Name: "mpp"})
+	_, a, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	var got []any
-	a.Handle("x", func(msg Message) { got = append(got, msg.Payload) })
 	b.Stream("x", "x", 0, 100, "none")
 	b.Stream("x", "x", -3, 100, "none")
 	if k.Pending() != 0 {
@@ -580,27 +601,27 @@ func TestStreamsInterleaveFIFO(t *testing.T) {
 	}
 	b.Stream("x", "x", 3, 100, "A")
 	b.Stream("x", "x", 3, 100, "B")
+	k.Spawn("recv", func(p *des.Proc) {
+		for len(got) < 6 {
+			got = append(got, a.Recv(p, "x").Payload)
+		}
+	})
 	k.Run()
 	if want := "[A B A B A B]"; fmt.Sprint(got) != want {
 		t.Fatalf("arrivals %v, want %s", got, want)
 	}
 }
 
-// A stream has no process to charge send conversion to, so only a
-// host-less endpoint may stream — and one whose processes hop before the
-// wire must be told how a stream does.
+// The one misuse of Stream the types still allow, a negative size, is
+// refused before anything is scheduled. (Streaming beside a Host, or
+// past a pre-wire hop with no asynchronous form, no longer compiles.)
 func TestStreamMisusePanics(t *testing.T) {
 	k := des.New()
 	defer k.Close()
-	host := cpu.NewHost(k, "sun", 1)
-	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun", Host: host}, EndpointConfig{Name: "mpp"})
-	wantLinkPanic(t, "Stream on an endpoint with a Host", func() { a.Stream("x", "x", 1, 1, nil) })
+	_, _, b := MustNew(k, basicCfg(), sun(k), NodeConfig{Name: "mpp"})
 	wantLinkPanic(t, "Stream of a negative size", func() { b.Stream("x", "x", 1, -1, nil) })
-	_, _, c := MustNew(k, basicCfg(), EndpointConfig{Name: "sun"},
-		EndpointConfig{Name: "mpp", PreSend: func(*des.Proc, int) {}})
-	wantLinkPanic(t, "Stream past a PreSend with no PreSendAsync", func() { c.Stream("x", "x", 1, 1, nil) })
 	if k.Pending() != 0 {
-		t.Fatalf("%d events pending after three refused streams, want 0", k.Pending())
+		t.Fatalf("%d events pending after a refused stream, want 0", k.Pending())
 	}
 }
 
@@ -613,7 +634,7 @@ func TestStopFromHandlerParksARunningAheadSender(t *testing.T) {
 	defer k.Close()
 	host := cpu.NewHost(k, "sun", 1)
 	l, a, b := MustNew(k, basicCfg(),
-		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4}, EndpointConfig{Name: "mpp"})
+		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4}, NodeConfig{Name: "mpp"})
 	b.Handle("x", func(msg Message) {
 		if msg.Payload == 2 {
 			k.Stop()
@@ -652,40 +673,18 @@ func wantLinkPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// A handler has no process to charge receive conversion to, so only a
-// host-less endpoint may have one; and a port that hands its messages
-// to a handler has nothing for Recv to return.
-func TestHandleMisusePanics(t *testing.T) {
-	k := des.New()
-	defer k.Close()
-	host := cpu.NewHost(k, "sun", 1)
-	_, a, b := MustNew(k, basicCfg(), EndpointConfig{Name: "sun", Host: host}, EndpointConfig{Name: "mpp"})
-	wantLinkPanic(t, "Handle on an endpoint with a Host", func() { a.Handle("x", nil) })
-	b.Handle("x", nil)
-	k.Spawn("recv", func(p *des.Proc) {
-		wantLinkPanic(t, "Recv on a handled port", func() { b.Recv(p, "x") })
-	})
-	k.Run()
-}
-
-// sendLoop streams fixed-size messages from a CPU-backed endpoint to a
-// receiver that drains them: conversion on the host, the wire
-// semaphore, the wire delay, the inbox and the receive conversion —
-// every resource a simulated message crosses. With discard there is no
-// receiver: the port drops each message as it lands.
+// sendLoop sends fixed-size messages from the CPU-backed end to a port
+// of the node: conversion on the host, the wire semaphore, the wire
+// delay and the arrival handler — every resource a simulated message
+// crosses on its way out. With discard the port has no handler: the
+// node drops each message as it lands.
 func sendLoop(k *des.Kernel, discard bool) *Link {
 	host := cpu.NewHost(k, "sun", 1)
 	l, a, b := MustNew(k, basicCfg(),
 		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6},
-		EndpointConfig{Name: "mpp"})
-	if discard {
-		b.Handle("x", nil)
-	} else {
-		k.Spawn("recv", func(p *des.Proc) {
-			for {
-				b.Recv(p, "x")
-			}
-		})
+		NodeConfig{Name: "mpp"})
+	if !discard {
+		b.Handle("x", func(Message) {})
 	}
 	k.Spawn("send", func(p *des.Proc) {
 		for {
@@ -695,27 +694,24 @@ func sendLoop(k *des.Kernel, discard bool) *Link {
 	return l
 }
 
-// hopLoop is sendLoop on a 2-HOPS platform: the receiving endpoint
-// relays every inbound message across a mesh fabric (Forward →
-// NXHopAsync) before it reaches the inbox. With contraflow, a second
-// stream of larger messages runs the other way, each paying its NX hop
-// before the wire (PreSend → NXSend): about every other inbound message
-// then reaches the service node while that hop holds the fabric and has
-// to queue behind it. queued counts those, told apart by a hop longer
-// than the dedicated fabric time.
+// hopLoop is sendLoop on a 2-HOPS platform: the node relays every
+// inbound message across a mesh fabric (Forward → NXHopAsync) before it
+// reaches the handler. With contraflow, an endless stream of larger
+// messages runs the other way, each paying its NX hop before the wire
+// (PreSend → NXSendAsync): about every other inbound message then
+// reaches the service node while that hop holds the fabric and has to
+// queue behind it. queued counts those, told apart by a hop longer than
+// the dedicated fabric time.
 func hopLoop(k *des.Kernel, contraflow bool) (l *Link, queued *int) {
 	host := cpu.NewHost(k, "sun", 1)
 	mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
 	l, a, b := MustNew(k, basicCfg(),
 		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, SendPerWord: 1e-6},
-		EndpointConfig{Name: "mpp", Forward: mpp.NXHopAsync, PreSend: mpp.NXSend})
+		NodeConfig{Name: "mpp", Forward: mpp.NXHopAsync, PreSend: mpp.NXSendAsync})
 	queued = new(int)
-	k.Spawn("recv", func(p *des.Proc) {
-		for {
-			msg := b.Recv(p, "x")
-			if hop := msg.Arrived - (msg.Queued + l.WireTime(msg.Words)); hop > mpp.NXTime(msg.Words)+1e-9 {
-				*queued++
-			}
+	b.Handle("x", func(msg Message) {
+		if hop := msg.Arrived - (msg.Queued + l.WireTime(msg.Words)); hop > mpp.NXTime(msg.Words)+1e-9 {
+			*queued++
 		}
 	})
 	k.Spawn("send", func(p *des.Proc) {
@@ -729,26 +725,22 @@ func hopLoop(k *des.Kernel, contraflow bool) (l *Link, queued *int) {
 				a.Recv(p, "y")
 			}
 		})
-		k.Spawn("back", func(p *des.Proc) {
-			for {
-				b.Send(p, "y", "y", 2048, nil)
-			}
-		})
+		b.Stream("y", "y", math.MaxInt, 2048, nil)
 	}
 	return l, queued
 }
 
 // streamLoop is the Paragon→Sun contender's cycle: a Sun-side process
-// asks for a burst of eight messages, which the host-less endpoint
-// streams (with hops, each after its NX hop to the service node), reads
-// them, and asks again. The stream record, like the relays and the hop
+// asks for a burst of eight messages, which the node streams (with
+// hops, each after its NX hop to the service node), reads them, and asks
+// again. The stream record, like the relays and the hop
 // records, is reused from one burst to the next.
 func streamLoop(k *des.Kernel, hops bool) *Link {
 	host := cpu.NewHost(k, "sun", 1)
 	mpp := mesh.MustNew(k, mesh.Config{Name: "paragon", Nodes: 4, NodeSpeed: 1, NXAlpha: 5e-4, NXBeta: 1e6})
-	bCfg := EndpointConfig{Name: "mpp"}
+	bCfg := NodeConfig{Name: "mpp"}
 	if hops {
-		bCfg.PreSend, bCfg.PreSendAsync = mpp.NXSend, mpp.NXSendAsync
+		bCfg.PreSend = mpp.NXSendAsync
 	}
 	l, a, b := MustNew(k, basicCfg(),
 		EndpointConfig{Name: "sun", Host: host, RecvStartup: 1e-4, RecvPerWord: 1e-6}, bCfg)
@@ -801,7 +793,7 @@ func TestSendAllocationFree(t *testing.T) {
 }
 
 // BenchmarkSend prices one message end to end (send conversion, wire,
-// delivery, receive) on the direct path.
+// delivery to a handler) on the direct path.
 func BenchmarkSend(b *testing.B) {
 	k := des.New()
 	defer k.Close()

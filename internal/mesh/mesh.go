@@ -318,8 +318,10 @@ func (m *Machine) NXSend(proc *des.Proc, words int) {
 // the (possibly queued) fabric hop. A free fabric is taken at once; when
 // it is busy the service node gets round to the message one zero-delay
 // event later and joins the fabric's FCFS queue then, among the
-// processes parked in NXSend. No process carries the hop either way, and
-// a steady stream of hops allocates nothing.
+// processes parked in NXSend — the zero-delay call stands where the wake
+// of a forwarding process handed the message would, and the request is
+// made when that process's NXSend would have run. No process carries the
+// hop either way, and a steady stream of hops allocates nothing.
 func (m *Machine) NXHopAsync(words int, done func()) {
 	h := m.newHop(words, done)
 	if m.fabric.TryAcquire() {
@@ -331,10 +333,12 @@ func (m *Machine) NXHopAsync(words int, done func()) {
 }
 
 // NXSendAsync is NXSend for a sender that is not a process (the pre-wire
-// hop of link.Endpoint.Stream): the fabric is requested at once, queued
-// for FCFS if busy, occupied for the message's fabric time, and then
-// done fires. It schedules, event for event, what a process calling
-// NXSend at the same instant would.
+// hop of link.Node.Stream): the fabric is requested at once, queued for
+// FCFS if busy, occupied for the message's fabric time, and then done
+// fires. It schedules, event for event, what a process calling NXSend at
+// the same instant would — a timed call where Delay queued a wake — and
+// differs from NXHopAsync only in when it asks
+// (TestAsyncHopsQueueAmongProcesses tells the two apart).
 func (m *Machine) NXSendAsync(words int, done func()) {
 	m.newHop(words, done).request()
 }

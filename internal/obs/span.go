@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"contention/internal/trace"
 )
 
 // Clock supplies the tracer's notion of "now" in seconds. A wall-clock
@@ -223,18 +221,6 @@ func (t *Tracer) Reset() {
 	t.spans = nil
 	t.dropped = 0
 	t.mu.Unlock()
-}
-
-// Export replays the spans into a trace.Trace event log: each span
-// records the actor entering the span's name state at Start and the
-// idle state at End. The result renders with trace.Timeline exactly
-// like the simulator's own actor/state charts, so virtual-time DES
-// spans and wall-clock emulation spans share one timeline form.
-func (t *Tracer) Export(tr *trace.Trace, idleState string) {
-	for _, s := range t.Spans() {
-		tr.Record(s.Start, s.Actor, s.Name)
-		tr.Record(s.End, s.Actor, idleState)
-	}
 }
 
 // defaultTracer is the process-wide wall-clock tracer StartSpan feeds.

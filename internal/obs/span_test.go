@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 
 	"contention/internal/des"
-	"contention/internal/trace"
 )
 
 func TestTracerVirtualTime(t *testing.T) {
@@ -94,43 +92,6 @@ func TestTracerSortsDeterministically(t *testing.T) {
 	spans := tr.Spans()
 	if spans[0].Actor != "a" || spans[1].Actor != "b" {
 		t.Fatalf("tie-break order wrong: %+v", spans)
-	}
-}
-
-// TestExportRendersWithTraceTimeline is the interop contract: spans
-// exported into the existing trace package must render as an actor
-// timeline, whether their clock was virtual or wall.
-func TestExportRendersWithTraceTimeline(t *testing.T) {
-	withTelemetry(t)
-	k := des.New()
-	tr := NewTracer(k.Now, 0)
-	k.At(0, func() {
-		sp := tr.Start("sun", "serial")
-		k.At(1, func() {
-			sp.End()
-			sp2 := tr.Start("cm2", "execute")
-			k.At(2, func() { sp2.End() })
-		})
-	})
-	k.Run()
-
-	var log trace.Trace
-	tr.Export(&log, "idle")
-	if log.Len() != 4 {
-		t.Fatalf("exported %d events, want 4", log.Len())
-	}
-	if got := log.StateAt("sun", 0.5); got != "serial" {
-		t.Fatalf("sun @0.5 = %q", got)
-	}
-	if got := log.StateAt("sun", 1.5); got != "idle" {
-		t.Fatalf("sun @1.5 = %q", got)
-	}
-	if got := log.StateAt("cm2", 1.5); got != "execute" {
-		t.Fatalf("cm2 @1.5 = %q", got)
-	}
-	out := log.Timeline(1, []string{"sun", "cm2"})
-	if !strings.Contains(out, "serial") || !strings.Contains(out, "execute") {
-		t.Fatalf("timeline missing states:\n%s", out)
 	}
 }
 

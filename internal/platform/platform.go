@@ -210,13 +210,15 @@ func (p ParagonParams) validate() error {
 	return nil
 }
 
-// SunParagon is the independent host/MPP platform.
+// SunParagon is the independent host/MPP platform. The Sun's end of the
+// link has the CPU, so its traffic is sent and received by processes;
+// the Paragon's end has none: it streams and handles (see package link).
 type SunParagon struct {
 	K          *des.Kernel
 	Host       *cpu.Host
 	Link       *link.Link
 	SunEnd     *link.Endpoint
-	ParagonEnd *link.Endpoint
+	ParagonEnd *link.Node
 	MPP        *mesh.Machine
 	Disk       *disk.Disk
 	Params     ParagonParams
@@ -224,36 +226,49 @@ type SunParagon struct {
 
 // NewSunParagon builds a Sun/Paragon platform on the kernel.
 func NewSunParagon(k *des.Kernel, params ParagonParams) (*SunParagon, error) {
-	if err := params.validate(); err != nil {
+	host, d, err := newFrontEnd(k, params)
+	if err != nil {
 		return nil, err
 	}
+	return newLeg(k, params, host, d, "sun", "paragon")
+}
+
+// newFrontEnd validates params and builds what every leg shares: the Sun
+// CPU and its local disk.
+func newFrontEnd(k *des.Kernel, params ParagonParams) (*cpu.Host, *disk.Disk, error) {
+	if err := params.validate(); err != nil {
+		return nil, nil, err
+	}
 	host := cpu.NewHost(k, "sun", params.HostSpeed)
+	diskCfg := params.Disk
+	diskCfg.Host = host
+	d, err := disk.New(k, diskCfg)
+	return host, d, err
+}
+
+// newLeg attaches one Paragon to the front-end: its mesh, the link
+// between the two named ends and, in 2-HOPS mode, the service-node hops.
+func newLeg(k *des.Kernel, params ParagonParams, host *cpu.Host, d *disk.Disk, sunName, paragonName string) (*SunParagon, error) {
 	mpp, err := mesh.New(k, params.Mesh)
 	if err != nil {
 		return nil, err
 	}
 	sunCfg := link.EndpointConfig{
-		Name:        "sun",
+		Name:        sunName,
 		Host:        host,
 		SendStartup: params.SendStartup,
 		SendPerWord: params.SendPerWord,
 		RecvStartup: params.RecvStartup,
 		RecvPerWord: params.RecvPerWord,
 	}
-	parCfg := link.EndpointConfig{Name: "paragon"}
+	parCfg := link.NodeConfig{Name: paragonName}
 	if params.Mode == TwoHops {
 		// Inbound: service node forwards across the NX fabric.
 		parCfg.Forward = mpp.NXHopAsync
 		// Outbound: compute node hops to the service node first.
-		parCfg.PreSend, parCfg.PreSendAsync = mpp.NXSend, mpp.NXSendAsync
+		parCfg.PreSend = mpp.NXSendAsync
 	}
 	l, sunEnd, parEnd, err := link.New(k, params.Link, sunCfg, parCfg)
-	if err != nil {
-		return nil, err
-	}
-	diskCfg := params.Disk
-	diskCfg.Host = host
-	d, err := disk.New(k, diskCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -284,16 +299,6 @@ func (s *SunParagon) SendToParagon(p *des.Proc, port string, words int) {
 	s.SunEnd.Send(p, port, port, words, nil)
 }
 
-// SendToSun transfers one message from the Paragon to the Sun.
-func (s *SunParagon) SendToSun(p *des.Proc, port string, words int) {
-	s.ParagonEnd.Send(p, port, port, words, nil)
-}
-
-// RecvOnParagon blocks p until a message for port arrives at the Paragon.
-func (s *SunParagon) RecvOnParagon(p *des.Proc, port string) link.Message {
-	return s.ParagonEnd.Recv(p, port)
-}
-
 // RecvOnSun blocks p until a message for port arrives at the Sun.
 func (s *SunParagon) RecvOnSun(p *des.Proc, port string) link.Message {
 	return s.SunEnd.Recv(p, port)
@@ -319,13 +324,7 @@ func NewSunMultiParagon(k *des.Kernel, params ParagonParams, n int) ([]*SunParag
 	if n < 1 {
 		return nil, fmt.Errorf("platform: leg count %d must be ≥ 1", n)
 	}
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	host := cpu.NewHost(k, "sun", params.HostSpeed)
-	diskCfg := params.Disk
-	diskCfg.Host = host
-	d, err := disk.New(k, diskCfg)
+	host, d, err := newFrontEnd(k, params)
 	if err != nil {
 		return nil, err
 	}
@@ -334,37 +333,11 @@ func NewSunMultiParagon(k *des.Kernel, params ParagonParams, n int) ([]*SunParag
 		legParams := params
 		legParams.Link.Name = fmt.Sprintf("%s%d", params.Link.Name, i)
 		legParams.Mesh.Name = fmt.Sprintf("%s%d", params.Mesh.Name, i)
-		mpp, err := mesh.New(k, legParams.Mesh)
+		leg, err := newLeg(k, legParams, host, d, fmt.Sprintf("sun/%d", i), fmt.Sprintf("paragon/%d", i))
 		if err != nil {
 			return nil, err
 		}
-		sunCfg := link.EndpointConfig{
-			Name:        fmt.Sprintf("sun/%d", i),
-			Host:        host,
-			SendStartup: params.SendStartup,
-			SendPerWord: params.SendPerWord,
-			RecvStartup: params.RecvStartup,
-			RecvPerWord: params.RecvPerWord,
-		}
-		parCfg := link.EndpointConfig{Name: fmt.Sprintf("paragon/%d", i)}
-		if params.Mode == TwoHops {
-			parCfg.Forward = mpp.NXHopAsync
-			parCfg.PreSend, parCfg.PreSendAsync = mpp.NXSend, mpp.NXSendAsync
-		}
-		l, sunEnd, parEnd, err := link.New(k, legParams.Link, sunCfg, parCfg)
-		if err != nil {
-			return nil, err
-		}
-		legs = append(legs, &SunParagon{
-			K:          k,
-			Host:       host,
-			Link:       l,
-			SunEnd:     sunEnd,
-			ParagonEnd: parEnd,
-			MPP:        mpp,
-			Disk:       d,
-			Params:     legParams,
-		})
+		legs = append(legs, leg)
 	}
 	return legs, nil
 }

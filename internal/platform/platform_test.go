@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"contention/internal/des"
+	"contention/internal/link"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -61,7 +62,6 @@ func TestParagonDedicatedSendCost(t *testing.T) {
 	k := des.New()
 	s := MustNewSunParagon(k, DefaultParagonParams(OneHop))
 	var done float64
-	k.Spawn("recv", func(p *des.Proc) { s.RecvOnParagon(p, "app") })
 	k.Spawn("app", func(p *des.Proc) {
 		s.SendToParagon(p, "app", 200)
 		done = p.Now()
@@ -78,14 +78,14 @@ func TestParagonTwoHopsAddsNXDelay(t *testing.T) {
 	k1 := des.New()
 	one := MustNewSunParagon(k1, DefaultParagonParams(OneHop))
 	var arr1 float64
-	k1.Spawn("r", func(p *des.Proc) { arr1 = one.RecvOnParagon(p, "app").Arrived })
+	one.ParagonEnd.Handle("app", func(msg link.Message) { arr1 = msg.Arrived })
 	k1.Spawn("s", func(p *des.Proc) { one.SendToParagon(p, "app", 500) })
 	k1.Run()
 
 	k2 := des.New()
 	two := MustNewSunParagon(k2, DefaultParagonParams(TwoHops))
 	var arr2 float64
-	k2.Spawn("r", func(p *des.Proc) { arr2 = two.RecvOnParagon(p, "app").Arrived })
+	two.ParagonEnd.Handle("app", func(msg link.Message) { arr2 = msg.Arrived })
 	k2.Spawn("s", func(p *des.Proc) { two.SendToParagon(p, "app", 500) })
 	k2.Run()
 
@@ -99,11 +99,8 @@ func TestParagonTwoHopsOutboundPreSend(t *testing.T) {
 	k := des.New()
 	s := MustNewSunParagon(k, DefaultParagonParams(TwoHops))
 	var done float64
-	k.Spawn("r", func(p *des.Proc) { s.RecvOnSun(p, "app") })
-	k.Spawn("s", func(p *des.Proc) {
-		s.SendToSun(p, "app", 500)
-		done = p.Now()
-	})
+	k.Spawn("r", func(p *des.Proc) { done = s.RecvOnSun(p, "app").Arrived })
+	s.ParagonEnd.Stream("app", "app", 1, 500, nil)
 	k.Run()
 	nx := s.MPP.NXTime(500)
 	wire := s.Link.WireTime(500)
@@ -120,11 +117,6 @@ func TestParagonCPUContentionSlowsSends(t *testing.T) {
 		k := des.New()
 		s := MustNewSunParagon(k, DefaultParagonParams(OneHop))
 		var done float64
-		k.Spawn("r", func(p *des.Proc) {
-			for i := 0; i < 50; i++ {
-				s.RecvOnParagon(p, "app")
-			}
-		})
 		k.Spawn("s", func(p *des.Proc) {
 			for i := 0; i < 50; i++ {
 				s.SendToParagon(p, "app", 200)
@@ -155,16 +147,6 @@ func TestParagonLinkSharingBetweenApps(t *testing.T) {
 	k := des.New()
 	s := MustNewSunParagon(k, DefaultParagonParams(OneHop))
 	var done1, done2 float64
-	k.Spawn("r1", func(p *des.Proc) {
-		for i := 0; i < 20; i++ {
-			s.RecvOnParagon(p, "a1")
-		}
-	})
-	k.Spawn("r2", func(p *des.Proc) {
-		for i := 0; i < 20; i++ {
-			s.RecvOnParagon(p, "a2")
-		}
-	})
 	k.Spawn("s1", func(p *des.Proc) {
 		for i := 0; i < 20; i++ {
 			s.SendToParagon(p, "a1", 1000)
@@ -316,7 +298,7 @@ func TestSunMultiParagonTwoHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arrived float64
-	k.Spawn("r", func(p *des.Proc) { arrived = legs[1].RecvOnParagon(p, "x").Arrived })
+	legs[1].ParagonEnd.Handle("x", func(msg link.Message) { arrived = msg.Arrived })
 	k.Spawn("s", func(p *des.Proc) { legs[1].SendToParagon(p, "x", 500) })
 	k.Run()
 	nx := legs[1].MPP.NXTime(500)

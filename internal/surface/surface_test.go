@@ -26,7 +26,7 @@ func homog(p int, f float64) []core.Contender {
 // (multiset, p, j) queries against the exact DP. Queries whose comm
 // fraction lands on a grid node (dyadic k/cells) must match bit-exactly;
 // off-grid queries must interpolate within 1e-3 relative — the bound
-// DESIGN §10 derives from the mixture's Bernstein-form curvature.
+// DESIGN §6 derives from the mixture's Bernstein-form curvature.
 func TestSurfaceMatchesDP(t *testing.T) {
 	tab := testTables()
 	const maxP, cells = 12, 512

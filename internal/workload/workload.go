@@ -136,12 +136,13 @@ func MessagesPerCycle(sp *platform.SunParagon, spec AlternatorSpec) int {
 // SpawnAlternator starts a contender that alternates computation with
 // communication per the spec, running until the simulation horizon.
 // The returned port name carries its traffic. A contender is one
-// process, on the Sun: the Paragon has no CPU to charge, so its side is
-// no process at all. Nobody reads what a Sun→Paragon contender sends —
-// it exists to load the Sun's CPU and the wire — so its Paragon-side
-// port discards on arrival (link.Handle) and a long run retains nothing
-// per message; and what a Paragon→Sun contender receives each cycle is
-// streamed to it (link.Stream) the moment it asks.
+// process, on the Sun: the Paragon end is a link.Node, which has no CPU
+// to charge and so no processes. Nobody reads what a Sun→Paragon
+// contender sends — it exists to load the Sun's CPU and the wire — so
+// its Paragon-side port has no handler, the node discards each message
+// on arrival and a long run retains nothing per message; and what a
+// Paragon→Sun contender receives each cycle the node streams to it
+// (link.Node.Stream) the moment it asks.
 func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
@@ -158,7 +159,6 @@ func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, erro
 
 	switch spec.Direction {
 	case SunToParagon:
-		sp.ParagonEnd.Handle(port, nil)
 		sp.K.Spawn(spec.Name, func(p *des.Proc) {
 			if spec.Phase > 0 {
 				p.Delay(spec.Phase)
@@ -240,9 +240,9 @@ func BurstToParagon(p *des.Proc, sp *platform.SunParagon, port string, count, wo
 	return p.Now() - start
 }
 
-// BurstFromParagon has the Paragon stream a count×words burst to the
-// Sun and receives it on port, returning elapsed virtual time (the
-// Figure 6 measurement).
+// BurstFromParagon has the Paragon node stream a count×words burst to
+// the Sun and receives it on port in p, which pays the conversion,
+// returning elapsed virtual time (the Figure 6 measurement).
 func BurstFromParagon(p *des.Proc, sp *platform.SunParagon, port string, count, words int) float64 {
 	start := p.Now()
 	sp.ParagonEnd.Stream(port, port, count, words, nil)
@@ -258,12 +258,12 @@ type pingEnd struct{}
 // SpawnPingEcho starts the Paragon-side echo: whenever the end-marker
 // arrives on port, it replies with a one-word message (the paper's
 // ping-pong benchmark protocol: a burst of same-size messages, then one
-// word back). The echo is an arrival handler, not a process: the burst's
-// other messages cost the Paragon nothing (it has no host CPU to charge)
-// and are dropped where they land, and on the marker the reply is
-// streamed back (link.Stream) — its zero-delay start standing at the
-// point of the event sequence where a parked receiver's wake would have
-// been.
+// word back). The echo is the node's arrival handler for the port, not
+// a process: the burst's other messages cost the Paragon nothing (it has
+// no host CPU to charge) and are dropped where they land, and on the
+// marker the reply is streamed back (link.Node.Stream) — its zero-delay
+// start standing at the point of the event sequence where a parked
+// receiver's wake would have been.
 func SpawnPingEcho(sp *platform.SunParagon, port string) {
 	sp.ParagonEnd.Handle(port, func(msg link.Message) {
 		if _, ok := msg.Payload.(pingEnd); ok {
