@@ -29,11 +29,13 @@ race:
 
 # Short fuzz smoke over the numeric kernels and the decoders: the
 # piecewise fitter and the Poisson-binomial distribution must never panic
-# or emit non-finite values on adversarial input, the request and trace
-# decoders must never panic on arbitrary bytes.
+# or emit non-finite values on adversarial input, the slowdown kernel must
+# return its reference's bits for a contender set in any order, the
+# request and trace decoders must never panic on arbitrary bytes.
 fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzFitPiecewise$$' -fuzztime 5s ./internal/stats
 	$(GO) test -run ^$$ -fuzz '^FuzzPoissonBinomial$$' -fuzztime 5s ./internal/prob
+	$(GO) test -run ^$$ -fuzz '^FuzzKernelOrder$$' -fuzztime 5s ./internal/core
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeBinaryRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run ^$$ -fuzz '^FuzzReadTraceHeader$$' -fuzztime 5s ./internal/scenario

@@ -8,16 +8,16 @@ import (
 
 // assertColdAllocationFree pins the kernel's allocation contract for
 // one Predict method: pricing a contender set the predictor has never
-// seen costs zero allocations at p = 1, 16 and 64 (the whole
-// stack-scratch range) — a scheduler may evaluate a fresh candidate
-// placement on every decision.
+// seen costs zero allocations at p = 1, 16, 17, 63 and 64 (the whole
+// stack-scratch range, both sides of the narrow scratch's edge) — a
+// scheduler may evaluate a fresh candidate placement on every decision.
 func assertColdAllocationFree(t *testing.T, name string, call func(p *Predictor, cs []Contender) error) {
 	p, err := NewPredictor(fullCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 16, kernelStackP} {
+	for _, n := range []int{1, kernelSmallP, kernelSmallP + 1, kernelStackP - 1, kernelStackP} {
 		t.Run(fmt.Sprintf("%s/p=%d", name, n), func(t *testing.T) {
 			// One never-seen multiset per call (AllocsPerRun adds a warm-up).
 			const runs = 100

@@ -69,16 +69,19 @@ func CommSlowdownMulti(target LinkID, cs []MultiContender, t DelayTables) (float
 	// CPU share of a transfer, as calibrated: the delay one CPU-bound
 	// contender imposes on the ping-pong benchmark.
 	cpuShare := lookup(t.CompOnComm, 1)
+	// The delay^{i,j} column for the other links' traffic, resolved once;
+	// that none is calibrated only matters if somebody uses one.
+	otherJ, errNoCol := t.NearestJ(maxOtherJ)
+	otherCol := t.CommOnComp[otherJ]
 	s := 1.0
 	for i := 1; i <= len(cs); i++ {
 		s += comp.P(i) * lookup(t.CompOnComm, i)
 		s += same.P(i) * lookup(t.CommOnComm, i)
 		if p := other.P(i); p > 0 {
-			d, err := t.CommOnCompDelay(i, maxOtherJ)
-			if err != nil {
-				return 0, err
+			if errNoCol != nil {
+				return 0, errNoCol
 			}
-			s += p * d * cpuShare
+			s += p * lookup(otherCol, i) * cpuShare
 		}
 	}
 	return s, nil

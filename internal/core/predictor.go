@@ -43,11 +43,19 @@ type Calibration struct {
 // ValidateReport checks the whole calibration and returns every
 // violation found, each prefixed with the component it lives in.
 func (c Calibration) ValidateReport() *ValidationReport {
-	r := &ValidationReport{}
-	r.Merge("ToBack", c.ToBack.ValidateReport())
-	r.Merge("ToHost", c.ToHost.ValidateReport())
-	r.Merge("Tables", c.Tables.ValidateReport())
+	r, _, _, _ := c.validateComponents()
 	return r
+}
+
+// validateComponents validates each component once and returns its
+// report beside the merged one ValidateReport hands out.
+func (c Calibration) validateComponents() (merged, toBack, toHost, tables *ValidationReport) {
+	toBack, toHost, tables = c.ToBack.ValidateReport(), c.ToHost.ValidateReport(), c.Tables.ValidateReport()
+	merged = &ValidationReport{}
+	merged.Merge("ToBack", toBack)
+	merged.Merge("ToHost", toHost)
+	merged.Merge("Tables", tables)
+	return merged, toBack, toHost, tables
 }
 
 // Validate checks the calibration. On failure the returned error is a
@@ -81,25 +89,28 @@ type Predictor struct {
 	surface atomic.Pointer[surfaceBox]
 }
 
-// initDerived populates the construction-time caches shared by the
-// strict and lenient constructors.
-func (p *Predictor) initDerived() {
-	p.jGrid = p.cal.Tables.JGrid()
-	p.checksum = TablesChecksum(p.cal.Tables)
-	p.tablesErr = p.cal.Tables.Validate()
-	p.modelErr[HostToBack] = p.cal.ToBack.Validate()
-	p.modelErr[BackToHost] = p.cal.ToHost.Validate()
+// newPredictor validates the calibration — each component once, its
+// verdict kept beside the merged report — and derives what the
+// prediction hot path must not rebuild.
+func newPredictor(cal Calibration) *Predictor {
+	report, toBack, toHost, tables := cal.validateComponents()
+	return &Predictor{
+		cal:       cal,
+		report:    report,
+		jGrid:     cal.Tables.JGrid(),
+		checksum:  TablesChecksum(cal.Tables),
+		tablesErr: tables.Err(),
+		modelErr:  [2]error{HostToBack: toBack.Err(), BackToHost: toHost.Err()},
+	}
 }
 
 // NewPredictor validates the calibration and returns a predictor. On
 // failure the error is a *ValidationReport carrying every violation.
 func NewPredictor(cal Calibration) (*Predictor, error) {
-	report := cal.ValidateReport()
-	if err := report.Err(); err != nil {
+	p := newPredictor(cal)
+	if err := p.report.Err(); err != nil {
 		return nil, err
 	}
-	p := &Predictor{cal: cal, report: report}
-	p.initDerived()
 	return p, nil
 }
 
@@ -112,9 +123,7 @@ func NewPredictor(cal Calibration) (*Predictor, error) {
 // wrong. Use it when a scheduler must keep ranking allocations even
 // though the calibration suite has not (fully or correctly) run.
 func NewPredictorLenient(cal Calibration) *Predictor {
-	p := &Predictor{cal: cal, report: cal.ValidateReport()}
-	p.initDerived()
-	return p
+	return newPredictor(cal)
 }
 
 // ValidationReport returns the validation findings recorded when the

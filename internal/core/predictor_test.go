@@ -161,3 +161,20 @@ func TestWorstCaseSlowdown(t *testing.T) {
 		t.Fatalf("WorstCaseSlowdown(3) = %v", got)
 	}
 }
+
+// TestNewPredictorAllocs pins the constructor's allocation count: a
+// scheduler builds one predictor per recalibration epoch, and the
+// end-to-end benchmark gates allocations per operation. 10 is what the
+// constructor cost when it validated every component twice.
+func TestNewPredictorAllocs(t *testing.T) {
+	cal := fullCalibration()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewPredictor(cal); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Fatalf("NewPredictor allocates %.0f objects, want ≤ 10", allocs)
+	}
+	t.Logf("NewPredictor: %.0f allocations", allocs)
+}

@@ -99,7 +99,10 @@ type Surface struct {
 
 // Build evaluates the full grid from the given delay tables. The
 // tables must be valid (a lenient predictor with broken tables answers
-// from the p+1 fallback, which needs no surface).
+// from the p+1 fallback, which needs no surface). Every node is
+// evaluated through one core.Predictor over the tables — the kernel the
+// predictions run, with the tables validated and the j grid sorted once,
+// not per node.
 func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 	cfg = cfg.withDefaults()
 	if cfg.GridCells < 2 || cfg.GridCells&(cfg.GridCells-1) != 0 {
@@ -111,8 +114,9 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("surface: invalid delay tables: %w", err)
 	}
+	pred := core.NewPredictorLenient(core.Calibration{Tables: t})
 	s := &Surface{
-		checksum: core.TablesChecksum(t),
+		checksum: pred.TablesChecksum(),
 		cells:    cfg.GridCells,
 		maxP:     cfg.MaxContenders,
 		jGrid:    t.JGrid(),
@@ -165,13 +169,13 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 		}
 		var err error
 		if s.comm[p], err = fillRow(p, func(f float64) (float64, error) {
-			return core.CommSlowdown(homog(f), t)
+			return pred.CommSlowdown(homog(f))
 		}); err != nil {
 			return nil, err
 		}
 		// f=0 computation slowdown: no contender communicates, so the
 		// column never matters; any j works, even with no columns at all.
-		v, err := core.CompSlowdownWithJ(homog(0), t, 0)
+		v, err := pred.CompSlowdownWithJ(homog(0), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +184,7 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 		for _, col := range s.jGrid {
 			col := col
 			row, err := fillRow(p, func(f float64) (float64, error) {
-				return core.CompSlowdownWithJ(homog(f), t, col)
+				return pred.CompSlowdownWithJ(homog(f), col)
 			})
 			if err != nil {
 				return nil, err
