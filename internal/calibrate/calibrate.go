@@ -18,11 +18,17 @@
 //
 // These values are static per platform; the run-time slowdown
 // calculation only combines them with the current workload.
+//
+// Every measurement is a probe value: RunRobust lists the suite's
+// probes once (plan), runs them on a worker pool of its own, each on a
+// private simulator kernel, and only then aggregates and bootstraps
+// them serially, in a fixed order.
 package calibrate
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"contention/internal/core"
 	"contention/internal/des"
@@ -38,11 +44,13 @@ type Options struct {
 	// BurstCount is the number of messages per ping-pong burst
 	// (the paper uses 1000; smaller values speed the suite up).
 	BurstCount int
-	// Sizes is the message-size grid for the α/β fit.
+	// Sizes is the message-size grid for the α/β fit (positive,
+	// distinct).
 	Sizes []int
 	// MaxContenders bounds the delay tables (entries for 1..MaxContenders).
 	MaxContenders int
-	// JGrid lists the message sizes for delay^{i,j} columns.
+	// JGrid lists the message sizes for delay^{i,j} columns (positive,
+	// distinct).
 	JGrid []int
 	// ProbeWords is the message size of the ping-pong probe used for
 	// the delay measurements.
@@ -101,11 +109,17 @@ func (o Options) validate() error {
 	if len(o.Sizes) < 4 {
 		return errors.New("calibrate: need at least 4 message sizes for the piecewise fit")
 	}
+	if err := checkGrid("Sizes", o.Sizes); err != nil {
+		return err
+	}
 	if o.MaxContenders < 1 {
 		return fmt.Errorf("calibrate: max contenders %d must be ≥ 1", o.MaxContenders)
 	}
 	if len(o.JGrid) == 0 {
 		return errors.New("calibrate: empty j grid")
+	}
+	if err := checkGrid("JGrid", o.JGrid); err != nil {
+		return err
 	}
 	if o.ProbeWords < 1 || o.ProbeWork <= 0 {
 		return fmt.Errorf("calibrate: invalid probe (%d words, %v s)", o.ProbeWords, o.ProbeWork)
@@ -125,6 +139,20 @@ func (o Options) validate() error {
 	return nil
 }
 
+// checkGrid rejects a message-size grid with a non-positive or repeated
+// entry: each entry is one measured point.
+func checkGrid(field string, words []int) error {
+	for i, w := range words {
+		if w < 1 {
+			return fmt.Errorf("calibrate: %s entry %d must be positive", field, w)
+		}
+		if slices.Contains(words[:i], w) {
+			return fmt.Errorf("calibrate: %s lists %d twice", field, w)
+		}
+	}
+	return nil
+}
+
 func (o Options) newPlatform() (*des.Kernel, *platform.SunParagon, error) {
 	k := des.New()
 	sp, err := platform.NewSunParagon(k, o.Params)
@@ -134,106 +162,76 @@ func (o Options) newPlatform() (*des.Kernel, *platform.SunParagon, error) {
 	return k, sp, nil
 }
 
-// measureBurst runs one ping-pong burst of the given direction and size
-// under the contenders installed by setup, returning per-message cost.
-func (o Options) measureBurst(dir workload.Direction, words int, setup func(*platform.SunParagon)) (float64, error) {
-	return o.measureBurstWarm(dir, words, setup, o.Warmup)
+// probe is one measurement of the suite, as a comparable value: a
+// ping-pong burst of words-word messages in direction dir, or (compute)
+// a CPU-bound run of ProbeWork dedicated seconds; beside hogs CPU-bound
+// generators or streamers generators streaming streamWords-word
+// messages in streamDir; after repeat r's jittered warmup.
+type probe struct {
+	compute         bool
+	dir             workload.Direction
+	words           int
+	hogs, streamers int
+	streamWords     int
+	streamDir       workload.Direction
+	r               int
 }
 
-// measureBurstWarm is measureBurst with an explicit warmup, which the
-// robust pipeline jitters across repeats to decorrelate the probe's
-// phase from the contenders' deterministic cycles.
-func (o Options) measureBurstWarm(dir workload.Direction, words int, setup func(*platform.SunParagon), warmup float64) (float64, error) {
+// withHogs is p run beside i CPU-bound generators.
+func (p probe) withHogs(i int) probe {
+	p.hogs = i
+	return p
+}
+
+// withStreamers is p run beside i generators streaming j-word messages
+// in direction dir.
+func (p probe) withStreamers(i, j int, dir workload.Direction) probe {
+	p.streamers, p.streamWords, p.streamDir = i, j, dir
+	return p
+}
+
+// measure runs one probe on a private kernel and returns the burst's
+// per-message cost or the CPU-bound run's elapsed time.
+func (o Options) measure(pr probe) (float64, error) {
 	k, sp, err := o.newPlatform()
 	if err != nil {
 		return 0, err
 	}
 	defer k.Close()
-	if setup != nil {
-		setup(sp)
-	}
+	spawnHogs(sp, pr.hogs)
+	spawnStreamers(sp, pr.streamers, pr.streamWords, pr.streamDir)
+	// The warmup is jittered across repeats to decorrelate the probe's
+	// phase from the contenders' deterministic cycles.
+	warmup := o.Warmup + phaseJitter(pr.r)
 	port := "probe"
-	var elapsed float64
-	switch dir {
-	case workload.SunToParagon:
+	if !pr.compute && pr.dir == workload.SunToParagon {
 		workload.SpawnPingEcho(sp, port)
-		k.Spawn("probe", func(p *des.Proc) {
-			if warmup > 0 {
-				p.Delay(warmup)
-			}
-			elapsed = workload.PingPongBurst(p, sp, port, o.BurstCount, words)
-			k.Stop() // contenders run forever; end the run with the probe
-		})
-	case workload.ParagonToSun:
-		k.Spawn("probe", func(p *des.Proc) {
-			if warmup > 0 {
-				p.Delay(warmup)
-			}
-			elapsed = workload.BurstFromParagon(p, sp, port, o.BurstCount, words)
-			k.Stop()
-		})
-	default:
-		return 0, fmt.Errorf("calibrate: unknown direction %d", int(dir))
-	}
-	k.Run()
-	if elapsed <= 0 {
-		return 0, fmt.Errorf("calibrate: probe did not finish (dir %v, %d words)", dir, words)
-	}
-	return elapsed / float64(o.BurstCount), nil
-}
-
-// measureCompute runs a CPU-bound probe of ProbeWork dedicated seconds
-// under the contenders installed by setup, returning elapsed time.
-func (o Options) measureCompute(setup func(*platform.SunParagon)) (float64, error) {
-	return o.measureComputeWarm(setup, o.Warmup)
-}
-
-// measureComputeWarm is measureCompute with an explicit warmup.
-func (o Options) measureComputeWarm(setup func(*platform.SunParagon), warmup float64) (float64, error) {
-	k, sp, err := o.newPlatform()
-	if err != nil {
-		return 0, err
-	}
-	defer k.Close()
-	if setup != nil {
-		setup(sp)
 	}
 	var elapsed float64
 	k.Spawn("probe", func(p *des.Proc) {
 		if warmup > 0 {
 			p.Delay(warmup)
 		}
-		start := p.Now()
-		sp.Host.Compute(p, o.ProbeWork)
-		elapsed = p.Now() - start
-		k.Stop()
+		switch {
+		case pr.compute:
+			start := p.Now()
+			sp.Host.Compute(p, o.ProbeWork)
+			elapsed = p.Now() - start
+		case pr.dir == workload.SunToParagon:
+			elapsed = workload.PingPongBurst(p, sp, port, o.BurstCount, pr.words)
+		default:
+			elapsed = workload.BurstFromParagon(p, sp, port, o.BurstCount, pr.words)
+		}
+		k.Stop() // contenders run forever; end the run with the probe
 	})
 	k.Run()
 	if elapsed <= 0 {
-		return 0, errors.New("calibrate: compute probe did not finish")
+		return 0, fmt.Errorf("calibrate: probe %+v did not finish", pr)
 	}
-	return elapsed, nil
-}
-
-// FitCommModel measures dedicated per-message costs across the size
-// grid for one direction and fits the piecewise-linear model.
-func (o Options) FitCommModel(dir workload.Direction) (core.CommModel, stats.PiecewiseFit, error) {
-	xs := make([]float64, 0, len(o.Sizes))
-	ys := make([]float64, 0, len(o.Sizes))
-	for _, words := range o.Sizes {
-		cost, err := o.measureBurst(dir, words, nil)
-		if err != nil {
-			return core.CommModel{}, stats.PiecewiseFit{}, err
-		}
-		xs = append(xs, float64(words))
-		ys = append(ys, cost)
+	if pr.compute {
+		return elapsed, nil
 	}
-	fit, err := stats.FitPiecewise(xs, ys)
-	if err != nil {
-		return core.CommModel{}, stats.PiecewiseFit{}, err
-	}
-	model, err := modelFromFit(fit)
-	return model, fit, err
+	return elapsed / float64(o.BurstCount), nil
 }
 
 func modelFromFit(fit stats.PiecewiseFit) (core.CommModel, error) {
@@ -279,72 +277,6 @@ func spawnHogs(sp *platform.SunParagon, i int) {
 	}
 }
 
-// MeasureDelayTables runs the contention probes and assembles the
-// paper's three delay tables.
-func (o Options) MeasureDelayTables() (core.DelayTables, error) {
-	dedicated, err := o.measureBurst(workload.SunToParagon, o.ProbeWords, nil)
-	if err != nil {
-		return core.DelayTables{}, err
-	}
-	dedicatedComp, err := o.measureCompute(nil)
-	if err != nil {
-		return core.DelayTables{}, err
-	}
-
-	tables := core.DelayTables{CommOnComp: map[int][]float64{}}
-	for i := 1; i <= o.MaxContenders; i++ {
-		i := i
-
-		// delay^i_comp: CPU-bound generators vs the ping-pong probe.
-		contended, err := o.measureBurst(workload.SunToParagon, o.ProbeWords, func(sp *platform.SunParagon) {
-			spawnHogs(sp, i)
-		})
-		if err != nil {
-			return core.DelayTables{}, err
-		}
-		tables.CompOnComm = append(tables.CompOnComm, delayOf(contended, dedicated))
-
-		// delay^i_comm: one-word streamers, both directions, averaged.
-		toBack, err := o.measureBurst(workload.SunToParagon, o.ProbeWords, func(sp *platform.SunParagon) {
-			spawnStreamers(sp, i, 1, workload.SunToParagon)
-		})
-		if err != nil {
-			return core.DelayTables{}, err
-		}
-		toHost, err := o.measureBurst(workload.SunToParagon, o.ProbeWords, func(sp *platform.SunParagon) {
-			spawnStreamers(sp, i, 1, workload.ParagonToSun)
-		})
-		if err != nil {
-			return core.DelayTables{}, err
-		}
-		avg := (delayOf(toBack, dedicated) + delayOf(toHost, dedicated)) / 2
-		tables.CommOnComm = append(tables.CommOnComm, avg)
-	}
-
-	// delay^{i,j}_comm: streamers vs the CPU-bound probe.
-	for _, j := range o.JGrid {
-		col := make([]float64, 0, o.MaxContenders)
-		for i := 1; i <= o.MaxContenders; i++ {
-			toBack, err := o.measureCompute(func(sp *platform.SunParagon) {
-				spawnStreamers(sp, i, j, workload.SunToParagon)
-			})
-			if err != nil {
-				return core.DelayTables{}, err
-			}
-			toHost, err := o.measureCompute(func(sp *platform.SunParagon) {
-				spawnStreamers(sp, i, j, workload.ParagonToSun)
-			})
-			if err != nil {
-				return core.DelayTables{}, err
-			}
-			avg := (delayOf(toBack, dedicatedComp) + delayOf(toHost, dedicatedComp)) / 2
-			col = append(col, avg)
-		}
-		tables.CommOnComp[j] = col
-	}
-	return tables, nil
-}
-
 // delayOf converts a contended/dedicated pair into the paper's delay
 // term: the extra cost as a fraction of the dedicated cost, floored at
 // zero to absorb measurement jitter.
@@ -358,7 +290,7 @@ func delayOf(contended, dedicated float64) float64 {
 
 // Run executes the full suite and returns a ready-to-use calibration.
 // It is RunRobust without the confidence annotations; with the default
-// Repeats = 1 it reproduces the single-shot suite exactly.
+// Repeats = 1 every parameter rests on one measurement per point.
 func Run(opts Options) (core.Calibration, error) {
 	cal, _, err := RunRobust(opts)
 	return cal, err

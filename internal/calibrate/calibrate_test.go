@@ -2,11 +2,11 @@ package calibrate
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"contention/internal/core"
 	"contention/internal/platform"
-	"contention/internal/workload"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -22,13 +22,14 @@ func fastOptions() Options {
 
 func TestFitCommModelRecoversPlatformParameters(t *testing.T) {
 	o := fastOptions()
-	model, fit, err := o.FitCommModel(workload.SunToParagon)
+	cal, _, err := RunRobust(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := cal.ToBack
 	// The knee must land on the platform MTU.
 	if model.Threshold != 1024 {
-		t.Fatalf("threshold = %d, want 1024 (fit %+v)", model.Threshold, fit)
+		t.Fatalf("threshold = %d, want 1024 (model %+v)", model.Threshold, model)
 	}
 	// Small-piece slope = conversion per word + 1/wire bandwidth.
 	p := o.Params
@@ -50,11 +51,11 @@ func TestFitCommModelRecoversPlatformParameters(t *testing.T) {
 }
 
 func TestFitCommModelToHostDirection(t *testing.T) {
-	o := fastOptions()
-	model, _, err := o.FitCommModel(workload.ParagonToSun)
+	cal, _, err := RunRobust(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := cal.ToHost
 	if model.Threshold != 1024 {
 		t.Fatalf("to-host threshold = %d, want 1024", model.Threshold)
 	}
@@ -65,10 +66,11 @@ func TestFitCommModelToHostDirection(t *testing.T) {
 
 func TestMeasureDelayTablesShape(t *testing.T) {
 	o := fastOptions()
-	tables, err := o.MeasureDelayTables()
+	cal, _, err := RunRobust(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := cal.Tables
 	if len(tables.CompOnComm) != o.MaxContenders || len(tables.CommOnComm) != o.MaxContenders {
 		t.Fatalf("table lengths %d/%d, want %d", len(tables.CompOnComm), len(tables.CommOnComm), o.MaxContenders)
 	}
@@ -151,6 +153,26 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("case %d did not error", i)
 		}
 	}
+	// A bad grid entry would otherwise panic inside a probe, on a pool
+	// goroutine, or silently measure one point twice.
+	for _, c := range []struct {
+		field string
+		mod   func(*Options)
+	}{
+		{"JGrid", func(o *Options) { o.JGrid = []int{0, 500} }},
+		{"JGrid", func(o *Options) { o.JGrid = []int{500, -1} }},
+		{"JGrid", func(o *Options) { o.JGrid = []int{500, 500} }},
+		{"Sizes", func(o *Options) { o.Sizes = []int{-16, 32, 64, 128} }},
+		{"Sizes", func(o *Options) { o.Sizes = []int{16, 32, 0, 128} }},
+		{"Sizes", func(o *Options) { o.Sizes = []int{16, 32, 64, 32} }},
+	} {
+		o := fastOptions()
+		c.mod(&o)
+		_, err := Run(o)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s %v / %v: error %v does not name %s", c.field, o.Sizes, o.JGrid, err, c.field)
+		}
+	}
 }
 
 func TestCalibrateCM2RecoversParameters(t *testing.T) {
@@ -177,5 +199,16 @@ func TestCalibrateCM2Validation(t *testing.T) {
 	}
 	if _, err := CalibrateCM2(CM2Options{Params: params, BigWords: 1e6, SmallCount: 10}); err == nil {
 		t.Fatal("tiny small benchmark accepted")
+	}
+}
+
+// BenchmarkRun is one default Sun/Paragon calibration, the cost every
+// experiments.Env pays once.
+func BenchmarkRun(b *testing.B) {
+	o := DefaultOptions(platform.DefaultParagonParams(platform.OneHop))
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package calibrate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"contention/internal/core"
-	"contention/internal/platform"
+	"contention/internal/runner"
 	"contention/internal/stats"
 	"contention/internal/workload"
 )
@@ -13,8 +14,8 @@ import (
 // The robust estimation layer of the calibration suite: every model
 // parameter is measured Repeats times with a deterministically
 // jittered probe phase, MAD-filtered, aggregated by trimmed mean, and
-// annotated with a bootstrap confidence interval. With Repeats = 1 the
-// pipeline degenerates exactly to the single-shot suite.
+// annotated with a bootstrap confidence interval. With Repeats = 1 every
+// resample is the data itself, so no bootstrap replicate is refitted.
 
 // PieceCI carries confidence intervals for one comm-model piece.
 type PieceCI struct {
@@ -98,46 +99,107 @@ func (o Options) bootstrapOn() bool {
 	return o.BootstrapResamples >= 2 && o.Confidence > 0
 }
 
-// sampleBurst measures one (direction, size, contender-setup) point
-// Repeats times with jittered probe phase.
-func (o Options) sampleBurst(dir workload.Direction, words int, setup func(*platform.SunParagon)) ([]float64, error) {
-	out := make([]float64, 0, o.repeats())
-	for r := 0; r < o.repeats(); r++ {
-		cost, err := o.measureBurstWarm(dir, words, setup, o.Warmup+phaseJitter(r))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cost)
+// replicates returns one bootstrap replicate of a statistic per
+// resample; draw computes a replicate from freshly resampled data and
+// reports false for an unusable resample. With one sample per point
+// every resample is the data itself, so every replicate is the point
+// estimate and draw is never called. The copies still go through
+// o.interval: its interpolation v·(1−f) + v·f need not give back v to
+// the last bit, and the interval must be the one a refit would give.
+func replicates[T any](o Options, point T, draw func() (T, bool)) []T {
+	if !o.bootstrapOn() {
+		return nil
 	}
-	return out, nil
+	out := make([]T, 0, o.BootstrapResamples)
+	for b := 0; b < o.BootstrapResamples; b++ {
+		if o.repeats() == 1 {
+			out = append(out, point)
+		} else if v, ok := draw(); ok {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
-// sampleCompute is the CPU-probe analogue of sampleBurst.
-func (o Options) sampleCompute(setup func(*platform.SunParagon)) ([]float64, error) {
-	out := make([]float64, 0, o.repeats())
-	for r := 0; r < o.repeats(); r++ {
-		elapsed, err := o.measureComputeWarm(setup, o.Warmup+phaseJitter(r))
-		if err != nil {
-			return nil, err
+// plan lists the suite's probes in the order the suite reads them: the
+// α/β grid Sun→Paragon then Paragon→Sun; the dedicated ping-pong and
+// CPU-bound probes; per i the hog burst and both streamer bursts; per j
+// and i both streamer CPU-bound runs; repeats innermost. An exact
+// duplicate is listed once: the dedicated ping-pong burst is also an
+// α/β point whenever ProbeWords is in Sizes.
+func (o Options) plan() []probe {
+	ping, cpu := o.pingProbe(), probe{compute: true}
+	var points []probe
+	for _, dir := range []workload.Direction{workload.SunToParagon, workload.ParagonToSun} {
+		for _, words := range o.Sizes {
+			points = append(points, probe{dir: dir, words: words})
 		}
-		out = append(out, elapsed)
 	}
-	return out, nil
+	points = append(points, ping, cpu)
+	for i := 1; i <= o.MaxContenders; i++ {
+		points = append(points, ping.withHogs(i),
+			ping.withStreamers(i, 1, workload.SunToParagon), ping.withStreamers(i, 1, workload.ParagonToSun))
+	}
+	for _, j := range o.JGrid {
+		for i := 1; i <= o.MaxContenders; i++ {
+			points = append(points,
+				cpu.withStreamers(i, j, workload.SunToParagon), cpu.withStreamers(i, j, workload.ParagonToSun))
+		}
+	}
+	seen := make(map[probe]bool, len(points)*o.repeats())
+	plan := make([]probe, 0, len(points)*o.repeats())
+	for _, p := range points {
+		for p.r = 0; p.r < o.repeats(); p.r++ {
+			if !seen[p] {
+				seen[p] = true
+				plan = append(plan, p)
+			}
+		}
+	}
+	return plan
 }
 
-// fitCommModelRobust measures the size grid with repeats, fits the
-// piecewise model on the aggregated points, and bootstraps α/β
-// intervals by refitting resampled aggregates.
-func (o Options) fitCommModelRobust(dir workload.Direction, rng *rand.Rand) (core.CommModel, CommCI, int, error) {
+// pingProbe is the dedicated ping-pong burst the delay tables divide by.
+func (o Options) pingProbe() probe {
+	return probe{dir: workload.SunToParagon, words: o.ProbeWords}
+}
+
+// measureAll runs the plan on a GOMAXPROCS worker pool of its own and
+// returns every probe's value.
+func (o Options) measureAll() (map[probe]float64, error) {
+	plan := o.plan()
+	vals, err := runner.Map(context.Background(), runner.New(0), plan,
+		func(_ context.Context, _ int, p probe) (float64, error) { return o.measure(p) })
+	if err != nil {
+		return nil, err
+	}
+	m := make(map[probe]float64, len(plan))
+	for i, p := range plan {
+		m[p] = vals[i]
+	}
+	return m, nil
+}
+
+// samples returns point p's measurements, in repeat order.
+func (o Options) samples(m map[probe]float64, p probe) []float64 {
+	out := make([]float64, o.repeats())
+	for r := range out {
+		p.r = r
+		out[r] = m[p]
+	}
+	return out
+}
+
+// fitCommModelRobust fits the piecewise model on the aggregated size
+// grid of one direction and bootstraps α/β intervals by refitting
+// resampled aggregates.
+func (o Options) fitCommModelRobust(m map[probe]float64, dir workload.Direction, rng *rand.Rand) (core.CommModel, CommCI, int, error) {
 	xs := make([]float64, len(o.Sizes))
 	ys := make([]float64, len(o.Sizes))
 	sampleSets := make([][]float64, len(o.Sizes))
 	rejected := 0
 	for i, words := range o.Sizes {
-		samples, err := o.sampleBurst(dir, words, nil)
-		if err != nil {
-			return core.CommModel{}, CommCI{}, 0, err
-		}
+		samples := o.samples(m, probe{dir: dir, words: words})
 		v, rej, err := o.aggregate(samples)
 		if err != nil {
 			return core.CommModel{}, CommCI{}, 0, err
@@ -155,29 +217,28 @@ func (o Options) fitCommModelRobust(dir workload.Direction, rng *rand.Rand) (cor
 	if err != nil {
 		return core.CommModel{}, CommCI{}, 0, err
 	}
-	ci := CommCI{}
-	if o.bootstrapOn() {
-		var aS, bS, aL, bL []float64
-		bys := make([]float64, len(xs))
-		for b := 0; b < o.BootstrapResamples; b++ {
-			for i := range sampleSets {
-				bys[i] = o.resampleAgg(sampleSets[i], rng)
-			}
-			bfit, err := stats.FitPiecewise(xs, bys)
-			if err != nil {
-				continue
-			}
-			bmodel, err := modelFromFit(bfit)
-			if err != nil {
-				continue
-			}
-			aS = append(aS, bmodel.Small.Alpha)
-			bS = append(bS, bmodel.Small.Beta)
-			aL = append(aL, bmodel.Large.Alpha)
-			bL = append(bL, bmodel.Large.Beta)
+	bys := make([]float64, len(xs))
+	models := replicates(o, model, func() (core.CommModel, bool) {
+		for i := range sampleSets {
+			bys[i] = o.resampleAgg(sampleSets[i], rng)
 		}
-		ci.Small = PieceCI{Alpha: o.interval(aS), Beta: o.interval(bS)}
-		ci.Large = PieceCI{Alpha: o.interval(aL), Beta: o.interval(bL)}
+		bfit, err := stats.FitPiecewise(xs, bys)
+		if err != nil {
+			return core.CommModel{}, false
+		}
+		bmodel, err := modelFromFit(bfit)
+		return bmodel, err == nil
+	})
+	var aS, bS, aL, bL []float64
+	for _, bm := range models {
+		aS = append(aS, bm.Small.Alpha)
+		bS = append(bS, bm.Small.Beta)
+		aL = append(aL, bm.Large.Alpha)
+		bL = append(bL, bm.Large.Beta)
+	}
+	ci := CommCI{
+		Small: PieceCI{Alpha: o.interval(aS), Beta: o.interval(bS)},
+		Large: PieceCI{Alpha: o.interval(aL), Beta: o.interval(bL)},
 	}
 	return model, ci, rejected, nil
 }
@@ -195,14 +256,9 @@ func (o Options) delayPoint(contended, dedicated []float64, rng *rand.Rand) (flo
 		return 0, stats.Interval{}, 0, err
 	}
 	val := delayOf(aggC, aggD)
-	iv := stats.Interval{}
-	if o.bootstrapOn() {
-		vals := make([]float64, 0, o.BootstrapResamples)
-		for b := 0; b < o.BootstrapResamples; b++ {
-			vals = append(vals, delayOf(o.resampleAgg(contended, rng), o.resampleAgg(dedicated, rng)))
-		}
-		iv = o.interval(vals)
-	}
+	iv := o.interval(replicates(o, val, func() (float64, bool) {
+		return delayOf(o.resampleAgg(contended, rng), o.resampleAgg(dedicated, rng)), true
+	}))
 	return val, iv, rejC + rejD, nil
 }
 
@@ -223,43 +279,24 @@ func (o Options) delayPairPoint(toBack, toHost, dedicated []float64, rng *rand.R
 		return 0, stats.Interval{}, 0, err
 	}
 	val := (delayOf(aggTB, aggD) + delayOf(aggTH, aggD)) / 2
-	iv := stats.Interval{}
-	if o.bootstrapOn() {
-		vals := make([]float64, 0, o.BootstrapResamples)
-		for b := 0; b < o.BootstrapResamples; b++ {
-			d := o.resampleAgg(dedicated, rng)
-			vals = append(vals, (delayOf(o.resampleAgg(toBack, rng), d)+delayOf(o.resampleAgg(toHost, rng), d))/2)
-		}
-		iv = o.interval(vals)
-	}
+	iv := o.interval(replicates(o, val, func() (float64, bool) {
+		d := o.resampleAgg(dedicated, rng)
+		return (delayOf(o.resampleAgg(toBack, rng), d) + delayOf(o.resampleAgg(toHost, rng), d)) / 2, true
+	}))
 	return val, iv, rejTB + rejTH + rejD, nil
 }
 
-// measureDelayTablesRobust runs the contention probes with repeats and
-// assembles the delay tables plus per-entry confidence intervals.
-func (o Options) measureDelayTablesRobust(rng *rand.Rand, conf *Confidence) (core.DelayTables, error) {
-	dedicated, err := o.sampleBurst(workload.SunToParagon, o.ProbeWords, nil)
-	if err != nil {
-		return core.DelayTables{}, err
-	}
-	dedicatedComp, err := o.sampleCompute(nil)
-	if err != nil {
-		return core.DelayTables{}, err
-	}
+// measureDelayTablesRobust assembles the delay tables plus per-entry
+// confidence intervals from the contention probes.
+func (o Options) measureDelayTablesRobust(m map[probe]float64, rng *rand.Rand, conf *Confidence) (core.DelayTables, error) {
+	ping, cpu := o.pingProbe(), probe{compute: true}
+	dedicated, dedicatedComp := o.samples(m, ping), o.samples(m, cpu)
 
 	tables := core.DelayTables{CommOnComp: map[int][]float64{}}
 	conf.CommOnComp = map[int][]stats.Interval{}
 	for i := 1; i <= o.MaxContenders; i++ {
-		i := i
-
 		// delay^i_comp: CPU-bound generators vs the ping-pong probe.
-		contended, err := o.sampleBurst(workload.SunToParagon, o.ProbeWords, func(sp *platform.SunParagon) {
-			spawnHogs(sp, i)
-		})
-		if err != nil {
-			return core.DelayTables{}, err
-		}
-		val, iv, rej, err := o.delayPoint(contended, dedicated, rng)
+		val, iv, rej, err := o.delayPoint(o.samples(m, ping.withHogs(i)), dedicated, rng)
 		if err != nil {
 			return core.DelayTables{}, err
 		}
@@ -268,19 +305,9 @@ func (o Options) measureDelayTablesRobust(rng *rand.Rand, conf *Confidence) (cor
 		conf.OutliersRejected += rej
 
 		// delay^i_comm: one-word streamers, both directions, averaged.
-		toBack, err := o.sampleBurst(workload.SunToParagon, o.ProbeWords, func(sp *platform.SunParagon) {
-			spawnStreamers(sp, i, 1, workload.SunToParagon)
-		})
-		if err != nil {
-			return core.DelayTables{}, err
-		}
-		toHost, err := o.sampleBurst(workload.SunToParagon, o.ProbeWords, func(sp *platform.SunParagon) {
-			spawnStreamers(sp, i, 1, workload.ParagonToSun)
-		})
-		if err != nil {
-			return core.DelayTables{}, err
-		}
-		val, iv, rej, err = o.delayPairPoint(toBack, toHost, dedicated, rng)
+		val, iv, rej, err = o.delayPairPoint(
+			o.samples(m, ping.withStreamers(i, 1, workload.SunToParagon)),
+			o.samples(m, ping.withStreamers(i, 1, workload.ParagonToSun)), dedicated, rng)
 		if err != nil {
 			return core.DelayTables{}, err
 		}
@@ -294,19 +321,9 @@ func (o Options) measureDelayTablesRobust(rng *rand.Rand, conf *Confidence) (cor
 		col := make([]float64, 0, o.MaxContenders)
 		ivCol := make([]stats.Interval, 0, o.MaxContenders)
 		for i := 1; i <= o.MaxContenders; i++ {
-			toBack, err := o.sampleCompute(func(sp *platform.SunParagon) {
-				spawnStreamers(sp, i, j, workload.SunToParagon)
-			})
-			if err != nil {
-				return core.DelayTables{}, err
-			}
-			toHost, err := o.sampleCompute(func(sp *platform.SunParagon) {
-				spawnStreamers(sp, i, j, workload.ParagonToSun)
-			})
-			if err != nil {
-				return core.DelayTables{}, err
-			}
-			val, iv, rej, err := o.delayPairPoint(toBack, toHost, dedicatedComp, rng)
+			val, iv, rej, err := o.delayPairPoint(
+				o.samples(m, cpu.withStreamers(i, j, workload.SunToParagon)),
+				o.samples(m, cpu.withStreamers(i, j, workload.ParagonToSun)), dedicatedComp, rng)
 			if err != nil {
 				return core.DelayTables{}, err
 			}
@@ -322,25 +339,40 @@ func (o Options) measureDelayTablesRobust(rng *rand.Rand, conf *Confidence) (cor
 
 // RunRobust executes the full suite with robust estimation and returns
 // the calibration together with per-parameter confidence intervals.
+//
+// The plan's probes run through runner.Map on a GOMAXPROCS pool of the
+// suite's own, and no output bit depends on the pool's width — the
+// argument TestParallelMatchesSerialByteIdentical relies on for the
+// experiment drivers: every probe builds a private DES kernel, the
+// simulator packages hold no shared mutable state, and the results are
+// read back by probe and aggregated serially, so the bootstrap draws
+// its random numbers in one fixed order. runner.Map reports the
+// lowest-index error, the one a serial pass over the plan stops at.
+// Options are validated first: a bad grid must not panic on a pool
+// goroutine, where no caller's recover can catch it.
 func RunRobust(opts Options) (core.Calibration, *Confidence, error) {
 	if err := opts.validate(); err != nil {
+		return core.Calibration{}, nil, err
+	}
+	m, err := opts.measureAll()
+	if err != nil {
 		return core.Calibration{}, nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	conf := &Confidence{Level: opts.Confidence, Repeats: opts.repeats()}
 
-	toBack, ciBack, rejB, err := opts.fitCommModelRobust(workload.SunToParagon, rng)
+	toBack, ciBack, rejB, err := opts.fitCommModelRobust(m, workload.SunToParagon, rng)
 	if err != nil {
 		return core.Calibration{}, nil, err
 	}
-	toHost, ciHost, rejH, err := opts.fitCommModelRobust(workload.ParagonToSun, rng)
+	toHost, ciHost, rejH, err := opts.fitCommModelRobust(m, workload.ParagonToSun, rng)
 	if err != nil {
 		return core.Calibration{}, nil, err
 	}
 	conf.ToBack, conf.ToHost = ciBack, ciHost
 	conf.OutliersRejected += rejB + rejH
 
-	tables, err := opts.measureDelayTablesRobust(rng, conf)
+	tables, err := opts.measureDelayTablesRobust(m, rng, conf)
 	if err != nil {
 		return core.Calibration{}, nil, err
 	}

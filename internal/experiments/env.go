@@ -11,7 +11,8 @@ import (
 
 // Env bundles the platform parameters and the calibrations every driver
 // shares. Calibration runs once per Env (it is static per platform, as
-// in the paper).
+// in the paper); its probes fan out on calibrate's own GOMAXPROCS pool,
+// not on Pool, and give the same bits at any width.
 type Env struct {
 	ParagonParams platform.ParagonParams
 	CM2Params     platform.CM2Params
