@@ -31,7 +31,9 @@ race:
 # piecewise fitter and the Poisson-binomial distribution must never panic
 # or emit non-finite values on adversarial input, the slowdown kernel must
 # return its reference's bits for a contender set in any order, the
-# request and trace decoders must never panic on arbitrary bytes.
+# request and trace decoders must never panic on arbitrary bytes, and
+# whatever metrics page the scrape decoder accepts must re-encode into one
+# it parses to the same series.
 fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzFitPiecewise$$' -fuzztime 5s ./internal/stats
 	$(GO) test -run ^$$ -fuzz '^FuzzPoissonBinomial$$' -fuzztime 5s ./internal/prob
@@ -40,6 +42,7 @@ fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeBinaryRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run ^$$ -fuzz '^FuzzReadTraceHeader$$' -fuzztime 5s ./internal/scenario
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeTraceRecord$$' -fuzztime 5s ./internal/scenario
+	$(GO) test -run ^$$ -fuzz '^FuzzParsePrometheusText$$' -fuzztime 5s ./internal/obs
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # What no `go test` in this module reaches: the command-line round trips

@@ -5,7 +5,9 @@
 // Predictor methods and batches over the predictor's tables (validated,
 // and the j grid sorted, once at construction), the package-level
 // functions over tables they validate per call, and surface.Build
-// through a Predictor of its own. The kernel holds no lock and no state,
+// through Predictor.HomogeneousSweep, which prices every count of one
+// repeated contender with the same single DP step and mixture sums, one
+// step per count. The kernel holds no lock and no state,
 // allocates nothing for p ≤ kernelStackP, and takes the contenders'
 // steps in canonical order, so its value is a function of the multiset
 // alone: any permutation of one contender set, on any predictor, returns
@@ -53,6 +55,17 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// stepOf reduces a contender to its step, ok false for a contender the
+// kernel rejects: Contender.Validate's conditions (its two upper bounds
+// follow from the lower bounds and the sum, rounding being monotone), and
+// its blind spot — it bounds the sum of the fractions only to rounding,
+// so qc can still come out negative. NaN fails every comparison.
+func stepOf(ct *Contender) (step, bool) {
+	qm, io := ct.CommFraction, ct.IOFraction
+	qc := 1 - qm - io
+	return step{qm, qc}, qm >= 0 && io >= 0 && qm+io <= 1 && qc >= 0 && ct.MsgWords >= 0
 }
 
 // contenderError is the error for a contender distributions rejects:
@@ -104,20 +117,13 @@ func distributions(cs []Contender, steps []step, rank []int32, dist []float64) (
 	unordered := 0
 	prev := step{qm: -1} // before every valid step
 	for i := range cs {
-		ct := &cs[i]
-		qm, io := ct.CommFraction, ct.IOFraction
-		qc := 1 - qm - io
-		// Contender.Validate's conditions (its two upper bounds follow
-		// from the lower bounds and the sum, rounding being monotone), and
-		// its blind spot: it bounds the sum of the fractions only to
-		// rounding, so qc can still come out negative. NaN fails every
-		// comparison.
-		if !(qm >= 0 && io >= 0 && qm+io <= 1 && qc >= 0 && ct.MsgWords >= 0) {
-			return nil, nil, contenderError(*ct)
+		s, ok := stepOf(&cs[i])
+		if !ok {
+			return nil, nil, contenderError(cs[i])
 		}
-		unordered |= b2i(qm < prev.qm) | b2i(qm <= prev.qm)&b2i(qc > prev.qc)
-		prev = step{qm, qc}
-		steps[i] = prev
+		unordered |= b2i(s.qm < prev.qm) | b2i(s.qm <= prev.qm)&b2i(s.qc > prev.qc)
+		prev = s
+		steps[i] = s
 	}
 	if unordered != 0 {
 		rank = rank[:p]
@@ -154,14 +160,7 @@ func distributions(cs []Contender, steps []step, rank []int32, dist []float64) (
 	comp[0], comm[0] = 1, 1
 	n := 1 + p&1 // live entries
 	if p&1 == 1 {
-		a := steps[0]
-		rc, rm := 1-a.qc, 1-a.qm
-		var pc, pm float64
-		for i := 0; i < n; i++ {
-			c, m := comp[i], comm[i]
-			comp[i], comm[i] = c*rc+pc*a.qc, m*rm+pm*a.qm
-			pc, pm = c, m
-		}
+		takeStep(comp[:n], comm[:n], steps[0])
 	}
 	for k := p & 1; k < p; k += 2 {
 		a, b := steps[k], steps[k+1]
@@ -181,6 +180,45 @@ func distributions(cs []Contender, steps []step, rank []int32, dist []float64) (
 	return comp, comm, nil
 }
 
+// takeStep is one contender's convolution step on both distributions, in
+// place: comp and comm hold the live entries plus one, the last still
+// zero, and all of them are live afterwards.
+func takeStep(comp, comm []float64, a step) {
+	rc, rm := 1-a.qc, 1-a.qm
+	comm = comm[:len(comp)]
+	var pc, pm float64
+	for i := range comp {
+		c, m := comp[i], comm[i]
+		comp[i], comm[i] = c*rc+pc*a.qc, m*rm+pm*a.qm
+		pc, pm = c, m
+	}
+}
+
+// commSum is the communication mixture over the distributions of
+// len(comp)−1 contenders.
+func commSum(comp, comm, compOnComm, commOnComm []float64) float64 {
+	s := 1.0
+	for i := 1; i < len(comp); i++ {
+		s += comp[i] * lookup(compOnComm, i)
+		s += comm[i] * lookup(commOnComm, i)
+	}
+	return s
+}
+
+// compSum is the computation mixture over the distributions of
+// len(comp)−1 contenders and the delay^{i,j} column col, read only where
+// some contender communicates.
+func compSum(comp, comm, col []float64) float64 {
+	s := 1.0
+	for i := 1; i < len(comp); i++ {
+		s += comp[i] * float64(i)
+		if p := comm[i]; p > 0 {
+			s += p * lookup(col, i)
+		}
+	}
+	return s
+}
+
 // commMixture is the communication slowdown
 //
 //	1 + Σ_i pcomp_i × delay^i_comp + Σ_i pcomm_i × delay^i_comm
@@ -197,12 +235,7 @@ func commMixture(cs []Contender, compOnComm, commOnComm []float64) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	s := 1.0
-	for i := 1; i <= len(cs); i++ {
-		s += comp[i] * lookup(compOnComm, i)
-		s += comm[i] * lookup(commOnComm, i)
-	}
-	return s, nil
+	return commSum(comp, comm, compOnComm, commOnComm), nil
 }
 
 // compMixture is the computation slowdown
@@ -234,14 +267,70 @@ func compMixture(cs []Contender, commOnComp map[int][]float64, jGrid []int, j in
 			break
 		}
 	}
-	s := 1.0
-	for i := 1; i <= len(cs); i++ {
-		s += comp[i] * float64(i)
-		if p := comm[i]; p > 0 {
-			s += p * lookup(col, i)
+	return compSum(comp, comm, col), nil
+}
+
+// HomogeneousSweep prices n = 0..P identical contenders {CommFraction: f}
+// in one DP, P = len(comm)−1: comm[n] is CommSlowdown of those n
+// contenders and comp[c][n] their CompSlowdownWithJ at js[c]; every
+// comp[c] is at least as long as comm. It fails where one of those calls
+// would, with that call's error: the tables' own, f's as a contender's
+// when P ≥ 1, NearestJ's when f > 0 and P ≥ 1. At f = 0 no column is
+// consulted, so any js works there, even on tables with no delay^{i,j}
+// columns. It allocates nothing for P ≤ kernelStackP.
+//
+// It takes f's step P times, applying commSum and compSum after each,
+// and every value is the kernel's bit for bit: a homogeneous set is in
+// canonical order already, so the kernel takes its P equal steps as
+// given, and a paired DP pass is the multiplies and adds of two single
+// passes, in their order, the entries past the live ones staying +0
+// either way (see distributions). After n single steps the distributions
+// are therefore the kernel's for n contenders, and the sums over them
+// are the mixtures' own.
+func (p *Predictor) HomogeneousSweep(f float64, js []int, comm []float64, comp [][]float64) error {
+	if p.tablesErr != nil {
+		return p.tablesErr
+	}
+	last := len(comm) - 1
+	if last < 0 {
+		return nil
+	}
+	ct := Contender{CommFraction: f}
+	a, ok := stepOf(&ct)
+	if !ok && last > 0 {
+		return contenderError(ct)
+	}
+	t := &p.cal.Tables
+	var colBuf [4][]float64
+	cols := colBuf[:0]
+	for _, j := range js {
+		var col []float64
+		if f > 0 && last > 0 { // compMixture resolves only when someone communicates
+			nearest, err := NearestJ(p.jGrid, j)
+			if err != nil {
+				return err
+			}
+			col = t.CommOnComp[nearest]
+		}
+		cols = append(cols, col)
+	}
+	var buf [2 * (kernelStackP + 1)]float64
+	dist := buf[:]
+	if last > kernelStackP {
+		dist = make([]float64, 2*(last+1))
+	}
+	dc, dm := dist[:last+1], dist[last+1:2*(last+1)]
+	dc[0], dm[0] = 1, 1
+	for n := range comm {
+		if n > 0 {
+			takeStep(dc[:n+1], dm[:n+1], a)
+		}
+		comm[n] = commSum(dc[:n+1], dm[:n+1], t.CompOnComm, t.CommOnComm)
+		for c, col := range cols {
+			comp[c][n] = compSum(dc[:n+1], dm[:n+1], col)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // autoJ is the paper's guidance for the delay^{i,j} column: the maximum

@@ -444,6 +444,110 @@ func TestKernelMatchesParentBitForBit(t *testing.T) {
 	}
 }
 
+// homogeneousSet is n contenders {CommFraction: f}.
+func homogeneousSet(n int, f float64) []Contender {
+	cs := make([]Contender, n)
+	for i := range cs {
+		cs[i].CommFraction = f
+	}
+	return cs
+}
+
+// sweep runs HomogeneousSweep for n = 0..last over js.
+func sweep(p *Predictor, f float64, js []int, last int) (comm []float64, comp [][]float64, err error) {
+	comm = make([]float64, last+1)
+	comp = make([][]float64, len(js))
+	for c := range comp {
+		comp[c] = make([]float64, last+1)
+	}
+	return comm, comp, p.HomogeneousSweep(f, js, comm, comp)
+}
+
+// TestHomogeneousSweepMatchesKernel: every value of a sweep is the
+// kernel's for that many contenders, bit for bit, for every count up to
+// 70 (past the stack scratch) at the zeros, one, dyadic and non-dyadic
+// fractions, over every j the differentials use.
+func TestHomogeneousSweepMatchesKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, tables := range []DelayTables{fullCalibration().Tables, randomMonotoneTables(rng, 70)} {
+		pred := NewPredictorLenient(Calibration{Tables: tables})
+		for _, last := range []int{0, 1, 2, 16, 17, 64, 65, 70} {
+			for _, f := range []float64{0, math.Copysign(0, -1), 1, 0.5, 0.3, 1.0 / 3, 0x1p-9, 0.9990234375} {
+				comm, comp, err := sweep(pred, f, kernelJs, last)
+				if err != nil {
+					t.Fatalf("P=%d f=%v: %v", last, f, err)
+				}
+				for n := 0; n <= last; n++ {
+					cs := homogeneousSet(n, f)
+					want, err := pred.CommSlowdown(cs)
+					if err != nil || math.Float64bits(comm[n]) != math.Float64bits(want) {
+						t.Fatalf("P=%d f=%v n=%d: comm %v, kernel %v (%v)", last, f, n, comm[n], want, err)
+					}
+					for c, j := range kernelJs {
+						want, err := pred.CompSlowdownWithJ(cs, j)
+						if err != nil || math.Float64bits(comp[c][n]) != math.Float64bits(want) {
+							t.Fatalf("P=%d f=%v n=%d j=%d: comp %v, kernel %v (%v)", last, f, n, j, comp[c][n], want, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHomogeneousSweepErrors: a sweep fails where the kernel would for
+// some count it covers, with the kernel's error, and succeeds where every
+// count does.
+func TestHomogeneousSweepErrors(t *testing.T) {
+	tables := fullCalibration().Tables
+	noCols := DelayTables{CompOnComm: tables.CompOnComm, CommOnComm: tables.CommOnComm}
+	broken := DelayTables{CompOnComm: []float64{-1}}
+	for _, tc := range []struct {
+		name   string
+		tables DelayTables
+		f      float64
+		last   int
+	}{
+		{"NaN", tables, math.NaN(), 3},
+		{"negative", tables, -0.25, 3},
+		{"over 1", tables, 1.5, 1},
+		{"NaN, no contenders", tables, math.NaN(), 0},
+		{"no columns", noCols, 0.5, 3},
+		{"no columns, nobody communicates", noCols, 0, 3},
+		{"no columns, no contenders", noCols, 0.5, 0},
+		{"invalid tables", broken, 0.5, 2},
+	} {
+		pred := NewPredictorLenient(Calibration{Tables: tc.tables})
+		_, _, err := sweep(pred, tc.f, []int{500}, tc.last)
+		var want error
+		for n := 0; n <= tc.last && want == nil; n++ {
+			if _, want = pred.CommSlowdown(homogeneousSet(n, tc.f)); want == nil {
+				_, want = pred.CompSlowdownWithJ(homogeneousSet(n, tc.f), 500)
+			}
+		}
+		if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+			t.Errorf("%s: sweep err %v, kernel err %v", tc.name, err, want)
+		}
+	}
+}
+
+// TestHomogeneousSweepAllocationFree: a sweep allocates nothing up to
+// the stack scratch's width.
+func TestHomogeneousSweepAllocationFree(t *testing.T) {
+	pred := NewPredictorLenient(Calibration{Tables: randomMonotoneTables(rand.New(rand.NewSource(3)), 70)})
+	comm, comp, err := sweep(pred, 0.3, []int{1, 500, 1000, 0}, kernelStackP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := pred.HomogeneousSweep(0.3, []int{1, 500, 1000, 0}, comm, comp); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("HomogeneousSweep allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // sweepKey is one prediction of the bench module's lib_cold_sweep
 // workload: a heterogeneous contender set no predictor has seen, priced
 // as a transfer (1–3 data sets) or as a computation, 50/50.

@@ -211,8 +211,8 @@ func (p *Predictor) PredictComm(dir Direction, sets []DataSet, cs []Contender) (
 // front-end under the given contender set.
 func (p *Predictor) PredictComp(dcomp float64, cs []Contender) (float64, error) {
 	mPredictComp.Inc()
-	if dcomp < 0 {
-		return 0, errors.New("core: negative dedicated computation time")
+	if err := checkDcomp(dcomp); err != nil {
+		return 0, err
 	}
 	s, err := p.compSlowdown(cs)
 	if err != nil {
@@ -224,8 +224,8 @@ func (p *Predictor) PredictComp(dcomp float64, cs []Contender) (float64, error) 
 // PredictCompWithJ is PredictComp with an explicit j column.
 func (p *Predictor) PredictCompWithJ(dcomp float64, cs []Contender, j int) (float64, error) {
 	mPredictComp.Inc()
-	if dcomp < 0 {
-		return 0, errors.New("core: negative dedicated computation time")
+	if err := checkDcomp(dcomp); err != nil {
+		return 0, err
 	}
 	s, err := p.compSlowdownWithJ(cs, j)
 	if err != nil {
@@ -298,12 +298,27 @@ func (p *Predictor) PredictCompBatchWithJ(dcomps []float64, cs []Contender, j in
 func scaleBatch(dcomps []float64, s float64) ([]float64, error) {
 	out := make([]float64, len(dcomps))
 	for k, d := range dcomps {
-		if d < 0 {
-			return nil, errors.New("core: negative dedicated computation time")
+		if err := checkDcomp(d); err != nil {
+			return nil, err
 		}
 		out[k] = d * s
 	}
 	return out, nil
+}
+
+// errNegativeDcomp refuses a negative dedicated computation time.
+var errNegativeDcomp = errors.New("core: negative dedicated computation time")
+
+// checkDcomp refuses a dedicated computation time no slowdown can scale:
+// a negative one, and NaN, which a plain sign test lets through.
+func checkDcomp(dcomp float64) error {
+	if dcomp >= 0 {
+		return nil
+	}
+	if dcomp < 0 {
+		return errNegativeDcomp
+	}
+	return fmt.Errorf("core: dedicated computation time %v is not a number", dcomp)
 }
 
 // --- Graceful degradation ---------------------------------------------------
@@ -450,8 +465,8 @@ func (p *Predictor) PredictCommRobust(dir Direction, sets []DataSet, cs []Conten
 // dcomp × (p+1) when the delay^{i,j} tables cannot support the mixture.
 func (p *Predictor) PredictCompRobust(dcomp float64, cs []Contender) (Prediction, error) {
 	mPredictComp.Inc()
-	if dcomp < 0 {
-		return Prediction{}, errors.New("core: negative dedicated computation time")
+	if err := checkDcomp(dcomp); err != nil {
+		return Prediction{}, err
 	}
 	if reason := p.degradeReasonComp(cs); reason != "" {
 		mPredictDegraded.Inc()

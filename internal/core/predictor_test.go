@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -177,4 +178,37 @@ func TestNewPredictorAllocs(t *testing.T) {
 		t.Fatalf("NewPredictor allocates %.0f objects, want ≤ 10", allocs)
 	}
 	t.Logf("NewPredictor: %.0f allocations", allocs)
+}
+
+// TestPredictCompRejectsNaN: every entry point that scales a dedicated
+// computation time refuses NaN with an error naming it, where it used to
+// price NaN and report no error, and still refuses a negative time with
+// the message it always gave.
+func TestPredictCompRejectsNaN(t *testing.T) {
+	p, err := NewPredictor(fullCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := robustContenders()
+	entries := []struct {
+		name string
+		call func(dcomp float64) error
+	}{
+		{"PredictComp", func(d float64) error { _, err := p.PredictComp(d, cs); return err }},
+		{"PredictCompWithJ", func(d float64) error { _, err := p.PredictCompWithJ(d, cs, 500); return err }},
+		{"PredictCompBatch", func(d float64) error { _, err := p.PredictCompBatch([]float64{1, d}, cs); return err }},
+		{"PredictCompBatchWithJ", func(d float64) error { _, err := p.PredictCompBatchWithJ([]float64{1, d}, cs, 500); return err }},
+		{"PredictCompRobust", func(d float64) error { _, err := p.PredictCompRobust(d, cs); return err }},
+	}
+	for _, e := range entries {
+		if err := e.call(math.NaN()); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s(NaN): err %v, want an error naming NaN", e.name, err)
+		}
+		if err := e.call(-1); err == nil || err.Error() != "core: negative dedicated computation time" {
+			t.Errorf("%s(-1): err %v, want the negative-time error", e.name, err)
+		}
+		if err := e.call(2); err != nil {
+			t.Errorf("%s(2): %v", e.name, err)
+		}
+	}
 }

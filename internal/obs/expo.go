@@ -13,9 +13,10 @@ import (
 )
 
 // WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4): series sorted by name, one
-// `# HELP` / `# TYPE` header per base family, histograms expanded into
-// cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
+// exposition format (version 0.0.4): series sorted by name, a
+// `# HELP` / `# TYPE` header before each run of one base family and
+// kind, histograms expanded into cumulative `_bucket{le=...}` series
+// plus `_sum` and `_count`.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.Snapshot().WritePrometheus(w)
 }
@@ -23,14 +24,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // WritePrometheus renders a frozen snapshot in the same text format —
 // the fleet scraper writes merged member snapshots through this path.
 func (snap Snapshot) WritePrometheus(w io.Writer) error {
-	lastBase := ""
+	lastBase, lastKind := "", ""
 	for _, m := range snap.Metrics {
 		base := m.Name
 		labels := ""
 		if i := strings.IndexByte(base, '{'); i >= 0 {
 			base, labels = base[:i], base[i:]
 		}
-		if base != lastBase {
+		// A header opens each group of samples: a new family, or the
+		// same base name carrying series of another kind.
+		if base != lastBase || m.Kind != lastKind {
 			if m.Help != "" {
 				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", base, strings.ReplaceAll(m.Help, "\n", " ")); err != nil {
 					return err
@@ -39,7 +42,7 @@ func (snap Snapshot) WritePrometheus(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, m.Kind); err != nil {
 				return err
 			}
-			lastBase = base
+			lastBase, lastKind = base, m.Kind
 		}
 		switch m.Kind {
 		case KindHistogram.String():

@@ -15,27 +15,37 @@ import (
 // counters, gauges, and classic histograms whose label values avoid
 // embedded `,` and `"`): `# HELP` / `# TYPE` headers, scalar series,
 // and `_bucket`/`_sum`/`_count` histogram triples, which it reassembles
-// into cumulative bucket lists. Unknown-typed series default to gauge.
-// Round-tripping a snapshot through WritePrometheus and back is
-// lossless (pinned by test).
+// into cumulative bucket lists. As in the format, a `# TYPE` header
+// types the samples that follow it up to the next one; a sample outside
+// its family's group, or of an unknown type, is a gauge. A series that
+// repeats is one series, its last value kept. Round-tripping a snapshot
+// through WritePrometheus and back is lossless (pinned by test), and so
+// is re-encoding whatever this accepts (fuzzed).
 func ParsePrometheusText(text string) (Snapshot, error) {
 	type hist struct {
 		buckets map[float64]int64
 		sum     float64
 		count   int64
 	}
-	kinds := map[string]string{} // base family -> TYPE
+	var family, kind string // what the last # TYPE header opened
 	helps := map[string]string{}
-	scalars := map[string]float64{}
+	scalars := map[string]MetricSnapshot{}
 	hists := map[string]*hist{} // full series name (base+labels) -> partial histogram
-	var order []string          // first-seen order of series names, for stable errors
+	var order []string          // series names, each once, in first-seen order
+	listed := map[string]bool{}
+	list := func(series string) {
+		if !listed[series] {
+			listed[series] = true
+			order = append(order, series)
+		}
+	}
 
 	histFor := func(series string) *hist {
 		h, ok := hists[series]
 		if !ok {
 			h = &hist{buckets: map[float64]int64{}}
 			hists[series] = h
-			order = append(order, series)
+			list(series)
 		}
 		return h
 	}
@@ -50,7 +60,7 @@ func ParsePrometheusText(text string) (Snapshot, error) {
 			if len(fields) == 4 {
 				switch fields[1] {
 				case "TYPE":
-					kinds[fields[2]] = strings.TrimSpace(fields[3])
+					family, kind = fields[2], strings.TrimSpace(fields[3])
 				case "HELP":
 					helps[fields[2]] = fields[3]
 				}
@@ -69,27 +79,29 @@ func ParsePrometheusText(text string) (Snapshot, error) {
 			return Snapshot{}, fmt.Errorf("obs: metrics line %d: value %q: %v", ln+1, valStr, err)
 		}
 		base, labels := splitSeries(series)
-		switch {
-		case strings.HasSuffix(base, "_bucket"):
-			family := strings.TrimSuffix(base, "_bucket")
-			if kinds[family] != "histogram" {
-				scalars[series] = val
-				order = append(order, series)
+		if kind == "histogram" {
+			switch base {
+			case family + "_bucket":
+				rest, le, ok := extractLe(labels)
+				if !ok {
+					return Snapshot{}, fmt.Errorf("obs: metrics line %d: bucket without le label: %q", ln+1, line)
+				}
+				histFor(family + rest).buckets[le] += int64(val)
+				continue
+			case family + "_sum":
+				histFor(family + labels).sum = val
+				continue
+			case family + "_count":
+				histFor(family + labels).count = int64(val)
 				continue
 			}
-			rest, le, ok := extractLe(labels)
-			if !ok {
-				return Snapshot{}, fmt.Errorf("obs: metrics line %d: bucket without le label: %q", ln+1, line)
-			}
-			histFor(family + rest).buckets[le] += int64(val)
-		case strings.HasSuffix(base, "_sum") && kinds[strings.TrimSuffix(base, "_sum")] == "histogram":
-			histFor(strings.TrimSuffix(base, "_sum") + labels).sum = val
-		case strings.HasSuffix(base, "_count") && kinds[strings.TrimSuffix(base, "_count")] == "histogram":
-			histFor(strings.TrimSuffix(base, "_count") + labels).count = int64(val)
-		default:
-			scalars[series] = val
-			order = append(order, series)
 		}
+		m := MetricSnapshot{Name: series, Kind: "gauge", Value: val}
+		if base == family && (kind == "counter" || kind == "gauge") {
+			m.Kind = kind
+		}
+		scalars[series] = m
+		list(series)
 	}
 
 	snap := Snapshot{}
@@ -108,15 +120,9 @@ func ParsePrometheusText(text string) (Snapshot, error) {
 			snap.Metrics = append(snap.Metrics, m)
 			continue
 		}
-		v, ok := scalars[series]
-		if !ok {
-			continue
-		}
-		kind := kinds[base]
-		if kind != "counter" && kind != "gauge" {
-			kind = "gauge"
-		}
-		snap.Metrics = append(snap.Metrics, MetricSnapshot{Name: series, Kind: kind, Help: helps[base], Value: v})
+		m := scalars[series]
+		m.Help = helps[base]
+		snap.Metrics = append(snap.Metrics, m)
 	}
 	sort.Slice(snap.Metrics, func(i, j int) bool { return snap.Metrics[i].Name < snap.Metrics[j].Name })
 	return snap, nil

@@ -130,3 +130,32 @@ func TestMergedSnapshotExposes(t *testing.T) {
 		t.Errorf("fleet_lat_seconds = %+v ok=%v, want count 2", h, ok)
 	}
 }
+
+// FuzzParsePrometheusText: the scrape decoder never panics, and whatever
+// page it accepts, WritePrometheus re-encodes into a page it accepts
+// again with the same series, each of the same kind. The seed corpus is
+// in testdata/fuzz/FuzzParsePrometheusText.
+func FuzzParsePrometheusText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		snap, err := ParsePrometheusText(text)
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		if err := snap.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParsePrometheusText(b.String())
+		if err != nil {
+			t.Fatalf("re-encoded page refused: %v\n%s", err, b.String())
+		}
+		if len(again.Metrics) != len(snap.Metrics) {
+			t.Fatalf("%d series, %d after a round trip\n%s", len(snap.Metrics), len(again.Metrics), b.String())
+		}
+		for i, m := range snap.Metrics {
+			if r := again.Metrics[i]; r.Name != m.Name || r.Kind != m.Kind {
+				t.Fatalf("series %d: %s %q, %s %q after a round trip\n%s", i, m.Kind, m.Name, r.Kind, r.Name, b.String())
+			}
+		}
+	})
+}

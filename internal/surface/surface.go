@@ -8,10 +8,11 @@
 // spending none of it in local I/O. Over that class the mixtures are
 // smooth functions of (p, f) — for the computation slowdown, one such
 // function per calibrated delay^{i,j} column — so a 1D grid in f per
-// (p, column) captures them completely. Grid nodes are evaluated with
-// the exact package-core mixture functions (the one slowdown kernel the
-// Predictor also calls), which makes surface answers bit-exact at the
-// nodes; between nodes linear interpolation applies, with the error
+// (p, column) captures them completely. The grid is built a comm
+// fraction at a time: one core.Predictor.HomogeneousSweep per fraction,
+// one DP that yields every p and every mixture with the kernel's own
+// step and sums, which makes surface answers bit-exact at the nodes;
+// between nodes linear interpolation applies, with the error
 // bound measured at build time (see Stats.MaxRelError) and pinned by
 // test to ≤ 1e-3 relative.
 //
@@ -99,10 +100,11 @@ type Surface struct {
 
 // Build evaluates the full grid from the given delay tables. The
 // tables must be valid (a lenient predictor with broken tables answers
-// from the p+1 fallback, which needs no surface). Every node is
-// evaluated through one core.Predictor over the tables — the kernel the
-// predictions run, with the tables validated and the j grid sorted once,
-// not per node.
+// from the p+1 fallback, which needs no surface). The grid is priced a
+// comm fraction at a time: one core.Predictor.HomogeneousSweep per node
+// fraction yields that node of every p and every mixture, the kernel's
+// bits, and one per sampled midpoint yields the interpolation error of
+// every row at once.
 func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 	cfg = cfg.withDefaults()
 	if cfg.GridCells < 2 || cfg.GridCells&(cfg.GridCells-1) != 0 {
@@ -115,81 +117,58 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 		return nil, fmt.Errorf("surface: invalid delay tables: %w", err)
 	}
 	pred := core.NewPredictorLenient(core.Calibration{Tables: t})
+	n, cells, cols := cfg.MaxContenders+1, float64(cfg.GridCells), len(t.CommOnComp)
 	s := &Surface{
 		checksum: pred.TablesChecksum(),
 		cells:    cfg.GridCells,
 		maxP:     cfg.MaxContenders,
 		jGrid:    t.JGrid(),
-		comm:     make([][]float64, cfg.MaxContenders+1),
-		comp:     make(map[int][][]float64, len(t.CommOnComp)),
-		comp0:    make([]float64, cfg.MaxContenders+1),
+		comm:     rows(n, cfg.GridCells+1),
+		comp:     make(map[int][][]float64, cols),
+		comp0:    make([]float64, n),
 	}
-	cs := make([]core.Contender, 0, cfg.MaxContenders)
-	fills := 0
-	maxErr := 0.0
-	sample := func(row []float64, eval func(f float64) (float64, error)) error {
-		if cfg.ErrorSampleStride < 0 {
-			return nil
-		}
-		for k := 0; k+1 <= s.cells; k += cfg.ErrorSampleStride {
-			mid := (float64(k) + 0.5) / float64(s.cells)
-			exact, err := eval(mid)
-			if err != nil {
-				return err
-			}
-			approx := row[k] + (mid*float64(s.cells)-float64(k))*(row[k+1]-row[k])
-			if rel := math.Abs(approx-exact) / exact; rel > maxErr {
-				maxErr = rel
-			}
-		}
-		return nil
+	// One fraction's answers: comm[p], and comp[c][p] for column js[c],
+	// whose grid is grids[c]. The last entry of js, j 0, prices comp0 in
+	// the f = 0 sweep: nobody communicates there, so no column is
+	// consulted, even if none exist.
+	js := append(s.jGrid[:cols:cols], 0)
+	comm, comp := make([]float64, n), append(rows(cols, n), s.comp0)
+	grids := make([][][]float64, cols)
+	for c, j := range s.jGrid {
+		grids[c] = rows(n, cfg.GridCells+1)
+		s.comp[j] = grids[c]
 	}
-	fillRow := func(p int, eval func(f float64) (float64, error)) ([]float64, error) {
-		row := make([]float64, s.cells+1)
-		for k := 0; k <= s.cells; k++ {
-			v, err := eval(float64(k) / float64(s.cells))
-			if err != nil {
-				return nil, err
-			}
-			row[k] = v
-			fills++
+	fills, maxErr := 0, 0.0
+	for k := 0; k <= s.cells; k++ {
+		priced := cols
+		if k == 0 {
+			priced++
 		}
-		return row, sample(row, eval)
-	}
-	for p := 0; p <= cfg.MaxContenders; p++ {
-		cs = cs[:p]
-		for i := range cs {
-			cs[i] = core.Contender{}
-		}
-		homog := func(f float64) []core.Contender {
-			for i := range cs {
-				cs[i].CommFraction = f
-			}
-			return cs
-		}
-		var err error
-		if s.comm[p], err = fillRow(p, func(f float64) (float64, error) {
-			return pred.CommSlowdown(homog(f))
-		}); err != nil {
+		if err := pred.HomogeneousSweep(float64(k)/cells, js[:priced], comm, comp[:priced]); err != nil {
 			return nil, err
 		}
-		// f=0 computation slowdown: no contender communicates, so the
-		// column never matters; any j works, even with no columns at all.
-		v, err := pred.CompSlowdownWithJ(homog(0), 0)
-		if err != nil {
+		fills += n * (1 + priced)
+		for p, v := range comm {
+			s.comm[p][k] = v
+			for c, grid := range grids {
+				grid[p][k] = comp[c][p]
+			}
+		}
+		// Interval k−1's midpoint, once both its nodes are in: every row's
+		// interpolant against the exact value there.
+		mk := k - 1
+		if mk < 0 || cfg.ErrorSampleStride < 0 || mk%cfg.ErrorSampleStride != 0 {
+			continue
+		}
+		mid := (float64(mk) + 0.5) / cells
+		if err := pred.HomogeneousSweep(mid, js[:cols], comm, comp[:cols]); err != nil {
 			return nil, err
 		}
-		s.comp0[p] = v
-		fills++
-		for _, col := range s.jGrid {
-			col := col
-			row, err := fillRow(p, func(f float64) (float64, error) {
-				return pred.CompSlowdownWithJ(homog(f), col)
-			})
-			if err != nil {
-				return nil, err
+		for p, v := range comm {
+			maxErr = worse(maxErr, s.comm[p], mk, mid*cells, v)
+			for c, grid := range grids {
+				maxErr = worse(maxErr, grid[p], mk, mid*cells, comp[c][p])
 			}
-			s.comp[col] = append(s.comp[col], row)
 		}
 	}
 	s.stats = Stats{
@@ -204,6 +183,25 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 	mBuilds.Inc()
 	mFills.Add(int64(fills))
 	return s, nil
+}
+
+// rows returns n zeroed rows of width nodes.
+func rows(n, width int) [][]float64 {
+	r := make([][]float64, n)
+	for i := range r {
+		r[i] = make([]float64, width)
+	}
+	return r
+}
+
+// worse is the larger of maxErr and the relative error of row's
+// interpolant at x (in cells, inside interval k) against exact.
+func worse(maxErr float64, row []float64, k int, x, exact float64) float64 {
+	approx := row[k] + (x-float64(k))*(row[k+1]-row[k])
+	if rel := math.Abs(approx-exact) / exact; rel > maxErr {
+		return rel
+	}
+	return maxErr
 }
 
 // Stats returns the build statistics.

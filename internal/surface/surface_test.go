@@ -1,13 +1,18 @@
 package surface_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"contention/internal/calibrate"
 	"contention/internal/caltrust"
 	"contention/internal/core"
+	"contention/internal/platform"
 	"contention/internal/serve"
 	"contention/internal/surface"
 )
@@ -88,6 +93,138 @@ func TestSurfaceMatchesDP(t *testing.T) {
 	}
 	if exactChecked == 0 || interpChecked == 0 {
 		t.Fatalf("degenerate split: %d exact, %d interpolated", exactChecked, interpChecked)
+	}
+}
+
+// TestSurfaceNodesMatchPredictor is the exhaustive form of the
+// differential above: every node of a default build — each p, each grid
+// fraction, the communication row and every calibrated column — equals
+// the Predictor's own answer bit for bit.
+func TestSurfaceNodesMatchPredictor(t *testing.T) {
+	cal := serve.SyntheticCalibration()
+	pred, err := core.NewPredictor(cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := surface.Build(cal.Tables, surface.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	for p := 0; p <= st.MaxContenders; p++ {
+		for k := 0; k <= st.GridCells; k++ {
+			f := float64(k) / float64(st.GridCells)
+			cs := homog(p, f)
+			want, err := pred.CommSlowdown(cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Comm(p, f); !ok || got != want {
+				t.Fatalf("Comm(%d, %v) = %v ok=%v, want %v", p, f, got, ok, want)
+			}
+			for _, j := range cal.Tables.JGrid() {
+				want, err := pred.CompSlowdownWithJ(cs, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, ok := s.CompWithJ(p, f, j); !ok || got != want {
+					t.Fatalf("CompWithJ(%d, %v, %d) = %v ok=%v, want %v", p, f, j, got, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// surfaceDigest is SHA-256 over everything a surface answers: for each
+// p, the communication slowdown at every node and at two off-grid
+// fractions per interval (which read both of its nodes), the f = 0
+// computation slowdown, and the same sweep for every column in jGrid;
+// then the build's Stats.
+func surfaceDigest(s *surface.Surface, jGrid []int) string {
+	st := s.Stats()
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	read := func(v float64, ok bool) {
+		put(math.Float64bits(v))
+		if ok {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	cells := float64(st.GridCells)
+	var fs []float64
+	for k := 0; k <= st.GridCells; k++ {
+		fs = append(fs, float64(k)/cells)
+		if k < st.GridCells {
+			fs = append(fs, (float64(k)+0.25)/cells, (float64(k)+0.75)/cells)
+		}
+	}
+	for p := 0; p <= st.MaxContenders; p++ {
+		for _, f := range fs {
+			read(s.Comm(p, f))
+		}
+		read(s.CompWithJ(p, 0, 0))
+		for _, j := range jGrid {
+			for _, f := range fs {
+				read(s.CompWithJ(p, f, j))
+			}
+		}
+	}
+	put(uint64(st.Fills))
+	put(math.Float64bits(st.MaxRelError))
+	put(uint64(st.Columns))
+	put(st.Checksum)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildMatchesParent pins the bits of whole surfaces, recorded
+// before Build evaluated the grid one comm fraction at a time: the
+// defaults, a small grid, a contender range past the kernel's stack
+// scratch, the Paragon tables the calibration suite produces, and tables
+// with no delay^{i,j} columns (only the f = 0 computation slowdown).
+func TestBuildMatchesParent(t *testing.T) {
+	paragon, err := calibrate.Run(calibrate.DefaultOptions(platform.DefaultParagonParams(platform.OneHop)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noCols := testTables()
+	noCols.CommOnComp = nil
+	cases := []struct {
+		name   string
+		tables core.DelayTables
+		cfg    surface.Config
+		fills  int
+		digest string
+	}{
+		{"defaults", testTables(), surface.Config{}, 34901,
+			"5bfddf48b79fdcabacc4c3ccb5022d007fdc2b00ff7fb8b1ae409505e5db0bc2"},
+		{"8x64", testTables(), surface.Config{MaxContenders: 8, GridCells: 64}, 2349,
+			"05e94d4a2f1392bdcdf1ec13c78fb6efe27e89c0301bbea80d77483378216b22"},
+		{"70x16", testTables(), surface.Config{MaxContenders: 70, GridCells: 16}, 4899,
+			"85c011f01e1ded4f87b530630812708c79d67b16fdd5ec0e0a043c9c4cfac00f"},
+		{"paragon", paragon.Tables, surface.Config{}, 34901,
+			"c3bff3c8fcaf8f5f8803779727f9ff94ece376192db589dbc0f98a9598161f63"},
+		{"no-columns", noCols, surface.Config{}, 8738,
+			"1bf9748d20d63ce6e764c0d4c152dfc83a63b611a7bfb5e39ead3a29ade93981"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := surface.Build(tc.tables, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fills := s.Stats().Fills; fills != tc.fills {
+				t.Errorf("Fills = %d, want %d", fills, tc.fills)
+			}
+			if got := surfaceDigest(s, tc.tables.JGrid()); got != tc.digest {
+				t.Errorf("digest %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }
 
@@ -255,5 +392,17 @@ func TestSurfaceLookupAllocationFree(t *testing.T) {
 				t.Fatalf("lookup allocates %.1f allocs/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// BenchmarkBuild is the start-up cost of a surface: the default grid on
+// the synthetic tables, what contentiond -surface builds.
+func BenchmarkBuild(b *testing.B) {
+	tab := testTables()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := surface.Build(tab, surface.Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
