@@ -28,12 +28,13 @@ race:
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # Short fuzz smoke over the numeric kernels and the decoders: the
-# piecewise fitter and the Poisson-binomial distribution must never panic
-# or emit non-finite values on adversarial input, the slowdown kernel must
-# return its reference's bits for a contender set in any order, the
-# request and trace decoders must never panic on arbitrary bytes, and
-# whatever metrics page the scrape decoder accepts must re-encode into one
-# it parses to the same series.
+# piecewise fitter must never panic or emit non-finite values on
+# adversarial input, nor may internal/prob's Poisson-binomial (the
+# reference the slowdown kernel's tests hold it to, on no production
+# path), the slowdown kernel must return its reference's bits for a
+# contender set in any order, the request and trace decoders must never
+# panic on arbitrary bytes, and whatever metrics page the scrape decoder
+# accepts must re-encode into one it parses to the same series.
 fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzFitPiecewise$$' -fuzztime 5s ./internal/stats
 	$(GO) test -run ^$$ -fuzz '^FuzzPoissonBinomial$$' -fuzztime 5s ./internal/prob
@@ -57,6 +58,8 @@ fuzz:
 #  - a scenario run recorded to a trace file and replayed from it, every
 #    response verified against the recorded one;
 #  - an unknown experiment id is refused (before anything is calibrated);
+#  - no command, example or the façade links internal/prob: it is a test
+#    and bench reference, and the slowdown kernel is the one production DP;
 #  - bench/ is its own module, invisible to `go test ./...`: vet and test
 #    it here so an export it needs cannot disappear unnoticed.
 smoke:
@@ -75,7 +78,8 @@ smoke:
 	$(GO) run ./cmd/loadgen -cluster 2 -trace-sample 10 -stages -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -scenario bursty -duration 1s -binary -record "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -replay "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
-	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null
+	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
+	! $(GO) list -deps ./cmd/... ./examples/... . | grep -q internal/prob
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"

@@ -285,8 +285,8 @@ func BenchmarkSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemAddRemove measures the incremental O(p) add and O(p²)
-// remove of the run-time contender set.
+// BenchmarkSystemAddRemove measures building and draining the run-time
+// contender set: eight adds and eight removes on a fresh System.
 func BenchmarkSystemAddRemove(b *testing.B) {
 	env := benchEnv(b)
 	b.ReportAllocs()

@@ -59,7 +59,7 @@ type (
 	Calibration = core.Calibration
 	// Predictor produces slowdown-adjusted cost predictions.
 	Predictor = core.Predictor
-	// System tracks a contender set with incremental probability updates.
+	// System tracks a run-time contender set and evaluates its slowdowns.
 	System = core.System
 	// Direction names a transfer direction across the platform link.
 	Direction = core.Direction

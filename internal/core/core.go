@@ -18,7 +18,7 @@
 //   - Application-dependent workload parameters: each contender's
 //     fraction of time spent communicating and its message size, from
 //     which Poisson-binomial probabilities pcomp_i / pcomm_i are derived
-//     (package prob).
+//     (the slowdown kernel, kernel.go).
 //
 // For the tightly coupled Sun/CM2 platform contention reduces to CPU
 // sharing, and the slowdown is simply p+1; back-end execution follows
@@ -220,7 +220,12 @@ func lookup(table []float64, i int) float64 {
 // JGrid returns the calibrated message sizes available in CommOnComp,
 // in ascending order.
 func (t DelayTables) JGrid() []int {
-	grid := make([]int, 0, len(t.CommOnComp))
+	return t.appendJGrid(make([]int, 0, len(t.CommOnComp)))
+}
+
+// appendJGrid is JGrid into grid's spare capacity, so a caller can keep
+// it on its stack.
+func (t DelayTables) appendJGrid(grid []int) []int {
 	for j := range t.CommOnComp {
 		grid = append(grid, j)
 	}
@@ -239,7 +244,8 @@ var errNoJColumns = errors.New("core: no delay^{i,j} columns calibrated")
 // message size, applying the paper's footnote: the j=1 column is only
 // eligible when the size is below 95 words.
 func (t DelayTables) NearestJ(words int) (int, error) {
-	return NearestJ(t.JGrid(), words)
+	var buf [8]int
+	return NearestJ(t.appendJGrid(buf[:0]), words)
 }
 
 // CommOnCompDelay returns delay^{i,j}_comm for i contenders using the

@@ -1,22 +1,17 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"contention/internal/prob"
-)
-
-// System tracks the set of applications currently sharing the front-end
-// and maintains the pcomp/pcomm distributions incrementally, mirroring
-// the paper's run-time usage: the slowdown factor "is always calculated
-// at run-time [and] must be efficient to compute relative to how quickly
-// applications enter and leave the system". Adding an application is
-// O(p); removal regenerates in O(p²); evaluating a slowdown is O(p)
-// (O(p²) worst case overall, which the paper deems negligible).
+// System tracks the set of applications currently sharing the front-end,
+// mirroring the paper's run-time usage: the slowdown factor "is always
+// calculated at run-time [and] must be efficient to compute relative to
+// how quickly applications enter and leave the system". It keeps only the
+// contender set: adding an application is an append, removing one a
+// slice delete, and each evaluation runs the slowdown kernel's O(p²) DP
+// over the current set, so a System and a Predictor over the same tables
+// give one multiset the same bits.
 type System struct {
 	contenders []Contender
-	comp       *prob.Calc // activity = computing
-	comm       *prob.Calc // activity = communicating
 	tables     DelayTables
 	jGrid      []int // ascending CommOnComp columns, fixed at construction
 }
@@ -26,12 +21,7 @@ func NewSystem(tables DelayTables) (*System, error) {
 	if err := tables.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{
-		comp:   prob.MustNew(),
-		comm:   prob.MustNew(),
-		tables: tables,
-		jGrid:  tables.JGrid(),
-	}, nil
+	return &System{tables: tables, jGrid: tables.JGrid()}, nil
 }
 
 // Len reports the number of contenders currently in the system.
@@ -42,84 +32,41 @@ func (s *System) Contenders() []Contender {
 	return append([]Contender(nil), s.contenders...)
 }
 
-// Add registers a new application in O(p).
+// Add registers a new application. It rejects exactly the contenders the
+// kernel rejects, with the kernel's error, so no evaluation can fail on a
+// contender.
 func (s *System) Add(c Contender) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if err := s.comp.Add(c.CompFraction()); err != nil {
-		return err
-	}
-	if err := s.comm.Add(c.CommFraction); err != nil {
-		// Roll back the comp distribution to keep the two in step.
-		if rbErr := s.comp.Remove(s.comp.N() - 1); rbErr != nil {
-			return fmt.Errorf("core: %w (rollback failed: %v)", err, rbErr)
-		}
-		return err
+	if _, ok := stepOf(&c); !ok {
+		return contenderError(c)
 	}
 	s.contenders = append(s.contenders, c)
 	return nil
 }
 
-// Remove deletes the application at index, regenerating the
-// distributions in O(p²) (needed only when task migration is allowed,
-// per the paper).
+// Remove deletes the application at index.
 func (s *System) Remove(index int) error {
 	if index < 0 || index >= len(s.contenders) {
 		return fmt.Errorf("core: remove index %d out of range [0,%d)", index, len(s.contenders))
-	}
-	if err := s.comp.Remove(index); err != nil {
-		return err
-	}
-	if err := s.comm.Remove(index); err != nil {
-		return err
 	}
 	s.contenders = append(s.contenders[:index], s.contenders[index+1:]...)
 	return nil
 }
 
-// CommSlowdown evaluates the communication slowdown for the current set
-// in O(p) using the cached distributions.
+// CommSlowdown evaluates the communication slowdown for the current set.
 func (s *System) CommSlowdown() float64 {
-	out := 1.0
-	for i := 1; i <= len(s.contenders); i++ {
-		out += s.comp.P(i) * lookup(s.tables.CompOnComm, i)
-		out += s.comm.P(i) * lookup(s.tables.CommOnComm, i)
-	}
+	out, _ := commMixture(s.contenders, s.tables.CompOnComm, s.tables.CommOnComm) // Add admitted only valid contenders
 	return out
 }
 
 // CompSlowdown evaluates the computation slowdown for the current set,
 // using the j column nearest the maximum contender message size.
 func (s *System) CompSlowdown() (float64, error) {
-	j := 0
-	for _, c := range s.contenders {
-		if c.MsgWords > j {
-			j = c.MsgWords
-		}
-	}
-	return s.CompSlowdownWithJ(j)
+	return s.CompSlowdownWithJ(autoJ(s.contenders))
 }
 
 // CompSlowdownWithJ evaluates the computation slowdown with an explicit
-// j column. The nearest calibrated column is resolved once against the
-// grid fixed at construction, keeping the evaluation allocation-free.
+// j column, resolved against the grid fixed at construction; it fails
+// only when some contender communicates and no column is calibrated.
 func (s *System) CompSlowdownWithJ(j int) (float64, error) {
-	col, colErr := 0, error(nil)
-	resolved := false
-	out := 1.0
-	for i := 1; i <= len(s.contenders); i++ {
-		out += s.comp.P(i) * float64(i)
-		if p := s.comm.P(i); p > 0 {
-			if !resolved {
-				col, colErr = NearestJ(s.jGrid, j)
-				resolved = true
-			}
-			if colErr != nil {
-				return 0, colErr
-			}
-			out += p * lookup(s.tables.CommOnComp[col], i)
-		}
-	}
-	return out, nil
+	return compMixture(s.contenders, s.tables.CommOnComp, s.jGrid, j)
 }

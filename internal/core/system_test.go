@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -38,7 +39,7 @@ func TestSystemMatchesBatchFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.CommSlowdown(); math.Abs(got-wantComm) > 1e-12 {
+	if got := sys.CommSlowdown(); got != wantComm {
 		t.Fatalf("System.CommSlowdown = %v, batch = %v", got, wantComm)
 	}
 	wantComp, err := CompSlowdown(cs, testTables())
@@ -49,41 +50,67 @@ func TestSystemMatchesBatchFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-wantComp) > 1e-12 {
+	if got != wantComp {
 		t.Fatalf("System.CompSlowdown = %v, batch = %v", got, wantComp)
 	}
 }
 
+// TestSystemAddRemoveSequence: after every step of random Add/Remove
+// sequences over random tables — duplicates included, sets of up to 80
+// contenders (past the stack scratch) — a System returns a Predictor's
+// bits for its current set: comm, comp under the auto-j rule, and comp at
+// an explicit j.
 func TestSystemAddRemoveSequence(t *testing.T) {
-	sys, err := NewSystem(testTables())
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(11))
-	var live []Contender
-	for step := 0; step < 100; step++ {
-		if len(live) == 0 || rng.Intn(2) == 0 {
-			c := Contender{CommFraction: rng.Float64(), MsgWords: 1 + rng.Intn(1500)}
-			if err := sys.Add(c); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, c)
-		} else {
-			idx := rng.Intn(len(live))
-			if err := sys.Remove(idx); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:idx], live[idx+1:]...)
-		}
-		if sys.Len() != len(live) {
-			t.Fatalf("step %d: Len = %d, want %d", step, sys.Len(), len(live))
-		}
-		want, err := CommSlowdown(live, testTables())
+	bits := math.Float64bits
+	for trial := 0; trial < 40; trial++ {
+		tables := randomMonotoneTables(rng, 1+rng.Intn(90))
+		pred := NewPredictorLenient(Calibration{Tables: tables})
+		sys, err := NewSystem(tables)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sys.CommSlowdown(); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("step %d: incremental %v vs batch %v", step, got, want)
+		grow := 0.5 + 0.3*rng.Float64() // share of steps that add
+		var live []Contender
+		for step := 0; step < 200; step++ {
+			if len(live) == 0 || len(live) < 80 && rng.Float64() < grow {
+				c := randomContenders(rng, 1)[0]
+				if len(live) > 0 && rng.Intn(4) == 0 {
+					c = live[rng.Intn(len(live))]
+				}
+				if err := sys.Add(c); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, c)
+			} else {
+				idx := rng.Intn(len(live))
+				if err := sys.Remove(idx); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:idx], live[idx+1:]...)
+			}
+			if sys.Len() != len(live) {
+				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, step, sys.Len(), len(live))
+			}
+			j := kernelJs[rng.Intn(len(kernelJs))]
+			wantComm, err1 := pred.CommSlowdown(live)
+			wantComp, err2 := pred.CompSlowdown(live)
+			wantJ, err3 := pred.CompSlowdownWithJ(live, j)
+			if err := errors.Join(err1, err2, err3); err != nil {
+				t.Fatal(err)
+			}
+			comp, err := sys.CompSlowdown()
+			if err != nil {
+				t.Fatal(err)
+			}
+			compJ, err := sys.CompSlowdownWithJ(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comm := sys.CommSlowdown(); bits(comm) != bits(wantComm) || bits(comp) != bits(wantComp) || bits(compJ) != bits(wantJ) {
+				t.Fatalf("trial %d step %d p=%d: System (comm, comp, comp j=%d) = %v, %v, %v; Predictor %v, %v, %v",
+					trial, step, len(live), j, comm, comp, compJ, wantComm, wantComp, wantJ)
+			}
 		}
 	}
 }

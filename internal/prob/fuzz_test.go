@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzPoissonBinomial asserts the incremental Poisson-binomial DP never
+// FuzzPoissonBinomial asserts the reference Poisson-binomial DP never
 // panics, keeps every probability in [0,1], and keeps the distribution
-// normalized — through adds and both removal algorithms.
+// normalized — through adds and removals.
 func FuzzPoissonBinomial(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 128, 255, 64, 32})
@@ -39,18 +39,10 @@ func FuzzPoissonBinomial(f *testing.F) {
 			}
 		}
 		checkDist(c)
-		// Remove half via regeneration, half via deconvolution; the
-		// latter may decline on unstable inputs but must not corrupt c.
 		for c.N() > 0 {
 			idx := c.N() / 2
-			if c.N()%2 == 0 {
-				if err := c.Remove(idx); err != nil {
-					t.Fatalf("Remove(%d): %v", idx, err)
-				}
-			} else if err := c.RemoveDeconv(idx); err != nil {
-				if err := c.Remove(idx); err != nil {
-					t.Fatalf("fallback Remove(%d): %v", idx, err)
-				}
+			if err := c.Remove(idx); err != nil {
+				t.Fatalf("Remove(%d): %v", idx, err)
 			}
 			checkDist(c)
 		}

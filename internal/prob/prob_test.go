@@ -115,74 +115,22 @@ func TestRemoveMatchesRebuild(t *testing.T) {
 	}
 }
 
-func TestRemoveDeconvMatchesRebuild(t *testing.T) {
-	cases := [][]float64{
-		{0.2, 0.7, 0.4},
-		{0.9, 0.9, 0.9},
-		{0.05, 0.5, 0.95},
-		{1.0, 0.5},
-		{0.0, 0.5},
-	}
-	for _, qs := range cases {
-		for idx := range qs {
-			c := MustNew(qs...)
-			if err := c.RemoveDeconv(idx); err != nil {
-				t.Fatalf("qs=%v idx=%d: %v", qs, idx, err)
-			}
-			rest := append(append([]float64(nil), qs[:idx]...), qs[idx+1:]...)
-			want := MustNew(rest...)
-			for i := 0; i <= len(rest); i++ {
-				if !approx(c.P(i), want.P(i), 1e-9) {
-					t.Fatalf("qs=%v idx=%d: P(%d) = %v, want %v", qs, idx, i, c.P(i), want.P(i))
-				}
-			}
-		}
-	}
-}
-
-func TestRemoveDeconvOutOfRange(t *testing.T) {
-	c := MustNew(0.5)
-	if err := c.RemoveDeconv(1); err == nil {
-		t.Fatal("RemoveDeconv out of range did not error")
-	}
-}
-
-func TestPAtLeast(t *testing.T) {
-	c := MustNew(0.5, 0.5)
-	if !approx(c.PAtLeast(1), 0.75, 1e-12) {
-		t.Fatalf("PAtLeast(1) = %v, want 0.75", c.PAtLeast(1))
-	}
-	if !approx(c.PAtLeast(0), 1, 1e-12) {
-		t.Fatalf("PAtLeast(0) = %v, want 1", c.PAtLeast(0))
-	}
-	if c.PAtLeast(3) != 0 {
-		t.Fatalf("PAtLeast(3) = %v, want 0", c.PAtLeast(3))
-	}
-	if !approx(c.PAtLeast(-1), 1, 1e-12) {
-		t.Fatalf("PAtLeast(-1) = %v, want 1", c.PAtLeast(-1))
-	}
-}
-
-func TestMean(t *testing.T) {
-	c := MustNew(0.2, 0.3, 0.5)
-	if !approx(c.Mean(), 1.0, 1e-12) {
-		t.Fatalf("Mean = %v, want 1", c.Mean())
-	}
-}
-
 func TestDistributionFunction(t *testing.T) {
-	d, err := Distribution([]float64{0.5, 0.5})
+	d, err := AppendDistribution([]float64{9, 9, 9, 9}, []float64{0.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{0.25, 0.5, 0.25}
+	if len(d) != len(want) {
+		t.Fatalf("AppendDistribution = %v, want %v", d, want)
+	}
 	for i := range want {
 		if !approx(d[i], want[i], 1e-12) {
-			t.Fatalf("Distribution = %v, want %v", d, want)
+			t.Fatalf("AppendDistribution = %v, want %v", d, want)
 		}
 	}
-	if _, err := Distribution([]float64{-1}); err == nil {
-		t.Fatal("Distribution with invalid prob did not error")
+	if _, err := AppendDistribution(nil, []float64{-1}); err == nil {
+		t.Fatal("AppendDistribution with invalid prob did not error")
 	}
 }
 
@@ -285,18 +233,6 @@ func BenchmarkRemoveRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := MustNew(qs...)
 		_ = c.Remove(8)
-	}
-}
-
-func BenchmarkRemoveDeconv(b *testing.B) {
-	qs := make([]float64, 16)
-	for i := range qs {
-		qs[i] = 0.4
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := MustNew(qs...)
-		_ = c.RemoveDeconv(8)
 	}
 }
 

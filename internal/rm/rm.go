@@ -6,7 +6,7 @@
 // partition requests as the SDSC batch scheduler of the paper's
 // reference [18] did, with optional backfill over the non-contiguous
 // allocator), tracks each application's workload descriptor and working
-// set, and maintains the incremental slowdown state (core.System) that
+// set, and keeps the running contender set (core.System) whose slowdowns
 // an on-line scheduler queries.
 package rm
 
@@ -52,7 +52,7 @@ func (d AppDescriptor) Validate() error {
 
 // Config describes the managed platform pieces.
 type Config struct {
-	// Tables feed the incremental slowdown state.
+	// Tables price the running contender set's slowdowns.
 	Tables core.DelayTables
 	// MPP, when non-nil, is the space-shared back end partitions are
 	// allocated from.

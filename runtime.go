@@ -13,7 +13,8 @@ import (
 // descriptors are available.
 type (
 	// ResourceManager admits applications, queues MPP partition
-	// requests, and maintains the incremental slowdown state.
+	// requests, and keeps the running contender set the slowdowns are
+	// evaluated over.
 	ResourceManager = rm.Manager
 	// ResourceManagerConfig configures a ResourceManager.
 	ResourceManagerConfig = rm.Config
