@@ -33,8 +33,12 @@ race:
 # reference the slowdown kernel's tests hold it to, on no production
 # path), the slowdown kernel must return its reference's bits for a
 # contender set in any order, the request and trace decoders must never
-# panic on arbitrary bytes, and whatever metrics page the scrape decoder
-# accepts must re-encode into one it parses to the same series.
+# panic on arbitrary bytes, the hand JSON request codec must give
+# encoding/json's verdict, status and query bits on every body (the
+# FuzzDecodeRequest differential; a long run is
+# `go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10m ./internal/serve`),
+# and whatever metrics page the scrape decoder accepts must re-encode
+# into one it parses to the same series.
 fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzFitPiecewise$$' -fuzztime 5s ./internal/stats
 	$(GO) test -run ^$$ -fuzz '^FuzzPoissonBinomial$$' -fuzztime 5s ./internal/prob

@@ -1202,16 +1202,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErrorID(w, http.StatusBadRequest, "read body: "+err.Error(), errorID())
 		return
 	}
-	var req *serve.Request
-	if binaryReq {
-		req, err = serve.DecodeBinaryRequest(body)
-	} else {
-		req, err = serve.DecodeRequest(bytes.NewReader(body))
-	}
-	var key string
-	if err == nil {
-		key, err = req.BatchKey()
-	}
+	key, err := serve.BatchKeyOf(body, binaryReq)
 	decodeDone := time.Now()
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
 	lt.stage("decode", start, decodeDone)

@@ -153,6 +153,11 @@ func (c Contender) Validate() error {
 	if c.MsgWords < 0 {
 		return fmt.Errorf("core: message size %d negative", c.MsgWords)
 	}
+	// The sum bound holds only to rounding: 1 + 1e-20 rounds to 1, yet
+	// 1 − 1 − 1e-20 is a negative computing probability.
+	if q := c.CompFraction(); q < 0 {
+		return fmt.Errorf("core: activity probability %v out of [0,1]", q)
+	}
 	return nil
 }
 

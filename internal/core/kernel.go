@@ -14,10 +14,7 @@
 // the same bits.
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // kernelStackP is the contender count served from stack scratch — the
 // serving layer's MaxContenders. Larger sets take their scratch from the
@@ -57,24 +54,14 @@ func b2i(b bool) int {
 	return 0
 }
 
-// stepOf reduces a contender to its step, ok false for a contender the
-// kernel rejects: Contender.Validate's conditions (its two upper bounds
-// follow from the lower bounds and the sum, rounding being monotone), and
-// its blind spot — it bounds the sum of the fractions only to rounding,
-// so qc can still come out negative. NaN fails every comparison.
+// stepOf reduces a contender to its step, ok false exactly when
+// Contender.Validate refuses it (its two upper bounds follow from the
+// lower bounds and the sum, rounding being monotone); Validate then
+// names the fault. NaN fails every comparison.
 func stepOf(ct *Contender) (step, bool) {
 	qm, io := ct.CommFraction, ct.IOFraction
 	qc := 1 - qm - io
 	return step{qm, qc}, qm >= 0 && io >= 0 && qm+io <= 1 && qc >= 0 && ct.MsgWords >= 0
-}
-
-// contenderError is the error for a contender distributions rejects:
-// Validate's, or the one for a computing fraction rounded below zero.
-func contenderError(ct Contender) error {
-	if err := ct.Validate(); err != nil {
-		return err
-	}
-	return fmt.Errorf("core: activity probability %v out of [0,1]", ct.CompFraction())
 }
 
 // distributions validates cs and runs the pcomp and pcomm
@@ -119,7 +106,7 @@ func distributions(cs []Contender, steps []step, rank []int32, dist []float64) (
 	for i := range cs {
 		s, ok := stepOf(&cs[i])
 		if !ok {
-			return nil, nil, contenderError(cs[i])
+			return nil, nil, cs[i].Validate()
 		}
 		unordered |= b2i(s.qm < prev.qm) | b2i(s.qm <= prev.qm)&b2i(s.qc > prev.qc)
 		prev = s
@@ -298,7 +285,7 @@ func (p *Predictor) HomogeneousSweep(f float64, js []int, comm []float64, comp [
 	ct := Contender{CommFraction: f}
 	a, ok := stepOf(&ct)
 	if !ok && last > 0 {
-		return contenderError(ct)
+		return ct.Validate()
 	}
 	t := &p.cal.Tables
 	var colBuf [4][]float64

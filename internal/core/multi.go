@@ -62,8 +62,8 @@ func CommSlowdownMulti(target LinkID, cs []MultiContender, t DelayTables) (float
 	maxOtherJ := 0
 	for i := range cs {
 		c := cs[i].Contender
-		if _, ok := stepOf(&c); !ok {
-			return 0, contenderError(c)
+		if err := c.Validate(); err != nil {
+			return 0, err
 		}
 		if cs[i].Link == target {
 			fromTarget[i], fromOther[i] = c, Contender{}

@@ -33,11 +33,10 @@ func (s *System) Contenders() []Contender {
 }
 
 // Add registers a new application. It rejects exactly the contenders the
-// kernel rejects, with the kernel's error, so no evaluation can fail on a
-// contender.
+// kernel rejects (Validate), so no evaluation can fail on a contender.
 func (s *System) Add(c Contender) error {
-	if _, ok := stepOf(&c); !ok {
-		return contenderError(c)
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	s.contenders = append(s.contenders, c)
 	return nil

@@ -1,10 +1,10 @@
-// Binary wire fast path. JSON decode dominates the per-request cost
-// once the model answer itself is a surface lookup, so the daemon
-// negotiates a hand-decoded length-prefixed format beside JSON via
-// Content-Type. The decoder extracts fields straight out of one pooled
-// read buffer into a pooled request struct (no reflection, no
-// intermediate strings), and responses are encoded into a pooled
-// buffer — steady-state binary requests allocate nothing in this file.
+// Binary wire. Beside the JSON wire the daemon negotiates a
+// length-prefixed binary format via Content-Type: smaller on the wire,
+// with no text to scan or numbers to parse, and framed so that the
+// decoder knows every length up front. Both wires decode into the same
+// pooled workspace and pass the same validator, so they accept the same
+// requests and price them identically; a warm request on either
+// allocates nothing in its codec.
 //
 // Request payload (all integers little-endian):
 //
@@ -50,7 +50,7 @@ import (
 	"errors"
 	"io"
 	"math"
-	"sync"
+	"slices"
 
 	"contention/internal/core"
 	"contention/internal/obs"
@@ -78,54 +78,65 @@ const (
 	binTraceBytes     = 17 // u64 trace id + u64 span id + u8 flags
 )
 
-// binReq is the pooled per-request workspace: the raw payload buffer,
-// fixed backing arrays the decoded query slices point into, and the
-// response encode buffer. It must not be recycled while anything still
-// references those slices — the batcher slow path clones them first.
-type binReq struct {
-	q    query
-	tc   obs.TraceContext // in-band trace block, zero when absent
-	cs   [MaxContenders]core.Contender
-	sets [MaxDataSets]core.DataSet
-	buf  []byte
-	out  []byte
-	// hdr/probe live here rather than on readBody's stack: passing a
-	// stack array through the io.Reader interface makes it escape, and
-	// the pooled struct is already heap-resident.
-	hdr   [4]byte
-	probe [1]byte
+// binaryWire is the binary body format.
+type binaryWire struct{}
+
+func (binaryWire) decode(body io.Reader, ws *workspace) error {
+	if err := ws.readBody(body); err != nil {
+		return err
+	}
+	return ws.decodeBinary(ws.buf)
 }
 
-var binReqPool = sync.Pool{New: func() any { return new(binReq) }}
+func (binaryWire) appendResponse(dst []byte, resp Response) []byte {
+	return appendBinaryResponse(dst, resp)
+}
 
-// readBody reads one length-prefixed payload into br.buf, enforcing the
+// readBody reads one length-prefixed payload into ws.buf, enforcing the
 // size cap and exact framing.
-func (br *binReq) readBody(body io.Reader) error {
-	if _, err := io.ReadFull(body, br.hdr[:]); err != nil {
+func (ws *workspace) readBody(body io.Reader) error {
+	if _, err := io.ReadFull(body, ws.hdr[:]); err != nil {
 		return badRequest("binary request: missing length prefix: %v", err)
 	}
-	n := binary.LittleEndian.Uint32(br.hdr[:])
+	n := binary.LittleEndian.Uint32(ws.hdr[:])
 	if n > MaxBodyBytes {
 		return badRequest("binary payload %d exceeds %d bytes", n, MaxBodyBytes)
 	}
-	if cap(br.buf) < int(n) {
-		br.buf = make([]byte, n)
+	if cap(ws.buf) < int(n) {
+		ws.buf = make([]byte, n)
 	} else {
-		br.buf = br.buf[:n]
+		ws.buf = ws.buf[:n]
 	}
-	if _, err := io.ReadFull(body, br.buf); err != nil {
+	if _, err := io.ReadFull(body, ws.buf); err != nil {
 		return badRequest("binary payload truncated: declared %d bytes: %v", n, err)
 	}
-	if m, _ := body.Read(br.probe[:]); m != 0 {
+	if m, _ := body.Read(ws.probe[:]); m != 0 {
 		return badRequest("trailing data after binary payload")
 	}
 	return nil
 }
 
-// decode parses br.buf into br.q, applying the same validation the JSON
-// path applies. The query's slices alias br's backing arrays.
-func (br *binReq) decode() error {
-	b := br.buf
+// decodeBinaryFrame decodes and validates one whole request, length
+// prefix included, held in memory.
+func (ws *workspace) decodeBinaryFrame(b []byte) error {
+	if len(b) < 4 {
+		return badRequest("binary request: missing length prefix")
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	if n > MaxBodyBytes {
+		return badRequest("binary payload %d exceeds %d bytes", n, MaxBodyBytes)
+	}
+	if len(b)-4 != n {
+		return badRequest("binary payload is %d bytes, declared %d", len(b)-4, n)
+	}
+	return ws.decodeBinary(b[4:])
+}
+
+// decodeBinary parses payload b (the bytes after the length prefix) into
+// ws's form and arrays, checks the framing, and validates. b is not
+// retained.
+func (ws *workspace) decodeBinary(b []byte) error {
+	ws.tc = obs.TraceContext{}
 	if len(b) < 4 {
 		return badRequest("binary request too short (%d payload bytes)", len(b))
 	}
@@ -134,9 +145,8 @@ func (br *binReq) decode() error {
 	if version != binVersion {
 		return badRequest("unsupported binary version %d (want %d)", version, binVersion)
 	}
-	q := &br.q
-	*q = query{}
-	br.tc = obs.TraceContext{}
+	f := &ws.form
+	*f = form{nCs: nc}
 	// The trace block is kind-independent, so it is parsed (and its flag
 	// bit cleared) before the kind-specific flag checks.
 	if flags&binFlagTrace != 0 {
@@ -149,12 +159,12 @@ func (br *binReq) decode() error {
 		if b[16]&^1 != 0 {
 			return badRequest("unknown trace flags %#x", b[16])
 		}
-		br.tc = obs.TraceContext{
+		ws.tc = obs.TraceContext{
 			TraceID: binary.LittleEndian.Uint64(b),
 			SpanID:  binary.LittleEndian.Uint64(b[8:]),
 			Sampled: b[16]&1 != 0,
 		}
-		if !br.tc.Valid() {
+		if !ws.tc.Valid() {
 			return badRequest("binary trace block with zero trace id")
 		}
 		b = b[binTraceBytes:]
@@ -162,98 +172,78 @@ func (br *binReq) decode() error {
 	}
 	switch kind {
 	case binKindComm:
-		q.kind = "comm"
+		f.kind = "comm"
 		if flags&^byte(binFlagDirToHost) != 0 {
 			return badRequest("unknown comm flags %#x", flags)
 		}
+		f.dir = "to_back"
 		if flags&binFlagDirToHost != 0 {
-			q.dir = core.BackToHost
-		} else {
-			q.dir = core.HostToBack
+			f.dir = "to_host"
 		}
 		if len(b) < 2 {
 			return badRequest("binary comm query: truncated data-set count")
 		}
 		ns := int(binary.LittleEndian.Uint16(b))
 		b = b[2:]
-		if ns == 0 {
-			return badRequest("comm query needs at least one data set")
-		}
-		if ns > MaxDataSets {
-			return badRequest("too many data sets (%d > %d)", ns, MaxDataSets)
-		}
 		if len(b) < ns*binDataSetBytes {
 			return badRequest("binary comm query: truncated data sets (%d of %d declared)",
 				len(b)/binDataSetBytes, ns)
 		}
-		sets := br.sets[:ns]
-		for i := range sets {
-			sets[i] = core.DataSet{
-				N:     int(binary.LittleEndian.Uint32(b)),
-				Words: int(binary.LittleEndian.Uint32(b[4:])),
+		f.nSets = ns
+		for i := range ws.sets[:min(ns, MaxDataSets)] {
+			ws.sets[i] = core.DataSet{
+				N:     int(binary.LittleEndian.Uint32(b[i*binDataSetBytes:])),
+				Words: int(binary.LittleEndian.Uint32(b[i*binDataSetBytes+4:])),
 			}
-			b = b[binDataSetBytes:]
 		}
-		q.sets = sets
+		b = b[ns*binDataSetBytes:]
 	case binKindComp:
-		q.kind = "comp"
+		f.kind = "comp"
 		if flags&^byte(binFlagHasJ) != 0 {
 			return badRequest("unknown comp flags %#x", flags)
 		}
 		if len(b) < 8 {
 			return badRequest("binary comp query: truncated dcomp")
 		}
-		d := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		f.dcomp, f.hasDcomp = math.Float64frombits(binary.LittleEndian.Uint64(b)), true
 		b = b[8:]
-		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-			return badRequest("dcomp %v must be finite and non-negative", d)
-		}
-		q.dcomp = d
 		if flags&binFlagHasJ != 0 {
 			if len(b) < 4 {
 				return badRequest("binary comp query: truncated j")
 			}
-			q.j = int(binary.LittleEndian.Uint32(b))
-			q.hasJ = true
+			f.j, f.hasJ = int(binary.LittleEndian.Uint32(b)), true
 			b = b[4:]
 		}
 	default:
 		return badRequest("unknown binary kind %d", kind)
 	}
-	if nc > MaxContenders {
-		return badRequest("too many contenders (%d > %d)", nc, MaxContenders)
-	}
 	if len(b) != nc*binContenderBytes {
 		return badRequest("binary contender block is %d bytes, want %d for %d contenders",
 			len(b), nc*binContenderBytes, nc)
 	}
-	cs := br.cs[:nc]
-	for i := range cs {
-		ct := core.Contender{
-			CommFraction: math.Float64frombits(binary.LittleEndian.Uint64(b)),
-			IOFraction:   math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-			MsgWords:     int(binary.LittleEndian.Uint32(b[16:])),
+	for i := range ws.cs[:min(nc, MaxContenders)] {
+		c := b[i*binContenderBytes:]
+		ws.cs[i] = core.Contender{
+			CommFraction: math.Float64frombits(binary.LittleEndian.Uint64(c)),
+			IOFraction:   math.Float64frombits(binary.LittleEndian.Uint64(c[8:])),
+			MsgWords:     int(binary.LittleEndian.Uint32(c[16:])),
 		}
-		if err := ct.Validate(); err != nil {
-			return badRequest("contenders[%d]: %v", i, err)
-		}
-		cs[i] = ct
-		b = b[binContenderBytes:]
 	}
-	q.cs = cs
-	return nil
+	return ws.validate()
 }
 
 // appendBinaryQuery encodes a validated query in the request format,
-// with an in-band trace block when tc names a trace.
-func appendBinaryQuery(dst []byte, q query, tc obs.TraceContext) []byte {
+// with an in-band trace block when tc names a trace. It grows dst once,
+// to the frame's length, and writes the frame in place.
+func appendBinaryQuery(dst []byte, q *query, tc obs.TraceContext) []byte {
 	payload := 4 + len(q.cs)*binContenderBytes
-	var flags byte
+	kind, flags := byte(binKindComp), byte(0)
 	if tc.Valid() {
 		payload += binTraceBytes
 		flags |= binFlagTrace
 	}
 	if q.kind == "comm" {
+		kind = binKindComm
 		payload += 2 + len(q.sets)*binDataSetBytes
 		if q.dir == core.BackToHost {
 			flags |= binFlagDirToHost
@@ -265,52 +255,55 @@ func appendBinaryQuery(dst []byte, q query, tc obs.TraceContext) []byte {
 			flags |= binFlagHasJ
 		}
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(payload))
-	kind := byte(binKindComp)
-	if q.kind == "comm" {
-		kind = binKindComm
-	}
-	dst = append(dst, binVersion, kind, flags, byte(len(q.cs)))
+	n := len(dst)
+	dst = slices.Grow(dst, 4+payload)[:n+4+payload]
+	b := dst[n:]
+	le := binary.LittleEndian
+	le.PutUint32(b, uint32(payload))
+	b[4], b[5], b[6], b[7] = binVersion, kind, flags, byte(len(q.cs))
+	b = b[8:]
 	if tc.Valid() {
-		dst = binary.LittleEndian.AppendUint64(dst, tc.TraceID)
-		dst = binary.LittleEndian.AppendUint64(dst, tc.SpanID)
-		var tf byte
+		le.PutUint64(b, tc.TraceID)
+		le.PutUint64(b[8:], tc.SpanID)
+		b[16] = 0
 		if tc.Sampled {
-			tf = 1
+			b[16] = 1
 		}
-		dst = append(dst, tf)
+		b = b[binTraceBytes:]
 	}
 	if q.kind == "comm" {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(q.sets)))
+		le.PutUint16(b, uint16(len(q.sets)))
+		b = b[2:]
 		for _, s := range q.sets {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(s.N))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Words))
+			le.PutUint32(b, uint32(s.N))
+			le.PutUint32(b[4:], uint32(s.Words))
+			b = b[binDataSetBytes:]
 		}
 	} else {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.dcomp))
+		le.PutUint64(b, math.Float64bits(q.dcomp))
+		b = b[8:]
 		if q.hasJ {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(q.j))
+			le.PutUint32(b, uint32(q.j))
+			b = b[4:]
 		}
 	}
 	for _, c := range q.cs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.CommFraction))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.IOFraction))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(c.MsgWords))
+		le.PutUint64(b, math.Float64bits(c.CommFraction))
+		le.PutUint64(b[8:], math.Float64bits(c.IOFraction))
+		le.PutUint32(b[16:], uint32(c.MsgWords))
+		b = b[binContenderBytes:]
 	}
 	return dst
 }
 
 // AppendBinaryRequest validates req and appends its binary encoding to
 // dst — the client-side counterpart of the server's binary decoder
-// (used by cmd/loadgen and the round-trip tests). The contender count
-// after P-replication must fit the wire format's one-byte field (it
-// does: MaxContenders is 64).
+// (used by cmd/loadgen and the round-trip tests). The validator is the
+// server's own, so a request that encodes is one both wires accept:
+// every count fits its u32 field, and the contender count after
+// P-replication fits its one byte (MaxContenders is 64).
 func AppendBinaryRequest(dst []byte, req *Request) ([]byte, error) {
-	q, err := req.validate()
-	if err != nil {
-		return nil, err
-	}
-	return appendBinaryQuery(dst, q, obs.TraceContext{}), nil
+	return AppendBinaryRequestTraced(dst, req, obs.TraceContext{})
 }
 
 // AppendBinaryRequestTraced is AppendBinaryRequest with an in-band
@@ -318,11 +311,12 @@ func AppendBinaryRequest(dst []byte, req *Request) ([]byte, error) {
 // extra header pass. A zero tc encodes identically to
 // AppendBinaryRequest.
 func AppendBinaryRequestTraced(dst []byte, req *Request, tc obs.TraceContext) ([]byte, error) {
-	q, err := req.validate()
-	if err != nil {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	if err := ws.load(req); err != nil {
 		return nil, err
 	}
-	return appendBinaryQuery(dst, q, tc), nil
+	return appendBinaryQuery(dst, &ws.q, tc), nil
 }
 
 // appendBinaryResponse encodes one response in the response format.

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"contention/internal/core"
+	"contention/internal/obs"
 	"contention/internal/surface"
 )
 
@@ -66,7 +69,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("DecodeBinaryResponse: %v (payload %x)", err, raw)
 		}
 
-		q, err := req.validate()
+		q, err := req.referenceValidate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +169,7 @@ func TestFastPathDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := req.validate()
+		q, err := req.referenceValidate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,18 +213,15 @@ func TestBinaryDecodeAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br := new(binReq)
+	ws := new(workspace)
 	rd := bytes.NewReader(payload)
 	resp := Response{Value: 3.25, Batch: 1, Fast: true}
 	if allocs := testing.AllocsPerRun(200, func() {
 		rd.Reset(payload)
-		if err := br.readBody(rd); err != nil {
+		if err := (binaryWire{}).decode(rd, ws); err != nil {
 			t.Fatal(err)
 		}
-		if err := br.decode(); err != nil {
-			t.Fatal(err)
-		}
-		br.out = appendBinaryResponse(br.out[:0], resp)
+		ws.out = appendBinaryResponse(ws.out[:0], resp)
 	}); allocs != 0 {
 		t.Fatalf("binary decode/encode allocates %.1f allocs/op, want 0", allocs)
 	}
@@ -270,18 +270,14 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := new(binReq)
-		if err := br.readBody(bytes.NewReader(data)); err != nil {
-			requireRequestError(t, err, string(data))
-			return
-		}
-		if err := br.decode(); err != nil {
+		ws := new(workspace)
+		if err := (binaryWire{}).decode(bytes.NewReader(data), ws); err != nil {
 			requireRequestError(t, err, string(data))
 			return
 		}
 		// A decode the binary path accepts must also be a query the
 		// model-side validators accept: re-encode and revalidate.
-		q := br.q
+		q := ws.q
 		for _, c := range q.cs {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("decoded contender fails validation: %v", err)
@@ -290,7 +286,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 		if q.kind == "comp" && (math.IsNaN(q.dcomp) || math.IsInf(q.dcomp, 0) || q.dcomp < 0) {
 			t.Fatalf("decoded dcomp %v escaped validation", q.dcomp)
 		}
-		reenc := appendBinaryQuery(nil, q, br.tc)
+		reenc := appendBinaryQuery(nil, &q, ws.tc)
 		if !bytes.Equal(reenc, data) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", reenc, data)
 		}
@@ -328,6 +324,106 @@ func TestBinaryErrorStatuses(t *testing.T) {
 		}
 		if !strings.Contains(hr.Header.Get("Content-Type"), "application/json") {
 			t.Fatalf("error response content type %q, want JSON envelope", hr.Header.Get("Content-Type"))
+		}
+	}
+}
+
+// postStatus sends body on the named wire and returns the status and
+// the error envelope's message ("" on success).
+func postStatus(t *testing.T, ts *httptest.Server, contentType string, body []byte) (int, string) {
+	t.Helper()
+	hr, err := http.Post(ts.URL+"/v1/predict", contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	raw, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hr.StatusCode == http.StatusOK {
+		return hr.StatusCode, ""
+	}
+	var env errorBody
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("status %d, body %q is not the error envelope: %v", hr.StatusCode, raw, err)
+	}
+	return hr.StatusCode, env.Error
+}
+
+// TestWireCountsCappedAtU32: msg_words, a data set's n and words, and j
+// above 2^32−1 are a 400 naming the field at every entry point. The
+// binary wire carries them as u32, so before the cap AppendBinaryRequest
+// encoded msg_words 4294967303 as 7 and the server priced a different
+// request than the JSON wire would have.
+func TestWireCountsCappedAtU32(t *testing.T) {
+	_, ts := newTestServer(t, Config{Window: -1})
+	pred := newTestPredictor(t)
+	const over = 1<<32 + 7
+	d, j := 2.5, over
+	cs := []ContenderSpec{{CommFraction: 0.25, MsgWords: 500}}
+	for _, tc := range []struct {
+		field string
+		req   *Request
+	}{
+		{"msg_words", &Request{Kind: "comp", Dcomp: &d, Contenders: []ContenderSpec{{CommFraction: 0.25, MsgWords: over}}}},
+		{"j", &Request{Kind: "comp", Dcomp: &d, J: &j, Contenders: cs}},
+		{"n", &Request{Kind: "comm", Dir: "to_back", Sets: []DataSetSpec{{N: over, Words: 8}}, Contenders: cs}},
+		{"words", &Request{Kind: "comm", Dir: "to_back", Sets: []DataSetSpec{{N: 1, Words: over}}, Contenders: cs}},
+	} {
+		check := func(entry string, err error) {
+			t.Helper()
+			var re *RequestError
+			if !errors.As(err, &re) || re.Status != http.StatusBadRequest || !strings.Contains(re.Msg, tc.field) {
+				t.Errorf("%s %s = %v, want a 400 naming %s", entry, tc.field, err, tc.field)
+			}
+		}
+		_, err := AppendBinaryRequest(nil, tc.req)
+		check("AppendBinaryRequest", err)
+		_, err = Direct(pred, tc.req, false)
+		check("Direct", err)
+		_, err = tc.req.BatchKey()
+		check("BatchKey", err)
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeRequest(bytes.NewReader(body))
+		check("DecodeRequest", err)
+		if status, msg := postStatus(t, ts, "application/json", body); status != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("JSON wire %s: status %d %q, want a 400 naming %s", tc.field, status, msg, tc.field)
+		}
+	}
+	// The largest u32 is still a request, and the same one on both wires.
+	j = 1<<32 - 1
+	req := &Request{Kind: "comp", Dcomp: &d, J: &j, Contenders: cs}
+	if _, err := AppendBinaryRequest(nil, req); err != nil {
+		t.Fatalf("j = 2^32-1: %v", err)
+	}
+}
+
+// TestKernelRefusalIs400: a contender whose fractions sum to 1 only after
+// rounding ({comm 1, io 1e-20}: computing probability -1e-20) is refused
+// by the validator with the kernel's own message — a 400 on both wires,
+// where the kernel used to refuse it as a 422 model error.
+func TestKernelRefusalIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Window: -1})
+	const want = "core: activity probability -1e-20 out of [0,1]"
+	jsonBody := `{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":1,"io_fraction":1e-20}]}`
+	// AppendBinaryRequest refuses the contender itself, so the binary body
+	// is encoded from the query directly.
+	binBody := appendBinaryQuery(nil, &query{kind: "comp", dcomp: 1,
+		cs: []core.Contender{{CommFraction: 1, IOFraction: 1e-20}}}, obs.TraceContext{})
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"application/json", []byte(jsonBody)},
+		{ContentTypeBinary, binBody},
+	} {
+		status, msg := postStatus(t, ts, tc.contentType, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(msg, want) {
+			t.Errorf("%s: status %d %q, want 400 with %q", tc.contentType, status, msg, want)
 		}
 	}
 }

@@ -1,15 +1,16 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 
 	"contention/internal/core"
+	"contention/internal/obs"
 )
 
 // Payload bounds: the decoder is the daemon's outermost trust boundary,
@@ -22,6 +23,11 @@ const (
 	// MaxDataSets bounds the data-set list of a comm query.
 	MaxDataSets = 256
 )
+
+// maxWireCount caps msg_words, a data set's n and words, and j: the
+// binary wire carries them as u32, and both wires accept the same
+// requests.
+const maxWireCount = math.MaxUint32
 
 // RequestError is a client-side fault: the request could not be decoded
 // or validated. Status is always in the 4xx range.
@@ -104,126 +110,228 @@ type query struct {
 	cs    []core.Contender
 }
 
-// DecodeRequest reads and validates one prediction request. All
-// failures are *RequestError (4xx): the decoder must never panic and
-// never let NaN/Inf, negative counts, or oversized payloads reach the
-// model core.
-func DecodeRequest(r io.Reader) (*Request, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxBodyBytes+1))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("malformed request: %v", err)
-	}
-	// A second value on the stream (or trailing garbage) is malformed.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, badRequest("trailing data after request body")
-	}
-	return &req, nil
+// form is a request as a codec read it, before validation: Request's
+// scalar fields, with the two lists in the workspace arrays. nSets and
+// nCs are the lengths as sent; only the first MaxDataSets and
+// MaxContenders elements are kept, and validate refuses longer lists
+// before it reads any element.
+type form struct {
+	kind, dir  string
+	nSets, nCs int
+	dcomp      float64
+	j, p       int
+	hasDcomp   bool
+	hasJ, hasP bool
 }
 
-// validate converts the wire request into model-core types, rejecting
-// anything the model would choke on.
-func (req *Request) validate() (query, error) {
-	var q query
-	switch req.Kind {
-	case "comm", "comp":
-		q.kind = req.Kind
+// A wire is one body format of POST /v1/predict.
+type wire interface {
+	// decode reads one request body into ws and validates it; on success
+	// ws.q is the query, its slices aliasing ws's arrays.
+	decode(body io.Reader, ws *workspace) error
+	// appendResponse appends the encoding of one answer to dst.
+	appendResponse(dst []byte, resp Response) []byte
+}
+
+// workspace is one request's pooled memory, shared by both wires and by
+// every entry point that takes a request: the raw body, the form a codec
+// fills, the fixed arrays the validated query's slices point into, and
+// the response buffer. It goes back to the pool only once nothing
+// references those slices any more — after the response is encoded; a
+// query the batcher retains owns cloned slices.
+type workspace struct {
+	form form
+	q    query
+	tc   obs.TraceContext // in-band trace block, zero when absent
+	cs   [MaxContenders]core.Contender
+	sets [MaxDataSets]core.DataSet
+	buf  []byte // request body
+	str  []byte // unescaped JSON strings
+	out  []byte // response, or the batch key
+	// hdr/probe live here rather than on readBody's stack: passing a
+	// stack array through the io.Reader interface makes it escape, and
+	// the pooled struct is already heap-resident.
+	hdr   [4]byte
+	probe [1]byte
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+// pooledBufferCap is the largest buffer a workspace keeps across uses:
+// one oversized body must not pin a megabyte in the pool.
+const pooledBufferCap = 64 << 10
+
+func getWorkspace() *workspace { return workspacePool.Get().(*workspace) }
+
+func putWorkspace(ws *workspace) {
+	if cap(ws.buf) > pooledBufferCap {
+		ws.buf = nil
+	}
+	if cap(ws.str) > pooledBufferCap {
+		ws.str = nil
+	}
+	workspacePool.Put(ws)
+}
+
+// load copies req into ws's form and arrays and validates it.
+func (ws *workspace) load(req *Request) error {
+	f := &ws.form
+	*f = form{kind: req.Kind, dir: req.Dir, nSets: len(req.Sets), nCs: len(req.Contenders)}
+	if req.Dcomp != nil {
+		f.dcomp, f.hasDcomp = *req.Dcomp, true
+	}
+	if req.J != nil {
+		f.j, f.hasJ = *req.J, true
+	}
+	if req.P != nil {
+		f.p, f.hasP = *req.P, true
+	}
+	for i, s := range req.Sets[:min(len(req.Sets), MaxDataSets)] {
+		ws.sets[i] = core.DataSet{N: s.N, Words: s.Words}
+	}
+	for i, c := range req.Contenders[:min(len(req.Contenders), MaxContenders)] {
+		ws.cs[i] = core.Contender{CommFraction: c.CommFraction, MsgWords: c.MsgWords, IOFraction: c.IOFraction}
+	}
+	return ws.validate()
+}
+
+// validate is the one semantic check of a request, whichever wire or
+// entry point it came through: it turns ws.form into ws.q, rejecting
+// anything the model would choke on with a *RequestError naming the
+// field. It must never panic and never let NaN/Inf, negative counts, or
+// oversized lists reach the model core.
+func (ws *workspace) validate() error {
+	f := &ws.form
+	q := &ws.q
+	*q = query{}
+	switch f.kind {
+	case "comm":
+		q.kind = "comm"
+	case "comp":
+		q.kind = "comp"
 	case "":
-		return q, badRequest("missing kind (want \"comm\" or \"comp\")")
+		return badRequest("missing kind (want \"comm\" or \"comp\")")
 	default:
-		return q, badRequest("unknown kind %q (want \"comm\" or \"comp\")", req.Kind)
+		return badRequest("unknown kind %q (want \"comm\" or \"comp\")", f.kind)
 	}
 
-	cs, err := req.contenders()
-	if err != nil {
-		return q, err
+	n := f.nCs
+	if f.hasP {
+		p := f.p
+		if p < 0 {
+			return badRequest("p %d must be non-negative", p)
+		}
+		if p > MaxContenders {
+			return badRequest("p %d exceeds the %d-contender limit", p, MaxContenders)
+		}
+		if n != 1 {
+			return badRequest("p requires exactly one contender spec to replicate (got %d)", n)
+		}
+		for i := 1; i < p; i++ {
+			ws.cs[i] = ws.cs[0]
+		}
+		n = p
+	}
+	if n > MaxContenders {
+		return badRequest("too many contenders (%d > %d)", n, MaxContenders)
+	}
+	cs := ws.cs[:n]
+	for i := range cs {
+		if err := cs[i].Validate(); err != nil {
+			return badRequest("contenders[%d]: %v", i, err)
+		}
+		if uint64(cs[i].MsgWords) > maxWireCount {
+			return badRequest("contenders[%d]: msg_words %d exceeds %d", i, cs[i].MsgWords, maxWireCount)
+		}
 	}
 	q.cs = cs
 
 	switch q.kind {
 	case "comm":
-		if req.Dcomp != nil || req.J != nil {
-			return q, badRequest("comm query does not take dcomp or j")
+		if f.hasDcomp || f.hasJ {
+			return badRequest("comm query does not take dcomp or j")
 		}
-		switch strings.ToLower(req.Dir) {
+		switch strings.ToLower(f.dir) {
 		case "to_back", "to-back", "host_to_back":
 			q.dir = core.HostToBack
 		case "to_host", "to-host", "back_to_host":
 			q.dir = core.BackToHost
 		case "":
-			return q, badRequest("comm query missing dir (want \"to_back\" or \"to_host\")")
+			return badRequest("comm query missing dir (want \"to_back\" or \"to_host\")")
 		default:
-			return q, badRequest("unknown dir %q (want \"to_back\" or \"to_host\")", req.Dir)
+			return badRequest("unknown dir %q (want \"to_back\" or \"to_host\")", f.dir)
 		}
-		if len(req.Sets) == 0 {
-			return q, badRequest("comm query needs at least one data set")
+		if f.nSets == 0 {
+			return badRequest("comm query needs at least one data set")
 		}
-		if len(req.Sets) > MaxDataSets {
-			return q, badRequest("too many data sets (%d > %d)", len(req.Sets), MaxDataSets)
+		if f.nSets > MaxDataSets {
+			return badRequest("too many data sets (%d > %d)", f.nSets, MaxDataSets)
 		}
-		q.sets = make([]core.DataSet, len(req.Sets))
-		for i, s := range req.Sets {
-			d := core.DataSet{N: s.N, Words: s.Words}
+		sets := ws.sets[:f.nSets]
+		for i, d := range sets {
 			if err := d.Validate(); err != nil {
-				return q, badRequest("sets[%d]: %v", i, err)
+				return badRequest("sets[%d]: %v", i, err)
 			}
-			q.sets[i] = d
+			if uint64(d.N) > maxWireCount {
+				return badRequest("sets[%d]: n %d exceeds %d", i, d.N, maxWireCount)
+			}
+			if uint64(d.Words) > maxWireCount {
+				return badRequest("sets[%d]: words %d exceeds %d", i, d.Words, maxWireCount)
+			}
 		}
+		q.sets = sets
 	case "comp":
-		if req.Dir != "" || len(req.Sets) > 0 {
-			return q, badRequest("comp query does not take dir or sets")
+		if f.dir != "" || f.nSets > 0 {
+			return badRequest("comp query does not take dir or sets")
 		}
-		if req.Dcomp == nil {
-			return q, badRequest("comp query missing dcomp")
+		if !f.hasDcomp {
+			return badRequest("comp query missing dcomp")
 		}
-		d := *req.Dcomp
+		d := f.dcomp
 		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-			return q, badRequest("dcomp %v must be finite and non-negative", d)
+			return badRequest("dcomp %v must be finite and non-negative", d)
 		}
 		q.dcomp = d
-		if req.J != nil {
-			if *req.J < 0 {
-				return q, badRequest("j %d must be non-negative", *req.J)
+		if f.hasJ {
+			if f.j < 0 {
+				return badRequest("j %d must be non-negative", f.j)
 			}
-			q.j, q.hasJ = *req.J, true
+			if uint64(f.j) > maxWireCount {
+				return badRequest("j %d exceeds %d", f.j, maxWireCount)
+			}
+			q.j, q.hasJ = f.j, true
 		}
 	}
-	return q, nil
+	return nil
 }
 
-// contenders expands and validates the contender list.
-func (req *Request) contenders() ([]core.Contender, error) {
-	specs := req.Contenders
-	if req.P != nil {
-		p := *req.P
-		if p < 0 {
-			return nil, badRequest("p %d must be non-negative", p)
-		}
-		if p > MaxContenders {
-			return nil, badRequest("p %d exceeds the %d-contender limit", p, MaxContenders)
-		}
-		if len(specs) != 1 {
-			return nil, badRequest("p requires exactly one contender spec to replicate (got %d)", len(specs))
-		}
-		rep := make([]ContenderSpec, p)
-		for i := range rep {
-			rep[i] = specs[0]
-		}
-		specs = rep
+// DecodeRequest reads and validates one JSON prediction request and
+// returns it in canonical form: P expanded into the contender list, dir
+// spelled "to_back" or "to_host", and slices that alias nothing. All
+// failures are *RequestError (4xx): the decoder must never panic and
+// never let NaN/Inf, negative counts, or oversized payloads reach the
+// model core.
+func DecodeRequest(r io.Reader) (*Request, error) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	if err := (jsonWire{}).decode(r, ws); err != nil {
+		return nil, err
 	}
-	if len(specs) > MaxContenders {
-		return nil, badRequest("too many contenders (%d > %d)", len(specs), MaxContenders)
+	return ws.q.request(), nil
+}
+
+// DecodeBinaryRequest parses one length-prefixed binary request payload
+// (the AppendBinaryRequest encoding) back into its wire Request form —
+// the read-side counterpart replay drivers use to interpret trace
+// bytes. All faults are *RequestError, exactly like the server's own
+// decoder; any in-band trace block is validated and dropped.
+func DecodeBinaryRequest(b []byte) (*Request, error) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	if err := ws.decodeBinaryFrame(b); err != nil {
+		return nil, err
 	}
-	cs := make([]core.Contender, len(specs))
-	for i, c := range specs {
-		ct := core.Contender{CommFraction: c.CommFraction, MsgWords: c.MsgWords, IOFraction: c.IOFraction}
-		if err := ct.Validate(); err != nil {
-			return nil, badRequest("contenders[%d]: %v", i, err)
-		}
-		cs[i] = ct
-	}
-	return cs, nil
+	return ws.q.request(), nil
 }
 
 // BatchKey validates the request and returns its canonical affinity
@@ -234,11 +342,33 @@ func (req *Request) contenders() ([]core.Contender, error) {
 // diluting it across the fleet. Failures are the same *RequestError the
 // serving path would return.
 func (req *Request) BatchKey() (string, error) {
-	q, err := req.validate()
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	if err := ws.load(req); err != nil {
+		return "", err
+	}
+	ws.out = appendBatchKey(ws.out[:0], &ws.q)
+	return string(ws.out), nil
+}
+
+// BatchKeyOf decodes and validates one request body — binary when
+// binaryWire is set, JSON otherwise — and returns its batch key (see
+// Request.BatchKey): a router's affinity decode, without building the
+// Request.
+func BatchKeyOf(body []byte, binaryWire bool) (string, error) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	var err error
+	if binaryWire {
+		err = ws.decodeBinaryFrame(body)
+	} else {
+		err = ws.decodeJSON(body)
+	}
 	if err != nil {
 		return "", err
 	}
-	return batchKey(q), nil
+	ws.out = appendBatchKey(ws.out[:0], &ws.q)
+	return string(ws.out), nil
 }
 
 // statusFor maps an error from the serving pipeline to an HTTP status:

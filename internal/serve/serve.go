@@ -40,7 +40,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -526,33 +525,47 @@ func (s *Server) evalGroup(g *group) {
 // multiset. Two queries with equal keys are answerable by one batched
 // predictor call.
 func batchKey(q query) string {
-	cs := append([]core.Contender(nil), q.cs...)
-	sort.Slice(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
-		if a.CommFraction != b.CommFraction {
-			return a.CommFraction < b.CommFraction
+	var buf [256]byte
+	return string(appendBatchKey(buf[:0], &q))
+}
+
+// appendBatchKey appends q's batch key to dst. The contenders are taken
+// in (CommFraction, IOFraction, MsgWords) order, sorted by insertion on
+// a stack copy: sets are small, and the sort allocates nothing.
+func appendBatchKey(dst []byte, q *query) []byte {
+	var scratch [MaxContenders]core.Contender
+	cs := append(scratch[:0], q.cs...)
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && contenderLess(&cs[j], &cs[j-1]); j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
-		if a.IOFraction != b.IOFraction {
-			return a.IOFraction < b.IOFraction
-		}
-		return a.MsgWords < b.MsgWords
-	})
-	buf := make([]byte, 0, 2+9+24*len(cs))
+	}
 	// kind[0] is 'c' for both comm and comp — use the last byte ('m' vs
 	// 'p') so the two kinds can never share a batch group.
-	buf = append(buf, q.kind[len(q.kind)-1], byte(q.dir))
+	dst = append(dst, q.kind[len(q.kind)-1], byte(q.dir))
 	if q.hasJ {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(q.j))
+		dst = append(dst, 1)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(q.j))
 	} else {
-		buf = append(buf, 0)
+		dst = append(dst, 0)
 	}
 	for _, c := range cs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.CommFraction))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.IOFraction))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.MsgWords))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.CommFraction))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.IOFraction))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(c.MsgWords))
 	}
-	return string(buf)
+	return dst
+}
+
+// contenderLess is the batch key's contender order.
+func contenderLess(a, b *core.Contender) bool {
+	if a.CommFraction != b.CommFraction {
+		return a.CommFraction < b.CommFraction
+	}
+	if a.IOFraction != b.IOFraction {
+		return a.IOFraction < b.IOFraction
+	}
+	return a.MsgWords < b.MsgWords
 }
 
 // --- HTTP front end ----------------------------------------------------------
@@ -589,10 +602,13 @@ func setBackoffHint(w http.ResponseWriter, status int) {
 
 // outcomeLabel classifies an error for the responses-by-outcome series.
 func outcomeLabel(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	// errors.As makes its target escape, so it is declared only on the
+	// error path — a success must not pay a heap allocation for it.
 	var reqErr *RequestError
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.As(err, &reqErr):
 		return "bad_request"
 	case errors.Is(err, ErrQueueFull):
@@ -606,14 +622,39 @@ func outcomeLabel(err error) string {
 	}
 }
 
+// Content-Type header values of a successful answer, shared by every
+// response: assigning a shared slice costs nothing where Header().Set
+// allocates one per call.
+var (
+	contentTypeJSON   = []string{"application/json"}
+	contentTypeBinary = []string{ContentTypeBinary}
+)
+
+// handlePredict is POST /v1/predict for both wires. It lends the
+// request a pooled workspace and takes it back once the response is
+// written.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == ContentTypeBinary {
-		s.handlePredictBinary(w, r)
-		return
-	}
+	ws := getWorkspace()
+	s.predictHTTP(w, r, ws)
+	putWorkspace(ws)
+}
+
+// predictHTTP answers one prediction request in ws: the body is decoded
+// by the wire its Content-Type names, answered, and the answer encoded
+// by the same wire into ws's output buffer. A warm fast-path request
+// allocates nothing. Pipeline errors are answered as the JSON error
+// envelope on either wire (the status carries the verdict); only the
+// JSON wire echoes X-Request-Id on success.
+func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspace) {
 	start := time.Now()
-	rt := s.requestTrace(r, obs.TraceContext{})
-	resp, err := s.servePredict(r, rt)
+	var wr wire = jsonWire{}
+	contentType := contentTypeJSON
+	binaryReq := r.Header.Get("Content-Type") == ContentTypeBinary
+	if binaryReq {
+		wr, contentType = binaryWire{}, contentTypeBinary
+		mBinaryRequests.Inc()
+	}
+	resp, rt, err := s.servePredict(wr, ws, r)
 	mResponses.With(outcomeLabel(err)).Inc()
 	mRequestSeconds.Observe(time.Since(start).Seconds())
 	s.recordSLO(start, err)
@@ -621,10 +662,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.writeErrorEnvelope(w, r, err)
 	} else {
-		if rid := r.Header.Get(RequestIDHeader); rid != "" {
-			w.Header().Set(RequestIDHeader, rid)
+		if !binaryReq {
+			if rid := r.Header.Get(RequestIDHeader); rid != "" {
+				w.Header().Set(RequestIDHeader, rid)
+			}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		ws.out = wr.appendResponse(ws.out[:0], resp)
+		w.Header()["Content-Type"] = contentType
+		_, _ = w.Write(ws.out)
 	}
 	encDone := time.Now()
 	stEncode.Observe(encDone.Sub(encStart).Seconds())
@@ -671,90 +716,33 @@ func (s *Server) requestTimeout(r *http.Request) time.Duration {
 	return d
 }
 
-// servePredict decodes, validates, and answers one HTTP query.
-func (s *Server) servePredict(r *http.Request, rt *reqTrace) (Response, error) {
+// servePredict decodes one query into ws with wire wr and answers it.
+// The returned *reqTrace is nil unless the request is sampled (in-band
+// trace block, trace header, or local head sampler — in that order);
+// the in-band context is only known after decode, so the decode stage
+// span is recorded retroactively.
+func (s *Server) servePredict(wr wire, ws *workspace, r *http.Request) (Response, *reqTrace, error) {
 	decStart := time.Now()
-	req, err := DecodeRequest(r.Body)
-	if err != nil {
-		return Response{}, err
-	}
-	q, err := req.validate()
-	if err != nil {
-		return Response{}, err
-	}
+	ws.tc = obs.TraceContext{}
+	err := wr.decode(r.Body, ws)
 	decDone := time.Now()
+	rt := s.requestTrace(r, ws.tc)
+	if err != nil {
+		return Response{}, rt, err
+	}
 	stDecode.Observe(decDone.Sub(decStart).Seconds())
 	rt.stage("decode", decStart, decDone)
 	// Fast path before the deadline context: an inline answer needs no
 	// timer allocation and cannot block.
-	if resp, ok := s.tryFast(&q, rt); ok {
-		return resp, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
-	defer cancel()
-	return s.predict(ctx, q, rt)
-}
-
-// handlePredictBinary is handlePredict for the binary wire format: the
-// request is decoded into a pooled workspace and, on the fast path, the
-// response is encoded from the same workspace — zero steady-state
-// allocations end to end. Pipeline errors are answered as the JSON
-// error envelope (the status code carries the verdict either way).
-func (s *Server) handlePredictBinary(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	mBinaryRequests.Inc()
-	br := binReqPool.Get().(*binReq)
-	resp, rt, err := s.servePredictBinary(br, r)
-	mResponses.With(outcomeLabel(err)).Inc()
-	mRequestSeconds.Observe(time.Since(start).Seconds())
-	s.recordSLO(start, err)
-	if err != nil {
-		binReqPool.Put(br)
-		encStart := time.Now()
-		s.writeErrorEnvelope(w, r, err)
-		encDone := time.Now()
-		stEncode.Observe(encDone.Sub(encStart).Seconds())
-		rt.stage("encode", encStart, encDone)
-		rt.end()
-		return
-	}
-	encStart := time.Now()
-	br.out = appendBinaryResponse(br.out[:0], resp)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	_, _ = w.Write(br.out)
-	encDone := time.Now()
-	stEncode.Observe(encDone.Sub(encStart).Seconds())
-	rt.stage("encode", encStart, encDone)
-	rt.end()
-	binReqPool.Put(br)
-}
-
-// servePredictBinary decodes one binary query into br and answers it.
-// The returned *reqTrace is nil unless the request is sampled (in-band
-// trace block, trace header, or local head sampler — in that order).
-func (s *Server) servePredictBinary(br *binReq, r *http.Request) (Response, *reqTrace, error) {
-	decStart := time.Now()
-	if err := br.readBody(r.Body); err != nil {
-		return Response{}, nil, err
-	}
-	if err := br.decode(); err != nil {
-		return Response{}, nil, err
-	}
-	decDone := time.Now()
-	// The in-band trace context is only known after decode, so the
-	// decode stage span is recorded retroactively.
-	rt := s.requestTrace(r, br.tc)
-	stDecode.Observe(decDone.Sub(decStart).Seconds())
-	rt.stage("decode", decStart, decDone)
-	if resp, ok := s.tryFast(&br.q, rt); ok {
+	if resp, ok := s.tryFast(&ws.q, rt); ok {
 		return resp, rt, nil
 	}
-	// Slow path: the query's slices alias br's pooled backing arrays,
+	// Slow path: the query's slices alias ws's pooled backing arrays,
 	// but the batcher retains the query past this function's return (a
 	// peer's flush may still read it after our deadline fires). Clone
 	// before enqueueing; the allocation rides the path that runs a DP
 	// anyway.
-	q := br.q
+	q := ws.q
 	q.cs = append([]core.Contender(nil), q.cs...)
 	q.sets = append([]core.DataSet(nil), q.sets...)
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))

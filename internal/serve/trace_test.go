@@ -212,23 +212,20 @@ func TestBinaryTraceBlockRoundTrip(t *testing.T) {
 		t.Fatal("zero trace context must encode identically to the untraced request")
 	}
 
-	decode := func(payload []byte) (*binReq, error) {
-		br := new(binReq)
-		if err := br.readBody(bytes.NewReader(payload)); err != nil {
-			return nil, err
-		}
-		return br, br.decode()
+	decode := func(payload []byte) (*workspace, error) {
+		ws := new(workspace)
+		return ws, (binaryWire{}).decode(bytes.NewReader(payload), ws)
 	}
 
-	br, err := decode(traced)
+	ws, err := decode(traced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.tc != tc {
-		t.Fatalf("decoded trace context %+v, want %+v", br.tc, tc)
+	if ws.tc != tc {
+		t.Fatalf("decoded trace context %+v, want %+v", ws.tc, tc)
 	}
-	if br, err := decode(plain); err != nil || br.tc.Valid() {
-		t.Fatalf("untraced request: err=%v tc=%+v, want zero context", err, br.tc)
+	if ws, err := decode(plain); err != nil || ws.tc.Valid() {
+		t.Fatalf("untraced request: err=%v tc=%+v, want zero context", err, ws.tc)
 	}
 
 	// Payload layout: [0:4] length prefix, [4] version, [5] kind,
@@ -329,11 +326,41 @@ type rewindBody struct{ *bytes.Reader }
 
 func (rewindBody) Close() error { return nil }
 
-// TestUnsampledWarmPathAllocationFree is the tentpole's allocation
+// reuseWriter is a ResponseWriter that keeps one header map and one body
+// buffer across requests and allocates nothing itself, so a handler's
+// allocations are its own.
+type reuseWriter struct {
+	h      http.Header
+	status int
+	body   []byte
+}
+
+func (w *reuseWriter) Header() http.Header { return w.h }
+
+func (w *reuseWriter) WriteHeader(status int) { w.status = status }
+
+func (w *reuseWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+func (w *reuseWriter) reset() {
+	clear(w.h)
+	w.status = 0
+	w.body = w.body[:0]
+}
+
+// TestUnsampledWarmPathAllocationFree is the serving path's allocation
 // contract: with telemetry enabled, tracing compiled in, an SLO tracker
-// attached, and sampling OFF, the binary surface fast path must stay at
-// zero allocations per request — attribution histograms, trace
-// bookkeeping, and SLO recording all ride atomics.
+// attached, and sampling OFF, a fast-path request through the predict
+// handler — decode, admission, surface lookup, outcome and latency
+// bookkeeping, SLO recording, response encoding and headers — allocates
+// nothing, on the binary wire and on the JSON wire alike. The pin holds
+// the workspace handlePredict would borrow from the pool: under the race
+// detector sync.Pool drops items on purpose.
 func TestUnsampledWarmPathAllocationFree(t *testing.T) {
 	withTracing(t)
 	cal := SyntheticCalibration()
@@ -359,38 +386,56 @@ func TestUnsampledWarmPathAllocationFree(t *testing.T) {
 	defer s.Close()
 
 	d := 2.5
-	payload, err := AppendBinaryRequest(nil, &Request{Kind: "comp", Dcomp: &d,
-		Contenders: []ContenderSpec{{CommFraction: 0.25, MsgWords: 500}, {CommFraction: 0.25, MsgWords: 500}}})
+	wireReq := &Request{Kind: "comp", Dcomp: &d,
+		Contenders: []ContenderSpec{{CommFraction: 0.25, MsgWords: 500}, {CommFraction: 0.25, MsgWords: 500}}}
+	binBody, err := AppendBinaryRequest(nil, wireReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := bytes.NewReader(payload)
-	req := httptest.NewRequest("POST", "/v1/predict", nil)
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	req.Body = rewindBody{rd}
-	br := new(binReq)
-
-	// Warm up and confirm this request actually takes the fast path.
-	rd.Reset(payload)
-	resp, rt, err := s.servePredictBinary(br, req)
-	if err != nil || !resp.Fast {
-		t.Fatalf("warmup: err=%v fast=%v — pin needs the surface fast path", err, resp.Fast)
+	jsonBody, err := json.Marshal(wireReq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rt != nil {
-		t.Fatal("unsampled request produced a trace handle")
-	}
-
-	start := time.Now()
-	if allocs := testing.AllocsPerRun(200, func() {
-		rd.Reset(payload)
-		resp, rt, err := s.servePredictBinary(br, req)
-		if err != nil || !resp.Fast || rt != nil {
-			t.Fatalf("err=%v fast=%v rt=%v", err, resp.Fast, rt)
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{ContentTypeBinary, binBody},
+		{"application/json", jsonBody},
+	} {
+		rd := bytes.NewReader(tc.body)
+		req := httptest.NewRequest("POST", "/v1/predict", nil)
+		req.Header.Set("Content-Type", tc.contentType)
+		req.Body = rewindBody{rd}
+		w := &reuseWriter{h: http.Header{}}
+		ws := new(workspace)
+		serve := func() {
+			rd.Reset(tc.body)
+			w.reset()
+			s.predictHTTP(w, req, ws)
 		}
-		s.recordSLO(start, nil)
-		br.out = appendBinaryResponse(br.out[:0], resp)
-	}); allocs != 0 {
-		t.Fatalf("unsampled warm path allocates %.1f objects/op with tracing compiled in, want 0", allocs)
+
+		// Warm up and confirm this request actually takes the fast path.
+		serve()
+		var resp Response
+		if tc.contentType == ContentTypeBinary {
+			resp, err = DecodeBinaryResponse(w.body)
+		} else {
+			err = json.Unmarshal(w.body, &resp)
+		}
+		if w.status != http.StatusOK || err != nil || !resp.Fast {
+			t.Fatalf("%s warmup: status %d err=%v fast=%v — pin needs the surface fast path", tc.contentType, w.status, err, resp.Fast)
+		}
+		if ct := w.h.Get("Content-Type"); ct != tc.contentType {
+			t.Fatalf("%s: response content type %q", tc.contentType, ct)
+		}
+
+		if allocs := testing.AllocsPerRun(200, serve); allocs != 0 {
+			t.Fatalf("%s: unsampled warm path allocates %.1f objects/op with tracing compiled in, want 0", tc.contentType, allocs)
+		}
+		if w.status != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.contentType, w.status)
+		}
 	}
 
 	if got := obs.DefaultTracer().Spans(); len(got) != 0 {
