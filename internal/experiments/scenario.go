@@ -2,24 +2,17 @@ package experiments
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sort"
-	"sync"
 	"time"
 
-	"contention/internal/cluster"
-	"contention/internal/core"
 	"contention/internal/des"
 	"contention/internal/obs"
-	"contention/internal/runner"
 	"contention/internal/scenario"
 	"contention/internal/serve"
-	"contention/internal/surface"
+	"contention/internal/stats"
 )
 
 // Scenario-sweep telemetry: matrix coverage and per-cell traffic.
@@ -171,211 +164,107 @@ func ScenarioReplay(env *Env) (Result, error) {
 	}, nil
 }
 
+const (
+	// sweepWindow is the micro-batch window of the sweep's served targets.
+	sweepWindow = 200 * time.Microsecond
+	// sweepConc is the closed-loop worker count each pass drives with.
+	sweepConc = 8
+)
+
 // sweepTarget is one serving configuration a sweep cell drives:
-// issue posts one wire body and reports (status, response); close tears
-// the target down.
+// issue answers one wire body; close tears the target down.
 type sweepTarget struct {
-	issue func(body []byte) (int, serve.Response)
+	issue func(body []byte) scenario.Outcome
 	close func()
+}
+
+// wireFormat is the trace wire format a sweep wire sends.
+func wireFormat(wire string) string {
+	if wire == "json" {
+		return scenario.FormatJSON
+	}
+	return scenario.FormatBinary
 }
 
 // directTarget evaluates bodies in-process through serve.Direct — the
 // no-batcher baseline. Decode or validation failures count as 400s,
 // mirroring the HTTP path's status mapping.
 func directTarget(wire string) (*sweepTarget, error) {
-	cal := serve.SyntheticCalibration()
-	pred, err := core.NewPredictor(cal)
+	tryFast := wire == "binary+surface"
+	pred, err := scenario.SyntheticPredictor(tryFast)
 	if err != nil {
 		return nil, err
 	}
-	tryFast := wire == "binary+surface"
-	if tryFast {
-		s, err := surface.Build(cal.Tables, surface.Config{})
-		if err != nil {
-			return nil, err
-		}
-		if err := pred.AttachSurface(s); err != nil {
-			return nil, err
-		}
-	}
-	format := scenario.FormatJSON
-	if wire != "json" {
-		format = scenario.FormatBinary
-	}
+	format := wireFormat(wire)
 	return &sweepTarget{
-		issue: func(body []byte) (int, serve.Response) {
+		issue: func(body []byte) scenario.Outcome {
+			t0 := time.Now()
 			req, err := scenario.DecodeRequestBytes(body, format)
 			if err != nil {
-				return http.StatusBadRequest, serve.Response{}
+				return scenario.Outcome{Status: http.StatusBadRequest, Err: err}
 			}
 			resp, err := serve.Direct(pred, req, tryFast)
 			if err != nil {
-				return http.StatusBadRequest, serve.Response{}
+				return scenario.Outcome{Status: http.StatusBadRequest, Err: err}
 			}
-			return http.StatusOK, resp
+			return scenario.Outcome{Status: http.StatusOK, Resp: resp, Latency: time.Since(t0)}
 		},
 		close: func() {},
 	}, nil
 }
 
-// httpTarget posts bodies to a handler over loopback HTTP.
-func httpTarget(handler http.Handler, contentType string, binary bool, stop func()) *sweepTarget {
-	ts := httptest.NewServer(handler)
-	client := ts.Client()
-	url := ts.URL + "/v1/predict"
+// servedTarget posts bodies over loopback HTTP: to the micro-batching
+// server in batched mode (surface and fast path on for binary+surface),
+// to a 2-replica affinity-routed fleet in cluster mode.
+func servedTarget(wire, mode string) (*sweepTarget, error) {
+	var (
+		tg  *scenario.Target
+		err error
+	)
+	if mode == "cluster" {
+		tg, err = scenario.SelfServeFleet(2, sweepWindow)
+	} else {
+		tg, err = scenario.SelfServe(sweepWindow, wire == "binary+surface")
+	}
+	if err != nil {
+		return nil, err
+	}
+	client := scenario.Client(sweepConc)
+	url, contentType := tg.URL(), scenario.ContentType(wireFormat(wire))
 	return &sweepTarget{
-		issue: func(body []byte) (int, serve.Response) {
-			resp, err := client.Post(url, contentType, bytes.NewReader(body))
-			if err != nil {
-				return 0, serve.Response{}
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return resp.StatusCode, serve.Response{}
-			}
-			var out serve.Response
-			if binary {
-				var raw bytes.Buffer
-				if _, err := raw.ReadFrom(resp.Body); err != nil {
-					return 0, serve.Response{}
-				}
-				if out, err = serve.DecodeBinaryResponse(raw.Bytes()); err != nil {
-					return 0, serve.Response{}
-				}
-			} else if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				return 0, serve.Response{}
-			}
-			return resp.StatusCode, out
-		},
-		close: func() { ts.Close(); stop() },
-	}
+		issue: func(body []byte) scenario.Outcome { return scenario.Post(client, url, contentType, "", body) },
+		close: func() { tg.Close(); client.CloseIdleConnections() },
+	}, nil
 }
 
-// batchedTarget serves bodies through the full micro-batching server.
-func batchedTarget(wire string) (*sweepTarget, error) {
-	cal := serve.SyntheticCalibration()
-	pred, err := core.NewPredictor(cal)
-	if err != nil {
-		return nil, err
+// sweepCell drives plays through tg twice — a record pass and a replay
+// pass, each in order on sweepConc closed-loop workers — and holds the
+// replay to the record under the one replay rule. It returns the record
+// pass's summary, its wall time and the replay's divergence count.
+func sweepCell(tg *sweepTarget, plays []scenario.Record) (s scenario.Summary, elapsed time.Duration, mismatches int) {
+	pass := func() (scenario.Summary, []scenario.Outcome) {
+		return scenario.Drive(scenario.Shape{Workers: sweepConc, N: len(plays)}, func(i int) scenario.Outcome {
+			mSweepRequests.Inc()
+			return tg.issue(plays[i].Req)
+		})
 	}
-	withSurface := wire == "binary+surface"
-	if withSurface {
-		s, err := surface.Build(cal.Tables, surface.Config{})
-		if err != nil {
-			return nil, err
-		}
-		if err := pred.AttachSurface(s); err != nil {
-			return nil, err
-		}
-	}
-	srv, err := serve.New(serve.Config{
-		Pred: pred, Pool: runner.New(0), Window: 200 * time.Microsecond, FastPath: withSurface,
-	})
-	if err != nil {
-		return nil, err
-	}
-	binary := wire != "json"
-	contentType := "application/json"
-	if binary {
-		contentType = serve.ContentTypeBinary
-	}
-	return httpTarget(srv.Handler(), contentType, binary, func() { srv.Close() }), nil
+	t0 := time.Now()
+	s, rec := pass()
+	elapsed = time.Since(t0)
+	_, rep := pass()
+	return s, elapsed, scenario.VerifyReplay(scenario.Served(plays, rec), rep, nil)
 }
 
-// clusterTarget serves bodies through a 2-replica affinity-routed
-// cluster. Replicas take no surface, so binary+surface cells measure
-// the plain binary path here (noted on the sweep result).
-func clusterTarget(wire string) (*sweepTarget, error) {
-	c, err := cluster.New(cluster.Config{
-		Replicas: 2,
-		Factory:  cluster.InProcessFactory(cluster.InProcConfig{Window: 200 * time.Microsecond}),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	binary := wire != "json"
-	contentType := "application/json"
-	if binary {
-		contentType = serve.ContentTypeBinary
-	}
-	return httpTarget(c.Handler(), contentType, binary, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = c.Shutdown(ctx)
-	}), nil
-}
-
-// sweepIssueAll drives bodies through the target with a small worker
-// pool and returns per-body statuses, responses, and latencies
-// (seconds) in body order.
-func sweepIssueAll(tg *sweepTarget, bodies [][]byte, conc int) ([]int, []serve.Response, []float64) {
-	statuses := make([]int, len(bodies))
-	outs := make([]serve.Response, len(bodies))
-	lats := make([]float64, len(bodies))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t0 := time.Now()
-				statuses[i], outs[i] = tg.issue(bodies[i])
-				lats[i] = time.Since(t0).Seconds()
-				mSweepRequests.Inc()
-			}
-		}()
-	}
-	for i := range bodies {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return statuses, outs, lats
-}
-
-// sweepVerify compares a replay pass against the record pass: statuses
-// must match exactly and 200 values bit-for-bit, except where the
-// fast-path verdict flipped between passes (admission timing), where
-// the surface's interpolation tolerance applies.
-func sweepVerify(recStatus, repStatus []int, recOut, repOut []serve.Response) int {
-	mismatches := 0
-	for i := range recStatus {
-		if recStatus[i] != repStatus[i] {
-			mismatches++
-			scenario.CountReplayMismatch()
-			continue
-		}
-		if recStatus[i] != http.StatusOK {
-			continue
-		}
-		if recOut[i].Fast == repOut[i].Fast {
-			if math.Float64bits(recOut[i].Value) != math.Float64bits(repOut[i].Value) {
-				mismatches++
-				scenario.CountReplayMismatch()
-			}
-			continue
-		}
-		rel := math.Abs(recOut[i].Value-repOut[i].Value) / math.Max(math.Abs(recOut[i].Value), 1e-12)
-		if rel > 1e-3 {
-			mismatches++
-			scenario.CountReplayMismatch()
-		}
-	}
-	return mismatches
-}
-
-// ScenarioSweep runs the full scenario matrix: every builtin scenario ×
+// ScenarioSweep runs the scenario matrix: every builtin scenario ×
 // {json, binary, binary+surface} wire × {direct, batched, cluster}
-// serving mode. Each cell realizes a bounded schedule, drives it twice
-// through a fresh target — a record pass and a replay pass — verifies
-// the replay reproduced the recorded responses, and reports throughput,
-// latency percentiles, batched%, and fast% per cell. n bounds the
-// requests per cell. The returned report feeds the run manifest; the
-// Result renders the matrix as text.
+// serving mode, less binary+surface × cluster — replicas take no
+// surface, so that cell would re-run binary × cluster. Each cell
+// realizes a bounded schedule, drives it twice through a fresh target —
+// a record pass and a replay pass — verifies the replay reproduced the
+// recorded responses, and reports throughput, latency percentiles,
+// batched%, and fast% per cell. n bounds the requests per cell. The
+// returned report feeds the run manifest; the Result renders the matrix
+// as text.
 func ScenarioSweep(env *Env, n int) (Result, *obs.ScenarioReport, error) {
 	if n < 1 {
 		n = 1
@@ -385,10 +274,7 @@ func ScenarioSweep(env *Env, n int) (Result, *obs.ScenarioReport, error) {
 
 	// One realized schedule per scenario, shared across its cells so
 	// every wire/mode combination sees identical traffic.
-	type realized struct {
-		json, binary [][]byte
-	}
-	schedules := map[string]*realized{}
+	schedules := map[string]map[string][]scenario.Record{}
 	for _, name := range scenario.BuiltinNames() {
 		sc, err := scenario.Builtin(name)
 		if err != nil {
@@ -401,83 +287,60 @@ func ScenarioSweep(env *Env, n int) (Result, *obs.ScenarioReport, error) {
 		if len(items) > n {
 			items = items[:n]
 		}
-		r := &realized{}
-		for _, it := range items {
-			jb, err := scenario.EncodeItem(it, scenario.FormatJSON)
-			if err != nil {
-				return Result{}, nil, err
+		byFormat := map[string][]scenario.Record{}
+		for _, format := range []string{scenario.FormatJSON, scenario.FormatBinary} {
+			for _, it := range items {
+				b, err := scenario.EncodeItem(it, format)
+				if err != nil {
+					return Result{}, nil, err
+				}
+				byFormat[format] = append(byFormat[format], scenario.Record{Offset: it.Offset, Cohort: it.Cohort, Req: b})
 			}
-			bb, err := scenario.EncodeItem(it, scenario.FormatBinary)
-			if err != nil {
-				return Result{}, nil, err
-			}
-			r.json = append(r.json, jb)
-			r.binary = append(r.binary, bb)
 		}
-		schedules[name] = r
+		schedules[name] = byFormat
 	}
 
 	report := &obs.ScenarioReport{}
 	for _, name := range scenario.BuiltinNames() {
 		for _, wire := range wires {
-			bodies := schedules[name].binary
-			if wire == "json" {
-				bodies = schedules[name].json
-			}
+			plays := schedules[name][wireFormat(wire)]
 			for _, mode := range modes {
+				if mode == "cluster" && wire == "binary+surface" {
+					continue
+				}
 				var (
 					tg  *sweepTarget
 					err error
 				)
-				switch mode {
-				case "direct":
+				if mode == "direct" {
 					tg, err = directTarget(wire)
-				case "batched":
-					tg, err = batchedTarget(wire)
-				case "cluster":
-					tg, err = clusterTarget(wire)
+				} else {
+					tg, err = servedTarget(wire, mode)
 				}
 				if err != nil {
 					return Result{}, nil, fmt.Errorf("scenariosweep %s/%s/%s: %w", name, wire, mode, err)
 				}
-				t0 := time.Now()
-				recStatus, recOut, lats := sweepIssueAll(tg, bodies, 8)
-				elapsed := time.Since(t0).Seconds()
-				repStatus, repOut, _ := sweepIssueAll(tg, bodies, 8)
+				s, elapsed, mismatches := sweepCell(tg, plays)
 				tg.close()
-				mismatches := sweepVerify(recStatus, repStatus, recOut, repOut)
 				mSweepCells.Inc()
 
-				ok, batched, fast := 0, 0, 0
-				for i, s := range recStatus {
-					if s != http.StatusOK {
-						continue
-					}
-					ok++
-					if recOut[i].Batch > 1 {
-						batched++
-					}
-					if recOut[i].Fast {
-						fast++
-					}
-				}
-				sort.Float64s(lats)
-				cell := obs.ScenarioCell{
-					Scenario: name, Wire: wire, Mode: mode,
-					Requests:         len(bodies),
-					ReqPerSec:        float64(len(bodies)) / elapsed,
-					P50Ms:            percentileSeconds(lats, 50) * 1e3,
-					P99Ms:            percentileSeconds(lats, 99) * 1e3,
-					BatchedPct:       pct(batched, ok),
-					FastPct:          pct(fast, ok),
-					ReplayMismatches: mismatches,
-				}
-				report.Cells = append(report.Cells, cell)
-				report.Replayed += len(bodies)
-				report.Mismatches += mismatches
-				if ok == 0 {
+				if s.OK == 0 {
 					return Result{}, nil, fmt.Errorf("scenariosweep %s/%s/%s: no successful requests", name, wire, mode)
 				}
+				p50, _ := stats.Quantile(s.Latencies, 0.5)
+				p99, _ := stats.Quantile(s.Latencies, 0.99)
+				report.Cells = append(report.Cells, obs.ScenarioCell{
+					Scenario: name, Wire: wire, Mode: mode,
+					Requests:         len(plays),
+					ReqPerSec:        float64(len(plays)) / elapsed.Seconds(),
+					P50Ms:            p50,
+					P99Ms:            p99,
+					BatchedPct:       pct(s.Batched, s.OK),
+					FastPct:          pct(s.Fast, s.OK),
+					ReplayMismatches: mismatches,
+				})
+				report.Replayed += len(plays)
+				report.Mismatches += mismatches
 			}
 		}
 	}
@@ -498,7 +361,6 @@ func ScenarioSweep(env *Env, n int) (Result, *obs.ScenarioReport, error) {
 		Text:  b.String(),
 		Notes: []string{
 			fmt.Sprintf("%d cells, %d requests replayed, %d mismatches", len(report.Cells), report.Replayed, report.Mismatches),
-			"cluster replicas take no surface: binary+surface cluster cells measure the plain binary path",
 			"throughput and latency cells are wall-clock measurements; replay verification is the deterministic gate",
 		},
 		ModelErrPct: map[string]float64{"replay": 100 * float64(report.Mismatches) / float64(max(report.Replayed, 1))},
@@ -511,20 +373,4 @@ func pct(part, whole int) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(whole)
-}
-
-// percentileSeconds returns the p-th percentile (nearest rank) of
-// sorted data, 0 when empty.
-func percentileSeconds(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

@@ -55,47 +55,41 @@ func TestScenarioReplayDeterministic(t *testing.T) {
 
 // TestScenarioSweepSmokeCell drives single cells of the sweep matrix —
 // the direct and batched targets on the steady scenario — and holds the
-// record/replay verification on each. This is the `make scenario-gate`
-// cell; the full matrix runs in TestScenarioSweepMatrix.
+// record/replay verification on each, with every request answered.
+// The full matrix runs in TestScenarioSweepMatrix.
 func TestScenarioSweepSmokeCell(t *testing.T) {
-	bodies := sweepBodies(t, "steady", 60)
-	for _, wire := range []string{"binary", "binary+surface"} {
-		tg, err := directTarget(wire)
+	for _, c := range []struct{ wire, mode string }{
+		{"binary", "direct"}, {"binary+surface", "direct"}, {"json", "batched"},
+	} {
+		var (
+			tg  *sweepTarget
+			err error
+		)
+		if c.mode == "direct" {
+			tg, err = directTarget(c.wire)
+		} else {
+			tg, err = servedTarget(c.wire, c.mode)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		recS, recO, _ := sweepIssueAll(tg, bodies, 8)
-		repS, repO, _ := sweepIssueAll(tg, bodies, 8)
+		plays := sweepPlays(t, "steady", 60, wireFormat(c.wire))
+		s, _, m := sweepCell(tg, plays)
 		tg.close()
-		if m := sweepVerify(recS, repS, recO, repO); m != 0 {
-			t.Fatalf("direct/%s: %d replay mismatches", wire, m)
+		if m != 0 {
+			t.Fatalf("%s/%s: %d replay mismatches", c.mode, c.wire, m)
 		}
-		if wire == "binary+surface" {
-			fast := 0
-			for _, o := range recO {
-				if o.Fast {
-					fast++
-				}
-			}
-			if fast == 0 {
-				t.Fatal("binary+surface direct cell never hit the fast path")
-			}
+		if s.OK != len(plays) {
+			t.Fatalf("%s/%s: %d of %d requests answered; first error %v", c.mode, c.wire, s.OK, len(plays), s.FirstErr)
 		}
-	}
-	tg, err := batchedTarget("json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recS, recO, _ := sweepIssueAll(tg, bodies, 8)
-	repS, repO, _ := sweepIssueAll(tg, bodies, 8)
-	tg.close()
-	if m := sweepVerify(recS, repS, recO, repO); m != 0 {
-		t.Fatalf("batched/json: %d replay mismatches", m)
+		if c.wire == "binary+surface" && s.Fast == 0 {
+			t.Fatal("binary+surface direct cell never hit the fast path")
+		}
 	}
 }
 
-// sweepBodies realizes one builtin scenario into binary wire bodies.
-func sweepBodies(t *testing.T, name string, n int) [][]byte {
+// sweepPlays realizes one builtin scenario into wire bodies.
+func sweepPlays(t *testing.T, name string, n int, format string) []scenario.Record {
 	t.Helper()
 	sc, err := scenario.Builtin(name)
 	if err != nil {
@@ -108,16 +102,16 @@ func sweepBodies(t *testing.T, name string, n int) [][]byte {
 	if len(items) > n {
 		items = items[:n]
 	}
-	bodies := make([][]byte, len(items))
+	plays := make([]scenario.Record, len(items))
 	for i, it := range items {
-		if bodies[i], err = scenario.EncodeItem(it, scenario.FormatBinary); err != nil {
+		if plays[i].Req, err = scenario.EncodeItem(it, format); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return bodies
+	return plays
 }
 
-// TestScenarioSweepMatrix runs the full 45-cell matrix at smoke size:
+// TestScenarioSweepMatrix runs the full 40-cell matrix at smoke size:
 // every cell must verify its replay, every cell must complete, and the
 // surface cells must exercise the fast path somewhere.
 func TestScenarioSweepMatrix(t *testing.T) {
@@ -128,8 +122,8 @@ func TestScenarioSweepMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Cells) != 45 {
-		t.Fatalf("%d cells, want 5 scenarios × 3 wires × 3 modes = 45", len(report.Cells))
+	if len(report.Cells) != 40 {
+		t.Fatalf("%d cells, want 5 scenarios × (3 wires × 3 modes − binary+surface × cluster) = 40", len(report.Cells))
 	}
 	if report.Mismatches != 0 {
 		t.Fatalf("%d replay mismatches across the matrix", report.Mismatches)
@@ -139,7 +133,10 @@ func TestScenarioSweepMatrix(t *testing.T) {
 		if c.Requests == 0 {
 			t.Fatalf("cell %s/%s/%s ran zero requests", c.Scenario, c.Wire, c.Mode)
 		}
-		if c.Wire == "binary+surface" && c.Mode != "cluster" && c.FastPct > 0 {
+		if c.Wire == "binary+surface" && c.Mode == "cluster" {
+			t.Fatalf("cell %s/binary+surface/cluster re-runs binary/cluster: replicas take no surface", c.Scenario)
+		}
+		if c.Wire == "binary+surface" && c.FastPct > 0 {
 			fastSeen = true
 		}
 	}

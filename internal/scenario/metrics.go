@@ -17,6 +17,7 @@ var (
 )
 
 // CountReplayMismatch tallies one replayed response that failed to
-// reproduce its recorded value or status. Exposed so the loadgen and
-// experiments replay drivers share one series.
+// reproduce its recorded value or status. VerifyReplay counts its own;
+// this is for the DES-clocked replay, which compares two passes of
+// predicted values instead of served outcomes.
 func CountReplayMismatch() { mReplayDiffs.Inc() }

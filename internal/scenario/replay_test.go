@@ -2,20 +2,9 @@ package scenario
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"io"
-	"math"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
-
-	"contention/internal/cluster"
-	"contention/internal/core"
-	"contention/internal/runner"
-	"contention/internal/serve"
 )
 
 // replayScenario is the differential workload: three cohorts with
@@ -38,67 +27,56 @@ func replayScenario(t testing.TB, rate float64) *Scenario {
 	return sc
 }
 
-// postBody sends one wire body and decodes the outcome; 4xx/5xx record
-// only the status.
-func postBody(t testing.TB, client *http.Client, url, contentType string, body []byte, binary bool) (int, serve.Response) {
+// recordReplay records plays in order against one fresh target (conc
+// closed-loop workers), writes the served trace and reads it back, then
+// replays the records against a second fresh target. It returns the
+// recorded records and the replayed outcomes.
+func recordReplay(t *testing.T, hdr TraceHeader, plays []Record, conc int, fresh func() (*Target, error)) ([]Record, []Outcome) {
 	t.Helper()
-	resp, err := client.Post(url, contentType, bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading response: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, serve.Response{}
-	}
-	if binary {
-		out, err := serve.DecodeBinaryResponse(raw)
+	run := func(plays []Record) []Outcome {
+		tg, err := fresh()
 		if err != nil {
-			t.Fatalf("binary response: %v", err)
+			t.Fatal(err)
 		}
-		return resp.StatusCode, out
-	}
-	var out serve.Response
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("json response %q: %v", raw, err)
-	}
-	return resp.StatusCode, out
-}
-
-// serveConcurrent answers bodies[i] into outs[i] with a bounded worker
-// pool, preserving index order in the results.
-func serveConcurrent(t testing.TB, client *http.Client, url, contentType string, bodies [][]byte, binary bool, conc int) ([]int, []serve.Response) {
-	t.Helper()
-	statuses := make([]int, len(bodies))
-	outs := make([]serve.Response, len(bodies))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				statuses[i], outs[i] = postBody(t, client, url, contentType, bodies[i], binary)
+		defer tg.Close()
+		client := Client(conc)
+		defer client.CloseIdleConnections()
+		url, contentType := tg.URL(), ContentType(hdr.Format)
+		_, outs := Drive(Shape{Workers: conc, N: len(plays)}, func(i int) Outcome {
+			return Post(client, url, contentType, "", plays[i].Req)
+		})
+		// A rejection is recorded and replayed; no answer at all, or a 200
+		// that does not decode, fails the run.
+		for i, o := range outs {
+			if o.Err != nil && (o.Status == 0 || o.Status == http.StatusOK) {
+				t.Fatalf("request %d (status %d): %v", i, o.Status, o.Err)
 			}
-		}()
+		}
+		return outs
 	}
-	for i := range bodies {
-		next <- i
+	var trace bytes.Buffer
+	if err := WriteServed(&trace, hdr, plays, run(plays)); err != nil {
+		t.Fatal(err)
 	}
-	close(next)
-	wg.Wait()
-	return statuses, outs
+	got, recs, err := ReadTrace(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Served || got.Format != hdr.Format {
+		t.Fatalf("header %+v lost served/format", got)
+	}
+	if len(recs) != len(plays) {
+		t.Fatalf("trace carried %d records, wrote %d", len(recs), len(plays))
+	}
+	return recs, run(recs)
 }
 
 // TestReplayDifferential10k is the tentpole acceptance gate: record a
 // 10k-request seeded run against an in-process server, replay the
-// trace against a fresh server, and require every response value
-// bit-for-bit identical and every status code exactly equal. Five
-// malformed bodies are spliced in so the 400 path is part of the
-// differential.
+// trace against a fresh server, and require every response to
+// reproduce under the replay rule — with no surface attached, that is
+// every value bit-for-bit and every status code exactly. Five malformed
+// bodies are spliced in so the 400 path is part of the differential.
 func TestReplayDifferential10k(t *testing.T) {
 	const want = 10_000
 	n := want
@@ -116,107 +94,37 @@ func TestReplayDifferential10k(t *testing.T) {
 	}
 	items = items[:n]
 
-	bodies := make([][]byte, 0, n+5)
-	cohorts := make([]string, 0, n+5)
-	offsets := make([]time.Duration, 0, n+5)
+	plays := make([]Record, 0, n+5)
 	for i, it := range items {
 		// Splice malformed bodies at fixed points: the recorded 400s must
 		// replay as 400s.
 		if i%2000 == 1000 {
-			bodies = append(bodies, []byte{0xde, 0xad, 0xbe, 0xef})
-			cohorts = append(cohorts, "bad")
-			offsets = append(offsets, it.Offset)
+			plays = append(plays, Record{Offset: it.Offset, Cohort: "bad", Req: []byte{0xde, 0xad, 0xbe, 0xef}})
 		}
 		b, err := EncodeItem(it, FormatBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies = append(bodies, b)
-		cohorts = append(cohorts, it.Cohort)
-		offsets = append(offsets, it.Offset)
+		plays = append(plays, Record{Offset: it.Offset, Cohort: it.Cohort, Req: b})
 	}
 
-	newServer := func() *httptest.Server {
-		pred, err := core.NewPredictor(serve.SyntheticCalibration())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := serve.New(serve.Config{Pred: pred, Pool: runner.New(0), Window: 200 * time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() { ts.Close(); s.Close() })
-		return ts
-	}
+	recs, got := recordReplay(t, TraceHeader{
+		Seed: 20260807, Scenario: sc.Spec(), HorizonMS: 3000, Format: FormatBinary,
+	}, plays, 16, func() (*Target, error) { return SelfServe(200*time.Microsecond, false) })
 
-	// Record.
-	rec := newServer()
-	statuses, outs := serveConcurrent(t, rec.Client(), rec.URL+"/v1/predict",
-		serve.ContentTypeBinary, bodies, true, 16)
-
-	var trace bytes.Buffer
-	tw, err := NewTraceWriter(&trace, TraceHeader{
-		Seed: 20260807, Scenario: sc.Spec(), HorizonMS: 3000, Format: FormatBinary, Served: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bodies {
-		if err := tw.Write(&Record{
-			Offset: offsets[i], Cohort: cohorts[i], Req: bodies[i],
-			HasResp: true, Status: statuses[i], Resp: outs[i],
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay against a fresh server and hold the differential.
-	hdr, recs, err := ReadTrace(bytes.NewReader(trace.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hdr.Served || hdr.Format != FormatBinary {
-		t.Fatalf("header %+v lost served/format", hdr)
-	}
-	rep := newServer()
-	replayBodies := make([][]byte, len(recs))
-	for i := range recs {
-		replayBodies[i] = recs[i].Req
-	}
-	gotStatus, gotOut := serveConcurrent(t, rep.Client(), rep.URL+"/v1/predict",
-		serve.ContentTypeBinary, replayBodies, true, 16)
-
-	badSeen, mismatches := 0, 0
-	for i, r := range recs {
-		if gotStatus[i] != r.Status {
-			mismatches++
-			t.Errorf("record %d (%s): replay status %d, recorded %d", i, r.Cohort, gotStatus[i], r.Status)
-			continue
-		}
+	badSeen := 0
+	for _, r := range recs {
 		if r.Status != http.StatusOK {
 			badSeen++
-			continue
 		}
-		if math.Float64bits(gotOut[i].Value) != math.Float64bits(r.Resp.Value) ||
-			gotOut[i].Degraded != r.Resp.Degraded || gotOut[i].Fast != r.Resp.Fast {
-			mismatches++
-			t.Errorf("record %d (%s): replay value %x degraded=%v, recorded %x degraded=%v",
-				i, r.Cohort, math.Float64bits(gotOut[i].Value), gotOut[i].Degraded,
-				math.Float64bits(r.Resp.Value), r.Resp.Degraded)
-		}
-		if mismatches > 10 {
-			t.Fatalf("giving up after %d mismatches", mismatches)
-		}
+	}
+	if m := VerifyReplay(recs, got, func(i int, err error) {
+		t.Errorf("record %d (%s): %v", i, recs[i].Cohort, err)
+	}); m > 0 {
+		t.Fatalf("%d of %d replayed records diverged", m, len(recs))
 	}
 	if badSeen == 0 {
 		t.Fatal("no malformed records exercised the 400 path")
-	}
-	if len(recs) != len(bodies) {
-		t.Fatalf("trace carried %d records, wrote %d", len(recs), len(bodies))
 	}
 	t.Logf("replayed %d records (%d bad-request) bit-identically", len(recs), badSeen)
 }
@@ -237,78 +145,18 @@ func TestReplayThroughCluster(t *testing.T) {
 	if len(items) < n {
 		t.Fatalf("schedule produced %d items, need %d", len(items), n)
 	}
-	items = items[:n]
-	bodies := make([][]byte, n)
-	for i, it := range items {
-		if bodies[i], err = EncodeItem(it, FormatJSON); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	newCluster := func() *httptest.Server {
-		c, err := cluster.New(cluster.Config{
-			Replicas: 2,
-			Factory:  cluster.InProcessFactory(cluster.InProcConfig{Window: 200 * time.Microsecond}),
-		})
+	plays := make([]Record, n)
+	for i, it := range items[:n] {
+		b, err := EncodeItem(it, FormatJSON)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(c.Handler())
-		t.Cleanup(func() {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = c.Shutdown(ctx)
-		})
-		return ts
+		plays[i] = Record{Offset: it.Offset, Cohort: it.Cohort, Req: b}
 	}
 
-	rec := newCluster()
-	statuses, outs := serveConcurrent(t, rec.Client(), rec.URL+"/v1/predict",
-		"application/json", bodies, false, 8)
-
-	var trace bytes.Buffer
-	tw, err := NewTraceWriter(&trace, TraceHeader{Seed: 7, Scenario: sc.Spec(), Format: FormatJSON, Served: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bodies {
-		if err := tw.Write(&Record{
-			Offset: items[i].Offset, Cohort: items[i].Cohort, Req: bodies[i],
-			HasResp: true, Status: statuses[i], Resp: outs[i],
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, recs, err := ReadTrace(bytes.NewReader(trace.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := newCluster()
-	replayBodies := make([][]byte, len(recs))
-	for i := range recs {
-		replayBodies[i] = recs[i].Req
-	}
-	gotStatus, gotOut := serveConcurrent(t, rep.Client(), rep.URL+"/v1/predict",
-		"application/json", replayBodies, false, 8)
-
-	for i, r := range recs {
-		if gotStatus[i] != r.Status {
-			t.Fatalf("record %d (%s): replay status %d, recorded %d", i, r.Cohort, gotStatus[i], r.Status)
-		}
-		if r.Status != http.StatusOK {
-			continue
-		}
-		if math.Float64bits(gotOut[i].Value) != math.Float64bits(r.Resp.Value) {
-			t.Fatalf("record %d (%s): replay value %x, recorded %x",
-				i, r.Cohort, math.Float64bits(gotOut[i].Value), math.Float64bits(r.Resp.Value))
-		}
-	}
+	recs, got := recordReplay(t, TraceHeader{Seed: 7, Scenario: sc.Spec(), Format: FormatJSON}, plays, 8,
+		func() (*Target, error) { return SelfServeFleet(2, 200*time.Microsecond) })
+	VerifyReplay(recs, got, func(i int, err error) {
+		t.Fatalf("record %d (%s): %v", i, recs[i].Cohort, err)
+	})
 }

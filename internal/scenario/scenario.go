@@ -435,6 +435,17 @@ func (w Workload) request(rng *rand.Rand, pool [][]serve.ContenderSpec) *serve.R
 	return req
 }
 
+// Draw realizes n requests from rng: one pool, then n requests over it —
+// the uniform traffic a closed- or open-loop run cycles through.
+func (w Workload) Draw(rng *rand.Rand, n int) []*serve.Request {
+	pool := w.pool(rng)
+	reqs := make([]*serve.Request, n)
+	for i := range reqs {
+		reqs[i] = w.request(rng, pool)
+	}
+	return reqs
+}
+
 // --- cohorts and scenarios --------------------------------------------------
 
 // Cohort is one traffic population: an arrival process plus the
