@@ -56,9 +56,10 @@ fuzz:
 #    damaged copies are rejected — a truncated file and a payload with one
 #    value flipped (valid JSON, so only the checksum can catch it);
 #  - loadgen self-serving each target shape: one server (closed and open
-#    loop), a 3-replica cluster behind the router, two contentiond child
-#    processes as remote members, the binary wire with the surface fast
-#    path, and a traced 2-replica fleet emitting per-stage attribution;
+#    loop), a 3-replica cluster behind the router, binary bodies through
+#    a 2-replica router, two contentiond child processes as remote
+#    members, the binary wire with the surface fast path, and a traced
+#    2-replica fleet emitting per-stage attribution;
 #  - a scenario run recorded to a trace file and replayed from it, every
 #    response verified against the recorded one;
 #  - an unknown experiment id is refused (before anything is calibrated);
@@ -77,6 +78,7 @@ smoke:
 	$(GO) run ./cmd/loadgen -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -mode open -rate 500 -duration 1s -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -cluster 3 -duration 1s -conc 4 -warmup 100ms > /dev/null && \
+	$(GO) run ./cmd/loadgen -cluster 2 -binary -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) build -o "$$tmp/contentiond" ./cmd/contentiond && \
 	$(GO) run ./cmd/loadgen -remote 2 -exec "$$tmp/contentiond" -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -binary -surface -duration 1s -conc 4 -warmup 100ms > /dev/null && \

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -296,9 +297,13 @@ func (m *member) getWeight() float64 {
 // Cluster is the supervised fleet plus its affinity router. Build with
 // New, call Start, serve Handler; it is goroutine-safe.
 type Cluster struct {
-	cfg    Config
-	adm    *rm.Admission
-	client *http.Client
+	cfg Config
+	adm *rm.Admission
+	// transport is the one connection pool to the replicas: predicts are
+	// forwarded straight through its RoundTrip, while probes, heartbeats,
+	// /v1/observe and the fleet scrape go through client over it.
+	transport *http.Transport
+	client    *http.Client
 
 	// members is append-only: a member's id is its index, forever. The
 	// slice header is guarded by memMu (AddRemote appends); the members
@@ -335,16 +340,21 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// No replica compresses a response, so the transport does not offer
+	// gzip: every replica would parse an Accept-Encoding it never uses.
+	tr := &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     30 * time.Second,
+		DisableCompression:  true,
+	}
 	c := &Cluster{
-		cfg: cfg,
-		adm: rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     30 * time.Second,
-		}},
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		stop: make(chan struct{}),
+		cfg:       cfg,
+		adm:       rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		transport: tr,
+		client:    &http.Client{Transport: tr},
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		stop:      make(chan struct{}),
 	}
 	c.retryTokens.Store(5_000) // a little starting credit so early faults can fail over
 	c.members = make([]*member, cfg.Replicas)
@@ -755,29 +765,36 @@ type tryResult struct {
 	status int
 	body   []byte
 	err    error
+	// final marks a transport error no replica could have avoided: the
+	// client went away or the request deadline is spent.
+	final bool
 }
 
 // retryable reports whether another replica might do better: transport
 // errors, 5xx, and 429 (that replica is saturated; the ring successor
 // may not be). 4xx client faults and 504 (the deadline is spent either
 // way) are final, as are a vanished client and a spent request
-// deadline — nobody is waiting for a second try.
+// deadline — nobody is waiting for a second try. A per-try timeout is
+// the replica's own failure and is retried.
 func (r tryResult) retryable() bool {
-	if errors.Is(r.err, ErrClientGone) || errors.Is(r.err, context.DeadlineExceeded) {
+	if r.final {
 		return false
 	}
 	return r.err != nil || r.status >= 500 || r.status == http.StatusTooManyRequests
 }
 
 // route sends body to the replicas owning key, in ring-affinity order
-// with load-aware spill, bounded retries, and optional hedging. meta
-// carries the request's correlation state onto every attempt's wire.
-func (c *Cluster) route(ctx context.Context, key string, body []byte, meta reqMeta) tryResult {
-	ids := c.ring.Load().Sequence(key, c.cfg.Candidates)
+// with load-aware spill, bounded retries, and optional hedging. ctx is
+// the client's; meta carries the request's deadline and correlation
+// state onto every attempt's wire.
+func (c *Cluster) route(ctx context.Context, key string, body []byte, meta *reqMeta) tryResult {
+	var idBuf [DefaultCandidates]int
+	ids := c.ring.Load().Sequence(idBuf[:0], key, c.cfg.Candidates)
 	if len(ids) == 0 {
 		return tryResult{err: ErrNoReplica}
 	}
-	cands := make([]*member, 0, len(ids))
+	var candBuf [DefaultCandidates]*member
+	cands := candBuf[:0]
 	for _, id := range ids {
 		if m := c.memberByID(id); m != nil {
 			cands = append(cands, m)
@@ -834,21 +851,22 @@ func (c *Cluster) route(ctx context.Context, key string, body []byte, meta reqMe
 		if !res.retryable() {
 			return res
 		}
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || !time.Now().Before(meta.deadline) {
 			break
 		}
 	}
 	return last
 }
 
-// attempt posts body to one member with the per-try timeout, recording
-// the outcome in its breaker. Every attempt call must be preceded by
-// exactly one Allow() on the member (half-open probe accounting).
-// Transport errors are classified before they reach the breaker: a
-// failure caused by the requesting client (cancel, disconnect) or by
-// the request deadline expiring is forgiven — the replica did nothing
-// wrong, and counting it would let misbehaving clients trip breakers.
-func (c *Cluster) attempt(ctx context.Context, m *member, body []byte, meta reqMeta) tryResult {
+// attempt forwards body to one member under the per-try timeout,
+// recording the outcome in its breaker. Every attempt call must be
+// preceded by exactly one Allow() on the member (half-open probe
+// accounting). Transport errors are classified before they reach the
+// breaker: a failure caused by the requesting client (cancel,
+// disconnect) or by the request deadline expiring is forgiven — the
+// replica did nothing wrong, and counting it would let misbehaving
+// clients trip breakers.
+func (c *Cluster) attempt(ctx context.Context, m *member, body []byte, meta *reqMeta) tryResult {
 	addr := m.currentAddr()
 	if addr == "" {
 		m.breaker.Record(false)
@@ -862,61 +880,49 @@ func (c *Cluster) attempt(ctx context.Context, m *member, body []byte, meta reqM
 	// no cost).
 	span, wtc := obs.DefaultTracer().StartCtx("lb", "attempt", meta.tc)
 	defer span.End()
-	tctx, cancel := context.WithTimeout(ctx, c.cfg.PerTryTimeout)
+	// The try's one context: the request deadline or the per-try
+	// timeout, whichever comes first.
+	dl := time.Now().Add(c.cfg.PerTryTimeout)
+	if meta.deadline.Before(dl) {
+		dl = meta.deadline
+	}
+	tctx, cancel := context.WithDeadline(ctx, dl)
 	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, "http://"+addr+"/v1/predict", bytes.NewReader(body))
+	req := newOutbound(tctx, addr, body, meta, wtc)
+	resp, err := c.transport.RoundTrip(req)
 	if err != nil {
-		m.breaker.Record(false)
-		return tryResult{err: err}
+		// The error text http.Client.Do would have returned.
+		return c.classifyTransportErr(ctx, meta.deadline, m, &url.Error{Op: "Post", URL: req.URL.String(), Err: err})
 	}
-	ct := meta.contentType
-	if ct == "" {
-		ct = "application/json"
-	}
-	req.Header.Set("Content-Type", ct)
-	if wtc.Valid() {
-		req.Header.Set(serve.TraceHeader, wtc.String())
-	}
-	if meta.rid != "" {
-		req.Header.Set(serve.RequestIDHeader, meta.rid)
-	}
-	// Propagate the remaining request deadline so the replica can bound
-	// its own work (batching window, queue wait) to time someone is
-	// still waiting for.
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.Header.Set(serve.DeadlineHeader, fmt.Sprintf("%d", ms))
-		}
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return c.classifyTransportErr(ctx, m, err)
-	}
-	b, rerr := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes+1))
+	b, rerr := readLimited(resp.Body, resp.ContentLength, serve.MaxBodyBytes+1)
 	resp.Body.Close()
 	if rerr != nil {
-		return c.classifyTransportErr(ctx, m, rerr)
+		return c.classifyTransportErr(ctx, meta.deadline, m, rerr)
 	}
 	res := tryResult{status: resp.StatusCode, body: b}
 	m.breaker.Record(!res.retryable())
 	return res
 }
 
-// classifyTransportErr decides whose fault a failed attempt was. Parent
-// context canceled → the client went away (ErrClientGone, forgiven);
-// parent deadline expired → the request ran out of time across the
-// fleet, not on this member (forgiven); anything else — per-try
-// timeout, connection refused/reset, malformed response — is the
-// replica's problem and feeds its breaker.
-func (c *Cluster) classifyTransportErr(ctx context.Context, m *member, err error) tryResult {
-	switch ctx.Err() {
+// classifyTransportErr decides whose fault a failed attempt was. The
+// client's context canceled → the client went away (ErrClientGone,
+// forgiven); the request deadline spent → the request ran out of time
+// across the fleet, not on this member (forgiven); anything else —
+// per-try timeout, connection refused/reset, malformed response — is
+// the replica's problem and feeds its breaker.
+func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, m *member, err error) tryResult {
+	cerr := ctx.Err()
+	if cerr == nil && !time.Now().Before(deadline) {
+		cerr = context.DeadlineExceeded
+	}
+	switch cerr {
 	case context.Canceled:
 		m.breaker.Forgive()
 		mClientGone.Inc()
-		return tryResult{err: fmt.Errorf("%w: %v", ErrClientGone, err)}
+		return tryResult{err: fmt.Errorf("%w: %v", ErrClientGone, err), final: true}
 	case context.DeadlineExceeded:
 		m.breaker.Forgive()
-		return tryResult{err: fmt.Errorf("%w: %v", context.DeadlineExceeded, err)}
+		return tryResult{err: fmt.Errorf("%w: %v", context.DeadlineExceeded, err), final: true}
 	}
 	m.breaker.Record(false)
 	return tryResult{err: err}
@@ -926,7 +932,9 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, m *member, err error
 // healthy candidate: if the primary has not answered within HedgeDelay
 // (a stall, a long batch window, a GC pause), the hedge usually wins
 // and the request rides out the hiccup at the cost of one duplicate.
-func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, body []byte, meta reqMeta) tryResult {
+// The loser is cancelled when hedged returns, whatever ctx the caller
+// passed in.
+func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, body []byte, meta *reqMeta) tryResult {
 	var backup *member
 	for _, m := range cands {
 		if m != primary && m.up() && m.breaker.State() != Open {
@@ -937,11 +945,15 @@ func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, 
 	if backup == nil {
 		return c.attempt(ctx, primary, body, meta)
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// The attempts may outlive the caller's frame: they get a copy.
+	mc := *meta
 	ch := make(chan tryResult, 2)
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
-		ch <- c.attempt(ctx, primary, body, meta)
+		ch <- c.attempt(ctx, primary, body, &mc)
 	}()
 	t := time.NewTimer(c.cfg.HedgeDelay)
 	defer t.Stop()
@@ -956,7 +968,7 @@ func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, 
 			c.bg.Add(1)
 			go func() {
 				defer c.bg.Done()
-				ch <- c.attempt(ctx, backup, body, meta)
+				ch <- c.attempt(ctx, backup, body, &mc)
 			}()
 		}
 	}
@@ -1196,7 +1208,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErrorID(w, http.StatusServiceUnavailable, "cluster draining", errorID())
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxBodyBytes+1))
+	body, err := readLimited(r.Body, r.ContentLength, serve.MaxBodyBytes+1)
 	if err != nil {
 		outcome = "bad_request"
 		writeErrorID(w, http.StatusBadRequest, "read body: "+err.Error(), errorID())
@@ -1217,9 +1229,13 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.Timeout)
-	defer cancel()
-	if err := c.adm.Acquire(ctx); err != nil {
+	// One deadline for the whole request, carried in meta: no context is
+	// built for it unless admission has to wait.
+	meta.deadline = decodeDone.Add(c.cfg.Timeout)
+	if dl, ok := r.Context().Deadline(); ok && dl.Before(meta.deadline) {
+		meta.deadline = dl
+	}
+	if err := c.adm.AcquireUntil(r.Context(), meta.deadline); err != nil {
 		c.recordSLO(start, true, false)
 		if errors.Is(err, rm.ErrSubmitTimeout) {
 			outcome = "timeout"
@@ -1234,7 +1250,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	c.grantRetryCredit()
 
 	routeStart := time.Now()
-	res := c.route(ctx, key, body, meta)
+	res := c.route(r.Context(), key, body, &meta)
 	routeDone := time.Now()
 	lbStRoute.Observe(routeDone.Sub(routeStart).Seconds())
 	lt.stage("route", routeStart, routeDone)
@@ -1247,7 +1263,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// outcome metrics only (nginx's 499 convention).
 			outcome = "client_gone"
 			writeErrorID(w, StatusClientClosedRequest, res.err.Error(), errorID())
-		case errors.Is(res.err, context.DeadlineExceeded):
+		case res.final:
 			outcome = "timeout"
 			writeErrorID(w, http.StatusGatewayTimeout, res.err.Error(), errorID())
 		default:
@@ -1260,8 +1276,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		outcome = fmt.Sprintf("upstream_%d", res.status)
 	}
 	// Upstream 4xx are the client's fault; everything else counts.
-	c.recordSLO(start, res.status != http.StatusOK,
-		res.status >= 400 && res.status < 500 && res.status != http.StatusTooManyRequests)
+	c.recordSLO(start, res.status != http.StatusOK, clientFault(res.status))
 	if res.status == http.StatusTooManyRequests || res.status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", serve.RetryAfterSeconds)
 	}
@@ -1271,15 +1286,21 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Binary responses only arrive with 200; upstream errors are the JSON
 	// envelope regardless of the request wire.
 	if binaryReq && res.status == http.StatusOK {
-		w.Header().Set("Content-Type", serve.ContentTypeBinary)
+		w.Header()["Content-Type"] = contentTypeBinary
 	} else {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = contentTypeJSON
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 	encodeDone := time.Now()
 	lbStEncode.Observe(encodeDone.Sub(routeDone).Seconds())
 	lt.stage("encode", routeDone, encodeDone)
+}
+
+// clientFault reports whether a replica's status blames the request
+// itself: a 4xx other than 429, which only says that replica is busy.
+func clientFault(status int) bool {
+	return status >= 400 && status < 500 && status != http.StatusTooManyRequests
 }
 
 // observeResult is the /v1/observe broadcast summary.
@@ -1291,6 +1312,9 @@ type observeResult struct {
 // handleObserve broadcasts one residual observation to every up
 // replica: each replica runs its own drift detector, so all of them
 // need the evidence regardless of which one served the prediction.
+// When no replica took it and every one that answered refused it with
+// the same client fault (a 4xx other than 429), that refusal is passed
+// through: retrying an observation every replica rejects cannot help.
 func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxBodyBytes+1))
 	if err != nil {
@@ -1298,32 +1322,38 @@ func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res observeResult
+	// The first refusal, and how many answers matched its status.
+	answered, refused := 0, 0
+	var refusalStatus int
+	var refusalBody []byte
 	for _, m := range c.memberList() {
 		addr := m.currentAddr()
 		if addr == "" {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.PerTryTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/observe", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			res.Errors++
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.client.Do(req)
-		cancel()
+		status, answer, err := c.postObserve(r.Context(), addr, body)
 		if err != nil {
 			res.Errors++
 			continue
 		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		answered++
+		if status == http.StatusOK {
 			res.Forwarded++
-		} else {
-			res.Errors++
+			continue
 		}
+		res.Errors++
+		if clientFault(status) && (refused == 0 || status == refusalStatus) {
+			if refused == 0 {
+				refusalStatus, refusalBody = status, answer
+			}
+			refused++
+		}
+	}
+	if res.Forwarded == 0 && answered > 0 && refused == answered {
+		w.Header()["Content-Type"] = contentTypeJSON
+		w.WriteHeader(refusalStatus)
+		_, _ = w.Write(refusalBody)
+		return
 	}
 	status := http.StatusOK
 	if res.Forwarded == 0 {
@@ -1335,6 +1365,27 @@ func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(res)
+}
+
+// postObserve sends one observation to the replica at addr under the
+// per-try timeout and returns its status and (at most 4 KiB of) its
+// answer; err is set when no answer arrived. The answer is what could
+// be read: a body that breaks off does not undo the status.
+func (c *Cluster) postObserve(ctx context.Context, addr string, body []byte) (int, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.PerTryTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/observe", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	answer, _ := readLimited(resp.Body, resp.ContentLength, 4096)
+	return resp.StatusCode, answer, nil
 }
 
 // clusterHealth is the /healthz body.

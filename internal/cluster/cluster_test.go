@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -610,5 +612,61 @@ func TestClusterObserveBroadcast(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || out.Forwarded != 3 {
 		t.Fatalf("observe broadcast = %d, forwarded %d of 3", resp.StatusCode, out.Forwarded)
+	}
+}
+
+// TestClusterObserveRefusalPassesThrough: an observation every replica
+// refuses as the client's fault comes back with the replicas' own status
+// and error envelope, not as a 503 telling the client to retry a
+// request that can never succeed. A valid one still reaches them all.
+func TestClusterObserveRefusalPassesThrough(t *testing.T) {
+	c, err := New(Config{Replicas: 2, Factory: InProcessFactory(InProcConfig{}), ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = c.Shutdown(ctx)
+	})
+	post := func(url, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := front.Client().Post(url+"/v1/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s/v1/observe: %v", url, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b
+	}
+
+	const bad = `{"predicted":"x"}`
+	direct, want := post("http://"+c.Replica(0).Addr(), bad)
+	if direct.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a replica answers %q with %d, want 400", bad, direct.StatusCode)
+	}
+	resp, got := post(front.URL, bad)
+	if resp.StatusCode != direct.StatusCode || !bytes.Equal(got, want) {
+		t.Fatalf("router answers %q with %d %q, want the replicas' %d %q", bad, resp.StatusCode, got, direct.StatusCode, want)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("refused observation carries Retry-After %q", ra)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("refused observation Content-Type %q", ct)
+	}
+
+	resp, got = post(front.URL, `{"predicted":1.2,"observed":1.3}`)
+	var out observeResult
+	if err := json.Unmarshal(got, &out); err != nil || resp.StatusCode != http.StatusOK || out.Forwarded != 2 {
+		t.Fatalf("valid observation = %d %q, want 200 forwarded 2", resp.StatusCode, got)
 	}
 }

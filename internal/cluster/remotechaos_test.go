@@ -315,7 +315,7 @@ func TestMembershipReloadRemapBound(t *testing.T) {
 		r := c.ring.Load()
 		out := make([]int, keys)
 		for i := range out {
-			ids := r.Sequence(fmt.Sprintf("key-%d", i), 1)
+			ids := r.Sequence(nil, fmt.Sprintf("key-%d", i), 1)
 			if len(ids) == 0 {
 				t.Fatal("empty ring")
 			}

@@ -221,34 +221,36 @@ func (r *Ring) Weight(id int) float64 {
 
 // Lookup returns the member owning key, or -1 on an empty ring.
 func (r *Ring) Lookup(key string) int {
-	seq := r.Sequence(key, 1)
+	var buf [1]int
+	seq := r.Sequence(buf[:0], key, 1)
 	if len(seq) == 0 {
 		return -1
 	}
 	return seq[0]
 }
 
-// Sequence returns up to n distinct member ids in ring order starting
-// at the key's successor point: the primary first, then the failover
-// candidates a router walks when the primary is down, tripped, or over
-// its load high-water.
-func (r *Ring) Sequence(key string, n int) []int {
+// Sequence appends up to n distinct member ids to dst in ring order
+// starting at the key's successor point: the primary first, then the
+// failover candidates a router walks when the primary is down, tripped,
+// or over its load high-water. A caller that passes a stack buffer with
+// room for n ids keeps the lookup off the heap.
+func (r *Ring) Sequence(dst []int, key string, n int) []int {
 	if len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
 	if n > len(r.ids) {
 		n = len(r.ids)
 	}
 	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	out := make([]int, 0, n)
-	for k := 0; k < len(r.points) && len(out) < n; k++ {
+	base := len(dst)
+	for k := 0; k < len(r.points) && len(dst)-base < n; k++ {
 		p := r.points[(i+k)%len(r.points)]
-		if !contains(out, p.id) {
-			out = append(out, p.id)
+		if !contains(dst[base:], p.id) {
+			dst = append(dst, p.id)
 		}
 	}
-	return out
+	return dst
 }
 
 // contains is a linear scan — candidate lists are 2-4 entries, where a

@@ -123,7 +123,7 @@ func TestRingInsertionOrderIrrelevant(t *testing.T) {
 		if a.Lookup(k) != b.Lookup(k) {
 			t.Fatalf("key %q routes to %d vs %d under different insertion orders", k, a.Lookup(k), b.Lookup(k))
 		}
-		if !reflect.DeepEqual(a.Sequence(k, 3), b.Sequence(k, 3)) {
+		if !reflect.DeepEqual(a.Sequence(nil, k, 3), b.Sequence(nil, k, 3)) {
 			t.Fatalf("key %q has order-dependent candidate sequence", k)
 		}
 	}
@@ -133,7 +133,7 @@ func TestRingSequence(t *testing.T) {
 	r := NewRing(DefaultVnodes, 0, 1, 2, 3)
 	keys := testKeys(71, 500)
 	for _, k := range keys {
-		seq := r.Sequence(k, 3)
+		seq := r.Sequence(nil, k, 3)
 		if len(seq) != 3 {
 			t.Fatalf("Sequence(%q, 3) returned %d ids", k, len(seq))
 		}
@@ -148,9 +148,22 @@ func TestRingSequence(t *testing.T) {
 			t.Fatalf("Sequence head %d != Lookup %d", seq[0], r.Lookup(k))
 		}
 		// n beyond membership truncates to the full membership.
-		if got := r.Sequence(k, 10); len(got) != 4 {
+		if got := r.Sequence(nil, k, 10); len(got) != 4 {
 			t.Fatalf("Sequence(%q, 10) returned %d ids, want 4", k, len(got))
 		}
+		// Appends after what dst holds, and dedups only what it appended.
+		if got := r.Sequence([]int{seq[1]}, k, 3); !reflect.DeepEqual(got, append([]int{seq[1]}, seq...)) {
+			t.Fatalf("Sequence onto [%d] = %v, want that prefix then %v", seq[1], got, seq)
+		}
+	}
+	// A stack buffer with room for n ids keeps the lookup off the heap.
+	if a := testing.AllocsPerRun(100, func() {
+		var buf [4]int
+		if len(r.Sequence(buf[:0], keys[0], 3)) != 3 {
+			t.Fatal("short sequence")
+		}
+	}); a != 0 {
+		t.Fatalf("Sequence into a stack buffer allocates %.1f objects, want 0", a)
 	}
 }
 
@@ -239,7 +252,7 @@ func TestRingZeroWeightOwnsNothing(t *testing.T) {
 		if zeroed.Lookup(k) == 1 {
 			t.Fatalf("zero-weight member owns key %q", k)
 		}
-		for _, id := range zeroed.Sequence(k, 3) {
+		for _, id := range zeroed.Sequence(nil, k, 3) {
 			if id == 1 {
 				t.Fatalf("zero-weight member appears in candidate sequence for %q", k)
 			}
@@ -265,7 +278,7 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := empty.Lookup("anything"); got != -1 {
 		t.Fatalf("empty ring Lookup = %d, want -1", got)
 	}
-	if got := empty.Sequence("anything", 2); got != nil {
+	if got := empty.Sequence(nil, "anything", 2); got != nil {
 		t.Fatalf("empty ring Sequence = %v, want nil", got)
 	}
 	one := empty.With(7)

@@ -42,13 +42,14 @@ var (
 var mTraceSampled = obs.NewCounter(obs.MetricTraceSampled,
 	"requests that carried or started a sampled trace")
 
-// reqMeta threads per-request correlation state from the front door
-// through route/attempt to the outgoing wire: the request id to forward
-// and the trace context attempts should parent their spans to. The zero
-// value is a request with neither.
+// reqMeta threads per-request state from the front door through
+// route/attempt to the outgoing wire: the request deadline, the request
+// id to forward and the trace context attempts should parent their
+// spans to.
 type reqMeta struct {
-	rid string
-	tc  obs.TraceContext
+	deadline time.Time
+	rid      string
+	tc       obs.TraceContext
 	// contentType is the client's request wire format, forwarded verbatim
 	// so binary-wire requests stay binary end to end; empty means JSON.
 	contentType string

@@ -110,6 +110,22 @@ func (a *Admission) TryAcquire() bool {
 	}
 }
 
+// AcquireUntil is Acquire bounded by deadline (zero: by ctx alone) that
+// builds no deadline context unless it has to wait: a free slot is
+// taken at once, so a caller that usually finds one pays nothing for
+// its deadline. Returns and pairing are Acquire's.
+func (a *Admission) AcquireUntil(ctx context.Context, deadline time.Time) error {
+	if a.TryAcquire() {
+		return nil
+	}
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	return a.Acquire(ctx)
+}
+
 // Release frees a slot taken by a successful Acquire.
 func (a *Admission) Release() {
 	select {

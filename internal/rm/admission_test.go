@@ -82,6 +82,34 @@ func TestAdmissionTimeout(t *testing.T) {
 	}
 }
 
+// TestAcquireUntil: a free slot is taken even past the deadline (no
+// wait, so nothing to bound); a full controller waits until the
+// deadline, or with a zero deadline until ctx ends, and reports the
+// cause as Acquire does.
+func TestAcquireUntil(t *testing.T) {
+	a := NewAdmission(1, 4)
+	if err := a.AcquireUntil(context.Background(), time.Now().Add(-time.Second)); err != nil {
+		t.Fatalf("free slot past the deadline: %v, want admission", err)
+	}
+	start := time.Now()
+	err := a.AcquireUntil(context.Background(), start.Add(20*time.Millisecond))
+	if !errors.Is(err, ErrSubmitTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("full controller: %v, want ErrSubmitTimeout wrapping the deadline", err)
+	}
+	if el := time.Since(start); el < 20*time.Millisecond {
+		t.Fatalf("gave up after %v, before the deadline", el)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	if err := a.AcquireUntil(ctx, time.Time{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("zero deadline, canceled ctx: %v, want ErrSubmitTimeout wrapping Canceled", err)
+	}
+	a.Release()
+	if st := a.Stats(); st.Admitted != 1 || st.TimedOut != 2 {
+		t.Fatalf("admitted %d timed out %d, want 1 and 2", st.Admitted, st.TimedOut)
+	}
+}
+
 func TestAdmissionQueueBound(t *testing.T) {
 	a := NewAdmission(1, 2)
 	if err := a.Acquire(context.Background()); err != nil {

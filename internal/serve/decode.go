@@ -136,9 +136,10 @@ type wire interface {
 // workspace is one request's pooled memory, shared by both wires and by
 // every entry point that takes a request: the raw body, the form a codec
 // fills, the fixed arrays the validated query's slices point into, and
-// the response buffer. It goes back to the pool only once nothing
-// references those slices any more — after the response is encoded; a
-// query the batcher retains owns cloned slices.
+// the response buffer, plus the batched path's deadline timer. It goes
+// back to the pool only once nothing references those slices any more —
+// after the response is encoded; a query the batcher retains owns cloned
+// slices.
 type workspace struct {
 	form form
 	q    query
@@ -153,6 +154,7 @@ type workspace struct {
 	// the pooled struct is already heap-resident.
 	hdr   [4]byte
 	probe [1]byte
+	timer waitTimer
 }
 
 var workspacePool = sync.Pool{New: func() any { return new(workspace) }}

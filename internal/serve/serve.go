@@ -252,16 +252,20 @@ func (s *Server) degradeReason() string {
 // concurrent peers. It blocks until the answer is computed, the context
 // ends (ErrDeadline), or admission rejects the request.
 func (s *Server) Predict(ctx context.Context, q query) (Response, error) {
-	return s.predict(ctx, q, nil)
+	return s.predict(ctx, q, nil, time.Time{}, nil)
 }
 
-// predict is Predict with a tracing handle (nil unless sampled). Stage
-// boundaries are timed on every request for the attribution histograms;
-// rt promotes the same intervals to spans when non-nil.
-func (s *Server) predict(ctx context.Context, q query, rt *reqTrace) (Response, error) {
+// predict is Predict with a tracing handle (nil unless sampled) and an
+// optional deadline (zero: ctx alone bounds the request). The deadline
+// is timed by tm, which the caller lends stopped and drained and gets
+// back the same way; no context is built for it unless admission has
+// to wait. Stage boundaries are timed on every request for the
+// attribution histograms; rt promotes the same intervals to spans when
+// non-nil.
+func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline time.Time, tm *waitTimer) (Response, error) {
 	mRequests.With(q.kind).Inc()
 	admStart := time.Now()
-	if err := s.adm.Acquire(ctx); err != nil {
+	if err := s.adm.AcquireUntil(ctx, deadline); err != nil {
 		if errors.Is(err, rm.ErrSubmitTimeout) {
 			return Response{}, fmt.Errorf("%w: %w", ErrDeadline, err)
 		}
@@ -282,6 +286,10 @@ func (s *Server) predict(ctx context.Context, q query, rt *reqTrace) (Response, 
 		return resp, err
 	}
 
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		expired = tm.arm(time.Until(deadline))
+	}
 	req := &pendingReq{q: q, ch: make(chan outcome, 1), enq: admDone, rt: rt}
 	if flushNow := s.enqueue(req); flushNow != nil {
 		s.runGroups(flushNow)
@@ -289,9 +297,38 @@ func (s *Server) predict(ctx context.Context, q query, rt *reqTrace) (Response, 
 	}
 	select {
 	case out := <-req.ch:
+		tm.disarm(expired, false)
 		return out.resp, out.err
 	case <-ctx.Done():
+		tm.disarm(expired, false)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
+	case <-expired:
+		tm.disarm(expired, true)
+		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded)
+	}
+}
+
+// waitTimer is a request's reusable deadline timer on the batched path.
+// Between requests it is stopped with its channel drained: both modules
+// declare go 1.22, where Stop does not drain the channel, so a tick left
+// behind would expire the next request the moment it parked.
+type waitTimer struct{ t *time.Timer }
+
+// arm starts the timer for d and returns its channel.
+func (w *waitTimer) arm(d time.Duration) <-chan time.Time {
+	if w.t == nil {
+		w.t = time.NewTimer(d)
+	} else {
+		w.t.Reset(d)
+	}
+	return w.t.C
+}
+
+// disarm stops a timer arm returned ch for (nil ch: it was not armed);
+// received says its tick was already taken from ch.
+func (w *waitTimer) disarm(ch <-chan time.Time, received bool) {
+	if ch != nil && !received && !w.t.Stop() {
+		<-w.t.C
 	}
 }
 
@@ -732,8 +769,8 @@ func (s *Server) servePredict(wr wire, ws *workspace, r *http.Request) (Response
 	}
 	stDecode.Observe(decDone.Sub(decStart).Seconds())
 	rt.stage("decode", decStart, decDone)
-	// Fast path before the deadline context: an inline answer needs no
-	// timer allocation and cannot block.
+	// Fast path first: an inline answer needs no deadline and cannot
+	// block.
 	if resp, ok := s.tryFast(&ws.q, rt); ok {
 		return resp, rt, nil
 	}
@@ -745,9 +782,7 @@ func (s *Server) servePredict(wr wire, ws *workspace, r *http.Request) (Response
 	q := ws.q
 	q.cs = append([]core.Contender(nil), q.cs...)
 	q.sets = append([]core.DataSet(nil), q.sets...)
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
-	defer cancel()
-	resp, err := s.predict(ctx, q, rt)
+	resp, err := s.predict(r.Context(), q, rt, time.Now().Add(s.requestTimeout(r)), &ws.timer)
 	return resp, rt, err
 }
 
