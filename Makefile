@@ -33,9 +33,10 @@ race:
 # reference the slowdown kernel's tests hold it to, on no production
 # path), the slowdown kernel must return its reference's bits for a
 # contender set in any order, the request and trace decoders must never
-# panic on arbitrary bytes, the hand JSON request codec must give
-# encoding/json's verdict, status and query bits on every body (the
-# FuzzDecodeRequest differential; a long run is
+# panic on arbitrary bytes, the frame reader must refuse every frame that
+# breaks the framing and give back the bytes of every one it accepts, the
+# hand JSON request codec must give encoding/json's verdict, status and
+# query bits on every body (the FuzzDecodeRequest differential; a long run is
 # `go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10m ./internal/serve`),
 # and whatever metrics page the scrape decoder accepts must re-encode
 # into one it parses to the same series.
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzKernelOrder$$' -fuzztime 5s ./internal/core
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeBinaryRequest$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run ^$$ -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run ^$$ -fuzz '^FuzzReadTraceHeader$$' -fuzztime 5s ./internal/scenario
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeTraceRecord$$' -fuzztime 5s ./internal/scenario
 	$(GO) test -run ^$$ -fuzz '^FuzzParsePrometheusText$$' -fuzztime 5s ./internal/obs

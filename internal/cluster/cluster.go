@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,7 +104,7 @@ type Config struct {
 	SuspectAfter float64
 	// Sampler is the head-sampling knob for request tracing: requests
 	// arriving without a trace header consult it once, and the verdict
-	// rides the X-Contention-Trace header to the replicas. Nil never
+	// rides each forwarded record's trace block to the replicas. Nil never
 	// samples.
 	Sampler *obs.Sampler
 	// SLO, when set, receives every front-door request outcome for
@@ -229,6 +228,7 @@ type member struct {
 	state   memberState
 	rep     Replica
 	addr    string
+	fc      *frameClient // the current incarnation's frame link; nil while down
 	weight  float64
 	gen     int
 	strikes int
@@ -249,6 +249,34 @@ func (m *member) currentAddr() string {
 		return ""
 	}
 	return m.addr
+}
+
+// frames returns the frame link predicts take to the member, nil unless
+// it is up.
+func (m *member) frames() *frameClient {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.state != stateUp {
+		return nil
+	}
+	return m.fc
+}
+
+// setIncarnation makes rep the member's current incarnation, with a
+// fresh frame link to its address. Caller holds m.mu.
+func (m *member) setIncarnation(rep Replica) {
+	m.rep = rep
+	m.addr = rep.Addr()
+	m.fc = newFrameClient(m.addr)
+}
+
+// takeFrames detaches the member's frame link for the caller to close.
+func (m *member) takeFrames() *frameClient {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fc := m.fc
+	m.fc = nil
+	return fc
 }
 
 // heartbeatAddr is the address the failure detector should heartbeat:
@@ -299,11 +327,9 @@ func (m *member) getWeight() float64 {
 type Cluster struct {
 	cfg Config
 	adm *rm.Admission
-	// transport is the one connection pool to the replicas: predicts are
-	// forwarded straight through its RoundTrip, while probes, heartbeats,
-	// /v1/observe and the fleet scrape go through client over it.
-	transport *http.Transport
-	client    *http.Client
+	// client carries probes, heartbeats, /v1/observe and the fleet
+	// scrape; predicts travel on each member's frame link instead.
+	client *http.Client
 
 	// members is append-only: a member's id is its index, forever. The
 	// slice header is guarded by memMu (AddRemote appends); the members
@@ -349,12 +375,11 @@ func New(cfg Config) (*Cluster, error) {
 		DisableCompression:  true,
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		adm:       rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		transport: tr,
-		client:    &http.Client{Transport: tr},
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		stop:      make(chan struct{}),
+		cfg:    cfg,
+		adm:    rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		client: &http.Client{Transport: tr},
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		stop:   make(chan struct{}),
 	}
 	c.retryTokens.Store(5_000) // a little starting credit so early faults can fail over
 	c.members = make([]*member, cfg.Replicas)
@@ -419,8 +444,7 @@ func (c *Cluster) Start() error {
 		}
 		m.mu.Lock()
 		m.state = stateUp
-		m.rep = rep
-		m.addr = rep.Addr()
+		m.setIncarnation(rep)
 		m.upSince = time.Now()
 		m.mu.Unlock()
 		ring = ring.WithWeight(m.id, m.getWeight())
@@ -476,8 +500,7 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 		sus:     newSuspicion(c.cfg.HeartbeatInterval, c.cfg.SuspectAfter, time.Now()),
 	}
 	m.state = stateUp
-	m.rep = newRemoteReplica(addr)
-	m.addr = addr
+	m.setIncarnation(newRemoteReplica(addr))
 	m.upSince = time.Now()
 	c.members = append(c.members, m)
 	c.memMu.Unlock()
@@ -598,6 +621,8 @@ func (c *Cluster) babysit(m *member) {
 		uptime := time.Since(m.upSince)
 		m.state = stateDown
 		m.rep = nil
+		fc := m.fc
+		m.fc = nil
 		if uptime < c.cfg.MinUptime {
 			m.strikes++
 		} else {
@@ -606,6 +631,7 @@ func (c *Cluster) babysit(m *member) {
 		strikes := m.strikes
 		m.mu.Unlock()
 		c.ringRemove(m.id)
+		fc.close()
 
 		for {
 			if strikes >= c.cfg.CrashLoopBudget {
@@ -633,8 +659,7 @@ func (c *Cluster) babysit(m *member) {
 			}
 			m.mu.Lock()
 			m.state = stateUp
-			m.rep = rep2
-			m.addr = rep2.Addr()
+			m.setIncarnation(rep2)
 			m.gen = gen
 			m.upSince = time.Now()
 			m.mu.Unlock()
@@ -768,7 +793,12 @@ type tryResult struct {
 	// final marks a transport error no replica could have avoided: the
 	// client went away or the request deadline is spent.
 	final bool
+	// call holds body's memory; release recycles it once body is written
+	// or dropped.
+	call *call
 }
+
+func (r tryResult) release() { putCall(r.call) }
 
 // retryable reports whether another replica might do better: transport
 // errors, 5xx, and 429 (that replica is saturated; the ring successor
@@ -783,11 +813,11 @@ func (r tryResult) retryable() bool {
 	return r.err != nil || r.status >= 500 || r.status == http.StatusTooManyRequests
 }
 
-// route sends body to the replicas owning key, in ring-affinity order
+// route sends the request to the replicas owning key, in ring-affinity order
 // with load-aware spill, bounded retries, and optional hedging. ctx is
 // the client's; meta carries the request's deadline and correlation
 // state onto every attempt's wire.
-func (c *Cluster) route(ctx context.Context, key string, body []byte, meta *reqMeta) tryResult {
+func (c *Cluster) route(ctx context.Context, key string, meta *reqMeta) tryResult {
 	var idBuf [DefaultCandidates]int
 	ids := c.ring.Load().Sequence(idBuf[:0], key, c.cfg.Candidates)
 	if len(ids) == 0 {
@@ -843,10 +873,11 @@ func (c *Cluster) route(ctx context.Context, key string, body []byte, meta *reqM
 		tries++
 		var res tryResult
 		if tries == 1 && c.cfg.HedgeDelay > 0 {
-			res = c.hedged(ctx, m, cands, body, meta)
+			res = c.hedged(ctx, m, cands, meta)
 		} else {
-			res = c.attempt(ctx, m, body, meta)
+			res = c.attempt(ctx, m, meta)
 		}
+		last.release()
 		last = res
 		if !res.retryable() {
 			return res
@@ -858,48 +889,52 @@ func (c *Cluster) route(ctx context.Context, key string, body []byte, meta *reqM
 	return last
 }
 
-// attempt forwards body to one member under the per-try timeout,
-// recording the outcome in its breaker. Every attempt call must be
-// preceded by exactly one Allow() on the member (half-open probe
-// accounting). Transport errors are classified before they reach the
-// breaker: a failure caused by the requesting client (cancel,
+// attempt sends the request to one member in a frame under the per-try
+// timeout, recording the outcome in its breaker. Every attempt call
+// must be preceded by exactly one Allow() on the member (half-open
+// probe accounting). Transport errors are classified before they reach
+// the breaker: a failure caused by the requesting client (cancel,
 // disconnect) or by the request deadline expiring is forgiven — the
 // replica did nothing wrong, and counting it would let misbehaving
 // clients trip breakers.
-func (c *Cluster) attempt(ctx context.Context, m *member, body []byte, meta *reqMeta) tryResult {
-	addr := m.currentAddr()
-	if addr == "" {
+func (c *Cluster) attempt(ctx context.Context, m *member, meta *reqMeta) tryResult {
+	fc := m.frames()
+	if fc == nil {
 		m.breaker.Record(false)
 		return tryResult{err: ErrNoReplica}
 	}
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	// Sampled requests get a per-attempt span whose context rides the
-	// trace header, so the replica's spans parent into this attempt (an
-	// unsampled or traceless meta passes through StartCtx unchanged at
-	// no cost).
+	// record's trace block, so the replica's spans parent into this
+	// attempt (an unsampled or traceless meta passes through StartCtx
+	// unchanged at no cost).
 	span, wtc := obs.DefaultTracer().StartCtx("lb", "attempt", meta.tc)
 	defer span.End()
-	// The try's one context: the request deadline or the per-try
+	// The try's one deadline: the request deadline or the per-try
 	// timeout, whichever comes first.
 	dl := time.Now().Add(c.cfg.PerTryTimeout)
 	if meta.deadline.Before(dl) {
 		dl = meta.deadline
 	}
-	tctx, cancel := context.WithDeadline(ctx, dl)
-	defer cancel()
-	req := newOutbound(tctx, addr, body, meta, wtc)
-	resp, err := c.transport.RoundTrip(req)
+	cl, err := fc.call(ctx, dl, meta, wtc)
 	if err != nil {
-		// The error text http.Client.Do would have returned.
-		return c.classifyTransportErr(ctx, meta.deadline, m, &url.Error{Op: "Post", URL: req.URL.String(), Err: err})
+		return c.classifyTransportErr(ctx, meta.deadline, m, err)
 	}
-	b, rerr := readLimited(resp.Body, resp.ContentLength, serve.MaxBodyBytes+1)
-	resp.Body.Close()
-	if rerr != nil {
-		return c.classifyTransportErr(ctx, meta.deadline, m, rerr)
+	res := tryResult{status: cl.status, body: cl.body, call: cl}
+	// A JSON client gets the record back as the JSON the replica's own
+	// encoder writes; a record that does not decode is the replica's
+	// fault.
+	if res.status == http.StatusOK && meta.contentType != serve.ContentTypeBinary {
+		resp, err := serve.DecodeBinaryResponse(cl.body)
+		if err != nil {
+			putCall(cl)
+			m.breaker.Record(false)
+			return tryResult{err: err}
+		}
+		cl.out = serve.AppendJSONResponse(cl.out[:0], resp)
+		res.body = cl.out
 	}
-	res := tryResult{status: resp.StatusCode, body: b}
 	m.breaker.Record(!res.retryable())
 	return res
 }
@@ -934,7 +969,7 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, 
 // and the request rides out the hiccup at the cost of one duplicate.
 // The loser is cancelled when hedged returns, whatever ctx the caller
 // passed in.
-func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, body []byte, meta *reqMeta) tryResult {
+func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, meta *reqMeta) tryResult {
 	var backup *member
 	for _, m := range cands {
 		if m != primary && m.up() && m.breaker.State() != Open {
@@ -943,17 +978,19 @@ func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, 
 		}
 	}
 	if backup == nil {
-		return c.attempt(ctx, primary, body, meta)
+		return c.attempt(ctx, primary, meta)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// The attempts may outlive the caller's frame: they get a copy.
+	// The attempts may outlive the caller's frame: they get a copy, with
+	// a record of their own (the caller's goes back to its pool).
 	mc := *meta
+	mc.rec = append([]byte(nil), meta.rec...)
 	ch := make(chan tryResult, 2)
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
-		ch <- c.attempt(ctx, primary, body, &mc)
+		ch <- c.attempt(ctx, primary, &mc)
 	}()
 	t := time.NewTimer(c.cfg.HedgeDelay)
 	defer t.Stop()
@@ -968,10 +1005,11 @@ func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, 
 			c.bg.Add(1)
 			go func() {
 				defer c.bg.Done()
-				ch <- c.attempt(ctx, backup, body, &mc)
+				ch <- c.attempt(ctx, backup, &mc)
 			}()
 		}
 	}
+	// A losing answer is left to the garbage collector, not the pool.
 	res := <-ch
 	if !res.retryable() || launched == 1 {
 		return res
@@ -1037,11 +1075,14 @@ func (c *Cluster) DrainMember(ctx context.Context, id int) error {
 		select {
 		case <-ctx.Done():
 			rep.Kill()
+			m.takeFrames().close()
 			return fmt.Errorf("cluster: drain member %d: %w", id, ctx.Err())
 		case <-tick.C:
 		}
 	}
-	return rep.Close(ctx)
+	err := rep.Close(ctx)
+	m.takeFrames().close()
+	return err
 }
 
 // Shutdown drains the whole cluster: new requests are refused with 503
@@ -1078,6 +1119,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 			if rep != nil {
 				_ = rep.Close(ctx)
 			}
+			m.takeFrames().close()
 		}
 		c.wg.Wait()
 		c.client.CloseIdleConnections()
@@ -1208,13 +1250,24 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErrorID(w, http.StatusServiceUnavailable, "cluster draining", errorID())
 		return
 	}
-	body, err := readLimited(r.Body, r.ContentLength, serve.MaxBodyBytes+1)
+	if len(meta.rid) > serve.MaxRequestIDBytes {
+		outcome = "bad_request"
+		meta.rid = ""
+		writeErrorID(w, http.StatusBadRequest, fmt.Sprintf("%s of %d bytes exceeds %d", serve.RequestIDHeader,
+			len(r.Header.Get(serve.RequestIDHeader)), serve.MaxRequestIDBytes), errorID())
+		return
+	}
+	hb := getHopBuf()
+	defer putHopBuf(hb)
+	var err error
+	hb.body, err = readLimited(hb.body, r.Body, r.ContentLength, serve.MaxBodyBytes+1)
 	if err != nil {
 		outcome = "bad_request"
 		writeErrorID(w, http.StatusBadRequest, "read body: "+err.Error(), errorID())
 		return
 	}
-	key, err := serve.BatchKeyOf(body, binaryReq)
+	key, rec, err := serve.BatchKeyOf(hb.body, binaryReq, hb.rec[:0])
+	hb.rec, meta.rec = rec, rec
 	decodeDone := time.Now()
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
 	lt.stage("decode", start, decodeDone)
@@ -1250,7 +1303,8 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	c.grantRetryCredit()
 
 	routeStart := time.Now()
-	res := c.route(r.Context(), key, body, &meta)
+	res := c.route(r.Context(), key, &meta)
+	defer res.release()
 	routeDone := time.Now()
 	lbStRoute.Observe(routeDone.Sub(routeStart).Seconds())
 	lt.stage("route", routeStart, routeDone)
@@ -1295,6 +1349,32 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	encodeDone := time.Now()
 	lbStEncode.Observe(encodeDone.Sub(routeDone).Seconds())
 	lt.stage("encode", routeDone, encodeDone)
+}
+
+// Content-Type values of the front door's answers, shared by every
+// response: the response writer only reads them.
+var (
+	contentTypeJSON   = []string{"application/json"}
+	contentTypeBinary = []string{serve.ContentTypeBinary}
+)
+
+// hopBuf is one front-door request's pooled memory: the body as the
+// client sent it and the binary record it is forwarded as.
+type hopBuf struct{ body, rec []byte }
+
+var hopBufPool = sync.Pool{New: func() any { return new(hopBuf) }}
+
+// maxPooledBody is the largest body buffer a pooled hopBuf keeps: one
+// oversized body must not pin a megabyte in the pool.
+const maxPooledBody = 64 << 10
+
+func getHopBuf() *hopBuf { return hopBufPool.Get().(*hopBuf) }
+
+func putHopBuf(hb *hopBuf) {
+	if cap(hb.body) > maxPooledBody {
+		hb.body = nil
+	}
+	hopBufPool.Put(hb)
 }
 
 // clientFault reports whether a replica's status blames the request
@@ -1384,7 +1464,7 @@ func (c *Cluster) postObserve(ctx context.Context, addr string, body []byte) (in
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	answer, _ := readLimited(resp.Body, resp.ContentLength, 4096)
+	answer, _ := readLimited(nil, resp.Body, resp.ContentLength, 4096)
 	return resp.StatusCode, answer, nil
 }
 

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"contention/internal/serve"
 )
 
 // fakeReplica is a controllable prediction backend: it answers the
@@ -22,6 +24,7 @@ import (
 type fakeReplica struct {
 	id, gen int
 	ts      *httptest.Server
+	host    *hostListener
 	hits    atomic.Int64 // /v1/predict requests served
 	fail    atomic.Bool  // respond 500 to predicts
 	hfail   atomic.Bool  // respond 500 to health probes (silences heartbeats)
@@ -36,23 +39,26 @@ type fakeReplica struct {
 func newFakeReplica(id, gen int) *fakeReplica {
 	f := &fakeReplica{id: id, gen: gen, done: make(chan struct{})}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		if d := f.stallMS.Load(); d > 0 {
-			select {
-			case <-time.After(time.Duration(d) * time.Millisecond):
-			case <-r.Context().Done():
-				return
+	// Predicts arrive as frames, through the helper serve's own daemon
+	// answers GET /v1/frames with; the answer names the replica in its
+	// reason.
+	answer := serve.AppendBinaryResponse(nil, serve.Response{Value: 1.5, Reason: fmt.Sprintf("replica %d", id)})
+	mux.HandleFunc("GET /v1/frames", func(w http.ResponseWriter, r *http.Request) {
+		serve.ServeFrames(w, r, func(ctx context.Context, fr *serve.Frame, dst []byte) (int, []byte) {
+			if d := f.stallMS.Load(); d > 0 {
+				select {
+				case <-time.After(time.Duration(d) * time.Millisecond):
+				case <-ctx.Done():
+					return http.StatusServiceUnavailable, append(dst, `{"error":"gone"}`...)
+				}
 			}
-		}
-		f.hits.Add(1)
-		f.lastRID.Store(r.Header.Get("X-Request-Id"))
-		if f.fail.Load() {
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprintf(w, `{"error":"injected"}`)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"value":1.5,"replica":%d}`, f.id)
+			f.hits.Add(1)
+			f.lastRID.Store(string(fr.RID))
+			if f.fail.Load() {
+				return http.StatusInternalServerError, append(dst, `{"error":"injected"}`...)
+			}
+			return http.StatusOK, append(dst, answer...)
+		})
 	})
 	mux.HandleFunc("POST /v1/observe", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"drifted":false,"trust":"fresh"}`)
@@ -77,7 +83,12 @@ func newFakeReplica(id, gen int) *fakeReplica {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, page)
 	})
-	f.ts = httptest.NewServer(mux)
+	// The host listener tracks the frame connections, which net/http
+	// forgets once they are upgraded, so Kill can sever them too.
+	f.ts = httptest.NewUnstartedServer(mux)
+	f.host = &hostListener{Listener: f.ts.Listener, conns: map[*hostConn]struct{}{}}
+	f.ts.Listener = f.host
+	f.ts.Start()
 	return f
 }
 
@@ -95,10 +106,23 @@ func (f *fakeReplica) Close(ctx context.Context) error {
 
 func (f *fakeReplica) Kill() {
 	f.once.Do(func() {
+		f.host.sever()
 		f.ts.CloseClientConnections()
 		f.ts.Close()
 		close(f.done)
 	})
+}
+
+// answeredBy is the id of the fake replica whose answer out is.
+func answeredBy(t *testing.T, out map[string]any) int {
+	t.Helper()
+	var id int
+	if reason, _ := out["reason"].(string); reason == "" {
+		t.Fatalf("answer %v names no replica", out)
+	} else if _, err := fmt.Sscanf(reason, "replica %d", &id); err != nil {
+		t.Fatalf("answer %v: %v", out, err)
+	}
+	return id
 }
 
 // fakeFleet tracks every fakeReplica a test factory spawned.
@@ -314,7 +338,7 @@ func TestClusterRetriesUpstreamFailure(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("predict with failing primary = %d (%v), want 200 via failover", code, out)
 	}
-	if got := int(out["replica"].(float64)); got == primary {
+	if got := answeredBy(t, out); got == primary {
 		t.Fatalf("answer came from the failing primary %d", got)
 	}
 }
@@ -393,7 +417,7 @@ func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("hedged predict = %d (%v)", code, out)
 	}
-	if got := int(out["replica"].(float64)); got == primary {
+	if got := answeredBy(t, out); got == primary {
 		t.Fatalf("answer came from the stalled primary %d", got)
 	}
 	if elapsed > time.Second {

@@ -3,12 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,12 +21,13 @@ import (
 
 // hopRecord is what one forwarded predict carried across the hop.
 type hopRecord struct {
-	header http.Header
-	body   []byte
+	budget time.Duration
+	rid    string
+	record []byte
 }
 
-// recordingMember is a remote member that records every predict it
-// receives and answers a fixed body.
+// recordingMember is a remote member that records every predict frame
+// it receives and answers a fixed record.
 type recordingMember struct {
 	ts   *httptest.Server
 	mu   sync.Mutex
@@ -36,14 +37,15 @@ type recordingMember struct {
 func newRecordingMember(t *testing.T) *recordingMember {
 	t.Helper()
 	rm := &recordingMember{}
+	answer := serve.AppendBinaryResponse(nil, serve.Response{Value: 1.5})
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		rm.mu.Lock()
-		rm.seen = append(rm.seen, hopRecord{header: r.Header.Clone(), body: b})
-		rm.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = io.WriteString(w, `{"value":1.5}`)
+	mux.HandleFunc("GET /v1/frames", func(w http.ResponseWriter, r *http.Request) {
+		serve.ServeFrames(w, r, func(_ context.Context, f *serve.Frame, dst []byte) (int, []byte) {
+			rm.mu.Lock()
+			rm.seen = append(rm.seen, hopRecord{budget: f.Budget, rid: string(f.RID), record: bytes.Clone(f.Record)})
+			rm.mu.Unlock()
+			return http.StatusOK, append(dst, answer...)
+		})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, `{"status":"ok","trust":"fresh"}`)
@@ -87,11 +89,29 @@ func newRemoteOnlyCluster(t *testing.T, addr string, timeout time.Duration) *htt
 	return front
 }
 
-// TestForwardCarriesTheHop pins what crosses the router's hop: the body
-// bytes verbatim, the request wire's Content-Type, the client's request
-// id, the trace header of a traced request, and the remaining deadline
-// in (0, Timeout] milliseconds — and no Accept-Encoding, since no
-// replica compresses.
+// splitTrace takes the trace block out of a binary request record: the
+// record as it would be without one, and the context the block carried
+// (zero when there is none).
+func splitTrace(t *testing.T, rec []byte) ([]byte, obs.TraceContext) {
+	t.Helper()
+	if len(rec) < 8 || rec[6]&0x80 == 0 {
+		return rec, obs.TraceContext{}
+	}
+	if len(rec) < 8+17 {
+		t.Fatalf("record %x: trace block truncated", rec)
+	}
+	le := binary.LittleEndian
+	tc := obs.TraceContext{TraceID: le.Uint64(rec[8:]), SpanID: le.Uint64(rec[16:]), Sampled: rec[24]&1 != 0}
+	plain := le.AppendUint32(nil, le.Uint32(rec)-17)
+	plain = append(plain, rec[4], rec[5], rec[6]&^0x80, rec[7])
+	return append(plain, rec[25:]...), tc
+}
+
+// TestForwardCarriesTheHop pins what crosses the router's hop, for a
+// JSON and a binary client alike: the request as the binary record the
+// binary wire encodes it to, the client's request id, the per-attempt
+// trace context of a traced request in the record's trace block (and
+// none for an untraced one), and the remaining budget in (0, Timeout].
 func TestForwardCarriesTheHop(t *testing.T) {
 	const timeout = 3 * time.Second
 	member := newRecordingMember(t)
@@ -141,39 +161,31 @@ func TestForwardCarriesTheHop(t *testing.T) {
 			}
 
 			got := member.last(t)
-			if !bytes.Equal(got.body, tc.body) {
-				t.Fatalf("body arrived as %q, sent %q", got.body, tc.body)
+			rec, fwd := splitTrace(t, got.record)
+			if !bytes.Equal(rec, binBody) {
+				t.Fatalf("record arrived as %x, want %x", rec, binBody)
 			}
-			if ct := got.header.Values("Content-Type"); len(ct) != 1 || ct[0] != tc.contentType {
-				t.Fatalf("Content-Type arrived as %q, want %q", ct, tc.contentType)
+			if got.rid != tc.rid {
+				t.Fatalf("request id arrived as %q, want %q", got.rid, tc.rid)
 			}
-			if rid := got.header.Get(serve.RequestIDHeader); rid != tc.rid {
-				t.Fatalf("X-Request-Id arrived as %q, want %q", rid, tc.rid)
-			}
-			fwd := got.header.Get(serve.TraceHeader)
-			if tc.trace == "" && fwd != "" {
-				t.Fatalf("untraced request forwarded trace header %q", fwd)
+			if tc.trace == "" && fwd.Valid() {
+				t.Fatalf("untraced request forwarded trace context %v", fwd)
 			}
 			if tc.trace != "" {
 				sent, _ := obs.ParseTraceContext(tc.trace)
-				tcx, ok := obs.ParseTraceContext(fwd)
-				if !ok || tcx.TraceID != sent.TraceID || !tcx.Sampled {
-					t.Fatalf("trace header arrived as %q, want trace %s sampled", fwd, tc.trace)
+				if fwd.TraceID != sent.TraceID || !fwd.Sampled {
+					t.Fatalf("trace block arrived as %v, want trace %s sampled", fwd, tc.trace)
 				}
 			}
-			ms, err := strconv.ParseInt(got.header.Get(serve.DeadlineHeader), 10, 64)
-			if err != nil || ms <= 0 || ms > timeout.Milliseconds() {
-				t.Fatalf("deadline header %q, want an integer in (0, %d]", got.header.Get(serve.DeadlineHeader), timeout.Milliseconds())
-			}
-			if ae, ok := got.header["Accept-Encoding"]; ok {
-				t.Fatalf("router offered Accept-Encoding %q", ae)
+			if got.budget <= 0 || got.budget > timeout {
+				t.Fatalf("budget %v, want one in (0, %v]", got.budget, timeout)
 			}
 		})
 	}
 }
 
 // TestForwardDeadMemberError pins the 503 a dead member leaves behind:
-// ErrNoReplica, then the error text http.Client.Do gives for the post.
+// ErrNoReplica, then the dial's own error.
 func TestForwardDeadMemberError(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	addr := strings.TrimPrefix(dead.URL, "http://")
@@ -192,7 +204,7 @@ func TestForwardDeadMemberError(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != serve.RetryAfterSeconds {
 		t.Fatalf("dead member: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	want := ErrNoReplica.Error() + `: Post "http://` + addr + `/v1/predict": `
+	want := ErrNoReplica.Error() + `: dial tcp ` + addr + `: `
 	if !strings.HasPrefix(env.Error, want) {
 		t.Fatalf("dead member error %q, want prefix %q", env.Error, want)
 	}
@@ -208,13 +220,13 @@ func TestReadLimitedMatchesReadAll(t *testing.T) {
 		src := bytes.Repeat([]byte{'x'}, n)
 		for _, size := range []int64{-1, int64(n), 3} {
 			want, werr := io.ReadAll(io.LimitReader(bytes.NewReader(src), limit))
-			got, gerr := readLimited(bytes.NewReader(src), size, limit)
+			got, gerr := readLimited(nil, bytes.NewReader(src), size, limit)
 			if !bytes.Equal(got, want) || gerr != werr {
 				t.Fatalf("n=%d size=%d: got %d bytes, %v; want %d bytes, %v", n, size, len(got), gerr, len(want), werr)
 			}
 		}
 		failing := io.MultiReader(bytes.NewReader(src[:n/2]), iotest.ErrReader(boom))
-		got, err := readLimited(failing, -1, 1<<20)
+		got, err := readLimited(make([]byte, 0, 8), failing, -1, 1<<20)
 		if !errors.Is(err, boom) || len(got) != n/2 {
 			t.Fatalf("n=%d failing reader: %d bytes, %v", n, len(got), err)
 		}
@@ -271,7 +283,7 @@ func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("per-try timeout on the primary: status %d (%v), want 200 from the other replica", code, out)
 	}
-	if got := int(out["replica"].(float64)); got == primary {
+	if got := answeredBy(t, out); got == primary {
 		t.Fatalf("answer came from the stalled primary %d", got)
 	}
 	vol, rate := c.memberByID(primary).breaker.Stats()

@@ -13,7 +13,7 @@ import (
 // fleet through the membership layer (AddRemote / DrainMember /
 // Membership reloads), its liveness is judged by the heartbeat failure
 // detector rather than a babysitter, and requests reach it over the
-// router's pooled HTTP transport with per-request deadline propagation.
+// router's frame link to it, each carrying its remaining budget.
 type RemoteReplica struct {
 	addr string
 	done chan struct{}

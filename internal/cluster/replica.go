@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -78,7 +79,7 @@ type InProcReplica struct {
 	pred    *core.Predictor
 	tracker *caltrust.Tracker
 	done    chan struct{}
-	gate    stallGate
+	host    *hostListener
 	once    sync.Once
 }
 
@@ -118,10 +119,11 @@ func InProcessFactory(cfg InProcConfig) Factory {
 			pred:    pred,
 			tracker: tracker,
 			done:    make(chan struct{}),
+			host:    &hostListener{Listener: ln, conns: map[*hostConn]struct{}{}},
 		}
-		r.hs = &http.Server{Handler: r.gate.wrap(srv.Handler()), ReadHeaderTimeout: 5 * time.Second}
+		r.hs = &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
-			_ = r.hs.Serve(ln)
+			_ = r.hs.Serve(r.host)
 			close(r.done)
 		}()
 		return r, nil
@@ -147,17 +149,21 @@ func (r *InProcReplica) Close(ctx context.Context) error {
 }
 
 // Kill implements Replica: fail-stop. The listener and every open
-// connection are severed immediately; callers mid-request see resets.
+// connection — frame connections included, which net/http no longer
+// tracks once upgraded — are severed immediately; callers mid-request
+// see resets.
 func (r *InProcReplica) Kill() {
 	r.once.Do(func() {
+		r.host.sever()
 		_ = r.hs.Close()
 		r.srv.Close()
 	})
 }
 
-// StallFor freezes request handling for d — the chaos stand-in for a GC
-// pause, paging storm, or scheduler hiccup on the replica host.
-func (r *InProcReplica) StallFor(d time.Duration) { r.gate.stallFor(d) }
+// StallFor freezes the replica host for d — the chaos stand-in for a GC
+// pause, paging storm, or scheduler hiccup: it stops reading its
+// sockets, so HTTP requests and frames alike wait.
+func (r *InProcReplica) StallFor(d time.Duration) { r.host.stallFor(d) }
 
 // Degrade marks the replica's calibration stale: answers flip to the
 // conservative p+1 fallback (flagged degraded) until Recover.
@@ -172,34 +178,93 @@ func (r *InProcReplica) Server() *serve.Server { return r.srv }
 // Tracker exposes the replica's trust tracker (tests).
 func (r *InProcReplica) Tracker() *caltrust.Tracker { return r.tracker }
 
-// stallGate is the stall-injection middleware: while stalled, every
-// request parks at the front door before reaching the handler.
-type stallGate struct {
+// hostListener is an in-process replica host's network edge. It tracks
+// every connection it accepted, so a kill can sever them all, and while
+// the host is stalled its connections read nothing: bytes that arrive
+// wait in the socket, and bytes already read wait with them.
+type hostListener struct {
+	net.Listener
+	stallUntil atomic.Int64 // unix nanoseconds
+
 	mu    sync.Mutex
-	until time.Time
+	conns map[*hostConn]struct{}
 }
 
-func (g *stallGate) stallFor(d time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if t := time.Now().Add(d); t.After(g.until) {
-		g.until = t
+// hostConn is one accepted connection.
+type hostConn struct {
+	net.Conn
+	host   *hostListener
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *hostListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	hc := &hostConn{Conn: c, host: l, closed: make(chan struct{})}
+	l.mu.Lock()
+	l.conns[hc] = struct{}{}
+	l.mu.Unlock()
+	return hc, nil
+}
+
+func (l *hostListener) stallFor(d time.Duration) {
+	until := time.Now().Add(d).UnixNano()
+	for {
+		cur := l.stallUntil.Load()
+		if cur >= until || l.stallUntil.CompareAndSwap(cur, until) {
+			return
+		}
 	}
 }
 
-func (g *stallGate) wrap(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.mu.Lock()
-		wait := time.Until(g.until)
-		g.mu.Unlock()
-		if wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-r.Context().Done():
-			}
+// sever closes every connection the host accepted.
+func (l *hostListener) sever() {
+	l.mu.Lock()
+	conns := make([]*hostConn, 0, len(l.conns))
+	for c := range l.conns {
+		conns = append(conns, c)
+	}
+	l.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
+}
+
+// stalled waits out a stall in progress, or until the connection closes.
+func (c *hostConn) stalled() {
+	for {
+		wait := time.Duration(c.host.stallUntil.Load() - time.Now().UnixNano())
+		if wait <= 0 {
+			return
 		}
-		next.ServeHTTP(w, r)
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-c.closed:
+			t.Stop()
+			return
+		}
+	}
+}
+
+func (c *hostConn) Read(p []byte) (int, error) {
+	c.stalled()
+	n, err := c.Conn.Read(p)
+	c.stalled()
+	return n, err
+}
+
+func (c *hostConn) Close() error {
+	c.once.Do(func() {
+		close(c.closed)
+		c.host.mu.Lock()
+		delete(c.host.conns, c)
+		c.host.mu.Unlock()
 	})
+	return c.Conn.Close()
 }
 
 // ExecReplica is a child-process contentiond. The supervisor learns the

@@ -8,8 +8,9 @@
 // Each is observed into cluster_stage_seconds on every request; sampled
 // requests additionally produce an "lb" span tree — a request root, one
 // child span per stage, and one child span per attempt — whose trace
-// context is stamped into the X-Contention-Trace header so the chosen
-// replica's own spans parent into the same trace. One sampled request
+// context is spliced into the trace block of the record the attempt
+// forwards, so the chosen replica's own spans parent into the same
+// trace. One sampled request
 // through the balancer therefore yields a single connected timeline:
 //
 //	lb/request
@@ -43,16 +44,20 @@ var mTraceSampled = obs.NewCounter(obs.MetricTraceSampled,
 	"requests that carried or started a sampled trace")
 
 // reqMeta threads per-request state from the front door through
-// route/attempt to the outgoing wire: the request deadline, the request
-// id to forward and the trace context attempts should parent their
-// spans to.
+// route/attempt to the outgoing frame: the request deadline, the request
+// id to forward, the trace context attempts should parent their spans
+// to, and the request's binary record.
 type reqMeta struct {
 	deadline time.Time
 	rid      string
 	tc       obs.TraceContext
-	// contentType is the client's request wire format, forwarded verbatim
-	// so binary-wire requests stay binary end to end; empty means JSON.
+	// contentType is the client's request wire format: a binary client
+	// gets the replica's binary record back verbatim, any other the JSON
+	// it transcodes to; empty means JSON.
 	contentType string
+	// rec is the request as a binary record without a trace block
+	// (serve.BatchKeyOf); each attempt splices its own trace context in.
+	rec []byte
 }
 
 // lbTrace is one sampled request's tracing handle on the balancer; a

@@ -89,7 +89,7 @@ func (binaryWire) decode(body io.Reader, ws *workspace) error {
 }
 
 func (binaryWire) appendResponse(dst []byte, resp Response) []byte {
-	return appendBinaryResponse(dst, resp)
+	return AppendBinaryResponse(dst, resp)
 }
 
 // readBody reads one length-prefixed payload into ws.buf, enforcing the
@@ -319,8 +319,8 @@ func AppendBinaryRequestTraced(dst []byte, req *Request, tc obs.TraceContext) ([
 	return appendBinaryQuery(dst, &ws.q, tc), nil
 }
 
-// appendBinaryResponse encodes one response in the response format.
-func appendBinaryResponse(dst []byte, resp Response) []byte {
+// AppendBinaryResponse encodes one response in the response format.
+func AppendBinaryResponse(dst []byte, resp Response) []byte {
 	reason := resp.Reason
 	if len(reason) > math.MaxUint16 {
 		reason = reason[:math.MaxUint16]

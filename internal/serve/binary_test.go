@@ -221,7 +221,7 @@ func TestBinaryDecodeAllocationFree(t *testing.T) {
 		if err := (binaryWire{}).decode(rd, ws); err != nil {
 			t.Fatal(err)
 		}
-		ws.out = appendBinaryResponse(ws.out[:0], resp)
+		ws.out = AppendBinaryResponse(ws.out[:0], resp)
 	}); allocs != 0 {
 		t.Fatalf("binary decode/encode allocates %.1f allocs/op, want 0", allocs)
 	}

@@ -154,7 +154,8 @@ type workspace struct {
 	// the pooled struct is already heap-resident.
 	hdr   [4]byte
 	probe [1]byte
-	timer waitTimer
+	timer WaitTimer
+	frame Frame // the request frame read into buf, on a frame connection
 }
 
 var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
@@ -355,9 +356,11 @@ func (req *Request) BatchKey() (string, error) {
 
 // BatchKeyOf decodes and validates one request body — binary when
 // binaryWire is set, JSON otherwise — and returns its batch key (see
-// Request.BatchKey): a router's affinity decode, without building the
-// Request.
-func BatchKeyOf(body []byte, binaryWire bool) (string, error) {
+// Request.BatchKey), without building the Request: a router's affinity
+// decode. It also appends the request's binary record, with no trace
+// block, to rec — what a router forwards in a frame (AppendRequestFrame)
+// whichever wire the client spoke.
+func BatchKeyOf(body []byte, binaryWire bool, rec []byte) (string, []byte, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	var err error
@@ -367,10 +370,10 @@ func BatchKeyOf(body []byte, binaryWire bool) (string, error) {
 		err = ws.decodeJSON(body)
 	}
 	if err != nil {
-		return "", err
+		return "", rec, err
 	}
 	ws.out = appendBatchKey(ws.out[:0], &ws.q)
-	return string(ws.out), nil
+	return string(ws.out), appendBinaryQuery(rec, &ws.q, obs.TraceContext{}), nil
 }
 
 // statusFor maps an error from the serving pipeline to an HTTP status:

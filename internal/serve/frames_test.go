@@ -1,0 +1,304 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"strings"
+	"testing"
+	"time"
+
+	"contention/internal/obs"
+)
+
+// frameProbe is the request the frame tests send: a comp query the
+// exact DP answers.
+var frameProbe = &Request{Kind: "comp", Dcomp: ptrFloat(2.5),
+	Contenders: []ContenderSpec{{CommFraction: 0.25, MsgWords: 500}, {CommFraction: 0.4, MsgWords: 1500}}}
+
+func ptrFloat(v float64) *float64 { return &v }
+
+// dialFrames opens a frame connection to ts for the test.
+func dialFrames(t testing.TB, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, br, err := DialFrames(context.Background(), addr, time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn, br
+}
+
+func frameRecord(t testing.TB) []byte {
+	t.Helper()
+	rec, err := AppendBinaryRequest(nil, frameProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestFrameAnswerMatchesHTTP: a frame is answered by the same pipeline
+// as POST /v1/predict — the record the binary wire would have sent
+// back, and the same error envelope for a record that fails validation,
+// with the frame's request id in it.
+func TestFrameAnswerMatchesHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{Window: -1})
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	conn, br := dialFrames(t, addr)
+	rec := frameRecord(t)
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/predict", ContentTypeBinary, bytes.NewReader(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	if _, err := conn.Write(AppendRequestFrame(nil, 7, time.Second, "", rec, obs.TraceContext{})); err != nil {
+		t.Fatal(err)
+	}
+	id, status, body, _, err := ReadResponseFrame(br, nil)
+	if err != nil || id != 7 || status != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("frame answer: id %d status %d body %x err %v; want id 7, 200, %x", id, status, body, err, want)
+	}
+
+	bad := append([]byte(nil), rec...)
+	bad[4] = 9 // unknown version
+	if _, err := conn.Write(AppendRequestFrame(nil, 8, time.Second, "rid-8", bad, obs.TraceContext{})); err != nil {
+		t.Fatal(err)
+	}
+	id, status, body, _, err = ReadResponseFrame(br, nil)
+	var env errorBody
+	if err != nil || id != 8 || status != http.StatusBadRequest || json.Unmarshal(body, &env) != nil ||
+		env.RequestID != "rid-8" || !strings.HasPrefix(env.Error, "unsupported binary version") || body[len(body)-1] != '\n' {
+		t.Fatalf("bad record: id %d status %d body %q err %v", id, status, body, err)
+	}
+}
+
+// TestFrameBudgetBoundsTheReplica: a frame with half a millisecond of
+// budget is answered 504 within about that, not after the batch window
+// or the server's own Timeout — a budget under a millisecond is not
+// lost on the way.
+func TestFrameBudgetBoundsTheReplica(t *testing.T) {
+	_, ts := newTestServer(t, Config{Window: time.Hour})
+	conn, br := dialFrames(t, strings.TrimPrefix(ts.URL, "http://"))
+	start := time.Now()
+	if _, err := conn.Write(AppendRequestFrame(nil, 1, 500*time.Microsecond, "", frameRecord(t), obs.TraceContext{})); err != nil {
+		t.Fatal(err)
+	}
+	_, status, _, _, err := ReadResponseFrame(br, nil)
+	elapsed := time.Since(start)
+	if err != nil || status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, err %v; want 504", status, err)
+	}
+	if elapsed < 500*time.Microsecond || elapsed > 50*time.Millisecond {
+		t.Fatalf("504 after %v, want about 0.5 ms", elapsed)
+	}
+}
+
+// TestAppendRequestFrameBudget pins the budget's rounding: whole
+// microseconds, rounded down, but 1 for any positive remainder below
+// one, and 0 only when nothing is left.
+func TestAppendRequestFrameBudget(t *testing.T) {
+	for _, tc := range []struct {
+		budget time.Duration
+		want   uint64
+	}{
+		{0, 0}, {-time.Second, 0}, {300 * time.Nanosecond, 1}, {1900 * time.Nanosecond, 1},
+		{500 * time.Microsecond, 500}, {time.Second + 999, 1_000_000},
+	} {
+		f := AppendRequestFrame(nil, 1, tc.budget, "", frameRecord(t), obs.TraceContext{})
+		if got := binary.LittleEndian.Uint64(f[12:]); got != tc.want {
+			t.Errorf("budget %v sent as %d µs, want %d", tc.budget, got, tc.want)
+		}
+	}
+}
+
+// TestFrameCloseAnswersInFlight: Close answers every frame already read
+// — here from the batches it flushes — then closes the connection.
+func TestFrameCloseAnswersInFlight(t *testing.T) {
+	s, ts := newTestServer(t, Config{Window: time.Hour})
+	conn, br := dialFrames(t, strings.TrimPrefix(ts.URL, "http://"))
+	rec := frameRecord(t)
+	const n = 5
+	var out []byte
+	for id := uint64(1); id <= n; id++ {
+		out = AppendRequestFrame(out, id, 10*time.Second, "", rec, obs.TraceContext{})
+	}
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "frames parked", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.pendingN == n
+	})
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	seen := map[uint64]bool{}
+	var buf []byte
+	for range n {
+		id, status, body, b, err := ReadResponseFrame(br, buf)
+		buf = b
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("in-flight frame: id %d status %d err %v", id, status, err)
+		}
+		if r, err := DecodeBinaryResponse(body); err != nil || r.Batch != n {
+			t.Fatalf("in-flight frame %d: %+v, %v; want one flushed batch of %d", id, r, err, n)
+		}
+		seen[id] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("answered ids %v, want 1..%d", seen, n)
+	}
+	if _, _, _, _, err := ReadResponseFrame(br, buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the answers: %v, want EOF", err)
+	}
+	<-closed
+}
+
+// TestFrameBreakEndsConnection: a frame that breaks the framing is not
+// answered; the connection ends.
+func TestFrameBreakEndsConnection(t *testing.T) {
+	_, ts := newTestServer(t, Config{Window: -1})
+	conn, br := dialFrames(t, strings.TrimPrefix(ts.URL, "http://"))
+	if _, err := conn.Write(AppendRequestFrame(nil, 0, time.Second, "", frameRecord(t), obs.TraceContext{})); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := ReadResponseFrame(br, nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("zero call id: %v, want the connection closed", err)
+	}
+}
+
+// TestFramesNeedUpgrade: GET /v1/frames without the Upgrade is refused
+// with 426, naming the protocol.
+func TestFramesNeedUpgrade(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := ts.Client().Get(ts.URL + "/v1/frames")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != FrameProtocol {
+		t.Fatalf("plain GET: %d, Upgrade %q", resp.StatusCode, resp.Header.Get("Upgrade"))
+	}
+}
+
+// TestFrameAnswerAllocations pins the allocations of one warm fast-path
+// frame answered on the replica, the client's raw write and read
+// included: the goroutine the frame is answered on is the only object.
+func TestFrameAnswerAllocations(t *testing.T) {
+	_, ts := newTestServer(t, Config{FastPath: true})
+	conn, br := dialFrames(t, strings.TrimPrefix(ts.URL, "http://"))
+	frame := AppendRequestFrame(nil, 1, time.Second, "", frameRecord(t), obs.TraceContext{})
+	var buf []byte
+	do := func() {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_, status, body, b, err := ReadResponseFrame(br, buf)
+		buf = b
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("status %d, err %v", status, err)
+		}
+		if r, err := DecodeBinaryResponse(body); err != nil || !r.Fast {
+			t.Fatalf("answer %+v, %v: want the fast path", r, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		do()
+	}
+	allocs := testing.AllocsPerRun(300, do)
+	t.Logf("fast-path frame: %.2f allocs/round trip", allocs)
+	ceiling := 2.0 // measured 1 on go1.24.0
+	if raceEnabled {
+		ceiling = 3 // measured 2
+	}
+	if allocs > ceiling {
+		t.Fatalf("fast-path frame allocates %.2f objects/round trip, ceiling %.0f", allocs, ceiling)
+	}
+}
+
+// waitUntil polls cond for up to 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// frameSeeds are FuzzReadFrame's hand-written seeds, by name: a valid
+// frame and one of each framing fault.
+func frameSeeds(t testing.TB) map[string][]byte {
+	rec := frameRecord(t)
+	valid := AppendRequestFrame(nil, 3, 1500*time.Microsecond, "rid-3", rec, obs.TraceContext{})
+	traced := AppendRequestFrame(nil, 4, time.Second, "", rec, obs.TraceContext{TraceID: 9, SpanID: 5, Sampled: true})
+	overCap := binary.LittleEndian.AppendUint32(nil, MaxBodyBytes+1)
+	trailing := AppendRequestFrame(nil, 5, time.Second, "", append(bytes.Clone(rec), 0), obs.TraceContext{})
+	binary.LittleEndian.PutUint32(trailing[reqFrameHead:], uint32(len(rec)-4)) // the record's own length leaves one byte over
+	zeroID := AppendRequestFrame(nil, 0, time.Second, "", rec, obs.TraceContext{})
+	bigRID := AppendRequestFrame(nil, 6, time.Second, strings.Repeat("r", MaxRequestIDBytes+1), rec, obs.TraceContext{})
+	return map[string][]byte{
+		"valid":          valid,
+		"two-frames":     append(append([]byte(nil), valid...), traced...),
+		"length-cap":     overCap,
+		"truncated":      valid[:len(valid)-3],
+		"trailing-bytes": trailing,
+		"zero-id":        zeroID,
+		"oversized-rid":  bigRID,
+	}
+}
+
+// FuzzReadFrame fuzzes the frame reader over the header and body split:
+// it must never panic or read past a frame's declared length, must
+// refuse anything over the MaxBodyBytes cap without reading it, and
+// every frame it accepts has a non-zero id, a request id within the cap
+// and a record exactly as long as its prefix says — so re-encoding the
+// frame gives back the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	for _, s := range frameSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		ws := new(workspace)
+		at := 0
+		for {
+			err := ws.readRequestFrame(r)
+			if err != nil {
+				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrFrame) {
+					t.Fatalf("untyped error %v", err)
+				}
+				if err == io.EOF && at != len(data) {
+					t.Fatalf("clean EOF at %d of %d bytes", at, len(data))
+				}
+				return
+			}
+			fr := ws.frame
+			n := len(data) - r.Len() - at
+			if fr.ID == 0 || len(fr.RID) > MaxRequestIDBytes ||
+				int(binary.LittleEndian.Uint32(fr.Record)) != len(fr.Record)-4 {
+				t.Fatalf("accepted frame %+v", fr)
+			}
+			re := AppendRequestFrame(nil, fr.ID, fr.Budget, string(fr.RID), fr.Record, obs.TraceContext{})
+			if !bytes.Equal(re, data[at:at+n]) {
+				t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, data[at:at+n])
+			}
+			at += n
+		}
+	})
+}

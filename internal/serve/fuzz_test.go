@@ -189,7 +189,7 @@ func TestJSONResponseMatchesEncoder(t *testing.T) {
 	for _, r := range resps {
 		var want bytes.Buffer
 		_ = json.NewEncoder(&want).Encode(r)
-		if got := appendJSONResponse(nil, r); !bytes.Equal(got, want.Bytes()) {
+		if got := AppendJSONResponse(nil, r); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("%+v:\n got %q\nwant %q", r, got, want.Bytes())
 		}
 	}

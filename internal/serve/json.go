@@ -51,7 +51,7 @@ func (jsonWire) decode(body io.Reader, ws *workspace) error {
 }
 
 func (jsonWire) appendResponse(dst []byte, resp Response) []byte {
-	return appendJSONResponse(dst, resp)
+	return AppendJSONResponse(dst, resp)
 }
 
 // jsonBodyLimit is how much of a body the JSON wire reads: one byte past
@@ -602,10 +602,10 @@ func hex4(s []byte) rune {
 	return r
 }
 
-// appendJSONResponse appends resp as json.NewEncoder(w).Encode(resp)
+// AppendJSONResponse appends resp as json.NewEncoder(w).Encode(resp)
 // writes it, trailing newline included. encoding/json refuses NaN and
 // ±Inf and then writes nothing; so does this.
-func appendJSONResponse(dst []byte, resp Response) []byte {
+func AppendJSONResponse(dst []byte, resp Response) []byte {
 	if math.IsNaN(resp.Value) || math.IsInf(resp.Value, 0) {
 		return dst
 	}

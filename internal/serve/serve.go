@@ -136,6 +136,12 @@ type Server struct {
 	// them: after Close returns, nothing touches the predictor again.
 	flushing sync.WaitGroup
 
+	// frames are the live frame connections (guarded by mu): Close
+	// answers what they have read, then closes them. frameLoops counts
+	// their read loops.
+	frames     map[*frameConn]struct{}
+	frameLoops sync.WaitGroup
+
 	// flushStall, when non-nil, is invoked at the start of every flush —
 	// the fault-injection hook the soak test uses to stall evaluation.
 	flushStall func()
@@ -208,13 +214,16 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // in-flight batch evaluation — including one started by a concurrent
 // batch-window timer — has finished: after Close returns, the server
 // will never touch the predictor again, so the caller may safely tear
-// the predictor or pool down.
+// the predictor or pool down. Frame connections stop reading; the
+// frames they already read are answered (a flushed answer, or ErrClosed
+// as a 503) before they close.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.flushing.Wait()
+		s.frameLoops.Wait()
 		return
 	}
 	s.closed = true
@@ -232,6 +241,7 @@ func (s *Server) Close() {
 		s.flushing.Done()
 	}
 	s.flushing.Wait()
+	s.closeFrames()
 }
 
 // degradeReason reports why predictions cannot currently be trusted
@@ -262,7 +272,7 @@ func (s *Server) Predict(ctx context.Context, q query) (Response, error) {
 // to wait. Stage boundaries are timed on every request for the
 // attribution histograms; rt promotes the same intervals to spans when
 // non-nil.
-func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline time.Time, tm *waitTimer) (Response, error) {
+func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
 	mRequests.With(q.kind).Inc()
 	admStart := time.Now()
 	if err := s.adm.AcquireUntil(ctx, deadline); err != nil {
@@ -288,7 +298,7 @@ func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline ti
 
 	var expired <-chan time.Time
 	if !deadline.IsZero() {
-		expired = tm.arm(time.Until(deadline))
+		expired = tm.Arm(time.Until(deadline))
 	}
 	req := &pendingReq{q: q, ch: make(chan outcome, 1), enq: admDone, rt: rt}
 	if flushNow := s.enqueue(req); flushNow != nil {
@@ -297,25 +307,26 @@ func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline ti
 	}
 	select {
 	case out := <-req.ch:
-		tm.disarm(expired, false)
+		tm.Disarm(expired, false)
 		return out.resp, out.err
 	case <-ctx.Done():
-		tm.disarm(expired, false)
+		tm.Disarm(expired, false)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
 	case <-expired:
-		tm.disarm(expired, true)
+		tm.Disarm(expired, true)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded)
 	}
 }
 
-// waitTimer is a request's reusable deadline timer on the batched path.
-// Between requests it is stopped with its channel drained: both modules
-// declare go 1.22, where Stop does not drain the channel, so a tick left
-// behind would expire the next request the moment it parked.
-type waitTimer struct{ t *time.Timer }
+// WaitTimer is a reusable deadline timer: a request's on serve's
+// batched path, a pooled try's on the router's frame hop. Between uses
+// it is stopped with its channel drained: both modules declare go 1.22,
+// where Stop does not drain the channel, so a tick left behind would
+// expire the next wait the moment it began.
+type WaitTimer struct{ t *time.Timer }
 
-// arm starts the timer for d and returns its channel.
-func (w *waitTimer) arm(d time.Duration) <-chan time.Time {
+// Arm starts the timer for d and returns its channel.
+func (w *WaitTimer) Arm(d time.Duration) <-chan time.Time {
 	if w.t == nil {
 		w.t = time.NewTimer(d)
 	} else {
@@ -324,9 +335,9 @@ func (w *waitTimer) arm(d time.Duration) <-chan time.Time {
 	return w.t.C
 }
 
-// disarm stops a timer arm returned ch for (nil ch: it was not armed);
+// Disarm stops a timer Arm returned ch for (nil ch: it was not armed);
 // received says its tick was already taken from ch.
-func (w *waitTimer) disarm(ch <-chan time.Time, received bool) {
+func (w *WaitTimer) Disarm(ch <-chan time.Time, received bool) {
 	if ch != nil && !received && !w.t.Stop() {
 		<-w.t.C
 	}
@@ -610,6 +621,8 @@ func contenderLess(a, b *core.Contender) bool {
 // Handler returns the service mux:
 //
 //	POST /v1/predict  — one prediction query (Request → Response)
+//	GET  /v1/frames   — upgrade to a frame connection: many predictions
+//	                    multiplexed on one connection (frames.go)
 //	POST /v1/observe  — feed a predicted/observed residual to the trust
 //	                    tracker (drift detection over live traffic)
 //	GET  /healthz     — liveness + trust state
@@ -618,6 +631,7 @@ func contenderLess(a, b *core.Contender) bool {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
+	mux.HandleFunc("GET /v1/frames", s.handleFrames)
 	mux.HandleFunc("POST /v1/observe", s.handleObserve)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -691,11 +705,10 @@ func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspa
 		wr, contentType = binaryWire{}, contentTypeBinary
 		mBinaryRequests.Inc()
 	}
-	resp, rt, err := s.servePredict(wr, ws, r)
-	mResponses.With(outcomeLabel(err)).Inc()
-	mRequestSeconds.Observe(time.Since(start).Seconds())
-	s.recordSLO(start, err)
-	encStart := time.Now()
+	ws.tc = obs.TraceContext{}
+	err := wr.decode(r.Body, ws)
+	resp, rt, err := s.servePredict(r.Context(), ws, start, err, r.Header.Get(TraceHeader), s.requestTimeout(r))
+	encStart := s.finished(start, err)
 	if err != nil {
 		s.writeErrorEnvelope(w, r, err)
 	} else {
@@ -708,20 +721,39 @@ func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspa
 		w.Header()["Content-Type"] = contentType
 		_, _ = w.Write(ws.out)
 	}
+	s.encoded(rt, encStart)
+}
+
+// finished accounts one answered request, whichever transport carried
+// it, and returns when its encode stage starts.
+func (s *Server) finished(start time.Time, err error) time.Time {
+	mResponses.With(outcomeLabel(err)).Inc()
+	mRequestSeconds.Observe(time.Since(start).Seconds())
+	s.recordSLO(start, err)
+	return time.Now()
+}
+
+// encoded closes a request's encode stage and its trace.
+func (s *Server) encoded(rt *reqTrace, encStart time.Time) {
 	encDone := time.Now()
 	stEncode.Observe(encDone.Sub(encStart).Seconds())
 	rt.stage("encode", encStart, encDone)
 	rt.end()
 }
 
+// errorStatus is the status a pipeline error is answered with.
+func errorStatus(err error) int {
+	if errors.Is(err, ErrClosed) {
+		return http.StatusServiceUnavailable
+	}
+	return statusFor(err)
+}
+
 // writeErrorEnvelope answers a pipeline error as the JSON envelope,
 // correlated by request id: the client's X-Request-Id when sent, a
 // minted one otherwise, echoed in both the header and the body.
 func (s *Server) writeErrorEnvelope(w http.ResponseWriter, r *http.Request, err error) {
-	status := statusFor(err)
-	if errors.Is(err, ErrClosed) {
-		status = http.StatusServiceUnavailable
-	}
+	status := errorStatus(err)
 	rid := r.Header.Get(RequestIDHeader)
 	if rid == "" {
 		rid = newRequestID()
@@ -732,9 +764,10 @@ func (s *Server) writeErrorEnvelope(w http.ResponseWriter, r *http.Request, err 
 }
 
 // DeadlineHeader carries the caller's remaining request budget in
-// milliseconds. A router in front of the daemon sets it so the replica
+// milliseconds. A client in front of the daemon sets it so the daemon
 // bounds its own work (batch window, queue wait) to time someone is
-// still waiting for, instead of finishing answers nobody will read.
+// still waiting for, instead of finishing answers nobody will read. (A
+// frame carries its budget in microseconds instead; see frames.go.)
 const DeadlineHeader = "X-Request-Deadline-Ms"
 
 // requestTimeout is the effective per-request budget: the configured
@@ -753,19 +786,19 @@ func (s *Server) requestTimeout(r *http.Request) time.Duration {
 	return d
 }
 
-// servePredict decodes one query into ws with wire wr and answers it.
-// The returned *reqTrace is nil unless the request is sampled (in-band
-// trace block, trace header, or local head sampler — in that order);
-// the in-band context is only known after decode, so the decode stage
-// span is recorded retroactively.
-func (s *Server) servePredict(wr wire, ws *workspace, r *http.Request) (Response, *reqTrace, error) {
-	decStart := time.Now()
-	ws.tc = obs.TraceContext{}
-	err := wr.decode(r.Body, ws)
+// servePredict is the one prediction pipeline behind both transports:
+// it takes the query a wire decoded into ws (started at decStart, with
+// verdict decErr) and answers it — fast path first, then admission and
+// the batcher under timeout and ctx. The returned *reqTrace is nil
+// unless the request is sampled (in-band trace block, the transport's
+// trace header, or local head sampler — in that order); the in-band
+// context is only known after decode, so the decode stage span is
+// recorded retroactively.
+func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.Time, decErr error, traceHeader string, timeout time.Duration) (Response, *reqTrace, error) {
 	decDone := time.Now()
-	rt := s.requestTrace(r, ws.tc)
-	if err != nil {
-		return Response{}, rt, err
+	rt := s.requestTrace(traceHeader, ws.tc)
+	if decErr != nil {
+		return Response{}, rt, decErr
 	}
 	stDecode.Observe(decDone.Sub(decStart).Seconds())
 	rt.stage("decode", decStart, decDone)
@@ -782,7 +815,7 @@ func (s *Server) servePredict(wr wire, ws *workspace, r *http.Request) (Response
 	q := ws.q
 	q.cs = append([]core.Contender(nil), q.cs...)
 	q.sets = append([]core.DataSet(nil), q.sets...)
-	resp, err := s.predict(r.Context(), q, rt, time.Now().Add(s.requestTimeout(r)), &ws.timer)
+	resp, err := s.predict(ctx, q, rt, time.Now().Add(timeout), &ws.timer)
 	return resp, rt, err
 }
 

@@ -18,7 +18,6 @@ package serve
 
 import (
 	"errors"
-	"net/http"
 	"time"
 
 	"contention/internal/obs"
@@ -63,15 +62,15 @@ type reqTrace struct {
 }
 
 // requestTrace decides a request's trace participation. An in-band
-// context (binary trace block) wins over the trace header; a valid
+// context (binary trace block) wins over the trace header value; a valid
 // upstream context is honored verbatim, including a negative sampling
 // verdict — re-sampling downstream would produce orphan subtrees.
 // Only headless requests consult the server's own sampler.
-func (s *Server) requestTrace(r *http.Request, inband obs.TraceContext) *reqTrace {
+func (s *Server) requestTrace(header string, inband obs.TraceContext) *reqTrace {
 	tc := inband
 	if !tc.Valid() {
 		var ok bool
-		tc, ok = obs.ParseTraceContext(r.Header.Get(TraceHeader))
+		tc, ok = obs.ParseTraceContext(header)
 		if !ok {
 			if !s.cfg.Sampler.Sample() {
 				return nil
