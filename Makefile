@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz smoke check fmt
+.PHONY: all build vet test race fuzz smoke check fmt allocs
 
 all: check
 
@@ -26,6 +26,17 @@ test:
 race:
 	$(GO) test -race ./...
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
+
+# Every allocation pin in internal/, printing only what each measured
+# (the counts its tests log), grouped by package: which rung of the
+# allocation ladder moved, without a benchmark run. A pin over its
+# ceiling fails the target and prints the failure.
+allocs:
+	@out=$$($(GO) test -count=1 -run 'Alloc' -v ./internal/... 2>&1); st=$$?; \
+	printf '%s\n' "$$out" | awk ' \
+		/^ +[A-Za-z0-9_]+_test\.go:[0-9]+: / && /alloc/ { sub(/^ +[A-Za-z0-9_]+_test\.go:[0-9]+: /, "\t"); buf = buf $$0 "\n"; next } \
+		/^(ok|FAIL)[ \t]/ && buf != "" { printf "%s\n%s", $$2, buf; buf = "" }'; \
+	if [ $$st -ne 0 ]; then printf '%s\n' "$$out" | grep -E -A3 '^ *--- FAIL'; exit $$st; fi
 
 # Short fuzz smoke over the numeric kernels and the decoders: the
 # piecewise fitter must never panic or emit non-finite values on

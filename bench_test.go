@@ -265,7 +265,7 @@ func BenchmarkPredictCommBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pred.PredictCommBatch(core.HostToBack, batches, cs); err != nil {
+		if _, err := pred.PredictCommBatch(nil, core.HostToBack, batches, cs); err != nil {
 			b.Fatal(err)
 		}
 	}

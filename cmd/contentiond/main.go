@@ -49,10 +49,10 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8123", "listen address (host:port; :0 picks a free port)")
 	calPath := flag.String("cal", "", "calibration artifact (caltrust JSON); built-in synthetic Sun/Paragon tables when empty")
-	window := flag.Duration("window", serve.DefaultWindow, "micro-batch window (0 flushes per arrival burst, <0 disables batching)")
+	window := flag.Duration("window", serve.DefaultWindow, "micro-batch window (0 selects the default; <0 disables batching: each request is evaluated alone as it arrives)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "flush a batch group early at this many requests")
 	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "admission bound on concurrently served requests")
-	maxQueue := flag.Int("max-queue", serve.DefaultMaxQueue, "admission bound on requests waiting for a slot (0 rejects instead of queueing)")
+	maxQueue := flag.Int("max-queue", serve.DefaultMaxQueue, "admission bound on requests waiting for a slot (0 selects the default)")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 	useSurface := flag.Bool("surface", false, "precompute the slowdown surface at startup and enable the batcher-bypass fast path")
 	surfaceP := flag.Int("surface-max-p", 16, "largest homogeneous contender count covered by -surface")
@@ -196,8 +196,11 @@ func main() {
 		os.Exit(1)
 	}
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	// Zero knobs take serve's defaults: report what is in force, not the
+	// flags as given.
+	eff := srv.Config()
 	fmt.Fprintf(os.Stderr, "contentiond on http://%s (calibration %s, trust %s, window %v)\n",
-		ln.Addr(), calSource, tracker.State(), *window)
+		ln.Addr(), calSource, tracker.State(), eff.Window)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
@@ -229,11 +232,11 @@ func main() {
 		m.Config = map[string]string{
 			"addr":         *addr,
 			"cal":          calSource,
-			"window":       window.String(),
-			"max_batch":    strconv.Itoa(*maxBatch),
-			"max_inflight": strconv.Itoa(*maxInFlight),
-			"max_queue":    strconv.Itoa(*maxQueue),
-			"timeout":      timeout.String(),
+			"window":       eff.Window.String(),
+			"max_batch":    strconv.Itoa(eff.MaxBatch),
+			"max_inflight": strconv.Itoa(eff.MaxInFlight),
+			"max_queue":    strconv.Itoa(eff.MaxQueue),
+			"timeout":      eff.Timeout.String(),
 		}
 		m.StartedAt = start.UTC().Format(time.RFC3339)
 		m.WallSeconds = time.Since(start).Seconds()

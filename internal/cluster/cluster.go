@@ -817,7 +817,7 @@ func (r tryResult) retryable() bool {
 // with load-aware spill, bounded retries, and optional hedging. ctx is
 // the client's; meta carries the request's deadline and correlation
 // state onto every attempt's wire.
-func (c *Cluster) route(ctx context.Context, key string, meta *reqMeta) tryResult {
+func (c *Cluster) route(ctx context.Context, key []byte, meta *reqMeta) tryResult {
 	var idBuf [DefaultCandidates]int
 	ids := c.ring.Load().Sequence(idBuf[:0], key, c.cfg.Candidates)
 	if len(ids) == 0 {
@@ -1266,8 +1266,8 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErrorID(w, http.StatusBadRequest, "read body: "+err.Error(), errorID())
 		return
 	}
-	key, rec, err := serve.BatchKeyOf(hb.body, binaryReq, hb.rec[:0])
-	hb.rec, meta.rec = rec, rec
+	key, rec, err := serve.BatchKeyOf(hb.body, binaryReq, hb.key[:0], hb.rec[:0])
+	hb.key, hb.rec, meta.rec = key, rec, rec
 	decodeDone := time.Now()
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
 	lt.stage("decode", start, decodeDone)
@@ -1359,8 +1359,9 @@ var (
 )
 
 // hopBuf is one front-door request's pooled memory: the body as the
-// client sent it and the binary record it is forwarded as.
-type hopBuf struct{ body, rec []byte }
+// client sent it, its batch key, and the binary record it is forwarded
+// as.
+type hopBuf struct{ body, key, rec []byte }
 
 var hopBufPool = sync.Pool{New: func() any { return new(hopBuf) }}
 

@@ -22,7 +22,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -182,7 +181,7 @@ func vnodeCount(vnodes int, weight float64) int {
 func vnodePoints(id, vnodes int, weight float64) []ringPoint {
 	pts := make([]ringPoint, vnodeCount(vnodes, weight))
 	for v := range pts {
-		pts[v] = ringPoint{h: hash64(fmt.Sprintf("replica-%d/vnode-%d", id, v)), id: id}
+		pts[v] = ringPoint{h: hash64(fmt.Appendf(nil, "replica-%d/vnode-%d", id, v)), id: id}
 	}
 	return pts
 }
@@ -190,11 +189,14 @@ func vnodePoints(id, vnodes int, weight float64) []ringPoint {
 // hash64 is FNV-1a with a murmur-style finalizer. Raw FNV-1a has weak
 // high-bit avalanche on near-identical strings — vnode labels differ in
 // a couple of digits, and without the finalizer the ring points cluster
-// badly enough to skew two-replica ownership to ~80/20.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+// badly enough to skew two-replica ownership to ~80/20. The FNV-1a loop
+// is hash/fnv's New64a, inlined so a lookup allocates nothing.
+func hash64(b []byte) uint64 {
+	x := uint64(14695981039346656037)
+	for _, c := range b {
+		x ^= uint64(c)
+		x *= 1099511628211
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -220,7 +222,7 @@ func (r *Ring) Weight(id int) float64 {
 }
 
 // Lookup returns the member owning key, or -1 on an empty ring.
-func (r *Ring) Lookup(key string) int {
+func (r *Ring) Lookup(key []byte) int {
 	var buf [1]int
 	seq := r.Sequence(buf[:0], key, 1)
 	if len(seq) == 0 {
@@ -234,7 +236,7 @@ func (r *Ring) Lookup(key string) int {
 // failover candidates a router walks when the primary is down, tripped,
 // or over its load high-water. A caller that passes a stack buffer with
 // room for n ids keeps the lookup off the heap.
-func (r *Ring) Sequence(dst []int, key string, n int) []int {
+func (r *Ring) Sequence(dst []int, key []byte, n int) []int {
 	if len(r.points) == 0 || n <= 0 {
 		return dst
 	}

@@ -1,25 +1,30 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"contention/internal/serve"
 )
 
-// testKeys generates nKeys seeded batch-key-shaped strings.
-func testKeys(seed int64, nKeys int) []string {
+// testKeys generates nKeys seeded batch-key-shaped keys.
+func testKeys(seed int64, nKeys int) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([]string, nKeys)
+	keys := make([][]byte, nKeys)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("comm|to_back|j=%d|0.%04d:%d;0.%04d:%d",
+		keys[i] = fmt.Appendf(nil, "comm|to_back|j=%d|0.%04d:%d;0.%04d:%d",
 			rng.Intn(4), rng.Intn(10000), rng.Intn(2048), rng.Intn(10000), rng.Intn(2048))
 	}
 	return keys
 }
 
-func ownership(r *Ring, keys []string) map[int]int {
+func ownership(r *Ring, keys [][]byte) map[int]int {
 	owners := make(map[int]int)
 	for _, k := range keys {
 		owners[r.Lookup(k)]++
@@ -275,14 +280,14 @@ func TestRingZeroWeightOwnsNothing(t *testing.T) {
 
 func TestRingEdgeCases(t *testing.T) {
 	empty := NewRing(DefaultVnodes)
-	if got := empty.Lookup("anything"); got != -1 {
+	if got := empty.Lookup([]byte("anything")); got != -1 {
 		t.Fatalf("empty ring Lookup = %d, want -1", got)
 	}
-	if got := empty.Sequence(nil, "anything", 2); got != nil {
+	if got := empty.Sequence(nil, []byte("anything"), 2); got != nil {
 		t.Fatalf("empty ring Sequence = %v, want nil", got)
 	}
 	one := empty.With(7)
-	if got := one.Lookup("anything"); got != 7 {
+	if got := one.Lookup([]byte("anything")); got != 7 {
 		t.Fatalf("one-member ring Lookup = %d, want 7", got)
 	}
 	if one.With(7) != one {
@@ -296,5 +301,41 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	if empty.Size() != 0 {
 		t.Fatal("With/Without mutated the receiver ring")
+	}
+}
+
+// TestRingSequencePinned pins the owner sequences of a fixed key set —
+// seeded key-shaped strings and the batch keys of real request bodies —
+// on plain, wide, sparse-id and reweighted rings to a digest taken when
+// keys and vnode labels were hashed as strings: hashing their bytes
+// must not move a single placement.
+func TestRingSequencePinned(t *testing.T) {
+	keys := testKeys(29, 2000)
+	for i := 0; i < 200; i++ {
+		k, _, err := serve.BatchKeyOf([]byte(predictBody(i)), false, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	rings := []*Ring{
+		NewRing(0, 0),
+		NewRing(0, 0, 1),
+		NewRing(0, 3, 1, 4),
+		NewRing(16, 0, 1, 2, 3, 4, 5, 6, 7),
+		NewRing(0, 0, 1, 2).WithWeight(1, 2.5).WithWeight(2, 0.25),
+	}
+	h := sha256.New()
+	for _, r := range rings {
+		for _, k := range keys {
+			for _, id := range r.Sequence(nil, k, 3) {
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(id)))
+			}
+			h.Write([]byte{0xff})
+		}
+	}
+	const want = "e07d24cd1dcd96c7fb4088570db6c95729297e4c7170c5c9459627b4c1dbb394"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("owner sequences digest %s, want %s", got, want)
 	}
 }

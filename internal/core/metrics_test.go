@@ -35,7 +35,7 @@ func TestPredictionCountersMove(t *testing.T) {
 	}
 
 	b0, n0 := mPredictBatch.Count(), mPredictComp.Value()
-	if _, err := p.PredictCompBatch([]float64{1, 2, 3}, cs); err != nil {
+	if _, err := p.PredictCompBatch(nil, []float64{1, 2, 3}, cs); err != nil {
 		t.Fatal(err)
 	}
 	if d := mPredictComp.Value() - n0; d != 3 {

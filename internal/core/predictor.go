@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -252,56 +253,61 @@ func (p *Predictor) CompSlowdownWithJ(cs []Contender, j int) (float64, error) {
 // PredictCommBatch prices a whole grid of transfers (one []DataSet per
 // grid point, e.g. a message-size sweep) under one contender set,
 // evaluating the slowdown mixture exactly once and amortizing it over
-// the grid. Result k corresponds to batches[k].
-func (p *Predictor) PredictCommBatch(dir Direction, batches [][]DataSet, cs []Contender) ([]float64, error) {
+// the grid. It appends one cost per batches[k] to dst, in order, and
+// returns the extended slice; a caller that reuses dst across calls
+// prices without allocating. On error dst comes back unextended.
+func (p *Predictor) PredictCommBatch(dst []float64, dir Direction, batches [][]DataSet, cs []Contender) ([]float64, error) {
 	mPredictComm.Add(int64(len(batches)))
 	mPredictBatch.Observe(float64(len(batches)))
 	s, err := p.commSlowdown(cs)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]float64, len(batches))
-	for k, sets := range batches {
+	out := slices.Grow(dst, len(batches))
+	for _, sets := range batches {
 		dcomm, err := p.DedicatedComm(dir, sets)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out[k] = dcomm * s
+		out = append(out, dcomm*s)
 	}
 	return out, nil
 }
 
 // PredictCompBatch predicts a grid of dedicated computation times under
 // one contender set with a single slowdown evaluation (auto-selected j,
-// per the paper's maximum-message-size rule).
-func (p *Predictor) PredictCompBatch(dcomps []float64, cs []Contender) ([]float64, error) {
+// per the paper's maximum-message-size rule), appending one time per
+// dcomps[k] to dst as PredictCommBatch does.
+func (p *Predictor) PredictCompBatch(dst, dcomps []float64, cs []Contender) ([]float64, error) {
 	mPredictComp.Add(int64(len(dcomps)))
 	mPredictBatch.Observe(float64(len(dcomps)))
 	s, err := p.compSlowdown(cs)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return scaleBatch(dcomps, s)
+	return appendScaled(dst, dcomps, s)
 }
 
 // PredictCompBatchWithJ is PredictCompBatch with an explicit j column.
-func (p *Predictor) PredictCompBatchWithJ(dcomps []float64, cs []Contender, j int) ([]float64, error) {
+func (p *Predictor) PredictCompBatchWithJ(dst, dcomps []float64, cs []Contender, j int) ([]float64, error) {
 	mPredictComp.Add(int64(len(dcomps)))
 	mPredictBatch.Observe(float64(len(dcomps)))
 	s, err := p.compSlowdownWithJ(cs, j)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return scaleBatch(dcomps, s)
+	return appendScaled(dst, dcomps, s)
 }
 
-func scaleBatch(dcomps []float64, s float64) ([]float64, error) {
-	out := make([]float64, len(dcomps))
-	for k, d := range dcomps {
+// appendScaled appends d*s for every d in dcomps to dst, or returns dst
+// unextended when one of them is not a valid dedicated time.
+func appendScaled(dst, dcomps []float64, s float64) ([]float64, error) {
+	out := slices.Grow(dst, len(dcomps))
+	for _, d := range dcomps {
 		if err := checkDcomp(d); err != nil {
-			return nil, err
+			return dst, err
 		}
-		out[k] = d * s
+		out = append(out, d*s)
 	}
 	return out, nil
 }

@@ -196,8 +196,8 @@ func TestPredictCompRejectsNaN(t *testing.T) {
 	}{
 		{"PredictComp", func(d float64) error { _, err := p.PredictComp(d, cs); return err }},
 		{"PredictCompWithJ", func(d float64) error { _, err := p.PredictCompWithJ(d, cs, 500); return err }},
-		{"PredictCompBatch", func(d float64) error { _, err := p.PredictCompBatch([]float64{1, d}, cs); return err }},
-		{"PredictCompBatchWithJ", func(d float64) error { _, err := p.PredictCompBatchWithJ([]float64{1, d}, cs, 500); return err }},
+		{"PredictCompBatch", func(d float64) error { _, err := p.PredictCompBatch(nil, []float64{1, d}, cs); return err }},
+		{"PredictCompBatchWithJ", func(d float64) error { _, err := p.PredictCompBatchWithJ(nil, []float64{1, d}, cs, 500); return err }},
 		{"PredictCompRobust", func(d float64) error { _, err := p.PredictCompRobust(d, cs); return err }},
 	}
 	for _, e := range entries {

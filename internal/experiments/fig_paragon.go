@@ -215,7 +215,7 @@ func burstFigure(env *Env, id, title string, dir workload.Direction, modelDir co
 		xs = append(xs, float64(w))
 		batches = append(batches, []core.DataSet{{N: count, Words: w}})
 	}
-	modeled, err := env.Pred.PredictCommBatch(modelDir, batches, cs)
+	modeled, err := env.Pred.PredictCommBatch(nil, modelDir, batches, cs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -117,7 +117,7 @@ func sorFigure(env *Env, id, title string, specs []workload.AlternatorSpec, cs [
 	// the whole problem-size grid by the batched predictor API.
 	modeled := map[int][]float64{}
 	for _, j := range jGrid {
-		ys, err := env.Pred.PredictCompBatchWithJ(dcomps, cs, j)
+		ys, err := env.Pred.PredictCompBatchWithJ(nil, dcomps, cs, j)
 		if err != nil {
 			return Result{}, err
 		}

@@ -56,10 +56,15 @@ func (p *Pool) Workers() int {
 // serial reports whether the pool degenerates to a plain loop.
 func (p *Pool) serial() bool { return p.Workers() == 1 }
 
-// help starts a pool goroutine running work when a token is free and
+// Help starts a pool goroutine running work when a token is free and
 // reports whether it did; the goroutine returns the token and signals
-// wg when work returns.
-func (p *Pool) help(wg *sync.WaitGroup, work func()) bool {
+// wg when work returns. It never waits for a token, and a serial pool
+// has none. Map is built on it; a caller that fans out work of its own
+// uses it directly to stay within the pool's bound.
+func (p *Pool) Help(wg *sync.WaitGroup, work func()) bool {
+	if p.serial() {
+		return false
+	}
 	select {
 	case p.tokens <- struct{}{}:
 		wg.Add(1)
@@ -169,7 +174,7 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 	// Before each claim of its own the caller offers the rest to every
 	// free token: one released by a sibling Map becomes a helper here.
 	for more := true; more; more = claim(false) {
-		for st.unclaimed.Load() > chunk && p.help(&st.wg, helper) {
+		for st.unclaimed.Load() > chunk && p.Help(&st.wg, helper) {
 		}
 	}
 	st.wg.Wait()

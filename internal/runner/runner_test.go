@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,4 +193,40 @@ func TestWorkers(t *testing.T) {
 	if got := New(0).Workers(); got < 1 {
 		t.Fatalf("New(0).Workers() = %d", got)
 	}
+}
+
+// TestHelpBoundsHelpers: Help starts a helper only for a free token,
+// never waits for one, and gets its token back when the work returns; a
+// serial pool has none to give.
+func TestHelpBoundsHelpers(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, p := range []*Pool{Serial(), New(1)} {
+		if p.Help(&wg, func() { t.Error("a serial pool started a helper") }) {
+			t.Fatalf("Help on a %d-worker pool started a helper", p.Workers())
+		}
+	}
+	p := New(2)
+	release := make(chan struct{})
+	var ran atomic.Int64
+	work := func() {
+		<-release
+		ran.Add(1)
+	}
+	for i := 0; i < 2; i++ {
+		if !p.Help(&wg, work) {
+			t.Fatalf("helper %d not started with a token free", i)
+		}
+	}
+	if p.Help(&wg, work) {
+		t.Fatal("a third helper started on a 2-worker pool")
+	}
+	close(release)
+	wg.Wait()
+	if ran.Load() != 2 {
+		t.Fatalf("%d helpers ran, want 2", ran.Load())
+	}
+	if !p.Help(&wg, func() {}) {
+		t.Fatal("a token was not returned when its helper finished")
+	}
+	wg.Wait()
 }

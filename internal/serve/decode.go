@@ -355,12 +355,13 @@ func (req *Request) BatchKey() (string, error) {
 }
 
 // BatchKeyOf decodes and validates one request body — binary when
-// binaryWire is set, JSON otherwise — and returns its batch key (see
-// Request.BatchKey), without building the Request: a router's affinity
-// decode. It also appends the request's binary record, with no trace
-// block, to rec — what a router forwards in a frame (AppendRequestFrame)
-// whichever wire the client spoke.
-func BatchKeyOf(body []byte, binaryWire bool, rec []byte) (string, []byte, error) {
+// binaryWire is set, JSON otherwise — and appends its batch key (the
+// bytes of Request.BatchKey) to key, without building the Request: a
+// router's affinity decode. It also appends the request's binary
+// record, with no trace block, to rec — what a router forwards in a
+// frame (AppendRequestFrame) whichever wire the client spoke. A caller
+// that reuses key and rec decodes without allocating.
+func BatchKeyOf(body []byte, binaryWire bool, key, rec []byte) ([]byte, []byte, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	var err error
@@ -370,10 +371,9 @@ func BatchKeyOf(body []byte, binaryWire bool, rec []byte) (string, []byte, error
 		err = ws.decodeJSON(body)
 	}
 	if err != nil {
-		return "", rec, err
+		return key, rec, err
 	}
-	ws.out = appendBatchKey(ws.out[:0], &ws.q)
-	return string(ws.out), appendBinaryQuery(rec, &ws.q, obs.TraceContext{}), nil
+	return appendBatchKey(key, &ws.q), appendBinaryQuery(rec, &ws.q, obs.TraceContext{}), nil
 }
 
 // statusFor maps an error from the serving pipeline to an HTTP status:

@@ -32,14 +32,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,8 +88,7 @@ type Config struct {
 	Pool *runner.Pool
 	// Window is the micro-batch window: how long the first request of a
 	// window parks waiting for peers. 0 selects DefaultWindow; negative
-	// disables batching across arrivals (each request still batches with
-	// whatever queued while a flush was in progress).
+	// disables batching: each request is flushed alone as it arrives.
 	Window time.Duration
 	// MaxBatch flushes a group early when it reaches this many requests.
 	// 0 selects DefaultMaxBatch.
@@ -122,12 +124,19 @@ type Server struct {
 	cfg Config
 	adm *rm.Admission
 
-	mu       sync.Mutex
-	groups   map[string]*group
+	mu sync.Mutex
+	// The open window's groups: index maps a batch key's hash to its
+	// groups (chained through group.next on a collision), groups lists
+	// them in arrival order. Both are emptied per window, not remade.
+	index    map[uint64]*group
+	groups   []*group
+	seed     maphash.Seed
 	pendingN int
 	armed    bool
 	closed   bool
-	timer    *time.Timer // pending batch-window timer (nil when unarmed)
+	// timer is the batch-window timer, made stopped in New and Reset when
+	// a window opens (nil when Window < 0: no window ever opens).
+	timer *time.Timer
 
 	// draining marks the server not-ready (/readyz answers 503) while
 	// requests already in the pipeline are still answered.
@@ -145,16 +154,87 @@ type Server struct {
 	// flushStall, when non-nil, is invoked at the start of every flush —
 	// the fault-injection hook the soak test uses to stall evaluation.
 	flushStall func()
+	// slotHook, when non-nil, sees every parked-request slot taken from
+	// (get) and given back to (!get) the pool — the test hook that
+	// catches a leaked or doubly recycled slot.
+	slotHook func(r *pendingReq, get bool)
 }
 
-// pendingReq is one parked request.
+// pendingReq is one parked request. Slots are pooled and own their
+// query: q's slices alias cs and sets, which are reused across uses, so
+// a request lent from a pooled workspace can leave before its batch is
+// evaluated. ch holds at most one answer and is empty whenever the slot
+// is in the pool.
+//
+// The waiter and the flush hand a slot over through state. The flush
+// answers with a CAS waiting→answered and then sends; a waiter whose
+// deadline fires first does a CAS waiting→abandoned and leaves, and the
+// flush recycles the slot instead of sending. A waiter whose CAS loses
+// knows the answer is on its way: it drains it, then recycles. Exactly
+// one side recycles, and never with an answer left in ch.
 type pendingReq struct {
-	q  query
-	ch chan outcome
+	q     query
+	cs    []core.Contender
+	sets  []core.DataSet
+	key   []byte // q's batch key
+	ch    chan outcome
+	state atomic.Uint32
 	// enq is when the request entered the batcher (batch-wait starts);
 	// rt is its tracing handle, nil unless sampled.
 	enq time.Time
 	rt  *reqTrace
+}
+
+// Parked-request states.
+const (
+	reqWaiting uint32 = iota
+	reqAnswered
+	reqAbandoned
+)
+
+var pendingPool = sync.Pool{New: func() any { return &pendingReq{ch: make(chan outcome, 1)} }}
+
+// getPending takes a slot from the pool and copies q into it.
+func (s *Server) getPending(q *query, enq time.Time, rt *reqTrace) *pendingReq {
+	r := pendingPool.Get().(*pendingReq)
+	if s.slotHook != nil {
+		s.slotHook(r, true)
+	}
+	r.cs = append(r.cs[:0], q.cs...)
+	r.sets = append(r.sets[:0], q.sets...)
+	r.q = *q
+	r.q.cs, r.q.sets = r.cs, r.sets
+	r.enq, r.rt = enq, rt
+	r.state.Store(reqWaiting)
+	return r
+}
+
+// putPending gives a slot back to the pool.
+func (s *Server) putPending(r *pendingReq) {
+	if s.slotHook != nil {
+		s.slotHook(r, false)
+	}
+	r.rt = nil
+	pendingPool.Put(r)
+}
+
+// answer is the flush's last touch of r: it hands out to the waiter,
+// or recycles r when the waiter has already given up.
+func (s *Server) answer(r *pendingReq, out outcome) {
+	if r.state.CompareAndSwap(reqWaiting, reqAnswered) {
+		r.ch <- out
+		return
+	}
+	s.putPending(r)
+}
+
+// abandon is the waiter's side when its deadline or ctx ends first.
+func (s *Server) abandon(r *pendingReq) {
+	if r.state.CompareAndSwap(reqWaiting, reqAbandoned) {
+		return // the flush recycles r
+	}
+	<-r.ch // answered already: the send is on its way
+	s.putPending(r)
 }
 
 type outcome struct {
@@ -162,9 +242,56 @@ type outcome struct {
 	err  error
 }
 
-// group is the set of parked requests sharing one batch key.
+// group is the set of parked requests sharing one batch key, with the
+// scratch its batched call reads and writes. Groups are pooled, so the
+// scratch is reused too.
 type group struct {
-	reqs []*pendingReq
+	key    []byte
+	next   *group // the next group whose key has the same hash
+	reqs   []*pendingReq
+	sets   [][]core.DataSet // PredictCommBatch's input
+	dcomps []float64        // PredictCompBatch's input
+	vals   []float64        // the batch call's answers
+}
+
+var groupPool = sync.Pool{New: func() any { return new(group) }}
+
+// recycle empties g and gives it back to the pool.
+func (g *group) recycle() {
+	clear(g.reqs)
+	clear(g.sets)
+	g.reqs, g.sets = g.reqs[:0], g.sets[:0]
+	g.dcomps, g.vals = g.dcomps[:0], g.vals[:0]
+	g.next = nil
+	groupPool.Put(g)
+}
+
+// batchFlush is one set of detached groups on its way to evaluation.
+// Records are pooled, and work is drain bound once when a record is
+// made, so a pool helper costs nothing but its goroutine's closure.
+type batchFlush struct {
+	s    *Server
+	gs   []*group
+	next atomic.Int64 // the next group to claim
+	wg   sync.WaitGroup
+	work func()
+}
+
+var flushPool = sync.Pool{New: func() any {
+	f := new(batchFlush)
+	f.work = f.drain
+	return f
+}}
+
+// drain evaluates groups until none is left to claim.
+func (f *batchFlush) drain() {
+	for {
+		i := f.next.Add(1) - 1
+		if i >= int64(len(f.gs)) {
+			return
+		}
+		f.s.evalGroup(f.gs[i])
+	}
 }
 
 // New builds a server, applying defaults for zero Config fields.
@@ -187,11 +314,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	return &Server{
-		cfg:    cfg,
-		adm:    rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		groups: map[string]*group{},
-	}, nil
+	s := &Server{
+		cfg:   cfg,
+		adm:   rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		index: map[uint64]*group{},
+		seed:  maphash.MakeSeed(),
+	}
+	if cfg.Window > 0 {
+		s.timer = time.AfterFunc(cfg.Window, s.flushWindow)
+		s.timer.Stop()
+	}
+	return s, nil
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -229,16 +362,11 @@ func (s *Server) Close() {
 	s.closed = true
 	if s.timer != nil {
 		s.timer.Stop()
-		s.timer = nil
 	}
-	gs := s.takeLocked()
-	if len(gs) > 0 {
-		s.flushing.Add(1)
-	}
+	f := s.takeLocked()
 	s.mu.Unlock()
-	if len(gs) > 0 {
-		s.runGroups(gs)
-		s.flushing.Done()
+	if f != nil {
+		s.runFlush(f)
 	}
 	s.flushing.Wait()
 	s.closeFrames()
@@ -262,7 +390,7 @@ func (s *Server) degradeReason() string {
 // concurrent peers. It blocks until the answer is computed, the context
 // ends (ErrDeadline), or admission rejects the request.
 func (s *Server) Predict(ctx context.Context, q query) (Response, error) {
-	return s.predict(ctx, q, nil, time.Time{}, nil)
+	return s.predict(ctx, &q, nil, time.Time{}, nil)
 }
 
 // predict is Predict with a tracing handle (nil unless sampled) and an
@@ -271,8 +399,9 @@ func (s *Server) Predict(ctx context.Context, q query) (Response, error) {
 // back the same way; no context is built for it unless admission has
 // to wait. Stage boundaries are timed on every request for the
 // attribution histograms; rt promotes the same intervals to spans when
-// non-nil.
-func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
+// non-nil. q is only read before predict parks, so it may alias pooled
+// memory the caller reuses once predict returns.
+func (s *Server) predict(ctx context.Context, q *query, rt *reqTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
 	mRequests.With(q.kind).Inc()
 	admStart := time.Now()
 	if err := s.adm.AcquireUntil(ctx, deadline); err != nil {
@@ -300,20 +429,28 @@ func (s *Server) predict(ctx context.Context, q query, rt *reqTrace, deadline ti
 	if !deadline.IsZero() {
 		expired = tm.Arm(time.Until(deadline))
 	}
-	req := &pendingReq{q: q, ch: make(chan outcome, 1), enq: admDone, rt: rt}
-	if flushNow := s.enqueue(req); flushNow != nil {
-		s.runGroups(flushNow)
-		s.flushing.Done()
+	req := s.getPending(q, admDone, rt)
+	f, err := s.enqueue(req)
+	if err != nil {
+		tm.Disarm(expired, false)
+		s.putPending(req)
+		return Response{}, err
+	}
+	if f != nil {
+		s.runFlush(f)
 	}
 	select {
 	case out := <-req.ch:
 		tm.Disarm(expired, false)
+		s.putPending(req)
 		return out.resp, out.err
 	case <-ctx.Done():
 		tm.Disarm(expired, false)
+		s.abandon(req)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
 	case <-expired:
 		tm.Disarm(expired, true)
+		s.abandon(req)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded)
 	}
 }
@@ -382,7 +519,7 @@ func (s *Server) tryFast(q *query, rt *reqTrace) (Response, bool) {
 }
 
 // predictDegraded answers via the Robust p+1 fallback.
-func (s *Server) predictDegraded(q query, reason string) (Response, error) {
+func (s *Server) predictDegraded(q *query, reason string) (Response, error) {
 	mDegraded.Inc()
 	var pred core.Prediction
 	var err error
@@ -404,104 +541,147 @@ func (s *Server) predictDegraded(q query, reason string) (Response, error) {
 }
 
 // enqueue parks the request under its batch key. It returns a non-nil
-// group list when the caller must flush immediately (group hit
-// MaxBatch, or batching across arrivals is disabled); the caller must
-// then call s.flushing.Done() after runGroups — the flush was
-// registered here, under the lock, so Close can wait for it.
-func (s *Server) enqueue(req *pendingReq) []*group {
-	key := batchKey(req.q)
+// flush when the caller must run it at once (the group hit MaxBatch,
+// or batching across arrivals is disabled), and ErrClosed after Close.
+func (s *Server) enqueue(req *pendingReq) (*batchFlush, error) {
+	req.key = appendBatchKey(req.key[:0], &req.q)
+	h := maphash.Bytes(s.seed, req.key)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		req.ch <- outcome{err: ErrClosed}
-		return nil
+		return nil, ErrClosed
 	}
-	g := s.groups[key]
-	if g == nil {
-		g = &group{}
-		s.groups[key] = g
-	}
+	g := s.groupLocked(h, req.key)
 	g.reqs = append(g.reqs, req)
 	s.pendingN++
 	mQueueDepth.Set(float64(s.pendingN))
 	mQueueDepthMax.SetMax(float64(s.pendingN))
 
-	if len(g.reqs) >= s.cfg.MaxBatch {
-		delete(s.groups, key)
-		s.pendingN -= len(g.reqs)
-		mQueueDepth.Set(float64(s.pendingN))
-		s.flushing.Add(1)
-		s.mu.Unlock()
-		return []*group{g}
-	}
-	if s.cfg.Window < 0 {
-		gs := s.takeLocked()
-		s.flushing.Add(1)
-		s.mu.Unlock()
-		return gs
-	}
-	if !s.armed {
+	var f *batchFlush
+	switch {
+	case len(g.reqs) >= s.cfg.MaxBatch:
+		f = s.detachLocked(h, g)
+	case s.cfg.Window < 0:
+		f = s.takeLocked()
+	case !s.armed:
 		s.armed = true
-		s.timer = time.AfterFunc(s.cfg.Window, s.flushWindow)
+		s.timer.Reset(s.cfg.Window)
 	}
 	s.mu.Unlock()
-	return nil
+	return f, nil
 }
 
-// takeLocked detaches every parked group. Caller holds s.mu.
-func (s *Server) takeLocked() []*group {
-	gs := make([]*group, 0, len(s.groups))
-	for key, g := range s.groups {
-		gs = append(gs, g)
-		delete(s.groups, key)
+// groupLocked returns the open group for key (whose hash is h), opening
+// one if there is none. Caller holds s.mu.
+func (s *Server) groupLocked(h uint64, key []byte) *group {
+	head := s.index[h]
+	for g := head; g != nil; g = g.next {
+		if bytes.Equal(g.key, key) {
+			return g
+		}
 	}
+	g := groupPool.Get().(*group)
+	g.key = append(g.key[:0], key...)
+	g.next = head
+	s.index[h] = g
+	s.groups = append(s.groups, g)
+	return g
+}
+
+// detachLocked takes the one group g (key hash h) out of the window
+// into a flush; the other groups stay parked. Caller holds s.mu.
+func (s *Server) detachLocked(h uint64, g *group) *batchFlush {
+	if head := s.index[h]; head == g {
+		if g.next == nil {
+			delete(s.index, h)
+		} else {
+			s.index[h] = g.next
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == g {
+				p.next = g.next
+				break
+			}
+		}
+	}
+	g.next = nil
+	i := slices.Index(s.groups, g)
+	s.groups = slices.Delete(s.groups, i, i+1)
+	s.pendingN -= len(g.reqs)
+	mQueueDepth.Set(float64(s.pendingN))
+	f := s.newFlushLocked()
+	f.gs = append(f.gs, g)
+	return f
+}
+
+// takeLocked detaches every open group into a flush, or returns nil
+// when there is none. Caller holds s.mu.
+func (s *Server) takeLocked() *batchFlush {
+	if len(s.groups) == 0 {
+		return nil
+	}
+	f := s.newFlushLocked()
+	f.gs, s.groups = s.groups, f.gs
+	clear(s.index)
 	s.pendingN = 0
 	mQueueDepth.Set(0)
-	return gs
+	return f
+}
+
+// newFlushLocked takes an empty flush record from the pool and
+// registers it with s.flushing, under the lock, so Close can wait for
+// it; runFlush signals its end. Caller holds s.mu.
+func (s *Server) newFlushLocked() *batchFlush {
+	f := flushPool.Get().(*batchFlush)
+	f.s = s
+	s.flushing.Add(1)
+	return f
 }
 
 // flushWindow is the batch-window timer callback.
 func (s *Server) flushWindow() {
 	s.mu.Lock()
 	s.armed = false
-	s.timer = nil
 	if s.closed {
 		// Close already detached (and flushed) every parked group; a
 		// late-firing timer must not start a second evaluation.
 		s.mu.Unlock()
 		return
 	}
-	gs := s.takeLocked()
-	if len(gs) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	s.flushing.Add(1)
+	f := s.takeLocked()
 	s.mu.Unlock()
-	s.runGroups(gs)
-	s.flushing.Done()
+	if f != nil {
+		s.runFlush(f)
+	}
 }
 
-// runGroups evaluates detached groups, fanning out on the pool. Each
-// group costs one slowdown DP regardless of its size.
-func (s *Server) runGroups(gs []*group) {
-	if len(gs) == 0 {
-		return
-	}
+// runFlush evaluates a flush's groups — one slowdown DP each, whatever
+// its size — then recycles the groups and the record. The calling
+// goroutine works through the groups itself, and every free token of
+// Config.Pool adds a helper beside it, one at most per further group.
+// No request's deadline or ctx reaches a flush: its peers still wait on
+// the answer.
+func (s *Server) runFlush(f *batchFlush) {
 	if s.flushStall != nil {
 		s.flushStall()
 	}
 	span := obs.StartSpan("serve", "batch-flush")
 	start := time.Now()
-	// The flush context is deliberately Background: individual request
-	// deadlines must not cancel work their batch peers still wait on.
-	_, _ = runner.Map(context.Background(), s.cfg.Pool, gs,
-		func(_ context.Context, _ int, g *group) (struct{}, error) {
-			s.evalGroup(g)
-			return struct{}{}, nil
-		})
+	for n := len(f.gs) - 1; n > 0 && s.cfg.Pool.Help(&f.wg, f.work); n-- {
+	}
+	f.drain()
+	f.wg.Wait()
 	mFlushSeconds.Observe(time.Since(start).Seconds())
 	span.End()
+	for _, g := range f.gs {
+		g.recycle()
+	}
+	clear(f.gs)
+	f.gs, f.s = f.gs[:0], nil
+	f.next.Store(0)
+	flushPool.Put(f)
+	s.flushing.Done()
 }
 
 // evalGroup answers every request in one group with a single batched
@@ -524,27 +704,26 @@ func (s *Server) evalGroup(g *group) {
 		}
 	}
 
-	first := g.reqs[0].q
 	// All requests in a group share kind, direction, j selection, and
 	// contender multiset — that is what the batch key canonicalizes.
-	var vals []float64
+	// first is read only before any member is answered: an answered slot
+	// goes back to the pool.
+	first := &g.reqs[0].q
 	var err error
 	switch first.kind {
 	case "comm":
-		batches := make([][]core.DataSet, n)
-		for i, r := range g.reqs {
-			batches[i] = r.q.sets
+		for _, r := range g.reqs {
+			g.sets = append(g.sets, r.q.sets)
 		}
-		vals, err = s.cfg.Pred.PredictCommBatch(first.dir, batches, first.cs)
+		g.vals, err = s.cfg.Pred.PredictCommBatch(g.vals[:0], first.dir, g.sets, first.cs)
 	default:
-		dcomps := make([]float64, n)
-		for i, r := range g.reqs {
-			dcomps[i] = r.q.dcomp
+		for _, r := range g.reqs {
+			g.dcomps = append(g.dcomps, r.q.dcomp)
 		}
 		if first.hasJ {
-			vals, err = s.cfg.Pred.PredictCompBatchWithJ(dcomps, first.cs, first.j)
+			g.vals, err = s.cfg.Pred.PredictCompBatchWithJ(g.vals[:0], g.dcomps, first.cs, first.j)
 		} else {
-			vals, err = s.cfg.Pred.PredictCompBatch(dcomps, first.cs)
+			g.vals, err = s.cfg.Pred.PredictCompBatch(g.vals[:0], g.dcomps, first.cs)
 		}
 	}
 	// One DP answered the whole group; each request waited exactly that
@@ -553,28 +732,15 @@ func (s *Server) evalGroup(g *group) {
 	// it may end the root span.
 	evalDone := time.Now()
 	evalSecs := evalDone.Sub(evalStart).Seconds()
-	if err != nil {
-		for _, r := range g.reqs {
-			stCompute.Observe(evalSecs)
-			r.rt.stage("compute", evalStart, evalDone)
-			r.ch <- outcome{err: err}
-		}
-		return
-	}
 	for i, r := range g.reqs {
 		stCompute.Observe(evalSecs)
 		r.rt.stage("compute", evalStart, evalDone)
-		r.ch <- outcome{resp: Response{Value: vals[i], Batch: n}}
+		out := outcome{err: err}
+		if err == nil {
+			out.resp = Response{Value: g.vals[i], Batch: n}
+		}
+		s.answer(r, out)
 	}
-}
-
-// batchKey canonicalizes a query into its micro-batch key: kind,
-// direction, explicit-j selection, and the order-insensitive contender
-// multiset. Two queries with equal keys are answerable by one batched
-// predictor call.
-func batchKey(q query) string {
-	var buf [256]byte
-	return string(appendBatchKey(buf[:0], &q))
 }
 
 // appendBatchKey appends q's batch key to dst. The contenders are taken
@@ -808,14 +974,9 @@ func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.
 		return resp, rt, nil
 	}
 	// Slow path: the query's slices alias ws's pooled backing arrays,
-	// but the batcher retains the query past this function's return (a
-	// peer's flush may still read it after our deadline fires). Clone
-	// before enqueueing; the allocation rides the path that runs a DP
-	// anyway.
-	q := ws.q
-	q.cs = append([]core.Contender(nil), q.cs...)
-	q.sets = append([]core.DataSet(nil), q.sets...)
-	resp, err := s.predict(ctx, q, rt, time.Now().Add(timeout), &ws.timer)
+	// which the batcher does not retain — it parks a copy in a pooled
+	// slot of its own.
+	resp, err := s.predict(ctx, &ws.q, rt, time.Now().Add(timeout), &ws.timer)
 	return resp, rt, err
 }
 
