@@ -75,13 +75,17 @@ fuzz:
 #    2-replica fleet emitting per-stage attribution;
 #  - a scenario run recorded to a trace file and replayed from it, every
 #    response verified against the recorded one;
+#  - contentionlb booted on a free port with -max-tries 0: one JSON
+#    predict through it, SIGINT, and its manifest must record the
+#    max_tries in force (3), not the flag as given; the removed -spill
+#    flag must be refused;
 #  - an unknown experiment id is refused (before anything is calibrated);
 #  - no command, example or the façade links internal/prob: it is a test
 #    and bench reference, and the slowdown kernel is the one production DP;
 #  - bench/ is its own module, invisible to `go test ./...`: vet and test
 #    it here so an export it needs cannot disappear unnoticed.
 smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	tmp=$$(mktemp -d) && trap 'kill $$lbpid 2>/dev/null; rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/calibrate -burst 50 -contenders 2 -save "$$tmp/cal.json" && \
 	$(GO) run ./cmd/calibrate -check "$$tmp/cal.json" && \
 	head -c 120 "$$tmp/cal.json" > "$$tmp/trunc.json" && \
@@ -98,6 +102,17 @@ smoke:
 	$(GO) run ./cmd/loadgen -cluster 2 -trace-sample 10 -stages -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -scenario bursty -duration 1s -binary -record "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -replay "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
+	$(GO) build -o "$$tmp/contentionlb" ./cmd/contentionlb && \
+	{ "$$tmp/contentionlb" -addr 127.0.0.1:0 -replicas 2 -max-tries 0 -run-report "$$tmp/lb.json" 2> "$$tmp/lb.log" & } && \
+	lbpid=$$! && \
+	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/lb.log" && break; sleep 0.1; done && \
+	lbaddr=$$(sed -n 's|^contentionlb on http://\([^ ]*\) .*|\1|p' "$$tmp/lb.log") && \
+	curl -sSf -H 'Content-Type: application/json' \
+		-d '{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":0.3,"msg_words":100}]}' \
+		"http://$$lbaddr/v1/predict" > /dev/null && \
+	kill -INT $$lbpid && wait $$lbpid && lbpid= && \
+	grep -q '"max_tries": *"3"' "$$tmp/lb.json" && \
+	! "$$tmp/contentionlb" -spill 1 2>/dev/null && \
 	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
 	! $(GO) list -deps ./cmd/... ./examples/... . | grep -q internal/prob
 	$(GO) -C bench vet ./...

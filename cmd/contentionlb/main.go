@@ -2,36 +2,35 @@
 // prediction replicas: a supervisor spawns N backends (in-process
 // serve.Servers, or child-process contentiond daemons with -exec),
 // babysits them through crashes with seeded exponential backoff, and
-// routes requests by batch-key affinity so concurrent queries sharing a
-// contender mix still collapse into one slowdown computation on one
-// replica.
+// routes each request to the replica with the fewest requests in flight
+// per unit of routing weight.
 //
 // The API surface is identical to a single contentiond, so clients
 // cannot tell a fleet from a daemon:
 //
-//	POST /v1/predict  — routed by contender-mix affinity, with failover
+//	POST /v1/predict  — routed to the least-loaded replica, with failover
 //	POST /v1/observe  — residual broadcast to every up replica
 //	GET  /healthz     — fleet health + per-member detail
 //	GET  /readyz      — 503 while draining or with zero replicas up
 //	GET  /metrics     — Prometheus text exposition plus merged fleet_*
 //	                    member series (with -metrics)
-//	GET  /debug/fleet — fleet digest: members, ring weights, breakers,
+//	GET  /debug/fleet — fleet digest: members, weights, breakers,
 //	                    suspicion, per-stage p50/p99, SLO burn (HTML;
 //	                    JSON with ?format=json)
 //
-// Around the consistent-hash ring sit the robustness layers: per-replica
-// circuit breakers over a rolling error rate, load-aware spill past a
-// busy primary, bounded retries under a cluster-wide retry budget, and
-// optional hedged second requests (-hedge) for tail-latency protection.
+// Around the pick sit the robustness layers: per-replica circuit
+// breakers over a rolling error rate, bounded retries under a
+// cluster-wide retry budget, and optional hedged second requests
+// (-hedge) for tail-latency protection.
 // SIGTERM drains: readiness flips off, in-flight requests finish, then
 // every replica shuts down gracefully.
 //
 // With -members the balancer also (or only) fronts remote replicas on
 // other hosts: the file lists addresses and routing weights, is
 // hot-reloaded on SIGHUP and by polling, and a heartbeat failure
-// detector moves silent members out of the ring until they answer
-// again. Removing a member from the file drains it gracefully — its
-// keys remap to ring successors, in-flight requests finish.
+// detector moves silent members out of the routing set until they
+// answer again. Removing a member from the file drains it gracefully —
+// it takes no new requests, and those in flight finish.
 //
 // Usage:
 //
@@ -67,17 +66,16 @@ func main() {
 	replicas := flag.Int("replicas", 4, "supervised replica count")
 	execBin := flag.String("exec", "", "spawn replicas as child processes of this contentiond binary (in-process replicas when empty)")
 	calPath := flag.String("cal", "", "calibration artifact served by every in-process replica; built-in synthetic tables when empty")
-	window := flag.Duration("window", serve.DefaultWindow, "per-replica micro-batch window")
+	window := flag.Duration("window", serve.DefaultWindow, "per-replica micro-batch window (0 selects the default; <0 disables batching)")
 	hedge := flag.Duration("hedge", 0, "hedged-request delay (0 disables hedging)")
-	spill := flag.Int("spill", cluster.DefaultSpillInFlight, "per-replica in-flight high-water before spilling past the ring primary")
-	maxTries := flag.Int("max-tries", cluster.DefaultMaxTries, "attempt bound per request (first try + failovers)")
-	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "cluster-wide retry allowance as a fraction of request volume")
-	probe := flag.Duration("probe", cluster.DefaultProbeInterval, "replica health-probe interval")
+	maxTries := flag.Int("max-tries", cluster.DefaultMaxTries, "attempt bound per request, first try + failovers (0 selects the default)")
+	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "cluster-wide retry allowance as a fraction of request volume (0 selects the default)")
+	probe := flag.Duration("probe", cluster.DefaultProbeInterval, "replica health-probe interval (0 selects the default)")
 	members := flag.String("members", "", `remote members file ({"members":[{"addr":"host:port","weight":2},...]}); hot-reloaded on SIGHUP and by polling. With no explicit -replicas the local fleet is 0`)
 	heartbeat := flag.Duration("heartbeat", 0, "remote-member heartbeat interval (0 selects -probe)")
-	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "failure-detector threshold in learned heartbeat intervals of silence")
+	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "failure-detector threshold in learned heartbeat intervals of silence (0 selects the default)")
 	reload := flag.Duration("reload", time.Second, "members-file poll interval")
-	timeout := flag.Duration("timeout", serve.DefaultTimeout, "end-to-end request deadline")
+	timeout := flag.Duration("timeout", serve.DefaultTimeout, "end-to-end request deadline (0 selects the default)")
 	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N headless requests into the span timeline (0 disables; propagated trace verdicts are always honored)")
 	sloLatency := flag.Duration("slo-latency", 0, "latency SLO threshold (0 disables the SLO tracker)")
 	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "fraction of requests that must beat -slo-latency")
@@ -168,7 +166,6 @@ func main() {
 		Replicas:          *replicas,
 		Factory:           factory,
 		HedgeDelay:        *hedge,
-		SpillInFlight:     *spill,
 		MaxTries:          *maxTries,
 		RetryBudget:       *retryBudget,
 		ProbeInterval:     *probe,
@@ -247,8 +244,14 @@ func main() {
 		os.Exit(1)
 	}
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v)\n",
-		ln.Addr(), *replicas, backend, *window, *hedge)
+	// Zero knobs take the defaults: report what is in force, not the
+	// flags as given.
+	eff, effWindow := c.Config(), *window
+	if effWindow == 0 {
+		effWindow = serve.DefaultWindow
+	}
+	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v, max tries %d, retry budget %g, timeout %v)\n",
+		ln.Addr(), *replicas, backend, effWindow, eff.HedgeDelay, eff.MaxTries, eff.RetryBudget, eff.Timeout)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
@@ -284,12 +287,11 @@ func main() {
 			"addr":         *addr,
 			"replicas":     strconv.Itoa(*replicas),
 			"backend":      backend,
-			"window":       window.String(),
-			"hedge":        hedge.String(),
-			"spill":        strconv.Itoa(*spill),
-			"max_tries":    strconv.Itoa(*maxTries),
-			"retry_budget": fmt.Sprintf("%g", *retryBudget),
-			"timeout":      timeout.String(),
+			"window":       effWindow.String(),
+			"hedge":        eff.HedgeDelay.String(),
+			"max_tries":    strconv.Itoa(eff.MaxTries),
+			"retry_budget": fmt.Sprintf("%g", eff.RetryBudget),
+			"timeout":      eff.Timeout.String(),
 		}
 		m.StartedAt = start.UTC().Format(time.RFC3339)
 		m.WallSeconds = time.Since(start).Seconds()

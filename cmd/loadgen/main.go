@@ -15,8 +15,8 @@
 // With no -addr, loadgen self-serves: it starts an in-process server on
 // a loopback port (built-in synthetic calibration) and drives that, so
 // a smoke run needs no separately started daemon. With -cluster N it
-// self-serves a supervised N-replica fleet behind the affinity router
-// instead, measuring the load balancer path end to end.
+// self-serves a supervised N-replica fleet behind the least-loaded
+// router instead, measuring the load balancer path end to end.
 //
 // With -remote N and -exec it self-serves the multi-host path: N
 // contentiond child processes joined as remote members of a
@@ -79,7 +79,7 @@ func main() {
 	warmup := flag.Duration("warmup", 300*time.Millisecond, "warm-up run excluded from the recorded stats")
 	seed := flag.Int64("seed", 1, "corpus seed")
 	window := flag.Duration("window", serve.DefaultWindow, "micro-batch window for the self-served server")
-	clusterN := flag.Int("cluster", 0, "self-serve a supervised cluster of N in-process replicas behind the affinity router (instead of one server); ignored with -addr")
+	clusterN := flag.Int("cluster", 0, "self-serve a supervised cluster of N in-process replicas behind the least-loaded router (instead of one server); ignored with -addr")
 	remoteN := flag.Int("remote", 0, "self-serve a remote-only router over N contentiond child processes from -exec; ignored with -addr")
 	execBin := flag.String("exec", "", "contentiond binary spawned by -remote")
 	membersPath := flag.String("members", "", "route to the remote members listed in this file (remote-only router in front); ignored with -addr")

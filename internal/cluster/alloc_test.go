@@ -38,9 +38,9 @@ func (rewindBody) Close() error { return nil }
 // router, the frame hop and the replica's batched path together, with
 // no prober running: the ladder's cluster.handler_allocs rung. The
 // ceiling is the count measured on go1.24.0 (1): the router makes none
-// per try and keeps the affinity key in its pooled hop buffer, the
+// per try and keeps the forwarded record in its pooled hop buffer, the
 // replica's batched path makes none, and each frame costs its
-// goroutine. A key string (+1), a per-try context (+4) or an HTTP round
+// goroutine. A per-try context (+4) or an HTTP round
 // trip back on the hop (+60 or so) trips it.
 func TestRouterHopAllocations(t *testing.T) {
 	c, err := New(Config{

@@ -15,8 +15,8 @@ import (
 )
 
 // TestRouterBinaryWire pins the router's binary wire path end to end:
-// a binary-encoded request must route by its affinity key, come back
-// 200 with a binary response body, and carry the same predicted value
+// a binary-encoded request must decode at the router, come back 200
+// with a binary response body, and carry the same predicted value
 // as the identical JSON request. Malformed binary bodies must fail at
 // the router with the JSON error envelope, not reach a replica.
 func TestRouterBinaryWire(t *testing.T) {

@@ -96,8 +96,8 @@ func TestChaosGate(t *testing.T) {
 	front := httptest.NewServer(c.Handler())
 
 	// Load: 16 closed-loop workers over a small key corpus (identical
-	// keys must collapse into batches on their affinity replica even
-	// while the fleet churns).
+	// keys still collapse into batches on whichever replica they meet,
+	// even while the fleet churns).
 	const workers = 16
 	bodies := make([]string, 8)
 	for i := range bodies {

@@ -1,3 +1,22 @@
+// Package cluster is the self-healing serving fleet: a supervisor that
+// spawns and babysits N prediction replicas, and a router in front of
+// them.
+//
+// The router sends each predict to the least-loaded member: the one
+// with the fewest requests in flight per unit of weight, among members
+// whose breaker is not open and that are not serving degraded answers.
+// In-flight requests are the contenders a replica's answer waits
+// behind, so they are what the router balances. A weight is a capacity
+// share — a member of weight 2 leads until it holds twice the in-flight
+// requests of a member of weight 1 — and weight 0 takes no predicts.
+// Equally loaded members take turns.
+//
+// Around the pick sit the production concerns: per-replica circuit
+// breakers over a rolling error rate, bounded retries under a
+// cluster-wide retry budget, optional hedged second requests for
+// tail-latency protection, supervised restart with seeded exponential
+// backoff and a crash-loop budget, and graceful draining on shutdown or
+// replica removal.
 package cluster
 
 import (
@@ -7,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -28,8 +48,6 @@ const (
 	DefaultRestartMax      = 5 * time.Second
 	DefaultMinUptime       = 2 * time.Second
 	DefaultCrashLoopBudget = 6
-	DefaultCandidates      = 3
-	DefaultSpillInFlight   = 64
 	DefaultMaxTries        = 3
 	DefaultRetryBudget     = 0.2
 	DefaultPerTryTimeout   = 500 * time.Millisecond
@@ -53,7 +71,7 @@ type Config struct {
 	// RestartBase·2^strikes (capped at RestartMax) plus seeded jitter,
 	// where strikes counts consecutive lives shorter than MinUptime. A
 	// member that accumulates CrashLoopBudget strikes is abandoned — its
-	// keys stay remapped to the survivors instead of flapping forever.
+	// traffic stays with the survivors instead of flapping forever.
 	RestartBase     time.Duration
 	RestartMax      time.Duration
 	MinUptime       time.Duration
@@ -61,12 +79,6 @@ type Config struct {
 	// Seed fixes the restart-jitter RNG.
 	Seed int64
 
-	// Routing.
-	Vnodes     int // consistent-hash virtual nodes per replica
-	Candidates int // ring candidates considered per request
-	// SpillInFlight is the per-replica in-flight high-water: a primary
-	// at or above it spills to the next ring node.
-	SpillInFlight int
 	// MaxTries bounds attempts per request (first try + failovers).
 	MaxTries int
 	// RetryBudget is the cluster-wide retry allowance as a fraction of
@@ -74,7 +86,7 @@ type Config struct {
 	// sick fleet is not finished off by its own retry storm.
 	RetryBudget float64
 	// HedgeDelay, when positive, launches a hedged second request to the
-	// next candidate if the primary has not answered within it (p99
+	// next member if the lead has not answered within it (p99
 	// protection); first answer wins.
 	HedgeDelay time.Duration
 	// PerTryTimeout bounds each attempt; Timeout bounds the request.
@@ -98,7 +110,7 @@ type Config struct {
 	// SuspectAfter is the failure-detector suspicion threshold, in
 	// multiples of the learned EWMA heartbeat inter-arrival: a remote
 	// member silent for more than SuspectAfter expected intervals leaves
-	// the ring until it heartbeats again. Zero selects
+	// the routing set until it heartbeats again. Zero selects
 	// DefaultSuspectAfter; explicit values below 1 are a validation
 	// error (they would suspect members faster than one heartbeat).
 	SuspectAfter float64
@@ -127,15 +139,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = DefaultVnodes
-	}
-	if cfg.Candidates <= 0 {
-		cfg.Candidates = DefaultCandidates
-	}
-	if cfg.SpillInFlight <= 0 {
-		cfg.SpillInFlight = DefaultSpillInFlight
 	}
 	if cfg.MaxTries <= 0 {
 		cfg.MaxTries = DefaultMaxTries
@@ -214,7 +217,7 @@ func (s memberState) String() string {
 // supervision history) is permanent, the Replica incarnation behind it
 // comes and goes. Local slots are babysat (crash → respawn); remote
 // slots are judged by the heartbeat failure detector (silence → suspect
-// → out of the ring until it beats again).
+// → out of the routing set until it beats again).
 type member struct {
 	id       int
 	remote   bool
@@ -222,14 +225,14 @@ type member struct {
 	sus      *suspicion  // remote members only
 	hbBusy   atomic.Bool // one heartbeat in flight at a time
 	inflight atomic.Int64
-	degraded atomic.Bool // last health probe saw a non-Fresh calibration
+	degraded atomic.Bool   // last health probe saw a non-Fresh calibration
+	weight   atomic.Uint64 // math.Float64bits of the routing weight
 
 	mu      sync.Mutex
 	state   memberState
 	rep     Replica
 	addr    string
 	fc      *frameClient // the current incarnation's frame link; nil while down
-	weight  float64
 	gen     int
 	strikes int
 	upSince time.Time
@@ -292,7 +295,7 @@ func (m *member) heartbeatAddr() string {
 }
 
 // markSuspect flips an up remote member to suspect; reports whether the
-// transition happened (caller then removes it from the ring).
+// transition happened (caller then resyncs the routing set).
 func (m *member) markSuspect() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -304,7 +307,7 @@ func (m *member) markSuspect() bool {
 }
 
 // clearSuspect flips a suspect member back to up; reports whether the
-// transition happened (caller then re-adds it to the ring).
+// transition happened (caller then resyncs the routing set).
 func (m *member) clearSuspect() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -316,13 +319,11 @@ func (m *member) clearSuspect() bool {
 	return true
 }
 
-func (m *member) getWeight() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.weight
-}
+func (m *member) getWeight() float64 { return math.Float64frombits(m.weight.Load()) }
 
-// Cluster is the supervised fleet plus its affinity router. Build with
+func (m *member) setWeight(w float64) { m.weight.Store(math.Float64bits(w)) }
+
+// Cluster is the supervised fleet plus its router. Build with
 // New, call Start, serve Handler; it is goroutine-safe.
 type Cluster struct {
 	cfg Config
@@ -336,8 +337,12 @@ type Cluster struct {
 	// themselves carry their own locks.
 	memMu   sync.RWMutex
 	members []*member
-	ringMu  sync.Mutex // serializes ring read-modify-write
-	ring    atomic.Pointer[Ring]
+	// set is the routing set: the up members in id order. It is
+	// copy-on-write, rebuilt under setMu, so a pick reads it without a
+	// lock; turn rotates the pick among equally loaded members.
+	setMu sync.Mutex
+	set   atomic.Pointer[[]*member]
+	turn  atomic.Uint64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // restart jitter
@@ -384,9 +389,10 @@ func New(cfg Config) (*Cluster, error) {
 	c.retryTokens.Store(5_000) // a little starting credit so early faults can fail over
 	c.members = make([]*member, cfg.Replicas)
 	for i := range c.members {
-		c.members[i] = &member{id: i, weight: 1, breaker: NewBreaker(cfg.Breaker)}
+		c.members[i] = &member{id: i, breaker: NewBreaker(cfg.Breaker), state: stateDown} // until Start spawns it
+		c.members[i].setWeight(1)
 	}
-	c.ring.Store(NewRing(cfg.Vnodes))
+	c.set.Store(new([]*member))
 	return c, nil
 }
 
@@ -428,7 +434,6 @@ func (c *Cluster) Start() error {
 			locals = append(locals, m)
 		}
 	}
-	ring := NewRing(c.cfg.Vnodes)
 	for i, m := range locals {
 		rep, err := c.cfg.Factory(m.id, 0)
 		if err != nil {
@@ -447,18 +452,8 @@ func (c *Cluster) Start() error {
 		m.setIncarnation(rep)
 		m.upSince = time.Now()
 		m.mu.Unlock()
-		ring = ring.WithWeight(m.id, m.getWeight())
 	}
-	// Remote members added before Start keep their ring points.
-	c.ringMu.Lock()
-	for _, m := range all {
-		if m.remote && m.up() {
-			ring = ring.WithWeight(m.id, m.getWeight())
-		}
-	}
-	c.ring.Store(ring)
-	c.ringMu.Unlock()
-	mReplicasUp.Set(float64(ring.Size()))
+	c.resync() // remote members added before Start stay in it
 	for _, m := range locals {
 		c.wg.Add(1)
 		go c.babysit(m)
@@ -472,7 +467,7 @@ func (c *Cluster) Start() error {
 
 // AddRemote joins a remote prediction daemon at addr to the fleet with
 // the given routing weight (weight <= 0 selects 1). It starts up and in
-// the ring immediately; from then on the heartbeat failure detector
+// the routing set immediately; from then on the heartbeat failure detector
 // decides whether it stays. Returns the new member's id.
 func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	if err := validateMemberAddr(addr); err != nil {
@@ -495,24 +490,25 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	m := &member{
 		id:      id,
 		remote:  true,
-		weight:  weight,
 		breaker: NewBreaker(c.cfg.Breaker),
 		sus:     newSuspicion(c.cfg.HeartbeatInterval, c.cfg.SuspectAfter, time.Now()),
 	}
+	m.setWeight(weight)
 	m.state = stateUp
 	m.setIncarnation(newRemoteReplica(addr))
 	m.upSince = time.Now()
 	c.members = append(c.members, m)
 	c.memMu.Unlock()
-	c.ringAdd(id)
+	c.resync()
 	mMembersAdded.Inc()
 	return id, nil
 }
 
-// ReweightMember changes member id's share of the keyspace. Only that
-// member's ring points move, so at most its ownership-share delta of
-// keys remap. Weight 0 keeps the member serving (failover, hedges) but
-// owning no keys.
+// ReweightMember changes member id's capacity share: the pick compares
+// members by requests in flight per unit of weight. Weight 0 takes the
+// member out of predict traffic — it never leads, fails over or hedges
+// — while it stays in the fleet: probed, sent observations, and counted
+// by UpCount.
 func (c *Cluster) ReweightMember(id int, weight float64) error {
 	m := c.memberByID(id)
 	if m == nil {
@@ -521,25 +517,16 @@ func (c *Cluster) ReweightMember(id int, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("cluster: member %d weight %g must not be negative", id, weight)
 	}
-	m.mu.Lock()
-	m.weight = weight
-	inRing := m.state == stateUp
-	m.mu.Unlock()
-	if inRing {
-		c.ringMu.Lock()
-		r := c.ring.Load().WithWeight(id, weight)
-		c.ring.Store(r)
-		c.ringMu.Unlock()
-		mReplicasUp.Set(float64(r.Size()))
-	}
+	m.setWeight(weight)
 	return nil
 }
 
 // heartbeatLoop drives the failure detector for remote members: each
 // tick it checks every remote member's suspicion level (silence →
-// suspect → out of the ring) and launches a non-blocking heartbeat
-// probe whose arrival feeds the detector (and whose outcome feeds the
-// breaker, so a remote member that answers garbage still trips it).
+// suspect → out of the routing set) and launches a non-blocking
+// heartbeat probe whose arrival feeds the detector (and whose outcome
+// feeds the breaker, so a remote member that answers garbage still
+// trips it).
 func (c *Cluster) heartbeatLoop() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.HeartbeatInterval)
@@ -556,7 +543,7 @@ func (c *Cluster) heartbeatLoop() {
 				continue
 			}
 			if m.sus.suspect(now) && m.markSuspect() {
-				c.ringRemove(m.id)
+				c.resync()
 				mSuspects.Inc()
 			}
 			addr := m.heartbeatAddr()
@@ -581,7 +568,7 @@ func (c *Cluster) heartbeatLoop() {
 				m.degraded.Store(degraded)
 				m.sus.beat(time.Now())
 				if m.clearSuspect() {
-					c.ringAdd(m.id)
+					c.resync()
 					mRejoins.Inc()
 				}
 			}(m, addr)
@@ -591,8 +578,9 @@ func (c *Cluster) heartbeatLoop() {
 
 // --- supervision -------------------------------------------------------------
 
-// babysit watches one member: when its replica dies it leaves the ring
-// immediately, and rejoins after a successful seeded-backoff respawn.
+// babysit watches one member: when its replica dies it leaves the
+// routing set immediately, and rejoins after a successful
+// seeded-backoff respawn.
 func (c *Cluster) babysit(m *member) {
 	defer c.wg.Done()
 	for {
@@ -630,7 +618,7 @@ func (c *Cluster) babysit(m *member) {
 		}
 		strikes := m.strikes
 		m.mu.Unlock()
-		c.ringRemove(m.id)
+		c.resync()
 		fc.close()
 
 		for {
@@ -664,7 +652,7 @@ func (c *Cluster) babysit(m *member) {
 			m.upSince = time.Now()
 			m.mu.Unlock()
 			mRestarts.Inc()
-			c.ringAdd(m.id)
+			c.resync()
 			break
 		}
 	}
@@ -687,28 +675,30 @@ func (c *Cluster) backoff(strikes int) time.Duration {
 	return d + j
 }
 
-func (c *Cluster) ringAdd(id int) {
-	w := 1.0
-	if m := c.memberByID(id); m != nil {
-		w = m.getWeight()
+// resync rebuilds the routing set from the members that are up; after
+// Shutdown it is empty. Every change of a member's state is followed by
+// a resync, and resyncs are serialized, so the last one sees the last
+// state.
+func (c *Cluster) resync() {
+	c.setMu.Lock()
+	defer c.setMu.Unlock()
+	var set []*member
+	select {
+	case <-c.stop:
+	default:
+		for _, m := range c.memberList() {
+			if m.up() {
+				set = append(set, m)
+			}
+		}
 	}
-	c.ringMu.Lock()
-	r := c.ring.Load().WithWeight(id, w)
-	c.ring.Store(r)
-	c.ringMu.Unlock()
-	mReplicasUp.Set(float64(r.Size()))
+	c.set.Store(&set)
+	mReplicasUp.Set(float64(len(set)))
 }
 
-func (c *Cluster) ringRemove(id int) {
-	c.ringMu.Lock()
-	r := c.ring.Load().Without(id)
-	c.ring.Store(r)
-	c.ringMu.Unlock()
-	mReplicasUp.Set(float64(r.Size()))
-}
-
-// UpCount reports how many replicas are in the routing ring.
-func (c *Cluster) UpCount() int { return c.ring.Load().Size() }
+// UpCount reports how many replicas are in the routing set, weight-0
+// members included.
+func (c *Cluster) UpCount() int { return len(*c.set.Load()) }
 
 // Replica returns member id's current incarnation (nil while down) —
 // the chaos harness reaches replicas through this.
@@ -801,8 +791,8 @@ type tryResult struct {
 func (r tryResult) release() { putCall(r.call) }
 
 // retryable reports whether another replica might do better: transport
-// errors, 5xx, and 429 (that replica is saturated; the ring successor
-// may not be). 4xx client faults and 504 (the deadline is spent either
+// errors, 5xx, and 429 (that replica is saturated; the next one may not
+// be). 4xx client faults and 504 (the deadline is spent either
 // way) are final, as are a vanished client and a spent request
 // deadline — nobody is waiting for a second try. A per-try timeout is
 // the replica's own failure and is retried.
@@ -813,49 +803,53 @@ func (r tryResult) retryable() bool {
 	return r.err != nil || r.status >= 500 || r.status == http.StatusTooManyRequests
 }
 
-// route sends the request to the replicas owning key, in ring-affinity order
-// with load-aware spill, bounded retries, and optional hedging. ctx is
-// the client's; meta carries the request's deadline and correlation
-// state onto every attempt's wire.
-func (c *Cluster) route(ctx context.Context, key []byte, meta *reqMeta) tryResult {
-	var idBuf [DefaultCandidates]int
-	ids := c.ring.Load().Sequence(idBuf[:0], key, c.cfg.Candidates)
-	if len(ids) == 0 {
-		return tryResult{err: ErrNoReplica}
-	}
-	var candBuf [DefaultCandidates]*member
-	cands := candBuf[:0]
-	for _, id := range ids {
-		if m := c.memberByID(id); m != nil {
-			cands = append(cands, m)
+// lead returns the index in set of the member a request tries first,
+// or -1 when every member has weight 0: the one with the fewest
+// requests in flight per unit of weight among members whose breaker is
+// not open and that are not degraded, or, when none qualifies, the
+// least loaded of all. The scan starts at turn and only a strictly
+// lower load displaces the best so far, so equally loaded members take
+// turns as turn advances.
+func lead(set []*member, turn uint64) int {
+	best, fallback := -1, -1
+	var bestLoad, fallbackLoad float64
+	for k := range set {
+		i := int((turn + uint64(k)) % uint64(len(set)))
+		m := set[i]
+		w := m.getWeight()
+		if w <= 0 {
+			continue
+		}
+		load := float64(m.inflight.Load()) / w
+		if fallback < 0 || load < fallbackLoad {
+			fallback, fallbackLoad = i, load
+		}
+		if (best < 0 || load < bestLoad) && m.breaker.State() != Open && !m.degraded.Load() {
+			best, bestLoad = i, load
 		}
 	}
-	if len(cands) == 0 {
+	if best < 0 {
+		return fallback
+	}
+	return best
+}
+
+// route sends the request to the least-loaded member, then fails over
+// along the routing set after it, with bounded retries and optional
+// hedging. ctx is the client's; meta carries the request's deadline and
+// correlation state onto every attempt's wire.
+func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
+	set := *c.set.Load()
+	first := lead(set, c.turn.Add(1))
+	if first < 0 {
 		return tryResult{err: ErrNoReplica}
 	}
-
-	// Load-aware spill: the ring primary leads unless its breaker is
-	// open, it is at its in-flight high-water, or it is serving degraded
-	// answers while a later candidate is healthy. Ring order is kept
-	// after the leader, so spilled keys still concentrate per replica.
-	lead := 0
-	for i, m := range cands {
-		if m.breaker.State() != Open &&
-			m.inflight.Load() < int64(c.cfg.SpillInFlight) &&
-			!m.degraded.Load() {
-			lead = i
-			break
-		}
-	}
-	if lead > 0 {
-		mSpills.Inc()
-	}
-
 	last := tryResult{err: ErrNoReplica}
 	tries := 0
-	for k := 0; k < len(cands) && tries < c.cfg.MaxTries; k++ {
-		m := cands[(lead+k)%len(cands)]
-		if !m.up() {
+	for k := 0; k < len(set) && tries < c.cfg.MaxTries; k++ {
+		i := (first + k) % len(set)
+		m := set[i]
+		if m.getWeight() <= 0 || !m.up() {
 			continue
 		}
 		if tries > 0 && !c.takeRetryToken() {
@@ -873,7 +867,7 @@ func (c *Cluster) route(ctx context.Context, key []byte, meta *reqMeta) tryResul
 		tries++
 		var res tryResult
 		if tries == 1 && c.cfg.HedgeDelay > 0 {
-			res = c.hedged(ctx, m, cands, meta)
+			res = c.hedged(ctx, set, i, meta)
 		} else {
 			res = c.attempt(ctx, m, meta)
 		}
@@ -963,16 +957,18 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, 
 	return tryResult{err: err}
 }
 
-// hedged races the primary against a delayed second request to the next
-// healthy candidate: if the primary has not answered within HedgeDelay
-// (a stall, a long batch window, a GC pause), the hedge usually wins
-// and the request rides out the hiccup at the cost of one duplicate.
-// The loser is cancelled when hedged returns, whatever ctx the caller
-// passed in.
-func (c *Cluster) hedged(ctx context.Context, primary *member, cands []*member, meta *reqMeta) tryResult {
+// hedged races set[at] against a delayed second request to the next
+// healthy member after it: if the primary has not answered within
+// HedgeDelay (a stall, a long batch window, a GC pause), the hedge
+// usually wins and the request rides out the hiccup at the cost of one
+// duplicate. The loser is cancelled when hedged returns, whatever ctx
+// the caller passed in.
+func (c *Cluster) hedged(ctx context.Context, set []*member, at int, meta *reqMeta) tryResult {
+	primary := set[at]
 	var backup *member
-	for _, m := range cands {
-		if m != primary && m.up() && m.breaker.State() != Open {
+	for k := 1; k < len(set); k++ {
+		m := set[(at+k)%len(set)]
+		if m.getWeight() > 0 && m.up() && m.breaker.State() != Open {
 			backup = m
 			break
 		}
@@ -1048,9 +1044,8 @@ func (c *Cluster) refundRetryToken() { c.retryTokens.Add(1000) }
 
 // --- draining ----------------------------------------------------------------
 
-// DrainMember removes member id from the fleet gracefully: the ring
-// stops assigning its keys immediately (they remap to ring successors;
-// everything else stays put), requests in flight to it finish within
+// DrainMember removes member id from the fleet gracefully: it leaves
+// the routing set immediately, requests in flight to it finish within
 // ctx, then the replica shuts down. The member is not restarted.
 func (c *Cluster) DrainMember(ctx context.Context, id int) error {
 	m := c.memberByID(id)
@@ -1067,7 +1062,7 @@ func (c *Cluster) DrainMember(ctx context.Context, id int) error {
 	m.removed = true
 	rep := m.rep
 	m.mu.Unlock()
-	c.ringRemove(id)
+	c.resync()
 
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
@@ -1094,10 +1089,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	c.stopOnce.Do(func() {
 		err = c.adm.Drain(ctx)
 		close(c.stop)
-		c.ringMu.Lock()
-		c.ring.Store(NewRing(c.cfg.Vnodes))
-		c.ringMu.Unlock()
-		mReplicasUp.Set(0)
+		c.resync()
 
 		// Hedge losers may outlive their front-door request; wait them
 		// out (bounded by PerTryTimeout) before closing replicas.
@@ -1158,7 +1150,7 @@ func (c *Cluster) Members() []MemberStatus {
 			State:    m.state.String(),
 			Addr:     m.addr,
 			Remote:   m.remote,
-			Weight:   m.weight,
+			Weight:   m.getWeight(),
 			Restarts: m.gen,
 			Strikes:  m.strikes,
 			Breaker:  m.breaker.State().String(),
@@ -1181,7 +1173,7 @@ func (c *Cluster) Members() []MemberStatus {
 // Handler returns the load-balancer mux — the same API surface as one
 // replica, so clients cannot tell a fleet from a single daemon:
 //
-//	POST /v1/predict  — routed by batch-key affinity with failover
+//	POST /v1/predict  — routed to the least-loaded replica, with failover
 //	POST /v1/observe  — residual broadcast to every up replica
 //	GET  /healthz     — fleet health + per-member detail
 //	GET  /readyz      — 503 while draining or with zero replicas up
@@ -1266,8 +1258,8 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErrorID(w, http.StatusBadRequest, "read body: "+err.Error(), errorID())
 		return
 	}
-	key, rec, err := serve.BatchKeyOf(hb.body, binaryReq, hb.key[:0], hb.rec[:0])
-	hb.key, hb.rec, meta.rec = key, rec, rec
+	rec, err := serve.RecordOf(hb.body, binaryReq, hb.rec[:0])
+	hb.rec, meta.rec = rec, rec
 	decodeDone := time.Now()
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
 	lt.stage("decode", start, decodeDone)
@@ -1303,7 +1295,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	c.grantRetryCredit()
 
 	routeStart := time.Now()
-	res := c.route(r.Context(), key, &meta)
+	res := c.route(r.Context(), &meta)
 	defer res.release()
 	routeDone := time.Now()
 	lbStRoute.Observe(routeDone.Sub(routeStart).Seconds())
@@ -1359,9 +1351,8 @@ var (
 )
 
 // hopBuf is one front-door request's pooled memory: the body as the
-// client sent it, its batch key, and the binary record it is forwarded
-// as.
-type hopBuf struct{ body, key, rec []byte }
+// client sent it and the binary record it is forwarded as.
+type hopBuf struct{ body, rec []byte }
 
 var hopBufPool = sync.Pool{New: func() any { return new(hopBuf) }}
 

@@ -231,39 +231,129 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
-func TestClusterAffinity(t *testing.T) {
-	_, fl, front := newTestCluster(t, 3, nil)
+// nextLead is the id of the member the next predict tries first.
+func nextLead(c *Cluster) int {
+	set := *c.set.Load()
+	return set[lead(set, c.turn.Load()+1)].id
+}
 
-	// Equal keys concentrate on one replica.
-	for i := 0; i < 20; i++ {
-		if code, out := postPredict(t, front, predictBody(0)); code != http.StatusOK {
-			t.Fatalf("predict = %d, body %v", code, out)
+// TestClusterSpreadsEqualKeys: concurrent traffic that repeats one
+// contender mix reaches both replicas of a 2-replica fleet, each taking
+// at least a quarter of it — the router balances load, not keys.
+func TestClusterSpreadsEqualKeys(t *testing.T) {
+	_, fl, front := newTestCluster(t, 2, nil)
+	for id := 0; id < 2; id++ {
+		fl.current(id).stallMS.Store(5) // keep requests in flight together
+	}
+	const workers, each = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				resp, err := front.Client().Post(front.URL+"/v1/predict", "application/json", strings.NewReader(predictBody(0)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("predict = %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for id := 0; id < 2; id++ {
+		if n := fl.current(id).hits.Load(); n < workers*each/4 {
+			t.Errorf("replica %d served %d of %d equal-key requests, want ≥ %d", id, n, workers*each, workers*each/4)
 		}
 	}
-	hit := 0
-	for id := 0; id < 3; id++ {
-		if fl.current(id).hits.Load() > 0 {
-			hit++
-		}
-	}
-	if hit != 1 {
-		t.Fatalf("equal-key traffic landed on %d replicas, want 1", hit)
-	}
+}
 
-	// Distinct keys spread across the fleet.
-	for i := 0; i < 60; i++ {
+// TestPick: the lead is the member with the fewest requests in flight
+// per unit of weight; open and degraded members lead only when no other
+// member can; weight 0 never leads; equal loads take turns.
+func TestPick(t *testing.T) {
+	type mem struct {
+		inflight int64
+		weight   float64
+		open     bool
+		degraded bool
+	}
+	for _, tc := range []struct {
+		name string
+		set  []mem
+		turn uint64
+		want int // index in set; -1 for none
+	}{
+		{"least loaded leads", []mem{{3, 1, false, false}, {1, 1, false, false}, {2, 1, false, false}}, 0, 1},
+		{"least loaded leads whatever the turn", []mem{{3, 1, false, false}, {1, 1, false, false}, {2, 1, false, false}}, 2, 1},
+		{"load is per unit of weight", []mem{{4, 2, false, false}, {3, 1, false, false}}, 1, 0},
+		{"heavier member holds more before it yields", []mem{{5, 2, false, false}, {2, 1, false, false}}, 0, 1},
+		{"open breaker yields", []mem{{0, 1, true, false}, {5, 1, false, false}}, 0, 1},
+		{"degraded member yields", []mem{{0, 1, false, true}, {5, 1, false, false}}, 0, 1},
+		{"open and degraded lead when nothing else can", []mem{{3, 1, true, false}, {1, 1, false, true}, {2, 1, true, false}}, 0, 1},
+		{"weight 0 never leads", []mem{{0, 0, false, false}, {7, 1, false, false}}, 0, 1},
+		{"weight 0 never leads, even as the fallback", []mem{{0, 0, false, false}, {7, 1, true, false}}, 0, 1},
+		{"all weight 0: no lead", []mem{{0, 0, false, false}, {0, 0, false, false}}, 0, -1},
+		{"empty set: no lead", nil, 0, -1},
+		{"ties rotate: turn 0", []mem{{1, 1, false, false}, {1, 1, false, false}, {1, 1, false, false}}, 0, 0},
+		{"ties rotate: turn 1", []mem{{1, 1, false, false}, {1, 1, false, false}, {1, 1, false, false}}, 1, 1},
+		{"ties rotate: turn 5", []mem{{1, 1, false, false}, {1, 1, false, false}, {1, 1, false, false}}, 5, 2},
+		{"ties rotate past a busier member", []mem{{1, 1, false, false}, {4, 1, false, false}, {1, 1, false, false}}, 1, 2},
+		{"ties rotate when nothing qualifies", []mem{{1, 1, true, false}, {1, 1, true, false}}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			set := make([]*member, len(tc.set))
+			for i, mm := range tc.set {
+				m := &member{id: i, breaker: NewBreaker(BreakerConfig{MinVolume: 1, Cooldown: time.Hour})}
+				m.inflight.Store(mm.inflight)
+				m.setWeight(mm.weight)
+				m.degraded.Store(mm.degraded)
+				if mm.open {
+					m.breaker.Record(false)
+				}
+				set[i] = m
+			}
+			if got := lead(set, tc.turn); got != tc.want {
+				t.Fatalf("lead = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestZeroWeightTakesNoPredicts: a member reweighted to 0 stays up and
+// counted, but no predict reaches it — not as the lead, not as the
+// failover after its peer fails, not as the hedge after its peer
+// stalls.
+func TestZeroWeightTakesNoPredicts(t *testing.T) {
+	c, fl, front := newTestCluster(t, 2, func(cfg *Config) {
+		cfg.HedgeDelay = 5 * time.Millisecond
+		cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+	})
+	if err := c.ReweightMember(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
 		if code, _ := postPredict(t, front, predictBody(i)); code != http.StatusOK {
-			t.Fatalf("predict %d failed", i)
+			t.Fatalf("predict %d = %d", i, code)
 		}
 	}
-	spread := 0
-	for id := 0; id < 3; id++ {
-		if fl.current(id).hits.Load() > 0 {
-			spread++
+	fl.current(0).stallMS.Store(20)
+	fl.current(0).fail.Store(true)
+	for i := 0; i < 4; i++ {
+		if code, _ := postPredict(t, front, predictBody(i)); code != http.StatusInternalServerError {
+			t.Fatalf("predict %d with the only weighted member failing = %d, want its 500", i, code)
 		}
 	}
-	if spread < 2 {
-		t.Fatalf("60 distinct keys landed on %d replica(s), want ≥ 2", spread)
+	if n := fl.current(1).hits.Load(); n != 0 {
+		t.Fatalf("weight-0 member served %d predicts", n)
+	}
+	if got := c.UpCount(); got != 2 {
+		t.Fatalf("UpCount = %d, want 2 (weight 0 is still up)", got)
 	}
 }
 
@@ -282,23 +372,11 @@ func TestClusterBadRequestPassesThroughWithoutRouting(t *testing.T) {
 
 func TestClusterFailoverAndRejoin(t *testing.T) {
 	c, fl, front := newTestCluster(t, 3, nil)
-
-	// Find the primary for this key.
 	body := predictBody(0)
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
 	}
-	primary := -1
-	for id := 0; id < 3; id++ {
-		if fl.current(id).hits.Load() > 0 {
-			primary = id
-			break
-		}
-	}
-	if primary < 0 {
-		t.Fatal("no replica served the warmup request")
-	}
-
+	primary := nextLead(c)
 	fl.current(primary).Kill()
 	// Service continues through failover while the primary is down.
 	for i := 0; i < 10; i++ {
@@ -306,7 +384,7 @@ func TestClusterFailoverAndRejoin(t *testing.T) {
 			t.Fatalf("predict during failover = %d (%v)", code, out)
 		}
 	}
-	// The supervisor respawns the dead member and it rejoins the ring.
+	// The supervisor respawns the dead member and it rejoins the set.
 	waitFor(t, "crashed replica rejoin", 5*time.Second, func() bool {
 		return c.UpCount() == 3
 	})
@@ -322,17 +400,12 @@ func TestClusterFailoverAndRejoin(t *testing.T) {
 }
 
 func TestClusterRetriesUpstreamFailure(t *testing.T) {
-	_, fl, front := newTestCluster(t, 3, nil)
+	c, fl, front := newTestCluster(t, 3, nil)
 	body := predictBody(3)
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
 	}
-	primary := -1
-	for id := 0; id < 3; id++ {
-		if fl.current(id).hits.Load() > 0 {
-			primary = id
-		}
-	}
+	primary := nextLead(c)
 	fl.current(primary).fail.Store(true)
 	code, out := postPredict(t, front, body)
 	if code != http.StatusOK {
@@ -387,7 +460,7 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 	if got := c.UpCount(); got != 1 {
 		t.Fatalf("UpCount = %d after abandonment, want 1", got)
 	}
-	// The surviving replica keeps serving the whole keyspace.
+	// The surviving replica keeps serving every request.
 	for i := 0; i < 10; i++ {
 		if code, _ := postPredict(t, front, predictBody(i)); code != http.StatusOK {
 			t.Fatalf("predict %d failed after abandonment", i)
@@ -396,19 +469,14 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 }
 
 func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
-	_, fl, front := newTestCluster(t, 3, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 3, func(cfg *Config) {
 		cfg.HedgeDelay = 20 * time.Millisecond
 	})
 	body := predictBody(5)
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
 	}
-	primary := -1
-	for id := 0; id < 3; id++ {
-		if fl.current(id).hits.Load() > 0 {
-			primary = id
-		}
-	}
+	primary := nextLead(c)
 	fl.current(primary).stallMS.Store(1500)
 
 	start := time.Now()
@@ -475,12 +543,7 @@ func TestClusterDrainMember(t *testing.T) {
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
 	}
-	primary := -1
-	for id := 0; id < 3; id++ {
-		if fl.current(id).hits.Load() > 0 {
-			primary = id
-		}
-	}
+	primary := nextLead(c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -12,7 +12,7 @@ import (
 // silence in units of that rhythm. A member on a slow or jittery link
 // earns a proportionally longer leash; a member that normally answers
 // like clockwork is suspected quickly. Suspicion only moves members in
-// and out of the routing ring — request-level failures keep feeding the
+// and out of the routing set — request-level failures keep feeding the
 // per-member circuit breaker, so the two mechanisms stay complementary
 // instead of duplicated: the breaker reacts to errors, the detector to
 // silence.

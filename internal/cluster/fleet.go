@@ -6,7 +6,7 @@
 // merged view is served two ways: appended to the balancer's own
 // /metrics exposition, and digested into /debug/fleet — a single page
 // (HTML for humans, JSON with ?format=json) answering "where is the
-// fleet spending its time" with members, ring weights, breaker states,
+// fleet spending its time" with members, routing weights, breaker states,
 // suspicion levels, and per-stage p50/p99.
 //
 // Members that do not expose /metrics (in-process replicas share this

@@ -178,6 +178,9 @@ func (fc *frameClient) call(ctx context.Context, deadline time.Time, meta *reqMe
 	// The budget is the time this try has left, measured as it is sent.
 	cl.out = serve.AppendRequestFrame(cl.out[:0], cl.id, time.Until(deadline), meta.rid, meta.rec, tc)
 	c.wmu.Lock()
+	// A member that stops reading holds the write, and every try queued
+	// on wmu behind it, only until this try's deadline.
+	_ = c.conn.SetWriteDeadline(deadline) // a failed set means a closed conn, which Write reports
 	_, werr := c.conn.Write(cl.out)
 	c.wmu.Unlock()
 	if werr != nil {

@@ -272,10 +272,7 @@ func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
 	}
-	primary := 0
-	if fl.current(1).hits.Load() > 0 {
-		primary = 1
-	}
+	primary := nextLead(c)
 	vol0, _ := c.memberByID(primary).breaker.Stats()
 	fl.current(primary).stallMS.Store(1000)
 
@@ -313,10 +310,7 @@ func TestHedgeLoserCancelledByHandlerReturn(t *testing.T) {
 	if code := serveOnce(); code != http.StatusOK {
 		t.Fatalf("warmup predict = %d", code)
 	}
-	primary := 0
-	if fl.current(1).hits.Load() > 0 {
-		primary = 1
-	}
+	primary := nextLead(c)
 	// The fake never reads the body, so its server notices the cancel
 	// only when the stall ends; the stall just has to outlast the check.
 	fl.current(primary).stallMS.Store(2500)

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,5 +189,64 @@ func TestSubMillisecondBudgetReachesReplica(t *testing.T) {
 	}
 	if got := srv.Admission().Stats().Admitted; got == 0 {
 		t.Fatal("no try reached the replica")
+	}
+}
+
+// TestFrameWriteHonoursTryDeadline: a member that answers the frames
+// upgrade and then never reads cannot hold a try past the try's
+// deadline — neither the try whose write fills the socket nor the tries
+// queued behind it for the connection's write lock.
+func TestFrameWriteHonoursTryDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() { // unblocks any write still stuck, on a failure
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			if _, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
+				_, _ = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+
+					serve.FrameProtocol+"\r\n\r\n")
+			}
+		}
+	}()
+
+	fc := newFrameClient(ln.Addr().String())
+	defer fc.close()
+	meta := &reqMeta{rec: make([]byte, 1<<20)}
+	const tries = 8 // 8 MiB: more than the socket buffers hold
+	errs := make(chan error, tries)
+	for i := 0; i < tries; i++ {
+		go func() {
+			_, err := fc.call(context.Background(), time.Now().Add(50*time.Millisecond), meta, obs.TraceContext{})
+			errs <- err
+		}()
+	}
+	timeout := time.After(3 * time.Second)
+	for i := 0; i < tries; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a try to a member that never answers succeeded")
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d tries still blocked 3s after their 50ms deadline", tries-i, tries)
+		}
 	}
 }

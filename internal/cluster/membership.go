@@ -15,15 +15,14 @@ import (
 // Membership keeps a cluster's remote member set in sync with an
 // external source of truth — a static members file or a DNS name —
 // without restarts. Reloads are diffs, not rebuilds: a new address
-// joins via AddRemote (only its ring points appear), a vanished
-// address drains gracefully (in-flight requests finish; its keys remap
-// to ring successors), and a weight change moves only that member's
-// points. The bounded-remap property of the weighted ring therefore
-// holds across reloads: changing one member never reshuffles
-// bystanders' keys.
+// joins via AddRemote, a vanished address drains gracefully (it takes
+// no new requests; those in flight finish), and a weight change
+// rescales that member's capacity share in place. Bystanders are never
+// touched.
 
 // MemberSpec is one entry in a members file: where the replica is and
-// how much of the keyspace it should own.
+// its capacity share (requests in flight per unit of weight are what
+// the router balances).
 type MemberSpec struct {
 	Addr   string  `json:"addr"`
 	Weight float64 `json:"weight,omitempty"` // 0 → 1
@@ -211,8 +210,8 @@ func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
 	}
 
 	// Drains, in the background so a slow member cannot stall the
-	// reload (its keys already remapped the moment DrainMember ran the
-	// ring update; only connection teardown is deferred).
+	// reload (DrainMember takes the member out of the routing set at
+	// once; only connection teardown is deferred).
 	for addr, id := range ms.active {
 		if _, ok := desired[addr]; ok {
 			continue

@@ -181,7 +181,7 @@ func TestRemoteSuspectAndRejoin(t *testing.T) {
 	waitFor(t, "both remotes up", 2*time.Second, func() bool { return c.UpCount() == 2 })
 
 	// Silence member 0's heartbeats: the failure detector must suspect
-	// it and pull it from the ring.
+	// it and pull it from the routing set.
 	rf.reps[0].hfail.Store(true)
 	waitFor(t, "member 0 suspect", 5*time.Second, func() bool {
 		ms := c.Members()
@@ -205,7 +205,7 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 	rf := newRemoteFleet(t, 3)
 	// Detection is off-topic here: the test asserts zero failed
 	// requests across reloads, and a scheduling hiccup on a loaded CI
-	// box must not fake a suspect (empty-ring 503s).
+	// box must not fake a suspect (empty-set 503s).
 	c, front := newRemoteCluster(t, func(cfg *Config) { cfg.SuspectAfter = 1e9 })
 
 	dir := t.TempDir()

@@ -11,8 +11,6 @@ var (
 		"routed requests, by outcome", "outcome")
 	mRetries = obs.NewCounter(obs.MetricClusterRetries,
 		"failover re-sends after a retryable replica failure")
-	mSpills = obs.NewCounter(obs.MetricClusterSpills,
-		"requests routed past the ring primary for load or breaker state")
 	mHedges = obs.NewCounter(obs.MetricClusterHedges,
 		"hedged second requests launched for tail-latency protection")
 	mRestarts = obs.NewCounter(obs.MetricClusterRestarts,
@@ -20,7 +18,7 @@ var (
 	mAbandoned = obs.NewCounter(obs.MetricClusterAbandoned,
 		"replicas abandoned after exhausting the crash-loop budget")
 	mReplicasUp = obs.NewGauge(obs.MetricClusterReplicasUp,
-		"replicas currently up and in the routing ring")
+		"replicas currently up and in the routing set")
 	mRouteSeconds = obs.NewHistogram(obs.MetricClusterRouteSeconds,
 		"end-to-end routed request latency in seconds", obs.DefaultSecondsBuckets())
 
@@ -28,7 +26,7 @@ var (
 	mSuspects = obs.NewCounter(obs.MetricClusterSuspects,
 		"remote members suspected by the heartbeat failure detector")
 	mRejoins = obs.NewCounter(obs.MetricClusterRejoins,
-		"suspect members readmitted to the ring after a fresh heartbeat")
+		"suspect members readmitted to the routing set after a fresh heartbeat")
 	mMembersAdded = obs.NewCounter(obs.MetricClusterMembersAdded,
 		"remote members joined to the fleet")
 	mClientGone = obs.NewCounter(obs.MetricClusterClientGone,

@@ -2,8 +2,8 @@
 // the request-id / SLO plumbing for the front door.
 //
 // The router's pipeline has three stages worth attributing: decode
-// (body read + JSON parse + batch-key derivation), route (candidate
-// selection, attempts, failover, hedging — everything between admission
+// (body read, parse and validation into the binary record), route (the
+// pick, attempts, failover, hedging — everything between admission
 // and the first byte of an answer), and encode (writing the response).
 // Each is observed into cluster_stage_seconds on every request; sampled
 // requests additionally produce an "lb" span tree — a request root, one
@@ -56,7 +56,7 @@ type reqMeta struct {
 	// it transcodes to; empty means JSON.
 	contentType string
 	// rec is the request as a binary record without a trace block
-	// (serve.BatchKeyOf); each attempt splices its own trace context in.
+	// (serve.RecordOf); each attempt splices its own trace context in.
 	rec []byte
 }
 

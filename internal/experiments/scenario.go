@@ -215,7 +215,7 @@ func directTarget(wire string) (*sweepTarget, error) {
 
 // servedTarget posts bodies over loopback HTTP: to the micro-batching
 // server in batched mode (surface and fast path on for binary+surface),
-// to a 2-replica affinity-routed fleet in cluster mode.
+// to a 2-replica fleet behind the router in cluster mode.
 func servedTarget(wire, mode string) (*sweepTarget, error) {
 	var (
 		tg  *scenario.Target

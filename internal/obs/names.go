@@ -71,7 +71,7 @@ const (
 	// internal/cluster — the self-healing replica fleet and its router.
 	MetricClusterRequests     = "cluster_requests_total"            // label: outcome
 	MetricClusterRetries      = "cluster_retries_total"             // failover re-sends after a retryable failure
-	MetricClusterSpills       = "cluster_spills_total"              // load-aware departures from the ring primary
+	MetricClusterSpills       = "cluster_spills_total"              // no longer recorded since routing is by load; kept because bench/run.go reads it
 	MetricClusterHedges       = "cluster_hedges_total"              // hedged second requests launched
 	MetricClusterRestarts     = "cluster_restarts_total"            // replica respawns by the supervisor
 	MetricClusterAbandoned    = "cluster_abandoned_total"           // replicas given up on (crash-loop budget)

@@ -118,7 +118,7 @@ func NewID() uint64 {
 	return id
 }
 
-// fmix64 is the MurmurHash3 finalizer (same avalanche the ring uses).
+// fmix64 is the MurmurHash3 finalizer.
 func fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

@@ -95,9 +95,7 @@ func SelfServe(window time.Duration, withSurface bool) (*Target, error) {
 
 // SelfServeFleet starts a supervised fleet of n in-process replicas
 // (synthetic calibration, micro-batch window, no surface) behind the
-// affinity router on a loopback port. Affinity routing keeps equal
-// contender mixes on one replica, so batched% holds up against the
-// single-replica number instead of diluting by 1/n.
+// least-loaded router on a loopback port.
 func SelfServeFleet(n int, window time.Duration) (*Target, error) {
 	c, err := cluster.New(cluster.Config{
 		Replicas: n,

@@ -131,7 +131,7 @@ func TestReplayDifferential10k(t *testing.T) {
 
 // TestReplayThroughCluster is the race-checked variant: the same
 // record→replay differential, but the traffic crosses the cluster
-// router (2 in-process replicas, consistent-hash affinity, JSON wire).
+// router (2 in-process replicas, least-loaded routing, JSON wire).
 func TestReplayThroughCluster(t *testing.T) {
 	n := 1500
 	if testing.Short() {

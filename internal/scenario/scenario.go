@@ -308,7 +308,7 @@ func (f FlashCrowd) Spec() string {
 
 // Workload is one cohort's request distribution: a pool of contender
 // multisets drawn once per schedule (so the cohort's traffic repeats
-// batch keys, the shape micro-batching and affinity routing exist for)
+// batch keys, the shape micro-batching exists for)
 // and per-request kind/direction/j draws.
 type Workload struct {
 	// Mixes is the contender-multiset pool size (default 8).

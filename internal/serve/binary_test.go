@@ -382,12 +382,12 @@ func TestWireCountsCappedAtU32(t *testing.T) {
 		check("AppendBinaryRequest", err)
 		_, err = Direct(pred, tc.req, false)
 		check("Direct", err)
-		_, err = tc.req.BatchKey()
-		check("BatchKey", err)
 		body, err := json.Marshal(tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, err = RecordOf(body, false, nil)
+		check("RecordOf", err)
 		_, err = DecodeRequest(bytes.NewReader(body))
 		check("DecodeRequest", err)
 		if status, msg := postStatus(t, ts, "application/json", body); status != http.StatusBadRequest || !strings.Contains(msg, tc.field) {

@@ -337,31 +337,13 @@ func DecodeBinaryRequest(b []byte) (*Request, error) {
 	return ws.q.request(), nil
 }
 
-// BatchKey validates the request and returns its canonical affinity
-// key: the (kind, direction, explicit-j, contender-multiset) string
-// under which the server micro-batches it. Two requests with equal keys
-// are answered by one batched predictor call, so a router that keeps
-// equal keys on one replica preserves batching efficiency instead of
-// diluting it across the fleet. Failures are the same *RequestError the
-// serving path would return.
-func (req *Request) BatchKey() (string, error) {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	if err := ws.load(req); err != nil {
-		return "", err
-	}
-	ws.out = appendBatchKey(ws.out[:0], &ws.q)
-	return string(ws.out), nil
-}
-
-// BatchKeyOf decodes and validates one request body — binary when
-// binaryWire is set, JSON otherwise — and appends its batch key (the
-// bytes of Request.BatchKey) to key, without building the Request: a
-// router's affinity decode. It also appends the request's binary
-// record, with no trace block, to rec — what a router forwards in a
-// frame (AppendRequestFrame) whichever wire the client spoke. A caller
-// that reuses key and rec decodes without allocating.
-func BatchKeyOf(body []byte, binaryWire bool, key, rec []byte) ([]byte, []byte, error) {
+// RecordOf decodes and validates one request body — binary when
+// binaryWire is set, JSON otherwise — and appends the request's binary
+// record, with no trace block, to rec: what a router forwards in a
+// frame (AppendRequestFrame) whichever wire the client spoke. Failures
+// are the same *RequestError the serving path would return. A caller
+// that reuses rec decodes without allocating.
+func RecordOf(body []byte, binaryWire bool, rec []byte) ([]byte, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	var err error
@@ -371,9 +353,9 @@ func BatchKeyOf(body []byte, binaryWire bool, key, rec []byte) ([]byte, []byte, 
 		err = ws.decodeJSON(body)
 	}
 	if err != nil {
-		return key, rec, err
+		return rec, err
 	}
-	return appendBatchKey(key, &ws.q), appendBinaryQuery(rec, &ws.q, obs.TraceContext{}), nil
+	return appendBinaryQuery(rec, &ws.q, obs.TraceContext{}), nil
 }
 
 // statusFor maps an error from the serving pipeline to an HTTP status:

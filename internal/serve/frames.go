@@ -156,7 +156,7 @@ func readFrame(r io.Reader, buf []byte, head int) ([]byte, error) {
 }
 
 // AppendRequestFrame appends one request frame to dst: call id, budget,
-// request id and the binary request record rec (as BatchKeyOf appends
+// request id and the binary request record rec (as RecordOf appends
 // it, with no trace block), into which the trace context tc is spliced
 // when it names a trace. The budget goes out in whole microseconds,
 // rounded down — never more than the caller has — but at least 1 while
