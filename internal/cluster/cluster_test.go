@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -298,8 +299,6 @@ func TestPick(t *testing.T) {
 		{"open and degraded lead when nothing else can", []mem{{3, 1, true, false}, {1, 1, false, true}, {2, 1, true, false}}, 0, 1},
 		{"weight 0 never leads", []mem{{0, 0, false, false}, {7, 1, false, false}}, 0, 1},
 		{"weight 0 never leads, even as the fallback", []mem{{0, 0, false, false}, {7, 1, true, false}}, 0, 1},
-		{"all weight 0: no lead", []mem{{0, 0, false, false}, {0, 0, false, false}}, 0, -1},
-		{"empty set: no lead", nil, 0, -1},
 		{"ties rotate: turn 0", []mem{{1, 1, false, false}, {1, 1, false, false}, {1, 1, false, false}}, 0, 0},
 		{"ties rotate: turn 1", []mem{{1, 1, false, false}, {1, 1, false, false}, {1, 1, false, false}}, 1, 1},
 		{"ties rotate: turn 5", []mem{{1, 1, false, false}, {1, 1, false, false}, {1, 1, false, false}}, 5, 2},
@@ -322,6 +321,125 @@ func TestPick(t *testing.T) {
 				t.Fatalf("lead = %d, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// routingSet builds a routing set of idle members, ids 0..n-1, with
+// closed breakers and the given weights.
+func routingSet(weights ...float64) []*member {
+	set := make([]*member, len(weights))
+	for i, w := range weights {
+		set[i] = &member{id: i, breaker: NewBreaker(BreakerConfig{})}
+		set[i].setWeight(w)
+	}
+	return set
+}
+
+// TestRingEdgeCases: the routing set at its edges — empty, all weight
+// 0, one member even when it is open and degraded, and emptied by
+// Shutdown.
+func TestRingEdgeCases(t *testing.T) {
+	if got := lead(nil, 0); got != -1 {
+		t.Fatalf("empty set: lead = %d, want -1", got)
+	}
+	if got := lead(routingSet(0, 0), 0); got != -1 {
+		t.Fatalf("all weight 0: lead = %d, want -1", got)
+	}
+	one := routingSet(1)
+	for turn := uint64(0); turn < 3; turn++ {
+		if got := lead(one, turn); got != 0 {
+			t.Fatalf("one member, turn %d: lead = %d, want 0", turn, got)
+		}
+	}
+	one[0].breaker = NewBreaker(BreakerConfig{MinVolume: 1, Cooldown: time.Hour})
+	one[0].breaker.Record(false)
+	one[0].degraded.Store(true)
+	if got := lead(one, 0); got != 0 {
+		t.Fatalf("one open, degraded member: lead = %d, want 0 (nothing else can)", got)
+	}
+
+	c, _, front := newTestCluster(t, 2, nil)
+	for id := 0; id < 2; id++ {
+		if err := c.ReweightMember(id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, out := postPredict(t, front, predictBody(0)); code != http.StatusServiceUnavailable {
+		t.Fatalf("predict with every member at weight 0 = %d (%v), want 503", code, out)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.UpCount(); got != 0 {
+		t.Fatalf("UpCount after Shutdown = %d, want 0", got)
+	}
+}
+
+// TestRingSequence: a predict walks the routing set as a ring — the
+// lead, then the members after it in id order, wrapping — each member
+// at most once, stopping after MaxTries tries or one lap, whichever
+// comes first.
+func TestRingSequence(t *testing.T) {
+	for _, tc := range []struct {
+		replicas, maxTries, want int
+	}{
+		{4, 3, 3},  // MaxTries ends the walk
+		{3, 10, 3}, // one lap ends it
+	} {
+		c, fl, front := newTestCluster(t, tc.replicas, func(cfg *Config) {
+			cfg.MaxTries = tc.maxTries
+			cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+		})
+		for id := 0; id < tc.replicas; id++ {
+			fl.current(id).fail.Store(true)
+		}
+		first := nextLead(c)
+		if code, _ := postPredict(t, front, predictBody(0)); code != http.StatusInternalServerError {
+			t.Fatalf("%d replicas, MaxTries %d: predict with every member failing = %d, want the last 500",
+				tc.replicas, tc.maxTries, code)
+		}
+		for k := 0; k < tc.replicas; k++ {
+			id := (first + k) % tc.replicas
+			want := int64(0)
+			if k < tc.want {
+				want = 1
+			}
+			if got := fl.current(id).hits.Load(); got != want {
+				t.Errorf("%d replicas, MaxTries %d, lead %d: member %d (%d after the lead) served %d tries, want %d",
+					tc.replicas, tc.maxTries, first, id, k, got, want)
+			}
+		}
+	}
+}
+
+// TestRingWeightedOwnership: weight is a capacity share — requests
+// held in flight spread over the members in proportion to their
+// weights, within two requests each, and weight 0 holds none.
+func TestRingWeightedOwnership(t *testing.T) {
+	for _, weights := range [][]float64{
+		{1, 2},
+		{1, 1, 2},
+		{1, 2, 4},
+		{0.5, 1, 1, 2},
+		{0, 1, 2},
+	} {
+		set := routingSet(weights...)
+		total := 0.0
+		for _, w := range weights {
+			total += w
+		}
+		n := int(40 * total)
+		for turn := 0; turn < n; turn++ {
+			set[lead(set, uint64(turn))].inflight.Add(1)
+		}
+		for id, w := range weights {
+			fair := float64(n) * w / total
+			if got := float64(set[id].inflight.Load()); math.Abs(got-fair) > 2 {
+				t.Errorf("weights %v: member %d holds %.0f of %d requests, weighted fair share %.1f", weights, id, got, n, fair)
+			}
+		}
 	}
 }
 
