@@ -246,10 +246,7 @@ func main() {
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	// Zero knobs take the defaults: report what is in force, not the
 	// flags as given.
-	eff, effWindow := c.Config(), *window
-	if effWindow == 0 {
-		effWindow = serve.DefaultWindow
-	}
+	eff, effWindow := c.Config(), serve.Config{Window: *window}.WithDefaults().Window
 	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v, max tries %d, retry budget %g, timeout %v)\n",
 		ln.Addr(), *replicas, backend, effWindow, eff.HedgeDelay, eff.MaxTries, eff.RetryBudget, eff.Timeout)
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -181,9 +182,18 @@ func (fc *frameClient) call(ctx context.Context, deadline time.Time, meta *reqMe
 	// A member that stops reading holds the write, and every try queued
 	// on wmu behind it, only until this try's deadline.
 	_ = c.conn.SetWriteDeadline(deadline) // a failed set means a closed conn, which Write reports
-	_, werr := c.conn.Write(cl.out)
+	n, werr := c.conn.Write(cl.out)
 	c.wmu.Unlock()
 	if werr != nil {
+		// A deadline that lapsed before the first byte went out leaves
+		// the stream intact: only this try is withdrawn, and the calls
+		// pending on the connection keep waiting for their answers. A
+		// partial frame, or any other error, breaks the connection.
+		if n == 0 && errors.Is(werr, os.ErrDeadlineExceeded) {
+			cl.timer.Disarm(expired, false)
+			c.abandon(cl)
+			return nil, errTryTimeout
+		}
 		c.fail(werr) // answers our call, with every other pending one
 	}
 	select {

@@ -250,3 +250,56 @@ func TestFrameWriteHonoursTryDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestSpentTryKeepsConnection: a try whose deadline has lapsed before
+// its frame is written withdraws only itself. The member's shared frame
+// connection stays up, the call already pending on it gets its answer,
+// and the member's breaker records no failure.
+func TestSpentTryKeepsConnection(t *testing.T) {
+	c, fl, front := newTestCluster(t, 1, func(cfg *Config) {
+		cfg.ProbeInterval = time.Hour
+		cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+	})
+	if code, _ := postPredict(t, front, predictBody(0)); code != http.StatusOK {
+		t.Fatal("warmup predict failed")
+	}
+	m := c.memberByID(0)
+	fc := m.frames()
+	fc.mu.Lock()
+	conn := fc.cur
+	fc.mu.Unlock()
+	vol0, _ := m.breaker.Stats()
+	fl.current(0).stallMS.Store(200)
+
+	codes := make(chan int, 1)
+	go func() {
+		resp, err := front.Client().Post(front.URL+"/v1/predict", "application/json", strings.NewReader(predictBody(1)))
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}()
+	waitFor(t, "a call pending on the frame connection", 2*time.Second, func() bool {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return len(conn.pending) == 1
+	})
+	_, err := fc.call(context.Background(), time.Now().Add(-time.Millisecond), &reqMeta{rec: []byte{0}}, obs.TraceContext{})
+	if err != errTryTimeout {
+		t.Fatalf("spent try: err %v, want errTryTimeout", err)
+	}
+	if code := <-codes; code != http.StatusOK {
+		t.Fatalf("pending call: status %d, want 200", code)
+	}
+	fc.mu.Lock()
+	same := fc.cur == conn
+	fc.mu.Unlock()
+	if !same {
+		t.Fatal("the spent try tore down the frame connection")
+	}
+	if vol, rate := m.breaker.Stats(); vol != vol0+1 || rate != 0 {
+		t.Fatalf("breaker: volume %d (was %d), fail rate %.2f — want one success and no failure", vol, vol0, rate)
+	}
+}

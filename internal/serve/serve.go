@@ -299,6 +299,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Pred == nil {
 		return nil, errors.New("serve: Config.Pred is required")
 	}
+	cfg = cfg.WithDefaults()
+	s := &Server{
+		cfg:   cfg,
+		adm:   rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		index: map[uint64]*group{},
+		seed:  maphash.MakeSeed(),
+	}
+	if cfg.Window > 0 {
+		s.timer = time.AfterFunc(cfg.Window, s.flushWindow)
+		s.timer.Stop()
+	}
+	return s, nil
+}
+
+// WithDefaults returns cfg with every zero knob New would fill set to
+// its default: the configuration a server built from cfg runs with.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
 	}
@@ -314,17 +331,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	s := &Server{
-		cfg:   cfg,
-		adm:   rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		index: map[uint64]*group{},
-		seed:  maphash.MakeSeed(),
-	}
-	if cfg.Window > 0 {
-		s.timer = time.AfterFunc(cfg.Window, s.flushWindow)
-		s.timer.Stop()
-	}
-	return s, nil
+	return cfg
 }
 
 // Config returns the effective (default-filled) configuration.
