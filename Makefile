@@ -75,10 +75,11 @@ fuzz:
 #    2-replica fleet emitting per-stage attribution;
 #  - a scenario run recorded to a trace file and replayed from it, every
 #    response verified against the recorded one;
-#  - contentionlb booted on a free port with -max-tries 0: one JSON
-#    predict through it, SIGINT, and its manifest must record the
-#    max_tries in force (3), not the flag as given; the removed -spill
-#    flag must be refused;
+#  - contentionlb booted on a free port with -max-tries 0 and -probe 0:
+#    one JSON predict through it, SIGINT, and its manifest must record
+#    the values in force (max_tries 3, probe 250ms, suspect_after 4),
+#    not the flags as given; the removed -spill and -heartbeat flags
+#    must be refused;
 #  - an unknown experiment id is refused (before anything is calibrated);
 #  - no command, example or the façade links internal/prob: it is a test
 #    and bench reference, and the slowdown kernel is the one production DP;
@@ -103,7 +104,7 @@ smoke:
 	$(GO) run ./cmd/loadgen -scenario bursty -duration 1s -binary -record "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -replay "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
 	$(GO) build -o "$$tmp/contentionlb" ./cmd/contentionlb && \
-	{ "$$tmp/contentionlb" -addr 127.0.0.1:0 -replicas 2 -max-tries 0 -run-report "$$tmp/lb.json" 2> "$$tmp/lb.log" & } && \
+	{ "$$tmp/contentionlb" -addr 127.0.0.1:0 -replicas 2 -max-tries 0 -probe 0 -run-report "$$tmp/lb.json" 2> "$$tmp/lb.log" & } && \
 	lbpid=$$! && \
 	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/lb.log" && break; sleep 0.1; done && \
 	lbaddr=$$(sed -n 's|^contentionlb on http://\([^ ]*\) .*|\1|p' "$$tmp/lb.log") && \
@@ -112,7 +113,10 @@ smoke:
 		"http://$$lbaddr/v1/predict" > /dev/null && \
 	kill -INT $$lbpid && wait $$lbpid && lbpid= && \
 	grep -q '"max_tries": *"3"' "$$tmp/lb.json" && \
+	grep -q '"probe": *"250ms"' "$$tmp/lb.json" && \
+	grep -q '"suspect_after": *"4"' "$$tmp/lb.json" && \
 	! "$$tmp/contentionlb" -spill 1 2>/dev/null && \
+	! "$$tmp/contentionlb" -heartbeat 1s 2>/dev/null && \
 	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
 	! $(GO) list -deps ./cmd/... ./examples/... . | grep -q internal/prob
 	$(GO) -C bench vet ./...

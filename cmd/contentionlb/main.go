@@ -27,10 +27,11 @@
 //
 // With -members the balancer also (or only) fronts remote replicas on
 // other hosts: the file lists addresses and routing weights, is
-// hot-reloaded on SIGHUP and by polling, and a heartbeat failure
-// detector moves silent members out of the routing set until they
-// answer again. Removing a member from the file drains it gracefully —
-// it takes no new requests, and those in flight finish.
+// hot-reloaded on SIGHUP and by polling, and a failure detector fed by
+// the same -probe health loop that watches local replicas moves silent
+// members out of the routing set until they answer again. Removing a
+// member from the file drains it gracefully — it takes no new requests,
+// and those in flight finish.
 //
 // Usage:
 //
@@ -70,10 +71,9 @@ func main() {
 	hedge := flag.Duration("hedge", 0, "hedged-request delay (0 disables hedging)")
 	maxTries := flag.Int("max-tries", cluster.DefaultMaxTries, "attempt bound per request, first try + failovers (0 selects the default)")
 	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "cluster-wide retry allowance as a fraction of request volume (0 selects the default)")
-	probe := flag.Duration("probe", cluster.DefaultProbeInterval, "replica health-probe interval (0 selects the default)")
+	probe := flag.Duration("probe", cluster.DefaultProbeInterval, "health-probe period for every member, local and remote; each probe is bounded by it (0 selects the default)")
 	members := flag.String("members", "", `remote members file ({"members":[{"addr":"host:port","weight":2},...]}); hot-reloaded on SIGHUP and by polling. With no explicit -replicas the local fleet is 0`)
-	heartbeat := flag.Duration("heartbeat", 0, "remote-member heartbeat interval (0 selects -probe)")
-	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "failure-detector threshold in learned heartbeat intervals of silence (0 selects the default)")
+	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "failure-detector threshold in learned probe intervals of silence (0 selects the default)")
 	reload := flag.Duration("reload", time.Second, "members-file poll interval")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "end-to-end request deadline (0 selects the default)")
 	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N headless requests into the span timeline (0 disables; propagated trace verdicts are always honored)")
@@ -163,17 +163,16 @@ func main() {
 	}
 
 	c, err := cluster.New(cluster.Config{
-		Replicas:          *replicas,
-		Factory:           factory,
-		HedgeDelay:        *hedge,
-		MaxTries:          *maxTries,
-		RetryBudget:       *retryBudget,
-		ProbeInterval:     *probe,
-		HeartbeatInterval: *heartbeat,
-		SuspectAfter:      *suspectAfter,
-		Timeout:           *timeout,
-		Sampler:           obs.NewSampler(*traceSample),
-		SLO:               slo,
+		Replicas:      *replicas,
+		Factory:       factory,
+		HedgeDelay:    *hedge,
+		MaxTries:      *maxTries,
+		RetryBudget:   *retryBudget,
+		ProbeInterval: *probe,
+		SuspectAfter:  *suspectAfter,
+		Timeout:       *timeout,
+		Sampler:       obs.NewSampler(*traceSample),
+		SLO:           slo,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -191,14 +190,14 @@ func main() {
 	memStop := make(chan struct{})
 	if *members != "" {
 		ms, err := cluster.NewMembership(c, cluster.MembershipConfig{
-			Fetch:        cluster.FileSource(*members),
+			Path:         *members,
 			PollInterval: *reload,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sum, err := ms.Reload(context.Background())
+		sum, err := ms.Reload()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "members:", err)
 			os.Exit(1)
@@ -213,7 +212,7 @@ func main() {
 				case <-memStop:
 					return
 				case <-hup:
-					sum, err := ms.Reload(context.Background())
+					sum, err := ms.Reload()
 					if err != nil {
 						fmt.Fprintln(os.Stderr, "members reload:", err)
 						continue
@@ -227,7 +226,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
-	fleet := cluster.NewFleet(c, cluster.FleetConfig{Interval: *fleetScrape, SLO: slo})
+	fleet := cluster.NewFleet(c, *fleetScrape)
 	if *fleetScrape > 0 {
 		go fleet.Run(memStop)
 	}
@@ -247,8 +246,8 @@ func main() {
 	// Zero knobs take the defaults: report what is in force, not the
 	// flags as given.
 	eff, effWindow := c.Config(), serve.Config{Window: *window}.WithDefaults().Window
-	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v, max tries %d, retry budget %g, timeout %v)\n",
-		ln.Addr(), *replicas, backend, effWindow, eff.HedgeDelay, eff.MaxTries, eff.RetryBudget, eff.Timeout)
+	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v, max tries %d, retry budget %g, timeout %v, probe %v, suspect after %g)\n",
+		ln.Addr(), *replicas, backend, effWindow, eff.HedgeDelay, eff.MaxTries, eff.RetryBudget, eff.Timeout, eff.ProbeInterval, eff.SuspectAfter)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
@@ -281,14 +280,16 @@ func main() {
 	if *runReport != "" {
 		m := obs.NewManifest("contentionlb")
 		m.Config = map[string]string{
-			"addr":         *addr,
-			"replicas":     strconv.Itoa(*replicas),
-			"backend":      backend,
-			"window":       effWindow.String(),
-			"hedge":        eff.HedgeDelay.String(),
-			"max_tries":    strconv.Itoa(eff.MaxTries),
-			"retry_budget": fmt.Sprintf("%g", eff.RetryBudget),
-			"timeout":      eff.Timeout.String(),
+			"addr":          *addr,
+			"replicas":      strconv.Itoa(*replicas),
+			"backend":       backend,
+			"window":        effWindow.String(),
+			"hedge":         eff.HedgeDelay.String(),
+			"max_tries":     strconv.Itoa(eff.MaxTries),
+			"retry_budget":  fmt.Sprintf("%g", eff.RetryBudget),
+			"timeout":       eff.Timeout.String(),
+			"probe":         eff.ProbeInterval.String(),
+			"suspect_after": fmt.Sprintf("%g", eff.SuspectAfter),
 		}
 		m.StartedAt = start.UTC().Format(time.RFC3339)
 		m.WallSeconds = time.Since(start).Seconds()

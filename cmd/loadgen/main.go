@@ -20,7 +20,7 @@
 //
 // With -remote N and -exec it self-serves the multi-host path: N
 // contentiond child processes joined as remote members of a
-// remote-only router (HTTP transport, heartbeat failure detection) —
+// remote-only router (frame link, probe-fed failure detection) —
 // the closest single-machine stand-in for a real fleet. With -members
 // it routes to the remote replicas listed in a members file instead.
 //
@@ -404,8 +404,9 @@ func benchSafe(s string) string {
 // selfServeRemote starts a remote-only router on a loopback port and
 // joins its members: n contentiond child processes spawned from bin,
 // plus everything listed in membersPath (either may be empty). The
-// routed path is the real multi-host one — HTTP transport, heartbeat
-// failure detection — just with loopback standing in for the network.
+// routed path is the real multi-host one — predicts on each member's
+// frame link, probe-fed failure detection — just with loopback standing
+// in for the network.
 func selfServeRemote(n int, bin, membersPath string, window time.Duration) (tg *scenario.Target, members int, err error) {
 	c, err := cluster.New(cluster.Config{})
 	if err != nil {
@@ -442,11 +443,11 @@ func selfServeRemote(n int, bin, membersPath string, window time.Duration) (tg *
 		}
 	}
 	if membersPath != "" {
-		ms, err := cluster.NewMembership(c, cluster.MembershipConfig{Fetch: cluster.FileSource(membersPath)})
+		ms, err := cluster.NewMembership(c, cluster.MembershipConfig{Path: membersPath})
 		if err != nil {
 			return fail(err)
 		}
-		sum, err := ms.Reload(context.Background())
+		sum, err := ms.Reload()
 		if err != nil {
 			return fail(err)
 		}

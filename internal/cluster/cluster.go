@@ -96,21 +96,15 @@ type Config struct {
 	MaxInFlight, MaxQueue int
 	// Breaker parameterizes the per-replica circuit breakers.
 	Breaker BreakerConfig
-	// ProbeInterval is the health-probe period for locally supervised
-	// replicas.
+	// ProbeInterval is the health loop's period: each period every up
+	// or suspect member gets one /healthz probe, and a probe may take at
+	// most one period. It is also the heartbeat rhythm the failure
+	// detector first expects.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each health-probe / heartbeat HTTP request.
-	// Zero selects ProbeInterval (a probe never outlives its period);
-	// an explicit value larger than ProbeInterval is a validation error,
-	// since overlapping probes would double-count breaker outcomes.
-	ProbeTimeout time.Duration
-	// HeartbeatInterval is the failure-detector heartbeat period for
-	// remote members. Zero selects ProbeInterval.
-	HeartbeatInterval time.Duration
 	// SuspectAfter is the failure-detector suspicion threshold, in
 	// multiples of the learned EWMA heartbeat inter-arrival: a remote
 	// member silent for more than SuspectAfter expected intervals leaves
-	// the routing set until it heartbeats again. Zero selects
+	// the routing set until a probe succeeds again. Zero selects
 	// DefaultSuspectAfter; explicit values below 1 are a validation
 	// error (they would suspect members faster than one heartbeat).
 	SuspectAfter float64
@@ -161,12 +155,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = cfg.ProbeInterval
-	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = DefaultSuspectAfter
 	}
@@ -175,10 +163,6 @@ func (cfg Config) withDefaults() Config {
 
 // validate rejects default-filled configurations that could not work.
 func (cfg Config) validate() error {
-	if cfg.ProbeTimeout > cfg.ProbeInterval {
-		return fmt.Errorf("cluster: ProbeTimeout %v exceeds ProbeInterval %v — probes would overlap and double-count breaker outcomes",
-			cfg.ProbeTimeout, cfg.ProbeInterval)
-	}
 	if cfg.SuspectAfter < 1 {
 		return fmt.Errorf("cluster: SuspectAfter %g would suspect members faster than one missed heartbeat (want >= 1)",
 			cfg.SuspectAfter)
@@ -215,15 +199,16 @@ func (s memberState) String() string {
 
 // member is one supervised replica slot: the slot (id, breaker,
 // supervision history) is permanent, the Replica incarnation behind it
-// comes and goes. Local slots are babysat (crash → respawn); remote
-// slots are judged by the heartbeat failure detector (silence → suspect
-// → out of the routing set until it beats again).
+// comes and goes. Every slot is probed by the health loop. Local slots
+// are babysat (crash → respawn); remote slots are judged by the failure
+// detector (silence → suspect → out of the routing set until a probe
+// succeeds again).
 type member struct {
 	id       int
 	remote   bool
 	breaker  *Breaker
 	sus      *suspicion  // remote members only
-	hbBusy   atomic.Bool // one heartbeat in flight at a time
+	probing  atomic.Bool // one health probe in flight at a time
 	inflight atomic.Int64
 	degraded atomic.Bool   // last health probe saw a non-Fresh calibration
 	weight   atomic.Uint64 // math.Float64bits of the routing weight
@@ -282,9 +267,9 @@ func (m *member) takeFrames() *frameClient {
 	return fc
 }
 
-// heartbeatAddr is the address the failure detector should heartbeat:
-// up members (rhythm tracking) and suspect members (recovery
-// detection), never drained or failed ones.
+// heartbeatAddr is the address the health loop should probe: up
+// members (rhythm tracking) and suspect members (recovery detection),
+// never down, drained or failed ones.
 func (m *member) heartbeatAddr() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -328,7 +313,7 @@ func (m *member) setWeight(w float64) { m.weight.Store(math.Float64bits(w)) }
 type Cluster struct {
 	cfg Config
 	adm *rm.Admission
-	// client carries probes, heartbeats, /v1/observe and the fleet
+	// client carries the health probes, /v1/observe and the fleet
 	// scrape; predicts travel on each member's frame link instead.
 	client *http.Client
 
@@ -353,7 +338,7 @@ type Cluster struct {
 	started  atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup // babysitters + prober
+	wg       sync.WaitGroup // babysitters, the health loop and its probes
 	bg       sync.WaitGroup // background hedge attempts
 }
 
@@ -459,16 +444,14 @@ func (c *Cluster) Start() error {
 		go c.babysit(m)
 	}
 	c.wg.Add(1)
-	go c.probeLoop()
-	c.wg.Add(1)
-	go c.heartbeatLoop()
+	go c.healthLoop()
 	return nil
 }
 
 // AddRemote joins a remote prediction daemon at addr to the fleet with
 // the given routing weight (weight <= 0 selects 1). It starts up and in
-// the routing set immediately; from then on the heartbeat failure detector
-// decides whether it stays. Returns the new member's id.
+// the routing set immediately; from then on the health loop's failure
+// detector decides whether it stays. Returns the new member's id.
 func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	if err := validateMemberAddr(addr); err != nil {
 		return 0, err
@@ -491,7 +474,7 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 		id:      id,
 		remote:  true,
 		breaker: NewBreaker(c.cfg.Breaker),
-		sus:     newSuspicion(c.cfg.HeartbeatInterval, c.cfg.SuspectAfter, time.Now()),
+		sus:     newSuspicion(c.cfg.ProbeInterval, c.cfg.SuspectAfter, time.Now()),
 	}
 	m.setWeight(weight)
 	m.state = stateUp
@@ -521,15 +504,16 @@ func (c *Cluster) ReweightMember(id int, weight float64) error {
 	return nil
 }
 
-// heartbeatLoop drives the failure detector for remote members: each
-// tick it checks every remote member's suspicion level (silence →
-// suspect → out of the routing set) and launches a non-blocking
-// heartbeat probe whose arrival feeds the detector (and whose outcome
-// feeds the breaker, so a remote member that answers garbage still
-// trips it).
-func (c *Cluster) heartbeatLoop() {
+// healthLoop watches every member. Each ProbeInterval every up or
+// suspect member gets one /healthz probe on its own goroutine, so a hung
+// member delays no other member's probe; a member whose last probe is
+// still in flight is skipped. Remote members are first checked against
+// the failure detector: silence → suspect → out of the routing set.
+// Local members are never suspect; their babysitter handles process
+// death.
+func (c *Cluster) healthLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.HeartbeatInterval)
+	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -539,40 +523,46 @@ func (c *Cluster) heartbeatLoop() {
 		}
 		now := time.Now()
 		for _, m := range c.memberList() {
-			if !m.remote {
-				continue
-			}
-			if m.sus.suspect(now) && m.markSuspect() {
+			if m.remote && m.sus.suspect(now) && m.markSuspect() {
 				c.resync()
 				mSuspects.Inc()
 			}
 			addr := m.heartbeatAddr()
-			if addr == "" {
+			if addr == "" || !m.probing.CompareAndSwap(false, true) {
 				continue
 			}
-			if !m.hbBusy.CompareAndSwap(false, true) {
-				continue // previous heartbeat still in flight
-			}
 			c.wg.Add(1)
-			go func(m *member, addr string) {
-				defer c.wg.Done()
-				defer m.hbBusy.Store(false)
-				allowed := m.breaker.Allow()
-				ok, degraded := c.probe(addr)
-				if allowed {
-					m.breaker.Record(ok)
-				}
-				if !ok {
-					return
-				}
-				m.degraded.Store(degraded)
-				m.sus.beat(time.Now())
-				if m.clearSuspect() {
-					c.resync()
-					mRejoins.Inc()
-				}
-			}(m, addr)
+			go c.probeMember(m, addr)
 		}
+	}
+}
+
+// probeMember probes one member. The outcome feeds the breaker only when
+// Allow granted it a slot: an Open breaker whose cooldown lapsed makes
+// the probe the half-open test traffic, so recovery does not wait for a
+// real request to risk itself. A successful probe records the trust
+// state that drives the degraded-replica routing preference and, for a
+// remote member, is the heartbeat that feeds the failure detector and
+// readmits it when suspect.
+func (c *Cluster) probeMember(m *member, addr string) {
+	defer c.wg.Done()
+	defer m.probing.Store(false)
+	allowed := m.breaker.Allow()
+	ok, degraded := c.probe(addr)
+	if allowed {
+		m.breaker.Record(ok)
+	}
+	if !ok {
+		return
+	}
+	m.degraded.Store(degraded)
+	if !m.remote {
+		return
+	}
+	m.sus.beat(time.Now())
+	if m.clearSuspect() {
+		c.resync()
+		mRejoins.Inc()
 	}
 }
 
@@ -712,43 +702,11 @@ func (c *Cluster) Replica(id int) Replica {
 	return m.rep
 }
 
-// probeLoop periodically probes each up replica's /healthz: outcomes
-// feed the breaker (an Open breaker's cooldown lapse makes the probe
-// the half-open test traffic, so recovery does not wait for a real
-// request to risk itself), and the reported trust state drives the
-// degraded-replica routing preference.
-func (c *Cluster) probeLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		for _, m := range c.memberList() {
-			if m.remote {
-				continue // remote members are heartbeated, not probed
-			}
-			addr := m.currentAddr()
-			if addr == "" {
-				continue
-			}
-			if !m.breaker.Allow() {
-				continue
-			}
-			ok, degraded := c.probe(addr)
-			m.breaker.Record(ok)
-			if ok {
-				m.degraded.Store(degraded)
-			}
-		}
-	}
-}
-
+// probe asks the member at addr for /healthz within one ProbeInterval:
+// ok when it answers 200 with a status, degraded when that status is
+// not "ok".
 func (c *Cluster) probe(addr string) (ok, degraded bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
 	if err != nil {
@@ -1133,8 +1091,9 @@ type MemberStatus struct {
 	Breaker  string  `json:"breaker"`
 	InFlight int64   `json:"in_flight"`
 	Degraded bool    `json:"degraded,omitempty"`
-	// Suspicion is the failure-detector level for remote members:
-	// elapsed heartbeat silence in learned inter-arrival units.
+	// Suspicion is the failure-detector level of a remote member that is
+	// up or suspect: elapsed heartbeat silence in learned inter-arrival
+	// units. A drained member is no longer probed, so it has none.
 	Suspicion float64 `json:"suspicion,omitempty"`
 }
 
@@ -1157,11 +1116,11 @@ func (c *Cluster) Members() []MemberStatus {
 			InFlight: m.inflight.Load(),
 			Degraded: m.degraded.Load(),
 		}
-		if m.state != stateUp && m.state != stateSuspect {
-			out[i].Addr = ""
-		}
+		live := m.state == stateUp || m.state == stateSuspect
 		m.mu.Unlock()
-		if m.sus != nil {
+		if !live {
+			out[i].Addr = ""
+		} else if m.sus != nil {
 			out[i].Suspicion = m.sus.level(now)
 		}
 	}
@@ -1384,6 +1343,8 @@ type observeResult struct {
 // handleObserve broadcasts one residual observation to every up
 // replica: each replica runs its own drift detector, so all of them
 // need the evidence regardless of which one served the prediction.
+// The posts go out at once, so a hung replica costs the broadcast one
+// PerTryTimeout, not one each; the answers are folded in member order.
 // When no replica took it and every one that answered refused it with
 // the same client fault (a 4xx other than 429), that refusal is passed
 // through: retrying an observation every replica rejects cannot help.
@@ -1393,30 +1354,47 @@ func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
+	var addrs []string
+	for _, m := range c.memberList() {
+		if addr := m.currentAddr(); addr != "" {
+			addrs = append(addrs, addr)
+		}
+	}
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answers := make([]answer, len(addrs))
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := &answers[i]
+			a.status, a.body, a.err = c.postObserve(r.Context(), addr, body)
+		}()
+	}
+	wg.Wait()
 	var res observeResult
 	// The first refusal, and how many answers matched its status.
 	answered, refused := 0, 0
 	var refusalStatus int
 	var refusalBody []byte
-	for _, m := range c.memberList() {
-		addr := m.currentAddr()
-		if addr == "" {
-			continue
-		}
-		status, answer, err := c.postObserve(r.Context(), addr, body)
-		if err != nil {
+	for _, a := range answers {
+		if a.err != nil {
 			res.Errors++
 			continue
 		}
 		answered++
-		if status == http.StatusOK {
+		if a.status == http.StatusOK {
 			res.Forwarded++
 			continue
 		}
 		res.Errors++
-		if clientFault(status) && (refused == 0 || status == refusalStatus) {
+		if clientFault(a.status) && (refused == 0 || a.status == refusalStatus) {
 			if refused == 0 {
-				refusalStatus, refusalBody = status, answer
+				refusalStatus, refusalBody = a.status, a.body
 			}
 			refused++
 		}

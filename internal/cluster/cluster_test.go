@@ -29,6 +29,12 @@ type fakeReplica struct {
 	hits    atomic.Int64 // /v1/predict requests served
 	fail    atomic.Bool  // respond 500 to predicts
 	hfail   atomic.Bool  // respond 500 to health probes (silences heartbeats)
+	probes  atomic.Int64 // /healthz requests received
+	// hhang and ohang, when set, hold /healthz and /v1/observe until the
+	// test closes the channel: a hung member. They must not wait on the
+	// request context, which would leave Close waiting on the handler.
+	hhang   atomic.Pointer[chan struct{}]
+	ohang   atomic.Pointer[chan struct{}]
 	stallMS atomic.Int64 // delay predicts by this many ms
 	metrics atomic.Value // string: /metrics page body ("" -> 404, like a daemon without -metrics)
 	mfail   atomic.Bool  // respond 500 to /metrics
@@ -62,9 +68,16 @@ func newFakeReplica(id, gen int) *fakeReplica {
 		})
 	})
 	mux.HandleFunc("POST /v1/observe", func(w http.ResponseWriter, r *http.Request) {
+		if hang := f.ohang.Load(); hang != nil {
+			<-*hang
+		}
 		fmt.Fprintf(w, `{"drifted":false,"trust":"fresh"}`)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		f.probes.Add(1)
+		if hang := f.hhang.Load(); hang != nil {
+			<-*hang
+		}
 		if f.hfail.Load() {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
@@ -776,6 +789,27 @@ func TestClusterHealthAndReady(t *testing.T) {
 	})
 }
 
+// TestHungMemberDelaysNoOtherProbe: every member is probed on its own
+// goroutine, so peers hung on /healthz cost a healthy member none of its
+// probes. With 3 of 4 members hung and a 20 ms period, a serial prober
+// reaches the healthy one about 19 times a second; the period allows 50.
+func TestHungMemberDelaysNoOtherProbe(t *testing.T) {
+	_, fl, _ := newTestCluster(t, 4, func(cfg *Config) { cfg.ProbeInterval = 20 * time.Millisecond })
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	for id := 1; id < 4; id++ {
+		fl.current(id).hhang.Store(&release)
+	}
+	healthy := fl.current(0)
+	before := healthy.probes.Load()
+	time.Sleep(time.Second)
+	got := healthy.probes.Load() - before
+	if got < 30 {
+		t.Fatalf("healthy member got %d probes in 1s with 3 peers hung, want >= 30", got)
+	}
+	t.Logf("healthy member: %d probes in 1s with 3 peers hung", got)
+}
+
 func TestClusterStartFailureTearsDown(t *testing.T) {
 	fl := newFakeFleet()
 	c, err := New(Config{
@@ -803,20 +837,40 @@ func TestClusterStartFailureTearsDown(t *testing.T) {
 	}
 }
 
+// TestClusterObserveBroadcast: an observation reaches every member, and
+// the posts go out at once, so two hung members cost the broadcast one
+// PerTryTimeout, not two.
 func TestClusterObserveBroadcast(t *testing.T) {
-	_, _, front := newTestCluster(t, 3, nil)
-	resp, err := front.Client().Post(front.URL+"/v1/observe", "application/json",
-		strings.NewReader(`{"predicted":1.2,"observed":1.3}`))
-	if err != nil {
-		t.Fatalf("POST /v1/observe: %v", err)
+	_, fl, front := newTestCluster(t, 3, func(cfg *Config) { cfg.PerTryTimeout = 200 * time.Millisecond })
+	observe := func() (int, observeResult) {
+		t.Helper()
+		resp, err := front.Client().Post(front.URL+"/v1/observe", "application/json",
+			strings.NewReader(`{"predicted":1.2,"observed":1.3}`))
+		if err != nil {
+			t.Fatalf("POST /v1/observe: %v", err)
+		}
+		defer resp.Body.Close()
+		var out observeResult
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp.StatusCode, out
 	}
-	defer resp.Body.Close()
-	var out observeResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
+	if status, out := observe(); status != http.StatusOK || out.Forwarded != 3 {
+		t.Fatalf("observe broadcast = %d, forwarded %d of 3", status, out.Forwarded)
 	}
-	if resp.StatusCode != http.StatusOK || out.Forwarded != 3 {
-		t.Fatalf("observe broadcast = %d, forwarded %d of 3", resp.StatusCode, out.Forwarded)
+
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	fl.current(1).ohang.Store(&release)
+	fl.current(2).ohang.Store(&release)
+	start := time.Now()
+	status, out := observe()
+	if elapsed := time.Since(start); elapsed >= 300*time.Millisecond {
+		t.Fatalf("broadcast with 2 hung members took %v, want < 300ms", elapsed)
+	}
+	if status != http.StatusOK || out.Forwarded != 1 || out.Errors != 2 {
+		t.Fatalf("broadcast with 2 hung members = %d %+v, want 200 forwarded 1 errors 2", status, out)
 	}
 }
 

@@ -7,7 +7,9 @@
 // /metrics exposition, and digested into /debug/fleet — a single page
 // (HTML for humans, JSON with ?format=json) answering "where is the
 // fleet spending its time" with members, routing weights, breaker states,
-// suspicion levels, and per-stage p50/p99.
+// suspicion levels, per-stage p50/p99, and the cluster's SLO burn when
+// its Config.SLO is set. Each member scrape is bounded by the scrape
+// period.
 //
 // Members that do not expose /metrics (in-process replicas share this
 // process's registry; daemons started without -metrics) answer 404 and
@@ -29,8 +31,8 @@ import (
 	"contention/internal/obs"
 )
 
-// DefaultFleetInterval is the scrape period when FleetConfig.Interval
-// is zero.
+// DefaultFleetInterval is the scrape period when NewFleet is given
+// zero.
 const DefaultFleetInterval = 5 * time.Second
 
 // fleetStages are the stage families surfaced on /debug/fleet: the
@@ -44,23 +46,13 @@ var fleetStages = []struct {
 	{"fleet_" + obs.MetricServeStageSeconds, "serve"},
 }
 
-// FleetConfig parameterizes a Fleet scraper.
-type FleetConfig struct {
-	// Interval is the scrape period (DefaultFleetInterval when zero).
-	Interval time.Duration
-	// Timeout bounds each member scrape (Interval when zero).
-	Timeout time.Duration
-	// SLO, when set, is shown on /debug/fleet.
-	SLO *obs.SLOTracker
-}
-
 // Fleet scrapes member metrics and serves the merged view. Build with
 // NewFleet, drive with Run (or ScrapeOnce in tests), mount Handler and
 // MetricsHandler.
 type Fleet struct {
-	c      *Cluster
-	cfg    FleetConfig
-	merged atomic.Pointer[fleetScrape]
+	c        *Cluster
+	interval time.Duration
+	merged   atomic.Pointer[fleetScrape]
 }
 
 // fleetScrape is one completed scrape round.
@@ -70,20 +62,18 @@ type fleetScrape struct {
 	at      time.Time
 }
 
-// NewFleet returns a scraper over c's members.
-func NewFleet(c *Cluster, cfg FleetConfig) *Fleet {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultFleetInterval
+// NewFleet returns a scraper over c's members that scrapes every
+// interval (DefaultFleetInterval when zero).
+func NewFleet(c *Cluster, interval time.Duration) *Fleet {
+	if interval <= 0 {
+		interval = DefaultFleetInterval
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval
-	}
-	return &Fleet{c: c, cfg: cfg}
+	return &Fleet{c: c, interval: interval}
 }
 
-// Run scrapes on the configured interval until stop closes.
+// Run scrapes every interval until stop closes.
 func (f *Fleet) Run(stop <-chan struct{}) {
-	t := time.NewTicker(f.cfg.Interval)
+	t := time.NewTicker(f.interval)
 	defer t.Stop()
 	for {
 		select {
@@ -122,7 +112,7 @@ func (f *Fleet) ScrapeOnce(ctx context.Context) int {
 // member does not export metrics — skipped silently; anything else
 // that fails counts as a scrape error.
 func (f *Fleet) scrapeMember(ctx context.Context, addr string) (obs.Snapshot, bool) {
-	sctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
+	sctx, cancel := context.WithTimeout(ctx, f.interval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, "http://"+addr+"/metrics", nil)
 	if err != nil {
@@ -220,8 +210,8 @@ func (f *Fleet) Status() FleetStatus {
 		}
 		st.Stages = append(st.Stages, stageLatencies(src, fam.metric, fam.tier)...)
 	}
-	if f.cfg.SLO != nil {
-		s := f.cfg.SLO.Status()
+	if slo := f.c.cfg.SLO; slo != nil {
+		s := slo.Status()
 		st.SLO = &s
 	}
 	return st

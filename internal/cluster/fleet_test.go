@@ -47,7 +47,7 @@ func memberMetricsPage(responses int, decodeFastCount int) string {
 func TestFleetScrapeMerge(t *testing.T) {
 	withClusterTelemetry(t)
 	c, fl, _ := newTestCluster(t, 3, nil)
-	f := NewFleet(c, FleetConfig{})
+	f := NewFleet(c, 0)
 
 	fl.current(0).metrics.Store(memberMetricsPage(5, 10))
 	fl.current(1).metrics.Store(memberMetricsPage(7, 30))
@@ -107,8 +107,8 @@ func TestFleetStatusAndDebugPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, fl, _ := newTestCluster(t, 2, nil)
-	f := NewFleet(c, FleetConfig{SLO: slo})
+	c, fl, _ := newTestCluster(t, 2, func(cfg *Config) { cfg.SLO = slo })
+	f := NewFleet(c, 0)
 	fl.current(0).metrics.Store(memberMetricsPage(3, 20))
 	fl.current(1).metrics.Store(memberMetricsPage(4, 20))
 	f.ScrapeOnce(context.Background())
@@ -182,7 +182,7 @@ func TestFleetMetricsHandler(t *testing.T) {
 	if code, _ := postPredict(t, front, predictBody(1)); code != http.StatusOK {
 		t.Fatalf("predict status %d", code)
 	}
-	f := NewFleet(c, FleetConfig{})
+	f := NewFleet(c, 0)
 	fl.current(0).metrics.Store(memberMetricsPage(9, 5))
 	f.ScrapeOnce(context.Background())
 

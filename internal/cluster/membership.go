@@ -5,20 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Membership keeps a cluster's remote member set in sync with an
-// external source of truth — a static members file or a DNS name —
-// without restarts. Reloads are diffs, not rebuilds: a new address
-// joins via AddRemote, a vanished address drains gracefully (it takes
-// no new requests; those in flight finish), and a weight change
-// rescales that member's capacity share in place. Bystanders are never
-// touched.
+// Membership keeps a cluster's remote member set in sync with its
+// source of truth, a members file, without restarts. Reloads are
+// diffs, not rebuilds: a new address joins via AddRemote, a vanished
+// address drains gracefully (it takes no new requests; those in flight
+// finish), and a weight change rescales that member's capacity share in
+// place. Bystanders are never touched.
 
 // MemberSpec is one entry in a members file: where the replica is and
 // its capacity share (requests in flight per unit of weight are what
@@ -65,53 +62,17 @@ func ParseMembers(data []byte) ([]MemberSpec, error) {
 	return f.Members, nil
 }
 
-// LoadMembersFile reads and parses a members file.
-func LoadMembersFile(path string) ([]MemberSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseMembers(data)
-}
-
-// DNSSource builds a membership fetcher that resolves name and pairs
-// every A/AAAA answer with port at weight 1 — the common "headless
-// service" deployment where DNS is the fleet registry and all hosts
-// are equal. Answers are sorted so a stable DNS view yields a stable
-// member set.
-func DNSSource(name, port string) func(context.Context) ([]MemberSpec, error) {
-	return func(ctx context.Context) ([]MemberSpec, error) {
-		hosts, err := net.DefaultResolver.LookupHost(ctx, name)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: resolve %s: %w", name, err)
-		}
-		sort.Strings(hosts)
-		specs := make([]MemberSpec, 0, len(hosts))
-		for _, h := range hosts {
-			specs = append(specs, MemberSpec{Addr: net.JoinHostPort(h, port), Weight: 1})
-		}
-		return specs, nil
-	}
-}
-
-// FileSource builds a membership fetcher reading path on every call.
-func FileSource(path string) func(context.Context) ([]MemberSpec, error) {
-	return func(context.Context) ([]MemberSpec, error) {
-		return LoadMembersFile(path)
-	}
-}
-
 // MembershipConfig parameterizes a Membership manager.
 type MembershipConfig struct {
-	// Fetch produces the desired member set (FileSource / DNSSource /
-	// custom). Required.
-	Fetch func(context.Context) ([]MemberSpec, error)
-	// PollInterval is how often Fetch runs in Run. Zero selects 1s.
+	// Path is the members file. Required.
+	Path string
+	// PollInterval is how often Run reloads the file. Zero selects 1s.
 	PollInterval time.Duration
-	// DrainTimeout bounds the graceful drain of a removed member before
-	// its connections are cut. Zero selects 5s.
-	DrainTimeout time.Duration
 }
+
+// drainGrace bounds the graceful drain of a removed member before
+// its connections are cut.
+const drainGrace = 5 * time.Second
 
 // ReloadSummary reports what one membership reload changed.
 type ReloadSummary struct {
@@ -122,9 +83,9 @@ type ReloadSummary struct {
 
 func (s ReloadSummary) changed() bool { return s.Added+s.Removed+s.Reweighted > 0 }
 
-// Membership drives a cluster's remote member set from a
-// MembershipConfig.Fetch source. Goroutine-safe; Reload may be called
-// directly (e.g. from a SIGHUP handler) while Run polls.
+// Membership drives a cluster's remote member set from its members
+// file. Goroutine-safe; Reload may be called directly (e.g. from a
+// SIGHUP handler) while Run polls.
 type Membership struct {
 	c   *Cluster
 	cfg MembershipConfig
@@ -139,39 +100,37 @@ type Membership struct {
 // unknown to it until a Reload lists them; local members are never
 // touched.
 func NewMembership(c *Cluster, cfg MembershipConfig) (*Membership, error) {
-	if cfg.Fetch == nil {
-		return nil, fmt.Errorf("cluster: MembershipConfig.Fetch is required")
+	if cfg.Path == "" {
+		return nil, fmt.Errorf("cluster: MembershipConfig.Path is required")
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
-	}
 	return &Membership{c: c, cfg: cfg, active: make(map[string]int)}, nil
 }
 
-// Reload fetches the desired member set and applies the diff against
-// what this manager previously applied: joins first (capacity arrives
-// before it is taken away), then reweights, then graceful drains of
-// vanished members in the background.
-func (ms *Membership) Reload(ctx context.Context) (ReloadSummary, error) {
-	specs, err := ms.cfg.Fetch(ctx)
-	if err != nil {
-		mReloads.With("error").Inc()
-		return ReloadSummary{}, err
+// Reload reads the members file and applies the diff against what this
+// manager previously applied: joins first (capacity arrives before it
+// is taken away), then reweights, then graceful drains of vanished
+// members in the background.
+func (ms *Membership) Reload() (ReloadSummary, error) {
+	var sum ReloadSummary
+	data, err := os.ReadFile(ms.cfg.Path)
+	if err == nil {
+		var specs []MemberSpec
+		if specs, err = ParseMembers(data); err == nil {
+			sum, err = ms.apply(specs)
+		}
 	}
-	sum, err := ms.apply(specs)
-	if err != nil {
+	switch {
+	case err != nil:
 		mReloads.With("error").Inc()
-		return sum, err
-	}
-	if sum.changed() {
+	case sum.changed():
 		mReloads.With("applied").Inc()
-	} else {
+	default:
 		mReloads.With("unchanged").Inc()
 	}
-	return sum, nil
+	return sum, err
 }
 
 func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
@@ -180,11 +139,7 @@ func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
 	var sum ReloadSummary
 	desired := make(map[string]float64, len(specs))
 	for _, s := range specs {
-		w := s.Weight
-		if w == 0 {
-			w = 1
-		}
-		desired[s.Addr] = w
+		desired[s.Addr] = s.Weight
 	}
 
 	// Joins and reweights, in spec order: member ids follow the file,
@@ -221,7 +176,7 @@ func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
 		ms.drains.Add(1)
 		go func(id int) {
 			defer ms.drains.Done()
-			dctx, cancel := context.WithTimeout(context.Background(), ms.cfg.DrainTimeout)
+			dctx, cancel := context.WithTimeout(context.Background(), drainGrace)
 			defer cancel()
 			_ = ms.c.DrainMember(dctx, id)
 		}(id)
@@ -229,11 +184,11 @@ func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
 	return sum, nil
 }
 
-// Run polls Fetch every PollInterval until stop closes, then waits for
-// outstanding drains. Fetch errors are counted (cluster_membership_
-// reloads_total{outcome="error"}) and retried next tick — a transient
-// DNS failure must not empty the fleet; the last good member set keeps
-// serving.
+// Run reloads the members file every PollInterval until stop closes,
+// then waits for outstanding drains. Reload errors are counted
+// (cluster_membership_reloads_total{outcome="error"}) and retried next
+// tick — a file caught mid-edit or briefly unreadable must not empty
+// the fleet; the last good member set keeps serving.
 func (ms *Membership) Run(stop <-chan struct{}) {
 	t := time.NewTicker(ms.cfg.PollInterval)
 	defer t.Stop()
@@ -243,9 +198,7 @@ func (ms *Membership) Run(stop <-chan struct{}) {
 			ms.drains.Wait()
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), ms.cfg.PollInterval)
-			_, _ = ms.Reload(ctx)
-			cancel()
+			_, _ = ms.Reload()
 		}
 	}
 }

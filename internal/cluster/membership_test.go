@@ -39,10 +39,6 @@ func TestParseMembers(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	fl := newFakeFleet()
 	defer fl.closeAll()
-	if _, err := New(Config{Replicas: 1, Factory: fl.factory,
-		ProbeInterval: 50 * time.Millisecond, ProbeTimeout: 100 * time.Millisecond}); err == nil {
-		t.Error("ProbeTimeout > ProbeInterval accepted")
-	}
 	if _, err := New(Config{Replicas: 1, Factory: fl.factory, SuspectAfter: 0.5}); err == nil {
 		t.Error("SuspectAfter < 1 accepted")
 	}
@@ -56,14 +52,6 @@ func TestConfigValidate(t *testing.T) {
 	c, err := New(Config{})
 	if err != nil {
 		t.Fatalf("remote-only New: %v", err)
-	}
-	if c.Config().ProbeTimeout != c.Config().ProbeInterval {
-		t.Errorf("ProbeTimeout default %v, want ProbeInterval %v",
-			c.Config().ProbeTimeout, c.Config().ProbeInterval)
-	}
-	if c.Config().HeartbeatInterval != c.Config().ProbeInterval {
-		t.Errorf("HeartbeatInterval default %v, want ProbeInterval %v",
-			c.Config().HeartbeatInterval, c.Config().ProbeInterval)
 	}
 	if c.Config().SuspectAfter != DefaultSuspectAfter {
 		t.Errorf("SuspectAfter default %g, want %g", c.Config().SuspectAfter, DefaultSuspectAfter)
@@ -116,11 +104,10 @@ func stringsHasSuffix(s, suf string) bool {
 func newRemoteCluster(t *testing.T, mutate func(*Config)) (*Cluster, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		PerTryTimeout:     time.Second,
-		Timeout:           5 * time.Second,
-		ProbeInterval:     10 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		Breaker:           BreakerConfig{Cooldown: 50 * time.Millisecond},
+		PerTryTimeout: time.Second,
+		Timeout:       5 * time.Second,
+		ProbeInterval: 10 * time.Millisecond,
+		Breaker:       BreakerConfig{Cooldown: 50 * time.Millisecond},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -218,11 +205,11 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 	}
 	write(rf.membersJSON(1, 1))
 
-	ms, err := NewMembership(c, MembershipConfig{Fetch: FileSource(path)})
+	ms, err := NewMembership(c, MembershipConfig{Path: path})
 	if err != nil {
 		t.Fatalf("NewMembership: %v", err)
 	}
-	sum, err := ms.Reload(context.Background())
+	sum, err := ms.Reload()
 	if err != nil || sum.Added != 2 {
 		t.Fatalf("initial reload: %+v, %v (want 2 added)", sum, err)
 	}
@@ -257,7 +244,7 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 
 	// Add the third member and reweight the first.
 	write(rf.membersJSON(2, 1, 1))
-	sum, err = ms.Reload(context.Background())
+	sum, err = ms.Reload()
 	if err != nil || sum.Added != 1 || sum.Reweighted != 1 {
 		t.Fatalf("reload add+reweight: %+v, %v", sum, err)
 	}
@@ -266,7 +253,7 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 
 	// Remove the second member: graceful drain, zero lost requests.
 	write(rf.membersJSON(2, -1, 1))
-	sum, err = ms.Reload(context.Background())
+	sum, err = ms.Reload()
 	if err != nil || sum.Removed != 1 {
 		t.Fatalf("reload remove: %+v, %v", sum, err)
 	}
@@ -283,14 +270,18 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 		t.Fatal("load generator sent nothing")
 	}
 	// Idempotence: a reload with no changes reports none.
-	sum, err = ms.Reload(context.Background())
+	sum, err = ms.Reload()
 	if err != nil || sum.changed() {
 		t.Fatalf("no-op reload reported %+v, %v", sum, err)
 	}
-	// The drained member's status reflects the removal.
+	// The drained member's status reflects the removal, and it reports
+	// no suspicion: it is no longer probed, so its silence means nothing.
 	states := map[string]int{}
 	for _, m := range c.Members() {
 		states[m.State]++
+		if m.State == "draining" && m.Suspicion != 0 {
+			t.Errorf("drained member %d reports suspicion %g", m.ID, m.Suspicion)
+		}
 	}
 	if states["up"] != 2 {
 		t.Fatalf("member states %v, want 2 up", states)
@@ -303,13 +294,11 @@ func TestMembershipFetchErrorKeepsFleet(t *testing.T) {
 	if _, err := c.AddRemote(rf.reps[0].Addr(), 1); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := NewMembership(c, MembershipConfig{
-		Fetch: FileSource(filepath.Join(t.TempDir(), "missing.json")),
-	})
+	ms, err := NewMembership(c, MembershipConfig{Path: filepath.Join(t.TempDir(), "missing.json")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.Reload(context.Background()); err == nil {
+	if _, err := ms.Reload(); err == nil {
 		t.Fatal("reload of a missing file succeeded")
 	}
 	if got := c.UpCount(); got != 1 {

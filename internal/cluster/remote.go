@@ -10,10 +10,11 @@ import (
 
 // RemoteReplica is a prediction backend on another host: the cluster
 // does not own its process, only its address. It joins and leaves the
-// fleet through the membership layer (AddRemote / DrainMember /
-// Membership reloads), its liveness is judged by the heartbeat failure
-// detector rather than a babysitter, and requests reach it over the
-// router's frame link to it, each carrying its remaining budget.
+// fleet through AddRemote / DrainMember / members-file reloads, the
+// health loop probes it like any member, its liveness is judged by the
+// failure detector those probes feed rather than by a babysitter, and
+// requests reach it over the router's frame link to it, each carrying
+// its remaining budget.
 type RemoteReplica struct {
 	addr string
 	done chan struct{}

@@ -86,18 +86,17 @@ func TestRemoteChaosGate(t *testing.T) {
 	}
 
 	c, err := New(Config{
-		Seed:              spec.Seed,
-		MaxTries:          4,
-		RetryBudget:       1.0,
-		HedgeDelay:        40 * time.Millisecond,
-		PerTryTimeout:     400 * time.Millisecond,
-		Timeout:           3 * time.Second,
-		MaxInFlight:       64,
-		MaxQueue:          256,
-		ProbeInterval:     25 * time.Millisecond,
-		HeartbeatInterval: 25 * time.Millisecond,
-		SuspectAfter:      4,
-		Breaker:           BreakerConfig{Cooldown: 100 * time.Millisecond},
+		Seed:          spec.Seed,
+		MaxTries:      4,
+		RetryBudget:   1.0,
+		HedgeDelay:    40 * time.Millisecond,
+		PerTryTimeout: 400 * time.Millisecond,
+		Timeout:       3 * time.Second,
+		MaxInFlight:   64,
+		MaxQueue:      256,
+		ProbeInterval: 25 * time.Millisecond,
+		SuspectAfter:  4,
+		Breaker:       BreakerConfig{Cooldown: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
