@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz smoke check fmt allocs
+.PHONY: all build vet deadapi test race fuzz smoke check fmt allocs
 
 all: check
 
@@ -15,6 +15,14 @@ vet:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "vet: staticcheck not installed, skipping"; fi
+	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
+
+# Every exported name under internal/ must have a use in a non-test file
+# of this module or of bench/ (deadapi_test.go: interface methods, the
+# façade's aliased types, internal/prob and a short allow-list exempt).
+# API only tests call lives in those tests' _test.go files.
+deadapi:
+	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$' .
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 test:
@@ -125,7 +133,7 @@ smoke:
 
 # The full local gate: everything CI would run, each test once. The
 # total is the age of this make process (the recipe shell's parent).
-check: build vet race fuzz smoke
+check: build vet deadapi race fuzz smoke
 	@echo "check: OK, total $$(ps -o etimes= -p $$PPID | tr -d ' ')s"
 
 fmt:

@@ -9,6 +9,7 @@ package contention_test
 
 import (
 	"flag"
+	"sync"
 	"testing"
 
 	"contention/internal/core"
@@ -24,9 +25,18 @@ var benchSerial = flag.Bool("benchserial", false, "run experiment benchmarks wit
 
 var benchPool = runner.New(0)
 
+// sharedEnv is calibrated once per test binary: every benchmark draws
+// from the same Env.
+var (
+	sharedEnvOnce sync.Once
+	sharedEnv     *experiments.Env
+	sharedEnvErr  error
+)
+
 func benchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
-	env, err := experiments.SharedEnv()
+	sharedEnvOnce.Do(func() { sharedEnv, sharedEnvErr = experiments.NewEnv() })
+	env, err := sharedEnv, sharedEnvErr
 	if err != nil {
 		b.Fatalf("calibration failed: %v", err)
 	}

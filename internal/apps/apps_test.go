@@ -172,7 +172,7 @@ func TestGaussCrossoverNear200(t *testing.T) {
 
 func TestRunCM2DedicatedElapsed(t *testing.T) {
 	k := des.New()
-	plat := platform.MustNewSunCM2(k, platform.DefaultCM2Params())
+	plat := newCM2(t, k)
 	prog := GaussCM2Program(50)
 	var elapsed, busy, idle float64
 	k.Spawn("app", func(p *des.Proc) {
@@ -201,7 +201,7 @@ func TestRunCM2ContendedFollowsMaxLaw(t *testing.T) {
 
 	// Dedicated run for didle.
 	k1 := des.New()
-	plat1 := platform.MustNewSunCM2(k1, platform.DefaultCM2Params())
+	plat1 := newCM2(t, k1)
 	var dedIdle float64
 	k1.Spawn("app", func(p *des.Proc) {
 		_, _, dedIdle = RunCM2(p, plat1, prog)
@@ -209,7 +209,7 @@ func TestRunCM2ContendedFollowsMaxLaw(t *testing.T) {
 	k1.Run()
 
 	k2 := des.New()
-	plat2 := platform.MustNewSunCM2(k2, platform.DefaultCM2Params())
+	plat2 := newCM2(t, k2)
 	var elapsed float64
 	k2.Spawn("app", func(p *des.Proc) {
 		elapsed, _, _ = RunCM2(p, plat2, prog)
@@ -280,7 +280,7 @@ func TestRunCM2SyncEveryLimitsOverlap(t *testing.T) {
 		{Serial: 0.01, Parallel: 0.02},
 	}}
 	k := des.New()
-	plat := platform.MustNewSunCM2(k, platform.DefaultCM2Params())
+	plat := newCM2(t, k)
 	var elapsed float64
 	k.Spawn("app", func(p *des.Proc) {
 		elapsed, _, _ = RunCM2(p, plat, prog)
@@ -294,7 +294,7 @@ func TestRunCM2SyncEveryLimitsOverlap(t *testing.T) {
 func TestRunSORParagonScales(t *testing.T) {
 	run := func(nodes int) float64 {
 		k := des.New()
-		sp := platform.MustNewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
+		sp := newParagon(t, k)
 		var elapsed float64
 		var err error
 		k.Spawn("sor", func(p *des.Proc) {
@@ -319,7 +319,7 @@ func TestRunSORParagonScales(t *testing.T) {
 
 func TestRunSORParagonValidation(t *testing.T) {
 	k := des.New()
-	sp := platform.MustNewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
+	sp := newParagon(t, k)
 	k.Spawn("bad", func(p *des.Proc) {
 		for _, spec := range []SORParagonSpec{
 			{M: 2, Iters: 1, Nodes: 1},
@@ -335,26 +335,20 @@ func TestRunSORParagonValidation(t *testing.T) {
 	k.Run()
 }
 
-func TestSORParagonEstimateTracksSimulation(t *testing.T) {
-	k := des.New()
-	sp := platform.MustNewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
-	spec := SORParagonSpec{M: 300, Iters: 10, Nodes: 8}
-	est, err := SORParagonEstimate(sp, spec)
+func newCM2(t *testing.T, k *des.Kernel) *platform.SunCM2 {
+	t.Helper()
+	plat, err := platform.NewSunCM2(k, platform.DefaultCM2Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sim float64
-	k.Spawn("sor", func(p *des.Proc) {
-		sim, err = RunSORParagon(p, sp, spec)
-	})
-	k.Run()
+	return plat
+}
+
+func newParagon(t *testing.T, k *des.Kernel) *platform.SunParagon {
+	t.Helper()
+	sp, err := platform.NewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(est-sim)/sim > 0.01 {
-		t.Fatalf("estimate %v vs simulated %v", est, sim)
-	}
-	if _, err := SORParagonEstimate(sp, SORParagonSpec{}); err == nil {
-		t.Fatal("invalid spec accepted")
-	}
+	return sp
 }

@@ -60,16 +60,3 @@ func RunSORParagon(p *des.Proc, sp *platform.SunParagon, spec SORParagonSpec) (f
 	}
 	return p.Now() - start, nil
 }
-
-// SORParagonEstimate returns the dedicated-mode analytic estimate of
-// the distributed run (compute at aggregate node speed plus fabric
-// time), usable as the model's T_p input without running the simulator.
-func SORParagonEstimate(sp *platform.SunParagon, spec SORParagonSpec) (float64, error) {
-	if err := spec.Validate(); err != nil {
-		return 0, err
-	}
-	interior := float64((spec.M - 2) * (spec.M - 2))
-	perSweep := SOROpsPerPoint * interior / SunOpsRate / (float64(spec.Nodes) * sp.Params.Mesh.NodeSpeed)
-	halo := float64(2*(spec.Nodes-1)) * sp.MPP.NXTime(spec.M)
-	return float64(spec.Iters) * (perSweep + halo), nil
-}

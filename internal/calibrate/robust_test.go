@@ -30,7 +30,7 @@ func checkInterval(t *testing.T, name string, iv stats.Interval, point float64) 
 	// Degenerate (zero-width) intervals are legitimate when every repeat
 	// agrees — the simulator is deterministic for uncontended probes —
 	// but a non-degenerate interval must bracket its point estimate.
-	if iv.Width() > 0 && !iv.Contains(point) {
+	if iv.Hi > iv.Lo && (point < iv.Lo || point > iv.Hi) {
 		t.Fatalf("%s: point %v outside CI [%v, %v]", name, point, iv.Lo, iv.Hi)
 	}
 }

@@ -170,21 +170,6 @@ func (t *Tracker) Predictor() *core.Predictor {
 	return t.pred
 }
 
-// Observed reports how many residuals have been fed in since the last
-// adoption.
-func (t *Tracker) Observed() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.observed
-}
-
-// DriftStat exposes the detector's current Page-Hinkley statistic.
-func (t *Tracker) DriftStat() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.det.Stat()
-}
-
 // Observe feeds one predicted/observed cost pair (same units, both
 // positive and finite) into the drift detector. It returns true at the
 // Fresh→Stale transition: the predictor is marked stale — flipping its

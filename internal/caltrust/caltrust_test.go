@@ -106,11 +106,11 @@ func TestDetectorFiresOnSustainedShift(t *testing.T) {
 	if firedAt > 4 {
 		t.Fatalf("detection took %d shifted samples, want ≤ 4", firedAt+1)
 	}
-	if !d.Drifted() {
+	if !d.drifted {
 		t.Fatal("Drifted() false after firing")
 	}
 	d.Reset()
-	if d.Drifted() || d.N() != 0 {
+	if d.drifted || d.n != 0 {
 		t.Fatal("Reset did not clear the detector")
 	}
 }
@@ -151,8 +151,8 @@ func TestDetectorRejectsNonFinite(t *testing.T) {
 			t.Fatalf("Add(%v) did not error", bad)
 		}
 	}
-	if d.N() != 0 {
-		t.Fatalf("rejected residuals were counted: n=%d", d.N())
+	if d.n != 0 {
+		t.Fatalf("rejected residuals were counted: n=%d", d.n)
 	}
 }
 
@@ -221,8 +221,8 @@ func TestTrackerLifecycle(t *testing.T) {
 	if err := tr.Adopt(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if tr.State() != Fresh || tr.Observed() != 0 {
-		t.Fatalf("post-adopt state %v observed %d, want fresh/0", tr.State(), tr.Observed())
+	if tr.State() != Fresh || tr.observed != 0 {
+		t.Fatalf("post-adopt state %v observed %d, want fresh/0", tr.State(), tr.observed)
 	}
 	p2, err := fresh.PredictCommRobust(core.HostToBack, []core.DataSet{{N: 10, Words: 100}}, cs)
 	if err != nil {
@@ -270,7 +270,7 @@ func TestTrackerObserveRejectsBadInputs(t *testing.T) {
 			t.Errorf("Observe(%v, %v) did not error", pair[0], pair[1])
 		}
 	}
-	if tr.Observed() != 0 {
-		t.Fatalf("rejected observations were counted: %d", tr.Observed())
+	if tr.observed != 0 {
+		t.Fatalf("rejected observations were counted: %d", tr.observed)
 	}
 }

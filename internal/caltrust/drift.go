@@ -89,14 +89,5 @@ func (d *Detector) Stat() float64 {
 	return math.Max(d.mUp-d.minUp, d.maxDown-d.mDown)
 }
 
-// Drifted reports whether detection has fired.
-func (d *Detector) Drifted() bool { return d.drifted }
-
-// N reports the number of residuals consumed since the last reset.
-func (d *Detector) N() int { return d.n }
-
-// Mean reports the running mean residual.
-func (d *Detector) Mean() float64 { return d.mean }
-
 // Reset clears all state (after recalibration).
 func (d *Detector) Reset() { *d = Detector{cfg: d.cfg} }

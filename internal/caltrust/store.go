@@ -216,9 +216,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) versionPath(v int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("cal-v%04d.json", v))
 }

@@ -253,11 +253,3 @@ func (b *Breaker) State() BreakerState {
 	defer b.mu.Unlock()
 	return b.state
 }
-
-// Stats reports the windowed outcome volume and failure rate.
-func (b *Breaker) Stats() (volume int64, failRate float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.rotateLocked(b.cfg.Now())
-	return b.statsLocked()
-}

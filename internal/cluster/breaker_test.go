@@ -212,3 +212,11 @@ func TestBreakerStateIsSideEffectFree(t *testing.T) {
 	}
 	b.Record(true)
 }
+
+// Stats reports the windowed outcome volume and failure rate.
+func (b *Breaker) Stats() (volume int64, failRate float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.rotateLocked(b.cfg.Now())
+	return b.statsLocked()
+}

@@ -13,14 +13,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"contention/internal/faults"
 )
 
 // chaosSpec is the gate's fault schedule: a pure function of the seed,
 // so a failing run is re-playable bit-for-bit.
-func chaosGateSpec() faults.ChaosSpec {
-	return faults.ChaosSpec{
+func chaosGateSpec() ChaosSpec {
+	return ChaosSpec{
 		Seed:         1996, // Figueira–Berman, HPDC '96
 		Replicas:     4,
 		Duration:     3 * time.Second,
@@ -35,11 +33,11 @@ func chaosGateSpec() faults.ChaosSpec {
 // TestChaosPlanDeterministic pins the acceptance property the gate
 // rests on: the fault schedule is bit-identical across generations.
 func TestChaosPlanDeterministic(t *testing.T) {
-	a, err := faults.PlanChaos(chaosGateSpec())
+	a, err := PlanChaos(chaosGateSpec())
 	if err != nil {
 		t.Fatalf("PlanChaos: %v", err)
 	}
-	b, err := faults.PlanChaos(chaosGateSpec())
+	b, err := PlanChaos(chaosGateSpec())
 	if err != nil {
 		t.Fatalf("PlanChaos (rerun): %v", err)
 	}
@@ -59,11 +57,11 @@ func TestChaosGate(t *testing.T) {
 		t.Skip("chaos gate runs seconds of wall-clock load")
 	}
 	spec := chaosGateSpec()
-	plan, err := faults.PlanChaos(spec)
+	plan, err := PlanChaos(spec)
 	if err != nil {
 		t.Fatalf("PlanChaos: %v", err)
 	}
-	t.Logf("chaos plan: %v over %v", faults.ChaosSummary(plan), spec.Duration)
+	t.Logf("chaos plan: %v over %v", ChaosSummary(plan), spec.Duration)
 
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -163,20 +161,20 @@ func TestChaosGate(t *testing.T) {
 			continue // target is down; the fault has no one to hit
 		}
 		switch e.Kind {
-		case faults.ChaosKill:
+		case ChaosKill:
 			rep.Kill()
 			kills++
-		case faults.ChaosStall:
+		case ChaosStall:
 			if s, ok := rep.(Staller); ok {
 				s.StallFor(e.For)
 				stalls++
 			}
-		case faults.ChaosDegrade:
+		case ChaosDegrade:
 			if d, ok := rep.(Degrader); ok {
 				d.Degrade("chaos")
 				degrades++
 			}
-		case faults.ChaosRecover:
+		case ChaosRecover:
 			if d, ok := rep.(Degrader); ok {
 				d.Recover()
 			}

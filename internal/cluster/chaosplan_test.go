@@ -1,13 +1,15 @@
-package faults
+package cluster
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"testing"
 	"time"
 )
 
-// Wall-clock chaos planning. The Injector above perturbs the *simulated*
+// Wall-clock chaos planning. internal/faults perturbs the *simulated*
 // platform from inside the DES kernel; the serving cluster lives in real
 // time, so its chaos harness needs the same property — a fault schedule
 // that is a pure function of one seed — without a kernel to hang events
@@ -163,4 +165,118 @@ func PlanEnd(events []ChaosEvent) time.Duration {
 		}
 	}
 	return m
+}
+
+func chaosSpec(seed int64) ChaosSpec {
+	return ChaosSpec{
+		Seed:         seed,
+		Replicas:     4,
+		Duration:     10 * time.Second,
+		KillEvery:    2 * time.Second,
+		StallEvery:   time.Second,
+		StallFor:     200 * time.Millisecond,
+		DegradeEvery: 3 * time.Second,
+		DegradeFor:   time.Second,
+	}
+}
+
+func TestPlanChaosDeterministic(t *testing.T) {
+	a, err := PlanChaos(chaosSpec(42))
+	if err != nil {
+		t.Fatalf("PlanChaos: %v", err)
+	}
+	b, err := PlanChaos(chaosSpec(42))
+	if err != nil {
+		t.Fatalf("PlanChaos (rerun): %v", err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("equal specs produced different plans")
+	}
+	if len(a) == 0 {
+		t.Fatal("plan is empty for a spec with all fault kinds enabled")
+	}
+	c, err := PlanChaos(chaosSpec(43))
+	if err != nil {
+		t.Fatalf("PlanChaos (other seed): %v", err)
+	}
+	if reflect.DeepEqual(a, c) {
+		t.Fatal("different seeds produced identical plans")
+	}
+}
+
+func TestPlanChaosShape(t *testing.T) {
+	events, err := PlanChaos(chaosSpec(7))
+	if err != nil {
+		t.Fatalf("PlanChaos: %v", err)
+	}
+	spec := chaosSpec(7)
+	degrades := map[int]int{}
+	for i, e := range events {
+		if i > 0 && events[i-1].At > e.At {
+			t.Fatalf("plan not sorted at %d: %v after %v", i, e.At, events[i-1].At)
+		}
+		if e.Target < 0 || e.Target >= spec.Replicas {
+			t.Fatalf("event %d targets replica %d outside [0,%d)", i, e.Target, spec.Replicas)
+		}
+		switch e.Kind {
+		case ChaosKill, ChaosDegrade, ChaosRecover:
+			if e.For != 0 {
+				t.Fatalf("%s event carries a duration %v", e.Kind, e.For)
+			}
+			if e.Kind != ChaosRecover && e.At >= spec.Duration {
+				t.Fatalf("%s onset %v past duration %v", e.Kind, e.At, spec.Duration)
+			}
+			if e.Kind == ChaosDegrade {
+				degrades[e.Target]++
+			} else if e.Kind == ChaosRecover {
+				degrades[e.Target]--
+			}
+		case ChaosStall:
+			if e.For < time.Millisecond {
+				t.Fatalf("stall %d has sub-millisecond length %v", i, e.For)
+			}
+			if e.At >= spec.Duration {
+				t.Fatalf("stall onset %v past duration %v", e.At, spec.Duration)
+			}
+		default:
+			t.Fatalf("unknown event kind %q", e.Kind)
+		}
+	}
+	for target, n := range degrades {
+		if n != 0 {
+			t.Fatalf("replica %d has %d unpaired degrade events", target, n)
+		}
+	}
+	sum := ChaosSummary(events)
+	if sum[ChaosDegrade] != sum[ChaosRecover] {
+		t.Fatalf("summary degrades %d != recovers %d", sum[ChaosDegrade], sum[ChaosRecover])
+	}
+	if got := PlanEnd(events); got != events[len(events)-1].At {
+		t.Fatalf("PlanEnd %v != last onset %v", got, events[len(events)-1].At)
+	}
+}
+
+func TestPlanChaosValidation(t *testing.T) {
+	bad := []ChaosSpec{
+		{Replicas: 0, Duration: time.Second},
+		{Replicas: 2, Duration: 0},
+		{Replicas: 2, Duration: time.Second, KillEvery: -1},
+		{Replicas: 2, Duration: time.Second, StallEvery: time.Second},   // no StallFor
+		{Replicas: 2, Duration: time.Second, DegradeEvery: time.Second}, // no DegradeFor
+	}
+	for i, spec := range bad {
+		if _, err := PlanChaos(spec); err == nil {
+			t.Fatalf("spec %d validated, want error", i)
+		}
+	}
+	// A kills-only plan is valid.
+	events, err := PlanChaos(ChaosSpec{Seed: 1, Replicas: 2, Duration: 5 * time.Second, KillEvery: time.Second})
+	if err != nil {
+		t.Fatalf("kills-only spec: %v", err)
+	}
+	for _, e := range events {
+		if e.Kind != ChaosKill {
+			t.Fatalf("kills-only plan contains %q", e.Kind)
+		}
+	}
 }

@@ -401,9 +401,6 @@ func (c *Cluster) memberByID(id int) *member {
 // Config returns the effective (default-filled) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Admission exposes the front-door admission controller (stats).
-func (c *Cluster) Admission() *rm.Admission { return c.adm }
-
 // Start spawns every replica and begins supervision. An initial spawn
 // failure tears down what started and errors out — a cluster that
 // cannot field its fleet at boot is a deployment problem, not one to
@@ -689,18 +686,6 @@ func (c *Cluster) resync() {
 // UpCount reports how many replicas are in the routing set, weight-0
 // members included.
 func (c *Cluster) UpCount() int { return len(*c.set.Load()) }
-
-// Replica returns member id's current incarnation (nil while down) —
-// the chaos harness reaches replicas through this.
-func (c *Cluster) Replica(id int) Replica {
-	m := c.memberByID(id)
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rep
-}
 
 // probe asks the member at addr for /healthz within one ProbeInterval:
 // ok when it answers 200 with a status, degraded when that status is

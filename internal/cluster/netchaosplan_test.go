@@ -1,9 +1,11 @@
-package faults
+package cluster
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"testing"
 	"time"
 )
 
@@ -192,14 +194,108 @@ func NetChaosSummary(events []NetChaosEvent) map[string]int {
 	return m
 }
 
-// NetPlanEnd reports the latest onset in the plan (0 for an empty
-// plan), after which the applier may stop waiting.
-func NetPlanEnd(events []NetChaosEvent) time.Duration {
-	var m time.Duration
-	for _, e := range events {
-		if e.At > m {
-			m = e.At
+func testNetSpec(seed int64) NetChaosSpec {
+	return NetChaosSpec{
+		Seed:           seed,
+		Links:          3,
+		Duration:       10 * time.Second,
+		LatencyEvery:   400 * time.Millisecond,
+		LatencyFor:     200 * time.Millisecond,
+		LatencyAdd:     30 * time.Millisecond,
+		ResetEvery:     600 * time.Millisecond,
+		StallEvery:     800 * time.Millisecond,
+		StallFor:       150 * time.Millisecond,
+		PartitionEvery: 1500 * time.Millisecond,
+		PartitionFor:   400 * time.Millisecond,
+	}
+}
+
+func TestPlanNetChaosDeterministic(t *testing.T) {
+	a, err := PlanNetChaos(testNetSpec(1996))
+	if err != nil {
+		t.Fatalf("PlanNetChaos: %v", err)
+	}
+	b, err := PlanNetChaos(testNetSpec(1996))
+	if err != nil {
+		t.Fatalf("PlanNetChaos: %v", err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("equal specs produced different plans")
+	}
+	if len(a) == 0 {
+		t.Fatal("plan is empty")
+	}
+	c, err := PlanNetChaos(testNetSpec(7))
+	if err != nil {
+		t.Fatalf("PlanNetChaos: %v", err)
+	}
+	if reflect.DeepEqual(a, c) {
+		t.Fatal("different seeds produced identical plans")
+	}
+	sum := NetChaosSummary(a)
+	for _, kind := range []string{NetChaosLatency, NetChaosReset, NetChaosStall, NetChaosPartition} {
+		if sum[kind] == 0 {
+			t.Errorf("plan has no %s events: %v", kind, sum)
 		}
 	}
-	return m
+	if sum[NetChaosPartition] != sum[NetChaosHeal] {
+		t.Errorf("%d partitions but %d heals", sum[NetChaosPartition], sum[NetChaosHeal])
+	}
+}
+
+// TestPlanNetChaosPartitionsSerialized: partitions never overlap — on
+// any link — and a guard gap separates a heal from the next onset, so
+// a ≥2-replica fleet always has a reachable member.
+func TestPlanNetChaosPartitionsSerialized(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		spec := testNetSpec(seed)
+		spec.PartitionEvery = 300 * time.Millisecond // press hard
+		events, err := PlanNetChaos(spec)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var lastHeal time.Duration
+		open := -1 // link currently partitioned, -1 none
+		for _, e := range events {
+			switch e.Kind {
+			case NetChaosPartition:
+				if open != -1 {
+					t.Fatalf("seed %d: partition of link %d at %v while link %d still partitioned",
+						seed, e.Target, e.At, open)
+				}
+				if lastHeal > 0 && e.At < lastHeal+spec.PartitionGuard {
+					// Guard defaulted to PartitionFor inside PlanNetChaos.
+					if e.At < lastHeal+spec.PartitionFor {
+						t.Fatalf("seed %d: partition at %v violates guard after heal at %v", seed, e.At, lastHeal)
+					}
+				}
+				open = e.Target
+			case NetChaosHeal:
+				if open != e.Target {
+					t.Fatalf("seed %d: heal of link %d at %v but %d was partitioned", seed, e.Target, e.At, open)
+				}
+				open = -1
+				lastHeal = e.At
+			}
+		}
+	}
+}
+
+func TestPlanNetChaosValidation(t *testing.T) {
+	bad := []NetChaosSpec{
+		{Links: 0, Duration: time.Second},
+		{Links: 2, Duration: 0},
+		{Links: 2, Duration: time.Second, LatencyEvery: time.Second}, // no For/Add
+		{Links: 2, Duration: time.Second, StallEvery: time.Second},   // no StallFor
+		{Links: 2, Duration: time.Second, PartitionEvery: time.Second},
+		{Links: 2, Duration: time.Second, ResetEvery: -time.Second},
+	}
+	for i, s := range bad {
+		if _, err := PlanNetChaos(s); err == nil {
+			t.Errorf("spec %d accepted: %+v", i, s)
+		}
+	}
+	if _, err := PlanNetChaos(NetChaosSpec{Links: 1, Duration: time.Second}); err != nil {
+		t.Errorf("empty-but-valid spec rejected: %v", err)
+	}
 }

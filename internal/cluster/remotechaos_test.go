@@ -12,15 +12,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"contention/internal/faults"
-	"contention/internal/netchaos"
 )
 
 // remoteChaosSpec is the remote gate's fault schedule: seeded, so a
 // failing run is re-playable bit-for-bit against the same wire faults.
-func remoteChaosSpec() faults.NetChaosSpec {
-	return faults.NetChaosSpec{
+func remoteChaosSpec() NetChaosSpec {
+	return NetChaosSpec{
 		Seed:           1996, // Figueira–Berman, HPDC '96
 		Links:          3,
 		Duration:       3 * time.Second,
@@ -60,16 +57,16 @@ func TestRemoteChaosGate(t *testing.T) {
 		t.Skip("remote chaos gate builds a binary and runs seconds of wall-clock load")
 	}
 	spec := remoteChaosSpec()
-	plan, err := faults.PlanNetChaos(spec)
+	plan, err := PlanNetChaos(spec)
 	if err != nil {
 		t.Fatalf("PlanNetChaos: %v", err)
 	}
-	t.Logf("net chaos plan: %v over %v", faults.NetChaosSummary(plan), spec.Duration)
+	t.Logf("net chaos plan: %v over %v", NetChaosSummary(plan), spec.Duration)
 
 	bin := buildContentiond(t)
 	factory := ExecFactory(bin)
 	daemons := make([]Replica, spec.Links)
-	proxies := make([]*netchaos.Proxy, spec.Links)
+	proxies := make([]*chaosProxy, spec.Links)
 	for i := range daemons {
 		rep, err := factory(100+i, 0)
 		if err != nil {
@@ -77,7 +74,7 @@ func TestRemoteChaosGate(t *testing.T) {
 		}
 		daemons[i] = rep
 		t.Cleanup(rep.Kill)
-		p, err := netchaos.New(rep.Addr())
+		p, err := newChaosProxy(rep.Addr())
 		if err != nil {
 			t.Fatalf("proxy %d: %v", i, err)
 		}
@@ -201,23 +198,23 @@ func TestRemoteChaosGate(t *testing.T) {
 		}
 		p := proxies[e.Target]
 		switch e.Kind {
-		case faults.NetChaosLatency:
+		case NetChaosLatency:
 			p.SetLatency(e.Latency)
 			time.AfterFunc(e.For, func() { p.SetLatency(0) })
-		case faults.NetChaosReset:
+		case NetChaosReset:
 			p.Reset()
-		case faults.NetChaosStall:
+		case NetChaosStall:
 			p.Stall(e.For)
-		case faults.NetChaosPartition:
+		case NetChaosPartition:
 			p.Partition()
-		case faults.NetChaosHeal:
+		case NetChaosHeal:
 			p.Heal()
 		}
 		applied[e.Kind]++
 	}
 	wg.Wait()
 	t.Logf("applied: %v", applied)
-	if applied[faults.NetChaosPartition] == 0 {
+	if applied[NetChaosPartition] == 0 {
 		t.Fatal("plan applied no partitions — the gate is not exercising failure detection")
 	}
 

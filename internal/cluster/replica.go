@@ -43,19 +43,6 @@ type Replica interface {
 // increments per restart.
 type Factory func(id, gen int) (Replica, error)
 
-// Chaos hooks implemented by InProcReplica; the chaos harness
-// type-asserts against these so fault application needs no privileged
-// cluster API.
-type (
-	// Staller freezes request handling for a duration.
-	Staller interface{ StallFor(d time.Duration) }
-	// Degrader marks the calibration untrusted and clears it again.
-	Degrader interface {
-		Degrade(reason string)
-		Recover()
-	}
-)
-
 // InProcConfig parameterizes InProcessFactory replicas. Zero fields
 // take the serve defaults.
 type InProcConfig struct {
@@ -73,14 +60,13 @@ type InProcConfig struct {
 // process — the deployment shape for single-binary clusters and the
 // harness the chaos gate drives.
 type InProcReplica struct {
-	addr    string
-	srv     *serve.Server
-	hs      *http.Server
-	pred    *core.Predictor
-	tracker *caltrust.Tracker
-	done    chan struct{}
-	host    *hostListener
-	once    sync.Once
+	addr string
+	srv  *serve.Server
+	hs   *http.Server
+	pred *core.Predictor
+	done chan struct{}
+	host *hostListener
+	once sync.Once
 }
 
 // InProcessFactory returns a Factory spawning in-process replicas.
@@ -114,12 +100,11 @@ func InProcessFactory(cfg InProcConfig) Factory {
 			return nil, fmt.Errorf("cluster: replica %d/%d listen: %w", id, gen, err)
 		}
 		r := &InProcReplica{
-			addr:    ln.Addr().String(),
-			srv:     srv,
-			pred:    pred,
-			tracker: tracker,
-			done:    make(chan struct{}),
-			host:    &hostListener{Listener: ln, conns: map[*hostConn]struct{}{}},
+			addr: ln.Addr().String(),
+			srv:  srv,
+			pred: pred,
+			done: make(chan struct{}),
+			host: &hostListener{Listener: ln, conns: map[*hostConn]struct{}{}},
 		}
 		r.hs = &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
@@ -159,24 +144,6 @@ func (r *InProcReplica) Kill() {
 		r.srv.Close()
 	})
 }
-
-// StallFor freezes the replica host for d — the chaos stand-in for a GC
-// pause, paging storm, or scheduler hiccup: it stops reading its
-// sockets, so HTTP requests and frames alike wait.
-func (r *InProcReplica) StallFor(d time.Duration) { r.host.stallFor(d) }
-
-// Degrade marks the replica's calibration stale: answers flip to the
-// conservative p+1 fallback (flagged degraded) until Recover.
-func (r *InProcReplica) Degrade(reason string) { r.pred.MarkStale(reason) }
-
-// Recover clears a prior Degrade.
-func (r *InProcReplica) Recover() { r.pred.ClearStale() }
-
-// Server exposes the underlying serve.Server (tests).
-func (r *InProcReplica) Server() *serve.Server { return r.srv }
-
-// Tracker exposes the replica's trust tracker (tests).
-func (r *InProcReplica) Tracker() *caltrust.Tracker { return r.tracker }
 
 // hostListener is an in-process replica host's network edge. It tracks
 // every connection it accepted, so a kill can sever them all, and while

@@ -43,7 +43,7 @@ func TestPredictorConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runner.New(8)
-	err = runner.Run(context.Background(), pool, 400, func(_ context.Context, i int) error {
+	_, err = runner.Map(context.Background(), pool, make([]struct{}, 400), func(_ context.Context, i int, _ struct{}) (struct{}, error) {
 		cs := mixes[i%len(mixes)]
 		switch i % 7 {
 		case 3:
@@ -55,23 +55,23 @@ func TestPredictorConcurrentUse(t *testing.T) {
 		for _, pred := range []*Predictor{p, fresh} {
 			comm, err := pred.PredictComm(HostToBack, sets, cs)
 			if err != nil {
-				return err
+				return struct{}{}, err
 			}
 			if comm != wantComm[i%len(mixes)] {
 				t.Errorf("task %d: comm %v, want %v", i, comm, wantComm[i%len(mixes)])
 			}
 			comp, err := pred.PredictComp(2, cs)
 			if err != nil {
-				return err
+				return struct{}{}, err
 			}
 			if comp != wantComp[i%len(mixes)] {
 				t.Errorf("task %d: comp %v, want %v", i, comp, wantComp[i%len(mixes)])
 			}
 		}
 		if _, err := fresh.PredictCommRobust(HostToBack, sets, cs); err != nil {
-			return err
+			return struct{}{}, err
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,6 @@ type SlowdownSurface interface {
 	// Checksum is the TablesChecksum of the DelayTables the surface was
 	// built from. AttachSurface refuses a mismatch.
 	Checksum() uint64
-	// Valid reports whether lookups are currently allowed.
-	Valid() bool
 	// Invalidate disables lookups until a successful Revalidate.
 	Invalidate()
 	// Revalidate re-enables lookups iff checksum still matches the build

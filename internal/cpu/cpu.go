@@ -57,12 +57,6 @@ func NewHost(k *des.Kernel, name string, speed float64) *Host {
 	return &Host{k: k, name: name, speed: speed}
 }
 
-// Name reports the host name.
-func (h *Host) Name() string { return h.name }
-
-// Speed reports the dedicated-mode speed in work units per second.
-func (h *Host) Speed() float64 { return h.speed }
-
 // Load reports the current number of resident jobs.
 func (h *Host) Load() int { return len(h.jobs) }
 
@@ -81,15 +75,6 @@ func (h *Host) LoadIntegral() float64 {
 	return h.loadIntegral
 }
 
-// AvgLoad reports the time-averaged number of resident jobs since t=0.
-func (h *Host) AvgLoad() float64 {
-	h.advance()
-	if now := h.k.Now(); now > 0 {
-		return h.loadIntegral / now
-	}
-	return 0
-}
-
 // Completed reports the number of jobs that have finished service.
 func (h *Host) Completed() int { return h.completed }
 
@@ -103,10 +88,10 @@ func (h *Host) Compute(p *des.Proc, work float64) {
 // A job with weight w receives a w/Σw fraction of the processor.
 func (h *Host) ComputeWeighted(p *des.Proc, work, weight float64) {
 	if work < 0 || math.IsNaN(work) {
-		panic(fmt.Sprintf("cpu: invalid work %v", work))
+		panic(fmt.Sprintf("cpu %s: invalid work %v", h.name, work))
 	}
 	if weight <= 0 || math.IsNaN(weight) {
-		panic(fmt.Sprintf("cpu: invalid weight %v", weight))
+		panic(fmt.Sprintf("cpu %s: invalid weight %v", h.name, weight))
 	}
 	if work == 0 {
 		p.Delay(0)
@@ -170,7 +155,7 @@ func (h *Host) advance() {
 // the window ends; overlapping stalls merge.
 func (h *Host) Stall(d float64) {
 	if d < 0 || math.IsNaN(d) {
-		panic(fmt.Sprintf("cpu: invalid stall duration %v", d))
+		panic(fmt.Sprintf("cpu %s: invalid stall duration %v", h.name, d))
 	}
 	if d == 0 {
 		return
@@ -182,9 +167,6 @@ func (h *Host) Stall(d float64) {
 	h.stalls++
 	h.reschedule()
 }
-
-// Stalled reports whether the host is currently inside a stall window.
-func (h *Host) Stalled() bool { return h.k.Now() < h.stallUntil }
 
 // Stalls reports the number of stall windows injected so far.
 func (h *Host) Stalls() int { return h.stalls }

@@ -123,8 +123,8 @@ func TestBusyTimeAndAvgLoad(t *testing.T) {
 	if got := h.BusyTime(); !approx(got, 4, 1e-9) {
 		t.Fatalf("BusyTime = %v, want 4", got)
 	}
-	if got := h.AvgLoad(); !approx(got, 0.8, 1e-9) { // 2 jobs × 4s / 10s
-		t.Fatalf("AvgLoad = %v, want 0.8", got)
+	if got := h.LoadIntegral() / k.Now(); !approx(got, 0.8, 1e-9) { // 2 jobs × 4s / 10s
+		t.Fatalf("average load = %v, want 0.8", got)
 	}
 	if h.Completed() != 2 {
 		t.Fatalf("Completed = %d, want 2", h.Completed())
@@ -295,7 +295,7 @@ func TestStallOnIdleHostDelaysNextJob(t *testing.T) {
 	if !approx(done, 3, 1e-9) {
 		t.Fatalf("finished at %v, want 3 (1 wait + 1 work after stall ends at 2)", done)
 	}
-	if h.Stalled() {
+	if k.Now() < h.stallUntil {
 		t.Fatal("host still stalled after window")
 	}
 }

@@ -55,13 +55,6 @@ func (h *Host) ConfigureMemory(cfg MemoryConfig) error {
 	return nil
 }
 
-// Memory reports the active memory configuration (zero Config, false if
-// the extension is disabled).
-func (h *Host) Memory() (MemoryConfig, bool) { return h.mem, h.hasMem }
-
-// ResidentPages reports the total reserved working-set pages.
-func (h *Host) ResidentPages() int { return h.resident }
-
 // PagingFactor reports the current slowdown from memory pressure.
 func (h *Host) PagingFactor() float64 {
 	if !h.hasMem {
@@ -90,9 +83,6 @@ func (h *Host) Reserve(pages int) (*Residency, error) {
 	h.reschedule()
 	return &Residency{h: h, pages: pages}, nil
 }
-
-// Pages reports the reservation size.
-func (r *Residency) Pages() int { return r.pages }
 
 // Release returns the pages. Idempotent.
 func (r *Residency) Release() {

@@ -41,7 +41,7 @@ func TestHostWithoutMemoryExtensionIsUnaffected(t *testing.T) {
 	if got := h.PagingFactor(); got != 1 {
 		t.Fatalf("PagingFactor = %v without memory config", got)
 	}
-	if _, ok := h.Memory(); ok {
+	if h.hasMem {
 		t.Fatal("Memory() reports configured")
 	}
 }
@@ -67,8 +67,8 @@ func TestOversubscriptionSlowsComputation(t *testing.T) {
 		t.Fatalf("job finished at %v, want 2 (paging factor 2)", done)
 	}
 	r.Release()
-	if h.ResidentPages() != 0 {
-		t.Fatalf("ResidentPages = %d after release", h.ResidentPages())
+	if h.resident != 0 {
+		t.Fatalf("%d pages resident after release", h.resident)
 	}
 }
 

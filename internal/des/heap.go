@@ -14,12 +14,6 @@ type Event struct {
 	canceled bool
 }
 
-// Time reports the virtual time at which the event is (or was) scheduled.
-func (e *Event) Time() float64 { return e.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // eventHeap is a binary min-heap ordered by (time, sequence). It is
 // hand-rolled rather than using container/heap to keep the index
 // bookkeeping explicit and allocation-free on the hot path.

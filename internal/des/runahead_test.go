@@ -54,7 +54,8 @@ func mix(seed int64, queueOnly bool) mixResult {
 		return rng.Float64() * max
 	}
 
-	h := cpu.NewHost(k, "sun", []float64{1, 2.5, 1e3}[rng.Intn(3)])
+	speed := []float64{1, 2.5, 1e3}[rng.Intn(3)]
+	h := cpu.NewHost(k, "sun", speed)
 	if rng.Intn(2) == 0 {
 		if err := h.ConfigureMemory(cpu.MemoryConfig{Pages: 100, Thrash: 2}); err != nil {
 			panic(err)
@@ -75,7 +76,7 @@ func mix(seed int64, queueOnly bool) mixResult {
 			steps[j] = step{
 				kind:  rng.Intn(9),
 				d:     duration(1.5),
-				work:  duration(2) * h.Speed(),
+				work:  duration(2) * speed,
 				wgt:   []float64{0.5, 1, 1, 2, 3}[rng.Intn(5)],
 				pages: 30 + rng.Intn(90),
 			}

@@ -14,9 +14,6 @@ func NewMailbox[T any](k *Kernel, name string) *Mailbox[T] {
 	return &Mailbox[T]{k: k, name: name}
 }
 
-// Len reports the number of queued messages.
-func (m *Mailbox[T]) Len() int { return m.msgs.len() }
-
 // Send enqueues v and wakes one parked receiver, if any. Send is safe to
 // call from event callbacks as well as processes.
 func (m *Mailbox[T]) Send(v T) {
@@ -33,9 +30,6 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	v, _ := m.msgs.pop()
 	return v
 }
-
-// TryRecv returns the oldest message without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) { return m.msgs.pop() }
 
 // Semaphore is a counting semaphore for processes and for the Actions
 // that stand in for them (AcquireAsync); both wait in one FIFO.
@@ -96,9 +90,3 @@ func (s *Semaphore) Release() {
 		s.avail++
 	}
 }
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Waiting reports the number of queued acquirers.
-func (s *Semaphore) Waiting() int { return s.queue.len() }

@@ -45,13 +45,10 @@ func (c Config) validate() error {
 
 // Disk is the FCFS device.
 type Disk struct {
-	k   *des.Kernel
 	cfg Config
 	arm *des.Semaphore
 
 	busyTime float64
-	ops      int
-	words    int
 }
 
 // New builds a disk from cfg.
@@ -59,20 +56,8 @@ func New(k *des.Kernel, cfg Config) (*Disk, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Disk{k: k, cfg: cfg, arm: des.NewSemaphore(k, 1)}, nil
+	return &Disk{cfg: cfg, arm: des.NewSemaphore(k, 1)}, nil
 }
-
-// MustNew is New but panics on config errors.
-func MustNew(k *des.Kernel, cfg Config) *Disk {
-	d, err := New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Config returns the device configuration.
-func (d *Disk) Config() Config { return d.cfg }
 
 // OpTime returns the dedicated duration of one operation.
 func (d *Disk) OpTime(words int) float64 {
@@ -93,24 +78,8 @@ func (d *Disk) Op(p *des.Proc, words int) {
 	d.arm.Acquire(p)
 	p.Delay(t)
 	d.busyTime += t
-	d.ops++
-	d.words += words
 	d.arm.Release()
 }
 
 // BusyTime reports cumulative device occupancy.
 func (d *Disk) BusyTime() float64 { return d.busyTime }
-
-// Ops reports completed operations.
-func (d *Disk) Ops() int { return d.ops }
-
-// WordsMoved reports total words transferred.
-func (d *Disk) WordsMoved() int { return d.words }
-
-// Utilization reports the device busy fraction since t=0.
-func (d *Disk) Utilization() float64 {
-	if now := d.k.Now(); now > 0 {
-		return d.busyTime / now
-	}
-	return 0
-}

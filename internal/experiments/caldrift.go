@@ -103,7 +103,7 @@ func CalibrationDrift(env *Env) (Result, error) {
 	}
 
 	// What a resource manager would surface to schedulers: the tracker's
-	// trust state (rm.Manager.Health forwards exactly these two getters).
+	// trust state, its two getters.
 	healthAt := func(stage string) string {
 		state, reason := tracker.State(), tracker.Reason()
 		if reason != "" {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"contention/internal/calibrate"
 	"contention/internal/core"
 	"contention/internal/platform"
@@ -26,11 +24,11 @@ type Env struct {
 	// Pred is the shared predictor over Cal. It is goroutine-safe and
 	// stateless per call, so every driver draws from the one instance.
 	Pred *core.Predictor
-	// Pool is the worker pool drivers fan sweep points out on. nil (or
-	// runner.Serial()) runs everything inline; the parallel pool
-	// produces byte-identical results in the same order, because every
-	// sweep point simulates on its own DES kernel with locally seeded
-	// RNGs and results are assembled by index.
+	// Pool is the worker pool drivers fan sweep points out on. nil runs
+	// everything inline; the parallel pool produces byte-identical
+	// results in the same order, because every sweep point simulates on
+	// its own DES kernel with locally seeded RNGs and results are
+	// assembled by index.
 	Pool *runner.Pool
 
 	// dedicated is set on the copy of the Env a suite pass runs on (see
@@ -66,20 +64,6 @@ func NewEnv() (*Env, error) {
 		Opts:          opts,
 		Pred:          pred,
 	}, nil
-}
-
-var (
-	sharedEnv  *Env
-	sharedErr  error
-	sharedOnce sync.Once
-)
-
-// SharedEnv returns a lazily created process-wide Env, so tests and
-// benchmarks pay the calibration cost once. The shared Env is serial;
-// use WithPool for a parallel view of it.
-func SharedEnv() (*Env, error) {
-	sharedOnce.Do(func() { sharedEnv, sharedErr = NewEnv() })
-	return sharedEnv, sharedErr
 }
 
 // WithPool returns a shallow copy of the Env that fans out on p. The

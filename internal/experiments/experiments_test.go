@@ -3,17 +3,26 @@ package experiments
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func env(t *testing.T) *Env {
-	t.Helper()
-	e, err := SharedEnv()
-	if err != nil {
-		t.Fatalf("calibration failed: %v", err)
+// env returns a process-wide Env, calibrated on first use, so the
+// package's tests pay the calibration cost once. It is serial; use
+// WithPool for a parallel view of it.
+var env = func() func(t *testing.T) *Env {
+	var once sync.Once
+	var e *Env
+	var err error
+	return func(t *testing.T) *Env {
+		t.Helper()
+		once.Do(func() { e, err = NewEnv() })
+		if err != nil {
+			t.Fatalf("calibration failed: %v", err)
+		}
+		return e
 	}
-	return e
-}
+}()
 
 func TestTables12ReproducesPaper(t *testing.T) {
 	r, err := Tables12()
@@ -352,5 +361,21 @@ func TestResultMarshalsToJSON(t *testing.T) {
 	}
 	if back.ID != "x" || len(back.Series) != 1 || back.Series[0].Y[0] != 2 {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+}
+
+// The CM2 figures return their platform's construction error, as every
+// Paragon-side run does, rather than panic inside a pool worker.
+func TestCM2FiguresReturnPlatformError(t *testing.T) {
+	bad := *env(t)
+	bad.CM2Params.HostSpeed = 0
+	for name, figure := range map[string]func(*Env) (Result, error){
+		"figure1":   Figure1,
+		"figure3":   Figure3,
+		"synthetic": func(e *Env) (Result, error) { return SyntheticCM2(e, 3) },
+	} {
+		if _, err := figure(&bad); err == nil || !strings.Contains(err.Error(), "host speed") {
+			t.Errorf("%s on a zero-speed Sun: err %v, want the platform's host-speed error", name, err)
+		}
 	}
 }

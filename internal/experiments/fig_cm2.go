@@ -30,10 +30,13 @@ func spawnDutyHogs(k *des.Kernel, plat *platform.SunCM2, n int) {
 
 // cm2TransferElapsed measures the to-and-from transfer of an M×M matrix
 // (M row messages of M words each way) with p contenders.
-func cm2TransferElapsed(env *Env, m, hogs int) float64 {
+func cm2TransferElapsed(env *Env, m, hogs int) (float64, error) {
 	k := des.New()
 	defer k.Close()
-	plat := platform.MustNewSunCM2(k, env.CM2Params)
+	plat, err := platform.NewSunCM2(k, env.CM2Params)
+	if err != nil {
+		return 0, err
+	}
 	spawnDutyHogs(k, plat, hogs)
 	elapsed := -1.0
 	k.Spawn("app", func(p *des.Proc) {
@@ -44,7 +47,10 @@ func cm2TransferElapsed(env *Env, m, hogs int) float64 {
 		k.Stop()
 	})
 	k.Run()
-	return elapsed
+	if elapsed < 0 {
+		return 0, fmt.Errorf("experiments: CM2 transfer (M=%d) did not finish", m)
+	}
+	return elapsed, nil
 }
 
 // Figure1 reproduces the Sun/CM2 communication experiment: modeled and
@@ -67,11 +73,15 @@ func Figure1(env *Env) (Result, error) {
 			if err != nil {
 				return point{}, err
 			}
-			return point{
-				dcomm: dcomm,
-				ded:   cm2TransferElapsed(env, m, 0),
-				con:   cm2TransferElapsed(env, m, 3),
-			}, nil
+			ded, err := cm2TransferElapsed(env, m, 0)
+			if err != nil {
+				return point{}, err
+			}
+			con, err := cm2TransferElapsed(env, m, 3)
+			if err != nil {
+				return point{}, err
+			}
+			return point{dcomm: dcomm, ded: ded, con: con}, nil
 		})
 	if err != nil {
 		return Result{}, err
@@ -156,19 +166,32 @@ func Figure2(env *Env) (Result, error) {
 	}, nil
 }
 
-// gaussRun measures one Gaussian-elimination run on the CM2 platform.
-func gaussRun(env *Env, m, hogs int) (elapsed, busy, idle float64) {
+// cm2Run is what one CM2 program run measures: its elapsed time and the
+// back-end's busy and idle time within it.
+type cm2Run struct{ elapsed, busy, idle float64 }
+
+// cm2ProgramRun runs prog as process name on a fresh Sun/CM2 beside
+// hogs duty-cycled CPU contenders.
+func cm2ProgramRun(env *Env, name string, prog apps.CM2Program, hogs int) (cm2Run, error) {
 	k := des.New()
 	defer k.Close()
-	plat := platform.MustNewSunCM2(k, env.CM2Params)
+	plat, err := platform.NewSunCM2(k, env.CM2Params)
+	if err != nil {
+		return cm2Run{}, err
+	}
 	spawnDutyHogs(k, plat, hogs)
-	prog := apps.GaussCM2Program(m)
-	k.Spawn("gauss", func(p *des.Proc) {
-		elapsed, busy, idle = apps.RunCM2(p, plat, prog)
+	var run cm2Run
+	done := false
+	k.Spawn(name, func(p *des.Proc) {
+		run.elapsed, run.busy, run.idle = apps.RunCM2(p, plat, prog)
+		done = true
 		k.Stop()
 	})
 	k.Run()
-	return elapsed, busy, idle
+	if !done {
+		return cm2Run{}, fmt.Errorf("experiments: CM2 program %q did not finish", prog.Name)
+	}
+	return run, nil
 }
 
 // Figure3 reproduces the Gaussian-elimination experiment on the CM2:
@@ -188,13 +211,19 @@ func Figure3(env *Env) (Result, error) {
 		func(_ context.Context, _ int, m int) (point, error) {
 			prog := apps.GaussCM2Program(m)
 			// Dedicated run: the source of dcomp_cm2 and didle_cm2.
-			ded, busy, idle := gaussRun(env, m, 0)
-			contended, _, _ := gaussRun(env, m, 3)
+			ded, err := cm2ProgramRun(env, "gauss", prog, 0)
+			if err != nil {
+				return point{}, err
+			}
+			contended, err := cm2ProgramRun(env, "gauss", prog, 3)
+			if err != nil {
+				return point{}, err
+			}
 			return point{
-				ded:    ded,
-				model0: core.CM2ExecTime(busy, idle, prog.TotalSerial(), 0),
-				model3: core.CM2ExecTime(busy, idle, prog.TotalSerial(), 3),
-				con:    contended,
+				ded:    ded.elapsed,
+				model0: core.CM2ExecTime(ded.busy, ded.idle, prog.TotalSerial(), 0),
+				model3: core.CM2ExecTime(ded.busy, ded.idle, prog.TotalSerial(), 3),
+				con:    contended.elapsed,
 			}, nil
 		})
 	if err != nil {

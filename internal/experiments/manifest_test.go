@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -82,8 +84,12 @@ func TestBuildManifestFromRun(t *testing.T) {
 	if err := m.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := obs.ReadManifest(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var back obs.Manifest
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Pool.Tasks != m.Pool.Tasks || back.Predictions.Comm != m.Predictions.Comm {

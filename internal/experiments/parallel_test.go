@@ -32,7 +32,7 @@ func renderAll(t *testing.T, e *Env) string {
 // byte-for-byte identical to the serial run.
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	e := env(t)
-	serial := renderAll(t, e.WithPool(runner.Serial()))
+	serial := renderAll(t, e.WithPool(nil))
 	parallel := renderAll(t, e.WithPool(runner.New(4)))
 	if serial != parallel {
 		line := 0

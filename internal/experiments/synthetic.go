@@ -6,8 +6,6 @@ import (
 
 	"contention/internal/apps"
 	"contention/internal/core"
-	"contention/internal/des"
-	"contention/internal/platform"
 	"contention/internal/runner"
 	"contention/internal/stats"
 )
@@ -53,10 +51,16 @@ func SyntheticCM2(env *Env, programs int) (Result, error) {
 			p := 1 + i%3
 
 			// Dedicated run: measure dcomp_cm2 and didle_cm2.
-			_, busy, idle := syntheticRun(env, prog, 0)
-			model := core.CM2ExecTime(busy, idle, prog.TotalSerial(), p)
-			contended, _, _ := syntheticRun(env, prog, p)
-			return point{model: model, actual: contended}, nil
+			ded, err := cm2ProgramRun(env, prog.Name, prog, 0)
+			if err != nil {
+				return point{}, err
+			}
+			model := core.CM2ExecTime(ded.busy, ded.idle, prog.TotalSerial(), p)
+			contended, err := cm2ProgramRun(env, prog.Name, prog, p)
+			if err != nil {
+				return point{}, err
+			}
+			return point{model: model, actual: contended.elapsed}, nil
 		})
 	if err != nil {
 		return Result{}, err
@@ -82,17 +86,4 @@ func SyntheticCM2(env *Env, programs int) (Result, error) {
 		fmt.Sprintf("per-program error: %s", stats.Summarize(errs)),
 		fmt.Sprintf("worst program error %.1f%% (paper: within 15%% on average)", worst))
 	return r, nil
-}
-
-func syntheticRun(env *Env, prog apps.CM2Program, hogs int) (elapsed, busy, idle float64) {
-	k := des.New()
-	defer k.Close()
-	plat := platform.MustNewSunCM2(k, env.CM2Params)
-	spawnDutyHogs(k, plat, hogs)
-	k.Spawn(prog.Name, func(p *des.Proc) {
-		elapsed, busy, idle = apps.RunCM2(p, plat, prog)
-		k.Stop()
-	})
-	k.Run()
-	return elapsed, busy, idle
 }

@@ -13,7 +13,11 @@ import (
 func newSP(t *testing.T) (*des.Kernel, *platform.SunParagon) {
 	t.Helper()
 	k := des.New()
-	return k, platform.MustNewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
+	sp, err := platform.NewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, sp
 }
 
 // runScenario drives a fixed traffic pattern under the full fault

@@ -196,18 +196,6 @@ func New(k *des.Kernel, cfg Config, hostCfg EndpointConfig, nodeCfg NodeConfig) 
 	return l, e, n, nil
 }
 
-// MustNew is New but panics on config errors; for tests and fixtures.
-func MustNew(k *des.Kernel, cfg Config, hostCfg EndpointConfig, nodeCfg NodeConfig) (*Link, *Endpoint, *Node) {
-	l, e, n, err := New(k, cfg, hostCfg, nodeCfg)
-	if err != nil {
-		panic(err)
-	}
-	return l, e, n
-}
-
-// Config returns the wire configuration.
-func (l *Link) Config() Config { return l.cfg }
-
 // WireTime returns the dedicated-mode wire occupancy for a message of
 // the given size: ceil(words/MTU) packets of overhead plus payload time.
 func (l *Link) WireTime(words int) float64 {
@@ -235,14 +223,6 @@ func (l *Link) SetFaultFunc(f FaultFunc) { l.fault = f }
 // Retransmits reports the number of lost transmission attempts that were
 // retransmitted.
 func (l *Link) Retransmits() int { return l.retransmits }
-
-// Utilization reports wire busy fraction since t=0.
-func (l *Link) Utilization() float64 {
-	if now := l.k.Now(); now > 0 {
-		return l.busyTime / now
-	}
-	return 0
-}
 
 // attempted closes one transmission attempt: its wire time is accounted,
 // the wire released, and the fault decision taken. It reports whether

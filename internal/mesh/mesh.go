@@ -48,16 +48,12 @@ type Machine struct {
 	k      *des.Kernel
 	cfg    Config
 	free   []int // free node ids, kept sorted
-	shares []int // per-node resident gang count (time-shared allocation)
 	fabric *des.Semaphore
 
 	// hops recycles the records of finished asynchronous hops (see
 	// NXHopAsync and NXSendAsync).
 	hops []*hop
 
-	allocated   int
-	peakInUse   int
-	inUse       int
 	fabricBusy  float64
 	fabricSends int
 }
@@ -72,30 +68,8 @@ func New(k *des.Kernel, cfg Config) (*Machine, error) {
 	for i := range m.free {
 		m.free[i] = i
 	}
-	m.shares = make([]int, cfg.Nodes)
 	return m, nil
 }
-
-// MustNew is New but panics on config errors.
-func MustNew(k *des.Kernel, cfg Config) *Machine {
-	m, err := New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// FreeNodes reports the number of currently unallocated nodes.
-func (m *Machine) FreeNodes() int { return len(m.free) }
-
-// InUse reports the number of currently allocated nodes.
-func (m *Machine) InUse() int { return m.inUse }
-
-// PeakInUse reports the maximum simultaneous allocation seen.
-func (m *Machine) PeakInUse() int { return m.peakInUse }
 
 // ErrInsufficientNodes is returned when an allocation cannot be satisfied.
 var ErrInsufficientNodes = errors.New("mesh: not enough free nodes")
@@ -107,16 +81,12 @@ type Partition struct {
 	m        *Machine
 	owner    string
 	nodes    []int
-	shared   bool
 	released bool
-
-	busyTime float64
 }
 
 // Allocate reserves n nodes for the named application. Allocation is
 // first-fit over free node ids (contiguous when possible, non-contiguous
-// otherwise); it fails immediately rather than queuing — batch queuing
-// belongs to the resource manager above this layer.
+// otherwise); it fails immediately rather than queuing.
 func (m *Machine) Allocate(owner string, n int) (*Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mesh: partition size %d must be positive", n)
@@ -130,63 +100,7 @@ func (m *Machine) Allocate(owner string, n int) (*Partition, error) {
 		ids = append([]int(nil), m.free[:n]...)
 	}
 	m.removeFree(ids)
-	for _, id := range ids {
-		m.shares[id]++
-	}
-	m.inUse += len(ids)
-	m.allocated++
-	if m.inUse > m.peakInUse {
-		m.peakInUse = m.inUse
-	}
 	return &Partition{m: m, owner: owner, nodes: ids}, nil
-}
-
-// AllocateShared reserves n time-shared nodes for a gang-scheduled
-// application (Feitelson's survey is the paper's reference [7]): nodes
-// already hosting fewer than maxShare gangs are eligible, least-loaded
-// first. Computation on the partition slows by the gang rotation —
-// see Partition.Compute. The contention model folds this into T_p.
-func (m *Machine) AllocateShared(owner string, n, maxShare int) (*Partition, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("mesh: partition size %d must be positive", n)
-	}
-	if maxShare < 1 {
-		return nil, fmt.Errorf("mesh: max share %d must be ≥ 1", maxShare)
-	}
-	// Candidate nodes: share < maxShare, least-loaded first, stable by id.
-	type cand struct{ id, share int }
-	var cands []cand
-	for id, sh := range m.shares {
-		if sh < maxShare {
-			cands = append(cands, cand{id, sh})
-		}
-	}
-	if len(cands) < n {
-		return nil, fmt.Errorf("%w: want %d time-shared, have %d", ErrInsufficientNodes, n, len(cands))
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].share != cands[j].share {
-			return cands[i].share < cands[j].share
-		}
-		return cands[i].id < cands[j].id
-	})
-	ids := make([]int, n)
-	for i := 0; i < n; i++ {
-		ids[i] = cands[i].id
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if m.shares[id] == 0 {
-			m.inUse++
-		}
-		m.shares[id]++
-	}
-	m.removeFree(ids)
-	m.allocated++
-	if m.inUse > m.peakInUse {
-		m.peakInUse = m.inUse
-	}
-	return &Partition{m: m, owner: owner, nodes: ids, shared: true}, nil
 }
 
 func (m *Machine) contiguousRun(n int) []int {
@@ -223,73 +137,27 @@ func (p *Partition) Release() {
 		return
 	}
 	p.released = true
-	for _, id := range p.nodes {
-		p.m.shares[id]--
-		if p.m.shares[id] == 0 {
-			p.m.inUse--
-			p.m.free = append(p.m.free, id)
-		}
-	}
+	p.m.free = append(p.m.free, p.nodes...)
 	sort.Ints(p.m.free)
 }
-
-// Owner reports the owning application name.
-func (p *Partition) Owner() string { return p.owner }
-
-// Size reports the number of nodes in the partition.
-func (p *Partition) Size() int { return len(p.nodes) }
-
-// Nodes returns a copy of the allocated node ids.
-func (p *Partition) Nodes() []int { return append([]int(nil), p.nodes...) }
-
-// BusyTime reports cumulative per-partition compute occupancy.
-func (p *Partition) BusyTime() float64 { return p.busyTime }
 
 // Compute runs workPerNode units on every node in parallel (a perfectly
 // balanced data-parallel step), blocking proc for its duration. Space
 // sharing means no contention with other partitions.
 func (p *Partition) Compute(proc *des.Proc, workPerNode float64) {
 	if p.released {
-		panic("mesh: Compute on released partition")
+		panic(fmt.Sprintf("mesh: Compute on %s's released partition", p.owner))
 	}
 	if workPerNode < 0 {
 		panic(fmt.Sprintf("mesh: negative work %v", workPerNode))
 	}
-	d := workPerNode / p.m.cfg.NodeSpeed * p.GangFactor()
-	p.busyTime += d
-	proc.Delay(d)
+	proc.Delay(workPerNode / p.m.cfg.NodeSpeed)
 }
-
-// GangFactor is the time-sharing slowdown of the partition: the maximum
-// number of gangs resident on any of its nodes (gang scheduling rotates
-// whole partitions, so the slowest node's rotation paces the gang).
-// Space-shared partitions always report 1.
-func (p *Partition) GangFactor() float64 {
-	max := 1
-	for _, id := range p.nodes {
-		if s := p.m.shares[id]; s > max {
-			max = s
-		}
-	}
-	return float64(max)
-}
-
-// Shared reports whether the partition was allocated time-shared.
-func (p *Partition) Shared() bool { return p.shared }
 
 // ComputeTotal splits totalWork evenly across the partition's nodes and
 // runs it as one balanced step.
 func (p *Partition) ComputeTotal(proc *des.Proc, totalWork float64) {
 	p.Compute(proc, totalWork/float64(len(p.nodes)))
-}
-
-// ComputeImbalanced runs a step whose slowest node has workPerNode ×
-// (1+imbalance) work — a crude model of load imbalance.
-func (p *Partition) ComputeImbalanced(proc *des.Proc, workPerNode, imbalance float64) {
-	if imbalance < 0 {
-		panic(fmt.Sprintf("mesh: negative imbalance %v", imbalance))
-	}
-	p.Compute(proc, workPerNode*(1+imbalance))
 }
 
 // NXTime returns the dedicated fabric time for one message.

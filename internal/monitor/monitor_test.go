@@ -14,7 +14,11 @@ import (
 func newSP(t *testing.T) (*des.Kernel, *platform.SunParagon) {
 	t.Helper()
 	k := des.New()
-	return k, platform.MustNewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
+	sp, err := platform.NewSunParagon(k, platform.DefaultParagonParams(platform.OneHop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, sp
 }
 
 func TestNewValidation(t *testing.T) {

@@ -255,19 +255,3 @@ func (m *Manifest) Write(path string) error {
 	}
 	return nil
 }
-
-// ReadManifest loads and schema-checks a manifest file.
-func ReadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("obs: %s: schema %q, want %q", path, m.Schema, ManifestSchema)
-	}
-	return &m, nil
-}

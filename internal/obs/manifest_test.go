@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,8 +96,12 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 	if err := m.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Manifest
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Command != "experiments" || got.Schema != ManifestSchema {
@@ -112,21 +117,5 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("unexpected files after atomic write: %v", entries)
-	}
-}
-
-func TestReadManifestRejectsWrongSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"contention/run-manifest/v0","command":"x"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(path); err == nil {
-		t.Fatal("wrong schema accepted")
-	}
-	if err := os.WriteFile(path, []byte(`{not json`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(path); err == nil {
-		t.Fatal("malformed JSON accepted")
 	}
 }

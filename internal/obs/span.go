@@ -106,15 +106,6 @@ func (t *Tracer) StartCtx(actor, name string, tc TraceContext) (*Span, TraceCont
 	return s, TraceContext{TraceID: tc.TraceID, SpanID: id, Sampled: true}
 }
 
-// Context returns the trace context rooted at this span (zero for spans
-// outside any trace, including nil spans).
-func (s *Span) Context() TraceContext {
-	if s == nil || s.trace == 0 {
-		return TraceContext{}
-	}
-	return TraceContext{TraceID: s.trace, SpanID: s.id, Sampled: true}
-}
-
 // End closes the span and returns its duration in clock seconds
 // (0 on a nil span).
 func (s *Span) End() float64 {
@@ -200,16 +191,6 @@ func (t *Tracer) Spans() []SpanRecord {
 		return a.Name < b.Name
 	})
 	return out
-}
-
-// Dropped reports spans discarded over the retention bound.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Reset clears retained spans (between runs in one process).

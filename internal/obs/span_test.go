@@ -109,3 +109,13 @@ func TestStartSpanUsesDefaultTracer(t *testing.T) {
 		t.Fatalf("default tracer spans = %+v", spans)
 	}
 }
+
+// Dropped reports spans discarded over the retention bound.
+func (t *Tracer) Dropped() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
+}

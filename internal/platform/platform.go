@@ -82,15 +82,6 @@ func NewSunCM2(k *des.Kernel, params CM2Params) (*SunCM2, error) {
 	}, nil
 }
 
-// MustNewSunCM2 is NewSunCM2 with panic-on-error, for fixtures.
-func MustNewSunCM2(k *des.Kernel, params CM2Params) *SunCM2 {
-	s, err := NewSunCM2(k, params)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Transfer moves one array of the given size between the Sun and the
 // CM2 (either direction — the cost is symmetric CPU work), blocking p.
 // Element-by-element copying is pure Sun CPU work, so contention on the
@@ -282,15 +273,6 @@ func newLeg(k *des.Kernel, params ParagonParams, host *cpu.Host, d *disk.Disk, s
 		Disk:       d,
 		Params:     params,
 	}, nil
-}
-
-// MustNewSunParagon is NewSunParagon with panic-on-error.
-func MustNewSunParagon(k *des.Kernel, params ParagonParams) *SunParagon {
-	s, err := NewSunParagon(k, params)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // SendToParagon transfers one message from the Sun to the Paragon on

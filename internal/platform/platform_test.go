@@ -307,3 +307,21 @@ func TestSunMultiParagonTwoHops(t *testing.T) {
 		t.Fatalf("2-HOPS arrival %v below NX+wire %v", arrived, nx+wire)
 	}
 }
+
+// MustNewSunCM2 is NewSunCM2 with panic-on-error.
+func MustNewSunCM2(k *des.Kernel, params CM2Params) *SunCM2 {
+	s, err := NewSunCM2(k, params)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// MustNewSunParagon is NewSunParagon with panic-on-error.
+func MustNewSunParagon(k *des.Kernel, params ParagonParams) *SunParagon {
+	s, err := NewSunParagon(k, params)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

@@ -1,3 +1,6 @@
+// Package rm is the admission layer of the serving path: it bounds how
+// many prediction requests run at once and how many may wait, and
+// rejects the rest with a typed error.
 package rm
 
 import (
@@ -8,14 +11,19 @@ import (
 	"time"
 )
 
+// ErrQueueFull is returned when the bounded admission queue is at
+// capacity — explicit rejection instead of unbounded parking.
+var ErrQueueFull = errors.New("rm: admission queue full")
+
+// ErrSubmitTimeout is returned when a queued request is not admitted
+// before its context ends.
+var ErrSubmitTimeout = errors.New("rm: submit timed out in admission queue")
+
 // Admission is the wall-clock admission controller for the online
-// serving path. The DES-driven Manager above admits *applications* to
-// the simulated platform in virtual time; Admission plays the same role
-// for *prediction requests* hitting the serving daemon in real time: a
-// bounded number run concurrently, a bounded number may wait, and
-// everything beyond that is rejected immediately — the same explicit
-// ErrQueueFull / ErrSubmitTimeout contract as the Manager's bounded
-// batch queue, so callers handle both layers uniformly.
+// serving path: a bounded number of requests run concurrently, a
+// bounded number may wait, and everything beyond that is rejected
+// immediately with ErrQueueFull, or with ErrSubmitTimeout when a
+// waiter's context ends first.
 //
 // Admission is goroutine-safe. The zero value is not usable; build one
 // with NewAdmission.
@@ -25,11 +33,6 @@ type Admission struct {
 	mu         sync.Mutex
 	waiting    int
 	maxWaiting int // config bound; 0 = no waiting allowed beyond slots
-
-	admitted int64
-	rejected int64
-	timedOut int64
-	peakWait int
 }
 
 // NewAdmission returns a controller allowing maxInFlight concurrent
@@ -54,23 +57,16 @@ func NewAdmission(maxInFlight, maxQueue int) *Admission {
 func (a *Admission) Acquire(ctx context.Context) error {
 	select {
 	case a.slots <- struct{}{}:
-		a.mu.Lock()
-		a.admitted++
-		a.mu.Unlock()
 		return nil
 	default:
 	}
 
 	a.mu.Lock()
 	if a.waiting >= a.maxWaiting {
-		a.rejected++
 		a.mu.Unlock()
 		return fmt.Errorf("%w (depth %d)", ErrQueueFull, a.maxWaiting)
 	}
 	a.waiting++
-	if a.waiting > a.peakWait {
-		a.peakWait = a.waiting
-	}
 	a.mu.Unlock()
 
 	defer func() {
@@ -80,14 +76,8 @@ func (a *Admission) Acquire(ctx context.Context) error {
 	}()
 	select {
 	case a.slots <- struct{}{}:
-		a.mu.Lock()
-		a.admitted++
-		a.mu.Unlock()
 		return nil
 	case <-ctx.Done():
-		a.mu.Lock()
-		a.timedOut++
-		a.mu.Unlock()
 		return fmt.Errorf("%w: %w", ErrSubmitTimeout, ctx.Err())
 	}
 }
@@ -101,9 +91,6 @@ func (a *Admission) Acquire(ctx context.Context) error {
 func (a *Admission) TryAcquire() bool {
 	select {
 	case a.slots <- struct{}{}:
-		a.mu.Lock()
-		a.admitted++
-		a.mu.Unlock()
 		return true
 	default:
 		return false
@@ -164,26 +151,4 @@ func (a *Admission) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-}
-
-// AdmissionStats is a point-in-time summary of an Admission controller.
-type AdmissionStats struct {
-	Admitted, Rejected, TimedOut int64
-	PeakWaiting                  int
-}
-
-// Stats returns cumulative admission counters.
-func (a *Admission) Stats() AdmissionStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return AdmissionStats{
-		Admitted: a.admitted, Rejected: a.rejected, TimedOut: a.timedOut,
-		PeakWaiting: a.peakWait,
-	}
-}
-
-// IsRejection reports whether err is an explicit admission rejection
-// (full queue or timeout) as opposed to an internal failure.
-func IsRejection(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrSubmitTimeout)
 }

@@ -29,10 +29,6 @@ func TestAdmissionImmediate(t *testing.T) {
 	}
 	a.Release()
 	a.Release()
-	st := a.Stats()
-	if st.Admitted != 3 || st.Rejected != 1 {
-		t.Fatalf("stats %+v, want 3 admitted 1 rejected", st)
-	}
 }
 
 func TestAdmissionWaitsThenAdmits(t *testing.T) {
@@ -54,9 +50,6 @@ func TestAdmissionWaitsThenAdmits(t *testing.T) {
 		t.Fatalf("waiter: %v", err)
 	}
 	a.Release()
-	if st := a.Stats(); st.PeakWaiting != 1 {
-		t.Fatalf("peak waiting %d, want 1", st.PeakWaiting)
-	}
 }
 
 func TestAdmissionTimeout(t *testing.T) {
@@ -77,9 +70,6 @@ func TestAdmissionTimeout(t *testing.T) {
 		t.Fatalf("waiting %d after timeout, want 0", a.Waiting())
 	}
 	a.Release()
-	if st := a.Stats(); st.TimedOut != 1 {
-		t.Fatalf("timed out %d, want 1", st.TimedOut)
-	}
 }
 
 // TestAcquireUntil: a free slot is taken even past the deadline (no
@@ -104,10 +94,10 @@ func TestAcquireUntil(t *testing.T) {
 	if err := a.AcquireUntil(ctx, time.Time{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("zero deadline, canceled ctx: %v, want ErrSubmitTimeout wrapping Canceled", err)
 	}
-	a.Release()
-	if st := a.Stats(); st.Admitted != 1 || st.TimedOut != 2 {
-		t.Fatalf("admitted %d timed out %d, want 1 and 2", st.Admitted, st.TimedOut)
+	if a.InFlight() != 1 || a.Waiting() != 0 {
+		t.Fatalf("in-flight %d waiting %d after two timeouts, want 1 and 0", a.InFlight(), a.Waiting())
 	}
+	a.Release()
 }
 
 func TestAdmissionQueueBound(t *testing.T) {
@@ -151,7 +141,7 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			if err := a.Acquire(ctx); err != nil {
-				if !IsRejection(err) {
+				if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrSubmitTimeout) {
 					t.Errorf("worker %d: unexpected error %v", i, err)
 				}
 				return

@@ -63,7 +63,7 @@ func TestSerialPoolCountsInline(t *testing.T) {
 
 	const n = 8
 	t0, i0, a0 := mTasks.Value(), mInline.Value(), mAsync.Value()
-	_, err := Map(context.Background(), Serial(), make([]struct{}, n),
+	_, err := Map(context.Background(), nil, make([]struct{}, n),
 		func(context.Context, int, struct{}) (struct{}, error) {
 			return struct{}{}, nil
 		})

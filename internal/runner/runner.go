@@ -42,9 +42,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers, tokens: make(chan struct{}, workers)}
 }
 
-// Serial returns a pool that runs everything inline, in input order.
-func Serial() *Pool { return nil }
-
 // Workers reports the concurrency bound (1 for a serial pool).
 func (p *Pool) Workers() int {
 	if p == nil || p.workers < 1 {
@@ -182,13 +179,4 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 		return nil, st.first.err
 	}
 	return out, nil
-}
-
-// Run is Map for index-only tasks with no results.
-func Run(ctx context.Context, p *Pool, n int, fn func(ctx context.Context, index int) error) error {
-	idx := make([]struct{}, n)
-	_, err := Map(ctx, p, idx, func(ctx context.Context, i int, _ struct{}) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

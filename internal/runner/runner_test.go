@@ -11,7 +11,7 @@ import (
 )
 
 func TestMapSerialNilPool(t *testing.T) {
-	out, err := Map(context.Background(), Serial(), []int{1, 2, 3},
+	out, err := Map(context.Background(), nil, []int{1, 2, 3},
 		func(_ context.Context, i, v int) (int, error) { return v * 10, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestMapLowestIndexError(t *testing.T) {
 func TestMapSerialStopsAtFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls int32
-	_, err := Map(context.Background(), Serial(), []int{0, 1, 2, 3},
+	_, err := Map(context.Background(), nil, []int{0, 1, 2, 3},
 		func(_ context.Context, i, v int) (int, error) {
 			atomic.AddInt32(&calls, 1)
 			if v == 1 {
@@ -170,11 +170,12 @@ func TestMapBoundedConcurrency(t *testing.T) {
 	}
 }
 
+// TestRun: Map over index-only tasks runs every index once.
 func TestRun(t *testing.T) {
 	var sum int32
-	if err := Run(context.Background(), New(4), 10, func(_ context.Context, i int) error {
+	if _, err := Map(context.Background(), New(4), make([]struct{}, 10), func(_ context.Context, i int, _ struct{}) (struct{}, error) {
 		atomic.AddInt32(&sum, int32(i))
-		return nil
+		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,8 @@ func TestRun(t *testing.T) {
 }
 
 func TestWorkers(t *testing.T) {
-	if got := Serial().Workers(); got != 1 {
-		t.Fatalf("Serial().Workers() = %d", got)
+	if got := (*Pool)(nil).Workers(); got != 1 {
+		t.Fatalf("nil pool Workers() = %d", got)
 	}
 	if got := New(5).Workers(); got != 5 {
 		t.Fatalf("New(5).Workers() = %d", got)
@@ -200,7 +201,7 @@ func TestWorkers(t *testing.T) {
 // serial pool has none to give.
 func TestHelpBoundsHelpers(t *testing.T) {
 	var wg sync.WaitGroup
-	for _, p := range []*Pool{Serial(), New(1)} {
+	for _, p := range []*Pool{nil, New(1)} {
 		if p.Help(&wg, func() { t.Error("a serial pool started a helper") }) {
 			t.Fatalf("Help on a %d-worker pool started a helper", p.Workers())
 		}

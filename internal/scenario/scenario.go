@@ -212,12 +212,6 @@ func (m MarkovBurst) DutyCycle() float64 {
 	return on / (on + off)
 }
 
-// MeanRate is the stationary mean arrival rate.
-func (m MarkovBurst) MeanRate() float64 {
-	d := m.DutyCycle()
-	return d*m.Burst + (1-d)*m.Base
-}
-
 // Times walks the state chain: for each dwell segment, a homogeneous
 // Poisson stream at the state's rate. One rng drives both the dwell
 // sequence and the within-segment arrivals, in segment order.

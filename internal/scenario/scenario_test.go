@@ -348,3 +348,9 @@ func TestCohortSeedSpread(t *testing.T) {
 		seen[s] = name
 	}
 }
+
+// MeanRate is the stationary mean arrival rate.
+func (m MarkovBurst) MeanRate() float64 {
+	d := m.DutyCycle()
+	return d*m.Burst + (1-d)*m.Base
+}

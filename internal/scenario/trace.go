@@ -305,9 +305,6 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 // Header returns the verified trace header.
 func (tr *TraceReader) Header() TraceHeader { return tr.hdr }
 
-// Count reports records returned so far.
-func (tr *TraceReader) Count() int { return tr.n }
-
 // Next returns the next record, or io.EOF at a clean end of stream.
 // The record's byte slices are private copies; callers may retain them.
 func (tr *TraceReader) Next() (Record, error) {

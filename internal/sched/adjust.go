@@ -9,7 +9,7 @@ import (
 // slowdown factors currently in force on one machine and on the links
 // touching it. An application-level scheduler (the AppLeS line of work
 // this paper feeds, its reference [4]) computes these from the
-// predictor and the resource manager's contender registry.
+// predictor and the contender set a resource manager knows (§2).
 type Load struct {
 	// Comp multiplies every execution cost on the machine.
 	Comp float64

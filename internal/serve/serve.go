@@ -55,8 +55,8 @@ import (
 	"contention/internal/runner"
 )
 
-// Admission rejections surface the resource manager's own sentinel
-// errors, so clients of both layers handle one vocabulary.
+// Admission rejections surface the admission controller's own sentinel
+// errors, so clients of serve and of the router handle one vocabulary.
 var (
 	ErrQueueFull = rm.ErrQueueFull
 	// ErrDeadline is returned when a request's deadline expires before
@@ -346,9 +346,6 @@ func (s *Server) Admission() *rm.Admission { return s.adm }
 // normally. Close implies Drain.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain (or Close) has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close flushes every parked request and fails all future submissions
 // with ErrClosed. It is idempotent, and it does not return until every
 // in-flight batch evaluation — including one started by a concurrent
@@ -393,21 +390,16 @@ func (s *Server) degradeReason() string {
 	return ""
 }
 
-// Predict answers one validated query, micro-batching it with
+// predict answers one validated query, micro-batching it with
 // concurrent peers. It blocks until the answer is computed, the context
-// ends (ErrDeadline), or admission rejects the request.
-func (s *Server) Predict(ctx context.Context, q query) (Response, error) {
-	return s.predict(ctx, &q, nil, time.Time{}, nil)
-}
-
-// predict is Predict with a tracing handle (nil unless sampled) and an
-// optional deadline (zero: ctx alone bounds the request). The deadline
-// is timed by tm, which the caller lends stopped and drained and gets
-// back the same way; no context is built for it unless admission has
-// to wait. Stage boundaries are timed on every request for the
-// attribution histograms; rt promotes the same intervals to spans when
-// non-nil. q is only read before predict parks, so it may alias pooled
-// memory the caller reuses once predict returns.
+// ends (ErrDeadline), or admission rejects the request. rt is a tracing
+// handle (nil unless sampled); deadline, when not zero, bounds the
+// request along with ctx. The deadline is timed by tm, which the caller
+// lends stopped and drained and gets back the same way; no context is
+// built for it unless admission has to wait. Stage boundaries are timed
+// on every request for the attribution histograms; rt promotes the same
+// intervals to spans when non-nil. q is only read before predict parks,
+// so it may alias pooled memory the caller reuses once predict returns.
 func (s *Server) predict(ctx context.Context, q *query, rt *reqTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
 	mRequests.With(q.kind).Inc()
 	admStart := time.Now()

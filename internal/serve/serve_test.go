@@ -330,3 +330,13 @@ func TestDecodeRejectsOversizedBody(t *testing.T) {
 		t.Fatal("oversized body accepted")
 	}
 }
+
+// Predict answers one validated query, micro-batching it with
+// concurrent peers. It blocks until the answer is computed, the context
+// ends (ErrDeadline), or admission rejects the request.
+func (s *Server) Predict(ctx context.Context, q query) (Response, error) {
+	return s.predict(ctx, &q, nil, time.Time{}, nil)
+}
+
+// Draining reports whether Drain (or Close) has been called.
+func (s *Server) Draining() bool { return s.draining.Load() }

@@ -27,11 +27,11 @@ func TestIssueSyncAllocationFree(t *testing.T) {
 		}
 	})
 	k.RunUntil(64)
-	issued := s.Issued()
+	issued := s.issued
 	if got := testing.AllocsPerRun(200, func() { k.RunUntil(k.Now() + 1) }); got != 0 {
 		t.Errorf("%v allocs per round of four instructions and a Sync, want 0", got)
 	}
-	if got := s.Issued() - issued; got < 4*200 {
+	if got := s.issued - issued; got < 4*200 {
 		t.Errorf("%d instructions issued while measuring, want at least 800", got)
 	}
 }

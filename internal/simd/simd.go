@@ -24,23 +24,14 @@ type Backend struct {
 	name      string
 	sequencer *des.Semaphore
 
-	totalBusy float64
-	sessions  int
+	totalBusy float64 // instruction-execution time across all sessions
+	sessions  int     // sessions opened
 }
 
 // NewBackend returns an idle back-end.
 func NewBackend(k *des.Kernel, name string) *Backend {
 	return &Backend{k: k, name: name, sequencer: des.NewSemaphore(k, 1)}
 }
-
-// Name reports the back-end name.
-func (b *Backend) Name() string { return b.name }
-
-// TotalBusy reports cumulative instruction-execution time across all sessions.
-func (b *Backend) TotalBusy() float64 { return b.totalBusy }
-
-// Sessions reports how many sessions have been opened.
-func (b *Backend) Sessions() int { return b.sessions }
 
 // Session is one application's exclusive attachment to the sequencer.
 type Session struct {
@@ -74,7 +65,7 @@ type Interval struct {
 // front-end and the back-end.
 func (b *Backend) Attach(p *des.Proc, app string, fifoCap int) *Session {
 	if fifoCap < 1 {
-		panic(fmt.Sprintf("simd: fifo capacity %d must be ≥ 1", fifoCap))
+		panic(fmt.Sprintf("simd %s: fifo capacity %d must be ≥ 1", b.name, fifoCap))
 	}
 	b.sequencer.Acquire(p)
 	b.sessions++
@@ -173,12 +164,6 @@ func (s *Session) IdleTime(now float64) float64 {
 	}
 	return idle
 }
-
-// Issued reports the number of instructions issued in this session.
-func (s *Session) Issued() int { return s.issued }
-
-// Outstanding reports instructions issued but not yet completed.
-func (s *Session) Outstanding() int { return s.outstanding }
 
 // Intervals returns the back-end execution intervals recorded so far —
 // the raw material of the paper's Figure 2 timeline.

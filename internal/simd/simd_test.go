@@ -26,7 +26,7 @@ func TestInstructionsExecuteInOrder(t *testing.T) {
 	if !approx(end, 6, 1e-9) {
 		t.Fatalf("finished at %v, want 6 (sequential execution)", end)
 	}
-	if got := b.TotalBusy(); !approx(got, 6, 1e-9) {
+	if got := b.totalBusy; !approx(got, 6, 1e-9) {
 		t.Fatalf("TotalBusy = %v, want 6", got)
 	}
 }
@@ -125,8 +125,8 @@ func TestSequencerExcludesSecondApplication(t *testing.T) {
 	if !approx(startB, 5, 1e-9) {
 		t.Fatalf("second app attached at %v, want 5 (sequencer exclusion)", startB)
 	}
-	if b.Sessions() != 2 {
-		t.Fatalf("Sessions = %d, want 2", b.Sessions())
+	if b.sessions != 2 {
+		t.Fatalf("Sessions = %d, want 2", b.sessions)
 	}
 }
 
@@ -159,15 +159,15 @@ func TestIssuedAndOutstandingCounters(t *testing.T) {
 		s := b.Attach(p, "app", 4)
 		s.Issue(p, 1)
 		s.Issue(p, 1)
-		if s.Issued() != 2 {
-			t.Errorf("Issued = %d, want 2", s.Issued())
+		if s.issued != 2 {
+			t.Errorf("Issued = %d, want 2", s.issued)
 		}
-		if s.Outstanding() == 0 {
+		if s.outstanding == 0 {
 			t.Error("Outstanding = 0 right after issue")
 		}
 		s.Sync(p)
-		if s.Outstanding() != 0 {
-			t.Errorf("Outstanding = %d after Sync, want 0", s.Outstanding())
+		if s.outstanding != 0 {
+			t.Errorf("Outstanding = %d after Sync, want 0", s.outstanding)
 		}
 		s.Detach(p)
 	})

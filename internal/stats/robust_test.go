@@ -113,37 +113,3 @@ func TestRejectOutliersMAD(t *testing.T) {
 		t.Fatalf("zero-MAD rejection: rejected %d kept %d, want 0/4", rejected, len(kept))
 	}
 }
-
-func TestBootstrap(t *testing.T) {
-	xs := []float64{9.8, 10.1, 10.0, 9.9, 10.2, 10.0, 9.7, 10.3, 10.05, 9.95}
-	iv, err := Bootstrap(xs, Mean, 300, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(10.0) {
-		t.Fatalf("95%% CI %+v does not contain the true mean", iv)
-	}
-	if iv.Width() <= 0 || iv.Width() > 1 {
-		t.Fatalf("CI width %v implausible for sd≈0.18 n=10", iv.Width())
-	}
-	// Deterministic: same seed, same interval.
-	iv2, err := Bootstrap(xs, Mean, 300, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv != iv2 {
-		t.Fatalf("Bootstrap not deterministic: %+v vs %+v", iv, iv2)
-	}
-	if _, err := Bootstrap(nil, Mean, 100, 0.95, 1); err == nil {
-		t.Fatal("Bootstrap(nil) did not error")
-	}
-	if _, err := Bootstrap(xs, nil, 100, 0.95, 1); err == nil {
-		t.Fatal("Bootstrap(nil stat) did not error")
-	}
-	if _, err := Bootstrap(xs, Mean, 1, 0.95, 1); err == nil {
-		t.Fatal("Bootstrap(1 resample) did not error")
-	}
-	if _, err := Bootstrap(xs, Mean, 100, 1.5, 1); err == nil {
-		t.Fatal("Bootstrap(conf=1.5) did not error")
-	}
-}

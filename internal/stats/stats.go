@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -44,24 +43,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the minimum and maximum of xs, or an error on an empty
-// slice — the non-panicking form for callers fed from external data.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
 
 // Min returns the minimum of xs; it panics on an empty slice.
 func Min(xs []float64) float64 {
@@ -200,51 +181,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Width returns Hi - Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
-// Bootstrap estimates a confidence interval for stat(xs) by the
-// percentile bootstrap: resamples of xs with replacement are drawn with
-// a deterministic seeded RNG, stat is evaluated on each, and the
-// (1-conf)/2 and (1+conf)/2 quantiles of the resampled statistics form
-// the interval. conf is e.g. 0.95; resamples of ~200 suffice for the
-// calibration suite.
-func Bootstrap(xs []float64, stat func([]float64) float64, resamples int, conf float64, seed int64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, errors.New("stats: Bootstrap of empty slice")
-	}
-	if stat == nil {
-		return Interval{}, errors.New("stats: Bootstrap with nil statistic")
-	}
-	if resamples < 2 {
-		return Interval{}, fmt.Errorf("stats: Bootstrap needs ≥ 2 resamples, got %d", resamples)
-	}
-	if conf <= 0 || conf >= 1 || math.IsNaN(conf) {
-		return Interval{}, fmt.Errorf("stats: confidence %v out of (0,1)", conf)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	buf := make([]float64, len(xs))
-	vals := make([]float64, resamples)
-	for r := range vals {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		vals[r] = stat(buf)
-	}
-	lo, err := Quantile(vals, (1-conf)/2)
-	if err != nil {
-		return Interval{}, err
-	}
-	hi, err := Quantile(vals, (1+conf)/2)
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Lo: lo, Hi: hi}, nil
-}
-
 // RelErr returns |predicted-actual| / actual. An actual of zero yields
 // zero when predicted is also zero, else +Inf.
 func RelErr(predicted, actual float64) float64 {
@@ -271,23 +207,6 @@ func MAPE(predicted, actual []float64) (float64, error) {
 		s += RelErr(predicted[i], actual[i])
 	}
 	return 100 * s / float64(len(predicted)), nil
-}
-
-// MaxAPE returns the maximum absolute percentage error (in percent).
-func MaxAPE(predicted, actual []float64) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, fmt.Errorf("stats: MaxAPE length mismatch %d vs %d", len(predicted), len(actual))
-	}
-	if len(predicted) == 0 {
-		return 0, errors.New("stats: MaxAPE of empty series")
-	}
-	m := 0.0
-	for i := range predicted {
-		if e := RelErr(predicted[i], actual[i]); e > m {
-			m = e
-		}
-	}
-	return 100 * m, nil
 }
 
 // LinearFit is the result of an ordinary-least-squares fit
@@ -340,14 +259,6 @@ type PiecewiseFit struct {
 	Small     LinearFit
 	Large     LinearFit
 	RMSE      float64
-}
-
-// Predict evaluates the piecewise model at x.
-func (f PiecewiseFit) Predict(x float64) float64 {
-	if x <= f.Threshold {
-		return f.Small.Predict(x)
-	}
-	return f.Large.Predict(x)
 }
 
 // FitPiecewise fits a two-piece linear model by exhaustive search over

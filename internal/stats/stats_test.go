@@ -82,16 +82,6 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestMaxAPE(t *testing.T) {
-	got, err := MaxAPE([]float64{110, 80}, []float64{100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(got, 20, 1e-9) {
-		t.Fatalf("MaxAPE = %v, want 20", got)
-	}
-}
-
 func TestOLSRecoversExactLine(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := make([]float64, len(x))
@@ -244,4 +234,12 @@ func TestMAPEScaleInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Predict evaluates the piecewise model at x.
+func (f PiecewiseFit) Predict(x float64) float64 {
+	if x <= f.Threshold {
+		return f.Small.Predict(x)
+	}
+	return f.Large.Predict(x)
 }

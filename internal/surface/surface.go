@@ -210,9 +210,6 @@ func (s *Surface) Stats() Stats { return s.stats }
 // Checksum implements core.SlowdownSurface.
 func (s *Surface) Checksum() uint64 { return s.checksum }
 
-// Valid implements core.SlowdownSurface.
-func (s *Surface) Valid() bool { return s.valid.Load() }
-
 // Invalidate implements core.SlowdownSurface.
 func (s *Surface) Invalidate() {
 	if s.valid.Swap(false) {

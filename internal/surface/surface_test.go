@@ -289,9 +289,10 @@ func TestSurfaceInvalidation(t *testing.T) {
 	if _, ok := pred.TryCommSlowdown(cs); !ok {
 		t.Fatal("attached surface should answer")
 	}
+	valid := func() bool { _, ok := s.Comm(3, 0.25); return ok }
 
 	pred.MarkStale("regime change")
-	if s.Valid() {
+	if valid() {
 		t.Fatal("MarkStale must invalidate the attached surface")
 	}
 	if _, ok := pred.TryCommSlowdown(cs); ok {
@@ -302,7 +303,7 @@ func TestSurfaceInvalidation(t *testing.T) {
 	}
 
 	pred.ClearStale()
-	if !s.Valid() {
+	if !valid() {
 		t.Fatal("ClearStale must revalidate a same-tables surface")
 	}
 	if _, ok := pred.TryCommSlowdown(cs); !ok {
@@ -329,7 +330,7 @@ func TestSurfaceInvalidation(t *testing.T) {
 	if pred.Stale() == "" {
 		t.Fatal("superseded predictor must be marked stale")
 	}
-	if s.Valid() {
+	if valid() {
 		t.Fatal("superseded predictor's surface must be invalidated")
 	}
 	if _, ok := pred.TryCommSlowdown(cs); ok {

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -27,13 +26,6 @@ type Trace struct {
 // are sorted stably at rendering time.
 func (t *Trace) Record(at float64, actor, state string) {
 	t.events = append(t.events, Event{At: at, Actor: actor, State: state})
-}
-
-// Events returns a copy of the log sorted by time (stable).
-func (t *Trace) Events() []Event {
-	out := append([]Event(nil), t.events...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
 }
 
 // Len reports the number of recorded events.

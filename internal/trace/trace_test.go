@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -97,4 +98,11 @@ func TestTimelinePanicsOnBadStep(t *testing.T) {
 		}
 	}()
 	tr.Timeline(0, []string{"a"})
+}
+
+// Events returns a copy of the log sorted by time (stable).
+func (t *Trace) Events() []Event {
+	out := append([]Event(nil), t.events...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
 }

@@ -230,16 +230,6 @@ func IOOpsPerCycle(sp *platform.SunParagon, spec AlternatorSpec) (ops, words int
 	return ops, words
 }
 
-// BurstToParagon sends count messages of words each from the Sun,
-// returning elapsed virtual time (the Figure 5 measurement).
-func BurstToParagon(p *des.Proc, sp *platform.SunParagon, port string, count, words int) float64 {
-	start := p.Now()
-	for i := 0; i < count; i++ {
-		sp.SendToParagon(p, port, words)
-	}
-	return p.Now() - start
-}
-
 // BurstFromParagon has the Paragon node stream a count×words burst to
 // the Sun and receives it on port in p, which pays the conversion,
 // returning elapsed virtual time (the Figure 6 measurement).

@@ -4,24 +4,12 @@ import (
 	"contention/internal/core"
 	"contention/internal/faults"
 	"contention/internal/monitor"
-	"contention/internal/rm"
 )
 
-// Run-time infrastructure around the model: the resource manager the
-// paper assumes supplies the application set (§2), and a load monitor
-// that estimates workload parameters from observation when no
-// descriptors are available.
+// Run-time infrastructure around the model: a load monitor that
+// estimates workload parameters from observation when no descriptors of
+// the application set (§2) are available.
 type (
-	// ResourceManager admits applications, queues MPP partition
-	// requests, and keeps the running contender set the slowdowns are
-	// evaluated over.
-	ResourceManager = rm.Manager
-	// ResourceManagerConfig configures a ResourceManager.
-	ResourceManagerConfig = rm.Config
-	// AppDescriptor registers one application with the manager.
-	AppDescriptor = rm.AppDescriptor
-	// RunningApp is an admitted application.
-	RunningApp = rm.Running
 	// Monitor samples a platform and estimates workload parameters.
 	Monitor = monitor.Monitor
 	// MonitorSample is one reading of the platform counters.
@@ -30,25 +18,10 @@ type (
 	WorkloadEstimate = monitor.Estimate
 )
 
-// NewResourceManager builds a resource manager.
-func NewResourceManager(k *Kernel, cfg ResourceManagerConfig) (*ResourceManager, error) {
-	return rm.New(k, cfg)
-}
-
 // NewMonitor creates a load monitor sampling sp every interval seconds.
 func NewMonitor(sp *SunParagon, interval float64, maxKeep int) (*Monitor, error) {
 	return monitor.New(sp, interval, maxKeep)
 }
-
-// Admission-control sentinels (see internal/rm).
-var (
-	// ErrQueueFull is returned when the bounded admission queue is at
-	// capacity.
-	ErrQueueFull = rm.ErrQueueFull
-	// ErrSubmitTimeout is returned when a queued partition request is
-	// not granted within the configured submit timeout.
-	ErrSubmitTimeout = rm.ErrSubmitTimeout
-)
 
 // --- Fault injection and graceful degradation -------------------------------
 

@@ -1,0 +1,9 @@
+package lib
+
+import "testing"
+
+func TestPoke(t *testing.T) {
+	var p Poker = New()
+	p.Poke()
+	Unused()
+}
