@@ -148,6 +148,9 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 // request within about that, not after its hour-long batch window or
 // its own Timeout — nothing else tells it the router gave up.
 func TestSubMillisecondBudgetReachesReplica(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(prev) })
 	c, err := New(Config{
 		Replicas:      1,
 		Factory:       InProcessFactory(InProcConfig{Window: time.Hour}),
@@ -173,6 +176,13 @@ func TestSubMillisecondBudgetReachesReplica(t *testing.T) {
 	rep := c.Replica(0).(*InProcReplica)
 	srv := rep.Server()
 	h := c.Handler()
+	reached := func() (n float64) { // requests the replica's predict saw
+		for _, v := range obs.Default().Snapshot().Labelled(obs.MetricServeRequests) {
+			n += v
+		}
+		return n
+	}
+	before := reached()
 	for i := 0; i < 10; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(predictBody(i)))
 		rec := httptest.NewRecorder()
@@ -187,6 +197,9 @@ func TestSubMillisecondBudgetReachesReplica(t *testing.T) {
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
+	}
+	if reached() == before {
+		t.Fatal("no try reached the replica, so nothing above was tested")
 	}
 	// Every slot came back: degraded, so that it skips the hour-long
 	// window, a request straight to the replica is admitted and answered.

@@ -46,8 +46,8 @@ func buildContentiond(t *testing.T) string {
 }
 
 // TestRemoteChaosGate is the multi-host SLO gate: real contentiond
-// child processes joined as remote members, each reached through a
-// netchaos proxy that injects a seeded schedule of latency, resets,
+// child processes joined as remote members, each reached through the
+// in-package chaos proxy (chaosproxy_test.go) that injects a seeded schedule of latency, resets,
 // stalls, and partitions mid-load. The fleet must hold ≥99% success,
 // never go fully dark in any 250ms bucket, mark partitioned members
 // suspect via the heartbeat failure detector, and readmit them after

@@ -19,7 +19,6 @@ const eps = 1e-9
 // Host is a processor-sharing CPU attached to a simulation kernel.
 type Host struct {
 	k     *des.Kernel
-	name  string
 	speed float64 // work units per second when a job runs alone
 
 	jobs       []job
@@ -50,11 +49,12 @@ type job struct {
 }
 
 // NewHost returns a PS host with the given speed (work units/second).
+// name labels the host at the call site; the host does not keep it.
 func NewHost(k *des.Kernel, name string, speed float64) *Host {
 	if speed <= 0 || math.IsNaN(speed) {
 		panic(fmt.Sprintf("cpu: invalid speed %v", speed))
 	}
-	return &Host{k: k, name: name, speed: speed}
+	return &Host{k: k, speed: speed}
 }
 
 // Load reports the current number of resident jobs.
@@ -88,10 +88,10 @@ func (h *Host) Compute(p *des.Proc, work float64) {
 // A job with weight w receives a w/Σw fraction of the processor.
 func (h *Host) ComputeWeighted(p *des.Proc, work, weight float64) {
 	if work < 0 || math.IsNaN(work) {
-		panic(fmt.Sprintf("cpu %s: invalid work %v", h.name, work))
+		panic(fmt.Sprintf("cpu: invalid work %v", work))
 	}
 	if weight <= 0 || math.IsNaN(weight) {
-		panic(fmt.Sprintf("cpu %s: invalid weight %v", h.name, weight))
+		panic(fmt.Sprintf("cpu: invalid weight %v", weight))
 	}
 	if work == 0 {
 		p.Delay(0)
@@ -155,7 +155,7 @@ func (h *Host) advance() {
 // the window ends; overlapping stalls merge.
 func (h *Host) Stall(d float64) {
 	if d < 0 || math.IsNaN(d) {
-		panic(fmt.Sprintf("cpu %s: invalid stall duration %v", h.name, d))
+		panic(fmt.Sprintf("cpu: invalid stall duration %v", d))
 	}
 	if d == 0 {
 		return

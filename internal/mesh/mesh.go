@@ -79,12 +79,12 @@ var ErrInsufficientNodes = errors.New("mesh: not enough free nodes")
 // (Wan et al., the paper's reference [18]).
 type Partition struct {
 	m        *Machine
-	owner    string
 	nodes    []int
 	released bool
 }
 
-// Allocate reserves n nodes for the named application. Allocation is
+// Allocate reserves n nodes for the application named owner (a label
+// for the call site; the partition does not keep it). Allocation is
 // first-fit over free node ids (contiguous when possible, non-contiguous
 // otherwise); it fails immediately rather than queuing.
 func (m *Machine) Allocate(owner string, n int) (*Partition, error) {
@@ -100,7 +100,7 @@ func (m *Machine) Allocate(owner string, n int) (*Partition, error) {
 		ids = append([]int(nil), m.free[:n]...)
 	}
 	m.removeFree(ids)
-	return &Partition{m: m, owner: owner, nodes: ids}, nil
+	return &Partition{m: m, nodes: ids}, nil
 }
 
 func (m *Machine) contiguousRun(n int) []int {
@@ -146,7 +146,7 @@ func (p *Partition) Release() {
 // sharing means no contention with other partitions.
 func (p *Partition) Compute(proc *des.Proc, workPerNode float64) {
 	if p.released {
-		panic(fmt.Sprintf("mesh: Compute on %s's released partition", p.owner))
+		panic("mesh: Compute on released partition")
 	}
 	if workPerNode < 0 {
 		panic(fmt.Sprintf("mesh: negative work %v", workPerNode))

@@ -21,16 +21,16 @@ import (
 // Backend is the SIMD machine: a sequencer plus execution engine.
 type Backend struct {
 	k         *des.Kernel
-	name      string
 	sequencer *des.Semaphore
 
 	totalBusy float64 // instruction-execution time across all sessions
 	sessions  int     // sessions opened
 }
 
-// NewBackend returns an idle back-end.
+// NewBackend returns an idle back-end. name labels it at the call
+// site; the back-end does not keep it.
 func NewBackend(k *des.Kernel, name string) *Backend {
-	return &Backend{k: k, name: name, sequencer: des.NewSemaphore(k, 1)}
+	return &Backend{k: k, sequencer: des.NewSemaphore(k, 1)}
 }
 
 // Session is one application's exclusive attachment to the sequencer.
@@ -65,7 +65,7 @@ type Interval struct {
 // front-end and the back-end.
 func (b *Backend) Attach(p *des.Proc, app string, fifoCap int) *Session {
 	if fifoCap < 1 {
-		panic(fmt.Sprintf("simd %s: fifo capacity %d must be ≥ 1", b.name, fifoCap))
+		panic(fmt.Sprintf("simd: fifo capacity %d must be ≥ 1", fifoCap))
 	}
 	b.sequencer.Acquire(p)
 	b.sessions++
