@@ -17,10 +17,11 @@ vet:
 	else echo "vet: staticcheck not installed, skipping"; fi
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
-# Every exported name under internal/ must have a use in a non-test file
-# of this module or of bench/ (deadapi_test.go: interface methods, the
+# Every exported name, and every unexported function or method, under
+# internal/ must have a use in a non-test file of this module or of
+# bench/ (deadapi_test.go: interface methods, the exported methods of the
 # façade's aliased types, internal/prob and a short allow-list exempt).
-# API only tests call lives in those tests' _test.go files.
+# Code only tests call lives in those tests' _test.go files.
 deadapi:
 	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$' .
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
@@ -86,15 +87,19 @@ fuzz:
 #  - contentionlb booted on a free port with -max-tries 0 and -probe 0:
 #    one JSON predict through it, SIGINT, and its manifest must record
 #    the values in force (max_tries 3, probe 250ms, suspect_after 4),
-#    not the flags as given; the removed -spill and -heartbeat flags
-#    must be refused;
-#  - an unknown experiment id is refused (before anything is calibrated);
+#    not the flags as given, with the .prom sidecar beside it; the
+#    removed -spill and -heartbeat flags must be refused;
+#  - contentiond booted the same way: one predict, SIGINT, and its
+#    manifest must record the defaults in force (window 1ms, max_batch
+#    256), with the .prom sidecar beside it;
+#  - an unknown experiment id is refused (before anything is calibrated),
+#    and one known id writes its manifest and .prom sidecar;
 #  - no command, example or the façade links internal/prob: it is a test
 #    and bench reference, and the slowdown kernel is the one production DP;
 #  - bench/ is its own module, invisible to `go test ./...`: vet and test
 #    it here so an export it needs cannot disappear unnoticed.
 smoke:
-	tmp=$$(mktemp -d) && trap 'kill $$lbpid 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	tmp=$$(mktemp -d) && trap 'kill $$lbpid $$dpid 2>/dev/null; rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/calibrate -burst 50 -contenders 2 -save "$$tmp/cal.json" && \
 	$(GO) run ./cmd/calibrate -check "$$tmp/cal.json" && \
 	head -c 120 "$$tmp/cal.json" > "$$tmp/trunc.json" && \
@@ -123,9 +128,23 @@ smoke:
 	grep -q '"max_tries": *"3"' "$$tmp/lb.json" && \
 	grep -q '"probe": *"250ms"' "$$tmp/lb.json" && \
 	grep -q '"suspect_after": *"4"' "$$tmp/lb.json" && \
+	test -f "$$tmp/lb.prom" && \
+	{ "$$tmp/contentiond" -addr 127.0.0.1:0 -run-report "$$tmp/d.json" 2> "$$tmp/d.log" & } && \
+	dpid=$$! && \
+	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/d.log" && break; sleep 0.1; done && \
+	daddr=$$(sed -n 's|^contentiond on http://\([^ ]*\) .*|\1|p' "$$tmp/d.log") && \
+	curl -sSf -H 'Content-Type: application/json' \
+		-d '{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":0.3,"msg_words":100}]}' \
+		"http://$$daddr/v1/predict" > /dev/null && \
+	kill -INT $$dpid && wait $$dpid && dpid= && \
+	grep -q '"window": *"1ms"' "$$tmp/d.json" && \
+	grep -q '"max_batch": *"256"' "$$tmp/d.json" && \
+	test -f "$$tmp/d.prom" && \
 	! "$$tmp/contentionlb" -spill 1 2>/dev/null && \
 	! "$$tmp/contentionlb" -heartbeat 1s 2>/dev/null && \
 	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
+	$(GO) run ./cmd/experiments -only table3 -run-report "$$tmp/x.json" > /dev/null 2>&1 && \
+	test -f "$$tmp/x.json" && test -f "$$tmp/x.prom" && \
 	! $(GO) list -deps ./cmd/... ./examples/... . | grep -q internal/prob
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

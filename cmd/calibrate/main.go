@@ -20,6 +20,7 @@ import (
 	"contention/internal/calibrate"
 	"contention/internal/caltrust"
 	"contention/internal/core"
+	"contention/internal/obs"
 	"contention/internal/platform"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	save := flag.String("save", "", "write the calibration atomically to FILE as a checksummed envelope")
 	repeats := flag.Int("repeats", 1, "measurements per calibration point (robust aggregation when > 1)")
 	flag.Parse()
-	defer exitOnPanic()
+	defer obs.ExitOnPanic()
 
 	if *check != "" {
 		os.Exit(runCheck(*check))
@@ -159,14 +160,4 @@ func runCheck(path string) int {
 	}
 	fmt.Printf("OK: %s: schema %d, checksum verified, invariants hold%s\n", path, env.Schema, note)
 	return 0
-}
-
-// exitOnPanic turns a stray panic from the internal packages into a
-// clean error exit instead of a crash dump — user input must never
-// produce a stack trace.
-func exitOnPanic() {
-	if r := recover(); r != nil {
-		fmt.Fprintln(os.Stderr, "fatal:", r)
-		os.Exit(1)
-	}
 }

@@ -24,18 +24,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"contention/internal/caltrust"
@@ -57,61 +51,13 @@ func main() {
 	useSurface := flag.Bool("surface", false, "precompute the slowdown surface at startup and enable the batcher-bypass fast path")
 	surfaceP := flag.Int("surface-max-p", 16, "largest homogeneous contender count covered by -surface")
 	surfaceCells := flag.Int("surface-cells", 512, "comm-fraction grid cells for -surface (power of two)")
-	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N headless requests into the span timeline (0 disables; propagated trace verdicts are always honored)")
-	sloLatency := flag.Duration("slo-latency", 0, "latency SLO threshold (0 disables the SLO tracker)")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "fraction of requests that must beat -slo-latency")
-	sloAvailability := flag.Float64("slo-availability", 0.999, "fraction of requests that must succeed")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metrics := flag.Bool("metrics", false, "record telemetry and expose GET /metrics; implied by -metrics-addr and -run-report")
-	metricsAddr := flag.String("metrics-addr", "", "also serve Prometheus text on http://ADDR/metrics and expvar on /debug/vars")
-	runReport := flag.String("run-report", "", "write a JSON run manifest to this file at exit (plus a Prometheus snapshot beside it)")
+	run := obs.NewCommand("contentiond")
+	run.ProfileFlags()
+	run.ServingFlags()
 	flag.Parse()
-	defer exitOnPanic()
-	start := time.Now()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}()
-	}
-
-	if *metricsAddr != "" || *runReport != "" {
-		*metrics = true
-	}
-	if *metrics {
-		obs.SetEnabled(true)
-	}
-	if *metricsAddr != "" {
-		a, err := obs.ListenAndServe(*metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-addr:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", a)
-	}
+	defer obs.ExitOnPanic()
+	run.Start()
+	defer run.Stop()
 
 	cal := serve.SyntheticCalibration()
 	calSource := "synthetic"
@@ -153,19 +99,6 @@ func main() {
 			st.Fills, st.MaxContenders, st.GridCells, st.Columns, st.MaxRelError)
 	}
 
-	var slo *obs.SLOTracker
-	if *sloLatency > 0 {
-		slo, err = obs.NewSLOTracker(obs.SLOConfig{
-			LatencyThresholdSeconds: sloLatency.Seconds(),
-			LatencyTarget:           *sloLatencyTarget,
-			AvailabilityTarget:      *sloAvailability,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slo:", err)
-			os.Exit(1)
-		}
-	}
-
 	srv, err := serve.New(serve.Config{
 		Pred:        pred,
 		Tracker:     tracker,
@@ -176,8 +109,8 @@ func main() {
 		MaxQueue:    *maxQueue,
 		Timeout:     *timeout,
 		FastPath:    *useSurface,
-		Sampler:     obs.NewSampler(*traceSample),
-		SLO:         slo,
+		Sampler:     run.Sampler(),
+		SLO:         run.SLO(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -186,7 +119,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	if *metrics {
+	if run.Metrics() {
 		mux.Handle("GET /metrics", obs.Default().Handler())
 	}
 
@@ -202,20 +135,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "contentiond on http://%s (calibration %s, trust %s, window %v)\n",
 		ln.Addr(), calSource, tracker.State(), eff.Window)
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "%v: draining\n", sig)
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
-	}
+	obs.ServeUntilSignal(httpSrv, ln, "draining")
 
 	// Flip /readyz to 503 first so routers stop sending new work, then
 	// let in-flight requests finish within the shutdown deadline.
@@ -227,9 +147,8 @@ func main() {
 	}
 	srv.Close()
 
-	if *runReport != "" {
-		m := obs.NewManifest("contentiond")
-		m.Config = map[string]string{
+	run.Report(func() *obs.Manifest {
+		return run.Manifest(map[string]string{
 			"addr":         *addr,
 			"cal":          calSource,
 			"window":       eff.Window.String(),
@@ -237,33 +156,6 @@ func main() {
 			"max_inflight": strconv.Itoa(eff.MaxInFlight),
 			"max_queue":    strconv.Itoa(eff.MaxQueue),
 			"timeout":      eff.Timeout.String(),
-		}
-		m.StartedAt = start.UTC().Format(time.RFC3339)
-		m.WallSeconds = time.Since(start).Seconds()
-		m.Spans = obs.DefaultTracer().Spans()
-		if slo != nil {
-			st := slo.Status()
-			m.SLO = &st
-		}
-		m.FillFromSnapshot(obs.Default().Snapshot())
-		if err := m.Write(*runReport); err != nil {
-			fmt.Fprintln(os.Stderr, "run-report:", err)
-			os.Exit(1)
-		}
-		prom := strings.TrimSuffix(*runReport, ".json") + ".prom"
-		if err := os.WriteFile(prom, []byte(obs.Default().PrometheusText()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "run-report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "run manifest: %s (metrics snapshot: %s)\n", *runReport, prom)
-	}
-}
-
-// exitOnPanic turns a stray panic from the internal packages into a
-// clean error exit instead of a crash dump.
-func exitOnPanic() {
-	if r := recover(); r != nil {
-		fmt.Fprintln(os.Stderr, "fatal:", r)
-		os.Exit(1)
-	}
+		})
+	})
 }

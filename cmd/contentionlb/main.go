@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -51,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -76,32 +74,12 @@ func main() {
 	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "failure-detector threshold in learned probe intervals of silence (0 selects the default)")
 	reload := flag.Duration("reload", time.Second, "members-file poll interval")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "end-to-end request deadline (0 selects the default)")
-	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N headless requests into the span timeline (0 disables; propagated trace verdicts are always honored)")
-	sloLatency := flag.Duration("slo-latency", 0, "latency SLO threshold (0 disables the SLO tracker)")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "fraction of requests that must beat -slo-latency")
-	sloAvailability := flag.Float64("slo-availability", 0.999, "fraction of requests that must succeed")
 	fleetScrape := flag.Duration("fleet-scrape", cluster.DefaultFleetInterval, "member /metrics scrape period for the fleet_* aggregation and /debug/fleet (0 disables)")
-	metrics := flag.Bool("metrics", false, "record telemetry and expose GET /metrics; implied by -metrics-addr and -run-report")
-	metricsAddr := flag.String("metrics-addr", "", "also serve Prometheus text on http://ADDR/metrics and expvar on /debug/vars")
-	runReport := flag.String("run-report", "", "write a JSON run manifest to this file at exit (plus a Prometheus snapshot beside it)")
+	run := obs.NewCommand("contentionlb")
+	run.ServingFlags()
 	flag.Parse()
-	defer exitOnPanic()
-	start := time.Now()
-
-	if *metricsAddr != "" || *runReport != "" {
-		*metrics = true
-	}
-	if *metrics {
-		obs.SetEnabled(true)
-	}
-	if *metricsAddr != "" {
-		a, err := obs.ListenAndServe(*metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-addr:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", a)
-	}
+	defer obs.ExitOnPanic()
+	run.Start()
 
 	// A members file with no explicit -replicas means a remote-only
 	// balancer: every backend lives on another host.
@@ -131,7 +109,7 @@ func main() {
 		// Children must expose /metrics for the fleet_* aggregation to
 		// have anything to scrape; a member without it answers 404 and
 		// is silently skipped.
-		if *metrics || *fleetScrape > 0 {
+		if run.Metrics() || *fleetScrape > 0 {
 			args = append(args, "-metrics")
 		}
 		factory = cluster.ExecFactory(*execBin, args...)
@@ -148,20 +126,6 @@ func main() {
 		factory = cluster.InProcessFactory(cluster.InProcConfig{Cal: cal, Window: *window})
 	}
 
-	var slo *obs.SLOTracker
-	if *sloLatency > 0 {
-		var err error
-		slo, err = obs.NewSLOTracker(obs.SLOConfig{
-			LatencyThresholdSeconds: sloLatency.Seconds(),
-			LatencyTarget:           *sloLatencyTarget,
-			AvailabilityTarget:      *sloAvailability,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slo:", err)
-			os.Exit(1)
-		}
-	}
-
 	c, err := cluster.New(cluster.Config{
 		Replicas:      *replicas,
 		Factory:       factory,
@@ -171,8 +135,8 @@ func main() {
 		ProbeInterval: *probe,
 		SuspectAfter:  *suspectAfter,
 		Timeout:       *timeout,
-		Sampler:       obs.NewSampler(*traceSample),
-		SLO:           slo,
+		Sampler:       run.Sampler(),
+		SLO:           run.SLO(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -231,7 +195,7 @@ func main() {
 		go fleet.Run(memStop)
 	}
 	mux.Handle("GET /debug/fleet", fleet.Handler())
-	if *metrics {
+	if run.Metrics() {
 		// The balancer's exposition includes the merged fleet_* series
 		// from the latest member scrape.
 		mux.Handle("GET /metrics", fleet.MetricsHandler())
@@ -249,20 +213,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v, max tries %d, retry budget %g, timeout %v, probe %v, suspect after %g)\n",
 		ln.Addr(), *replicas, backend, effWindow, eff.HedgeDelay, eff.MaxTries, eff.RetryBudget, eff.Timeout, eff.ProbeInterval, eff.SuspectAfter)
 
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "%v: draining fleet\n", sig)
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
-	}
+	obs.ServeUntilSignal(httpSrv, ln, "draining fleet")
 
 	// Drain order: the cluster flips /readyz and refuses new predicts
 	// first, in-flight routed requests finish, replicas close; then the
@@ -277,9 +228,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shutdown:", err)
 	}
 
-	if *runReport != "" {
-		m := obs.NewManifest("contentionlb")
-		m.Config = map[string]string{
+	run.Report(func() *obs.Manifest {
+		return run.Manifest(map[string]string{
 			"addr":          *addr,
 			"replicas":      strconv.Itoa(*replicas),
 			"backend":       backend,
@@ -290,33 +240,6 @@ func main() {
 			"timeout":       eff.Timeout.String(),
 			"probe":         eff.ProbeInterval.String(),
 			"suspect_after": fmt.Sprintf("%g", eff.SuspectAfter),
-		}
-		m.StartedAt = start.UTC().Format(time.RFC3339)
-		m.WallSeconds = time.Since(start).Seconds()
-		m.Spans = obs.DefaultTracer().Spans()
-		if slo != nil {
-			st := slo.Status()
-			m.SLO = &st
-		}
-		m.FillFromSnapshot(obs.Default().Snapshot())
-		if err := m.Write(*runReport); err != nil {
-			fmt.Fprintln(os.Stderr, "run-report:", err)
-			os.Exit(1)
-		}
-		prom := strings.TrimSuffix(*runReport, ".json") + ".prom"
-		if err := os.WriteFile(prom, []byte(obs.Default().PrometheusText()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "run-report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "run manifest: %s (metrics snapshot: %s)\n", *runReport, prom)
-	}
-}
-
-// exitOnPanic turns a stray panic from the internal packages into a
-// clean error exit instead of a crash dump.
-func exitOnPanic() {
-	if r := recover(); r != nil {
-		fmt.Fprintln(os.Stderr, "fatal:", r)
-		os.Exit(1)
-	}
+		})
+	})
 }

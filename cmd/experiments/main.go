@@ -15,12 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strconv"
-	"strings"
-	"time"
 
 	"contention/internal/experiments"
 	"contention/internal/obs"
@@ -36,57 +32,12 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	parallel := flag.Bool("parallel", true, "fan experiment drivers and sweeps out on a worker pool (output is byte-identical to serial)")
 	workers := flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metrics := flag.Bool("metrics", false, "record telemetry (metrics + spans); implied by -metrics-addr and -run-report")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text on http://ADDR/metrics and expvar on /debug/vars")
-	runReport := flag.String("run-report", "", "write a JSON run manifest to this file at exit (plus a Prometheus snapshot beside it)")
+	run := obs.NewCommand("experiments")
+	run.ProfileFlags()
 	flag.Parse()
-	defer exitOnPanic()
-	start := time.Now()
-
-	if *metricsAddr != "" || *runReport != "" {
-		*metrics = true
-	}
-	if *metrics {
-		obs.SetEnabled(true)
-	}
-	if *metricsAddr != "" {
-		addr, err := obs.ListenAndServe(*metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-addr:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", addr)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}()
-	}
+	defer obs.ExitOnPanic()
+	run.Start()
+	defer run.Stop()
 
 	ids := []string{"table1-2", "table3", "table4", "figure1", "figure2",
 		"figure3", "figure4", "figure5", "figure6", "figure7", "figure8",
@@ -147,7 +98,7 @@ func main() {
 		}
 		selected = append(selected, r)
 	}
-	if *runReport != "" {
+	run.Report(func() *obs.Manifest {
 		m := experiments.BuildManifest(env, "experiments", map[string]string{
 			"only":       *only,
 			"extensions": strconv.FormatBool(wantExt),
@@ -156,19 +107,8 @@ func main() {
 			"workers":    strconv.Itoa(env.Pool.Workers()),
 		})
 		m.Scenario = scenarioReport
-		m.StartedAt = start.UTC().Format(time.RFC3339)
-		m.WallSeconds = time.Since(start).Seconds()
-		if err := m.Write(*runReport); err != nil {
-			fmt.Fprintln(os.Stderr, "run-report:", err)
-			os.Exit(1)
-		}
-		prom := strings.TrimSuffix(*runReport, ".json") + ".prom"
-		if err := os.WriteFile(prom, []byte(obs.Default().PrometheusText()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "run-report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "run manifest: %s (metrics snapshot: %s)\n", *runReport, prom)
-	}
+		return m
+	})
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -180,15 +120,5 @@ func main() {
 	}
 	for _, r := range selected {
 		fmt.Println(r.Render())
-	}
-}
-
-// exitOnPanic turns a stray panic from the internal packages into a
-// clean error exit instead of a crash dump — user input must never
-// produce a stack trace.
-func exitOnPanic() {
-	if r := recover(); r != nil {
-		fmt.Fprintln(os.Stderr, "fatal:", r)
-		os.Exit(1)
 	}
 }

@@ -44,10 +44,11 @@ var deadAPIExemptPkgs = []string{
 	"contention/internal/prob", // the Poisson-binomial the slowdown kernel's tests and the bench ladder hold it to
 }
 
-// TestNoDeadAPI fails on every exported name declared in a non-test
-// file under internal/ that no non-test file of this module or of the
-// bench module uses. Tests cannot keep API alive: a helper only tests
-// call belongs in the _test.go files of the package whose tests use it.
+// TestNoDeadAPI fails on every exported name, and every unexported
+// function or method, declared in a non-test file under internal/ that
+// no non-test file of this module or of the bench module uses. Tests
+// cannot keep code alive: a helper only tests call belongs in the
+// _test.go files of the package whose tests use it.
 func TestNoDeadAPI(t *testing.T) {
 	dead, err := deadAPI(".", []string{"bench"}, deadAPIExemptPkgs, deadAPIAllow)
 	if err != nil {
@@ -59,10 +60,11 @@ func TestNoDeadAPI(t *testing.T) {
 }
 
 // TestDeadAPIFixture runs the gate on a two-module fixture: of
-// internal/lib's names it must flag only the dead function, the
-// interface only a test uses and the method only that interface
-// declares — not a String method, a method production calls through an
-// interface, or a function only the consumer module calls.
+// internal/lib's names it must flag only the dead exported and
+// unexported functions, the interface only a test uses and the method
+// only that interface declares — not a String method, an exported or
+// unexported method production calls through an interface, or a
+// function only the consumer module calls.
 func TestDeadAPIFixture(t *testing.T) {
 	dead, err := deadAPI(filepath.Join("testdata", "deadapi"), []string{"consumer"}, nil, nil)
 	if err != nil {
@@ -73,7 +75,7 @@ func TestDeadAPIFixture(t *testing.T) {
 		got = append(got, d[strings.LastIndex(d, " ")+1:])
 	}
 	sort.Strings(got)
-	if want := []string{"lib.Poker", "lib.Unused", "lib.Widget.Poke"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %q, want exactly %q", got, want)
 	}
 }
@@ -130,11 +132,13 @@ func goList(dir string) (mod string, pkgs []listedPkg, err error) {
 // deadAPI type-checks the non-test files of the module at root and of
 // each consumer module (directories relative to root) against export
 // data, and returns "file:line: pkg.Name" (or pkg.Type.Method) for each
-// exported name declared under root's internal/ that none of them uses.
-// A use inside the name's own declaration does not count. Exempt are
+// exported name, and each unexported function or method, declared under
+// root's internal/ that none of them uses. Unexported consts, vars,
+// types and fields are not candidates: enum members are used only by
+// position. A use inside the name's own declaration does not count. Exempt are
 // methods that satisfy an interface method some non-test file calls or
-// a deadStdIfaces interface, methods of types the root package aliases,
-// everything in the exempt packages, and the allow-list.
+// a deadStdIfaces interface, exported methods of types the root package
+// aliases, everything in the exempt packages, and the allow-list.
 func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[string]string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -178,6 +182,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 	// interface whose methods are called.
 	used := map[string]bool{}
 	ifaces := map[string]*deadIface{}
+	checked := map[string]*types.Package{}
 	for _, p := range srcPkgs {
 		var files []*ast.File
 		for _, name := range p.GoFiles {
@@ -189,9 +194,11 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		}
 		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
 			return nil, fmt.Errorf("type-check %s: %w", p.ImportPath, err)
 		}
+		checked[p.ImportPath] = pkg
 		self := map[*ast.Ident]bool{}
 		for _, f := range files {
 			for _, d := range f.Decls {
@@ -240,9 +247,11 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	ifaces["error"] = &deadIface{it: errIface, methods: map[string]bool{"Error": true}}
 
-	// Candidates come from export data, so every package shares one
-	// set of types; interface satisfaction is then decided over the
-	// named types of the root module, embedded promotion included.
+	// Candidates come from the type-checked sources, whose scopes hold
+	// the unexported names export data may omit; interface satisfaction
+	// is then decided over the named types of the root module, embedded
+	// promotion included. Types from sources and from export data are
+	// distinct objects, so keys and signatures compare as strings.
 	live := map[string]bool{}
 	type cand struct {
 		key string
@@ -253,10 +262,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		if p.Module.Path != rootMod {
 			continue
 		}
-		pkg, err := imp.Import(p.ImportPath)
-		if err != nil {
-			return nil, err
-		}
+		pkg := checked[p.ImportPath]
 		internal := strings.HasPrefix(p.ImportPath, rootMod+"/internal/")
 		for _, ex := range exemptPkgs {
 			if p.ImportPath == ex || strings.HasPrefix(p.ImportPath, ex+"/") {
@@ -269,7 +275,9 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 				if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
 					if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
 						for i := 0; i < n.NumMethods(); i++ {
-							live[deadKey(n.Method(i))] = true
+							if m := n.Method(i); m.Exported() {
+								live[deadKey(m)] = true
+							}
 						}
 					}
 				}
@@ -296,14 +304,13 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 			if !internal {
 				continue
 			}
-			if obj.Exported() {
+			if _, fn := obj.(*types.Func); fn || obj.Exported() {
 				cands = append(cands, cand{deadKey(obj), obj.Pos()})
 			}
 			if n != nil {
 				for i := 0; i < n.NumMethods(); i++ {
-					if m := n.Method(i); m.Exported() {
-						cands = append(cands, cand{deadKey(m), m.Pos()})
-					}
+					m := n.Method(i)
+					cands = append(cands, cand{deadKey(m), m.Pos()})
 				}
 			}
 		}

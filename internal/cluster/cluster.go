@@ -21,6 +21,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1130,33 +1131,6 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-// errEnvelope is the JSON error body — the same shape serve emits, so
-// clients parse one envelope regardless of which tier refused them.
-type errEnvelope struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// writeError emits the JSON error envelope with the Retry-After
-// back-off hint on 429/503.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeErrorID(w, status, msg, "")
-}
-
-// writeErrorID is writeError plus request-id correlation: when rid is
-// non-empty it is set as X-Request-Id and embedded in the envelope.
-func writeErrorID(w http.ResponseWriter, status int, msg, rid string) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds)
-	}
-	if rid != "" {
-		w.Header().Set(serve.RequestIDHeader, rid)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errEnvelope{Error: msg, RequestID: rid})
-}
-
 func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := "ok"
@@ -1165,32 +1139,26 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		mRouteSeconds.Observe(time.Since(start).Seconds())
 	}()
 
-	lt, ptc := c.requestTrace(r)
-	defer lt.end()
+	lt, ptc := obs.StartRequestTrace("lb", obs.TraceContext{}, r.Header.Get(serve.TraceHeader), c.cfg.Sampler)
+	defer lt.End()
 	binaryReq := r.Header.Get("Content-Type") == serve.ContentTypeBinary
-	meta := reqMeta{rid: r.Header.Get(serve.RequestIDHeader), tc: ptc}
+	rid, ridErr := serve.RequestID(r.Header)
+	meta := reqMeta{rid: rid, tc: ptc}
 	if binaryReq {
 		meta.contentType = serve.ContentTypeBinary
 	}
-	// errorID is the correlation id for failure responses: the client's
-	// own X-Request-Id when present, otherwise minted on first use.
-	errorID := func() string {
-		if meta.rid == "" {
-			meta.rid = obs.HexID(obs.NewID())
-		}
-		return meta.rid
+	fail := func(status int, msg string) {
+		serve.WriteError(w, status, msg, serve.ErrorID(meta.rid))
 	}
 
 	if c.draining.Load() {
 		outcome = "draining"
-		writeErrorID(w, http.StatusServiceUnavailable, "cluster draining", errorID())
+		fail(http.StatusServiceUnavailable, "cluster draining")
 		return
 	}
-	if len(meta.rid) > serve.MaxRequestIDBytes {
+	if ridErr != nil {
 		outcome = "bad_request"
-		meta.rid = ""
-		writeErrorID(w, http.StatusBadRequest, fmt.Sprintf("%s of %d bytes exceeds %d", serve.RequestIDHeader,
-			len(r.Header.Get(serve.RequestIDHeader)), serve.MaxRequestIDBytes), errorID())
+		fail(http.StatusBadRequest, ridErr.Error())
 		return
 	}
 	hb := getHopBuf()
@@ -1199,14 +1167,14 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	hb.body, err = readLimited(hb.body, r.Body, r.ContentLength, serve.MaxBodyBytes+1)
 	if err != nil {
 		outcome = "bad_request"
-		writeErrorID(w, http.StatusBadRequest, "read body: "+err.Error(), errorID())
+		fail(http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
 	rec, err := serve.RecordOf(hb.body, binaryReq, hb.rec[:0])
 	hb.rec, meta.rec = rec, rec
 	decodeDone := time.Now()
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
-	lt.stage("decode", start, decodeDone)
+	lt.Stage("decode", start, decodeDone)
 	if err != nil {
 		outcome = "bad_request"
 		status := http.StatusBadRequest
@@ -1214,7 +1182,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &reqErr) {
 			status = reqErr.Status
 		}
-		writeErrorID(w, status, err.Error(), errorID())
+		fail(status, err.Error())
 		return
 	}
 
@@ -1225,14 +1193,14 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		meta.deadline = dl
 	}
 	if err := c.adm.AcquireUntil(r.Context(), meta.deadline); err != nil {
-		c.recordSLO(start, true, false)
+		c.cfg.SLO.Record(time.Since(start).Seconds(), false)
 		if errors.Is(err, rm.ErrSubmitTimeout) {
 			outcome = "timeout"
-			writeErrorID(w, http.StatusGatewayTimeout, err.Error(), errorID())
+			fail(http.StatusGatewayTimeout, err.Error())
 			return
 		}
 		outcome = "rejected"
-		writeErrorID(w, http.StatusTooManyRequests, err.Error(), errorID())
+		fail(http.StatusTooManyRequests, err.Error())
 		return
 	}
 	defer c.adm.Release()
@@ -1243,56 +1211,54 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer res.release()
 	routeDone := time.Now()
 	lbStRoute.Observe(routeDone.Sub(routeStart).Seconds())
-	lt.stage("route", routeStart, routeDone)
+	lt.Stage("route", routeStart, routeDone)
 	if res.err != nil {
+		// A vanished client burns no error budget.
 		clientGone := errors.Is(res.err, ErrClientGone)
-		c.recordSLO(start, true, clientGone)
+		if !clientGone {
+			c.cfg.SLO.Record(time.Since(start).Seconds(), false)
+		}
 		switch {
 		case clientGone:
 			// Nobody is listening; the status code exists for logs and
 			// outcome metrics only (nginx's 499 convention).
 			outcome = "client_gone"
-			writeErrorID(w, StatusClientClosedRequest, res.err.Error(), errorID())
+			fail(StatusClientClosedRequest, res.err.Error())
 		case res.final:
 			outcome = "timeout"
-			writeErrorID(w, http.StatusGatewayTimeout, res.err.Error(), errorID())
+			fail(http.StatusGatewayTimeout, res.err.Error())
 		default:
 			outcome = "unavailable"
-			writeErrorID(w, http.StatusServiceUnavailable, fmt.Sprintf("%v: %v", ErrNoReplica, res.err), errorID())
+			fail(http.StatusServiceUnavailable, fmt.Sprintf("%v: %v", ErrNoReplica, res.err))
 		}
 		return
 	}
-	if res.status != http.StatusOK {
-		outcome = fmt.Sprintf("upstream_%d", res.status)
-	}
 	// Upstream 4xx are the client's fault; everything else counts.
-	c.recordSLO(start, res.status != http.StatusOK, clientFault(res.status))
-	if res.status == http.StatusTooManyRequests || res.status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds)
+	if !clientFault(res.status) {
+		c.cfg.SLO.Record(time.Since(start).Seconds(), res.status == http.StatusOK)
 	}
-	if meta.rid != "" {
-		w.Header().Set(serve.RequestIDHeader, meta.rid)
-	}
-	// Binary responses only arrive with 200; upstream errors are the JSON
-	// envelope regardless of the request wire.
-	if binaryReq && res.status == http.StatusOK {
-		w.Header()["Content-Type"] = contentTypeBinary
+	if res.status == http.StatusOK {
+		serve.WriteAnswer(w, res.body, binaryReq, meta.rid)
 	} else {
-		w.Header()["Content-Type"] = contentTypeJSON
+		outcome = fmt.Sprintf("upstream_%d", res.status)
+		relayError(w, res.status, res.body, meta.rid)
 	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
 	encodeDone := time.Now()
 	lbStEncode.Observe(encodeDone.Sub(routeDone).Seconds())
-	lt.stage("encode", routeDone, encodeDone)
+	lt.Stage("encode", routeDone, encodeDone)
 }
 
-// Content-Type values of the front door's answers, shared by every
-// response: the response writer only reads them.
-var (
-	contentTypeJSON   = []string{"application/json"}
-	contentTypeBinary = []string{serve.ContentTypeBinary}
-)
+// relayError answers with a replica's error envelope through serve's
+// writer, so the client gets the replica's message and request id (rid
+// when the envelope has none) under the headers a replica's own answer
+// carries. A body that is no envelope becomes the message.
+func relayError(w http.ResponseWriter, status int, body []byte, rid string) {
+	var env serve.ErrorBody
+	if json.Unmarshal(body, &env) != nil {
+		env.Error = string(body)
+	}
+	serve.WriteError(w, status, env.Error, cmp.Or(env.RequestID, rid))
+}
 
 // hopBuf is one front-door request's pooled memory: the body as the
 // client sent it and the binary record it is forwarded as.
@@ -1336,7 +1302,7 @@ type observeResult struct {
 func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxBodyBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "read body: "+err.Error(), "")
 		return
 	}
 	var addrs []string
@@ -1385,21 +1351,14 @@ func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if res.Forwarded == 0 && answered > 0 && refused == answered {
-		w.Header()["Content-Type"] = contentTypeJSON
-		w.WriteHeader(refusalStatus)
-		_, _ = w.Write(refusalBody)
+		relayError(w, refusalStatus, refusalBody, "")
 		return
 	}
 	status := http.StatusOK
 	if res.Forwarded == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	if status != http.StatusOK {
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(res)
+	serve.WriteJSON(w, status, res)
 }
 
 // postObserve sends one observation to the replica at addr under the
@@ -1455,20 +1414,11 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, r *http.Request) {
 	default:
 		h.Status = "ok"
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(h)
+	serve.WriteJSON(w, http.StatusOK, h)
 }
 
-// readyBody mirrors serve's /readyz shape. An SLO breach is reported in
-// the detail but does not flip readiness — yanking the balancer for
-// being slow would shed the capacity needed to recover.
-type readyBody struct {
-	Ready  bool           `json:"ready"`
-	Reason string         `json:"reason,omitempty"`
-	SLO    *obs.SLOStatus `json:"slo,omitempty"`
-}
-
+// handleReady answers GET /readyz with a replica's readiness body:
+// not ready while draining or with no replica up.
 func (c *Cluster) handleReady(w http.ResponseWriter, r *http.Request) {
 	reason := ""
 	switch {
@@ -1477,16 +1427,5 @@ func (c *Cluster) handleReady(w http.ResponseWriter, r *http.Request) {
 	case c.UpCount() == 0:
 		reason = "no replicas up"
 	}
-	if reason != "" {
-		writeError(w, http.StatusServiceUnavailable, reason)
-		return
-	}
-	body := readyBody{Ready: true}
-	if c.cfg.SLO != nil {
-		st := c.cfg.SLO.Status()
-		body.SLO = &st
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(body)
+	serve.WriteReady(w, reason, c.cfg.SLO)
 }

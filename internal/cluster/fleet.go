@@ -18,7 +18,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"html"
 	"io"
@@ -29,6 +28,7 @@ import (
 	"time"
 
 	"contention/internal/obs"
+	"contention/internal/serve"
 )
 
 // DefaultFleetInterval is the scrape period when NewFleet is given
@@ -247,9 +247,7 @@ func (f *Fleet) Handler() http.Handler {
 		st := f.Status()
 		if r.URL.Query().Get("format") == "json" ||
 			strings.Contains(r.Header.Get("Accept"), "application/json") {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_ = json.NewEncoder(w).Encode(st)
+			serve.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")

@@ -197,7 +197,7 @@ func TestForwardDeadMemberError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var env errEnvelope
+	var env serve.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}

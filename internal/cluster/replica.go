@@ -50,10 +50,8 @@ type InProcConfig struct {
 	// serve.SyntheticCalibration.
 	Cal *core.Calibration
 	// Serve knobs, passed through to serve.Config.
-	Window                time.Duration
-	MaxBatch              int
-	MaxInFlight, MaxQueue int
-	Timeout               time.Duration
+	Window   time.Duration
+	MaxBatch int
 }
 
 // InProcReplica is a serve.Server on a loopback listener inside this
@@ -82,14 +80,11 @@ func InProcessFactory(cfg InProcConfig) Factory {
 			return nil, fmt.Errorf("cluster: replica %d/%d tracker: %w", id, gen, err)
 		}
 		srv, err := serve.New(serve.Config{
-			Pred:        pred,
-			Tracker:     tracker,
-			Pool:        runner.New(0),
-			Window:      cfg.Window,
-			MaxBatch:    cfg.MaxBatch,
-			MaxInFlight: cfg.MaxInFlight,
-			MaxQueue:    cfg.MaxQueue,
-			Timeout:     cfg.Timeout,
+			Pred:     pred,
+			Tracker:  tracker,
+			Pool:     runner.New(0),
+			Window:   cfg.Window,
+			MaxBatch: cfg.MaxBatch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d/%d serve: %w", id, gen, err)
@@ -175,16 +170,6 @@ func (l *hostListener) Accept() (net.Conn, error) {
 	l.conns[hc] = struct{}{}
 	l.mu.Unlock()
 	return hc, nil
-}
-
-func (l *hostListener) stallFor(d time.Duration) {
-	until := time.Now().Add(d).UnixNano()
-	for {
-		cur := l.stallUntil.Load()
-		if cur >= until || l.stallUntil.CompareAndSwap(cur, until) {
-			return
-		}
-	}
 }
 
 // sever closes every connection the host accepted.

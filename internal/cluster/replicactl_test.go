@@ -37,6 +37,17 @@ type (
 // sockets, so HTTP requests and frames alike wait.
 func (r *InProcReplica) StallFor(d time.Duration) { r.host.stallFor(d) }
 
+// stallFor extends the host's stall to at least d from now.
+func (l *hostListener) stallFor(d time.Duration) {
+	until := time.Now().Add(d).UnixNano()
+	for {
+		cur := l.stallUntil.Load()
+		if cur >= until || l.stallUntil.CompareAndSwap(cur, until) {
+			return
+		}
+	}
+}
+
 // Degrade marks the replica's calibration stale: answers flip to the
 // conservative p+1 fallback (flagged degraded) until Recover.
 func (r *InProcReplica) Degrade(reason string) { r.pred.MarkStale(reason) }

@@ -260,7 +260,7 @@ func TestLBRequestIDForwardingAndEcho(t *testing.T) {
 	// Failure: the envelope carries the client id...
 	fl.current(0).stallMS.Store(1000)
 	resp = do("cli-err")
-	var envelope errEnvelope
+	var envelope serve.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestLBRequestIDForwardingAndEcho(t *testing.T) {
 
 	// ...and a minted one when the client sent none.
 	resp = do("")
-	envelope = errEnvelope{}
+	envelope = serve.ErrorBody{}
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,6 @@ type Result struct {
 	PaperErrPct float64
 }
 
-// seriesByName returns the series with the given name, if present.
-func (r Result) seriesByName(name string) (Series, bool) {
-	for _, s := range r.Series {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Series{}, false
-}
-
 // Err returns the recorded model error for a comparison label.
 func (r Result) Err(label string) float64 { return r.ModelErrPct[label] }
 

@@ -24,6 +24,16 @@ var env = func() func(t *testing.T) *Env {
 	}
 }()
 
+// seriesByName returns the series with the given name, if present.
+func (r Result) seriesByName(name string) (Series, bool) {
+	for _, s := range r.Series {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Series{}, false
+}
+
 func TestTables12ReproducesPaper(t *testing.T) {
 	r, err := Tables12()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // TraceContext is the compact cross-process trace state one request
@@ -157,4 +158,69 @@ func (s *Sampler) Sample() bool {
 		return false
 	}
 	return s.n.Add(1)%s.every == 1%s.every
+}
+
+var mTraceSampled = NewCounter(MetricTraceSampled,
+	"requests that carried or started a sampled trace")
+
+// RequestTrace is one sampled request's tracing handle on a serving
+// edge — a replica or the router in front of replicas. A nil
+// *RequestTrace is the unsampled case: every method no-ops, so call
+// sites need no guards and the warm path stays allocation-free.
+type RequestTrace struct {
+	actor string
+	root  *Span
+	// tc is the root span's context: the parent of stage spans.
+	tc TraceContext
+}
+
+// StartRequestTrace decides a request's trace participation. An
+// in-band context (a binary record's trace block) wins over the trace
+// header value; a valid upstream context is honored verbatim, including
+// a negative sampling verdict — re-sampling downstream would produce
+// orphan subtrees. Only a request with neither consults sampler.
+//
+// The handle is nil unless the request is sampled and telemetry is on.
+// The returned context is what downstream hops must carry: the root
+// span's when sampled, the upstream one passed through otherwise, and
+// zero when the request belongs to no trace.
+func StartRequestTrace(actor string, inband TraceContext, header string, sampler *Sampler) (*RequestTrace, TraceContext) {
+	tc := inband
+	if !tc.Valid() {
+		var ok bool
+		tc, ok = ParseTraceContext(header)
+		if !ok {
+			if !sampler.Sample() {
+				return nil, TraceContext{}
+			}
+			tc = NewRootContext(true)
+		}
+	}
+	if !tc.Sampled {
+		return nil, tc
+	}
+	root, child := DefaultTracer().StartCtx(actor, "request", tc)
+	if root == nil {
+		return nil, tc // telemetry disabled: propagate, record nothing
+	}
+	mTraceSampled.Inc()
+	return &RequestTrace{actor: actor, root: root, tc: child}, child
+}
+
+// Stage records one finished pipeline stage as a child span of the
+// request's root. Stage boundaries are timed with time.Now either way
+// (the stage histograms want them); this promotes the interval to a
+// span when the request is sampled.
+func (rt *RequestTrace) Stage(name string, start, end time.Time) {
+	if rt == nil {
+		return
+	}
+	DefaultTracer().RecordSpan(rt.actor, name, SinceStart(start), SinceStart(end), rt.tc)
+}
+
+// End closes the root request span.
+func (rt *RequestTrace) End() {
+	if rt != nil {
+		rt.root.End()
+	}
 }

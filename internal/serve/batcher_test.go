@@ -159,7 +159,7 @@ func TestNoCrossTalkUnderAbandonment(t *testing.T) {
 					ok++
 					mu.Unlock()
 				case http.StatusGatewayTimeout:
-					var env errorBody
+					var env ErrorBody
 					if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil ||
 						!strings.HasPrefix(env.Error, ErrDeadline.Error()+": ") {
 						fail("request %d: 504 with %q (%v), want ErrDeadline", i, rec.Body.Bytes(), err)

@@ -344,7 +344,7 @@ func postStatus(t *testing.T, ts *httptest.Server, contentType string, body []by
 	if hr.StatusCode == http.StatusOK {
 		return hr.StatusCode, ""
 	}
-	var env errorBody
+	var env ErrorBody
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatalf("status %d, body %q is not the error envelope: %v", hr.StatusCode, raw, err)
 	}

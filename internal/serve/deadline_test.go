@@ -42,7 +42,7 @@ func TestPropagatedDeadlineTightensOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env errorBody
+		var env ErrorBody
 		decodeErr := json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		elapsed := time.Since(start)

@@ -91,10 +91,11 @@ type Response struct {
 	Fast bool `json:"fast,omitempty"`
 }
 
-// errorBody is the JSON error envelope. RequestID echoes the caller's
-// X-Request-Id (or a server-minted one) so a failure in a chaos-gate
-// log can be correlated with its trace and with the router's records.
-type errorBody struct {
+// ErrorBody is the JSON error envelope, the same from a replica and a
+// router. RequestID echoes the caller's X-Request-Id (or a
+// server-minted one) so a failure in a chaos-gate log can be correlated
+// with its trace and with the router's records.
+type ErrorBody struct {
 	Error     string `json:"error"`
 	RequestID string `json:"request_id,omitempty"`
 }

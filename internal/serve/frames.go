@@ -259,12 +259,12 @@ type frameConn struct {
 func upgrade(w http.ResponseWriter, r *http.Request) *frameConn {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), FrameProtocol) {
 		w.Header().Set("Upgrade", FrameProtocol)
-		writeJSON(w, http.StatusUpgradeRequired, errorBody{Error: "GET /v1/frames needs Upgrade: " + FrameProtocol})
+		WriteError(w, http.StatusUpgradeRequired, "GET /v1/frames needs Upgrade: "+FrameProtocol, "")
 		return nil
 	}
 	conn, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "frames upgrade: " + err.Error()})
+		WriteError(w, http.StatusInternalServerError, "frames upgrade: "+err.Error(), "")
 		return nil
 	}
 	// A deadline that cannot be cleared means a closed connection, which
@@ -395,11 +395,7 @@ func (s *Server) answerFrame(ctx context.Context, f *Frame, dst []byte) (int, []
 	status := http.StatusOK
 	if err != nil {
 		status = errorStatus(err)
-		rid := string(f.RID)
-		if rid == "" {
-			rid = newRequestID()
-		}
-		b, _ := json.Marshal(errorBody{Error: err.Error(), RequestID: rid})
+		b, _ := json.Marshal(ErrorBody{Error: err.Error(), RequestID: ErrorID(string(f.RID))})
 		dst = append(append(dst, b...), '\n')
 	} else {
 		dst = AppendBinaryResponse(dst, resp)

@@ -75,7 +75,7 @@ func TestFrameAnswerMatchesHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, status, body, _, err = ReadResponseFrame(br, nil)
-	var env errorBody
+	var env ErrorBody
 	if err != nil || id != 8 || status != http.StatusBadRequest || json.Unmarshal(body, &env) != nil ||
 		env.RequestID != "rid-8" || !strings.HasPrefix(env.Error, "unsupported binary version") || body[len(body)-1] != '\n' {
 		t.Fatalf("bad record: id %d status %d body %q err %v", id, status, body, err)

@@ -182,7 +182,7 @@ type pendingReq struct {
 	// enq is when the request entered the batcher (batch-wait starts);
 	// rt is its tracing handle, nil unless sampled.
 	enq time.Time
-	rt  *reqTrace
+	rt  *obs.RequestTrace
 }
 
 // Parked-request states.
@@ -195,7 +195,7 @@ const (
 var pendingPool = sync.Pool{New: func() any { return &pendingReq{ch: make(chan outcome, 1)} }}
 
 // getPending takes a slot from the pool and copies q into it.
-func (s *Server) getPending(q *query, enq time.Time, rt *reqTrace) *pendingReq {
+func (s *Server) getPending(q *query, enq time.Time, rt *obs.RequestTrace) *pendingReq {
 	r := pendingPool.Get().(*pendingReq)
 	if s.slotHook != nil {
 		s.slotHook(r, true)
@@ -400,7 +400,7 @@ func (s *Server) degradeReason() string {
 // on every request for the attribution histograms; rt promotes the same
 // intervals to spans when non-nil. q is only read before predict parks,
 // so it may alias pooled memory the caller reuses once predict returns.
-func (s *Server) predict(ctx context.Context, q *query, rt *reqTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
+func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
 	mRequests.With(q.kind).Inc()
 	admStart := time.Now()
 	if err := s.adm.AcquireUntil(ctx, deadline); err != nil {
@@ -412,7 +412,7 @@ func (s *Server) predict(ctx context.Context, q *query, rt *reqTrace, deadline t
 	defer s.adm.Release()
 	admDone := time.Now()
 	stAdmission.Observe(admDone.Sub(admStart).Seconds())
-	rt.stage("admission", admStart, admDone)
+	rt.Stage("admission", admStart, admDone)
 
 	// Degraded fast path: a calibration that cannot be trusted answers
 	// with the conservative worst case immediately — no batching, no DP.
@@ -420,7 +420,7 @@ func (s *Server) predict(ctx context.Context, q *query, rt *reqTrace, deadline t
 		resp, err := s.predictDegraded(q, reason)
 		done := time.Now()
 		stCompute.Observe(done.Sub(admDone).Seconds())
-		rt.stage("compute", admDone, done)
+		rt.Stage("compute", admDone, done)
 		return resp, err
 	}
 
@@ -487,7 +487,7 @@ func (w *WaitTimer) Disarm(ch <-chan time.Time, received bool) {
 // pipeline, which owns waiting, degradation, and error reporting. The
 // whole path is allocation-free and retains nothing, so it is safe
 // against pooled (binary) query slices.
-func (s *Server) tryFast(q *query, rt *reqTrace) (Response, bool) {
+func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 	if !s.cfg.FastPath || s.draining.Load() {
 		return Response{}, false
 	}
@@ -511,7 +511,7 @@ func (s *Server) tryFast(q *query, rt *reqTrace) (Response, bool) {
 	}
 	done := time.Now()
 	hist.Observe(done.Sub(start).Seconds())
-	rt.stage(stage, start, done)
+	rt.Stage(stage, start, done)
 	mFastHits.Inc()
 	mRequests.With(q.kind).Inc()
 	return Response{Value: v, Fast: true}, true
@@ -699,7 +699,7 @@ func (s *Server) evalGroup(g *group) {
 	for _, r := range g.reqs {
 		if !r.enq.IsZero() {
 			stBatchWait.Observe(evalStart.Sub(r.enq).Seconds())
-			r.rt.stage("batch-wait", r.enq, evalStart)
+			r.rt.Stage("batch-wait", r.enq, evalStart)
 		}
 	}
 
@@ -733,7 +733,7 @@ func (s *Server) evalGroup(g *group) {
 	evalSecs := evalDone.Sub(evalStart).Seconds()
 	for i, r := range g.reqs {
 		stCompute.Observe(evalSecs)
-		r.rt.stage("compute", evalStart, evalDone)
+		r.rt.Stage("compute", evalStart, evalDone)
 		out := outcome{err: err}
 		if err == nil {
 			out.resp = Response{Value: g.vals[i], Batch: n}
@@ -808,14 +808,6 @@ func (s *Server) Handler() http.Handler {
 // instead of hammering an overloaded or draining instance.
 const RetryAfterSeconds = "1"
 
-// setBackoffHint stamps the Retry-After header for statuses that ask
-// the client to come back later.
-func setBackoffHint(w http.ResponseWriter, status int) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", RetryAfterSeconds)
-	}
-}
-
 // outcomeLabel classifies an error for the responses-by-outcome series.
 func outcomeLabel(err error) string {
 	if err == nil {
@@ -838,9 +830,8 @@ func outcomeLabel(err error) string {
 	}
 }
 
-// Content-Type header values of a successful answer, shared by every
-// response: assigning a shared slice costs nothing where Header().Set
-// allocates one per call.
+// Content-Type header values, shared by every response: assigning a
+// shared slice costs nothing where Header().Set allocates one per call.
 var (
 	contentTypeJSON   = []string{"application/json"}
 	contentTypeBinary = []string{ContentTypeBinary}
@@ -859,51 +850,81 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // by the wire its Content-Type names, answered, and the answer encoded
 // by the same wire into ws's output buffer. A warm fast-path request
 // allocates nothing. Pipeline errors are answered as the JSON error
-// envelope on either wire (the status carries the verdict); only the
-// JSON wire echoes X-Request-Id on success.
+// envelope on either wire (the status carries the verdict).
 func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspace) {
 	start := time.Now()
 	var wr wire = jsonWire{}
-	contentType := contentTypeJSON
 	binaryReq := r.Header.Get("Content-Type") == ContentTypeBinary
 	if binaryReq {
-		wr, contentType = binaryWire{}, contentTypeBinary
+		wr = binaryWire{}
 		mBinaryRequests.Inc()
 	}
 	ws.tc = obs.TraceContext{}
-	err := wr.decode(r.Body, ws)
+	rid, err := RequestID(r.Header)
+	if err == nil {
+		err = wr.decode(r.Body, ws)
+	}
 	resp, rt, err := s.servePredict(r.Context(), ws, start, err, r.Header.Get(TraceHeader), s.requestTimeout(r))
 	encStart := s.finished(start, err)
 	if err != nil {
-		s.writeErrorEnvelope(w, r, err)
+		WriteError(w, errorStatus(err), err.Error(), ErrorID(rid))
 	} else {
-		if !binaryReq {
-			if rid := r.Header.Get(RequestIDHeader); rid != "" {
-				w.Header().Set(RequestIDHeader, rid)
-			}
-		}
 		ws.out = wr.appendResponse(ws.out[:0], resp)
-		w.Header()["Content-Type"] = contentType
-		_, _ = w.Write(ws.out)
+		WriteAnswer(w, ws.out, binaryReq, rid)
 	}
 	s.encoded(rt, encStart)
 }
 
+// RequestID applies the request-id rule to an HTTP predict: it returns
+// the client's X-Request-Id (empty when none was sent), or a 400 when
+// the id is longer than MaxRequestIDBytes — the most a frame can
+// forward. Every error answer then carries the id, minted when the
+// client sent none (ErrorID), and so does a JSON success (WriteAnswer).
+func RequestID(h http.Header) (string, error) {
+	rid := h.Get(RequestIDHeader)
+	if len(rid) > MaxRequestIDBytes {
+		return "", badRequest("%s of %d bytes exceeds %d", RequestIDHeader, len(rid), MaxRequestIDBytes)
+	}
+	return rid, nil
+}
+
+// WriteAnswer writes a successful prediction, body encoded on the
+// binary wire or the JSON one. Only the JSON wire echoes rid: on the
+// binary wire, the one tuned for cost, the echo would be a header
+// allocation per answer.
+func WriteAnswer(w http.ResponseWriter, body []byte, binary bool, rid string) {
+	h := w.Header()
+	if binary {
+		h["Content-Type"] = contentTypeBinary
+	} else {
+		h["Content-Type"] = contentTypeJSON
+		if rid != "" {
+			h.Set(RequestIDHeader, rid)
+		}
+	}
+	_, _ = w.Write(body)
+}
+
 // finished accounts one answered request, whichever transport carried
-// it, and returns when its encode stage starts.
+// it, and returns when its encode stage starts. A client fault (a 4xx
+// RequestError) burns no SLO error budget and is left out of both SLIs.
 func (s *Server) finished(start time.Time, err error) time.Time {
-	mResponses.With(outcomeLabel(err)).Inc()
-	mRequestSeconds.Observe(time.Since(start).Seconds())
-	s.recordSLO(start, err)
+	outcome := outcomeLabel(err)
+	secs := time.Since(start).Seconds()
+	mResponses.With(outcome).Inc()
+	mRequestSeconds.Observe(secs)
+	if outcome != "bad_request" {
+		s.cfg.SLO.Record(secs, err == nil)
+	}
 	return time.Now()
 }
 
 // encoded closes a request's encode stage and its trace.
-func (s *Server) encoded(rt *reqTrace, encStart time.Time) {
+func (s *Server) encoded(rt *obs.RequestTrace, encStart time.Time) {
 	encDone := time.Now()
 	stEncode.Observe(encDone.Sub(encStart).Seconds())
-	rt.stage("encode", encStart, encDone)
-	rt.end()
+	rt.Stage("encode", encStart, encDone)
+	rt.End()
 }
 
 // errorStatus is the status a pipeline error is answered with.
@@ -914,18 +935,26 @@ func errorStatus(err error) int {
 	return statusFor(err)
 }
 
-// writeErrorEnvelope answers a pipeline error as the JSON envelope,
-// correlated by request id: the client's X-Request-Id when sent, a
-// minted one otherwise, echoed in both the header and the body.
-func (s *Server) writeErrorEnvelope(w http.ResponseWriter, r *http.Request, err error) {
-	status := errorStatus(err)
-	rid := r.Header.Get(RequestIDHeader)
-	if rid == "" {
-		rid = newRequestID()
+// WriteJSON answers status with v as JSON, with the Retry-After
+// back-off hint on 429 and 503.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		h.Set("Retry-After", RetryAfterSeconds)
 	}
-	w.Header().Set(RequestIDHeader, rid)
-	setBackoffHint(w, status)
-	writeJSON(w, status, errorBody{Error: err.Error(), RequestID: rid})
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers a failed request with the JSON error envelope. A
+// non-empty rid correlates it, in both the X-Request-Id header and the
+// body.
+func WriteError(w http.ResponseWriter, status int, msg, rid string) {
+	if rid != "" {
+		w.Header().Set(RequestIDHeader, rid)
+	}
+	WriteJSON(w, status, ErrorBody{Error: msg, RequestID: rid})
 }
 
 // DeadlineHeader carries the caller's remaining request budget in
@@ -954,19 +983,19 @@ func (s *Server) requestTimeout(r *http.Request) time.Duration {
 // servePredict is the one prediction pipeline behind both transports:
 // it takes the query a wire decoded into ws (started at decStart, with
 // verdict decErr) and answers it — fast path first, then admission and
-// the batcher under timeout and ctx. The returned *reqTrace is nil
+// the batcher under timeout and ctx. The returned *obs.RequestTrace is nil
 // unless the request is sampled (in-band trace block, the transport's
 // trace header, or local head sampler — in that order); the in-band
 // context is only known after decode, so the decode stage span is
 // recorded retroactively.
-func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.Time, decErr error, traceHeader string, timeout time.Duration) (Response, *reqTrace, error) {
+func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.Time, decErr error, traceHeader string, timeout time.Duration) (Response, *obs.RequestTrace, error) {
 	decDone := time.Now()
-	rt := s.requestTrace(traceHeader, ws.tc)
+	rt, _ := obs.StartRequestTrace("serve", ws.tc, traceHeader, s.cfg.Sampler)
 	if decErr != nil {
 		return Response{}, rt, decErr
 	}
 	stDecode.Observe(decDone.Sub(decStart).Seconds())
-	rt.stage("decode", decStart, decDone)
+	rt.Stage("decode", decStart, decDone)
 	// Fast path first: an inline answer needs no deadline and cannot
 	// block.
 	if resp, ok := s.tryFast(&ws.q, rt); ok {
@@ -992,22 +1021,22 @@ type observeResponse struct {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Tracker == nil {
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: "no trust tracker configured"})
+		WriteError(w, http.StatusUnprocessableEntity, "no trust tracker configured", "")
 		return
 	}
 	dec := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes+1))
 	dec.DisallowUnknownFields()
 	var req observeRequest
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed observation: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "malformed observation: "+err.Error(), "")
 		return
 	}
 	drifted, err := s.cfg.Tracker.Observe(req.Predicted, req.Observed)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
-	writeJSON(w, http.StatusOK, observeResponse{Drifted: drifted, Trust: s.cfg.Tracker.State().String()})
+	WriteJSON(w, http.StatusOK, observeResponse{Drifted: drifted, Trust: s.cfg.Tracker.State().String()})
 }
 
 // healthResponse is the /healthz body.
@@ -1045,14 +1074,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if h.Trust != caltrust.Fresh.String() {
 		h.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
-// readyResponse is the /readyz body. SLO carries the objective
-// tracker's burn-rate detail when one is configured — an SLO breach is
-// reported (operators and fleet pages see it) but does not flip
-// readiness: pulling a slow replica sheds capacity and usually makes
-// the burn worse.
+// readyResponse is the /readyz body of a replica and of a router alike.
 type readyResponse struct {
 	Ready  bool           `json:"ready"`
 	Reason string         `json:"reason,omitempty"`
@@ -1060,12 +1085,11 @@ type readyResponse struct {
 }
 
 // handleReady implements GET /readyz: readiness for new traffic, as
-// distinct from /healthz liveness. Not-ready (503 + Retry-After) while
-// draining or while the calibration is Degraded — failed validation
-// outright, so every answer would be the blind p+1 fallback. A merely
-// Stale calibration stays ready: degraded answers are conservative but
-// still useful, and pulling the replica would shed capacity for no
-// correctness gain.
+// distinct from /healthz liveness. Not-ready while draining or while
+// the calibration is Degraded — failed validation outright, so every
+// answer would be the blind p+1 fallback. A merely Stale calibration
+// stays ready: degraded answers are conservative but still useful, and
+// pulling the replica would shed capacity for no correctness gain.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	reason := ""
 	switch {
@@ -1076,21 +1100,23 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			reason = "calibration degraded: " + t.Reason()
 		}
 	}
-	var slo *obs.SLOStatus
-	if s.cfg.SLO != nil {
-		st := s.cfg.SLO.Status()
-		slo = &st
-	}
-	if reason != "" {
-		setBackoffHint(w, http.StatusServiceUnavailable)
-		writeJSON(w, http.StatusServiceUnavailable, readyResponse{Ready: false, Reason: reason, SLO: slo})
-		return
-	}
-	writeJSON(w, http.StatusOK, readyResponse{Ready: true, SLO: slo})
+	WriteReady(w, reason, s.cfg.SLO)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+// WriteReady answers GET /readyz: 200 {"ready":true} when reason is
+// empty, else 503 with the reason and the back-off hint. A non-nil slo
+// adds the objective tracker's burn-rate detail. An SLO breach is
+// reported but never a reason: pulling a slow instance sheds capacity
+// and usually makes the burn worse.
+func WriteReady(w http.ResponseWriter, reason string, slo *obs.SLOTracker) {
+	body := readyResponse{Ready: reason == "", Reason: reason}
+	if slo != nil {
+		st := slo.Status()
+		body.SLO = &st
+	}
+	status := http.StatusOK
+	if reason != "" {
+		status = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, status, body)
 }

@@ -13,15 +13,11 @@
 // carrying the trace id from the obs.TraceContext that arrived with the
 // request (HTTP header or binary trace block) or was minted by the
 // server's head sampler. The unsampled path allocates nothing: the
-// request trace handle is a nil pointer and every method on it no-ops.
+// request trace handle (obs.RequestTrace) is a nil pointer and every
+// method on it no-ops.
 package serve
 
-import (
-	"errors"
-	"time"
-
-	"contention/internal/obs"
-)
+import "contention/internal/obs"
 
 // TraceHeader carries the compact trace context (16-hex trace id,
 // 16-hex parent span id, 2-hex flags, dash-separated — see
@@ -48,85 +44,12 @@ var (
 	stEncode    = mStageSeconds.With("encode")
 )
 
-var mTraceSampled = obs.NewCounter(obs.MetricTraceSampled,
-	"requests that carried or started a sampled trace")
-
-// reqTrace is one sampled request's tracing handle. A nil *reqTrace is
-// the unsampled case: every method no-ops, so call sites need no guards
-// and the warm path stays allocation-free.
-type reqTrace struct {
-	root *obs.Span
-	// tc is the root span's context — the parent for stage spans and the
-	// context to propagate downstream.
-	tc obs.TraceContext
-}
-
-// requestTrace decides a request's trace participation. An in-band
-// context (binary trace block) wins over the trace header value; a valid
-// upstream context is honored verbatim, including a negative sampling
-// verdict — re-sampling downstream would produce orphan subtrees.
-// Only headless requests consult the server's own sampler.
-func (s *Server) requestTrace(header string, inband obs.TraceContext) *reqTrace {
-	tc := inband
-	if !tc.Valid() {
-		var ok bool
-		tc, ok = obs.ParseTraceContext(header)
-		if !ok {
-			if !s.cfg.Sampler.Sample() {
-				return nil
-			}
-			tc = obs.NewRootContext(true)
-		}
+// ErrorID is the request id an error answer to a prediction carries:
+// the client's rid, or a minted 16-hex id when it sent none, so every
+// failure is correlatable.
+func ErrorID(rid string) string {
+	if rid == "" {
+		return obs.HexID(obs.NewID())
 	}
-	if !tc.Sampled {
-		return nil
-	}
-	root, child := obs.DefaultTracer().StartCtx("serve", "request", tc)
-	if root == nil {
-		// Telemetry disabled: propagation still happened upstream, but
-		// this process records nothing.
-		return nil
-	}
-	mTraceSampled.Inc()
-	return &reqTrace{root: root, tc: child}
-}
-
-// stage records one finished pipeline stage as a child span of the
-// request's root. Stage boundaries are timed with time.Now either way
-// (the histograms want them); this just promotes the interval to a span
-// when the request is sampled.
-func (rt *reqTrace) stage(name string, start, end time.Time) {
-	if rt == nil {
-		return
-	}
-	obs.DefaultTracer().RecordSpan("serve", name, obs.SinceStart(start), obs.SinceStart(end), rt.tc)
-}
-
-// end closes the root request span.
-func (rt *reqTrace) end() {
-	if rt != nil {
-		rt.root.End()
-	}
-}
-
-// newRequestID mints a 16-hex request id for error responses whose
-// client did not send X-Request-Id.
-func newRequestID() string { return obs.HexID(obs.NewID()) }
-
-// recordSLO feeds one finished request into the SLO tracker. Client
-// errors (4xx RequestError) are excluded from both SLIs — a malformed
-// request burns no server error budget.
-func (s *Server) recordSLO(start time.Time, err error) {
-	if s.cfg.SLO == nil {
-		return
-	}
-	if err != nil {
-		// errors.As makes its target escape, so it only runs on the
-		// error path — the success path must stay allocation-free.
-		var reqErr *RequestError
-		if errors.As(err, &reqErr) {
-			return
-		}
-	}
-	s.cfg.SLO.Record(time.Since(start).Seconds(), err == nil)
+	return rid
 }

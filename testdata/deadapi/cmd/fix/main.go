@@ -10,5 +10,5 @@ type sizer interface{ Size() int }
 
 func main() {
 	var s sizer = lib.New()
-	fmt.Println(s.Size(), s)
+	fmt.Println(s.Size(), s, lib.Advance())
 }

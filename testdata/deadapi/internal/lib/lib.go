@@ -25,3 +25,21 @@ func Unused() {}
 
 // ConsumerOnly is live: only the consumer module calls it.
 func ConsumerOnly() int { return 7 }
+
+// Advance is called by cmd/fix.
+func Advance() int {
+	var s stepper = &counter{}
+	return s.step()
+}
+
+// stepper is live: Advance calls its method.
+type stepper interface{ step() int }
+
+// counter satisfies stepper.
+type counter struct{ n int }
+
+// step is live through stepper, although nothing calls it by name.
+func (c *counter) step() int { c.n++; return c.n }
+
+// unused is dead: only a test calls it.
+func unused() {}

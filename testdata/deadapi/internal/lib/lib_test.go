@@ -6,4 +6,5 @@ func TestPoke(t *testing.T) {
 	var p Poker = New()
 	p.Poke()
 	Unused()
+	unused()
 }
