@@ -58,8 +58,9 @@ allocs:
 # hand JSON request codec must give encoding/json's verdict, status and
 # query bits on every body (the FuzzDecodeRequest differential; a long run is
 # `go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10m ./internal/serve`),
-# and whatever metrics page the scrape decoder accepts must re-encode
-# into one it parses to the same series.
+# and whatever metrics snapshot the fleet scrape's decoder accepts must
+# pass its validation, re-encode to JSON that decodes to the same
+# snapshot, and render as exposition text.
 fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzFitPiecewise$$' -fuzztime 5s ./internal/stats
 	$(GO) test -run ^$$ -fuzz '^FuzzPoissonBinomial$$' -fuzztime 5s ./internal/prob
@@ -69,7 +70,7 @@ fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run ^$$ -fuzz '^FuzzReadTraceHeader$$' -fuzztime 5s ./internal/scenario
 	$(GO) test -run ^$$ -fuzz '^FuzzDecodeTraceRecord$$' -fuzztime 5s ./internal/scenario
-	$(GO) test -run ^$$ -fuzz '^FuzzParsePrometheusText$$' -fuzztime 5s ./internal/obs
+	$(GO) test -run ^$$ -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s ./internal/obs
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # What no `go test` in this module reaches: the command-line round trips
@@ -92,6 +93,9 @@ fuzz:
 #  - contentiond booted the same way: one predict, SIGINT, and its
 #    manifest must record the defaults in force (window 1ms, max_batch
 #    256), with the .prom sidecar beside it;
+#  - the fleet scrape across real processes: contentionlb over two
+#    contentiond children, scraping every 100ms; after one predict,
+#    /debug/fleet?format=json must show both members scraped within 5s;
 #  - an unknown experiment id is refused (before anything is calibrated),
 #    and one known id writes its manifest and .prom sidecar;
 #  - no command, example or the façade links internal/prob: it is a test
@@ -99,7 +103,7 @@ fuzz:
 #  - bench/ is its own module, invisible to `go test ./...`: vet and test
 #    it here so an export it needs cannot disappear unnoticed.
 smoke:
-	tmp=$$(mktemp -d) && trap 'kill $$lbpid $$dpid 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	tmp=$$(mktemp -d) && trap 'kill $$lbpid $$dpid $$fpid 2>/dev/null; rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/calibrate -burst 50 -contenders 2 -save "$$tmp/cal.json" && \
 	$(GO) run ./cmd/calibrate -check "$$tmp/cal.json" && \
 	head -c 120 "$$tmp/cal.json" > "$$tmp/trunc.json" && \
@@ -140,6 +144,16 @@ smoke:
 	grep -q '"window": *"1ms"' "$$tmp/d.json" && \
 	grep -q '"max_batch": *"256"' "$$tmp/d.json" && \
 	test -f "$$tmp/d.prom" && \
+	{ "$$tmp/contentionlb" -exec "$$tmp/contentiond" -replicas 2 -fleet-scrape 100ms -addr 127.0.0.1:0 2> "$$tmp/f.log" & } && \
+	fpid=$$! && \
+	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/f.log" && break; sleep 0.1; done && \
+	faddr=$$(sed -n 's|^contentionlb on http://\([^ ]*\) .*|\1|p' "$$tmp/f.log") && \
+	curl -sSf -H 'Content-Type: application/json' \
+		-d '{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":0.3,"msg_words":100}]}' \
+		"http://$$faddr/v1/predict" > /dev/null && \
+	for i in $$(seq 50); do curl -sSf "http://$$faddr/debug/fleet?format=json" | grep -q '"scraped_members": *2' && break; sleep 0.1; done && \
+	curl -sSf "http://$$faddr/debug/fleet?format=json" | grep -q '"scraped_members": *2' && \
+	kill -INT $$fpid && wait $$fpid && fpid= && \
 	! "$$tmp/contentionlb" -spill 1 2>/dev/null && \
 	! "$$tmp/contentionlb" -heartbeat 1s 2>/dev/null && \
 	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \

@@ -8,7 +8,9 @@
 //	POST /v1/predict  — comm/comp cost query (see internal/serve.Request)
 //	POST /v1/observe  — feed a predicted/observed residual to the trust layer
 //	GET  /healthz     — liveness + calibration trust state
-//	GET  /metrics     — Prometheus text exposition (with -metrics)
+//	GET  /metrics     — Prometheus text exposition (with -metrics); the
+//	                    metrics snapshot as JSON with ?format=json, which
+//	                    a contentionlb fleet scrape reads
 //
 // Concurrent requests sharing a contender mix are answered by one
 // batched slowdown computation per batching window; when the trust

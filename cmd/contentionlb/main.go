@@ -27,9 +27,10 @@
 //
 // With -members the balancer also (or only) fronts remote replicas on
 // other hosts: the file lists addresses and routing weights, is
-// hot-reloaded on SIGHUP and by polling, and a failure detector fed by
-// the same -probe health loop that watches local replicas moves silent
-// members out of the routing set until they answer again. Removing a
+// hot-reloaded on SIGHUP and by polling, and the same -probe health
+// loop that watches local replicas moves a member with no successful
+// probe for -suspect-after periods out of the routing set until it
+// answers again. Removing a
 // member from the file drains it gracefully — it takes no new requests,
 // and those in flight finish.
 //
@@ -71,7 +72,7 @@ func main() {
 	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "cluster-wide retry allowance as a fraction of request volume (0 selects the default)")
 	probe := flag.Duration("probe", cluster.DefaultProbeInterval, "health-probe period for every member, local and remote; each probe is bounded by it (0 selects the default)")
 	members := flag.String("members", "", `remote members file ({"members":[{"addr":"host:port","weight":2},...]}); hot-reloaded on SIGHUP and by polling. With no explicit -replicas the local fleet is 0`)
-	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "failure-detector threshold in learned probe intervals of silence (0 selects the default)")
+	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "probe intervals without a successful probe before a remote member is suspect (0 selects the default)")
 	reload := flag.Duration("reload", time.Second, "members-file poll interval")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "end-to-end request deadline (0 selects the default)")
 	fleetScrape := flag.Duration("fleet-scrape", cluster.DefaultFleetInterval, "member /metrics scrape period for the fleet_* aggregation and /debug/fleet (0 disables)")

@@ -39,20 +39,34 @@ func main() {
 	run.Start()
 	defer run.Stop()
 
-	ids := []string{"table1-2", "table3", "table4", "figure1", "figure2",
-		"figure3", "figure4", "figure5", "figure6", "figure7", "figure8",
-		"synthetic", "iochar", "phased", "multimachine", "offload", "faulttolerance",
-		"caldrift", "scenarioreplay", "scenariosweep"}
+	// The scenario sweep is no driver-table entry: it takes -scenario-n
+	// and returns a manifest section besides its Result.
+	const sweepID = "scenariosweep"
 	if *list {
-		for _, id := range ids {
-			fmt.Println(id)
+		for _, e := range experiments.Experiments {
+			fmt.Println(e.ID)
 		}
+		fmt.Println(sweepID)
 		return
 	}
-	if *only != "" && !slices.Contains(ids, *only) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *only)
-		os.Exit(1)
+	var exps []experiments.Experiment
+	switch {
+	case *only == sweepID:
+	case *only != "":
+		i := slices.IndexFunc(experiments.Experiments, func(e experiments.Experiment) bool { return e.ID == *only })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *only)
+			os.Exit(1)
+		}
+		exps = experiments.Experiments[i : i+1]
+	default:
+		for _, e := range experiments.Experiments {
+			if !e.Extension || *extensions {
+				exps = append(exps, e)
+			}
+		}
 	}
+	wantExt := *extensions || len(exps) == 1 && exps[0].Extension
 
 	fmt.Fprintln(os.Stderr, "calibrating platforms (runs the system test suite once)...")
 	env, err := experiments.NewEnv()
@@ -63,25 +77,13 @@ func main() {
 	if *parallel {
 		env = env.WithPool(runner.New(*workers))
 	}
-	results, err := experiments.All(env)
+	results, err := experiments.Run(env, exps...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiment failed:", err)
 		os.Exit(1)
 	}
-	wantExt := *extensions
-	if *only == "synthetic" || *only == "iochar" || *only == "phased" || *only == "multimachine" || *only == "offload" || *only == "faulttolerance" || *only == "caldrift" || *only == "scenarioreplay" {
-		wantExt = true
-	}
-	if wantExt {
-		ext, err := experiments.Extensions(env)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "extension experiment failed:", err)
-			os.Exit(1)
-		}
-		results = append(results, ext...)
-	}
 	var scenarioReport *obs.ScenarioReport
-	if *scenarios || *only == "scenariosweep" {
+	if *only == sweepID || *scenarios && *only == "" {
 		fmt.Fprintln(os.Stderr, "running the scenario sweep matrix...")
 		r, rep, err := experiments.ScenarioSweep(env, *scenarioN)
 		if err != nil {
@@ -90,13 +92,6 @@ func main() {
 		}
 		results = append(results, r)
 		scenarioReport = rep
-	}
-	var selected []experiments.Result
-	for _, r := range results {
-		if *only != "" && r.ID != *only {
-			continue
-		}
-		selected = append(selected, r)
 	}
 	run.Report(func() *obs.Manifest {
 		m := experiments.BuildManifest(env, "experiments", map[string]string{
@@ -112,13 +107,13 @@ func main() {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(selected); err != nil {
+		if err := enc.Encode(results); err != nil {
 			fmt.Fprintln(os.Stderr, "encoding results:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	for _, r := range selected {
+	for _, r := range results {
 		fmt.Println(r.Render())
 	}
 }

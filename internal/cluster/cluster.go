@@ -99,15 +99,14 @@ type Config struct {
 	Breaker BreakerConfig
 	// ProbeInterval is the health loop's period: each period every up
 	// or suspect member gets one /healthz probe, and a probe may take at
-	// most one period. It is also the heartbeat rhythm the failure
-	// detector first expects.
+	// most one period.
 	ProbeInterval time.Duration
-	// SuspectAfter is the failure-detector suspicion threshold, in
-	// multiples of the learned EWMA heartbeat inter-arrival: a remote
-	// member silent for more than SuspectAfter expected intervals leaves
-	// the routing set until a probe succeeds again. Zero selects
-	// DefaultSuspectAfter; explicit values below 1 are a validation
-	// error (they would suspect members faster than one heartbeat).
+	// SuspectAfter is the suspicion deadline in probe intervals: a
+	// remote member whose last successful probe is more than
+	// SuspectAfter × ProbeInterval old leaves the routing set until a
+	// probe succeeds again. Zero selects DefaultSuspectAfter; explicit
+	// values below 1 are a validation error (they would suspect members
+	// faster than one probe interval).
 	SuspectAfter float64
 	// Sampler is the head-sampling knob for request tracing: requests
 	// arriving without a trace header consult it once, and the verdict
@@ -165,7 +164,7 @@ func (cfg Config) withDefaults() Config {
 // validate rejects default-filled configurations that could not work.
 func (cfg Config) validate() error {
 	if cfg.SuspectAfter < 1 {
-		return fmt.Errorf("cluster: SuspectAfter %g would suspect members faster than one missed heartbeat (want >= 1)",
+		return fmt.Errorf("cluster: SuspectAfter %g would suspect members faster than one probe interval (want >= 1)",
 			cfg.SuspectAfter)
 	}
 	return nil
@@ -201,14 +200,13 @@ func (s memberState) String() string {
 // member is one supervised replica slot: the slot (id, breaker,
 // supervision history) is permanent, the Replica incarnation behind it
 // comes and goes. Every slot is probed by the health loop. Local slots
-// are babysat (crash → respawn); remote slots are judged by the failure
-// detector (silence → suspect → out of the routing set until a probe
+// are babysat (crash → respawn); remote slots are judged by their probe
+// deadline (silence → suspect → out of the routing set until a probe
 // succeeds again).
 type member struct {
 	id       int
 	remote   bool
 	breaker  *Breaker
-	sus      *suspicion  // remote members only
 	probing  atomic.Bool // one health probe in flight at a time
 	inflight atomic.Int64
 	degraded atomic.Bool   // last health probe saw a non-Fresh calibration
@@ -222,7 +220,8 @@ type member struct {
 	gen     int
 	strikes int
 	upSince time.Time
-	removed bool // deliberately drained; the babysitter must not restart it
+	lastOK  time.Time // remote members: the last successful probe, or the join
+	removed bool      // deliberately drained; the babysitter must not restart it
 }
 
 func (m *member) up() bool {
@@ -268,10 +267,10 @@ func (m *member) takeFrames() *frameClient {
 	return fc
 }
 
-// heartbeatAddr is the address the health loop should probe: up
-// members (rhythm tracking) and suspect members (recovery detection),
-// never down, drained or failed ones.
-func (m *member) heartbeatAddr() string {
+// probeAddr is the address the health loop should probe: up members
+// (liveness) and suspect members (recovery detection), never down,
+// drained or failed ones.
+func (m *member) probeAddr() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.removed || (m.state != stateUp && m.state != stateSuspect) {
@@ -280,29 +279,46 @@ func (m *member) heartbeatAddr() string {
 	return m.addr
 }
 
-// markSuspect flips an up remote member to suspect; reports whether the
-// transition happened (caller then resyncs the routing set).
-func (m *member) markSuspect() bool {
+// markSuspect flips an up remote member past its probe deadline to
+// suspect; reports whether the transition happened (caller then
+// resyncs the routing set).
+func (m *member) markSuspect(now time.Time, interval time.Duration, after float64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed || m.state != stateUp {
+	if !m.remote || m.removed || m.state != stateUp || !suspect(m.lastOK, now, interval, after) {
 		return false
 	}
 	m.state = stateSuspect
 	return true
 }
 
-// clearSuspect flips a suspect member back to up; reports whether the
-// transition happened (caller then resyncs the routing set).
-func (m *member) clearSuspect() bool {
+// probeOK records a remote member's successful probe at now and flips
+// it back to up if it was suspect; reports whether that transition
+// happened (caller then resyncs the routing set).
+func (m *member) probeOK(now time.Time) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.lastOK = now
 	if m.removed || m.state != stateSuspect {
 		return false
 	}
 	m.state = stateUp
-	m.upSince = time.Now()
+	m.upSince = now
 	return true
+}
+
+// suspect is the failure rule for remote members: one whose last
+// successful probe, at lastOK, is more than after probe intervals old
+// at now. The health loop probes each up or suspect member once per
+// interval and bounds each probe by it, so a live member's successes
+// are at most two intervals apart.
+func suspect(lastOK, now time.Time, interval time.Duration, after float64) bool {
+	return silence(lastOK, now, interval) > after
+}
+
+// silence is the time since lastOK in probe intervals, never negative.
+func silence(lastOK, now time.Time, interval time.Duration) float64 {
+	return max(0, now.Sub(lastOK).Seconds()/interval.Seconds())
 }
 
 func (m *member) getWeight() float64 { return math.Float64frombits(m.weight.Load()) }
@@ -448,8 +464,8 @@ func (c *Cluster) Start() error {
 
 // AddRemote joins a remote prediction daemon at addr to the fleet with
 // the given routing weight (weight <= 0 selects 1). It starts up and in
-// the routing set immediately; from then on the health loop's failure
-// detector decides whether it stays. Returns the new member's id.
+// the routing set immediately; from then on its probe deadline decides
+// whether it stays. Returns the new member's id.
 func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	if err := validateMemberAddr(addr); err != nil {
 		return 0, err
@@ -472,12 +488,12 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 		id:      id,
 		remote:  true,
 		breaker: NewBreaker(c.cfg.Breaker),
-		sus:     newSuspicion(c.cfg.ProbeInterval, c.cfg.SuspectAfter, time.Now()),
 	}
 	m.setWeight(weight)
 	m.state = stateUp
 	m.setIncarnation(newRemoteReplica(addr))
 	m.upSince = time.Now()
+	m.lastOK = m.upSince
 	c.members = append(c.members, m)
 	c.memMu.Unlock()
 	c.resync()
@@ -506,7 +522,7 @@ func (c *Cluster) ReweightMember(id int, weight float64) error {
 // suspect member gets one /healthz probe on its own goroutine, so a hung
 // member delays no other member's probe; a member whose last probe is
 // still in flight is skipped. Remote members are first checked against
-// the failure detector: silence → suspect → out of the routing set.
+// their probe deadline: silence → suspect → out of the routing set.
 // Local members are never suspect; their babysitter handles process
 // death.
 func (c *Cluster) healthLoop() {
@@ -521,11 +537,11 @@ func (c *Cluster) healthLoop() {
 		}
 		now := time.Now()
 		for _, m := range c.memberList() {
-			if m.remote && m.sus.suspect(now) && m.markSuspect() {
+			if m.markSuspect(now, c.cfg.ProbeInterval, c.cfg.SuspectAfter) {
 				c.resync()
 				mSuspects.Inc()
 			}
-			addr := m.heartbeatAddr()
+			addr := m.probeAddr()
 			if addr == "" || !m.probing.CompareAndSwap(false, true) {
 				continue
 			}
@@ -540,8 +556,8 @@ func (c *Cluster) healthLoop() {
 // the probe the half-open test traffic, so recovery does not wait for a
 // real request to risk itself. A successful probe records the trust
 // state that drives the degraded-replica routing preference and, for a
-// remote member, is the heartbeat that feeds the failure detector and
-// readmits it when suspect.
+// remote member, resets its probe deadline and readmits it when
+// suspect.
 func (c *Cluster) probeMember(m *member, addr string) {
 	defer c.wg.Done()
 	defer m.probing.Store(false)
@@ -557,8 +573,7 @@ func (c *Cluster) probeMember(m *member, addr string) {
 	if !m.remote {
 		return
 	}
-	m.sus.beat(time.Now())
-	if m.clearSuspect() {
+	if m.probeOK(time.Now()) {
 		c.resync()
 		mRejoins.Inc()
 	}
@@ -1077,9 +1092,9 @@ type MemberStatus struct {
 	Breaker  string  `json:"breaker"`
 	InFlight int64   `json:"in_flight"`
 	Degraded bool    `json:"degraded,omitempty"`
-	// Suspicion is the failure-detector level of a remote member that is
-	// up or suspect: elapsed heartbeat silence in learned inter-arrival
-	// units. A drained member is no longer probed, so it has none.
+	// Suspicion is the silence of a remote member that is up or
+	// suspect: the time since its last successful probe in probe
+	// intervals. A drained member is no longer probed, so it has none.
 	Suspicion float64 `json:"suspicion,omitempty"`
 }
 
@@ -1102,13 +1117,12 @@ func (c *Cluster) Members() []MemberStatus {
 			InFlight: m.inflight.Load(),
 			Degraded: m.degraded.Load(),
 		}
-		live := m.state == stateUp || m.state == stateSuspect
-		m.mu.Unlock()
-		if !live {
+		if m.state != stateUp && m.state != stateSuspect {
 			out[i].Addr = ""
-		} else if m.sus != nil {
-			out[i].Suspicion = m.sus.level(now)
+		} else if m.remote {
+			out[i].Suspicion = silence(m.lastOK, now, c.cfg.ProbeInterval)
 		}
+		m.mu.Unlock()
 	}
 	return out
 }

@@ -28,7 +28,7 @@ type fakeReplica struct {
 	host    *hostListener
 	hits    atomic.Int64 // /v1/predict requests served
 	fail    atomic.Bool  // respond 500 to predicts
-	hfail   atomic.Bool  // respond 500 to health probes (silences heartbeats)
+	hfail   atomic.Bool  // respond 500 to health probes (no successful probe)
 	probes  atomic.Int64 // /healthz requests received
 	// hhang and ohang, when set, hold /healthz and /v1/observe until the
 	// test closes the channel: a hung member. They must not wait on the
@@ -36,7 +36,7 @@ type fakeReplica struct {
 	hhang   atomic.Pointer[chan struct{}]
 	ohang   atomic.Pointer[chan struct{}]
 	stallMS atomic.Int64 // delay predicts by this many ms
-	metrics atomic.Value // string: /metrics page body ("" -> 404, like a daemon without -metrics)
+	metrics atomic.Value // string: /metrics?format=json body ("" -> 404, like a daemon without -metrics)
 	mfail   atomic.Bool  // respond 500 to /metrics
 	lastRID atomic.Value // string: X-Request-Id of the last predict served
 	done    chan struct{}
@@ -94,7 +94,7 @@ func newFakeReplica(id, gen int) *fakeReplica {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, page)
 	})
 	// The host listener tracks the frame connections, which net/http

@@ -1,6 +1,6 @@
 // Fleet-wide metrics aggregation: the balancer periodically scrapes
-// every member's /metrics page, reassembles the Prometheus text into
-// snapshots, and merges them under a fleet_* prefix — counters and
+// every member's /metrics?format=json snapshot, validates it, and
+// merges the snapshots under a fleet_* prefix — counters and
 // histogram buckets sum across members, so fleet_serve_stage_seconds is
 // the whole fleet's latency attribution in one histogram family. The
 // merged view is served two ways: appended to the balancer's own
@@ -108,13 +108,14 @@ func (f *Fleet) ScrapeOnce(ctx context.Context) int {
 	return len(snaps)
 }
 
-// scrapeMember fetches one member's exposition page. A 404 means the
+// scrapeMember fetches one member's metrics snapshot. A 404 means the
 // member does not export metrics — skipped silently; anything else
-// that fails counts as a scrape error.
+// that fails, a snapshot DecodeSnapshot refuses included, counts as a
+// scrape error.
 func (f *Fleet) scrapeMember(ctx context.Context, addr string) (obs.Snapshot, bool) {
 	sctx, cancel := context.WithTimeout(ctx, f.interval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, "http://"+addr+"/metrics", nil)
+	req, err := http.NewRequestWithContext(sctx, http.MethodGet, "http://"+addr+"/metrics?format=json", nil)
 	if err != nil {
 		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
@@ -140,7 +141,7 @@ func (f *Fleet) scrapeMember(ctx context.Context, addr string) (obs.Snapshot, bo
 		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
 	}
-	snap, err := obs.ParsePrometheusText(string(body))
+	snap, err := obs.DecodeSnapshot(body)
 	if err != nil {
 		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false

@@ -21,10 +21,10 @@ func withClusterTelemetry(t *testing.T) {
 	t.Cleanup(func() { obs.SetEnabled(prev) })
 }
 
-// memberMetricsPage is the exposition text the fake members serve —
-// a counter plus a stage histogram, the families /debug/fleet digests.
+// memberMetricsPage is the metrics snapshot the fake members serve as
+// JSON — a counter plus a stage histogram, the families /debug/fleet
+// digests.
 func memberMetricsPage(responses int, decodeFastCount int) string {
-	var b strings.Builder
 	snap := obs.Snapshot{Metrics: []obs.MetricSnapshot{
 		{Name: "serve_responses_total{outcome=\"ok\"}", Kind: "counter", Value: float64(responses)},
 		{Name: obs.MetricServeStageSeconds + "{stage=\"decode\"}", Kind: "histogram",
@@ -34,10 +34,11 @@ func memberMetricsPage(responses int, decodeFastCount int) string {
 				{UpperBound: 0.01, Count: int64(decodeFastCount)},
 			}},
 	}}
-	if err := snap.WritePrometheus(&b); err != nil {
+	page, err := json.Marshal(snap)
+	if err != nil {
 		panic(err)
 	}
-	return b.String()
+	return string(page)
 }
 
 // TestFleetScrapeMerge pins the aggregation rules: members exposing
@@ -77,9 +78,9 @@ func TestFleetScrapeMerge(t *testing.T) {
 		t.Fatalf("fleet decode buckets = %+v, want per-bound sums", h.Buckets)
 	}
 
-	// A member serving an unparsable page is a scrape error; the other
+	// A member serving an undecodable page is a scrape error; the other
 	// members still merge.
-	fl.current(2).metrics.Store("this is { not exposition")
+	fl.current(2).metrics.Store("this is { not json")
 	if n := f.ScrapeOnce(context.Background()); n != 2 {
 		t.Fatalf("ScrapeOnce with garbage member = %d, want 2", n)
 	}
@@ -173,8 +174,8 @@ func TestFleetStatusAndDebugPage(t *testing.T) {
 }
 
 // TestFleetMetricsHandler pins the balancer's merged exposition: one
-// page carrying both the local cluster_* families and the scraped
-// fleet_* families, parseable as standard exposition text.
+// text page carrying both the local cluster_* families and the scraped
+// fleet_* families.
 func TestFleetMetricsHandler(t *testing.T) {
 	withClusterTelemetry(t)
 	c, fl, front := newTestCluster(t, 2, nil)
@@ -197,14 +198,11 @@ func TestFleetMetricsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := obs.ParsePrometheusText(string(body))
-	if err != nil {
-		t.Fatalf("merged exposition does not parse: %v", err)
+	page := string(body)
+	if !strings.Contains(page, "\n"+`fleet_serve_responses_total{outcome="ok"} 9`+"\n") {
+		t.Errorf("fleet series missing from merged page:\n%s", page)
 	}
-	if m, ok := snap.Find(`fleet_serve_responses_total{outcome="ok"}`); !ok || m.Value != 9 {
-		t.Errorf("fleet series = %+v ok=%v, want 9", m, ok)
-	}
-	if _, ok := snap.Find(`cluster_requests_total{outcome="ok"}`); !ok {
-		t.Errorf("local cluster series missing from merged page; got %d series", len(snap.Metrics))
+	if !strings.Contains(page, "\n"+`cluster_requests_total{outcome="ok"} `) {
+		t.Errorf("local cluster series missing from merged page:\n%s", page)
 	}
 }

@@ -66,7 +66,7 @@ func (rm *recordingMember) last(t *testing.T) hopRecord {
 }
 
 // newRemoteOnlyCluster starts a cluster whose only member is the remote
-// daemon at addr, with heartbeats out of the way.
+// daemon at addr, with health probes out of the way.
 func newRemoteOnlyCluster(t *testing.T, addr string, timeout time.Duration) *httptest.Server {
 	t.Helper()
 	c, err := New(Config{Timeout: timeout, ProbeInterval: time.Hour})

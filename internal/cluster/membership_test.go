@@ -167,8 +167,8 @@ func TestRemoteSuspectAndRejoin(t *testing.T) {
 	}
 	waitFor(t, "both remotes up", 2*time.Second, func() bool { return c.UpCount() == 2 })
 
-	// Silence member 0's heartbeats: the failure detector must suspect
-	// it and pull it from the routing set.
+	// Fail member 0's probes: once past its probe deadline it must be suspect
+	// and out of the routing set.
 	rf.reps[0].hfail.Store(true)
 	waitFor(t, "member 0 suspect", 5*time.Second, func() bool {
 		ms := c.Members()
@@ -180,7 +180,7 @@ func TestRemoteSuspectAndRejoin(t *testing.T) {
 			t.Fatalf("predict during suspicion: status %d", status)
 		}
 	}
-	// Heal: the next heartbeat readmits it.
+	// Heal: the next successful probe readmits it.
 	rf.reps[0].hfail.Store(false)
 	waitFor(t, "member 0 rejoin", 5*time.Second, func() bool {
 		ms := c.Members()

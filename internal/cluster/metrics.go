@@ -24,9 +24,9 @@ var (
 
 	// Multi-host membership and failure detection.
 	mSuspects = obs.NewCounter(obs.MetricClusterSuspects,
-		"remote members suspected by the heartbeat failure detector")
+		"remote members suspected: no successful probe within the suspicion deadline")
 	mRejoins = obs.NewCounter(obs.MetricClusterRejoins,
-		"suspect members readmitted to the routing set after a fresh heartbeat")
+		"suspect members readmitted to the routing set after a successful probe")
 	mMembersAdded = obs.NewCounter(obs.MetricClusterMembersAdded,
 		"remote members joined to the fleet")
 	mClientGone = obs.NewCounter(obs.MetricClusterClientGone,

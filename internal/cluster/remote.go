@@ -12,7 +12,7 @@ import (
 // does not own its process, only its address. It joins and leaves the
 // fleet through AddRemote / DrainMember / members-file reloads, the
 // health loop probes it like any member, its liveness is judged by the
-// failure detector those probes feed rather than by a babysitter, and
+// deadline those probes reset rather than by a babysitter, and
 // requests reach it over the router's frame link to it, each carrying
 // its remaining budget.
 type RemoteReplica struct {

@@ -50,7 +50,7 @@ func buildContentiond(t *testing.T) string {
 // in-package chaos proxy (chaosproxy_test.go) that injects a seeded schedule of latency, resets,
 // stalls, and partitions mid-load. The fleet must hold ≥99% success,
 // never go fully dark in any 250ms bucket, mark partitioned members
-// suspect via the heartbeat failure detector, and readmit them after
+// suspect once past their probe deadline, and readmit them after
 // the partition heals.
 func TestRemoteChaosGate(t *testing.T) {
 	if testing.Short() {
@@ -114,7 +114,7 @@ func TestRemoteChaosGate(t *testing.T) {
 		_ = c.Shutdown(ctx)
 	}()
 
-	// Detector watcher: sample member states so the gate can assert the
+	// State watcher: sample member states so the gate can assert the
 	// suspect → rejoin lifecycle actually happened.
 	var suspectSeen atomic.Bool
 	watchStop := make(chan struct{})
@@ -250,7 +250,7 @@ func TestRemoteChaosGate(t *testing.T) {
 		}
 	}
 
-	// The failure detector did its job: partitioned members were marked
+	// The probe deadline did its job: partitioned members were marked
 	// suspect mid-run, and every member is back after heal.
 	close(watchStop)
 	watchWG.Wait()

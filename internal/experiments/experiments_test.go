@@ -323,6 +323,36 @@ func TestAllRunsEveryDriver(t *testing.T) {
 	}
 }
 
+// TestPaperExperimentAloneMatchesAll: run alone through the driver
+// table, as `experiments -only X` runs it, each paper experiment renders
+// the same bytes as its block of the whole suite.
+func TestPaperExperimentAloneMatchesAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep in -short mode")
+	}
+	e := env(t)
+	all, err := All(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := suite(false)
+	if len(all) != len(paper) {
+		t.Fatalf("All gave %d results for %d paper experiments", len(all), len(paper))
+	}
+	for i, x := range paper {
+		alone, err := Run(e, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(alone) != 1 || alone[0].ID != x.ID || all[i].ID != x.ID {
+			t.Fatalf("%s: alone gave %d results, All's block %d is %q", x.ID, len(alone), i, all[i].ID)
+		}
+		if got, want := alone[0].Render(), all[i].Render(); got != want {
+			t.Errorf("%s alone renders differently from its block in All:\n%s\n--- in All ---\n%s", x.ID, got, want)
+		}
+	}
+}
+
 func TestRenderFormatsSeries(t *testing.T) {
 	r := Result{
 		ID: "x", Title: "t", XLabel: "n", YLabel: "s",

@@ -183,61 +183,72 @@ func Figure8(env *Env) (Result, error) {
 		specs, cs, 500, map[int]float64{500: 5, 1: 25, 1000: 25})
 }
 
-// driver pairs an experiment id with its runner, for the suite fan-out.
-type driver struct {
-	name string
-	run  func() (Result, error)
+// Experiment is one entry of the driver table: an experiment id, the
+// driver that produces its Result, and whether it goes beyond the
+// paper's published exhibits.
+type Experiment struct {
+	ID        string
+	Extension bool
+	Run       func(*Env) (Result, error)
 }
 
-// runDrivers fans the drivers out on the Env's pool. Results come back
-// in input order and the reported error is the first driver's (by
-// position) regardless of completion order, so the parallel suite is
-// observationally identical to the serial loop.
-func runDrivers(env *Env, drivers []driver) ([]Result, error) {
-	return runner.Map(context.Background(), env.pool(), drivers,
-		func(_ context.Context, _ int, d driver) (Result, error) {
-			sp := obs.StartSpan("driver", d.name)
-			r, err := d.run()
-			mDriverSeconds.With(d.name).Add(sp.End())
+// Experiments is the driver table: the paper's tables and figures in
+// paper order, then the extensions — its generality claim (synthetic
+// suite) and the §4 future work implemented here (I/O characteristics,
+// dynamic job mix, multi-machine platforms and beyond).
+var Experiments = []Experiment{
+	{"table1-2", false, func(*Env) (Result, error) { return Tables12() }},
+	{"table3", false, func(*Env) (Result, error) { return Table3() }},
+	{"table4", false, func(*Env) (Result, error) { return Table4() }},
+	{"figure1", false, Figure1},
+	{"figure2", false, Figure2},
+	{"figure3", false, Figure3},
+	{"figure4", false, Figure4},
+	{"figure5", false, Figure5},
+	{"figure6", false, Figure6},
+	{"figure7", false, Figure7},
+	{"figure8", false, Figure8},
+	{"synthetic", true, func(env *Env) (Result, error) { return SyntheticCM2(env, 30) }},
+	{"iochar", true, IOCharacteristics},
+	{"phased", true, PhasedContention},
+	{"multimachine", true, MultiMachine},
+	{"offload", true, OffloadDecision},
+	{"faulttolerance", true, FaultTolerance},
+	{"caldrift", true, CalibrationDrift},
+	{"scenarioreplay", true, ScenarioReplay},
+}
+
+// Run runs exps as one suite pass, fanned out on the Env's pool.
+// Results come back in input order and the reported error is the first
+// experiment's (by position) regardless of completion order, so the
+// parallel suite is observationally identical to the serial loop.
+func Run(env *Env, exps ...Experiment) ([]Result, error) {
+	env = env.forPass()
+	return runner.Map(context.Background(), env.pool(), exps,
+		func(_ context.Context, _ int, e Experiment) (Result, error) {
+			sp := obs.StartSpan("driver", e.ID)
+			r, err := e.Run(env)
+			mDriverSeconds.With(e.ID).Add(sp.End())
 			if err != nil {
-				return Result{}, fmt.Errorf("%s: %w", d.name, err)
+				return Result{}, fmt.Errorf("%s: %w", e.ID, err)
 			}
 			return r, nil
 		})
 }
 
 // All runs every table and figure driver in paper order.
-func All(env *Env) ([]Result, error) {
-	env = env.forPass()
-	return runDrivers(env, []driver{
-		{"table1-2", Tables12},
-		{"table3", Table3},
-		{"table4", Table4},
-		{"figure1", func() (Result, error) { return Figure1(env) }},
-		{"figure2", func() (Result, error) { return Figure2(env) }},
-		{"figure3", func() (Result, error) { return Figure3(env) }},
-		{"figure4", func() (Result, error) { return Figure4(env) }},
-		{"figure5", func() (Result, error) { return Figure5(env) }},
-		{"figure6", func() (Result, error) { return Figure6(env) }},
-		{"figure7", func() (Result, error) { return Figure7(env) }},
-		{"figure8", func() (Result, error) { return Figure8(env) }},
-	})
-}
+func All(env *Env) ([]Result, error) { return Run(env, suite(false)...) }
 
-// Extensions runs the drivers that go beyond the paper's published
-// exhibits: its generality claim (synthetic suite) and the §4 future
-// work implemented here (I/O characteristics, dynamic job mix,
-// multi-machine platforms).
-func Extensions(env *Env) ([]Result, error) {
-	env = env.forPass()
-	return runDrivers(env, []driver{
-		{"synthetic", func() (Result, error) { return SyntheticCM2(env, 30) }},
-		{"iochar", func() (Result, error) { return IOCharacteristics(env) }},
-		{"phased", func() (Result, error) { return PhasedContention(env) }},
-		{"multimachine", func() (Result, error) { return MultiMachine(env) }},
-		{"offload", func() (Result, error) { return OffloadDecision(env) }},
-		{"faulttolerance", func() (Result, error) { return FaultTolerance(env) }},
-		{"caldrift", func() (Result, error) { return CalibrationDrift(env) }},
-		{"scenarioreplay", func() (Result, error) { return ScenarioReplay(env) }},
-	})
+// Extensions runs every extension driver.
+func Extensions(env *Env) ([]Result, error) { return Run(env, suite(true)...) }
+
+// suite returns the paper's drivers, or the extensions, in table order.
+func suite(extension bool) []Experiment {
+	var out []Experiment
+	for _, e := range Experiments {
+		if e.Extension == extension {
+			out = append(out, e)
+		}
+	}
+	return out
 }

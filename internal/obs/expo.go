@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -98,9 +99,20 @@ func formatValue(v float64) string {
 }
 
 // Handler serves the registry: the Prometheus text format at the
-// handler's root.
+// handler's root, or with ?format=json the Snapshot as JSON — the form
+// the fleet scrape decodes (DecodeSnapshot).
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Query().Get("format") == "json" {
+			body, err := json.Marshal(r.Snapshot())
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(body)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
@@ -119,11 +131,11 @@ func PublishExpvar() {
 }
 
 // ListenAndServe starts an HTTP exposition endpoint for the default
-// registry on addr: /metrics (Prometheus text) and /debug/vars (expvar
-// JSON, including the published registry snapshot). It returns the
-// bound address (useful with a ":0" port) and never blocks; the server
-// lives until the process exits. Errors binding the listener are
-// returned synchronously.
+// registry on addr: /metrics (Prometheus text, or JSON with
+// ?format=json) and /debug/vars (expvar JSON, including the published
+// registry snapshot). It returns the bound address (useful with a ":0"
+// port) and never blocks; the server lives until the process exits.
+// Errors binding the listener are returned synchronously.
 func ListenAndServe(addr string) (string, error) {
 	PublishExpvar()
 	ln, err := net.Listen("tcp", addr)

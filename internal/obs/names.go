@@ -108,8 +108,8 @@ const (
 	MetricScenarioSweepRequest = "scenario_sweep_requests_total"
 
 	// internal/cluster — multi-host membership and failure detection.
-	MetricClusterSuspects     = "cluster_suspects_total"           // remote members suspected by the failure detector
-	MetricClusterRejoins      = "cluster_rejoins_total"            // suspect members readmitted after a heartbeat
+	MetricClusterSuspects     = "cluster_suspects_total"           // remote members past their probe deadline
+	MetricClusterRejoins      = "cluster_rejoins_total"            // suspect members readmitted after a successful probe
 	MetricClusterMembersAdded = "cluster_members_added_total"      // remote members joined via AddRemote
 	MetricClusterClientGone   = "cluster_client_gone_total"        // attempts abandoned because the client vanished
 	MetricClusterReloads      = "cluster_membership_reloads_total" // label: outcome (applied | unchanged | error)
