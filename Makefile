@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet deadapi test race fuzz smoke check fmt allocs
+.PHONY: all build vet deadapi test race fuzz smoke check fmt allocs golden
 
 all: check
 
@@ -34,6 +34,16 @@ test:
 # and chaos gates all run here and nowhere else.
 race:
 	$(GO) test -race ./...
+	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
+
+# The bit-for-bit pins, once each: the suite's golden digests, a driver
+# run alone against All, the parallel pass against the serial one, and
+# the calibration against its recorded values and Run. A simulator
+# refactor can be checked here in seconds; race runs the same tests, so
+# check does not list this step.
+golden:
+	$(GO) test -count=1 -run '^(TestSuiteGoldenDigest|TestPaperExperimentAloneMatchesAll|TestParallelMatchesSerialByteIdentical)$$' ./internal/experiments
+	$(GO) test -count=1 -run '^(TestCalibrationMatchesParent|TestRunRobustSingleRepeatMatchesRun)$$' ./internal/calibrate
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # Every allocation pin in internal/, printing only what each measured

@@ -153,15 +153,6 @@ func checkGrid(field string, words []int) error {
 	return nil
 }
 
-func (o Options) newPlatform() (*des.Kernel, *platform.SunParagon, error) {
-	k := des.New()
-	sp, err := platform.NewSunParagon(k, o.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, sp, nil
-}
-
 // probe is one measurement of the suite, as a comparable value: a
 // ping-pong burst of words-word messages in direction dir, or (compute)
 // a CPU-bound run of ProbeWork dedicated seconds; beside hogs CPU-bound
@@ -193,45 +184,24 @@ func (p probe) withStreamers(i, j int, dir workload.Direction) probe {
 // measure runs one probe on a private kernel and returns the burst's
 // per-message cost or the CPU-bound run's elapsed time.
 func (o Options) measure(pr probe) (float64, error) {
-	k, sp, err := o.newPlatform()
+	k := des.New()
+	defer k.Close()
+	sp, err := platform.NewSunParagon(k, o.Params)
 	if err != nil {
 		return 0, err
 	}
-	defer k.Close()
 	spawnHogs(sp, pr.hogs)
 	spawnStreamers(sp, pr.streamers, pr.streamWords, pr.streamDir)
 	// The warmup is jittered across repeats to decorrelate the probe's
 	// phase from the contenders' deterministic cycles.
-	warmup := o.Warmup + phaseJitter(pr.r)
-	port := "probe"
-	if !pr.compute && pr.dir == workload.SunToParagon {
-		workload.SpawnPingEcho(sp, port)
-	}
-	var elapsed float64
-	k.Spawn("probe", func(p *des.Proc) {
-		if warmup > 0 {
-			p.Delay(warmup)
-		}
-		switch {
-		case pr.compute:
+	return workload.Measure(k, "probe", o.Warmup+phaseJitter(pr.r), func(p *des.Proc) float64 {
+		if pr.compute {
 			start := p.Now()
 			sp.Host.Compute(p, o.ProbeWork)
-			elapsed = p.Now() - start
-		case pr.dir == workload.SunToParagon:
-			elapsed = workload.PingPongBurst(p, sp, port, o.BurstCount, pr.words)
-		default:
-			elapsed = workload.BurstFromParagon(p, sp, port, o.BurstCount, pr.words)
+			return p.Now() - start
 		}
-		k.Stop() // contenders run forever; end the run with the probe
+		return workload.Burst(p, sp, pr.dir, "probe", o.BurstCount, pr.words) / float64(o.BurstCount)
 	})
-	k.Run()
-	if elapsed <= 0 {
-		return 0, fmt.Errorf("calibrate: probe %+v did not finish", pr)
-	}
-	if pr.compute {
-		return elapsed, nil
-	}
-	return elapsed / float64(o.BurstCount), nil
 }
 
 func modelFromFit(fit stats.PiecewiseFit) (core.CommModel, error) {

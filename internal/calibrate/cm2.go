@@ -7,6 +7,7 @@ import (
 	"contention/internal/core"
 	"contention/internal/des"
 	"contention/internal/platform"
+	"contention/internal/workload"
 )
 
 // CM2Options controls the Sun/CM2 calibration benchmarks.
@@ -77,15 +78,9 @@ func cm2Elapsed(params platform.CM2Params, body func(*des.Proc, *platform.SunCM2
 	if err != nil {
 		return 0, err
 	}
-	elapsed := -1.0
-	k.Spawn("bench", func(p *des.Proc) {
+	return workload.Measure(k, "CM2 benchmark", 0, func(p *des.Proc) float64 {
 		start := p.Now()
 		body(p, plat)
-		elapsed = p.Now() - start
+		return p.Now() - start
 	})
-	k.Run()
-	if elapsed < 0 {
-		return 0, errors.New("calibrate: CM2 benchmark did not finish")
-	}
-	return elapsed, nil
 }

@@ -54,8 +54,6 @@ type BreakerConfig struct {
 	// HalfOpenProbes is both the concurrent probe allowance in HalfOpen
 	// and the consecutive successes required to close (default 2).
 	HalfOpenProbes int
-	// Now overrides the clock (tests); nil selects time.Now.
-	Now func() time.Time
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -77,9 +75,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.HalfOpenProbes <= 0 {
 		c.HalfOpenProbes = 2
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return c
 }
 
@@ -93,6 +88,7 @@ var mBreakerTrans = obs.NewCounterVec(obs.MetricClusterBreakerTrans,
 // Goroutine-safe.
 type Breaker struct {
 	cfg BreakerConfig
+	now func() time.Time // time.Now; the package's tests drive a fake clock
 
 	mu      sync.Mutex
 	state   BreakerState
@@ -110,6 +106,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
 	return &Breaker{
 		cfg:  cfg,
+		now:  time.Now,
 		ok:   make([]int64, cfg.Buckets),
 		fail: make([]int64, cfg.Buckets),
 	}
@@ -155,7 +152,7 @@ func (b *Breaker) toLocked(s BreakerState) {
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Now()
+	now := b.now()
 	switch b.state {
 	case Closed:
 		return true
@@ -193,7 +190,7 @@ func (b *Breaker) Forgive() {
 func (b *Breaker) Record(ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Now()
+	now := b.now()
 	b.rotateLocked(now)
 	if ok {
 		b.ok[b.cur]++

@@ -15,15 +15,16 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testBreaker(c *fakeClock) *Breaker {
-	return NewBreaker(BreakerConfig{
+	b := NewBreaker(BreakerConfig{
 		Window:         time.Second,
 		Buckets:        10,
 		MinVolume:      10,
 		TripRate:       0.5,
 		Cooldown:       time.Second,
 		HalfOpenProbes: 2,
-		Now:            c.now,
 	})
+	b.now = c.now
+	return b
 }
 
 func TestBreakerTripsOnlyWithVolume(t *testing.T) {
@@ -217,6 +218,6 @@ func TestBreakerStateIsSideEffectFree(t *testing.T) {
 func (b *Breaker) Stats() (volume int64, failRate float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.rotateLocked(b.cfg.Now())
+	b.rotateLocked(b.now())
 	return b.statsLocked()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -404,18 +405,39 @@ func TestResultMarshalsToJSON(t *testing.T) {
 	}
 }
 
-// The CM2 figures return their platform's construction error, as every
-// Paragon-side run does, rather than panic inside a pool worker.
-func TestCM2FiguresReturnPlatformError(t *testing.T) {
-	bad := *env(t)
-	bad.CM2Params.HostSpeed = 0
-	for name, figure := range map[string]func(*Env) (Result, error){
-		"figure1":   Figure1,
-		"figure3":   Figure3,
-		"synthetic": func(e *Env) (Result, error) { return SyntheticCM2(e, 3) },
+// Every driver that builds a platform from the Env returns that
+// platform's construction error — the Sun/CM2 figures and every
+// Sun/Paragon exhibit and extension alike — rather than panic inside a
+// pool worker or report a run that did not finish.
+func TestDriversReturnPlatformError(t *testing.T) {
+	for _, tc := range []struct {
+		platform string
+		zero     func(*Env)
+		ids      []string
+	}{
+		{"Sun/CM2", func(e *Env) { e.CM2Params.HostSpeed = 0 },
+			[]string{"figure1", "figure2", "figure3", "synthetic"}},
+		{"Sun/Paragon", func(e *Env) { e.ParagonParams.HostSpeed = 0 },
+			[]string{"figure4", "figure5", "figure6", "figure7", "figure8", "iochar", "phased",
+				"multimachine", "offload", "faulttolerance", "caldrift"}},
 	} {
-		if _, err := figure(&bad); err == nil || !strings.Contains(err.Error(), "host speed") {
-			t.Errorf("%s on a zero-speed Sun: err %v, want the platform's host-speed error", name, err)
+		bad := *env(t)
+		tc.zero(&bad)
+		for _, id := range tc.ids {
+			i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+			if i < 0 {
+				t.Fatalf("no driver %q", id)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a zero-speed %s panicked: %v", id, tc.platform, r)
+					}
+				}()
+				if _, err := Experiments[i].Run(&bad); err == nil || !strings.Contains(err.Error(), "host speed") {
+					t.Errorf("%s on a zero-speed %s: err %v, want the platform's host-speed error", id, tc.platform, err)
+				}
+			}()
 		}
 	}
 }

@@ -76,17 +76,11 @@ func faultyBurst(params platform.ParagonParams, count, words int, rate float64, 
 		}
 	}
 
-	const port = "ftbench"
-	workload.SpawnPingEcho(sp, port)
-	elapsed := -1.0
-	k.Spawn("ftbench", func(p *des.Proc) {
-		p.Delay(burstWarmup)
-		elapsed = workload.PingPongBurst(p, sp, port, count, words)
-		k.Stop()
+	elapsed, err := workload.Measure(k, "faulty burst", burstWarmup, func(p *des.Proc) float64 {
+		return workload.Burst(p, sp, workload.SunToParagon, "ftbench", count, words)
 	})
-	k.Run()
-	if elapsed < 0 {
-		return faultRun{}, fmt.Errorf("experiments: faulty burst (rate %v) did not finish", rate)
+	if err != nil {
+		return faultRun{}, err
 	}
 	return faultRun{
 		elapsed:     elapsed,

@@ -38,19 +38,12 @@ func cm2TransferElapsed(env *Env, m, hogs int) (float64, error) {
 		return 0, err
 	}
 	spawnDutyHogs(k, plat, hogs)
-	elapsed := -1.0
-	k.Spawn("app", func(p *des.Proc) {
+	return workload.Measure(k, "CM2 transfer", 0, func(p *des.Proc) float64 {
 		start := p.Now()
 		plat.TransferMessages(p, m, m) // Sun → CM2
 		plat.TransferMessages(p, m, m) // CM2 → Sun
-		elapsed = p.Now() - start
-		k.Stop()
+		return p.Now() - start
 	})
-	k.Run()
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: CM2 transfer (M=%d) did not finish", m)
-	}
-	return elapsed, nil
 }
 
 // Figure1 reproduces the Sun/CM2 communication experiment: modeled and
@@ -170,9 +163,9 @@ func Figure2(env *Env) (Result, error) {
 // back-end's busy and idle time within it.
 type cm2Run struct{ elapsed, busy, idle float64 }
 
-// cm2ProgramRun runs prog as process name on a fresh Sun/CM2 beside
-// hogs duty-cycled CPU contenders.
-func cm2ProgramRun(env *Env, name string, prog apps.CM2Program, hogs int) (cm2Run, error) {
+// cm2ProgramRun runs prog on a fresh Sun/CM2 beside hogs duty-cycled
+// CPU contenders.
+func cm2ProgramRun(env *Env, prog apps.CM2Program, hogs int) (cm2Run, error) {
 	k := des.New()
 	defer k.Close()
 	plat, err := platform.NewSunCM2(k, env.CM2Params)
@@ -180,18 +173,10 @@ func cm2ProgramRun(env *Env, name string, prog apps.CM2Program, hogs int) (cm2Ru
 		return cm2Run{}, err
 	}
 	spawnDutyHogs(k, plat, hogs)
-	var run cm2Run
-	done := false
-	k.Spawn(name, func(p *des.Proc) {
+	return workload.Measure(k, prog.Name, 0, func(p *des.Proc) (run cm2Run) {
 		run.elapsed, run.busy, run.idle = apps.RunCM2(p, plat, prog)
-		done = true
-		k.Stop()
+		return run
 	})
-	k.Run()
-	if !done {
-		return cm2Run{}, fmt.Errorf("experiments: CM2 program %q did not finish", prog.Name)
-	}
-	return run, nil
 }
 
 // Figure3 reproduces the Gaussian-elimination experiment on the CM2:
@@ -211,11 +196,11 @@ func Figure3(env *Env) (Result, error) {
 		func(_ context.Context, _ int, m int) (point, error) {
 			prog := apps.GaussCM2Program(m)
 			// Dedicated run: the source of dcomp_cm2 and didle_cm2.
-			ded, err := cm2ProgramRun(env, "gauss", prog, 0)
+			ded, err := cm2ProgramRun(env, prog, 0)
 			if err != nil {
 				return point{}, err
 			}
-			contended, err := cm2ProgramRun(env, "gauss", prog, 3)
+			contended, err := cm2ProgramRun(env, prog, 3)
 			if err != nil {
 				return point{}, err
 			}

@@ -35,38 +35,18 @@ func burstElapsed(params platform.ParagonParams, dir workload.Direction, count, 
 			return 0, err
 		}
 	}
-	warmup := burstWarmup
+	return workload.Measure(k, "burst", contendedWarmup(specs), func(p *des.Proc) float64 {
+		return workload.Burst(p, sp, dir, "bench", count, words)
+	})
+}
+
+// contendedWarmup is the warm-up of a run beside specs: burstWarmup,
+// or none on a dedicated platform.
+func contendedWarmup(specs []workload.AlternatorSpec) float64 {
 	if len(specs) == 0 {
-		warmup = 0
+		return 0
 	}
-	elapsed := -1.0
-	const port = "bench"
-	switch dir {
-	case workload.SunToParagon:
-		workload.SpawnPingEcho(sp, port)
-		k.Spawn("bench", func(p *des.Proc) {
-			if warmup > 0 {
-				p.Delay(warmup)
-			}
-			elapsed = workload.PingPongBurst(p, sp, port, count, words)
-			k.Stop()
-		})
-	case workload.ParagonToSun:
-		k.Spawn("bench", func(p *des.Proc) {
-			if warmup > 0 {
-				p.Delay(warmup)
-			}
-			elapsed = workload.BurstFromParagon(p, sp, port, count, words)
-			k.Stop()
-		})
-	default:
-		return 0, fmt.Errorf("experiments: unknown direction %d", int(dir))
-	}
-	k.Run()
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: burst (dir %v, %d×%d words) did not finish", dir, count, words)
-	}
-	return elapsed, nil
+	return burstWarmup
 }
 
 // dedicatedKey is everything a dedicated burst's elapsed time depends

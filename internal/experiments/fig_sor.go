@@ -41,25 +41,11 @@ func sorElapsed(params platform.ParagonParams, m int, specs []workload.Alternato
 			return 0, err
 		}
 	}
-	warmup := burstWarmup
-	if len(specs) == 0 {
-		warmup = 0
-	}
-	elapsed := -1.0
-	k.Spawn("sor", func(p *des.Proc) {
-		if warmup > 0 {
-			p.Delay(warmup)
-		}
+	return workload.Measure(k, "SOR", contendedWarmup(specs), func(p *des.Proc) float64 {
 		start := p.Now()
 		sp.Host.Compute(p, apps.SORWork(m, sorIters))
-		elapsed = p.Now() - start
-		k.Stop()
+		return p.Now() - start
 	})
-	k.Run()
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: SOR run (M=%d) did not finish", m)
-	}
-	return elapsed, nil
 }
 
 // sorFigure runs one SOR-under-contention experiment, sweeping the j

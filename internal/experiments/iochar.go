@@ -6,8 +6,6 @@ import (
 
 	"contention/internal/apps"
 	"contention/internal/core"
-	"contention/internal/des"
-	"contention/internal/platform"
 	"contention/internal/runner"
 	"contention/internal/workload"
 )
@@ -49,7 +47,7 @@ func IOCharacteristics(env *Env) (Result, error) {
 			if err != nil {
 				return point{}, err
 			}
-			act, err := ioSORElapsed(env.ParagonParams, m, specs)
+			act, err := sorElapsed(env.ParagonParams, m, specs)
 			if err != nil {
 				return point{}, err
 			}
@@ -82,32 +80,4 @@ func IOCharacteristics(env *Env) (Result, error) {
 			extended, naive, 100*(1-ioFrac)),
 		"§1: \"both load characteristics (CPU- versus I/O-bound) and contention on the network should be considered\"")
 	return r, nil
-}
-
-// ioSORElapsed is sorElapsed with I/O-capable contenders.
-func ioSORElapsed(params platform.ParagonParams, m int, specs []workload.AlternatorSpec) (float64, error) {
-	k := des.New()
-	defer k.Close()
-	sp, err := platform.NewSunParagon(k, params)
-	if err != nil {
-		return 0, err
-	}
-	for _, s := range specs {
-		if _, err := workload.SpawnAlternator(sp, s); err != nil {
-			return 0, err
-		}
-	}
-	elapsed := -1.0
-	k.Spawn("sor", func(p *des.Proc) {
-		p.Delay(burstWarmup)
-		start := p.Now()
-		sp.Host.Compute(p, apps.SORWork(m, sorIters))
-		elapsed = p.Now() - start
-		k.Stop()
-	})
-	k.Run()
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: I/O SOR run (M=%d) did not finish", m)
-	}
-	return elapsed, nil
 }

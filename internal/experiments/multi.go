@@ -103,16 +103,7 @@ func multiBurst(params platform.ParagonParams, count, words int, sameLink bool) 
 	}); err != nil {
 		return 0, err
 	}
-	workload.SpawnPingEcho(legs[0], "bench")
-	elapsed := -1.0
-	k.Spawn("bench", func(p *des.Proc) {
-		p.Delay(burstWarmup)
-		elapsed = workload.PingPongBurst(p, legs[0], "bench", count, words)
-		k.Stop()
+	return workload.Measure(k, "multi-machine burst", burstWarmup, func(p *des.Proc) float64 {
+		return workload.Burst(p, legs[0], workload.SunToParagon, "bench", count, words)
 	})
-	k.Run()
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: multi-machine burst did not finish")
-	}
-	return elapsed, nil
 }

@@ -136,20 +136,15 @@ func estimateTp(env *Env, spec apps.SORParagonSpec) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	out := -1.0
 	var runErr error
-	k.Spawn("tp", func(p *des.Proc) {
-		out, runErr = apps.RunSORParagon(p, sp, spec)
-		k.Stop()
+	tp, err := workload.Measure(k, "T_p", 0, func(p *des.Proc) (tp float64) {
+		tp, runErr = apps.RunSORParagon(p, sp, spec)
+		return tp
 	})
-	k.Run()
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
-	if out < 0 {
-		return 0, fmt.Errorf("experiments: T_p run did not finish")
-	}
-	return out, nil
+	return tp, runErr
 }
 
 // offloadRun measures the full offload path under contenders: ship the
@@ -166,32 +161,23 @@ func offloadRun(params platform.ParagonParams, m, nodes int, specs []workload.Al
 			return 0, err
 		}
 	}
-	elapsed := -1.0
 	var runErr error
-	k.Spawn("app", func(p *des.Proc) {
-		p.Delay(burstWarmup)
+	elapsed, err := workload.Measure(k, "offload", burstWarmup, func(p *des.Proc) float64 {
 		start := p.Now()
 		// Ship the matrix: M rows of M words.
 		for i := 0; i < m; i++ {
 			sp.SendToParagon(p, "data", m)
 		}
 		// Execute on the MPP.
-		if _, err := apps.RunSORParagon(p, sp, apps.SORParagonSpec{M: m, Iters: sorIters, Nodes: nodes}); err != nil {
-			runErr = err
-			k.Stop()
-			return
+		if _, runErr = apps.RunSORParagon(p, sp, apps.SORParagonSpec{M: m, Iters: sorIters, Nodes: nodes}); runErr != nil {
+			return 0
 		}
 		// Ship the solution back.
-		elapsed = workload.BurstFromParagon(p, sp, "result", m, m)
-		elapsed = p.Now() - start
-		k.Stop()
+		workload.Burst(p, sp, workload.ParagonToSun, "result", m, m)
+		return p.Now() - start
 	})
-	k.Run()
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: offload run did not finish")
-	}
-	return elapsed, nil
+	return elapsed, runErr
 }

@@ -104,17 +104,9 @@ func phasedRun(params platform.ParagonParams, dcomp, appStart, tJoin, tLeave flo
 	if _, err := workload.SpawnAlternator(sp, specB); err != nil {
 		return 0, err
 	}
-	elapsed := -1.0
-	k.Spawn("app", func(p *des.Proc) {
-		p.Delay(appStart)
+	return workload.Measure(k, "phased app", appStart, func(p *des.Proc) float64 {
 		start := p.Now()
 		sp.Host.Compute(p, dcomp)
-		elapsed = p.Now() - start
-		k.Stop()
+		return p.Now() - start
 	})
-	k.Run()
-	if elapsed < 0 {
-		return 0, fmt.Errorf("experiments: phased run did not finish")
-	}
-	return elapsed, nil
 }

@@ -51,12 +51,12 @@ func SyntheticCM2(env *Env, programs int) (Result, error) {
 			p := 1 + i%3
 
 			// Dedicated run: measure dcomp_cm2 and didle_cm2.
-			ded, err := cm2ProgramRun(env, prog.Name, prog, 0)
+			ded, err := cm2ProgramRun(env, prog, 0)
 			if err != nil {
 				return point{}, err
 			}
 			model := core.CM2ExecTime(ded.busy, ded.idle, prog.TotalSerial(), p)
-			contended, err := cm2ProgramRun(env, prog.Name, prog, p)
+			contended, err := cm2ProgramRun(env, prog, p)
 			if err != nil {
 				return point{}, err
 			}

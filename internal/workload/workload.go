@@ -2,7 +2,9 @@
 // benchmarks the paper uses to emulate load on production systems:
 // CPU-bound hogs, compute/communicate alternators with a configurable
 // communication fraction and message size, burst senders (the Figure
-// 4–6 workload), and the ping-pong benchmark the calibration suite runs.
+// 4–6 workload), the ping-pong benchmark the calibration suite runs, and
+// Measure, the one measured run the calibration probes and the exhibits
+// share.
 package workload
 
 import (
@@ -276,6 +278,49 @@ func PingPongBurst(p *des.Proc, sp *platform.SunParagon, port string, count, wor
 	sp.SunEnd.Send(p, port, port, words, pingEnd{})
 	sp.RecvOnSun(p, port)
 	return p.Now() - start
+}
+
+// Burst measures one burst of count words-word messages on port, from
+// the measured process p, and returns its elapsed virtual time:
+// Sun→Paragon it installs the echo (SpawnPingEcho, which schedules
+// nothing) and runs the ping-pong benchmark (PingPongBurst); Paragon→Sun
+// it has the back-end stream the burst to the Sun (BurstFromParagon) —
+// the Figure 5 and 6 measurements and the calibration's burst probes.
+func Burst(p *des.Proc, sp *platform.SunParagon, dir Direction, port string, count, words int) float64 {
+	switch dir {
+	case SunToParagon:
+		SpawnPingEcho(sp, port)
+		return PingPongBurst(p, sp, port, count, words)
+	case ParagonToSun:
+		return BurstFromParagon(p, sp, port, count, words)
+	}
+	panic(fmt.Sprintf("workload: unknown direction %d", int(dir)))
+}
+
+// Measure is one measured run on k, whose platform and contenders the
+// caller has installed: it spawns process name, which waits warmup
+// virtual seconds when warmup is positive (a zero warm-up schedules
+// nothing) and then runs body; once body returns it stops the kernel —
+// contenders run forever, so the measurement ends the run. It returns
+// body's value, or an error naming the run when the kernel drained
+// before body returned.
+func Measure[T any](k *des.Kernel, name string, warmup float64, body func(p *des.Proc) T) (T, error) {
+	var run struct {
+		v    T
+		done bool
+	}
+	k.Spawn(name, func(p *des.Proc) {
+		if warmup > 0 {
+			p.Delay(warmup)
+		}
+		run.v, run.done = body(p), true
+		k.Stop()
+	})
+	k.Run()
+	if !run.done {
+		return run.v, fmt.Errorf("workload: run %q did not finish", name)
+	}
+	return run.v, nil
 }
 
 // SpawnDutyHogOnHost starts a nearly-CPU-bound contender directly on a
