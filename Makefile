@@ -19,9 +19,12 @@ vet:
 
 # Every exported name, and every unexported function or method, under
 # internal/ must have a use in a non-test file of this module or of
-# bench/ (deadapi_test.go: interface methods, the exported methods of the
-# façade's aliased types, internal/prob and a short allow-list exempt).
-# Code only tests call lives in those tests' _test.go files.
+# bench/, and every exported field of an exported struct type there a
+# write in one (deadapi_test.go: interface methods, the exported methods
+# and fields of the façade's aliased types, tagged fields, a value
+# receiver's writes to its own copy, internal/prob and a short
+# allow-list exempt). Code only tests call lives in those tests' _test.go
+# files; a setting only tests set is a constant.
 deadapi:
 	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$' .
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"

@@ -20,20 +20,23 @@ import (
 )
 
 // deadAPIAllow names the exported internal API that only another
-// package's tests call and that stays anyway, each with the test that
-// needs it. Keep it short: anything else a test wants it builds in its
-// own _test.go files or reaches through API production already uses.
+// package's tests call or set and that stays anyway, each with the test
+// that needs it. Keep it short: anything else a test wants it builds in
+// its own _test.go files or reaches through API production already uses.
 var deadAPIAllow = map[string]string{
 	// Simulator state that other packages' tests read back.
 	"contention/internal/cpu.Host.Load":            "link TestStopFromHandlerParksARunningAheadSender: the parked sender is the host's one job",
 	"contention/internal/cpu.Host.Completed":       "des TestRunAheadMatchesQueueAndPark: jobs served by both runs",
 	"contention/internal/cpu.Host.ConfigureMemory": "core TestMemoryExtensionMatchesSimulation: the paging reference CompSlowdownWithMemory is held to",
 	"contention/internal/cpu.Host.Reserve":         "core TestMemoryExtensionMatchesSimulation: working sets of the app and its hogs",
+	"contention/internal/cpu.MemoryConfig.Pages":   "core TestMemoryExtensionMatchesSimulation and des TestRunAheadMatchesQueueAndPark: the paging reference's page count",
+	"contention/internal/cpu.MemoryConfig.Thrash":  "core TestMemoryExtensionMatchesSimulation and des TestRunAheadMatchesQueueAndPark: the paging reference's thrash factor",
 	"contention/internal/cpu.Residency.Release":    "des TestRunAheadMatchesQueueAndPark: working sets released mid-run",
 	"contention/internal/disk.Disk.BusyTime":       "workload TestAlternatorIOFractionUsesDisk: the device's busy fraction",
 	"contention/internal/mesh.Machine.FabricBusy":  "link TestStreamMatchesSendLoop: fabric occupancy of both runs",
 	"contention/internal/mesh.Machine.FabricSends": "link TestStreamMatchesSendLoop: fabric transfers of both runs",
 	// Serving hooks that cluster and serve tests drive.
+	"contention/internal/obs.SLOConfig.Registry": "serve TestUnsampledWarmPathAllocationFree, cluster TestFleetStatusAndDebugPage and TestReadySLODetail: a tracker with a registry of its own",
 	"contention/internal/obs.Tracer.Reset":       "serve withTracing and cluster withTraceRecording: past its bound the process tracer drops new spans",
 	"contention/internal/serve.ServeFrames":      "cluster newFakeReplica and newRecordingMember: stand-in replicas answer frames with it",
 	"contention/internal/serve.Server.Admission": "cluster TestKillSeversFrames and TestSubMillisecondBudgetReachesReplica: a replica's in-flight count",
@@ -46,9 +49,11 @@ var deadAPIExemptPkgs = []string{
 
 // TestNoDeadAPI fails on every exported name, and every unexported
 // function or method, declared in a non-test file under internal/ that
-// no non-test file of this module or of the bench module uses. Tests
-// cannot keep code alive: a helper only tests call belongs in the
-// _test.go files of the package whose tests use it.
+// no non-test file of this module or of the bench module uses, and on
+// every exported field of an exported struct type there that none of
+// them writes. Tests cannot keep code alive: a helper only tests call
+// belongs in the _test.go files of the package whose tests use it, and
+// a setting only tests set is a constant.
 func TestNoDeadAPI(t *testing.T) {
 	dead, err := deadAPI(".", []string{"bench"}, deadAPIExemptPkgs, deadAPIAllow)
 	if err != nil {
@@ -61,10 +66,12 @@ func TestNoDeadAPI(t *testing.T) {
 
 // TestDeadAPIFixture runs the gate on a two-module fixture: of
 // internal/lib's names it must flag only the dead exported and
-// unexported functions, the interface only a test uses and the method
-// only that interface declares — not a String method, an exported or
-// unexported method production calls through an interface, or a
-// function only the consumer module calls.
+// unexported functions, the interface only a test uses, the method
+// only that interface declares, the field only a test sets and the
+// field only a value receiver's withDefaults sets — not a String
+// method, an exported or unexported method production calls through an
+// interface, a function or field only the consumer module uses, a
+// field a pointer method writes or a tagged field.
 func TestDeadAPIFixture(t *testing.T) {
 	dead, err := deadAPI(filepath.Join("testdata", "deadapi"), []string{"consumer"}, nil, nil)
 	if err != nil {
@@ -75,7 +82,7 @@ func TestDeadAPIFixture(t *testing.T) {
 		got = append(got, d[strings.LastIndex(d, " ")+1:])
 	}
 	sort.Strings(got)
-	if want := []string{"lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %q, want exactly %q", got, want)
 	}
 }
@@ -135,10 +142,14 @@ func goList(dir string) (mod string, pkgs []listedPkg, err error) {
 // exported name, and each unexported function or method, declared under
 // root's internal/ that none of them uses. Unexported consts, vars,
 // types and fields are not candidates: enum members are used only by
-// position. A use inside the name's own declaration does not count. Exempt are
-// methods that satisfy an interface method some non-test file calls or
-// a deadStdIfaces interface, exported methods of types the root package
-// aliases, everything in the exempt packages, and the allow-list.
+// position. A use inside the name's own declaration does not count.
+// It also returns "file:line: pkg.Type.Field" for each exported,
+// untagged, non-embedded field of an exported struct type there that
+// none of them writes (deadFieldWrites); a decoder writes tagged
+// fields. Exempt are methods that satisfy an interface method some
+// non-test file calls or a deadStdIfaces interface, exported methods
+// and fields of types the root package aliases, everything in the
+// exempt packages, and the allow-list.
 func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[string]string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -192,7 +203,12 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
@@ -211,6 +227,11 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 						return true
 					})
 				}
+			}
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				deadFieldWrites(info, d, used)
 			}
 		}
 		for id, obj := range info.Uses {
@@ -279,6 +300,11 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 								live[deadKey(m)] = true
 							}
 						}
+						if st, ok := n.Underlying().(*types.Struct); ok {
+							for i := 0; i < st.NumFields(); i++ {
+								live[deadFieldKey(n, st.Field(i))] = true
+							}
+						}
 					}
 				}
 			}
@@ -311,6 +337,13 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 				for i := 0; i < n.NumMethods(); i++ {
 					m := n.Method(i)
 					cands = append(cands, cand{deadKey(m), m.Pos()})
+				}
+			}
+			if st, ok := obj.Type().Underlying().(*types.Struct); ok && n != nil && obj.Exported() {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" {
+						cands = append(cands, cand{deadFieldKey(n, f), f.Pos()})
+					}
 				}
 			}
 		}
@@ -412,4 +445,85 @@ func deadSig(t types.Type) string {
 		b.WriteString("...")
 	}
 	return b.String()
+}
+
+// deadFieldWrites marks in used every field of a named struct type that
+// decl writes: as a composite-literal element, keyed or positional, or
+// as an assignment or ++/-- target. A value receiver's writes to fields
+// of its own type only change its copy (the withDefaults idiom), so they
+// do not count.
+func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
+	var own *types.Named
+	if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+		if n, ok := types.Unalias(info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()).(*types.Named); ok {
+			own = n.Origin()
+		}
+	}
+	mark := func(n *types.Named, f *types.Var) {
+		if n != nil && n.Origin() != own {
+			used[deadFieldKey(n, f)] = true
+		}
+	}
+	target := func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		s := info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return
+		}
+		var n *types.Named
+		var f *types.Var
+		t := s.Recv()
+		for _, i := range s.Index() {
+			if p, ok := types.Unalias(t).(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return
+			}
+			n, _ = types.Unalias(t).(*types.Named)
+			f = st.Field(i)
+			t = f.Type()
+		}
+		mark(n, f)
+	}
+	ast.Inspect(decl, func(node ast.Node) bool {
+		switch node := node.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(node)
+			if p, ok := types.Unalias(t).(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			n, _ := types.Unalias(t).(*types.Named)
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range node.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						mark(n, f)
+					}
+				} else {
+					mark(n, st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range node.Lhs {
+				target(e)
+			}
+		case *ast.IncDecStmt:
+			target(node.X)
+		}
+		return true
+	})
+}
+
+// deadFieldKey names field f of struct type n pkgpath.Type.Field.
+func deadFieldKey(n *types.Named, f *types.Var) string {
+	o := n.Origin().Obj()
+	return o.Pkg().Path() + "." + o.Name() + "." + f.Name()
 }

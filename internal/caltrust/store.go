@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"contention/internal/core"
+	"contention/internal/obs"
 )
 
 // SchemaVersion is the on-disk calibration envelope schema this build
@@ -24,9 +25,6 @@ type Meta struct {
 	// Platform names the calibrated platform (defaults to the
 	// calibration's own Platform field).
 	Platform string
-	// CreatedAt is an RFC3339 timestamp supplied by the caller (kept
-	// opaque here so simulated time works too).
-	CreatedAt string
 	// Note is free-form provenance ("recalibrated after drift @ w=12").
 	Note string
 }
@@ -36,7 +34,6 @@ type Meta struct {
 type Envelope struct {
 	Schema      int             `json:"schema"`
 	Platform    string          `json:"platform,omitempty"`
-	CreatedAt   string          `json:"created_at,omitempty"`
 	Note        string          `json:"note,omitempty"`
 	Checksum    string          `json:"checksum"`
 	Calibration json.RawMessage `json:"calibration"`
@@ -82,7 +79,6 @@ func Encode(cal core.Calibration, meta Meta) ([]byte, error) {
 	env := Envelope{
 		Schema:      SchemaVersion,
 		Platform:    meta.Platform,
-		CreatedAt:   meta.CreatedAt,
 		Note:        meta.Note,
 		Checksum:    sum,
 		Calibration: payload,
@@ -142,37 +138,6 @@ func Decode(data []byte) (core.Calibration, Envelope, error) {
 	return cal, env, nil
 }
 
-// writeFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs, and renames — a crash mid-write leaves either the
-// old file or the new one, never a torn hybrid.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".cal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("caltrust: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("caltrust: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("caltrust: syncing %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("caltrust: closing %s: %w", tmpName, err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fmt.Errorf("caltrust: chmod %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("caltrust: renaming into place: %w", err)
-	}
-	return nil
-}
-
 // WriteFile persists the calibration to path atomically as a
 // schema-versioned, checksummed envelope.
 func WriteFile(path string, cal core.Calibration, meta Meta) error {
@@ -180,7 +145,7 @@ func WriteFile(path string, cal core.Calibration, meta Meta) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
+	return obs.WriteFileAtomic(path, data)
 }
 
 // ReadFile loads and verifies a calibration written by WriteFile (or a
@@ -255,10 +220,10 @@ func (s *Store) Save(cal core.Calibration, meta Meta) (int, error) {
 		next = versions[len(versions)-1] + 1
 	}
 	path := s.versionPath(next)
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := obs.WriteFileAtomic(path, data); err != nil {
 		return 0, err
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, currentName), []byte(filepath.Base(path)+"\n")); err != nil {
+	if err := obs.WriteFileAtomic(filepath.Join(s.dir, currentName), []byte(filepath.Base(path)+"\n")); err != nil {
 		return 0, err
 	}
 	return next, nil

@@ -15,7 +15,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cal.json")
 	cal := goodCalibration()
-	meta := Meta{CreatedAt: "1996-08-06T12:00:00Z", Note: "unit test"}
+	meta := Meta{Note: "unit test"}
 	if err := WriteFile(path, cal, meta); err != nil {
 		t.Fatal(err)
 	}

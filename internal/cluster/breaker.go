@@ -34,60 +34,37 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig parameterizes a Breaker. The zero value selects the
-// defaults noted per field.
-type BreakerConfig struct {
-	// Window is the rolling period the error rate is computed over
-	// (default 5s), split into Buckets buckets (default 10).
-	Window  time.Duration
-	Buckets int
-	// MinVolume is the minimum number of outcomes inside the window
-	// before the breaker may trip (default 10) — a single failed request
-	// against an idle replica is noise, not an outage.
-	MinVolume int
-	// TripRate is the failure fraction at which Closed trips to Open
-	// (default 0.5).
-	TripRate float64
-	// Cooldown is how long Open refuses traffic before allowing
-	// half-open probes (default 1s).
-	Cooldown time.Duration
-	// HalfOpenProbes is both the concurrent probe allowance in HalfOpen
-	// and the consecutive successes required to close (default 2).
-	HalfOpenProbes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 5 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
-	}
-	if c.MinVolume <= 0 {
-		c.MinVolume = 10
-	}
-	if c.TripRate <= 0 || c.TripRate > 1 {
-		c.TripRate = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
-	}
-	return c
+// breakerTuning parameterizes a Breaker; defaultTuning holds the
+// values every command runs with.
+type breakerTuning struct {
+	// window is the rolling period the error rate is computed over,
+	// split into buckets buckets.
+	window  time.Duration
+	buckets int
+	// minVolume is the minimum number of outcomes inside the window
+	// before the breaker may trip — a single failed request against an
+	// idle replica is noise, not an outage.
+	minVolume int
+	// tripRate is the failure fraction at which Closed trips to Open.
+	tripRate float64
+	// cooldown is how long Open refuses traffic before allowing
+	// half-open probes.
+	cooldown time.Duration
+	// halfOpenProbes is both the concurrent probe allowance in HalfOpen
+	// and the consecutive successes required to close.
+	halfOpenProbes int
 }
 
 var mBreakerTrans = obs.NewCounterVec(obs.MetricClusterBreakerTrans,
 	"circuit-breaker state transitions, by destination state", "to")
 
 // Breaker is a rolling error-rate circuit breaker: Closed → Open when
-// the windowed failure rate crosses TripRate with enough volume, Open →
+// the windowed failure rate crosses tripRate with enough volume, Open →
 // HalfOpen after the cooldown, HalfOpen → Closed after consecutive
 // successful probes (or straight back to Open on a failed one).
 // Goroutine-safe.
 type Breaker struct {
-	cfg BreakerConfig
+	tun breakerTuning
 	now func() time.Time // time.Now; the package's tests drive a fake clock
 
 	mu      sync.Mutex
@@ -101,19 +78,18 @@ type Breaker struct {
 	probeOK int // consecutive half-open successes
 }
 
-// NewBreaker builds a breaker in the Closed state.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
+// newBreaker builds a breaker in the Closed state.
+func newBreaker(tun breakerTuning) *Breaker {
 	return &Breaker{
-		cfg:  cfg,
+		tun:  tun,
 		now:  time.Now,
-		ok:   make([]int64, cfg.Buckets),
-		fail: make([]int64, cfg.Buckets),
+		ok:   make([]int64, tun.buckets),
+		fail: make([]int64, tun.buckets),
 	}
 }
 
 func (b *Breaker) bucketDur() time.Duration {
-	return b.cfg.Window / time.Duration(b.cfg.Buckets)
+	return b.tun.window / time.Duration(b.tun.buckets)
 }
 
 // rotateLocked advances the bucket ring to now, zeroing buckets that
@@ -128,11 +104,11 @@ func (b *Breaker) rotateLocked(now time.Time) {
 	if steps <= 0 {
 		return
 	}
-	if steps > int64(b.cfg.Buckets) {
-		steps = int64(b.cfg.Buckets)
+	if steps > int64(b.tun.buckets) {
+		steps = int64(b.tun.buckets)
 	}
 	for i := int64(0); i < steps; i++ {
-		b.cur = (b.cur + 1) % b.cfg.Buckets
+		b.cur = (b.cur + 1) % b.tun.buckets
 		b.ok[b.cur], b.fail[b.cur] = 0, 0
 	}
 	b.epoch = e
@@ -157,14 +133,14 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if now.Sub(b.opened) < b.cfg.Cooldown {
+		if now.Sub(b.opened) < b.tun.cooldown {
 			return false
 		}
 		b.toLocked(HalfOpen)
 		b.probing, b.probeOK = 0, 0
 		fallthrough
 	default: // HalfOpen
-		if b.probing >= b.cfg.HalfOpenProbes {
+		if b.probing >= b.tun.halfOpenProbes {
 			return false
 		}
 		b.probing++
@@ -208,13 +184,13 @@ func (b *Breaker) Record(ok bool) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenProbes {
+		if b.probeOK >= b.tun.halfOpenProbes {
 			b.resetLocked()
 			b.toLocked(Closed)
 		}
 	case Closed:
 		vol, rate := b.statsLocked()
-		if vol >= int64(b.cfg.MinVolume) && rate >= b.cfg.TripRate {
+		if vol >= int64(b.tun.minVolume) && rate >= b.tun.tripRate {
 			b.toLocked(Open)
 			b.opened = now
 		}

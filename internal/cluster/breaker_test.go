@@ -15,13 +15,13 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testBreaker(c *fakeClock) *Breaker {
-	b := NewBreaker(BreakerConfig{
-		Window:         time.Second,
-		Buckets:        10,
-		MinVolume:      10,
-		TripRate:       0.5,
-		Cooldown:       time.Second,
-		HalfOpenProbes: 2,
+	b := newBreaker(breakerTuning{
+		window:         time.Second,
+		buckets:        10,
+		minVolume:      10,
+		tripRate:       0.5,
+		cooldown:       time.Second,
+		halfOpenProbes: 2,
 	})
 	b.now = c.now
 	return b
@@ -30,7 +30,7 @@ func testBreaker(c *fakeClock) *Breaker {
 func TestBreakerTripsOnlyWithVolume(t *testing.T) {
 	clk := newFakeClock()
 	b := testBreaker(clk)
-	// 9 straight failures: under MinVolume, must stay closed.
+	// 9 straight failures: under minVolume, must stay closed.
 	for i := 0; i < 9; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker refused request %d", i)
@@ -38,7 +38,7 @@ func TestBreakerTripsOnlyWithVolume(t *testing.T) {
 		b.Record(false)
 	}
 	if got := b.State(); got != Closed {
-		t.Fatalf("state %v below MinVolume, want closed", got)
+		t.Fatalf("state %v below minVolume, want closed", got)
 	}
 	// The 10th failure reaches volume at 100% failure rate: trip.
 	b.Record(false)
@@ -71,8 +71,8 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatal("breaker did not trip")
 	}
 	clk.advance(1100 * time.Millisecond)
-	// Cooldown lapsed: Allow transitions to half-open and reserves a
-	// probe slot, bounded by HalfOpenProbes.
+	// The cooldown lapsed: Allow transitions to half-open and reserves a
+	// probe slot, bounded by halfOpenProbes.
 	if !b.Allow() {
 		t.Fatal("first half-open probe refused")
 	}
@@ -83,7 +83,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatal("second half-open probe refused")
 	}
 	if b.Allow() {
-		t.Fatal("third concurrent probe allowed beyond HalfOpenProbes")
+		t.Fatal("third concurrent probe allowed beyond halfOpenProbes")
 	}
 	b.Record(true)
 	b.Record(true)
@@ -178,7 +178,7 @@ func TestBreakerForgive(t *testing.T) {
 		t.Fatal("half-open probes refused")
 	}
 	if b.Allow() {
-		t.Fatal("probe allowed beyond HalfOpenProbes")
+		t.Fatal("probe allowed beyond halfOpenProbes")
 	}
 	b.Forgive()
 	if !b.Allow() {
@@ -199,7 +199,7 @@ func TestBreakerStateIsSideEffectFree(t *testing.T) {
 		b.Record(false)
 	}
 	clk.advance(2 * time.Second)
-	// Cooldown has lapsed, but State must keep reading Open until an
+	// The cooldown has lapsed, but State must keep reading Open until an
 	// Allow performs the transition (routing reads State without
 	// committing to send).
 	if got := b.State(); got != Open {

@@ -65,26 +65,23 @@ func TestChaosGate(t *testing.T) {
 
 	goroutinesBefore := runtime.NumGoroutine()
 
-	c, err := New(Config{
-		Replicas: spec.Replicas,
-		Factory: InProcessFactory(InProcConfig{
-			Window:   500 * time.Microsecond,
-			MaxBatch: 16,
-		}),
-		RestartBase:   20 * time.Millisecond,
-		RestartMax:    200 * time.Millisecond,
-		MinUptime:     50 * time.Millisecond,
-		Seed:          spec.Seed,
+	tun := defaultTuning()
+	tun.restartBase = 20 * time.Millisecond
+	tun.restartMax = 200 * time.Millisecond
+	tun.minUptime = 50 * time.Millisecond
+	tun.seed = spec.Seed
+	tun.perTry = 400 * time.Millisecond
+	tun.maxInFlight, tun.maxQueue = 64, 256
+	tun.breaker.cooldown = 100 * time.Millisecond
+	c, err := newCluster(Config{
+		Replicas:      spec.Replicas,
+		Factory:       InProcessFactory(InProcConfig{Window: 500 * time.Microsecond}),
 		MaxTries:      4,
 		RetryBudget:   1.0,
 		HedgeDelay:    30 * time.Millisecond,
-		PerTryTimeout: 400 * time.Millisecond,
 		Timeout:       3 * time.Second,
-		MaxInFlight:   64,
-		MaxQueue:      256,
 		ProbeInterval: 30 * time.Millisecond,
-		Breaker:       BreakerConfig{Cooldown: 100 * time.Millisecond},
-	})
+	}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

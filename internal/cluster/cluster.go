@@ -45,15 +45,10 @@ var ErrNoReplica = errors.New("cluster: no replica available")
 
 // Defaults applied by New for zero Config fields.
 const (
-	DefaultRestartBase     = 100 * time.Millisecond
-	DefaultRestartMax      = 5 * time.Second
-	DefaultMinUptime       = 2 * time.Second
-	DefaultCrashLoopBudget = 6
-	DefaultMaxTries        = 3
-	DefaultRetryBudget     = 0.2
-	DefaultPerTryTimeout   = 500 * time.Millisecond
-	DefaultProbeInterval   = 250 * time.Millisecond
-	DefaultSuspectAfter    = 4.0
+	DefaultMaxTries      = 3
+	DefaultRetryBudget   = 0.2
+	DefaultProbeInterval = 250 * time.Millisecond
+	DefaultSuspectAfter  = 4.0
 )
 
 // retryTokenCap bounds banked retry credit (milli-tokens): bursts of
@@ -68,18 +63,6 @@ type Config struct {
 	// Factory builds each replica incarnation. Required.
 	Factory Factory
 
-	// Supervision: a crashed replica is respawned after
-	// RestartBase·2^strikes (capped at RestartMax) plus seeded jitter,
-	// where strikes counts consecutive lives shorter than MinUptime. A
-	// member that accumulates CrashLoopBudget strikes is abandoned — its
-	// traffic stays with the survivors instead of flapping forever.
-	RestartBase     time.Duration
-	RestartMax      time.Duration
-	MinUptime       time.Duration
-	CrashLoopBudget int
-	// Seed fixes the restart-jitter RNG.
-	Seed int64
-
 	// MaxTries bounds attempts per request (first try + failovers).
 	MaxTries int
 	// RetryBudget is the cluster-wide retry allowance as a fraction of
@@ -90,13 +73,9 @@ type Config struct {
 	// next member if the lead has not answered within it (p99
 	// protection); first answer wins.
 	HedgeDelay time.Duration
-	// PerTryTimeout bounds each attempt; Timeout bounds the request.
-	PerTryTimeout time.Duration
-	Timeout       time.Duration
-	// Front-door admission bounds (same semantics as serve.Config).
-	MaxInFlight, MaxQueue int
-	// Breaker parameterizes the per-replica circuit breakers.
-	Breaker BreakerConfig
+	// Timeout bounds the request; each attempt is also bounded by the
+	// 500 ms per-try timeout.
+	Timeout time.Duration
 	// ProbeInterval is the health loop's period: each period every up
 	// or suspect member gets one /healthz probe, and a probe may take at
 	// most one period.
@@ -119,38 +98,14 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.RestartBase <= 0 {
-		cfg.RestartBase = DefaultRestartBase
-	}
-	if cfg.RestartMax <= 0 {
-		cfg.RestartMax = DefaultRestartMax
-	}
-	if cfg.MinUptime <= 0 {
-		cfg.MinUptime = DefaultMinUptime
-	}
-	if cfg.CrashLoopBudget <= 0 {
-		cfg.CrashLoopBudget = DefaultCrashLoopBudget
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.MaxTries <= 0 {
 		cfg.MaxTries = DefaultMaxTries
 	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = DefaultRetryBudget
 	}
-	if cfg.PerTryTimeout <= 0 {
-		cfg.PerTryTimeout = DefaultPerTryTimeout
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = serve.DefaultTimeout
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = serve.DefaultMaxInFlight
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = serve.DefaultMaxQueue
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
@@ -159,6 +114,51 @@ func (cfg Config) withDefaults() Config {
 		cfg.SuspectAfter = DefaultSuspectAfter
 	}
 	return cfg
+}
+
+// tuning holds the timings and bounds a Cluster runs with that no
+// command sets. New runs with defaultTuning; the package's tests pass
+// shorter ones to newCluster.
+type tuning struct {
+	// Supervision: a crashed replica is respawned after
+	// restartBase·2^strikes (capped at restartMax) plus seeded jitter,
+	// where strikes counts consecutive lives shorter than minUptime. A
+	// member that accumulates crashLoopBudget strikes is abandoned — its
+	// traffic stays with the survivors instead of flapping forever.
+	restartBase     time.Duration
+	restartMax      time.Duration
+	minUptime       time.Duration
+	crashLoopBudget int
+	// seed fixes the restart-jitter RNG.
+	seed int64
+	// perTry bounds each attempt; Config.Timeout bounds the request.
+	perTry time.Duration
+	// Front-door admission bounds (same semantics as serve.Config).
+	maxInFlight, maxQueue int
+	// breaker is every member's circuit-breaker tuning.
+	breaker breakerTuning
+}
+
+// defaultTuning is the tuning every command runs with.
+func defaultTuning() tuning {
+	return tuning{
+		restartBase:     100 * time.Millisecond,
+		restartMax:      5 * time.Second,
+		minUptime:       2 * time.Second,
+		crashLoopBudget: 6,
+		seed:            1,
+		perTry:          500 * time.Millisecond,
+		maxInFlight:     serve.DefaultMaxInFlight,
+		maxQueue:        serve.DefaultMaxQueue,
+		breaker: breakerTuning{
+			window:         5 * time.Second,
+			buckets:        10,
+			minVolume:      10,
+			tripRate:       0.5,
+			cooldown:       time.Second,
+			halfOpenProbes: 2,
+		},
+	}
 }
 
 // validate rejects default-filled configurations that could not work.
@@ -329,6 +329,7 @@ func (m *member) setWeight(w float64) { m.weight.Store(math.Float64bits(w)) }
 // New, call Start, serve Handler; it is goroutine-safe.
 type Cluster struct {
 	cfg Config
+	tun tuning
 	adm *rm.Admission
 	// client carries the health probes, /v1/observe and the fleet
 	// scrape; predicts travel on each member's frame link instead.
@@ -362,7 +363,10 @@ type Cluster struct {
 // New builds an unstarted cluster, applying defaults for zero fields.
 // Replicas == 0 is a remote-only cluster: no local fleet is spawned and
 // members arrive via AddRemote / the membership manager.
-func New(cfg Config) (*Cluster, error) {
+func New(cfg Config) (*Cluster, error) { return newCluster(cfg, defaultTuning()) }
+
+// newCluster is New with the given tuning.
+func newCluster(cfg Config, tun tuning) (*Cluster, error) {
 	if cfg.Replicas < 0 {
 		return nil, errors.New("cluster: Config.Replicas must not be negative")
 	}
@@ -383,15 +387,16 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		adm:    rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		tun:    tun,
+		adm:    rm.NewAdmission(tun.maxInFlight, tun.maxQueue),
 		client: &http.Client{Transport: tr},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(rand.NewSource(tun.seed)),
 		stop:   make(chan struct{}),
 	}
 	c.retryTokens.Store(5_000) // a little starting credit so early faults can fail over
 	c.members = make([]*member, cfg.Replicas)
 	for i := range c.members {
-		c.members[i] = &member{id: i, breaker: NewBreaker(cfg.Breaker), state: stateDown} // until Start spawns it
+		c.members[i] = &member{id: i, breaker: newBreaker(tun.breaker), state: stateDown} // until Start spawns it
 		c.members[i].setWeight(1)
 	}
 	c.set.Store(new([]*member))
@@ -487,7 +492,7 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	m := &member{
 		id:      id,
 		remote:  true,
-		breaker: NewBreaker(c.cfg.Breaker),
+		breaker: newBreaker(c.tun.breaker),
 	}
 	m.setWeight(weight)
 	m.state = stateUp
@@ -614,7 +619,7 @@ func (c *Cluster) babysit(m *member) {
 		m.rep = nil
 		fc := m.fc
 		m.fc = nil
-		if uptime < c.cfg.MinUptime {
+		if uptime < c.tun.minUptime {
 			m.strikes++
 		} else {
 			m.strikes = 0
@@ -625,7 +630,7 @@ func (c *Cluster) babysit(m *member) {
 		fc.close()
 
 		for {
-			if strikes >= c.cfg.CrashLoopBudget {
+			if strikes >= c.tun.crashLoopBudget {
 				m.mu.Lock()
 				m.state = stateFailed
 				m.mu.Unlock()
@@ -662,15 +667,15 @@ func (c *Cluster) babysit(m *member) {
 }
 
 // backoff is the respawn delay for a given strike count: exponential
-// from RestartBase, capped at RestartMax, plus up to 50% seeded jitter
+// from restartBase, capped at restartMax, plus up to 50% seeded jitter
 // so a mass failure does not respawn the whole fleet in lockstep.
 func (c *Cluster) backoff(strikes int) time.Duration {
 	if strikes > 20 {
 		strikes = 20
 	}
-	d := c.cfg.RestartBase << strikes
-	if d > c.cfg.RestartMax || d <= 0 {
-		d = c.cfg.RestartMax
+	d := c.tun.restartBase << strikes
+	if d > c.tun.restartMax || d <= 0 {
+		d = c.tun.restartMax
 	}
 	c.rngMu.Lock()
 	j := time.Duration(c.rng.Int63n(int64(d)/2 + 1))
@@ -866,7 +871,7 @@ func (c *Cluster) attempt(ctx context.Context, m *member, meta *reqMeta) tryResu
 	defer span.End()
 	// The try's one deadline: the request deadline or the per-try
 	// timeout, whichever comes first.
-	dl := time.Now().Add(c.cfg.PerTryTimeout)
+	dl := time.Now().Add(c.tun.perTry)
 	if meta.deadline.Before(dl) {
 		dl = meta.deadline
 	}
@@ -1051,7 +1056,7 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 		c.resync()
 
 		// Hedge losers may outlive their front-door request; wait them
-		// out (bounded by PerTryTimeout) before closing replicas.
+		// out (bounded by the per-try timeout) before closing replicas.
 		bgDone := make(chan struct{})
 		go func() {
 			c.bg.Wait()
@@ -1309,7 +1314,7 @@ type observeResult struct {
 // replica: each replica runs its own drift detector, so all of them
 // need the evidence regardless of which one served the prediction.
 // The posts go out at once, so a hung replica costs the broadcast one
-// PerTryTimeout, not one each; the answers are folded in member order.
+// per-try timeout, not one each; the answers are folded in member order.
 // When no replica took it and every one that answered refused it with
 // the same client fault (a 4xx other than 429), that refusal is passed
 // through: retrying an observation every replica rejects cannot help.
@@ -1380,7 +1385,7 @@ func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 // answer; err is set when no answer arrived. The answer is what could
 // be read: a body that breaks off does not undo the status.
 func (c *Cluster) postObserve(ctx context.Context, addr string, body []byte) (int, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.PerTryTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.tun.perTry)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/observe", bytes.NewReader(body))
 	if err != nil {

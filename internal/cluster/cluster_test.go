@@ -179,27 +179,43 @@ func (fl *fakeFleet) closeAll() {
 	}
 }
 
+// testConfig is a Config and the tuning newCluster runs it with.
+type testConfig struct {
+	Config
+	tuning
+}
+
+// breakerWith is a default-tuned breaker that may trip at minVolume
+// outcomes and stays open for cooldown.
+func breakerWith(minVolume int, cooldown time.Duration) *Breaker {
+	bt := defaultTuning().breaker
+	bt.minVolume, bt.cooldown = minVolume, cooldown
+	return newBreaker(bt)
+}
+
 // newTestCluster starts a cluster over a fake fleet with fast,
 // test-friendly supervision knobs (override via mutate).
-func newTestCluster(t *testing.T, replicas int, mutate func(*Config)) (*Cluster, *fakeFleet, *httptest.Server) {
+func newTestCluster(t *testing.T, replicas int, mutate func(*testConfig)) (*Cluster, *fakeFleet, *httptest.Server) {
 	t.Helper()
 	fl := newFakeFleet()
-	cfg := Config{
-		Replicas:      replicas,
-		Factory:       fl.factory,
-		RestartBase:   5 * time.Millisecond,
-		RestartMax:    50 * time.Millisecond,
-		MinUptime:     time.Millisecond,
-		Seed:          1,
-		PerTryTimeout: time.Second,
-		Timeout:       5 * time.Second,
-		ProbeInterval: 25 * time.Millisecond,
-		Breaker:       BreakerConfig{Cooldown: 50 * time.Millisecond},
+	cfg := testConfig{
+		Config: Config{
+			Replicas:      replicas,
+			Factory:       fl.factory,
+			Timeout:       5 * time.Second,
+			ProbeInterval: 25 * time.Millisecond,
+		},
+		tuning: defaultTuning(),
 	}
+	cfg.restartBase = 5 * time.Millisecond
+	cfg.restartMax = 50 * time.Millisecond
+	cfg.minUptime = time.Millisecond
+	cfg.perTry = time.Second
+	cfg.breaker.cooldown = 50 * time.Millisecond
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	c, err := New(cfg)
+	c, err := newCluster(cfg.Config, cfg.tuning)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -321,7 +337,7 @@ func TestPick(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			set := make([]*member, len(tc.set))
 			for i, mm := range tc.set {
-				m := &member{id: i, breaker: NewBreaker(BreakerConfig{MinVolume: 1, Cooldown: time.Hour})}
+				m := &member{id: i, breaker: breakerWith(1, time.Hour)}
 				m.inflight.Store(mm.inflight)
 				m.setWeight(mm.weight)
 				m.degraded.Store(mm.degraded)
@@ -342,7 +358,7 @@ func TestPick(t *testing.T) {
 func routingSet(weights ...float64) []*member {
 	set := make([]*member, len(weights))
 	for i, w := range weights {
-		set[i] = &member{id: i, breaker: NewBreaker(BreakerConfig{})}
+		set[i] = &member{id: i, breaker: newBreaker(defaultTuning().breaker)}
 		set[i].setWeight(w)
 	}
 	return set
@@ -364,7 +380,7 @@ func TestRingEdgeCases(t *testing.T) {
 			t.Fatalf("one member, turn %d: lead = %d, want 0", turn, got)
 		}
 	}
-	one[0].breaker = NewBreaker(BreakerConfig{MinVolume: 1, Cooldown: time.Hour})
+	one[0].breaker = breakerWith(1, time.Hour)
 	one[0].breaker.Record(false)
 	one[0].degraded.Store(true)
 	if got := lead(one, 0); got != 0 {
@@ -401,9 +417,9 @@ func TestRingSequence(t *testing.T) {
 		{4, 3, 3},  // MaxTries ends the walk
 		{3, 10, 3}, // one lap ends it
 	} {
-		c, fl, front := newTestCluster(t, tc.replicas, func(cfg *Config) {
+		c, fl, front := newTestCluster(t, tc.replicas, func(cfg *testConfig) {
 			cfg.MaxTries = tc.maxTries
-			cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+			cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
 		})
 		for id := 0; id < tc.replicas; id++ {
 			fl.current(id).fail.Store(true)
@@ -461,9 +477,9 @@ func TestRingWeightedOwnership(t *testing.T) {
 // failover after its peer fails, not as the hedge after its peer
 // stalls.
 func TestZeroWeightTakesNoPredicts(t *testing.T) {
-	c, fl, front := newTestCluster(t, 2, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 2, func(cfg *testConfig) {
 		cfg.HedgeDelay = 5 * time.Millisecond
-		cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+		cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
 	})
 	if err := c.ReweightMember(1, 0); err != nil {
 		t.Fatal(err)
@@ -559,15 +575,15 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 			}
 			return fl.factory(id, gen)
 		},
-		RestartBase:     time.Millisecond,
-		RestartMax:      5 * time.Millisecond,
-		MinUptime:       10 * time.Second, // every death is a strike
-		CrashLoopBudget: 3,
-		Seed:            1,
-		PerTryTimeout:   time.Second,
-		ProbeInterval:   25 * time.Millisecond,
+		ProbeInterval: 25 * time.Millisecond,
 	}
-	c, err := New(cfg)
+	tun := defaultTuning()
+	tun.restartBase = time.Millisecond
+	tun.restartMax = 5 * time.Millisecond
+	tun.minUptime = 10 * time.Second // every death is a strike
+	tun.crashLoopBudget = 3
+	tun.perTry = time.Second
+	c, err := newCluster(cfg, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -600,7 +616,7 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 }
 
 func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
-	c, fl, front := newTestCluster(t, 3, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 3, func(cfg *testConfig) {
 		cfg.HedgeDelay = 20 * time.Millisecond
 	})
 	body := predictBody(5)
@@ -629,9 +645,9 @@ func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
 // breaker untouched — misbehaving clients must not be able to trip
 // breakers and evict healthy replicas.
 func TestClusterClientGoneForgiven(t *testing.T) {
-	c, fl, front := newTestCluster(t, 1, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
 		cfg.ProbeInterval = time.Hour // only request outcomes feed the breaker
-		cfg.Breaker = BreakerConfig{MinVolume: 2, TripRate: 0.01, Cooldown: time.Hour}
+		cfg.breaker.minVolume, cfg.breaker.tripRate, cfg.breaker.cooldown = 2, 0.01, time.Hour
 	})
 	fl.current(0).stallMS.Store(200)
 
@@ -711,13 +727,13 @@ func TestClusterDrainMember(t *testing.T) {
 
 func TestClusterShutdown(t *testing.T) {
 	fl := newFakeFleet()
-	c, err := New(Config{
+	tun := defaultTuning()
+	tun.perTry = time.Second
+	c, err := newCluster(Config{
 		Replicas:      2,
 		Factory:       fl.factory,
-		Seed:          1,
-		PerTryTimeout: time.Second,
 		ProbeInterval: 25 * time.Millisecond,
-	})
+	}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -794,7 +810,7 @@ func TestClusterHealthAndReady(t *testing.T) {
 // probes. With 3 of 4 members hung and a 20 ms period, a serial prober
 // reaches the healthy one about 19 times a second; the period allows 50.
 func TestHungMemberDelaysNoOtherProbe(t *testing.T) {
-	_, fl, _ := newTestCluster(t, 4, func(cfg *Config) { cfg.ProbeInterval = 20 * time.Millisecond })
+	_, fl, _ := newTestCluster(t, 4, func(cfg *testConfig) { cfg.ProbeInterval = 20 * time.Millisecond })
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	for id := 1; id < 4; id++ {
@@ -820,7 +836,6 @@ func TestClusterStartFailureTearsDown(t *testing.T) {
 			}
 			return fl.factory(id, gen)
 		},
-		Seed: 1,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -839,9 +854,9 @@ func TestClusterStartFailureTearsDown(t *testing.T) {
 
 // TestClusterObserveBroadcast: an observation reaches every member, and
 // the posts go out at once, so two hung members cost the broadcast one
-// PerTryTimeout, not two.
+// per-try timeout, not two.
 func TestClusterObserveBroadcast(t *testing.T) {
-	_, fl, front := newTestCluster(t, 3, func(cfg *Config) { cfg.PerTryTimeout = 200 * time.Millisecond })
+	_, fl, front := newTestCluster(t, 3, func(cfg *testConfig) { cfg.perTry = 200 * time.Millisecond })
 	observe := func() (int, observeResult) {
 		t.Helper()
 		resp, err := front.Client().Post(front.URL+"/v1/observe", "application/json",

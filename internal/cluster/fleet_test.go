@@ -108,7 +108,7 @@ func TestFleetStatusAndDebugPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, fl, _ := newTestCluster(t, 2, func(cfg *Config) { cfg.SLO = slo })
+	c, fl, _ := newTestCluster(t, 2, func(cfg *testConfig) { cfg.SLO = slo })
 	f := NewFleet(c, 0)
 	fl.current(0).metrics.Store(memberMetricsPage(3, 20))
 	fl.current(1).metrics.Store(memberMetricsPage(4, 20))

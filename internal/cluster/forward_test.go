@@ -234,15 +234,15 @@ func TestReadLimitedMatchesReadAll(t *testing.T) {
 }
 
 // TestClassifyRequestDeadlineForgiven: a replica that stalls past the
-// request Timeout but inside PerTryTimeout answers 504, and its breaker
-// records nothing — the request ran out of time, the replica did
-// nothing wrong.
+// request Timeout but inside the per-try timeout answers 504, and its
+// breaker records nothing — the request ran out of time, the replica
+// did nothing wrong.
 func TestClassifyRequestDeadlineForgiven(t *testing.T) {
-	c, fl, front := newTestCluster(t, 1, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
 		cfg.Timeout = 100 * time.Millisecond
-		cfg.PerTryTimeout = 2 * time.Second
+		cfg.perTry = 2 * time.Second
 		cfg.ProbeInterval = time.Hour // only request outcomes feed the breaker
-		cfg.Breaker = BreakerConfig{MinVolume: 1, TripRate: 0.01, Cooldown: time.Hour}
+		cfg.breaker.minVolume, cfg.breaker.tripRate, cfg.breaker.cooldown = 1, 0.01, time.Hour
 	})
 	fl.current(0).stallMS.Store(500)
 	start := time.Now()
@@ -258,15 +258,15 @@ func TestClassifyRequestDeadlineForgiven(t *testing.T) {
 	}
 }
 
-// TestClassifyPerTryTimeoutCounts: a primary that stalls past
-// PerTryTimeout but inside Timeout is the replica's fault — one failure
-// on its breaker — and the other replica answers the retry.
+// TestClassifyPerTryTimeoutCounts: a primary that stalls past the
+// per-try timeout but inside Timeout is the replica's fault — one
+// failure on its breaker — and the other replica answers the retry.
 func TestClassifyPerTryTimeoutCounts(t *testing.T) {
-	c, fl, front := newTestCluster(t, 2, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 2, func(cfg *testConfig) {
 		cfg.Timeout = 5 * time.Second
-		cfg.PerTryTimeout = 100 * time.Millisecond
+		cfg.perTry = 100 * time.Millisecond
 		cfg.ProbeInterval = time.Hour
-		cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+		cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
 	})
 	body := predictBody(3)
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
@@ -294,9 +294,9 @@ func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 // ends — the bench ladder calls the handler directly with
 // context.Background.
 func TestHedgeLoserCancelledByHandlerReturn(t *testing.T) {
-	c, fl, _ := newTestCluster(t, 2, func(cfg *Config) {
+	c, fl, _ := newTestCluster(t, 2, func(cfg *testConfig) {
 		cfg.HedgeDelay = 20 * time.Millisecond
-		cfg.PerTryTimeout = 10 * time.Second
+		cfg.perTry = 10 * time.Second
 		cfg.Timeout = 20 * time.Second
 	})
 	h := c.Handler()

@@ -49,17 +49,19 @@ func TestKillSeversFrames(t *testing.T) {
 }
 
 // TestKillMidRequestFailsOver: a replica killed while it holds a request
-// costs that request one try, not PerTryTimeout — the severed frame
-// connection fails the call at once and the other replica answers.
+// costs that request one try, not the per-try timeout — the severed
+// frame connection fails the call at once and the other replica
+// answers.
 func TestKillMidRequestFailsOver(t *testing.T) {
-	c, err := New(Config{
+	tun := defaultTuning()
+	tun.perTry = 10 * time.Second
+	tun.restartBase = time.Hour
+	c, err := newCluster(Config{
 		Replicas:      2,
 		Factory:       InProcessFactory(InProcConfig{Window: 300 * time.Millisecond}),
-		PerTryTimeout: 10 * time.Second,
 		Timeout:       20 * time.Second,
 		ProbeInterval: time.Hour,
-		RestartBase:   time.Hour,
-	})
+	}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestKillMidRequestFailsOver(t *testing.T) {
 		t.Fatalf("request through a killed replica = %d, want 200 from the other", res.code)
 	}
 	if res.elapsed > 5*time.Second {
-		t.Fatalf("failover took %v, want one batch window, not PerTryTimeout", res.elapsed)
+		t.Fatalf("failover took %v, want one batch window, not the per-try timeout", res.elapsed)
 	}
 }
 
@@ -275,9 +277,9 @@ func TestFrameWriteHonoursTryDeadline(t *testing.T) {
 // connection stays up, the call already pending on it gets its answer,
 // and the member's breaker records no failure.
 func TestSpentTryKeepsConnection(t *testing.T) {
-	c, fl, front := newTestCluster(t, 1, func(cfg *Config) {
+	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
 		cfg.ProbeInterval = time.Hour
-		cfg.Breaker = BreakerConfig{MinVolume: 100, Cooldown: time.Hour}
+		cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
 	})
 	if code, _ := postPredict(t, front, predictBody(0)); code != http.StatusOK {
 		t.Fatal("warmup predict failed")

@@ -104,15 +104,16 @@ func stringsHasSuffix(s, suf string) bool {
 func newRemoteCluster(t *testing.T, mutate func(*Config)) (*Cluster, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		PerTryTimeout: time.Second,
 		Timeout:       5 * time.Second,
 		ProbeInterval: 10 * time.Millisecond,
-		Breaker:       BreakerConfig{Cooldown: 50 * time.Millisecond},
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	c, err := New(cfg)
+	tun := defaultTuning()
+	tun.perTry = time.Second
+	tun.breaker.cooldown = 50 * time.Millisecond
+	c, err := newCluster(cfg, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

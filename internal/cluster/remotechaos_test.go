@@ -82,19 +82,19 @@ func TestRemoteChaosGate(t *testing.T) {
 		t.Cleanup(func() { p.Close() })
 	}
 
-	c, err := New(Config{
-		Seed:          spec.Seed,
+	tun := defaultTuning()
+	tun.seed = spec.Seed
+	tun.perTry = 400 * time.Millisecond
+	tun.maxInFlight, tun.maxQueue = 64, 256
+	tun.breaker.cooldown = 100 * time.Millisecond
+	c, err := newCluster(Config{
 		MaxTries:      4,
 		RetryBudget:   1.0,
 		HedgeDelay:    40 * time.Millisecond,
-		PerTryTimeout: 400 * time.Millisecond,
 		Timeout:       3 * time.Second,
-		MaxInFlight:   64,
-		MaxQueue:      256,
 		ProbeInterval: 25 * time.Millisecond,
 		SuspectAfter:  4,
-		Breaker:       BreakerConfig{Cooldown: 100 * time.Millisecond},
-	})
+	}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

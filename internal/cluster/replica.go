@@ -49,9 +49,8 @@ type InProcConfig struct {
 	// Cal is the calibration every incarnation serves; nil selects
 	// serve.SyntheticCalibration.
 	Cal *core.Calibration
-	// Serve knobs, passed through to serve.Config.
-	Window   time.Duration
-	MaxBatch int
+	// Window is the batching window, passed through to serve.Config.
+	Window time.Duration
 }
 
 // InProcReplica is a serve.Server on a loopback listener inside this
@@ -80,11 +79,10 @@ func InProcessFactory(cfg InProcConfig) Factory {
 			return nil, fmt.Errorf("cluster: replica %d/%d tracker: %w", id, gen, err)
 		}
 		srv, err := serve.New(serve.Config{
-			Pred:     pred,
-			Tracker:  tracker,
-			Pool:     runner.New(0),
-			Window:   cfg.Window,
-			MaxBatch: cfg.MaxBatch,
+			Pred:    pred,
+			Tracker: tracker,
+			Pool:    runner.New(0),
+			Window:  cfg.Window,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d/%d serve: %w", id, gen, err)

@@ -74,7 +74,7 @@ func waitSpansForTrace(t *testing.T, tc obs.TraceContext, minSpans int) []obs.Sp
 // form a single parent-linked tree across the process-boundary hop.
 func TestTracePropagationAcrossFleet(t *testing.T) {
 	withTraceRecording(t)
-	c, _, front := newTestCluster(t, 2, func(cfg *Config) {
+	c, _, front := newTestCluster(t, 2, func(cfg *testConfig) {
 		cfg.Factory = InProcessFactory(InProcConfig{Window: 200 * time.Microsecond})
 	})
 	if up := c.UpCount(); up != 2 {
@@ -217,8 +217,8 @@ func TestLBRequestIDForwardingAndEcho(t *testing.T) {
 	// into an lb-generated timeout envelope quickly. Upstream error
 	// bodies are relayed verbatim — a real replica embeds the forwarded
 	// id itself — so the envelope cases below use lb-originated errors.
-	_, fl, front := newTestCluster(t, 1, func(cfg *Config) {
-		cfg.PerTryTimeout = 100 * time.Millisecond
+	_, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
+		cfg.perTry = 100 * time.Millisecond
 		cfg.Timeout = 300 * time.Millisecond
 	})
 
@@ -302,7 +302,7 @@ func TestReadySLODetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, front := newTestCluster(t, 1, func(cfg *Config) { cfg.SLO = slo })
+	_, _, front := newTestCluster(t, 1, func(cfg *testConfig) { cfg.SLO = slo })
 
 	get := func() (int, map[string]json.RawMessage) {
 		resp, err := front.Client().Get(front.URL + "/readyz")

@@ -349,27 +349,21 @@ func WorstCaseSlowdown(cs []Contender) float64 { return float64(len(cs) + 1) }
 // MarkStale flags the calibration as stale — e.g. the resource manager
 // observed a job-mix regime change since calibration (§4: "slowdown
 // factors should be recalculated when the job mix changes"). Until
-// ClearStale, the Robust methods return the worst-case fallback, the
-// Try fast path misses, and any attached surface is invalidated.
+// ClearStale, the Robust methods return the worst-case fallback and the
+// Try fast path misses, attached surface or not. The mark is the only
+// staleness record: a surface shared with another predictor keeps
+// serving that one.
 func (p *Predictor) MarkStale(reason string) {
 	if reason == "" {
 		reason = "calibration marked stale"
 	}
 	p.stale.Store(&reason)
-	if b := p.surface.Load(); b != nil {
-		b.s.Invalidate()
-	}
 }
 
 // ClearStale removes the staleness mark (after recalibration). An
-// attached surface is revalidated through its checksum gate: it only
-// comes back if it was built from these exact tables.
-func (p *Predictor) ClearStale() {
-	p.stale.Store(nil)
-	if b := p.surface.Load(); b != nil {
-		b.s.Revalidate(p.checksum)
-	}
-}
+// attached surface answers again: its checksum matched these tables at
+// attach time, and neither has changed since.
+func (p *Predictor) ClearStale() { p.stale.Store(nil) }
 
 // Stale reports the staleness reason ("" when fresh).
 func (p *Predictor) Stale() string {

@@ -18,18 +18,14 @@ import (
 // SlowdownSurface is the read side of a precomputed slowdown surface.
 // Implementations must be goroutine-safe and allocation-free on the
 // lookup methods; Comm/CompWithJ return ok=false whenever the query is
-// outside the precomputed domain or the surface has been invalidated.
+// outside the precomputed domain. A surface is immutable and may serve
+// several predictors of the same tables: staleness is each predictor's
+// own mark, which the Try probes check before they reach the surface.
 type SlowdownSurface interface {
 	// Checksum is the TablesChecksum of the DelayTables the surface was
-	// built from. AttachSurface refuses a mismatch.
+	// built from. AttachSurface refuses a mismatch, so a surface can
+	// never serve a predictor of other tables.
 	Checksum() uint64
-	// Invalidate disables lookups until a successful Revalidate.
-	Invalidate()
-	// Revalidate re-enables lookups iff checksum still matches the build
-	// checksum, reporting whether it did. A surface built from tables
-	// that have since been replaced can never be revalidated against the
-	// new predictor — the checksum gate makes stale data unreachable.
-	Revalidate(checksum uint64) bool
 	// Comm returns the communication-slowdown mixture for p identical
 	// contenders with comm fraction f (I/O fraction zero).
 	Comm(p int, f float64) (float64, bool)
@@ -45,8 +41,8 @@ type surfaceBox struct{ s SlowdownSurface }
 // TablesChecksum fingerprints the delay tables with FNV-64a over a
 // canonical encoding (lengths, raw float bits, j keys in ascending
 // order). Surfaces are stamped with it at build time and predictors
-// verify it at attach/revalidate time, so a surface can never serve
-// values computed from tables other than the predictor's own.
+// verify it at attach time, so a surface can never serve values
+// computed from tables other than the predictor's own.
 func TablesChecksum(t DelayTables) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

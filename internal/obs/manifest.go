@@ -227,31 +227,43 @@ func (m *Manifest) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Write atomically writes the manifest to path (temp file + rename, so
-// a crashed run never leaves a truncated manifest behind).
+// Write atomically writes the manifest to path (WriteFileAtomic, so a
+// crashed run never leaves a truncated manifest behind).
 func (m *Manifest) Write(path string) error {
 	data, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*.json")
+	return WriteFileAtomic(path, data)
+}
+
+// WriteFileAtomic writes data to path through a temp file in the same
+// directory: written, fsynced, made world-readable (0644) and renamed
+// into place, so a reader sees the old file or the whole new one,
+// never a torn write.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
-		return fmt.Errorf("obs: writing manifest: %w", err)
+		return fmt.Errorf("obs: creating temp file for %s: %w", path, err)
 	}
 	tmpName := tmp.Name()
+	defer os.Remove(tmpName) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("obs: writing manifest: %w", err)
+		return fmt.Errorf("obs: writing %s: %w", tmpName, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("obs: syncing %s: %w", tmpName, err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("obs: writing manifest: %w", err)
+		return fmt.Errorf("obs: closing %s: %w", tmpName, err)
+	}
+	if err := os.Chmod(tmpName, 0o644); err != nil {
+		return fmt.Errorf("obs: chmod %s: %w", tmpName, err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("obs: writing manifest: %w", err)
+		return fmt.Errorf("obs: renaming %s into place: %w", path, err)
 	}
 	return nil
 }

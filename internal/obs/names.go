@@ -20,12 +20,10 @@ const (
 
 	// internal/core + internal/surface — the precomputed slowdown
 	// surface that replaces the DP on the steady-state hot path.
-	MetricSurfaceHits          = "surface_hits_total"   // label: kind (comm | comp)
-	MetricSurfaceMisses        = "surface_misses_total" // label: kind
-	MetricSurfaceFills         = "surface_fills_total"  // grid nodes evaluated at build time
-	MetricSurfaceBuilds        = "surface_builds_total"
-	MetricSurfaceInvalidations = "surface_invalidations_total"
-	MetricSurfaceRevalidations = "surface_revalidations_total"
+	MetricSurfaceHits   = "surface_hits_total"   // label: kind (comm | comp)
+	MetricSurfaceMisses = "surface_misses_total" // label: kind
+	MetricSurfaceFills  = "surface_fills_total"  // grid nodes evaluated at build time
+	MetricSurfaceBuilds = "surface_builds_total"
 
 	// internal/runner — the shared worker pool.
 	MetricPoolTasks       = "runner_tasks_total"

@@ -2,7 +2,7 @@ package surface
 
 import "contention/internal/obs"
 
-// Build/lifecycle telemetry. Per-lookup hit/miss tallies live in
+// Build telemetry. Per-lookup hit/miss tallies live in
 // internal/core (the Try fast path observes them), since the Predictor
 // is the component that decides whether a query reaches the surface.
 var (
@@ -10,8 +10,4 @@ var (
 		"slowdown surfaces precomputed")
 	mFills = obs.NewCounter(obs.MetricSurfaceFills,
 		"grid nodes evaluated via the batched DP at build time")
-	mInvalidations = obs.NewCounter(obs.MetricSurfaceInvalidations,
-		"surfaces invalidated (MarkStale or recalibration)")
-	mRevalidations = obs.NewCounter(obs.MetricSurfaceRevalidations,
-		"surfaces revalidated through the checksum gate")
 )

@@ -22,16 +22,16 @@
 // produces) lands exactly on a node and is answered bit-exactly.
 //
 // Staleness: a surface is stamped with core.TablesChecksum of the
-// tables it was built from. Predictor.MarkStale invalidates it;
-// ClearStale revalidates it only through the checksum gate, so a
-// surface built from superseded tables can never serve a fresh
-// predictor (see core.SlowdownSurface).
+// tables it was built from, and Predictor.AttachSurface refuses a
+// surface of other tables, so a surface built from superseded tables
+// can never serve a recalibrated predictor. A surface holds no
+// staleness of its own: a stale predictor's Try probes miss before
+// they reach it (see core.SlowdownSurface).
 package surface
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"contention/internal/core"
 )
@@ -46,13 +46,13 @@ type Config struct {
 	// power of two so dyadic query fractions hit nodes exactly.
 	// Default 512.
 	GridCells int
-	// ErrorSampleStride controls build-time interpolation-error
-	// measurement: every stride-th interval's midpoint is evaluated
-	// exactly and compared against the interpolant. Default 7 (coprime
-	// to the power-of-two cell count, so sampling drifts across rows).
-	// Set negative to skip measurement.
-	ErrorSampleStride int
 }
+
+// errorSampleStride sets build-time interpolation-error measurement:
+// every stride-th interval's midpoint is evaluated exactly and compared
+// against the interpolant. 7 is coprime to the power-of-two cell count,
+// so sampling drifts across rows.
+const errorSampleStride = 7
 
 func (c Config) withDefaults() Config {
 	if c.MaxContenders == 0 {
@@ -60,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GridCells == 0 {
 		c.GridCells = 512
-	}
-	if c.ErrorSampleStride == 0 {
-		c.ErrorSampleStride = 7
 	}
 	return c
 }
@@ -77,14 +74,13 @@ type Stats struct {
 	Checksum      uint64
 }
 
-// Surface is an immutable precomputed slowdown surface plus a validity
-// latch. All lookup methods are goroutine-safe and allocation-free.
+// Surface is an immutable precomputed slowdown surface. All lookup
+// methods are goroutine-safe and allocation-free.
 type Surface struct {
 	checksum uint64
 	cells    int
 	maxP     int
 	jGrid    []int
-	valid    atomic.Bool
 
 	// comm[p][k]: communication slowdown for p contenders at f=k/cells.
 	comm [][]float64
@@ -157,7 +153,7 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 		// Interval k−1's midpoint, once both its nodes are in: every row's
 		// interpolant against the exact value there.
 		mk := k - 1
-		if mk < 0 || cfg.ErrorSampleStride < 0 || mk%cfg.ErrorSampleStride != 0 {
+		if mk < 0 || mk%errorSampleStride != 0 {
 			continue
 		}
 		mid := (float64(mk) + 0.5) / cells
@@ -179,7 +175,6 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 		MaxRelError:   maxErr,
 		Checksum:      s.checksum,
 	}
-	s.valid.Store(true)
 	mBuilds.Inc()
 	mFills.Add(int64(fills))
 	return s, nil
@@ -210,26 +205,6 @@ func (s *Surface) Stats() Stats { return s.stats }
 // Checksum implements core.SlowdownSurface.
 func (s *Surface) Checksum() uint64 { return s.checksum }
 
-// Invalidate implements core.SlowdownSurface.
-func (s *Surface) Invalidate() {
-	if s.valid.Swap(false) {
-		mInvalidations.Inc()
-	}
-}
-
-// Revalidate implements core.SlowdownSurface: lookups resume only if
-// the caller's tables still checksum to what this surface was built
-// from.
-func (s *Surface) Revalidate(checksum uint64) bool {
-	if checksum != s.checksum {
-		return false
-	}
-	if !s.valid.Swap(true) {
-		mRevalidations.Inc()
-	}
-	return true
-}
-
 // interp evaluates the row's piecewise-linear interpolant at f∈[0,1].
 // Dyadic fractions k/cells hit frac==0 and return the node bit-exactly.
 func interp(row []float64, cells int, f float64) float64 {
@@ -247,7 +222,7 @@ func interp(row []float64, cells int, f float64) float64 {
 
 // Comm implements core.SlowdownSurface.
 func (s *Surface) Comm(p int, f float64) (float64, bool) {
-	if !s.valid.Load() || p < 0 || p > s.maxP || !(f >= 0 && f <= 1) {
+	if p < 0 || p > s.maxP || !(f >= 0 && f <= 1) {
 		return 0, false
 	}
 	return interp(s.comm[p], s.cells, f), true
@@ -257,7 +232,7 @@ func (s *Surface) Comm(p int, f float64) (float64, bool) {
 // same core.NearestJ the DP path uses, so both select the same
 // delay^{i,j} column for any message size.
 func (s *Surface) CompWithJ(p int, f float64, words int) (float64, bool) {
-	if !s.valid.Load() || p < 0 || p > s.maxP || !(f >= 0 && f <= 1) {
+	if p < 0 || p > s.maxP || !(f >= 0 && f <= 1) {
 		return 0, false
 	}
 	if f == 0 {

@@ -267,11 +267,10 @@ func TestSurfaceTryPath(t *testing.T) {
 	}
 }
 
-// TestSurfaceInvalidation is the staleness protocol: MarkStale
-// invalidates, ClearStale revalidates through the checksum gate, a
-// recalibration adoption invalidates the superseded predictor's
-// surface, and a surface can never attach to (or revalidate against)
-// tables it was not built from.
+// TestSurfaceInvalidation is the staleness protocol: MarkStale stops the
+// Try path, ClearStale restores it, a recalibration adoption stops the
+// superseded predictor's, and a surface can never attach to tables it
+// was not built from.
 func TestSurfaceInvalidation(t *testing.T) {
 	cal := serve.SyntheticCalibration()
 	pred, err := core.NewPredictor(cal)
@@ -289,30 +288,20 @@ func TestSurfaceInvalidation(t *testing.T) {
 	if _, ok := pred.TryCommSlowdown(cs); !ok {
 		t.Fatal("attached surface should answer")
 	}
-	valid := func() bool { _, ok := s.Comm(3, 0.25); return ok }
 
 	pred.MarkStale("regime change")
-	if valid() {
-		t.Fatal("MarkStale must invalidate the attached surface")
-	}
 	if _, ok := pred.TryCommSlowdown(cs); ok {
 		t.Fatal("stale predictor must not answer from the Try path")
 	}
-	if _, ok := s.Comm(3, 0.25); ok {
-		t.Fatal("invalidated surface must refuse lookups")
-	}
 
 	pred.ClearStale()
-	if !valid() {
-		t.Fatal("ClearStale must revalidate a same-tables surface")
-	}
 	if _, ok := pred.TryCommSlowdown(cs); !ok {
-		t.Fatal("revalidated surface should answer again")
+		t.Fatal("cleared predictor's surface should answer again")
 	}
 
 	// Recalibration: adopting a new predictor marks the old one stale,
-	// which invalidates its surface — the old pair can never serve fresh
-	// traffic that was re-pointed at the new predictor.
+	// so the old pair can never serve fresh traffic that was re-pointed
+	// at the new predictor.
 	cal2 := serve.SyntheticCalibration()
 	cal2.Tables.CompOnComm = append([]float64(nil), cal2.Tables.CompOnComm...)
 	cal2.Tables.CompOnComm[0] += 0.01
@@ -330,23 +319,42 @@ func TestSurfaceInvalidation(t *testing.T) {
 	if pred.Stale() == "" {
 		t.Fatal("superseded predictor must be marked stale")
 	}
-	if valid() {
-		t.Fatal("superseded predictor's surface must be invalidated")
-	}
 	if _, ok := pred.TryCommSlowdown(cs); ok {
 		t.Fatal("superseded predictor must not serve from its surface")
 	}
 
-	// The old surface was built from different tables: it can neither
-	// attach to the new predictor nor revalidate against its checksum.
+	// The old surface was built from different tables: it cannot attach
+	// to the new predictor.
 	if err := pred2.AttachSurface(s); !errors.Is(err, core.ErrSurfaceChecksum) {
 		t.Fatalf("cross-tables attach: err = %v, want ErrSurfaceChecksum", err)
 	}
-	if s.Revalidate(core.TablesChecksum(cal2.Tables)) {
-		t.Fatal("cross-tables revalidation must fail")
+}
+
+// TestSharedSurfaceStalenessIsPerPredictor: one surface attached to two
+// predictors of one calibration serves the fresh one while the other is
+// stale, as it is after Tracker.Adopt supersedes it.
+func TestSharedSurfaceStalenessIsPerPredictor(t *testing.T) {
+	cal := serve.SyntheticCalibration()
+	s, err := surface.Build(cal.Tables, surface.Config{MaxContenders: 8, GridCells: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Revalidate(core.TablesChecksum(cal.Tables)) != true {
-		t.Fatal("same-tables revalidation must succeed")
+	var preds [2]*core.Predictor
+	for i := range preds {
+		if preds[i], err = core.NewPredictor(cal); err != nil {
+			t.Fatal(err)
+		}
+		if err := preds[i].AttachSurface(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := homog(3, 0.25)
+	preds[0].MarkStale("superseded by recalibration")
+	if _, ok := preds[0].TryCommSlowdown(cs); ok {
+		t.Fatal("stale predictor answered from the shared surface")
+	}
+	if _, ok := preds[1].TryCommSlowdown(cs); !ok {
+		t.Fatal("fresh predictor lost its fast path when the other predictor sharing its surface went stale")
 	}
 }
 

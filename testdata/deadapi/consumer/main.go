@@ -6,4 +6,4 @@ import (
 	"deadfix/internal/lib"
 )
 
-func main() { fmt.Println(lib.ConsumerOnly()) }
+func main() { fmt.Println(lib.ConsumerOnly(), lib.Apply(lib.Config{Consumer: 2})) }

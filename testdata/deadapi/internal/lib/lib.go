@@ -43,3 +43,36 @@ func (c *counter) step() int { c.n++; return c.n }
 
 // unused is dead: only a test calls it.
 func unused() {}
+
+// Config is live: the consumer module builds one.
+type Config struct {
+	// TestOnly is dead: only a test sets it.
+	TestOnly int
+	// Defaulted is dead: only withDefaults, which writes its own copy,
+	// sets it.
+	Defaulted int
+	// Consumer is live: the consumer module sets it.
+	Consumer int
+	// Counted is live: a pointer method writes it.
+	Counted int
+	// Decoded is exempt: its tag is for a decoder, which writes it.
+	Decoded int `json:"decoded"`
+}
+
+// withDefaults fills zero fields of its copy.
+func (c Config) withDefaults() Config {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	return c
+}
+
+// count records one use.
+func (c *Config) count() { c.Counted++ }
+
+// Apply is called by the consumer module.
+func Apply(c Config) int {
+	c = c.withDefaults()
+	c.count()
+	return c.TestOnly + c.Defaulted + c.Consumer + c.Counted + c.Decoded
+}

@@ -7,4 +7,5 @@ func TestPoke(t *testing.T) {
 	p.Poke()
 	Unused()
 	unused()
+	Apply(Config{TestOnly: 1})
 }
