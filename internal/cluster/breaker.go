@@ -34,13 +34,21 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+const (
+	// breakerBuckets is the number of slots the rolling window is split
+	// into.
+	breakerBuckets = 10
+	// breakerHalfOpenProbes is both the concurrent probe allowance in
+	// HalfOpen and the consecutive successes required to close.
+	breakerHalfOpenProbes = 2
+)
+
 // breakerTuning parameterizes a Breaker; defaultTuning holds the
 // values every command runs with.
 type breakerTuning struct {
 	// window is the rolling period the error rate is computed over,
-	// split into buckets buckets.
-	window  time.Duration
-	buckets int
+	// split into breakerBuckets slots.
+	window time.Duration
 	// minVolume is the minimum number of outcomes inside the window
 	// before the breaker may trip — a single failed request against an
 	// idle replica is noise, not an outage.
@@ -50,9 +58,6 @@ type breakerTuning struct {
 	// cooldown is how long Open refuses traffic before allowing
 	// half-open probes.
 	cooldown time.Duration
-	// halfOpenProbes is both the concurrent probe allowance in HalfOpen
-	// and the consecutive successes required to close.
-	halfOpenProbes int
 }
 
 var mBreakerTrans = obs.NewCounterVec(obs.MetricClusterBreakerTrans,
@@ -83,13 +88,13 @@ func newBreaker(tun breakerTuning) *Breaker {
 	return &Breaker{
 		tun:  tun,
 		now:  time.Now,
-		ok:   make([]int64, tun.buckets),
-		fail: make([]int64, tun.buckets),
+		ok:   make([]int64, breakerBuckets),
+		fail: make([]int64, breakerBuckets),
 	}
 }
 
 func (b *Breaker) bucketDur() time.Duration {
-	return b.tun.window / time.Duration(b.tun.buckets)
+	return b.tun.window / breakerBuckets
 }
 
 // rotateLocked advances the bucket ring to now, zeroing buckets that
@@ -104,11 +109,11 @@ func (b *Breaker) rotateLocked(now time.Time) {
 	if steps <= 0 {
 		return
 	}
-	if steps > int64(b.tun.buckets) {
-		steps = int64(b.tun.buckets)
+	if steps > breakerBuckets {
+		steps = breakerBuckets
 	}
 	for i := int64(0); i < steps; i++ {
-		b.cur = (b.cur + 1) % b.tun.buckets
+		b.cur = (b.cur + 1) % breakerBuckets
 		b.ok[b.cur], b.fail[b.cur] = 0, 0
 	}
 	b.epoch = e
@@ -140,7 +145,7 @@ func (b *Breaker) Allow() bool {
 		b.probing, b.probeOK = 0, 0
 		fallthrough
 	default: // HalfOpen
-		if b.probing >= b.tun.halfOpenProbes {
+		if b.probing >= breakerHalfOpenProbes {
 			return false
 		}
 		b.probing++
@@ -184,7 +189,7 @@ func (b *Breaker) Record(ok bool) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.tun.halfOpenProbes {
+		if b.probeOK >= breakerHalfOpenProbes {
 			b.resetLocked()
 			b.toLocked(Closed)
 		}

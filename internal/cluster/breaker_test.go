@@ -16,12 +16,10 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testBreaker(c *fakeClock) *Breaker {
 	b := newBreaker(breakerTuning{
-		window:         time.Second,
-		buckets:        10,
-		minVolume:      10,
-		tripRate:       0.5,
-		cooldown:       time.Second,
-		halfOpenProbes: 2,
+		window:    time.Second,
+		minVolume: 10,
+		tripRate:  0.5,
+		cooldown:  time.Second,
 	})
 	b.now = c.now
 	return b
@@ -72,7 +70,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	}
 	clk.advance(1100 * time.Millisecond)
 	// The cooldown lapsed: Allow transitions to half-open and reserves a
-	// probe slot, bounded by halfOpenProbes.
+	// probe slot, bounded by breakerHalfOpenProbes.
 	if !b.Allow() {
 		t.Fatal("first half-open probe refused")
 	}
@@ -83,7 +81,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatal("second half-open probe refused")
 	}
 	if b.Allow() {
-		t.Fatal("third concurrent probe allowed beyond halfOpenProbes")
+		t.Fatal("third concurrent probe allowed beyond breakerHalfOpenProbes")
 	}
 	b.Record(true)
 	b.Record(true)
@@ -178,7 +176,7 @@ func TestBreakerForgive(t *testing.T) {
 		t.Fatal("half-open probes refused")
 	}
 	if b.Allow() {
-		t.Fatal("probe allowed beyond halfOpenProbes")
+		t.Fatal("probe allowed beyond breakerHalfOpenProbes")
 	}
 	b.Forgive()
 	if !b.Allow() {

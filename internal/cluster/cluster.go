@@ -151,12 +151,10 @@ func defaultTuning() tuning {
 		maxInFlight:     serve.DefaultMaxInFlight,
 		maxQueue:        serve.DefaultMaxQueue,
 		breaker: breakerTuning{
-			window:         5 * time.Second,
-			buckets:        10,
-			minVolume:      10,
-			tripRate:       0.5,
-			cooldown:       time.Second,
-			halfOpenProbes: 2,
+			window:    5 * time.Second,
+			minVolume: 10,
+			tripRate:  0.5,
+			cooldown:  time.Second,
 		},
 	}
 }

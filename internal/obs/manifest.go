@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 )
@@ -238,15 +239,16 @@ func (m *Manifest) Write(path string) error {
 }
 
 // WriteFileAtomic writes data to path through a temp file in the same
-// directory: written, fsynced, made world-readable (0644) and renamed
-// into place, so a reader sees the old file or the whole new one,
-// never a torn write.
+// directory: created 0644 less the process umask (the mode os.WriteFile
+// gives), written, fsynced and renamed into place, so a reader sees the
+// old file or the whole new one, never a torn write.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
+	tmpName := filepath.Join(filepath.Dir(path),
+		fmt.Sprintf(".%s-%016x.tmp", filepath.Base(path), rand.Uint64()))
+	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("obs: creating temp file for %s: %w", path, err)
 	}
-	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
@@ -258,9 +260,6 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("obs: closing %s: %w", tmpName, err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fmt.Errorf("obs: chmod %s: %w", tmpName, err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("obs: renaming %s into place: %w", path, err)

@@ -119,19 +119,3 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 		t.Fatalf("unexpected files after atomic write: %v", entries)
 	}
 }
-
-// TestManifestWriteIsWorldReadable: a run report is written 0644, as a
-// persisted calibration is, not with the temp file's owner-only mode.
-func TestManifestWriteIsWorldReadable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	if err := goldenManifest(t).Write(path); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fi.Mode().Perm(); got != 0o644 {
-		t.Fatalf("manifest mode %v, want -rw-r--r--", got)
-	}
-}
