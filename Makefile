@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet deadapi test race fuzz smoke check fmt allocs golden
+.PHONY: all build vet deadapi test race fuzz smoke check fmt allocs golden flake
 
 all: check
 
@@ -21,10 +21,11 @@ vet:
 # internal/ must have a use in a non-test file of this module or of
 # bench/, and every exported field of an exported struct type there a
 # write in one (deadapi_test.go: interface methods, the exported methods
-# and fields of the façade's aliased types, tagged fields, a value
-# receiver's writes to its own copy, internal/prob and a short
-# allow-list exempt). Code only tests call lives in those tests' _test.go
-# files; a setting only tests set is a constant.
+# and fields of the façade's aliased types, tagged fields, a function's
+# writes to a struct it received by value — its receiver, or a Config a
+# constructor defaults — internal/prob and a short allow-list exempt).
+# Code only tests call lives in those tests' _test.go files; a setting
+# only tests set is a constant.
 deadapi:
 	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$' .
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
@@ -47,6 +48,19 @@ race:
 golden:
 	$(GO) test -count=1 -run '^(TestSuiteGoldenDigest|TestPaperExperimentAloneMatchesAll|TestParallelMatchesSerialByteIdentical)$$' ./internal/experiments
 	$(GO) test -count=1 -run '^(TestCalibrationMatchesParent|TestRunRobustSingleRepeatMatchesRun)$$' ./internal/calibrate
+	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
+
+# The timing tests that run on a virtual clock, 20 times each: the
+# breaker, the admission and request deadlines, the batch window, the
+# health loop and its probe deadline, the supervisor's backoff and the
+# SLO windows. Their clock moves only when the test moves it, so one
+# failure in twenty is a race in the code, not a slow machine. Like
+# golden, not part of check.
+flake:
+	$(GO) test -count=20 -run '^(TestAdmissionTimeout|TestAcquireUntil)$$' ./internal/rm
+	$(GO) test -count=20 -run '^(TestSLOBreachAndRecovery|TestSLOLatencyBreach|TestSLOGaugesExported|TestTracerVirtualTime)$$' ./internal/obs
+	$(GO) test -count=20 -run '^(TestPropagatedDeadlineTightensOnly|TestDeadlineTimerLeavesNoStaleTick|TestCloseStopsWindowTimer|TestRetryAfterOnOverload)$$' ./internal/serve
+	$(GO) test -count=20 -run '^(TestBreaker.*|TestRemoteSuspectAndRejoin|TestHungMemberDelaysNoOtherProbe|TestClusterCrashLoopBudget|TestReadySLODetail)$$' ./internal/cluster
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # Every allocation pin in internal/, printing only what each measured

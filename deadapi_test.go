@@ -67,8 +67,9 @@ func TestNoDeadAPI(t *testing.T) {
 // TestDeadAPIFixture runs the gate on a two-module fixture: of
 // internal/lib's names it must flag only the dead exported and
 // unexported functions, the interface only a test uses, the method
-// only that interface declares, the field only a test sets and the
-// field only a value receiver's withDefaults sets — not a String
+// only that interface declares, the field only a test sets, the field
+// only a value receiver's withDefaults sets and the field only a
+// function that takes its struct by value sets — not a String
 // method, an exported or unexported method production calls through an
 // interface, a function or field only the consumer module uses, a
 // field a pointer method writes or a tagged field.
@@ -82,7 +83,7 @@ func TestDeadAPIFixture(t *testing.T) {
 		got = append(got, d[strings.LastIndex(d, " ")+1:])
 	}
 	sort.Strings(got)
-	if want := []string{"lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"lib.Config.Constructed", "lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %q, want exactly %q", got, want)
 	}
 }
@@ -449,18 +450,29 @@ func deadSig(t types.Type) string {
 
 // deadFieldWrites marks in used every field of a named struct type that
 // decl writes: as a composite-literal element, keyed or positional, or
-// as an assignment or ++/-- target. A value receiver's writes to fields
-// of its own type only change its copy (the withDefaults idiom), so they
-// do not count.
+// as an assignment or ++/-- target. A function's writes to the fields of
+// a struct it receives by value, as its receiver or as a parameter, only
+// change its copy (the withDefaults idiom, and a constructor defaulting
+// its Config), so they do not count.
 func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
-	var own *types.Named
-	if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
-		if n, ok := types.Unalias(info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()).(*types.Named); ok {
-			own = n.Origin()
+	copies := map[types.Object]bool{}
+	if fd, ok := decl.(*ast.FuncDecl); ok {
+		sig := info.Defs[fd.Name].Type().(*types.Signature)
+		vars := []*types.Var{sig.Recv()}
+		for i := 0; i < sig.Params().Len(); i++ {
+			vars = append(vars, sig.Params().At(i))
+		}
+		for _, v := range vars {
+			if v == nil {
+				continue
+			}
+			if _, ok := v.Type().Underlying().(*types.Struct); ok {
+				copies[v] = true
+			}
 		}
 	}
 	mark := func(n *types.Named, f *types.Var) {
-		if n != nil && n.Origin() != own {
+		if n != nil {
 			used[deadFieldKey(n, f)] = true
 		}
 	}
@@ -473,12 +485,15 @@ func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
 		if s == nil || s.Kind() != types.FieldVal {
 			return
 		}
+		id, _ := ast.Unparen(sel.X).(*ast.Ident)
+		copied := id != nil && copies[info.Uses[id]]
 		var n *types.Named
 		var f *types.Var
 		t := s.Recv()
 		for _, i := range s.Index() {
 			if p, ok := types.Unalias(t).(*types.Pointer); ok {
 				t = p.Elem()
+				copied = false
 			}
 			st, ok := t.Underlying().(*types.Struct)
 			if !ok {
@@ -488,7 +503,9 @@ func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
 			f = st.Field(i)
 			t = f.Type()
 		}
-		mark(n, f)
+		if !copied {
+			mark(n, f)
+		}
 	}
 	ast.Inspect(decl, func(node ast.Node) bool {
 		switch node := node.(type) {

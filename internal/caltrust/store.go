@@ -22,9 +22,6 @@ const SchemaVersion = 1
 
 // Meta is the creation metadata stamped into a persisted calibration.
 type Meta struct {
-	// Platform names the calibrated platform (defaults to the
-	// calibration's own Platform field).
-	Platform string
 	// Note is free-form provenance ("recalibrated after drift @ w=12").
 	Note string
 }
@@ -69,16 +66,13 @@ func Encode(cal core.Calibration, meta Meta) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("caltrust: encoding calibration: %w", err)
 	}
-	if meta.Platform == "" {
-		meta.Platform = cal.Platform
-	}
 	sum, err := checksum(payload)
 	if err != nil {
 		return nil, err
 	}
 	env := Envelope{
 		Schema:      SchemaVersion,
-		Platform:    meta.Platform,
+		Platform:    cal.Platform,
 		Note:        meta.Note,
 		Checksum:    sum,
 		Calibration: payload,

@@ -35,9 +35,13 @@ func (s BreakerState) String() string {
 }
 
 const (
-	// breakerBuckets is the number of slots the rolling window is split
-	// into.
+	// breakerWindow is the rolling period the error rate is computed
+	// over, split into breakerBuckets slots.
+	breakerWindow  = 5 * time.Second
 	breakerBuckets = 10
+	// breakerCooldown is how long Open refuses traffic before allowing
+	// half-open probes.
+	breakerCooldown = time.Second
 	// breakerHalfOpenProbes is both the concurrent probe allowance in
 	// HalfOpen and the consecutive successes required to close.
 	breakerHalfOpenProbes = 2
@@ -46,18 +50,12 @@ const (
 // breakerTuning parameterizes a Breaker; defaultTuning holds the
 // values every command runs with.
 type breakerTuning struct {
-	// window is the rolling period the error rate is computed over,
-	// split into breakerBuckets slots.
-	window time.Duration
 	// minVolume is the minimum number of outcomes inside the window
 	// before the breaker may trip — a single failed request against an
 	// idle replica is noise, not an outage.
 	minVolume int
 	// tripRate is the failure fraction at which Closed trips to Open.
 	tripRate float64
-	// cooldown is how long Open refuses traffic before allowing
-	// half-open probes.
-	cooldown time.Duration
 }
 
 var mBreakerTrans = obs.NewCounterVec(obs.MetricClusterBreakerTrans,
@@ -66,16 +64,16 @@ var mBreakerTrans = obs.NewCounterVec(obs.MetricClusterBreakerTrans,
 // Breaker is a rolling error-rate circuit breaker: Closed → Open when
 // the windowed failure rate crosses tripRate with enough volume, Open →
 // HalfOpen after the cooldown, HalfOpen → Closed after consecutive
-// successful probes (or straight back to Open on a failed one).
+// successful probes (or straight back to Open on a failed one). It
+// reads no clock: Allow and Record take their caller's now.
 // Goroutine-safe.
 type Breaker struct {
 	tun breakerTuning
-	now func() time.Time // time.Now; the package's tests drive a fake clock
 
 	mu      sync.Mutex
 	state   BreakerState
-	ok      []int64
-	fail    []int64
+	ok      [breakerBuckets]int64
+	fail    [breakerBuckets]int64
 	epoch   int64 // bucket index of the current rotation
 	cur     int   // current bucket slot
 	opened  time.Time
@@ -84,23 +82,12 @@ type Breaker struct {
 }
 
 // newBreaker builds a breaker in the Closed state.
-func newBreaker(tun breakerTuning) *Breaker {
-	return &Breaker{
-		tun:  tun,
-		now:  time.Now,
-		ok:   make([]int64, breakerBuckets),
-		fail: make([]int64, breakerBuckets),
-	}
-}
-
-func (b *Breaker) bucketDur() time.Duration {
-	return b.tun.window / breakerBuckets
-}
+func newBreaker(tun breakerTuning) *Breaker { return &Breaker{tun: tun} }
 
 // rotateLocked advances the bucket ring to now, zeroing buckets that
 // aged out of the window.
 func (b *Breaker) rotateLocked(now time.Time) {
-	e := now.UnixNano() / int64(b.bucketDur())
+	e := now.UnixNano() / int64(breakerWindow/breakerBuckets)
 	if b.epoch == 0 {
 		b.epoch = e
 		return
@@ -127,18 +114,17 @@ func (b *Breaker) toLocked(s BreakerState) {
 	mBreakerTrans.With(s.String()).Inc()
 }
 
-// Allow reports whether a request may be sent to the replica. In
+// Allow reports whether a request may be sent to the replica at now. In
 // HalfOpen it also reserves one probe slot, so callers must pair every
 // true return with exactly one Record.
-func (b *Breaker) Allow() bool {
+func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.now()
 	switch b.state {
 	case Closed:
 		return true
 	case Open:
-		if now.Sub(b.opened) < b.tun.cooldown {
+		if now.Sub(b.opened) < breakerCooldown {
 			return false
 		}
 		b.toLocked(HalfOpen)
@@ -167,11 +153,10 @@ func (b *Breaker) Forgive() {
 	}
 }
 
-// Record feeds one request outcome back.
-func (b *Breaker) Record(ok bool) {
+// Record feeds back one request outcome, known at now.
+func (b *Breaker) Record(now time.Time, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.now()
 	b.rotateLocked(now)
 	if ok {
 		b.ok[b.cur]++

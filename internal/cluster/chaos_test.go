@@ -66,13 +66,8 @@ func TestChaosGate(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	tun := defaultTuning()
-	tun.restartBase = 20 * time.Millisecond
-	tun.restartMax = 200 * time.Millisecond
-	tun.minUptime = 50 * time.Millisecond
-	tun.seed = spec.Seed
 	tun.perTry = 400 * time.Millisecond
 	tun.maxInFlight, tun.maxQueue = 64, 256
-	tun.breaker.cooldown = 100 * time.Millisecond
 	c, err := newCluster(Config{
 		Replicas:      spec.Replicas,
 		Factory:       InProcessFactory(InProcConfig{Window: 500 * time.Microsecond}),

@@ -116,46 +116,46 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// tuning holds the timings and bounds a Cluster runs with that no
-// command sets. New runs with defaultTuning; the package's tests pass
-// shorter ones to newCluster.
+// Supervision: a crashed replica is respawned after
+// restartBase·2^strikes (capped at restartMax) plus seeded jitter,
+// where strikes counts consecutive lives shorter than minUptime. A
+// member that accumulates crashLoopBudget strikes is abandoned — its
+// traffic stays with the survivors instead of flapping forever. The
+// jitter's RNG is seeded with restartSeed.
+const (
+	restartBase     = 100 * time.Millisecond
+	restartMax      = 5 * time.Second
+	minUptime       = 2 * time.Second
+	crashLoopBudget = 6
+	restartSeed     = 1
+)
+
+// tuning holds the settings a Cluster runs with that no command sets.
+// New runs with defaultTuning; the package's tests pass others to
+// newCluster.
 type tuning struct {
-	// Supervision: a crashed replica is respawned after
-	// restartBase·2^strikes (capped at restartMax) plus seeded jitter,
-	// where strikes counts consecutive lives shorter than minUptime. A
-	// member that accumulates crashLoopBudget strikes is abandoned — its
-	// traffic stays with the survivors instead of flapping forever.
-	restartBase     time.Duration
-	restartMax      time.Duration
-	minUptime       time.Duration
-	crashLoopBudget int
-	// seed fixes the restart-jitter RNG.
-	seed int64
-	// perTry bounds each attempt; Config.Timeout bounds the request.
+	// perTry bounds each attempt, Config.Timeout the request. It times
+	// the attempt's wait on the clock and the deadlines of the frame
+	// connection it is written on, a real one: tests with members that
+	// hang on that connection shorten it.
 	perTry time.Duration
 	// Front-door admission bounds (same semantics as serve.Config).
 	maxInFlight, maxQueue int
 	// breaker is every member's circuit-breaker tuning.
 	breaker breakerTuning
+	// clock times every wait of the router, the health loop and the
+	// supervisor, and is the now the breakers and the SLO tracker read.
+	clock obs.Clock
 }
 
 // defaultTuning is the tuning every command runs with.
 func defaultTuning() tuning {
 	return tuning{
-		restartBase:     100 * time.Millisecond,
-		restartMax:      5 * time.Second,
-		minUptime:       2 * time.Second,
-		crashLoopBudget: 6,
-		seed:            1,
-		perTry:          500 * time.Millisecond,
-		maxInFlight:     serve.DefaultMaxInFlight,
-		maxQueue:        serve.DefaultMaxQueue,
-		breaker: breakerTuning{
-			window:    5 * time.Second,
-			minVolume: 10,
-			tripRate:  0.5,
-			cooldown:  time.Second,
-		},
+		perTry:      500 * time.Millisecond,
+		maxInFlight: serve.DefaultMaxInFlight,
+		maxQueue:    serve.DefaultMaxQueue,
+		breaker:     breakerTuning{minVolume: 10, tripRate: 0.5},
+		clock:       obs.WallClock(),
 	}
 }
 
@@ -388,7 +388,7 @@ func newCluster(cfg Config, tun tuning) (*Cluster, error) {
 		tun:    tun,
 		adm:    rm.NewAdmission(tun.maxInFlight, tun.maxQueue),
 		client: &http.Client{Transport: tr},
-		rng:    rand.New(rand.NewSource(tun.seed)),
+		rng:    rand.New(rand.NewSource(restartSeed)),
 		stop:   make(chan struct{}),
 	}
 	c.retryTokens.Store(5_000) // a little starting credit so early faults can fail over
@@ -452,7 +452,7 @@ func (c *Cluster) Start() error {
 		m.mu.Lock()
 		m.state = stateUp
 		m.setIncarnation(rep)
-		m.upSince = time.Now()
+		m.upSince = c.tun.clock.Now()
 		m.mu.Unlock()
 	}
 	c.resync() // remote members added before Start stay in it
@@ -495,7 +495,7 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	m.setWeight(weight)
 	m.state = stateUp
 	m.setIncarnation(newRemoteReplica(addr))
-	m.upSince = time.Now()
+	m.upSince = c.tun.clock.Now()
 	m.lastOK = m.upSince
 	c.members = append(c.members, m)
 	c.memMu.Unlock()
@@ -530,15 +530,8 @@ func (c *Cluster) ReweightMember(id int, weight float64) error {
 // death.
 func (c *Cluster) healthLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
+	c.every(c.cfg.ProbeInterval, c.stop, func() {
+		now := c.tun.clock.Now()
 		for _, m := range c.memberList() {
 			if m.markSuspect(now, c.cfg.ProbeInterval, c.cfg.SuspectAfter) {
 				c.resync()
@@ -551,6 +544,34 @@ func (c *Cluster) healthLoop() {
 			c.wg.Add(1)
 			go c.probeMember(m, addr)
 		}
+	})
+}
+
+// every runs round each interval on the cluster's clock, the interval
+// counted from the end of the round before, until stop closes.
+func (c *Cluster) every(interval time.Duration, stop <-chan struct{}, round func()) {
+	var t serve.WaitTimer
+	for {
+		tick := t.Arm(c.tun.clock, interval)
+		select {
+		case <-stop:
+			t.Disarm(tick)
+			return
+		case <-tick:
+			t.Disarm(tick)
+			round()
+		}
+	}
+}
+
+// bounded returns a context that ends when parent does or d from now
+// on the cluster's clock, and the func that releases it.
+func (c *Cluster) bounded(parent context.Context, d time.Duration) (context.Context, func()) {
+	ctx, cancel := context.WithCancel(parent)
+	t := c.tun.clock.AfterFunc(d, cancel)
+	return ctx, func() {
+		t.Stop()
+		cancel()
 	}
 }
 
@@ -563,11 +584,16 @@ func (c *Cluster) healthLoop() {
 // suspect.
 func (c *Cluster) probeMember(m *member, addr string) {
 	defer c.wg.Done()
+	// The probe may take one interval. Its timer is stopped after the
+	// member is free for the next round, so the end of the probe is an
+	// event on the clock.
+	ctx, release := c.bounded(context.Background(), c.cfg.ProbeInterval)
+	defer release()
 	defer m.probing.Store(false)
-	allowed := m.breaker.Allow()
-	ok, degraded := c.probe(addr)
+	allowed := m.breaker.Allow(c.tun.clock.Now())
+	ok, degraded := c.probe(ctx, addr)
 	if allowed {
-		m.breaker.Record(ok)
+		m.breaker.Record(c.tun.clock.Now(), ok)
 	}
 	if !ok {
 		return
@@ -576,7 +602,7 @@ func (c *Cluster) probeMember(m *member, addr string) {
 	if !m.remote {
 		return
 	}
-	if m.probeOK(time.Now()) {
+	if m.probeOK(c.tun.clock.Now()) {
 		c.resync()
 		mRejoins.Inc()
 	}
@@ -612,12 +638,12 @@ func (c *Cluster) babysit(m *member) {
 			m.mu.Unlock()
 			return
 		}
-		uptime := time.Since(m.upSince)
+		uptime := c.tun.clock.Now().Sub(m.upSince)
 		m.state = stateDown
 		m.rep = nil
 		fc := m.fc
 		m.fc = nil
-		if uptime < c.tun.minUptime {
+		if uptime < minUptime {
 			m.strikes++
 		} else {
 			m.strikes = 0
@@ -627,17 +653,21 @@ func (c *Cluster) babysit(m *member) {
 		c.resync()
 		fc.close()
 
+		var backoff serve.WaitTimer
 		for {
-			if strikes >= c.tun.crashLoopBudget {
+			if strikes >= crashLoopBudget {
 				m.mu.Lock()
 				m.state = stateFailed
 				m.mu.Unlock()
 				mAbandoned.Inc()
 				return
 			}
+			wait := backoff.Arm(c.tun.clock, c.backoff(strikes))
 			select {
-			case <-time.After(c.backoff(strikes)):
+			case <-wait:
+				backoff.Disarm(wait)
 			case <-c.stop:
+				backoff.Disarm(wait)
 				return
 			}
 			m.mu.Lock()
@@ -655,7 +685,7 @@ func (c *Cluster) babysit(m *member) {
 			m.state = stateUp
 			m.setIncarnation(rep2)
 			m.gen = gen
-			m.upSince = time.Now()
+			m.upSince = c.tun.clock.Now()
 			m.mu.Unlock()
 			mRestarts.Inc()
 			c.resync()
@@ -671,9 +701,9 @@ func (c *Cluster) backoff(strikes int) time.Duration {
 	if strikes > 20 {
 		strikes = 20
 	}
-	d := c.tun.restartBase << strikes
-	if d > c.tun.restartMax || d <= 0 {
-		d = c.tun.restartMax
+	d := restartBase << strikes
+	if d > restartMax || d <= 0 {
+		d = restartMax
 	}
 	c.rngMu.Lock()
 	j := time.Duration(c.rng.Int63n(int64(d)/2 + 1))
@@ -706,12 +736,9 @@ func (c *Cluster) resync() {
 // members included.
 func (c *Cluster) UpCount() int { return len(*c.set.Load()) }
 
-// probe asks the member at addr for /healthz within one ProbeInterval:
-// ok when it answers 200 with a status, degraded when that status is
-// not "ok".
-func (c *Cluster) probe(addr string) (ok, degraded bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
-	defer cancel()
+// probe asks the member at addr for /healthz until ctx ends: ok when
+// it answers 200 with a status, degraded when that status is not "ok".
+func (c *Cluster) probe(ctx context.Context, addr string) (ok, degraded bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
 	if err != nil {
 		return false, false
@@ -817,7 +844,7 @@ func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
 		if tries > 0 && !c.takeRetryToken() {
 			break
 		}
-		if !m.breaker.Allow() {
+		if !m.breaker.Allow(c.tun.clock.Now()) {
 			if tries > 0 {
 				c.refundRetryToken()
 			}
@@ -838,7 +865,7 @@ func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
 		if !res.retryable() {
 			return res
 		}
-		if ctx.Err() != nil || !time.Now().Before(meta.deadline) {
+		if ctx.Err() != nil || !c.tun.clock.Now().Before(meta.deadline) {
 			break
 		}
 	}
@@ -856,7 +883,7 @@ func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
 func (c *Cluster) attempt(ctx context.Context, m *member, meta *reqMeta) tryResult {
 	fc := m.frames()
 	if fc == nil {
-		m.breaker.Record(false)
+		m.breaker.Record(c.tun.clock.Now(), false)
 		return tryResult{err: ErrNoReplica}
 	}
 	m.inflight.Add(1)
@@ -869,11 +896,11 @@ func (c *Cluster) attempt(ctx context.Context, m *member, meta *reqMeta) tryResu
 	defer span.End()
 	// The try's one deadline: the request deadline or the per-try
 	// timeout, whichever comes first.
-	dl := time.Now().Add(c.tun.perTry)
+	dl := c.tun.clock.Now().Add(c.tun.perTry)
 	if meta.deadline.Before(dl) {
 		dl = meta.deadline
 	}
-	cl, err := fc.call(ctx, dl, meta, wtc)
+	cl, err := fc.call(ctx, c.tun.clock, dl, meta, wtc)
 	if err != nil {
 		return c.classifyTransportErr(ctx, meta.deadline, m, err)
 	}
@@ -885,13 +912,13 @@ func (c *Cluster) attempt(ctx context.Context, m *member, meta *reqMeta) tryResu
 		resp, err := serve.DecodeBinaryResponse(cl.body)
 		if err != nil {
 			putCall(cl)
-			m.breaker.Record(false)
+			m.breaker.Record(c.tun.clock.Now(), false)
 			return tryResult{err: err}
 		}
 		cl.out = serve.AppendJSONResponse(cl.out[:0], resp)
 		res.body = cl.out
 	}
-	m.breaker.Record(!res.retryable())
+	m.breaker.Record(c.tun.clock.Now(), !res.retryable())
 	return res
 }
 
@@ -902,8 +929,9 @@ func (c *Cluster) attempt(ctx context.Context, m *member, meta *reqMeta) tryResu
 // per-try timeout, connection refused/reset, malformed response — is
 // the replica's problem and feeds its breaker.
 func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, m *member, err error) tryResult {
+	now := c.tun.clock.Now()
 	cerr := ctx.Err()
-	if cerr == nil && !time.Now().Before(deadline) {
+	if cerr == nil && !now.Before(deadline) {
 		cerr = context.DeadlineExceeded
 	}
 	switch cerr {
@@ -915,7 +943,7 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, 
 		m.breaker.Forgive()
 		return tryResult{err: fmt.Errorf("%w: %v", context.DeadlineExceeded, err), final: true}
 	}
-	m.breaker.Record(false)
+	m.breaker.Record(now, false)
 	return tryResult{err: err}
 }
 
@@ -950,14 +978,15 @@ func (c *Cluster) hedged(ctx context.Context, set []*member, at int, meta *reqMe
 		defer c.bg.Done()
 		ch <- c.attempt(ctx, primary, &mc)
 	}()
-	t := time.NewTimer(c.cfg.HedgeDelay)
-	defer t.Stop()
+	var t serve.WaitTimer
+	hedge := t.Arm(c.tun.clock, c.cfg.HedgeDelay)
+	defer t.Disarm(hedge)
 	launched := 1
 	select {
 	case res := <-ch:
 		return res
-	case <-t.C:
-		if backup.breaker.Allow() {
+	case <-hedge:
+		if backup.breaker.Allow(c.tun.clock.Now()) {
 			mHedges.Inc()
 			launched = 2
 			c.bg.Add(1)
@@ -1104,7 +1133,7 @@ type MemberStatus struct {
 // Members reports every member's status.
 func (c *Cluster) Members() []MemberStatus {
 	list := c.memberList()
-	now := time.Now()
+	now := c.tun.clock.Now()
 	out := make([]MemberStatus, len(list))
 	for i, m := range list {
 		m.mu.Lock()
@@ -1149,11 +1178,11 @@ func (c *Cluster) Handler() http.Handler {
 }
 
 func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	start := c.tun.clock.Now()
 	outcome := "ok"
 	defer func() {
 		mRequests.With(outcome).Inc()
-		mRouteSeconds.Observe(time.Since(start).Seconds())
+		mRouteSeconds.Observe(c.tun.clock.Now().Sub(start).Seconds())
 	}()
 
 	lt, ptc := obs.StartRequestTrace("lb", obs.TraceContext{}, r.Header.Get(serve.TraceHeader), c.cfg.Sampler)
@@ -1189,7 +1218,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := serve.RecordOf(hb.body, binaryReq, hb.rec[:0])
 	hb.rec, meta.rec = rec, rec
-	decodeDone := time.Now()
+	decodeDone := c.tun.clock.Now()
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
 	lt.Stage("decode", start, decodeDone)
 	if err != nil {
@@ -1203,14 +1232,13 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One deadline for the whole request, carried in meta: no context is
-	// built for it unless admission has to wait.
+	// One deadline for the whole request, carried in meta; its timer is
+	// armed for admission only when a slot is not free at once. (The
+	// client's context bounds the request too, through ctx.)
 	meta.deadline = decodeDone.Add(c.cfg.Timeout)
-	if dl, ok := r.Context().Deadline(); ok && dl.Before(meta.deadline) {
-		meta.deadline = dl
-	}
-	if err := c.adm.AcquireUntil(r.Context(), meta.deadline); err != nil {
-		c.cfg.SLO.Record(time.Since(start).Seconds(), false)
+	if err := c.admit(r.Context(), meta.deadline, &hb.timer); err != nil {
+		done := c.tun.clock.Now()
+		c.cfg.SLO.Record(done, done.Sub(start).Seconds(), false)
 		if errors.Is(err, rm.ErrSubmitTimeout) {
 			outcome = "timeout"
 			fail(http.StatusGatewayTimeout, err.Error())
@@ -1223,17 +1251,17 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer c.adm.Release()
 	c.grantRetryCredit()
 
-	routeStart := time.Now()
+	routeStart := c.tun.clock.Now()
 	res := c.route(r.Context(), &meta)
 	defer res.release()
-	routeDone := time.Now()
+	routeDone := c.tun.clock.Now()
 	lbStRoute.Observe(routeDone.Sub(routeStart).Seconds())
 	lt.Stage("route", routeStart, routeDone)
 	if res.err != nil {
 		// A vanished client burns no error budget.
 		clientGone := errors.Is(res.err, ErrClientGone)
 		if !clientGone {
-			c.cfg.SLO.Record(time.Since(start).Seconds(), false)
+			c.cfg.SLO.Record(routeDone, routeDone.Sub(start).Seconds(), false)
 		}
 		switch {
 		case clientGone:
@@ -1252,7 +1280,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	// Upstream 4xx are the client's fault; everything else counts.
 	if !clientFault(res.status) {
-		c.cfg.SLO.Record(time.Since(start).Seconds(), res.status == http.StatusOK)
+		c.cfg.SLO.Record(routeDone, routeDone.Sub(start).Seconds(), res.status == http.StatusOK)
 	}
 	if res.status == http.StatusOK {
 		serve.WriteAnswer(w, res.body, binaryReq, meta.rid)
@@ -1260,9 +1288,20 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		outcome = fmt.Sprintf("upstream_%d", res.status)
 		relayError(w, res.status, res.body, meta.rid)
 	}
-	encodeDone := time.Now()
+	encodeDone := c.tun.clock.Now()
 	lbStEncode.Observe(encodeDone.Sub(routeDone).Seconds())
 	lt.Stage("encode", routeDone, encodeDone)
+}
+
+// admit takes a front-door admission slot: at once when one is free,
+// else waiting on tm, armed for deadline, or until ctx ends.
+func (c *Cluster) admit(ctx context.Context, deadline time.Time, tm *serve.WaitTimer) error {
+	if c.adm.TryAcquire() {
+		return nil
+	}
+	expired := tm.Arm(c.tun.clock, deadline.Sub(c.tun.clock.Now()))
+	defer tm.Disarm(expired)
+	return c.adm.Acquire(ctx, expired)
 }
 
 // relayError answers with a replica's error envelope through serve's
@@ -1278,8 +1317,12 @@ func relayError(w http.ResponseWriter, status int, body []byte, rid string) {
 }
 
 // hopBuf is one front-door request's pooled memory: the body as the
-// client sent it and the binary record it is forwarded as.
-type hopBuf struct{ body, rec []byte }
+// client sent it, the binary record it is forwarded as, and the timer
+// of its admission wait.
+type hopBuf struct {
+	body, rec []byte
+	timer     serve.WaitTimer
+}
 
 var hopBufPool = sync.Pool{New: func() any { return new(hopBuf) }}
 
@@ -1383,8 +1426,8 @@ func (c *Cluster) handleObserve(w http.ResponseWriter, r *http.Request) {
 // answer; err is set when no answer arrived. The answer is what could
 // be read: a body that breaks off does not undo the status.
 func (c *Cluster) postObserve(ctx context.Context, addr string, body []byte) (int, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.tun.perTry)
-	defer cancel()
+	ctx, release := c.bounded(ctx, c.tun.perTry)
+	defer release()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/v1/observe", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
@@ -1444,5 +1487,5 @@ func (c *Cluster) handleReady(w http.ResponseWriter, r *http.Request) {
 	case c.UpCount() == 0:
 		reason = "no replicas up"
 	}
-	serve.WriteReady(w, reason, c.cfg.SLO)
+	serve.WriteReady(w, reason, c.cfg.SLO, c.tun.clock.Now())
 }

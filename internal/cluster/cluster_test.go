@@ -186,10 +186,10 @@ type testConfig struct {
 }
 
 // breakerWith is a default-tuned breaker that may trip at minVolume
-// outcomes and stays open for cooldown.
-func breakerWith(minVolume int, cooldown time.Duration) *Breaker {
+// outcomes.
+func breakerWith(minVolume int) *Breaker {
 	bt := defaultTuning().breaker
-	bt.minVolume, bt.cooldown = minVolume, cooldown
+	bt.minVolume = minVolume
 	return newBreaker(bt)
 }
 
@@ -207,11 +207,7 @@ func newTestCluster(t *testing.T, replicas int, mutate func(*testConfig)) (*Clus
 		},
 		tuning: defaultTuning(),
 	}
-	cfg.restartBase = 5 * time.Millisecond
-	cfg.restartMax = 50 * time.Millisecond
-	cfg.minUptime = time.Millisecond
 	cfg.perTry = time.Second
-	cfg.breaker.cooldown = 50 * time.Millisecond
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -337,12 +333,12 @@ func TestPick(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			set := make([]*member, len(tc.set))
 			for i, mm := range tc.set {
-				m := &member{id: i, breaker: breakerWith(1, time.Hour)}
+				m := &member{id: i, breaker: breakerWith(1)}
 				m.inflight.Store(mm.inflight)
 				m.setWeight(mm.weight)
 				m.degraded.Store(mm.degraded)
 				if mm.open {
-					m.breaker.Record(false)
+					m.breaker.Record(time.Now(), false)
 				}
 				set[i] = m
 			}
@@ -380,8 +376,8 @@ func TestRingEdgeCases(t *testing.T) {
 			t.Fatalf("one member, turn %d: lead = %d, want 0", turn, got)
 		}
 	}
-	one[0].breaker = breakerWith(1, time.Hour)
-	one[0].breaker.Record(false)
+	one[0].breaker = breakerWith(1)
+	one[0].breaker.Record(time.Now(), false)
 	one[0].degraded.Store(true)
 	if got := lead(one, 0); got != 0 {
 		t.Fatalf("one open, degraded member: lead = %d, want 0 (nothing else can)", got)
@@ -419,7 +415,7 @@ func TestRingSequence(t *testing.T) {
 	} {
 		c, fl, front := newTestCluster(t, tc.replicas, func(cfg *testConfig) {
 			cfg.MaxTries = tc.maxTries
-			cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
+			cfg.breaker.minVolume = 100
 		})
 		for id := 0; id < tc.replicas; id++ {
 			fl.current(id).fail.Store(true)
@@ -479,7 +475,7 @@ func TestRingWeightedOwnership(t *testing.T) {
 func TestZeroWeightTakesNoPredicts(t *testing.T) {
 	c, fl, front := newTestCluster(t, 2, func(cfg *testConfig) {
 		cfg.HedgeDelay = 5 * time.Millisecond
-		cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
+		cfg.breaker.minVolume = 100
 	})
 	if err := c.ReweightMember(1, 0); err != nil {
 		t.Fatal(err)
@@ -563,6 +559,9 @@ func TestClusterRetriesUpstreamFailure(t *testing.T) {
 	}
 }
 
+// TestClusterCrashLoopBudget walks the supervisor's backoff on virtual
+// time: a member that dies before minUptime and then fails every
+// respawn is abandoned at its crashLoopBudget-th strike.
 func TestClusterCrashLoopBudget(t *testing.T) {
 	var allow atomic.Bool
 	allow.Store(true)
@@ -575,14 +574,11 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 			}
 			return fl.factory(id, gen)
 		},
-		ProbeInterval: 25 * time.Millisecond,
+		ProbeInterval: time.Hour, // no health round while the backoffs run
 	}
+	clk := newFakeClock()
 	tun := defaultTuning()
-	tun.restartBase = time.Millisecond
-	tun.restartMax = 5 * time.Millisecond
-	tun.minUptime = 10 * time.Second // every death is a strike
-	tun.crashLoopBudget = 3
-	tun.perTry = time.Second
+	tun.clock = clk
 	c, err := newCluster(cfg, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -601,6 +597,19 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 
 	allow.Store(false)
 	fl.current(1).Kill()
+	// Each strike arms one backoff; the clock moves to its end and no
+	// further, so the respawn it fails is the only one.
+	hour := clk.Now().Add(time.Hour)
+	for strike := 1; strike < crashLoopBudget; strike++ {
+		due := clk.waitArmed(func(t *fakeTimer) bool { return t.arms == strike && t.when.Before(hour) })
+		if st := c.Members()[1].State; st != "down" {
+			t.Fatalf("strike %d: member 1 %s, want down", strike, st)
+		}
+		if d := due.Sub(clk.Now()); d < restartBase<<strike || d > restartBase<<strike*3/2 {
+			t.Fatalf("strike %d: backoff %v, want %v plus at most half", strike, d, restartBase<<strike)
+		}
+		clk.advance(due.Sub(clk.Now()))
+	}
 	waitFor(t, "member 1 abandoned", 5*time.Second, func() bool {
 		return c.Members()[1].State == "failed"
 	})
@@ -647,7 +656,7 @@ func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
 func TestClusterClientGoneForgiven(t *testing.T) {
 	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
 		cfg.ProbeInterval = time.Hour // only request outcomes feed the breaker
-		cfg.breaker.minVolume, cfg.breaker.tripRate, cfg.breaker.cooldown = 2, 0.01, time.Hour
+		cfg.breaker.minVolume, cfg.breaker.tripRate = 2, 0.01
 	})
 	fl.current(0).stallMS.Store(200)
 
@@ -671,7 +680,7 @@ func TestClusterClientGoneForgiven(t *testing.T) {
 	}
 
 	m := c.memberByID(0)
-	if vol, _ := m.breaker.Stats(); vol != 0 {
+	if vol, _ := m.breaker.Stats(time.Now()); vol != 0 {
 		t.Fatalf("breaker volume %d after client cancels, want 0 (forgiven)", vol)
 	}
 	if got := m.breaker.State(); got != Closed {
@@ -807,23 +816,32 @@ func TestClusterHealthAndReady(t *testing.T) {
 
 // TestHungMemberDelaysNoOtherProbe: every member is probed on its own
 // goroutine, so peers hung on /healthz cost a healthy member none of its
-// probes. With 3 of 4 members hung and a 20 ms period, a serial prober
-// reaches the healthy one about 19 times a second; the period allows 50.
+// probes. With 3 of 4 members hung, a serial prober would reach the
+// healthy one in only some rounds; it must be probed in every one of N
+// virtual intervals.
 func TestHungMemberDelaysNoOtherProbe(t *testing.T) {
-	_, fl, _ := newTestCluster(t, 4, func(cfg *testConfig) { cfg.ProbeInterval = 20 * time.Millisecond })
+	clk := newFakeClock()
+	c, fl, _ := newTestCluster(t, 4, func(cfg *testConfig) { cfg.clock = clk })
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	for id := 1; id < 4; id++ {
 		fl.current(id).hhang.Store(&release)
 	}
-	healthy := fl.current(0)
+	healthy, m := fl.current(0), c.memberByID(0)
 	before := healthy.probes.Load()
-	time.Sleep(time.Second)
-	got := healthy.probes.Load() - before
-	if got < 30 {
-		t.Fatalf("healthy member got %d probes in 1s with 3 peers hung, want >= 30", got)
+	const n = 40
+	clk.waitArmed(func(*fakeTimer) bool { return true }) // the health loop is waiting
+	for k := 1; k <= n; k++ {
+		clk.advance(c.Config().ProbeInterval)
+		// Round k is over for the healthy member once the loop has
+		// re-armed and the member's probe has ended.
+		clk.waitArmed(func(t *fakeTimer) bool {
+			return t.arms == k+1 && healthy.probes.Load()-before == int64(k) && !m.probing.Load()
+		})
 	}
-	t.Logf("healthy member: %d probes in 1s with 3 peers hung", got)
+	if got := healthy.probes.Load() - before; got != n {
+		t.Fatalf("healthy member got %d probes in %d intervals with 3 peers hung, want %d", got, n, n)
+	}
 }
 
 func TestClusterStartFailureTearsDown(t *testing.T) {

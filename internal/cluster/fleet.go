@@ -73,22 +73,13 @@ func NewFleet(c *Cluster, interval time.Duration) *Fleet {
 
 // Run scrapes every interval until stop closes.
 func (f *Fleet) Run(stop <-chan struct{}) {
-	t := time.NewTicker(f.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			f.ScrapeOnce(context.Background())
-		}
-	}
+	f.c.every(f.interval, stop, func() { f.ScrapeOnce(context.Background()) })
 }
 
 // ScrapeOnce scrapes every up member's /metrics now and swaps in the
 // merged result. Returns how many members answered.
 func (f *Fleet) ScrapeOnce(ctx context.Context) int {
-	start := time.Now()
+	start := f.c.tun.clock.Now()
 	mFleetScrapes.Inc()
 	var snaps []obs.Snapshot
 	for _, m := range f.c.memberList() {
@@ -104,7 +95,7 @@ func (f *Fleet) ScrapeOnce(ctx context.Context) int {
 	merged := obs.MergeSnapshots("fleet_", snaps...)
 	f.merged.Store(&fleetScrape{snap: merged, members: len(snaps), at: start})
 	mFleetMembersSeen.Set(float64(len(snaps)))
-	mFleetScrapeSeconds.Observe(time.Since(start).Seconds())
+	mFleetScrapeSeconds.Observe(f.c.tun.clock.Now().Sub(start).Seconds())
 	return len(snaps)
 }
 
@@ -113,8 +104,8 @@ func (f *Fleet) ScrapeOnce(ctx context.Context) int {
 // that fails, a snapshot DecodeSnapshot refuses included, counts as a
 // scrape error.
 func (f *Fleet) scrapeMember(ctx context.Context, addr string) (obs.Snapshot, bool) {
-	sctx, cancel := context.WithTimeout(ctx, f.interval)
-	defer cancel()
+	sctx, release := f.c.bounded(ctx, f.interval)
+	defer release()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, "http://"+addr+"/metrics?format=json", nil)
 	if err != nil {
 		mFleetScrapeErrors.Inc()
@@ -212,7 +203,7 @@ func (f *Fleet) Status() FleetStatus {
 		st.Stages = append(st.Stages, stageLatencies(src, fam.metric, fam.tier)...)
 	}
 	if slo := f.c.cfg.SLO; slo != nil {
-		s := slo.Status()
+		s := slo.Status(f.c.tun.clock.Now())
 		st.SLO = &s
 	}
 	return st

@@ -97,7 +97,7 @@ type frameConn struct {
 // conn returns the live connection, dialling one when there is none.
 // Concurrent callers wait for a dial in progress rather than racing it,
 // bounded by their own deadline and context.
-func (fc *frameClient) conn(ctx context.Context, deadline time.Time, expired <-chan time.Time) (*frameConn, error) {
+func (fc *frameClient) conn(ctx context.Context, deadline time.Time, expired <-chan struct{}) (*frameConn, error) {
 	for {
 		fc.mu.Lock()
 		if fc.closed {
@@ -162,26 +162,30 @@ func (fc *frameClient) close() {
 }
 
 // call sends the request frame for meta to the member and waits for its
-// answer until deadline or ctx ends. On success the returned call holds
-// the status and body; the caller recycles it with putCall.
-func (fc *frameClient) call(ctx context.Context, deadline time.Time, meta *reqMeta, tc obs.TraceContext) (*call, error) {
+// answer until deadline, on clock, or until ctx ends. On success the
+// returned call holds the status and body; the caller recycles it with
+// putCall.
+func (fc *frameClient) call(ctx context.Context, clock obs.Clock, deadline time.Time, meta *reqMeta, tc obs.TraceContext) (*call, error) {
 	cl := getCall()
-	expired := cl.timer.Arm(time.Until(deadline))
-	c, err := fc.conn(ctx, deadline, expired)
+	left := deadline.Sub(clock.Now())
+	// The connection's own deadlines are wall time: the same budget.
+	connDeadline := time.Now().Add(left)
+	expired := cl.timer.Arm(clock, left)
+	c, err := fc.conn(ctx, connDeadline, expired)
 	if err == nil {
 		err = c.register(cl)
 	}
 	if err != nil {
-		cl.timer.Disarm(expired, err == errTryTimeout)
+		cl.timer.Disarm(expired)
 		putCall(cl)
 		return nil, err
 	}
 	// The budget is the time this try has left, measured as it is sent.
-	cl.out = serve.AppendRequestFrame(cl.out[:0], cl.id, time.Until(deadline), meta.rid, meta.rec, tc)
+	cl.out = serve.AppendRequestFrame(cl.out[:0], cl.id, deadline.Sub(clock.Now()), meta.rid, meta.rec, tc)
 	c.wmu.Lock()
 	// A member that stops reading holds the write, and every try queued
 	// on wmu behind it, only until this try's deadline.
-	_ = c.conn.SetWriteDeadline(deadline) // a failed set means a closed conn, which Write reports
+	_ = c.conn.SetWriteDeadline(connDeadline) // a failed set means a closed conn, which Write reports
 	n, werr := c.conn.Write(cl.out)
 	c.wmu.Unlock()
 	if werr != nil {
@@ -190,7 +194,7 @@ func (fc *frameClient) call(ctx context.Context, deadline time.Time, meta *reqMe
 		// pending on the connection keep waiting for their answers. A
 		// partial frame, or any other error, breaks the connection.
 		if n == 0 && errors.Is(werr, os.ErrDeadlineExceeded) {
-			cl.timer.Disarm(expired, false)
+			cl.timer.Disarm(expired)
 			c.abandon(cl)
 			return nil, errTryTimeout
 		}
@@ -198,7 +202,7 @@ func (fc *frameClient) call(ctx context.Context, deadline time.Time, meta *reqMe
 	}
 	select {
 	case <-cl.done:
-		cl.timer.Disarm(expired, false)
+		cl.timer.Disarm(expired)
 		if cl.err != nil {
 			err := cl.err
 			putCall(cl)
@@ -206,11 +210,11 @@ func (fc *frameClient) call(ctx context.Context, deadline time.Time, meta *reqMe
 		}
 		return cl, nil
 	case <-expired:
-		cl.timer.Disarm(expired, true)
+		cl.timer.Disarm(expired)
 		c.abandon(cl)
 		return nil, errTryTimeout
 	case <-ctx.Done():
-		cl.timer.Disarm(expired, false)
+		cl.timer.Disarm(expired)
 		c.abandon(cl)
 		return nil, ctx.Err()
 	}

@@ -242,7 +242,7 @@ func TestClassifyRequestDeadlineForgiven(t *testing.T) {
 		cfg.Timeout = 100 * time.Millisecond
 		cfg.perTry = 2 * time.Second
 		cfg.ProbeInterval = time.Hour // only request outcomes feed the breaker
-		cfg.breaker.minVolume, cfg.breaker.tripRate, cfg.breaker.cooldown = 1, 0.01, time.Hour
+		cfg.breaker.minVolume, cfg.breaker.tripRate = 1, 0.01
 	})
 	fl.current(0).stallMS.Store(500)
 	start := time.Now()
@@ -253,7 +253,7 @@ func TestClassifyRequestDeadlineForgiven(t *testing.T) {
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("504 took %v, want about Timeout", el)
 	}
-	if vol, _ := c.memberByID(0).breaker.Stats(); vol != 0 {
+	if vol, _ := c.memberByID(0).breaker.Stats(time.Now()); vol != 0 {
 		t.Fatalf("breaker volume %d after a spent request deadline, want 0 (forgiven)", vol)
 	}
 }
@@ -266,14 +266,14 @@ func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 		cfg.Timeout = 5 * time.Second
 		cfg.perTry = 100 * time.Millisecond
 		cfg.ProbeInterval = time.Hour
-		cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
+		cfg.breaker.minVolume = 100
 	})
 	body := predictBody(3)
 	if code, _ := postPredict(t, front, body); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
 	}
 	primary := nextLead(c)
-	vol0, _ := c.memberByID(primary).breaker.Stats()
+	vol0, _ := c.memberByID(primary).breaker.Stats(time.Now())
 	fl.current(primary).stallMS.Store(1000)
 
 	code, out := postPredict(t, front, body)
@@ -283,7 +283,7 @@ func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 	if got := answeredBy(t, out); got == primary {
 		t.Fatalf("answer came from the stalled primary %d", got)
 	}
-	vol, rate := c.memberByID(primary).breaker.Stats()
+	vol, rate := c.memberByID(primary).breaker.Stats(time.Now())
 	if vol != vol0+1 || rate*float64(vol) < 0.5 || rate*float64(vol) > 1.5 {
 		t.Fatalf("primary breaker: volume %d (was %d), fail rate %.2f — want exactly one recorded failure", vol, vol0, rate)
 	}

@@ -55,7 +55,6 @@ func TestKillSeversFrames(t *testing.T) {
 func TestKillMidRequestFailsOver(t *testing.T) {
 	tun := defaultTuning()
 	tun.perTry = 10 * time.Second
-	tun.restartBase = time.Hour
 	c, err := newCluster(Config{
 		Replicas:      2,
 		Factory:       InProcessFactory(InProcConfig{Window: 300 * time.Millisecond}),
@@ -255,7 +254,7 @@ func TestFrameWriteHonoursTryDeadline(t *testing.T) {
 	errs := make(chan error, tries)
 	for i := 0; i < tries; i++ {
 		go func() {
-			_, err := fc.call(context.Background(), time.Now().Add(50*time.Millisecond), meta, obs.TraceContext{})
+			_, err := fc.call(context.Background(), obs.WallClock(), time.Now().Add(50*time.Millisecond), meta, obs.TraceContext{})
 			errs <- err
 		}()
 	}
@@ -279,7 +278,7 @@ func TestFrameWriteHonoursTryDeadline(t *testing.T) {
 func TestSpentTryKeepsConnection(t *testing.T) {
 	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
 		cfg.ProbeInterval = time.Hour
-		cfg.breaker.minVolume, cfg.breaker.cooldown = 100, time.Hour
+		cfg.breaker.minVolume = 100
 	})
 	if code, _ := postPredict(t, front, predictBody(0)); code != http.StatusOK {
 		t.Fatal("warmup predict failed")
@@ -289,7 +288,7 @@ func TestSpentTryKeepsConnection(t *testing.T) {
 	fc.mu.Lock()
 	conn := fc.cur
 	fc.mu.Unlock()
-	vol0, _ := m.breaker.Stats()
+	vol0, _ := m.breaker.Stats(time.Now())
 	fl.current(0).stallMS.Store(200)
 
 	codes := make(chan int, 1)
@@ -307,7 +306,7 @@ func TestSpentTryKeepsConnection(t *testing.T) {
 		defer conn.mu.Unlock()
 		return len(conn.pending) == 1
 	})
-	_, err := fc.call(context.Background(), time.Now().Add(-time.Millisecond), &reqMeta{rec: []byte{0}}, obs.TraceContext{})
+	_, err := fc.call(context.Background(), obs.WallClock(), time.Now().Add(-time.Millisecond), &reqMeta{rec: []byte{0}}, obs.TraceContext{})
 	if err != errTryTimeout {
 		t.Fatalf("spent try: err %v, want errTryTimeout", err)
 	}
@@ -320,7 +319,7 @@ func TestSpentTryKeepsConnection(t *testing.T) {
 	if !same {
 		t.Fatal("the spent try tore down the frame connection")
 	}
-	if vol, rate := m.breaker.Stats(); vol != vol0+1 || rate != 0 {
+	if vol, rate := m.breaker.Stats(time.Now()); vol != vol0+1 || rate != 0 {
 		t.Fatalf("breaker: volume %d (was %d), fail rate %.2f — want one success and no failure", vol, vol0, rate)
 	}
 }

@@ -190,15 +190,6 @@ func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
 // tick — a file caught mid-edit or briefly unreadable must not empty
 // the fleet; the last good member set keeps serving.
 func (ms *Membership) Run(stop <-chan struct{}) {
-	t := time.NewTicker(ms.cfg.PollInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			ms.drains.Wait()
-			return
-		case <-t.C:
-			_, _ = ms.Reload()
-		}
-	}
+	ms.c.every(ms.cfg.PollInterval, stop, func() { _, _ = ms.Reload() })
+	ms.drains.Wait()
 }

@@ -101,19 +101,20 @@ func stringsHasSuffix(s, suf string) bool {
 }
 
 // newRemoteCluster starts a remote-only cluster (no local fleet).
-func newRemoteCluster(t *testing.T, mutate func(*Config)) (*Cluster, *httptest.Server) {
+func newRemoteCluster(t *testing.T, mutate func(*testConfig)) (*Cluster, *httptest.Server) {
 	t.Helper()
-	cfg := Config{
-		Timeout:       5 * time.Second,
-		ProbeInterval: 10 * time.Millisecond,
+	cfg := testConfig{
+		Config: Config{
+			Timeout:       5 * time.Second,
+			ProbeInterval: 10 * time.Millisecond,
+		},
+		tuning: defaultTuning(),
 	}
+	cfg.perTry = time.Second
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	tun := defaultTuning()
-	tun.perTry = time.Second
-	tun.breaker.cooldown = 50 * time.Millisecond
-	c, err := newCluster(cfg, tun)
+	c, err := newCluster(cfg.Config, cfg.tuning)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -158,23 +159,50 @@ func TestAddRemoteRoutesAndRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRemoteSuspectAndRejoin walks the probe deadline on virtual time: a
+// member whose probes fail is suspect at the first round that finds its
+// silence past SuspectAfter intervals, and the first probe that succeeds
+// again readmits it.
 func TestRemoteSuspectAndRejoin(t *testing.T) {
 	rf := newRemoteFleet(t, 2)
-	c, front := newRemoteCluster(t, nil)
+	clk := newFakeClock()
+	c, front := newRemoteCluster(t, func(cfg *testConfig) { cfg.clock = clk })
 	for _, r := range rf.reps {
 		if _, err := c.AddRemote(r.Addr(), 1); err != nil {
 			t.Fatalf("AddRemote: %v", err)
 		}
 	}
-	waitFor(t, "both remotes up", 2*time.Second, func() bool { return c.UpCount() == 2 })
+	if got := c.UpCount(); got != 2 {
+		t.Fatalf("UpCount = %d after joining both remotes, want 2", got)
+	}
+	interval := c.Config().ProbeInterval
+	rounds := 0
+	clk.waitArmed(func(*fakeTimer) bool { return true }) // the health loop is waiting
+	round := func() {
+		t.Helper()
+		clk.advance(interval)
+		rounds++
+		// The round is over once the loop has re-armed and both probes
+		// have ended.
+		clk.waitArmed(func(t *fakeTimer) bool {
+			return t.arms == rounds+1 && !c.memberByID(0).probing.Load() && !c.memberByID(1).probing.Load()
+		})
+	}
 
-	// Fail member 0's probes: once past its probe deadline it must be suspect
-	// and out of the routing set.
+	// Fail member 0's probes: once its silence passes SuspectAfter
+	// intervals it must be suspect and out of the routing set.
 	rf.reps[0].hfail.Store(true)
-	waitFor(t, "member 0 suspect", 5*time.Second, func() bool {
-		ms := c.Members()
-		return ms[0].State == "suspect" && c.UpCount() == 1
-	})
+	for rounds < int(DefaultSuspectAfter) {
+		round()
+		if ms := c.Members(); ms[0].State != "up" || c.UpCount() != 2 {
+			t.Fatalf("round %d: member 0 %s, UpCount %d: suspect within %g intervals of silence",
+				rounds, ms[0].State, c.UpCount(), DefaultSuspectAfter)
+		}
+	}
+	round()
+	if ms := c.Members(); ms[0].State != "suspect" || c.UpCount() != 1 {
+		t.Fatalf("round %d: member 0 %s, UpCount %d, want suspect and 1", rounds, ms[0].State, c.UpCount())
+	}
 	// Traffic keeps flowing on the survivor.
 	for i := 0; i < 10; i++ {
 		if status, _ := postPredict(t, front, predictBody(i)); status != 200 {
@@ -183,10 +211,10 @@ func TestRemoteSuspectAndRejoin(t *testing.T) {
 	}
 	// Heal: the next successful probe readmits it.
 	rf.reps[0].hfail.Store(false)
-	waitFor(t, "member 0 rejoin", 5*time.Second, func() bool {
-		ms := c.Members()
-		return ms[0].State == "up" && c.UpCount() == 2
-	})
+	round()
+	if ms := c.Members(); ms[0].State != "up" || c.UpCount() != 2 {
+		t.Fatalf("member 0 %s, UpCount %d one round after healing, want up and 2", ms[0].State, c.UpCount())
+	}
 }
 
 func TestMembershipReloadUnderLoad(t *testing.T) {
@@ -194,7 +222,7 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 	// Detection is off-topic here: the test asserts zero failed
 	// requests across reloads, and a scheduling hiccup on a loaded CI
 	// box must not fake a suspect (empty-set 503s).
-	c, front := newRemoteCluster(t, func(cfg *Config) { cfg.SuspectAfter = 1e9 })
+	c, front := newRemoteCluster(t, func(cfg *testConfig) { cfg.SuspectAfter = 1e9 })
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "members.json")

@@ -83,10 +83,8 @@ func TestRemoteChaosGate(t *testing.T) {
 	}
 
 	tun := defaultTuning()
-	tun.seed = spec.Seed
 	tun.perTry = 400 * time.Millisecond
 	tun.maxInFlight, tun.maxQueue = 64, 256
-	tun.breaker.cooldown = 100 * time.Millisecond
 	c, err := newCluster(Config{
 		MaxTries:      4,
 		RetryBudget:   1.0,

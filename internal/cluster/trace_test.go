@@ -291,18 +291,18 @@ func TestLBRequestIDForwardingAndEcho(t *testing.T) {
 // configured the body carries burn-rate status, and a breach is
 // reported without flipping readiness.
 func TestReadySLODetail(t *testing.T) {
-	now := new(float64)
 	slo, err := obs.NewSLOTracker(obs.SLOConfig{
 		AvailabilityTarget: 0.99,
-		FastWindowSeconds:  60,
-		SlowWindowSeconds:  600,
-		Clock:              func() float64 { return *now },
 		Registry:           obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, front := newTestCluster(t, 1, func(cfg *testConfig) { cfg.SLO = slo })
+	clk := newFakeClock()
+	_, _, front := newTestCluster(t, 1, func(cfg *testConfig) {
+		cfg.SLO = slo
+		cfg.clock = clk
+	})
 
 	get := func() (int, map[string]json.RawMessage) {
 		resp, err := front.Client().Get(front.URL + "/readyz")
@@ -327,9 +327,8 @@ func TestReadySLODetail(t *testing.T) {
 
 	// Burn the budget: readiness must NOT flip (load-shedding on SLO
 	// breach would amplify the outage), but the detail must say breach.
-	for s := 0; s < 120; s++ {
-		*now = float64(s)
-		slo.Record(0.01, false)
+	for i := 0; i < 120; i++ {
+		slo.Record(clk.Now(), 0.01, false)
 	}
 	code, body = get()
 	if code != http.StatusOK {

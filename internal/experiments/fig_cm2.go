@@ -9,7 +9,6 @@ import (
 	"contention/internal/des"
 	"contention/internal/platform"
 	"contention/internal/runner"
-	"contention/internal/trace"
 	"contention/internal/workload"
 )
 
@@ -112,15 +111,15 @@ func Figure2(env *Env) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var tr trace.Trace
+	var tr timeline
 	k.Spawn("app", func(p *des.Proc) {
 		s := plat.Backend.Attach(p, "fig2", 2)
 		serial := func(d float64) {
-			tr.Record(p.Now(), "sun", "serial instruction")
+			tr.record(p.Now(), "sun", "serial instruction")
 			plat.Host.Compute(p, d)
 		}
 		issue := func(d float64) {
-			tr.Record(p.Now(), "sun", "parallel instruction")
+			tr.record(p.Now(), "sun", "parallel instruction")
 			s.Issue(p, d)
 		}
 		serial(0.004)
@@ -133,17 +132,17 @@ func Figure2(env *Env) (Result, error) {
 		serial(0.004)
 		serial(0.004)
 		issue(0.006)
-		tr.Record(p.Now(), "sun", "idle (await result)")
+		tr.record(p.Now(), "sun", "idle (await result)")
 		s.Sync(p) // the reduction: Sun waits for the CM2
 		serial(0.004)
 		s.Detach(p)
-		tr.Record(p.Now(), "sun", "done")
+		tr.record(p.Now(), "sun", "done")
 
 		// Back-end states from the recorded execution intervals.
-		tr.Record(0, "cm2", "idle")
+		tr.record(0, "cm2", "idle")
 		for _, iv := range s.Intervals() {
-			tr.Record(iv.Start, "cm2", "execute")
-			tr.Record(iv.End, "cm2", "idle")
+			tr.record(iv.Start, "cm2", "execute")
+			tr.record(iv.End, "cm2", "idle")
 		}
 		k.Stop()
 	})
@@ -151,7 +150,7 @@ func Figure2(env *Env) (Result, error) {
 	return Result{
 		ID:    "figure2",
 		Title: "Execution of a task on the CM2: front-end/back-end interleave",
-		Text:  tr.Timeline(0.002, []string{"sun", "cm2"}),
+		Text:  tr.render(0.002, []string{"sun", "cm2"}),
 		Notes: []string{
 			"serial instructions execute on the Sun; parallel instructions are queued to the CM2",
 			"the Sun pre-executes serial code while the CM2 works (overlap), and idles awaiting the reduction",

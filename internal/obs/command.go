@@ -154,7 +154,7 @@ func (c *Command) Manifest(config map[string]string) *Manifest {
 	m.Config = config
 	m.Spans = DefaultTracer().Spans()
 	if c.slo != nil {
-		st := c.slo.Status()
+		st := c.slo.Status(time.Now())
 		m.SLO = &st
 	}
 	m.FillFromSnapshot(Default().Snapshot())

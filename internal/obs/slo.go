@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // SLO objectives and the multi-window burn-rate math.
@@ -17,15 +18,29 @@ import (
 // Each SLI's burn rate is (bad fraction) / (error budget): burn 1 means
 // the error budget is being spent exactly at the sustainable rate, burn
 // 14.4 means a 30-day budget would be gone in 50 hours. A breach is
-// declared only when BOTH the fast and the slow window burn above
-// BurnAlert — the standard multi-window rule: the slow window proves
-// the problem is real (not one bad second), the fast window proves it
-// is still happening (so the alert resets quickly after recovery).
+// declared only when BOTH the fast and the slow window burn above 14.4
+// (the classic "2% of a 30-day budget per hour" paging threshold) — the
+// standard multi-window rule: the slow window proves the problem is
+// real (not one bad second), the fast window proves it is still
+// happening (so the alert resets quickly after recovery).
 //
-// Time comes from a pluggable Clock, so DES tests walk the tracker
-// through breach and recovery deterministically; production uses
-// WallClock. State is a ring of fixed-width time buckets covering the
-// slow window; Record is allocation-free.
+// The tracker reads no clock: every call brings its caller's now, so
+// tests walk it through breach and recovery on virtual time. State is a
+// ring of fixed-width time buckets covering the slow window; Record is
+// allocation-free.
+
+// The burn windows, 5 minutes and an hour, and the burn rate both must
+// reach to declare a breach.
+const (
+	sloFastWindowSeconds = 300
+	sloSlowWindowSeconds = 3600
+	sloBurnAlert         = 14.4
+	// A bucket is 1/60 of the fast window, so the fast burn updates
+	// smoothly and the slow ring stays small (720 buckets).
+	sloFastBuckets = 60
+	sloSlowBuckets = sloSlowWindowSeconds * sloFastBuckets / sloFastWindowSeconds
+	sloBucketWidth = sloFastWindowSeconds * time.Second / sloFastBuckets
+)
 
 // SLOConfig configures an SLOTracker. Zero fields take defaults.
 type SLOConfig struct {
@@ -38,17 +53,6 @@ type SLOConfig struct {
 	// AvailabilityTarget is the fraction of requests that must succeed
 	// (default 0.999).
 	AvailabilityTarget float64
-	// FastWindowSeconds / SlowWindowSeconds are the two burn windows
-	// (defaults 300 and 3600 — 5m and 1h).
-	FastWindowSeconds float64
-	SlowWindowSeconds float64
-	// BurnAlert is the burn rate both windows must exceed to declare a
-	// breach (default 14.4 — the classic "2% of a 30-day budget per
-	// hour" paging threshold).
-	BurnAlert float64
-	// Clock supplies time; WallClock() when nil. DES tests pass the
-	// kernel's Now.
-	Clock Clock
 	// Registry receives the slo_* gauges; Default() when nil.
 	Registry *Registry
 }
@@ -65,14 +69,10 @@ type sloBucket struct {
 // whether or not telemetry is enabled — objectives gate readiness, not
 // just dashboards — but the exported gauges only move while enabled.
 type SLOTracker struct {
-	cfg   SLOConfig
-	clock Clock
-	width float64 // seconds per bucket
-	fastN int     // buckets per fast window
-	slowN int     // buckets per slow window == len(ring)
+	cfg SLOConfig
 
 	mu   sync.Mutex
-	ring []sloBucket
+	ring [sloSlowBuckets]sloBucket
 	cur  int64 // absolute bucket index the cursor is on
 
 	gLatFast, gLatSlow *Gauge
@@ -88,71 +88,39 @@ func NewSLOTracker(cfg SLOConfig) (*SLOTracker, error) {
 	if cfg.AvailabilityTarget == 0 {
 		cfg.AvailabilityTarget = 0.999
 	}
-	if cfg.FastWindowSeconds == 0 {
-		cfg.FastWindowSeconds = 300
-	}
-	if cfg.SlowWindowSeconds == 0 {
-		cfg.SlowWindowSeconds = 3600
-	}
-	if cfg.BurnAlert == 0 {
-		cfg.BurnAlert = 14.4
-	}
 	if cfg.LatencyTarget < 0 || cfg.LatencyTarget >= 1 {
 		return nil, fmt.Errorf("obs: latency target %v outside [0,1)", cfg.LatencyTarget)
 	}
 	if cfg.AvailabilityTarget < 0 || cfg.AvailabilityTarget >= 1 {
 		return nil, fmt.Errorf("obs: availability target %v outside [0,1)", cfg.AvailabilityTarget)
 	}
-	if cfg.FastWindowSeconds <= 0 || cfg.SlowWindowSeconds < cfg.FastWindowSeconds {
-		return nil, fmt.Errorf("obs: windows fast=%vs slow=%vs (need 0 < fast <= slow)",
-			cfg.FastWindowSeconds, cfg.SlowWindowSeconds)
-	}
-	if cfg.BurnAlert < 0 {
-		return nil, fmt.Errorf("obs: negative burn alert %v", cfg.BurnAlert)
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = WallClock()
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = Default()
 	}
-	// Bucket width: 1/60 of the fast window, so the fast burn updates
-	// smoothly and the slow ring stays small (720 buckets at defaults).
-	width := cfg.FastWindowSeconds / 60
-	fastN := 60
-	slowN := int(cfg.SlowWindowSeconds/width + 0.5)
-	if slowN < fastN {
-		slowN = fastN
-	}
-	t := &SLOTracker{
-		cfg: cfg, clock: cfg.Clock, width: width, fastN: fastN, slowN: slowN,
-		ring:     make([]sloBucket, slowN),
+	return &SLOTracker{
+		cfg:      cfg,
 		gLatFast: reg.Gauge(MetricSLOLatencyBurnFast, "latency SLO burn rate over the fast window"),
 		gLatSlow: reg.Gauge(MetricSLOLatencyBurnSlow, "latency SLO burn rate over the slow window"),
 		gAvFast:  reg.Gauge(MetricSLOAvailBurnFast, "availability SLO burn rate over the fast window"),
 		gAvSlow:  reg.Gauge(MetricSLOAvailBurnSlow, "availability SLO burn rate over the slow window"),
 		gBreach:  reg.Gauge(MetricSLOBreach, "1 while both burn windows exceed the alert threshold"),
-	}
-	t.cur = t.bucketIndex(t.clock())
-	return t, nil
+	}, nil
 }
 
-func (t *SLOTracker) bucketIndex(now float64) int64 {
-	if now < 0 {
-		now = 0
-	}
-	return int64(now / t.width)
+// bucketIndex is the absolute index of the bucket holding now.
+func bucketIndex(now time.Time) int64 {
+	return max(0, now.UnixNano()) / int64(sloBucketWidth)
 }
 
-// Record feeds one finished request into the tracker: its latency in
-// seconds and whether it succeeded. Allocation-free.
-func (t *SLOTracker) Record(latencySeconds float64, ok bool) {
+// Record feeds one request that finished at now into the tracker: its
+// latency in seconds and whether it succeeded. Allocation-free.
+func (t *SLOTracker) Record(now time.Time, latencySeconds float64, ok bool) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.advanceLocked(t.clock())
+	t.advanceLocked(now)
 	b := &t.ring[int(t.cur%int64(len(t.ring)))]
 	b.total++
 	if !ok {
@@ -170,8 +138,8 @@ func (t *SLOTracker) Record(latencySeconds float64, ok bool) {
 // slices in between, and refreshes the exported gauges whenever the
 // bucket actually turns over (so gauge staleness is at most one bucket
 // width without putting an O(ring) scan on every Record).
-func (t *SLOTracker) advanceLocked(now float64) {
-	idx := t.bucketIndex(now)
+func (t *SLOTracker) advanceLocked(now time.Time) {
+	idx := bucketIndex(now)
 	if idx <= t.cur {
 		return
 	}
@@ -218,15 +186,15 @@ type SLOStatus struct {
 	Reason             string          `json:"reason,omitempty"`
 }
 
-// Status advances the clock and computes both windows. Nil-safe (zero
-// status).
-func (t *SLOTracker) Status() SLOStatus {
+// Status advances the tracker to now and computes both windows.
+// Nil-safe (zero status).
+func (t *SLOTracker) Status(now time.Time) SLOStatus {
 	if t == nil {
 		return SLOStatus{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.advanceLocked(t.clock())
+	t.advanceLocked(now)
 	return t.statusLocked()
 }
 
@@ -235,12 +203,12 @@ func (t *SLOTracker) statusLocked() SLOStatus {
 		LatencyThresholdMs: t.cfg.LatencyThresholdSeconds * 1e3,
 		LatencyTarget:      t.cfg.LatencyTarget,
 		AvailabilityTarget: t.cfg.AvailabilityTarget,
-		BurnAlert:          t.cfg.BurnAlert,
-		Fast:               t.windowLocked(t.fastN),
-		Slow:               t.windowLocked(t.slowN),
+		BurnAlert:          sloBurnAlert,
+		Fast:               t.windowLocked(sloFastBuckets),
+		Slow:               t.windowLocked(sloSlowBuckets),
 	}
-	latBreach := st.Fast.LatencyBurn >= t.cfg.BurnAlert && st.Slow.LatencyBurn >= t.cfg.BurnAlert
-	avBreach := st.Fast.AvailabilityBurn >= t.cfg.BurnAlert && st.Slow.AvailabilityBurn >= t.cfg.BurnAlert
+	latBreach := st.Fast.LatencyBurn >= sloBurnAlert && st.Slow.LatencyBurn >= sloBurnAlert
+	avBreach := st.Fast.AvailabilityBurn >= sloBurnAlert && st.Slow.AvailabilityBurn >= sloBurnAlert
 	switch {
 	case latBreach && avBreach:
 		st.Breach, st.Reason = true, "latency+availability"
@@ -262,7 +230,7 @@ func (t *SLOTracker) windowLocked(n int) SLOWindowStatus {
 		w.slow += b.slow
 		w.failed += b.failed
 	}
-	st := SLOWindowStatus{Seconds: float64(n) * t.width, Total: w.total, Slow: w.slow, Failed: w.failed}
+	st := SLOWindowStatus{Seconds: float64(n) * sloBucketWidth.Seconds(), Total: w.total, Slow: w.slow, Failed: w.failed}
 	if w.ok > 0 && t.cfg.LatencyThresholdSeconds > 0 {
 		st.LatencyBurn = (float64(w.slow) / float64(w.ok)) / (1 - t.cfg.LatencyTarget)
 	}

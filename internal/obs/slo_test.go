@@ -2,35 +2,42 @@ package obs
 
 import (
 	"testing"
+	"time"
 )
 
-// sloHarness builds a tracker on a virtual clock with 1-second buckets
-// (fast window 60s, slow window 600s) against a private registry, so
-// the DES battery can walk breach and recovery deterministically.
-func sloHarness(t *testing.T) (*SLOTracker, *float64) {
+// sloHarness builds a tracker against a private registry; the tests
+// pass it virtual instants that span the 5-minute and 1-hour windows.
+func sloHarness(t *testing.T) *SLOTracker {
 	t.Helper()
-	now := new(float64)
 	tr, err := NewSLOTracker(SLOConfig{
 		LatencyThresholdSeconds: 0.1,
 		LatencyTarget:           0.9,
 		AvailabilityTarget:      0.99,
-		FastWindowSeconds:       60,
-		SlowWindowSeconds:       600,
-		Clock:                   func() float64 { return *now },
 		Registry:                NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, now
+	return tr
+}
+
+// at is the virtual instant s seconds in.
+func at(s int) time.Time { return time.Unix(int64(s), 0) }
+
+// feed records 10 requests of the given latency and outcome in every
+// virtual second of [from, to).
+func feed(tr *SLOTracker, from, to int, latency float64, ok bool) {
+	for s := from; s < to; s++ {
+		for i := 0; i < 10; i++ {
+			tr.Record(at(s), latency, ok)
+		}
+	}
 }
 
 func TestSLOConfigValidation(t *testing.T) {
 	bad := []SLOConfig{
 		{LatencyTarget: 1.5},
 		{AvailabilityTarget: -0.1},
-		{FastWindowSeconds: 600, SlowWindowSeconds: 60},
-		{BurnAlert: -1},
 	}
 	for i, cfg := range bad {
 		cfg.Registry = NewRegistry()
@@ -39,41 +46,32 @@ func TestSLOConfigValidation(t *testing.T) {
 		}
 	}
 	var nilT *SLOTracker
-	nilT.Record(1, true) // must not panic
-	if st := nilT.Status(); st.Breach {
+	nilT.Record(at(1), 1, true) // must not panic
+	if st := nilT.Status(at(1)); st.Breach {
 		t.Error("nil tracker reports breach")
 	}
 }
 
-// TestSLOBreachAndRecovery is the DES-clocked battery: healthy traffic
+// TestSLOBreachAndRecovery is the virtual-time battery: healthy traffic
 // keeps burn at zero, an availability incident trips the multi-window
 // alert, and recovery clears it as soon as the fast window drains even
 // though the slow window still remembers the incident.
 func TestSLOBreachAndRecovery(t *testing.T) {
-	tr, now := sloHarness(t)
+	tr := sloHarness(t)
 
-	// Phase 1: 120 virtual seconds of healthy, fast traffic.
-	for s := 0; s < 120; s++ {
-		*now = float64(s)
-		for i := 0; i < 10; i++ {
-			tr.Record(0.01, true)
-		}
-	}
-	st := tr.Status()
+	// Phase 1: 600 virtual seconds of healthy, fast traffic.
+	feed(tr, 0, 600, 0.01, true)
+	st := tr.Status(at(599))
 	if st.Breach || st.Fast.AvailabilityBurn != 0 || st.Fast.LatencyBurn != 0 {
 		t.Fatalf("healthy traffic: %+v, want no burn", st)
 	}
 
-	// Phase 2: 60 s outage — every request fails. Availability burn is
-	// failed/total scaled by the 1% budget: fast window goes to 100,
-	// slow window (600 s, 1/7 of it failing after 60 s) well above 14.4.
-	for s := 120; s < 180; s++ {
-		*now = float64(s)
-		for i := 0; i < 10; i++ {
-			tr.Record(0.01, false)
-		}
-	}
-	st = tr.Status()
+	// Phase 2: a 300 s outage — every request fails. Availability burn
+	// is failed/total scaled by the 1% budget: the fast window goes to
+	// 100, the slow window (1/3 of its 900 s of traffic failing) well
+	// above 14.4.
+	feed(tr, 600, 900, 0.01, false)
+	st = tr.Status(at(899))
 	if !st.Breach || st.Reason != "availability" {
 		t.Fatalf("after outage: breach=%v reason=%q (fast av burn %.1f, slow %.1f), want availability breach",
 			st.Breach, st.Reason, st.Fast.AvailabilityBurn, st.Slow.AvailabilityBurn)
@@ -83,17 +81,12 @@ func TestSLOBreachAndRecovery(t *testing.T) {
 			st.Fast.AvailabilityBurn, st.Slow.AvailabilityBurn)
 	}
 
-	// Phase 3: recovery. After 61 s of healthy traffic the fast window
+	// Phase 3: recovery. After 305 s of healthy traffic the fast window
 	// holds no failures, so the breach clears — the slow window still
 	// carries the outage (that is the point of the multi-window rule:
 	// the fast window resets the alert quickly once the problem stops).
-	for s := 180; s < 241; s++ {
-		*now = float64(s)
-		for i := 0; i < 10; i++ {
-			tr.Record(0.01, true)
-		}
-	}
-	st = tr.Status()
+	feed(tr, 900, 1205, 0.01, true)
+	st = tr.Status(at(1204))
 	if st.Breach {
 		t.Fatalf("after recovery: still breached %+v", st)
 	}
@@ -109,16 +102,11 @@ func TestSLOBreachAndRecovery(t *testing.T) {
 // succeed but miss the threshold burn the latency budget while leaving
 // availability untouched.
 func TestSLOLatencyBreach(t *testing.T) {
-	tr, now := sloHarness(t)
+	tr := sloHarness(t)
 	// All requests succeed, all are slow: slow/ok = 1, budget 10% →
-	// burn 10 in both windows. Not a breach at the default 14.4 alert…
-	for s := 0; s < 60; s++ {
-		*now = float64(s)
-		for i := 0; i < 10; i++ {
-			tr.Record(0.5, true)
-		}
-	}
-	st := tr.Status()
+	// burn 10 in both windows. Not a breach at the 14.4 alert…
+	feed(tr, 0, 300, 0.5, true)
+	st := tr.Status(at(299))
 	if st.Breach {
 		t.Fatalf("burn 10 < alert 14.4 must not breach: %+v", st)
 	}
@@ -130,16 +118,10 @@ func TestSLOLatencyBreach(t *testing.T) {
 	}
 
 	// …until a tracker with a tighter target sees the same traffic.
-	tight, tnow := sloHarness(t)
-	_ = tnow
+	tight := sloHarness(t)
 	tight.cfg.LatencyTarget = 0.99 // budget 1% → burn 100
-	for s := 0; s < 60; s++ {
-		*tnow = float64(s)
-		for i := 0; i < 10; i++ {
-			tight.Record(0.5, true)
-		}
-	}
-	st = tight.Status()
+	feed(tight, 0, 300, 0.5, true)
+	st = tight.Status(at(299))
 	if !st.Breach || st.Reason != "latency" {
 		t.Fatalf("tight latency target: breach=%v reason=%q, want latency breach", st.Breach, st.Reason)
 	}
@@ -147,11 +129,10 @@ func TestSLOLatencyBreach(t *testing.T) {
 
 // TestSLORecordAllocationFree pins Record on the request path.
 func TestSLORecordAllocationFree(t *testing.T) {
-	tr, now := sloHarness(t)
-	*now = 1
+	tr := sloHarness(t)
 	if allocs := testing.AllocsPerRun(200, func() {
-		tr.Record(0.01, true)
-		tr.Record(0.5, false)
+		tr.Record(at(1), 0.01, true)
+		tr.Record(at(1), 0.5, false)
 	}); allocs != 0 {
 		t.Fatalf("SLO Record allocates %.1f objects/op, want 0", allocs)
 	}
@@ -161,24 +142,15 @@ func TestSLORecordAllocationFree(t *testing.T) {
 // turns over while telemetry is enabled.
 func TestSLOGaugesExported(t *testing.T) {
 	withTelemetry(t)
-	now := new(float64)
 	reg := NewRegistry()
-	tr, err := NewSLOTracker(SLOConfig{
-		AvailabilityTarget: 0.99,
-		FastWindowSeconds:  60,
-		SlowWindowSeconds:  60,
-		Clock:              func() float64 { return *now },
-		Registry:           reg,
-	})
+	tr, err := NewSLOTracker(SLOConfig{AvailabilityTarget: 0.99, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 30; s++ {
-		*now = float64(s)
-		tr.Record(0.01, false)
+		tr.Record(at(s), 0.01, false)
 	}
-	*now = 31
-	tr.Status() // advances the cursor past the last bucket → gauges refresh
+	tr.Status(at(31)) // advances the cursor past the last bucket → gauges refresh
 	snap := reg.Snapshot()
 	m, ok := snap.Find(MetricSLOAvailBurnFast)
 	if !ok || m.Value <= 0 {

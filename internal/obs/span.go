@@ -6,26 +6,6 @@ import (
 	"time"
 )
 
-// Clock supplies the tracer's notion of "now" in seconds. A wall-clock
-// tracer uses WallClock; a DES-driven tracer passes the kernel's Now
-// method directly (func() float64), so spans from a simulated run carry
-// virtual timestamps and line up with the simulation's own event log.
-type Clock func() float64
-
-// processStart anchors WallClock so wall-clock spans are small positive
-// seconds, comparable in magnitude to virtual-time spans.
-var processStart = time.Now()
-
-// WallClock returns seconds since process start, monotonic.
-func WallClock() Clock {
-	return func() float64 { return time.Since(processStart).Seconds() }
-}
-
-// SinceStart converts a wall-clock instant to the WallClock timebase
-// (seconds since process start), so code that measured stages with
-// time.Now can record them as spans on the default tracer.
-func SinceStart(t time.Time) float64 { return t.Sub(processStart).Seconds() }
-
 // SpanRecord is one finished (or still-open, End < Start is never
 // emitted; open spans have End == Start at export time) span. Spans
 // recorded under a sampled TraceContext additionally carry hex trace,
@@ -51,6 +31,7 @@ func (s SpanRecord) Duration() float64 { return s.End - s.Start }
 // every method no-ops, so call sites need no guards.
 type Tracer struct {
 	clock Clock
+	epoch time.Time // the instant span times count from
 	max   int
 
 	mu      sync.Mutex
@@ -59,16 +40,20 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer reading time from clock and retaining at
-// most maxSpans spans (<= 0 selects 4096).
+// most maxSpans spans (<= 0 selects 4096). Span times are seconds since
+// the tracer was made.
 func NewTracer(clock Clock, maxSpans int) *Tracer {
-	if clock == nil {
-		clock = WallClock()
-	}
 	if maxSpans <= 0 {
 		maxSpans = 4096
 	}
-	return &Tracer{clock: clock, max: maxSpans}
+	return &Tracer{clock: clock, epoch: clock.Now(), max: maxSpans}
 }
+
+// at converts an instant to the tracer's timebase.
+func (t *Tracer) at(tm time.Time) float64 { return tm.Sub(t.epoch).Seconds() }
+
+// now is the current instant in the tracer's timebase.
+func (t *Tracer) now() float64 { return t.at(t.clock.Now()) }
 
 // Span is an in-flight interval; End finishes it. A nil *Span (from a
 // nil or disabled tracer, or an unsampled trace context) is inert.
@@ -88,7 +73,7 @@ func (t *Tracer) Start(actor, name string) *Span {
 	if t == nil || !enabled.Load() {
 		return nil
 	}
-	return &Span{t: t, actor: actor, name: name, start: t.clock()}
+	return &Span{t: t, actor: actor, name: name, start: t.now()}
 }
 
 // StartCtx opens a span inside trace tc and returns, alongside the
@@ -101,7 +86,7 @@ func (t *Tracer) StartCtx(actor, name string, tc TraceContext) (*Span, TraceCont
 		return nil, tc
 	}
 	id := NewID()
-	s := &Span{t: t, actor: actor, name: name, start: t.clock(),
+	s := &Span{t: t, actor: actor, name: name, start: t.now(),
 		trace: tc.TraceID, id: id, parent: tc.SpanID}
 	return s, TraceContext{TraceID: tc.TraceID, SpanID: id, Sampled: true}
 }
@@ -112,7 +97,7 @@ func (s *Span) End() float64 {
 	if s == nil {
 		return 0
 	}
-	end := s.t.clock()
+	end := s.t.now()
 	if end < s.start {
 		end = s.start
 	}
@@ -131,18 +116,17 @@ func (s *Span) End() float64 {
 // RecordSpan appends an already-measured interval as a child span of
 // tc — the retroactive form used by per-stage attribution, where stage
 // boundaries are timed unconditionally (for histograms) and only
-// promoted to spans when the request is sampled. Times are in the
-// tracer's clock timebase. No-op (and allocation-free) when the tracer
+// promoted to spans when the request is sampled. No-op (and allocation-free) when the tracer
 // is nil, telemetry is disabled, or tc is unsampled.
-func (t *Tracer) RecordSpan(actor, name string, start, end float64, tc TraceContext) {
+func (t *Tracer) RecordSpan(actor, name string, start, end time.Time, tc TraceContext) {
 	if t == nil || !enabled.Load() || !tc.Sampled || !tc.Valid() {
 		return
 	}
-	if end < start {
+	if end.Before(start) {
 		end = start
 	}
 	t.append(SpanRecord{
-		Actor: actor, Name: name, Start: start, End: end,
+		Actor: actor, Name: name, Start: t.at(start), End: t.at(end),
 		Trace: hex64(tc.TraceID), Span: hex64(NewID()), Parent: hex64(tc.SpanID),
 	})
 }

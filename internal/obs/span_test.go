@@ -2,14 +2,25 @@ package obs
 
 import (
 	"testing"
+	"time"
 
 	"contention/internal/des"
 )
 
+// virtualClock reads the time from a function of virtual seconds; the
+// tracer never arms its timers.
+type virtualClock func() float64
+
+func (c virtualClock) Now() time.Time {
+	return time.Unix(0, 0).Add(time.Duration(c() * float64(time.Second)))
+}
+
+func (virtualClock) AfterFunc(time.Duration, func()) Timer { panic("the tracer arms no timer") }
+
 func TestTracerVirtualTime(t *testing.T) {
 	withTelemetry(t)
 	k := des.New()
-	tr := NewTracer(k.Now, 0)
+	tr := NewTracer(virtualClock(k.Now), 0)
 	k.At(1, func() {
 		sp := tr.Start("host", "compute")
 		k.At(3.5, func() { sp.End() })
@@ -30,7 +41,7 @@ func TestTracerVirtualTime(t *testing.T) {
 
 func TestTracerWallClockMonotone(t *testing.T) {
 	withTelemetry(t)
-	tr := NewTracer(nil, 0) // nil clock selects wall clock
+	tr := NewTracer(WallClock(), 0)
 	sp := tr.Start("a", "x")
 	if d := sp.End(); d < 0 {
 		t.Fatalf("negative wall duration %v", d)
@@ -64,7 +75,7 @@ func TestTracerDisabledAndNilAreFree(t *testing.T) {
 func TestTracerBounded(t *testing.T) {
 	withTelemetry(t)
 	clock := 0.0
-	tr := NewTracer(func() float64 { clock++; return clock }, 2)
+	tr := NewTracer(virtualClock(func() float64 { clock++; return clock }), 2)
 	for i := 0; i < 5; i++ {
 		tr.Start("a", "x").End()
 	}
@@ -83,7 +94,7 @@ func TestTracerBounded(t *testing.T) {
 func TestTracerSortsDeterministically(t *testing.T) {
 	withTelemetry(t)
 	now := 0.0
-	tr := NewTracer(func() float64 { return now }, 0)
+	tr := NewTracer(virtualClock(func() float64 { return now }), 0)
 	// Same start time, distinct actors/names, finished out of order.
 	b := tr.Start("b", "second")
 	a := tr.Start("a", "first")

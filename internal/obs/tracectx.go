@@ -208,14 +208,14 @@ func StartRequestTrace(actor string, inband TraceContext, header string, sampler
 }
 
 // Stage records one finished pipeline stage as a child span of the
-// request's root. Stage boundaries are timed with time.Now either way
-// (the stage histograms want them); this promotes the interval to a
-// span when the request is sampled.
+// request's root. Stage boundaries are read from the serving clock
+// either way (the stage histograms want them); this promotes the
+// interval to a span when the request is sampled.
 func (rt *RequestTrace) Stage(name string, start, end time.Time) {
 	if rt == nil {
 		return
 	}
-	DefaultTracer().RecordSpan(rt.actor, name, SinceStart(start), SinceStart(end), rt.tc)
+	DefaultTracer().RecordSpan(rt.actor, name, start, end, rt.tc)
 }
 
 // End closes the root request span.

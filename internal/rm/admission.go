@@ -16,14 +16,15 @@ import (
 var ErrQueueFull = errors.New("rm: admission queue full")
 
 // ErrSubmitTimeout is returned when a queued request is not admitted
-// before its context ends.
+// before its context ends or its deadline passes.
 var ErrSubmitTimeout = errors.New("rm: submit timed out in admission queue")
 
-// Admission is the wall-clock admission controller for the online
-// serving path: a bounded number of requests run concurrently, a
-// bounded number may wait, and everything beyond that is rejected
-// immediately with ErrQueueFull, or with ErrSubmitTimeout when a
-// waiter's context ends first.
+// Admission is the admission controller for the online serving path: a
+// bounded number of requests run concurrently, a bounded number may
+// wait, and everything beyond that is rejected immediately with
+// ErrQueueFull, or with ErrSubmitTimeout when a waiter's context or
+// deadline ends first. It reads no clock: a waiter's deadline is a
+// channel its caller's timer delivers on.
 //
 // Admission is goroutine-safe. The zero value is not usable; build one
 // with NewAdmission.
@@ -49,16 +50,16 @@ func NewAdmission(maxInFlight, maxQueue int) *Admission {
 	return &Admission{slots: make(chan struct{}, maxInFlight), maxWaiting: maxQueue}
 }
 
-// Acquire takes an admission slot, waiting (bounded by the queue limit)
-// until one frees or ctx expires. It returns nil on admission,
-// ErrQueueFull when the wait queue is at capacity, and ErrSubmitTimeout
-// (wrapping ctx.Err) when the context ends first. Every nil return must
-// be paired with exactly one Release.
-func (a *Admission) Acquire(ctx context.Context) error {
-	select {
-	case a.slots <- struct{}{}:
+// Acquire takes an admission slot: at once when one is free, else
+// waiting (bounded by the queue limit) until one frees, ctx ends or
+// expired delivers (a nil expired: no deadline beyond ctx). It returns
+// nil on admission, ErrQueueFull when the wait queue is at capacity,
+// and ErrSubmitTimeout when the wait ends first, wrapping ctx.Err() or,
+// when expired delivered, context.DeadlineExceeded. Every nil return
+// must be paired with exactly one Release.
+func (a *Admission) Acquire(ctx context.Context, expired <-chan struct{}) error {
+	if a.TryAcquire() {
 		return nil
-	default:
 	}
 
 	a.mu.Lock()
@@ -79,6 +80,8 @@ func (a *Admission) Acquire(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("%w: %w", ErrSubmitTimeout, ctx.Err())
+	case <-expired:
+		return fmt.Errorf("%w: %w", ErrSubmitTimeout, context.DeadlineExceeded)
 	}
 }
 
@@ -95,22 +98,6 @@ func (a *Admission) TryAcquire() bool {
 	default:
 		return false
 	}
-}
-
-// AcquireUntil is Acquire bounded by deadline (zero: by ctx alone) that
-// builds no deadline context unless it has to wait: a free slot is
-// taken at once, so a caller that usually finds one pays nothing for
-// its deadline. Returns and pairing are Acquire's.
-func (a *Admission) AcquireUntil(ctx context.Context, deadline time.Time) error {
-	if a.TryAcquire() {
-		return nil
-	}
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	return a.Acquire(ctx)
 }
 
 // Release frees a slot taken by a successful Acquire.

@@ -3,6 +3,7 @@ package rm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,21 +11,21 @@ import (
 
 func TestAdmissionImmediate(t *testing.T) {
 	a := NewAdmission(2, 0)
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("second acquire: %v", err)
 	}
 	if got := a.InFlight(); got != 2 {
 		t.Fatalf("in-flight %d, want 2", got)
 	}
 	// No waiting allowed: the third is rejected immediately.
-	if err := a.Acquire(context.Background()); !errors.Is(err, ErrQueueFull) {
+	if err := a.Acquire(context.Background(), nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third acquire: %v, want ErrQueueFull", err)
 	}
 	a.Release()
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
 	a.Release()
@@ -33,11 +34,11 @@ func TestAdmissionImmediate(t *testing.T) {
 
 func TestAdmissionWaitsThenAdmits(t *testing.T) {
 	a := NewAdmission(1, 1)
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
 	got := make(chan error, 1)
-	go func() { got <- a.Acquire(context.Background()) }()
+	go func() { got <- a.Acquire(context.Background(), nil) }()
 	deadline := time.Now().Add(time.Second)
 	for a.Waiting() == 0 {
 		if time.Now().After(deadline) {
@@ -52,19 +53,43 @@ func TestAdmissionWaitsThenAdmits(t *testing.T) {
 	a.Release()
 }
 
+// waitParked yields until n waiters are parked for a slot.
+func waitParked(a *Admission, n int) {
+	for a.Waiting() < n {
+		runtime.Gosched()
+	}
+}
+
+// TestAdmissionTimeout: a waiter whose context ends is refused with
+// ErrSubmitTimeout wrapping the context's error, and leaves the queue.
 func TestAdmissionTimeout(t *testing.T) {
 	a := NewAdmission(1, 4)
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	err := a.Acquire(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan error, 1)
+	go func() { got <- a.Acquire(ctx, nil) }()
+	waitParked(a, 1)
+	select {
+	case err := <-got:
+		t.Fatalf("waiter returned %v before its context ended", err)
+	default:
+	}
+	cancel()
+	err := <-got
 	if !errors.Is(err, ErrSubmitTimeout) {
 		t.Fatalf("waiter: %v, want ErrSubmitTimeout", err)
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter error does not wrap ctx cause: %v", err)
+	}
+	// A context whose deadline has passed refuses at once, with the
+	// deadline as the cause.
+	past, cancelPast := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelPast()
+	if err := a.Acquire(past, nil); !errors.Is(err, ErrSubmitTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter past its deadline: %v, want ErrSubmitTimeout wrapping DeadlineExceeded", err)
 	}
 	if a.Waiting() != 0 {
 		t.Fatalf("waiting %d after timeout, want 0", a.Waiting())
@@ -72,27 +97,36 @@ func TestAdmissionTimeout(t *testing.T) {
 	a.Release()
 }
 
-// TestAcquireUntil: a free slot is taken even past the deadline (no
-// wait, so nothing to bound); a full controller waits until the
-// deadline, or with a zero deadline until ctx ends, and reports the
-// cause as Acquire does.
+// TestAcquireUntil: a free slot is taken even when the deadline has
+// already passed (no wait, so nothing to bound); a full controller
+// waits until its deadline's channel delivers, or with none until ctx
+// ends, and reports the cause.
 func TestAcquireUntil(t *testing.T) {
 	a := NewAdmission(1, 4)
-	if err := a.AcquireUntil(context.Background(), time.Now().Add(-time.Second)); err != nil {
+	spent := make(chan struct{})
+	close(spent)
+	if err := a.Acquire(context.Background(), spent); err != nil {
 		t.Fatalf("free slot past the deadline: %v, want admission", err)
 	}
-	start := time.Now()
-	err := a.AcquireUntil(context.Background(), start.Add(20*time.Millisecond))
-	if !errors.Is(err, ErrSubmitTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+	expired := make(chan struct{}, 1)
+	got := make(chan error, 1)
+	go func() { got <- a.Acquire(context.Background(), expired) }()
+	waitParked(a, 1)
+	select {
+	case err := <-got:
+		t.Fatalf("full controller gave up with %v before its deadline", err)
+	default:
+	}
+	expired <- struct{}{}
+	if err := <-got; !errors.Is(err, ErrSubmitTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("full controller: %v, want ErrSubmitTimeout wrapping the deadline", err)
 	}
-	if el := time.Since(start); el < 20*time.Millisecond {
-		t.Fatalf("gave up after %v, before the deadline", el)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(10*time.Millisecond, cancel)
-	if err := a.AcquireUntil(ctx, time.Time{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("zero deadline, canceled ctx: %v, want ErrSubmitTimeout wrapping Canceled", err)
+	go func() { got <- a.Acquire(ctx, nil) }()
+	waitParked(a, 1)
+	cancel()
+	if err := <-got; !errors.Is(err, ErrSubmitTimeout) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("no deadline, canceled ctx: %v, want ErrSubmitTimeout wrapping Canceled", err)
 	}
 	if a.InFlight() != 1 || a.Waiting() != 0 {
 		t.Fatalf("in-flight %d waiting %d after two timeouts, want 1 and 0", a.InFlight(), a.Waiting())
@@ -102,7 +136,7 @@ func TestAcquireUntil(t *testing.T) {
 
 func TestAdmissionQueueBound(t *testing.T) {
 	a := NewAdmission(1, 2)
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +146,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = a.Acquire(ctx) // parked until cancel
+			_ = a.Acquire(ctx, nil) // parked until cancel
 		}()
 	}
 	deadline := time.Now().Add(time.Second)
@@ -122,7 +156,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := a.Acquire(context.Background()); !errors.Is(err, ErrQueueFull) {
+	if err := a.Acquire(context.Background(), nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-bound acquire: %v, want ErrQueueFull", err)
 	}
 	cancel()
@@ -140,7 +174,7 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
-			if err := a.Acquire(ctx); err != nil {
+			if err := a.Acquire(ctx, nil); err != nil {
 				if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrSubmitTimeout) {
 					t.Errorf("worker %d: unexpected error %v", i, err)
 				}

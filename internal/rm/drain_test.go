@@ -11,7 +11,7 @@ func TestAdmissionDrainWaitsForInFlight(t *testing.T) {
 	a := NewAdmission(4, 4)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if err := a.Acquire(ctx); err != nil {
+		if err := a.Acquire(ctx, nil); err != nil {
 			t.Fatalf("Acquire %d: %v", i, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestAdmissionDrainWaitsForInFlight(t *testing.T) {
 
 func TestAdmissionDrainHonorsContext(t *testing.T) {
 	a := NewAdmission(1, 1)
-	if err := a.Acquire(context.Background()); err != nil {
+	if err := a.Acquire(context.Background(), nil); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	defer a.Release()

@@ -383,7 +383,7 @@ func (s *Server) closeFrames() {
 // /v1/predict, bounded by the frame's budget.
 func (s *Server) answerFrame(ctx context.Context, f *Frame, dst []byte) (int, []byte) {
 	ws := f.ws
-	start := time.Now()
+	start := s.clock.Now()
 	ws.tc = obs.TraceContext{}
 	err := ws.decodeBinaryFrame(f.Record)
 	timeout := s.cfg.Timeout

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,11 +92,12 @@ func TestCloseFlushesParkedWindow(t *testing.T) {
 // once Close has flushed, the armed window timer must not fire a second
 // flush into the closed server.
 func TestCloseStopsWindowTimer(t *testing.T) {
-	s, err := New(Config{
+	clk := newFakeClock()
+	s, err := newServer(Config{
 		Pred:     newTestPredictor(t),
 		Window:   20 * time.Millisecond,
 		MaxBatch: 64,
-	})
+	}, clk)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -109,26 +112,16 @@ func TestCloseStopsWindowTimer(t *testing.T) {
 			cs: []core.Contender{{CommFraction: 0.2, MsgWords: 100}},
 		})
 	}()
-	deadline := time.After(2 * time.Second)
-	for {
-		s.mu.Lock()
-		parked := s.pendingN
-		s.mu.Unlock()
-		if parked == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("request never parked")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	clk.armed(1) // the request parked and opened the window
 	s.Close()
 	<-done
-	// Sleep past the original window: if Close failed to stop the
-	// timer, flushWindow would run (and with the old code, evaluate
-	// into a closed server).
-	time.Sleep(60 * time.Millisecond)
+	if at := clk.armed(0); len(at) != 0 {
+		t.Fatalf("window timer still armed for %v after Close", at)
+	}
+	// Run past the original window: if Close failed to stop the timer,
+	// flushWindow would run (and with the old code, evaluate into a
+	// closed server).
+	clk.advance(60 * time.Millisecond)
 	if n := flushes.Load(); n != 1 {
 		t.Fatalf("%d flushes after Close + window elapse, want 1", n)
 	}
@@ -238,32 +231,30 @@ func TestReadyzStaleStaysReady(t *testing.T) {
 // TestRetryAfterOnOverload pins the back-off hint on 429: a full
 // admission queue refuses with Retry-After set.
 func TestRetryAfterOnOverload(t *testing.T) {
-	s, ts := newTestServer(t, Config{
+	clk := newFakeClock()
+	s, ts := newClockedServer(t, Config{
 		Window:      time.Second, // park the first request in the window
 		MaxBatch:    64,
 		MaxInFlight: 1,
 		MaxQueue:    1,
 		Timeout:     5 * time.Second,
-	})
+	}, clk)
 	body := `{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":0.3,"msg_words":500}]}`
 
 	// Fill the in-flight slot and the queue slot with parked requests.
+	var fillers sync.WaitGroup
 	for i := 0; i < 2; i++ {
+		fillers.Add(1)
 		go func() {
+			defer fillers.Done()
 			resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
 			if err == nil {
 				resp.Body.Close()
 			}
 		}()
 	}
-	deadline := time.After(2 * time.Second)
 	for s.adm.InFlight()+s.adm.Waiting() < 2 {
-		select {
-		case <-deadline:
-			t.Fatalf("fillers never admitted (in-flight %d, waiting %d)",
-				s.adm.InFlight(), s.adm.Waiting())
-		case <-time.After(time.Millisecond):
-		}
+		runtime.Gosched()
 	}
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
@@ -277,4 +268,7 @@ func TestRetryAfterOnOverload(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != RetryAfterSeconds {
 		t.Fatalf("429 Retry-After = %q, want %q", got, RetryAfterSeconds)
 	}
+	// Close answers the parked filler and refuses the queued one.
+	s.Close()
+	fillers.Wait()
 }

@@ -121,8 +121,9 @@ type Config struct {
 
 // Server is the prediction service. Build with New; it is goroutine-safe.
 type Server struct {
-	cfg Config
-	adm *rm.Admission
+	cfg   Config
+	clock obs.Clock
+	adm   *rm.Admission
 
 	mu sync.Mutex
 	// The open window's groups: index maps a batch key's hash to its
@@ -136,7 +137,7 @@ type Server struct {
 	closed   bool
 	// timer is the batch-window timer, made stopped in New and Reset when
 	// a window opens (nil when Window < 0: no window ever opens).
-	timer *time.Timer
+	timer obs.Timer
 
 	// draining marks the server not-ready (/readyz answers 503) while
 	// requests already in the pipeline are still answered.
@@ -295,19 +296,23 @@ func (f *batchFlush) drain() {
 }
 
 // New builds a server, applying defaults for zero Config fields.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, obs.WallClock()) }
+
+// newServer is New on the given clock.
+func newServer(cfg Config, clock obs.Clock) (*Server, error) {
 	if cfg.Pred == nil {
 		return nil, errors.New("serve: Config.Pred is required")
 	}
 	cfg = cfg.WithDefaults()
 	s := &Server{
 		cfg:   cfg,
+		clock: clock,
 		adm:   rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		index: map[uint64]*group{},
 		seed:  maphash.MakeSeed(),
 	}
 	if cfg.Window > 0 {
-		s.timer = time.AfterFunc(cfg.Window, s.flushWindow)
+		s.timer = clock.AfterFunc(cfg.Window, s.flushWindow)
 		s.timer.Stop()
 	}
 	return s, nil
@@ -392,25 +397,30 @@ func (s *Server) degradeReason() string {
 
 // predict answers one validated query, micro-batching it with
 // concurrent peers. It blocks until the answer is computed, the context
-// ends (ErrDeadline), or admission rejects the request. rt is a tracing
-// handle (nil unless sampled); deadline, when not zero, bounds the
-// request along with ctx. The deadline is timed by tm, which the caller
-// lends stopped and drained and gets back the same way; no context is
-// built for it unless admission has to wait. Stage boundaries are timed
-// on every request for the attribution histograms; rt promotes the same
-// intervals to spans when non-nil. q is only read before predict parks,
-// so it may alias pooled memory the caller reuses once predict returns.
+// ends or the deadline passes (ErrDeadline), or admission rejects the
+// request. rt is a tracing handle (nil unless sampled); deadline, when
+// not zero, bounds the admission wait and the batch wait together. It
+// is timed by tm, which the caller lends disarmed and gets back the same
+// way. Stage boundaries are timed on every request for the attribution
+// histograms; rt promotes the same intervals to spans when non-nil. q is
+// only read before predict parks, so it may alias pooled memory the
+// caller reuses once predict returns.
 func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
 	mRequests.With(q.kind).Inc()
-	admStart := time.Now()
-	if err := s.adm.AcquireUntil(ctx, deadline); err != nil {
+	admStart := s.clock.Now()
+	var expired <-chan struct{}
+	if !deadline.IsZero() {
+		expired = tm.Arm(s.clock, deadline.Sub(admStart))
+	}
+	defer tm.Disarm(expired)
+	if err := s.adm.Acquire(ctx, expired); err != nil {
 		if errors.Is(err, rm.ErrSubmitTimeout) {
 			return Response{}, fmt.Errorf("%w: %w", ErrDeadline, err)
 		}
 		return Response{}, err
 	}
 	defer s.adm.Release()
-	admDone := time.Now()
+	admDone := s.clock.Now()
 	stAdmission.Observe(admDone.Sub(admStart).Seconds())
 	rt.Stage("admission", admStart, admDone)
 
@@ -418,20 +428,15 @@ func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, de
 	// with the conservative worst case immediately — no batching, no DP.
 	if reason := s.degradeReason(); reason != "" {
 		resp, err := s.predictDegraded(q, reason)
-		done := time.Now()
+		done := s.clock.Now()
 		stCompute.Observe(done.Sub(admDone).Seconds())
 		rt.Stage("compute", admDone, done)
 		return resp, err
 	}
 
-	var expired <-chan time.Time
-	if !deadline.IsZero() {
-		expired = tm.Arm(time.Until(deadline))
-	}
 	req := s.getPending(q, admDone, rt)
 	f, err := s.enqueue(req)
 	if err != nil {
-		tm.Disarm(expired, false)
 		s.putPending(req)
 		return Response{}, err
 	}
@@ -440,42 +445,57 @@ func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, de
 	}
 	select {
 	case out := <-req.ch:
-		tm.Disarm(expired, false)
 		s.putPending(req)
 		return out.resp, out.err
 	case <-ctx.Done():
-		tm.Disarm(expired, false)
 		s.abandon(req)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
 	case <-expired:
-		tm.Disarm(expired, true)
 		s.abandon(req)
 		return Response{}, fmt.Errorf("%w: %w", ErrDeadline, context.DeadlineExceeded)
 	}
 }
 
-// WaitTimer is a reusable deadline timer: a request's on serve's
-// batched path, a pooled try's on the router's frame hop. Between uses
-// it is stopped with its channel drained: both modules declare go 1.22,
-// where Stop does not drain the channel, so a tick left behind would
-// expire the next wait the moment it began.
-type WaitTimer struct{ t *time.Timer }
+// WaitTimer is a reusable deadline timer on a Clock: a request's on
+// serve's batched path, a pooled try's on the router's frame hop, and
+// the router's own waits. Between uses it is disarmed with no tick left
+// in its channel, so the next wait cannot expire the moment it begins.
+type WaitTimer struct {
+	clock obs.Clock
+	t     obs.Timer
+	tick  chan struct{} // the expiry; one send per firing
+	fired chan struct{} // one send per firing, after tick's
+}
 
-// Arm starts the timer for d and returns its channel.
-func (w *WaitTimer) Arm(d time.Duration) <-chan time.Time {
-	if w.t == nil {
-		w.t = time.NewTimer(d)
+// Arm starts the timer for d on clock and returns its channel. Every
+// Arm is paired with one Disarm, whether or not the channel delivered.
+func (w *WaitTimer) Arm(clock obs.Clock, d time.Duration) <-chan struct{} {
+	if w.clock != clock {
+		w.clock = clock
+		w.tick, w.fired = make(chan struct{}, 1), make(chan struct{}, 1)
+		w.t = clock.AfterFunc(d, w.expire)
 	} else {
 		w.t.Reset(d)
 	}
-	return w.t.C
+	return w.tick
 }
 
-// Disarm stops a timer Arm returned ch for (nil ch: it was not armed);
-// received says its tick was already taken from ch.
-func (w *WaitTimer) Disarm(ch <-chan time.Time, received bool) {
-	if ch != nil && !received && !w.t.Stop() {
-		<-w.t.C
+func (w *WaitTimer) expire() {
+	w.tick <- struct{}{}
+	w.fired <- struct{}{}
+}
+
+// Disarm stops the timer Arm returned ch for (nil ch: it was not
+// armed). When it has fired already, Disarm waits for the firing to end
+// and takes back its tick if nobody received it.
+func (w *WaitTimer) Disarm(ch <-chan struct{}) {
+	if ch == nil || w.t.Stop() {
+		return
+	}
+	<-w.fired
+	select {
+	case <-w.tick:
+	default:
 	}
 }
 
@@ -496,7 +516,7 @@ func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 		return Response{}, false
 	}
 	defer s.adm.Release()
-	start := time.Now()
+	start := s.clock.Now()
 	stage, hist := "surface", stSurface
 	v, ok := trySurface(s.cfg.Pred, q)
 	if !ok && s.degradeReason() == "" {
@@ -509,7 +529,7 @@ func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 		mFastMisses.Inc()
 		return Response{}, false
 	}
-	done := time.Now()
+	done := s.clock.Now()
 	hist.Observe(done.Sub(start).Seconds())
 	rt.Stage(stage, start, done)
 	mFastHits.Inc()
@@ -666,12 +686,12 @@ func (s *Server) runFlush(f *batchFlush) {
 		s.flushStall()
 	}
 	span := obs.StartSpan("serve", "batch-flush")
-	start := time.Now()
+	start := s.clock.Now()
 	for n := len(f.gs) - 1; n > 0 && s.cfg.Pool.Help(&f.wg, f.work); n-- {
 	}
 	f.drain()
 	f.wg.Wait()
-	mFlushSeconds.Observe(time.Since(start).Seconds())
+	mFlushSeconds.Observe(s.clock.Now().Sub(start).Seconds())
 	span.End()
 	for _, g := range f.gs {
 		g.recycle()
@@ -695,7 +715,7 @@ func (s *Server) evalGroup(g *group) {
 
 	// Batch rendezvous ends here: everything between enqueue and this
 	// point was time spent waiting for peers (or the window timer).
-	evalStart := time.Now()
+	evalStart := s.clock.Now()
 	for _, r := range g.reqs {
 		if !r.enq.IsZero() {
 			stBatchWait.Observe(evalStart.Sub(r.enq).Seconds())
@@ -729,7 +749,7 @@ func (s *Server) evalGroup(g *group) {
 	// long, so the compute stage is attributed to every member. Stages
 	// are recorded before the outcome is sent — once the handler unblocks
 	// it may end the root span.
-	evalDone := time.Now()
+	evalDone := s.clock.Now()
 	evalSecs := evalDone.Sub(evalStart).Seconds()
 	for i, r := range g.reqs {
 		stCompute.Observe(evalSecs)
@@ -852,7 +872,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // allocates nothing. Pipeline errors are answered as the JSON error
 // envelope on either wire (the status carries the verdict).
 func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspace) {
-	start := time.Now()
+	start := s.clock.Now()
 	var wr wire = jsonWire{}
 	binaryReq := r.Header.Get("Content-Type") == ContentTypeBinary
 	if binaryReq {
@@ -910,18 +930,19 @@ func WriteAnswer(w http.ResponseWriter, body []byte, binary bool, rid string) {
 // RequestError) burns no SLO error budget and is left out of both SLIs.
 func (s *Server) finished(start time.Time, err error) time.Time {
 	outcome := outcomeLabel(err)
-	secs := time.Since(start).Seconds()
+	done := s.clock.Now()
+	secs := done.Sub(start).Seconds()
 	mResponses.With(outcome).Inc()
 	mRequestSeconds.Observe(secs)
 	if outcome != "bad_request" {
-		s.cfg.SLO.Record(secs, err == nil)
+		s.cfg.SLO.Record(done, secs, err == nil)
 	}
-	return time.Now()
+	return done
 }
 
 // encoded closes a request's encode stage and its trace.
 func (s *Server) encoded(rt *obs.RequestTrace, encStart time.Time) {
-	encDone := time.Now()
+	encDone := s.clock.Now()
 	stEncode.Observe(encDone.Sub(encStart).Seconds())
 	rt.Stage("encode", encStart, encDone)
 	rt.End()
@@ -989,7 +1010,7 @@ func (s *Server) requestTimeout(r *http.Request) time.Duration {
 // context is only known after decode, so the decode stage span is
 // recorded retroactively.
 func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.Time, decErr error, traceHeader string, timeout time.Duration) (Response, *obs.RequestTrace, error) {
-	decDone := time.Now()
+	decDone := s.clock.Now()
 	rt, _ := obs.StartRequestTrace("serve", ws.tc, traceHeader, s.cfg.Sampler)
 	if decErr != nil {
 		return Response{}, rt, decErr
@@ -1004,7 +1025,7 @@ func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.
 	// Slow path: the query's slices alias ws's pooled backing arrays,
 	// which the batcher does not retain — it parks a copy in a pooled
 	// slot of its own.
-	resp, err := s.predict(ctx, &ws.q, rt, time.Now().Add(timeout), &ws.timer)
+	resp, err := s.predict(ctx, &ws.q, rt, decDone.Add(timeout), &ws.timer)
 	return resp, rt, err
 }
 
@@ -1100,18 +1121,18 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			reason = "calibration degraded: " + t.Reason()
 		}
 	}
-	WriteReady(w, reason, s.cfg.SLO)
+	WriteReady(w, reason, s.cfg.SLO, s.clock.Now())
 }
 
 // WriteReady answers GET /readyz: 200 {"ready":true} when reason is
 // empty, else 503 with the reason and the back-off hint. A non-nil slo
-// adds the objective tracker's burn-rate detail. An SLO breach is
-// reported but never a reason: pulling a slow instance sheds capacity
-// and usually makes the burn worse.
-func WriteReady(w http.ResponseWriter, reason string, slo *obs.SLOTracker) {
+// adds the objective tracker's burn-rate detail as of now. An SLO
+// breach is reported but never a reason: pulling a slow instance sheds
+// capacity and usually makes the burn worse.
+func WriteReady(w http.ResponseWriter, reason string, slo *obs.SLOTracker, now time.Time) {
 	body := readyResponse{Ready: reason == "", Reason: reason}
 	if slo != nil {
-		st := slo.Status()
+		st := slo.Status(now)
 		body.SLO = &st
 	}
 	status := http.StatusOK

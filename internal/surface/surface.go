@@ -17,9 +17,11 @@
 // test to ≤ 1e-3 relative.
 //
 // Grid geometry: f_k = k/Cells for k = 0..Cells with Cells a power of
-// two, so any query fraction that is itself a dyadic rational k/Cells
-// (every fraction the loadgen corpus or a percentage-quantized client
-// produces) lands exactly on a node and is answered bit-exactly.
+// two. Only a query fraction that is itself k/Cells lands exactly on a
+// node and is answered bit-exactly; every other one is interpolated.
+// The loadgen corpus draws percentages (scenario.Workload's pool), and
+// of those only 0, 0.25, 0.5 and 0.75 are nodes of the default
+// 512-cell grid.
 //
 // Staleness: a surface is stamped with core.TablesChecksum of the
 // tables it was built from, and Predictor.AttachSurface refuses a

@@ -6,4 +6,6 @@ import (
 	"deadfix/internal/lib"
 )
 
-func main() { fmt.Println(lib.ConsumerOnly(), lib.Apply(lib.Config{Consumer: 2})) }
+func main() {
+	fmt.Println(lib.ConsumerOnly(), lib.Apply(lib.Config{Consumer: 2}), lib.Build(lib.Config{}))
+}

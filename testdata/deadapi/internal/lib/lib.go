@@ -55,6 +55,9 @@ type Config struct {
 	Consumer int
 	// Counted is live: a pointer method writes it.
 	Counted int
+	// Constructed is dead: only Build, which receives its Config by
+	// value, sets it.
+	Constructed int
 	// Decoded is exempt: its tag is for a decoder, which writes it.
 	Decoded int `json:"decoded"`
 }
@@ -75,4 +78,13 @@ func Apply(c Config) int {
 	c = c.withDefaults()
 	c.count()
 	return c.TestOnly + c.Defaulted + c.Consumer + c.Counted + c.Decoded
+}
+
+// Build is called by the consumer module. It defaults its own copy of
+// c, as a constructor does.
+func Build(c Config) int {
+	if c.Constructed == 0 {
+		c.Constructed = 4
+	}
+	return c.Constructed
 }
