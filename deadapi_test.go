@@ -36,7 +36,6 @@ var deadAPIAllow = map[string]string{
 	"contention/internal/mesh.Machine.FabricBusy":  "link TestStreamMatchesSendLoop: fabric occupancy of both runs",
 	"contention/internal/mesh.Machine.FabricSends": "link TestStreamMatchesSendLoop: fabric transfers of both runs",
 	// Serving hooks that cluster and serve tests drive.
-	"contention/internal/obs.SLOConfig.Registry": "serve TestUnsampledWarmPathAllocationFree, cluster TestFleetStatusAndDebugPage and TestReadySLODetail: a tracker with a registry of its own",
 	"contention/internal/obs.Tracer.Reset":       "serve withTracing and cluster withTraceRecording: past its bound the process tracer drops new spans",
 	"contention/internal/serve.ServeFrames":      "cluster newFakeReplica and newRecordingMember: stand-in replicas answer frames with it",
 	"contention/internal/serve.Server.Admission": "cluster TestKillSeversFrames and TestSubMillisecondBudgetReachesReplica: a replica's in-flight count",
@@ -64,6 +63,22 @@ func TestNoDeadAPI(t *testing.T) {
 	}
 }
 
+// TestEverySeriesHasAReader fails on every series name declared in
+// internal/obs/names.go that no non-test file of this module or of the
+// bench module reads: the call that registers a series does not read
+// it. A series earns its place by a reader — the run manifest, a bench
+// metric, the fleet page or loadgen's report — so one nothing reads
+// leaves with its registration, and there is no allow-list.
+func TestEverySeriesHasAReader(t *testing.T) {
+	unread, err := seriesWithoutReader(".", []string{"bench"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range unread {
+		t.Errorf("no reader: %s", u)
+	}
+}
+
 // TestDeadAPIFixture runs the gate on a two-module fixture: of
 // internal/lib's names it must flag only the dead exported and
 // unexported functions, the interface only a test uses, the method
@@ -73,6 +88,11 @@ func TestNoDeadAPI(t *testing.T) {
 // method, an exported or unexported method production calls through an
 // interface, a function or field only the consumer module uses, a
 // field a pointer method writes or a tagged field.
+// Of its internal/obs/names.go series the reader rule must flag only
+// the one only an obs.New* call registers, the one only a Registry
+// method registers and the one only a test reads besides its
+// registration — not one a command reads or one only the consumer
+// module reads.
 func TestDeadAPIFixture(t *testing.T) {
 	dead, err := deadAPI(filepath.Join("testdata", "deadapi"), []string{"consumer"}, nil, nil)
 	if err != nil {
@@ -85,6 +105,18 @@ func TestDeadAPIFixture(t *testing.T) {
 	sort.Strings(got)
 	if want := []string{"lib.Config.Constructed", "lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %q, want exactly %q", got, want)
+	}
+	unread, err := seriesWithoutReader(filepath.Join("testdata", "deadapi"), []string{"consumer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for _, u := range unread {
+		got = append(got, u[strings.LastIndex(u, " ")+1:])
+	}
+	sort.Strings(got)
+	if want := []string{"MetricMethodRegistered", "MetricRegistered", "MetricTestRead"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("series without a reader %q, want exactly %q", got, want)
 	}
 }
 
@@ -137,29 +169,35 @@ func goList(dir string) (mod string, pkgs []listedPkg, err error) {
 	}
 }
 
-// deadAPI type-checks the non-test files of the module at root and of
-// each consumer module (directories relative to root) against export
-// data, and returns "file:line: pkg.Name" (or pkg.Type.Method) for each
-// exported name, and each unexported function or method, declared under
-// root's internal/ that none of them uses. Unexported consts, vars,
-// types and fields are not candidates: enum members are used only by
-// position. A use inside the name's own declaration does not count.
-// It also returns "file:line: pkg.Type.Field" for each exported,
-// untagged, non-embedded field of an exported struct type there that
-// none of them writes (deadFieldWrites); a decoder writes tagged
-// fields. Exempt are methods that satisfy an interface method some
-// non-test file calls or a deadStdIfaces interface, exported methods
-// and fields of types the root package aliases, everything in the
-// exempt packages, and the allow-list.
-func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[string]string) ([]string, error) {
+// deadPkg is one type-checked package of a deadLoad.
+type deadPkg struct {
+	listedPkg
+	files []*ast.File
+	info  *types.Info
+	types *types.Package
+}
+
+// deadModule is the non-test source of a module and its consumer
+// modules, type-checked against export data.
+type deadModule struct {
+	root string // absolute
+	mod  string // root's module path
+	fset *token.FileSet
+	imp  types.Importer
+	pkgs []*deadPkg
+}
+
+// deadLoad parses and type-checks the non-test files of every package
+// of the module at root and of each consumer module (directories
+// relative to root) against export data.
+func deadLoad(root string, consumers []string) (*deadModule, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	m := &deadModule{root: root, fset: token.NewFileSet()}
 	exports := map[string]string{}
 	var srcPkgs []listedPkg
-	var rootMod string
 	seen := map[string]bool{}
 	for i, dir := range append([]string{root}, consumers...) {
 		if i > 0 {
@@ -170,52 +208,74 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 			return nil, err
 		}
 		if i == 0 {
-			rootMod = mod
+			m.mod = mod
 		}
 		for _, p := range pkgs {
 			if p.Export != "" && exports[p.ImportPath] == "" {
 				exports[p.ImportPath] = p.Export
 			}
-			if p.Module != nil && (p.Module.Path == mod || p.Module.Path == rootMod) && !seen[p.ImportPath] && len(p.GoFiles) > 0 {
+			if p.Module != nil && (p.Module.Path == mod || p.Module.Path == m.mod) && !seen[p.ImportPath] && len(p.GoFiles) > 0 {
 				seen[p.ImportPath] = true
 				srcPkgs = append(srcPkgs, p)
 			}
 		}
 	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	m.imp = importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %s", path)
 		}
 		return os.Open(f)
 	})
+	for _, p := range srcPkgs {
+		dp := &deadPkg{listedPkg: p, info: &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			dp.files = append(dp.files, f)
+		}
+		conf := types.Config{Importer: m.imp}
+		if dp.types, err = conf.Check(p.ImportPath, m.fset, dp.files, dp.info); err != nil {
+			return nil, fmt.Errorf("type-check %s: %w", p.ImportPath, err)
+		}
+		m.pkgs = append(m.pkgs, dp)
+	}
+	return m, nil
+}
+
+// deadAPI returns "file:line: pkg.Name" (or pkg.Type.Method) for each
+// exported name, and each unexported function or method, declared
+// under root's internal/ that no non-test file of root's module or of a
+// consumer module (deadLoad) uses. Unexported consts, vars, types and
+// fields are not candidates: enum members are used only by position. A
+// use inside the name's own declaration does not count.
+// It also returns "file:line: pkg.Type.Field" for each exported,
+// untagged, non-embedded field of an exported struct type there that
+// none of them writes (deadFieldWrites); a decoder writes tagged
+// fields. Exempt are methods that satisfy an interface method some
+// non-test file calls or a deadStdIfaces interface, exported methods
+// and fields of types the root package aliases, everything in the
+// exempt packages, and the allow-list.
+func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[string]string) ([]string, error) {
+	m, err := deadLoad(root, consumers)
+	if err != nil {
+		return nil, err
+	}
+	fset, imp, rootMod := m.fset, m.imp, m.mod
 
 	// Every use of a named object in a non-test file, and every
 	// interface whose methods are called.
 	used := map[string]bool{}
 	ifaces := map[string]*deadIface{}
-	checked := map[string]*types.Package{}
-	for _, p := range srcPkgs {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{
-			Uses:       map[*ast.Ident]types.Object{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("type-check %s: %w", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
+	for _, p := range m.pkgs {
+		files, info := p.files, p.info
 		self := map[*ast.Ident]bool{}
 		for _, f := range files {
 			for _, d := range f.Decls {
@@ -280,11 +340,11 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		pos token.Pos
 	}
 	var cands []cand
-	for _, p := range srcPkgs {
+	for _, p := range m.pkgs {
 		if p.Module.Path != rootMod {
 			continue
 		}
-		pkg := checked[p.ImportPath]
+		pkg := p.types
 		internal := strings.HasPrefix(p.ImportPath, rootMod+"/internal/")
 		for _, ex := range exemptPkgs {
 			if p.ImportPath == ex || strings.HasPrefix(p.ImportPath, ex+"/") {
@@ -355,7 +415,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 			continue
 		}
 		pos := fset.Position(c.pos)
-		rel, err := filepath.Rel(root, pos.Filename)
+		rel, err := filepath.Rel(m.root, pos.Filename)
 		if err != nil {
 			rel = pos.Filename
 		}
@@ -368,6 +428,88 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 	}
 	sort.Strings(dead)
 	return dead, nil
+}
+
+// seriesWithoutReader returns "internal/obs/names.go:line: Name" for
+// each constant declared in root's internal/obs/names.go that no
+// non-test file of root's module or of a consumer module (deadLoad)
+// uses other than as the first argument of a registration call: an
+// obs.New* function or a deadRegisterMethods method of obs.Registry.
+func seriesWithoutReader(root string, consumers []string) ([]string, error) {
+	m, err := deadLoad(root, consumers)
+	if err != nil {
+		return nil, err
+	}
+	obsPath := m.mod + "/internal/obs"
+	read := map[string]bool{}
+	for _, p := range m.pkgs {
+		registered := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 && seriesRegistration(p.info, call, obsPath) {
+					switch a := ast.Unparen(call.Args[0]).(type) {
+					case *ast.Ident:
+						registered[a] = true
+					case *ast.SelectorExpr:
+						registered[a.Sel] = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if _, ok := obj.(*types.Const); ok && !registered[id] {
+				read[deadKey(obj)] = true
+			}
+		}
+	}
+	var unread []string
+	for _, p := range m.pkgs {
+		if p.ImportPath != obsPath {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			c, ok := scope.Lookup(name).(*types.Const)
+			if !ok || read[deadKey(c)] {
+				continue
+			}
+			if pos := m.fset.Position(c.Pos()); filepath.Base(pos.Filename) == "names.go" {
+				unread = append(unread, fmt.Sprintf("internal/obs/names.go:%d: %s", pos.Line, name))
+			}
+		}
+	}
+	sort.Strings(unread)
+	return unread, nil
+}
+
+// deadRegisterMethods are the obs.Registry methods whose first argument
+// names the series they register.
+var deadRegisterMethods = map[string]bool{
+	"Counter": true, "Gauge": true, "Histogram": true, "CounterVec": true, "HistogramVec": true,
+}
+
+// seriesRegistration reports whether call registers a series: it calls
+// a New* function of the obs package at obsPath, or one of
+// deadRegisterMethods on its Registry.
+func seriesRegistration(info *types.Info, call *ast.CallExpr, obsPath string) bool {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return false
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != obsPath {
+		return false
+	}
+	if fn.Type().(*types.Signature).Recv() == nil {
+		return strings.HasPrefix(fn.Name(), "New")
+	}
+	return deadRegisterMethods[fn.Name()] && deadKey(fn) == obsPath+".Registry."+fn.Name()
 }
 
 // deadIface is an interface and the names of its methods that count as

@@ -35,16 +35,10 @@ import (
 	"contention/internal/obs"
 )
 
-// Trust-layer telemetry: every state transition and drift alarm is
-// counted, so a run manifest can report how often trust was lost.
-var (
-	mDriftAlarms = obs.NewCounter(obs.MetricDriftAlarms,
-		"Fresh→Stale drift detections across all trackers")
-	mResiduals = obs.NewCounter(obs.MetricResidualsSeen,
-		"prediction residuals fed to the drift detectors")
-	mTransitions = obs.NewCounterVec(obs.MetricTrustTransitions,
-		"tracker trust-state transitions by destination state", "to")
-)
+// Trust-layer telemetry: every drift alarm is counted, so a run
+// manifest can report how often trust was lost.
+var mDriftAlarms = obs.NewCounter(obs.MetricDriftAlarms,
+	"Fresh→Stale drift detections across all trackers")
 
 // TrustState classifies the active calibration.
 type TrustState int
@@ -140,13 +134,11 @@ func (t *Tracker) adopt(pred *core.Predictor) {
 		t.state = Degraded
 		t.reason = fatal[0].String()
 		pred.MarkStale(t.reason)
-		mTransitions.With(Degraded.String()).Inc()
 		return
 	}
 	t.state = Fresh
 	t.reason = ""
 	pred.ClearStale()
-	mTransitions.With(Fresh.String()).Inc()
 }
 
 // State returns the current trust state.
@@ -185,7 +177,6 @@ func (t *Tracker) Observe(predicted, observed float64) (bool, error) {
 	}
 	t.mu.Lock()
 	t.observed++
-	mResiduals.Inc()
 	residual := observed/predicted - 1
 	drifted, err := t.det.Add(residual)
 	if err != nil {
@@ -198,7 +189,6 @@ func (t *Tracker) Observe(predicted, observed float64) (bool, error) {
 			t.observed, residual, t.det.Stat(), t.cfg.Drift.Lambda)
 		reason := t.reason
 		mDriftAlarms.Inc()
-		mTransitions.With(Stale.String()).Inc()
 		t.pred.MarkStale(reason)
 		t.mu.Unlock()
 		if t.cfg.OnStale != nil {

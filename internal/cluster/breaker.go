@@ -3,8 +3,6 @@ package cluster
 import (
 	"sync"
 	"time"
-
-	"contention/internal/obs"
 )
 
 // BreakerState is the circuit state of one replica's breaker.
@@ -58,9 +56,6 @@ type breakerTuning struct {
 	tripRate float64
 }
 
-var mBreakerTrans = obs.NewCounterVec(obs.MetricClusterBreakerTrans,
-	"circuit-breaker state transitions, by destination state", "to")
-
 // Breaker is a rolling error-rate circuit breaker: Closed → Open when
 // the windowed failure rate crosses tripRate with enough volume, Open →
 // HalfOpen after the cooldown, HalfOpen → Closed after consecutive
@@ -111,7 +106,6 @@ func (b *Breaker) toLocked(s BreakerState) {
 		return
 	}
 	b.state = s
-	mBreakerTrans.With(s.String()).Inc()
 }
 
 // Allow reports whether a request may be sent to the replica at now. In

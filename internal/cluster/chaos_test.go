@@ -70,7 +70,7 @@ func TestChaosGate(t *testing.T) {
 	tun.maxInFlight, tun.maxQueue = 64, 256
 	c, err := newCluster(Config{
 		Replicas:      spec.Replicas,
-		Factory:       InProcessFactory(InProcConfig{Window: 500 * time.Microsecond}),
+		Factory:       stallableFactory(InProcConfig{Window: 500 * time.Microsecond}),
 		MaxTries:      4,
 		RetryBudget:   1.0,
 		HedgeDelay:    30 * time.Millisecond,
@@ -157,7 +157,7 @@ func TestChaosGate(t *testing.T) {
 			rep.Kill()
 			kills++
 		case ChaosStall:
-			if s, ok := rep.(Staller); ok {
+			if s, ok := rep.(*stallableReplica); ok {
 				s.StallFor(e.For)
 				stalls++
 			}

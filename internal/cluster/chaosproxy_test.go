@@ -43,6 +43,7 @@ type chaosProxy struct {
 	mu     sync.Mutex
 	conns  map[*conn]struct{}
 	closed bool
+	done   chan struct{} // closed by Close: a stall ends there
 
 	wg sync.WaitGroup
 }
@@ -74,7 +75,7 @@ func newChaosProxy(target string) (*chaosProxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &chaosProxy{target: target, ln: ln, conns: make(map[*conn]struct{})}
+	p := &chaosProxy{target: target, ln: ln, conns: make(map[*conn]struct{}), done: make(chan struct{})}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -138,6 +139,7 @@ func (p *chaosProxy) Close() error {
 		return nil
 	}
 	p.closed = true
+	close(p.done)
 	p.mu.Unlock()
 	err := p.ln.Close()
 	p.Reset()
@@ -214,10 +216,16 @@ func (p *chaosProxy) relay(c *conn, src, dst *net.TCPConn) {
 }
 
 // shape applies the current latency and stall settings to one chunk.
+// A stall ends early when the proxy closes.
 func (p *chaosProxy) shape() {
 	if until := p.stallUntil.Load(); until > 0 {
 		if wait := time.Until(time.Unix(0, until)); wait > 0 {
-			time.Sleep(wait)
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-p.done:
+				t.Stop()
+			}
 		}
 	}
 	if d := time.Duration(p.latency.Load()); d > 0 {

@@ -500,7 +500,6 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 	c.members = append(c.members, m)
 	c.memMu.Unlock()
 	c.resync()
-	mMembersAdded.Inc()
 	return id, nil
 }
 
@@ -535,7 +534,6 @@ func (c *Cluster) healthLoop() {
 		for _, m := range c.memberList() {
 			if m.markSuspect(now, c.cfg.ProbeInterval, c.cfg.SuspectAfter) {
 				c.resync()
-				mSuspects.Inc()
 			}
 			addr := m.probeAddr()
 			if addr == "" || !m.probing.CompareAndSwap(false, true) {
@@ -604,7 +602,6 @@ func (c *Cluster) probeMember(m *member, addr string) {
 	}
 	if m.probeOK(c.tun.clock.Now()) {
 		c.resync()
-		mRejoins.Inc()
 	}
 }
 
@@ -659,7 +656,6 @@ func (c *Cluster) babysit(m *member) {
 				m.mu.Lock()
 				m.state = stateFailed
 				m.mu.Unlock()
-				mAbandoned.Inc()
 				return
 			}
 			wait := backoff.Arm(c.tun.clock, c.backoff(strikes))
@@ -687,7 +683,6 @@ func (c *Cluster) babysit(m *member) {
 			m.gen = gen
 			m.upSince = c.tun.clock.Now()
 			m.mu.Unlock()
-			mRestarts.Inc()
 			c.resync()
 			break
 		}
@@ -729,7 +724,6 @@ func (c *Cluster) resync() {
 		}
 	}
 	c.set.Store(&set)
-	mReplicasUp.Set(float64(len(set)))
 }
 
 // UpCount reports how many replicas are in the routing set, weight-0
@@ -937,7 +931,6 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, 
 	switch cerr {
 	case context.Canceled:
 		m.breaker.Forgive()
-		mClientGone.Inc()
 		return tryResult{err: fmt.Errorf("%w: %v", ErrClientGone, err), final: true}
 	case context.DeadlineExceeded:
 		m.breaker.Forgive()
@@ -987,7 +980,6 @@ func (c *Cluster) hedged(ctx context.Context, set []*member, at int, meta *reqMe
 		return res
 	case <-hedge:
 		if backup.breaker.Allow(c.tun.clock.Now()) {
-			mHedges.Inc()
 			launched = 2
 			c.bg.Add(1)
 			go func() {
@@ -1179,11 +1171,7 @@ func (c *Cluster) Handler() http.Handler {
 
 func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := c.tun.clock.Now()
-	outcome := "ok"
-	defer func() {
-		mRequests.With(outcome).Inc()
-		mRouteSeconds.Observe(c.tun.clock.Now().Sub(start).Seconds())
-	}()
+	defer func() { mRouteSeconds.Observe(c.tun.clock.Now().Sub(start).Seconds()) }()
 
 	lt, ptc := obs.StartRequestTrace("lb", obs.TraceContext{}, r.Header.Get(serve.TraceHeader), c.cfg.Sampler)
 	defer lt.End()
@@ -1198,12 +1186,10 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if c.draining.Load() {
-		outcome = "draining"
 		fail(http.StatusServiceUnavailable, "cluster draining")
 		return
 	}
 	if ridErr != nil {
-		outcome = "bad_request"
 		fail(http.StatusBadRequest, ridErr.Error())
 		return
 	}
@@ -1212,7 +1198,6 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var err error
 	hb.body, err = readLimited(hb.body, r.Body, r.ContentLength, serve.MaxBodyBytes+1)
 	if err != nil {
-		outcome = "bad_request"
 		fail(http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
@@ -1222,7 +1207,6 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	lbStDecode.Observe(decodeDone.Sub(start).Seconds())
 	lt.Stage("decode", start, decodeDone)
 	if err != nil {
-		outcome = "bad_request"
 		status := http.StatusBadRequest
 		var reqErr *serve.RequestError
 		if errors.As(err, &reqErr) {
@@ -1240,11 +1224,9 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		done := c.tun.clock.Now()
 		c.cfg.SLO.Record(done, done.Sub(start).Seconds(), false)
 		if errors.Is(err, rm.ErrSubmitTimeout) {
-			outcome = "timeout"
 			fail(http.StatusGatewayTimeout, err.Error())
 			return
 		}
-		outcome = "rejected"
 		fail(http.StatusTooManyRequests, err.Error())
 		return
 	}
@@ -1265,15 +1247,12 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case clientGone:
-			// Nobody is listening; the status code exists for logs and
-			// outcome metrics only (nginx's 499 convention).
-			outcome = "client_gone"
+			// Nobody is listening; the status code exists for logs
+			// only (nginx's 499 convention).
 			fail(StatusClientClosedRequest, res.err.Error())
 		case res.final:
-			outcome = "timeout"
 			fail(http.StatusGatewayTimeout, res.err.Error())
 		default:
-			outcome = "unavailable"
 			fail(http.StatusServiceUnavailable, fmt.Sprintf("%v: %v", ErrNoReplica, res.err))
 		}
 		return
@@ -1285,7 +1264,6 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if res.status == http.StatusOK {
 		serve.WriteAnswer(w, res.body, binaryReq, meta.rid)
 	} else {
-		outcome = fmt.Sprintf("upstream_%d", res.status)
 		relayError(w, res.status, res.body, meta.rid)
 	}
 	encodeDone := c.tun.clock.Now()

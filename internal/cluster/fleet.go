@@ -80,7 +80,6 @@ func (f *Fleet) Run(stop <-chan struct{}) {
 // merged result. Returns how many members answered.
 func (f *Fleet) ScrapeOnce(ctx context.Context) int {
 	start := f.c.tun.clock.Now()
-	mFleetScrapes.Inc()
 	var snaps []obs.Snapshot
 	for _, m := range f.c.memberList() {
 		addr := m.currentAddr()
@@ -94,47 +93,35 @@ func (f *Fleet) ScrapeOnce(ctx context.Context) int {
 	}
 	merged := obs.MergeSnapshots("fleet_", snaps...)
 	f.merged.Store(&fleetScrape{snap: merged, members: len(snaps), at: start})
-	mFleetMembersSeen.Set(float64(len(snaps)))
-	mFleetScrapeSeconds.Observe(f.c.tun.clock.Now().Sub(start).Seconds())
 	return len(snaps)
 }
 
 // scrapeMember fetches one member's metrics snapshot. A 404 means the
-// member does not export metrics — skipped silently; anything else
-// that fails, a snapshot DecodeSnapshot refuses included, counts as a
-// scrape error.
+// member does not export metrics; it, and a member whose page fails to
+// fetch or that DecodeSnapshot refuses, is left out of the merge.
 func (f *Fleet) scrapeMember(ctx context.Context, addr string) (obs.Snapshot, bool) {
 	sctx, release := f.c.bounded(ctx, f.interval)
 	defer release()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, "http://"+addr+"/metrics?format=json", nil)
 	if err != nil {
-		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
 	}
 	resp, err := f.c.client.Do(req)
 	if err != nil {
-		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return obs.Snapshot{}, false
-	}
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
 	}
 	const maxMetricsBytes = 4 << 20
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxMetricsBytes))
 	if err != nil {
-		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
 	}
 	snap, err := obs.DecodeSnapshot(body)
 	if err != nil {
-		mFleetScrapeErrors.Inc()
 		return obs.Snapshot{}, false
 	}
 	return snap, true

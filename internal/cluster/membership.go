@@ -81,8 +81,6 @@ type ReloadSummary struct {
 	Reweighted int `json:"reweighted"`
 }
 
-func (s ReloadSummary) changed() bool { return s.Added+s.Removed+s.Reweighted > 0 }
-
 // Membership drives a cluster's remote member set from its members
 // file. Goroutine-safe; Reload may be called directly (e.g. from a
 // SIGHUP handler) while Run polls.
@@ -121,14 +119,6 @@ func (ms *Membership) Reload() (ReloadSummary, error) {
 		if specs, err = ParseMembers(data); err == nil {
 			sum, err = ms.apply(specs)
 		}
-	}
-	switch {
-	case err != nil:
-		mReloads.With("error").Inc()
-	case sum.changed():
-		mReloads.With("applied").Inc()
-	default:
-		mReloads.With("unchanged").Inc()
 	}
 	return sum, err
 }
@@ -185,10 +175,9 @@ func (ms *Membership) apply(specs []MemberSpec) (ReloadSummary, error) {
 }
 
 // Run reloads the members file every PollInterval until stop closes,
-// then waits for outstanding drains. Reload errors are counted
-// (cluster_membership_reloads_total{outcome="error"}) and retried next
-// tick — a file caught mid-edit or briefly unreadable must not empty
-// the fleet; the last good member set keeps serving.
+// then waits for outstanding drains. A reload that fails is retried
+// next tick — a file caught mid-edit or briefly unreadable must not
+// empty the fleet; the last good member set keeps serving.
 func (ms *Membership) Run(stop <-chan struct{}) {
 	ms.c.every(ms.cfg.PollInterval, stop, func() { _, _ = ms.Reload() })
 	ms.drains.Wait()

@@ -11,7 +11,6 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -139,12 +138,9 @@ func (r *InProcReplica) Kill() {
 }
 
 // hostListener is an in-process replica host's network edge. It tracks
-// every connection it accepted, so a kill can sever them all, and while
-// the host is stalled its connections read nothing: bytes that arrive
-// wait in the socket, and bytes already read wait with them.
+// every connection it accepted, so a kill can sever them all.
 type hostListener struct {
 	net.Listener
-	stallUntil atomic.Int64 // unix nanoseconds
 
 	mu    sync.Mutex
 	conns map[*hostConn]struct{}
@@ -153,9 +149,7 @@ type hostListener struct {
 // hostConn is one accepted connection.
 type hostConn struct {
 	net.Conn
-	host   *hostListener
-	closed chan struct{}
-	once   sync.Once
+	host *hostListener
 }
 
 func (l *hostListener) Accept() (net.Conn, error) {
@@ -163,7 +157,7 @@ func (l *hostListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hc := &hostConn{Conn: c, host: l, closed: make(chan struct{})}
+	hc := &hostConn{Conn: c, host: l}
 	l.mu.Lock()
 	l.conns[hc] = struct{}{}
 	l.mu.Unlock()
@@ -183,37 +177,10 @@ func (l *hostListener) sever() {
 	}
 }
 
-// stalled waits out a stall in progress, or until the connection closes.
-func (c *hostConn) stalled() {
-	for {
-		wait := time.Duration(c.host.stallUntil.Load() - time.Now().UnixNano())
-		if wait <= 0 {
-			return
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-c.closed:
-			t.Stop()
-			return
-		}
-	}
-}
-
-func (c *hostConn) Read(p []byte) (int, error) {
-	c.stalled()
-	n, err := c.Conn.Read(p)
-	c.stalled()
-	return n, err
-}
-
 func (c *hostConn) Close() error {
-	c.once.Do(func() {
-		close(c.closed)
-		c.host.mu.Lock()
-		delete(c.host.conns, c)
-		c.host.mu.Unlock()
-	})
+	c.host.mu.Lock()
+	delete(c.host.conns, c)
+	c.host.mu.Unlock()
 	return c.Conn.Close()
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"time"
 
 	"contention/internal/serve"
@@ -20,32 +21,58 @@ func (c *Cluster) Replica(id int) Replica {
 	return m.rep
 }
 
-// Chaos hooks implemented by InProcReplica; the chaos harness
-// type-asserts against these.
-type (
-	// Staller freezes request handling for a duration.
-	Staller interface{ StallFor(d time.Duration) }
-	// Degrader marks the calibration untrusted and clears it again.
-	Degrader interface {
-		Degrade(reason string)
-		Recover()
-	}
-)
+// Degrader marks a replica's calibration untrusted and clears it
+// again; the chaos harness type-asserts against it.
+type Degrader interface {
+	Degrade(reason string)
+	Recover()
+}
 
-// StallFor freezes the replica host for d — the chaos stand-in for a GC
-// pause, paging storm, or scheduler hiccup: it stops reading its
-// sockets, so HTTP requests and frames alike wait.
-func (r *InProcReplica) StallFor(d time.Duration) { r.host.stallFor(d) }
-
-// stallFor extends the host's stall to at least d from now.
-func (l *hostListener) stallFor(d time.Duration) {
-	until := time.Now().Add(d).UnixNano()
-	for {
-		cur := l.stallUntil.Load()
-		if cur >= until || l.stallUntil.CompareAndSwap(cur, until) {
-			return
+// stallableFactory is InProcessFactory with each replica behind a
+// chaosProxy of its own, through which the chaos gate stalls it: the
+// stand-in for a GC pause, paging storm or scheduler hiccup on the
+// replica's host. A stalled proxy holds the bytes of every connection
+// in both directions, so HTTP requests and frames alike wait.
+func stallableFactory(cfg InProcConfig) Factory {
+	inProc := InProcessFactory(cfg)
+	return func(id, gen int) (Replica, error) {
+		rep, err := inProc(id, gen)
+		if err != nil {
+			return nil, err
 		}
+		p, err := newChaosProxy(rep.Addr())
+		if err != nil {
+			rep.Kill()
+			return nil, err
+		}
+		return &stallableReplica{InProcReplica: rep.(*InProcReplica), proxy: p}, nil
 	}
+}
+
+// stallableReplica is an in-process replica the cluster reaches only
+// through its proxy.
+type stallableReplica struct {
+	*InProcReplica
+	proxy *chaosProxy
+}
+
+// Addr implements Replica: the proxy's address.
+func (r *stallableReplica) Addr() string { return r.proxy.Addr() }
+
+// StallFor freezes the replica's network edge for d.
+func (r *stallableReplica) StallFor(d time.Duration) { r.proxy.Stall(d) }
+
+// Close implements Replica: the replica drains, then its proxy closes.
+func (r *stallableReplica) Close(ctx context.Context) error {
+	err := r.InProcReplica.Close(ctx)
+	_ = r.proxy.Close()
+	return err
+}
+
+// Kill implements Replica: the replica and its proxy go at once.
+func (r *stallableReplica) Kill() {
+	r.InProcReplica.Kill()
+	_ = r.proxy.Close()
 }
 
 // Degrade marks the replica's calibration stale: answers flip to the

@@ -291,10 +291,7 @@ func TestLBRequestIDForwardingAndEcho(t *testing.T) {
 // configured the body carries burn-rate status, and a breach is
 // reported without flipping readiness.
 func TestReadySLODetail(t *testing.T) {
-	slo, err := obs.NewSLOTracker(obs.SLOConfig{
-		AvailabilityTarget: 0.99,
-		Registry:           obs.NewRegistry(),
-	})
+	slo, err := obs.NewSLOTracker(obs.SLOConfig{AvailabilityTarget: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,6 @@ var (
 		"computation cost predictions evaluated")
 	mPredictDegraded = obs.NewCounter(obs.MetricPredictDegraded,
 		"robust predictions that fell back to the p+1 worst case")
-	mPredictBatch = obs.NewHistogram(obs.MetricPredictBatch,
-		"grid sizes of batched predictions", obs.DefaultSizeBuckets())
 	mSurfaceHits = obs.NewCounterVec(obs.MetricSurfaceHits,
 		"slowdowns served from the precomputed surface", "kind")
 	mSurfaceMisses = obs.NewCounterVec(obs.MetricSurfaceMisses,

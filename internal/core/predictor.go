@@ -258,7 +258,6 @@ func (p *Predictor) CompSlowdownWithJ(cs []Contender, j int) (float64, error) {
 // prices without allocating. On error dst comes back unextended.
 func (p *Predictor) PredictCommBatch(dst []float64, dir Direction, batches [][]DataSet, cs []Contender) ([]float64, error) {
 	mPredictComm.Add(int64(len(batches)))
-	mPredictBatch.Observe(float64(len(batches)))
 	s, err := p.commSlowdown(cs)
 	if err != nil {
 		return dst, err
@@ -280,7 +279,6 @@ func (p *Predictor) PredictCommBatch(dst []float64, dir Direction, batches [][]D
 // dcomps[k] to dst as PredictCommBatch does.
 func (p *Predictor) PredictCompBatch(dst, dcomps []float64, cs []Contender) ([]float64, error) {
 	mPredictComp.Add(int64(len(dcomps)))
-	mPredictBatch.Observe(float64(len(dcomps)))
 	s, err := p.compSlowdown(cs)
 	if err != nil {
 		return dst, err
@@ -291,7 +289,6 @@ func (p *Predictor) PredictCompBatch(dst, dcomps []float64, cs []Contender) ([]f
 // PredictCompBatchWithJ is PredictCompBatch with an explicit j column.
 func (p *Predictor) PredictCompBatchWithJ(dst, dcomps []float64, cs []Contender, j int) ([]float64, error) {
 	mPredictComp.Add(int64(len(dcomps)))
-	mPredictBatch.Observe(float64(len(dcomps)))
 	s, err := p.compSlowdownWithJ(cs, j)
 	if err != nil {
 		return dst, err

@@ -14,12 +14,6 @@ import (
 	"contention/internal/workload"
 )
 
-// mDriverSeconds records each driver's wall time; the same interval is
-// also captured as a span on the default tracer, so run manifests carry
-// a per-driver timeline.
-var mDriverSeconds = obs.NewGaugeVec(obs.MetricDriverSeconds,
-	"wall seconds spent in each experiment driver", "driver")
-
 // sorIters is the sweep count of the SOR benchmark runs (the paper
 // parameterizes by problem size M×M; iterations are held fixed).
 const sorIters = 20
@@ -212,9 +206,11 @@ func Run(env *Env, exps ...Experiment) ([]Result, error) {
 	env = env.forPass()
 	return runner.Map(context.Background(), env.pool(), exps,
 		func(_ context.Context, _ int, e Experiment) (Result, error) {
+			// A span on the default tracer times each driver, so run
+			// manifests carry a per-driver timeline.
 			sp := obs.StartSpan("driver", e.ID)
 			r, err := e.Run(env)
-			mDriverSeconds.With(e.ID).Add(sp.End())
+			sp.End()
 			if err != nil {
 				return Result{}, fmt.Errorf("%s: %w", e.ID, err)
 			}

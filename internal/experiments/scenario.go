@@ -15,14 +15,6 @@ import (
 	"contention/internal/stats"
 )
 
-// Scenario-sweep telemetry: matrix coverage and per-cell traffic.
-var (
-	mSweepCells = obs.NewCounter(obs.MetricScenarioSweepCells,
-		"scenario sweep matrix cells executed")
-	mSweepRequests = obs.NewCounter(obs.MetricScenarioSweepRequest,
-		"requests issued by the scenario sweep (record and replay passes)")
-)
-
 const (
 	scenarioReplaySeed    = 42
 	scenarioReplayHorizon = 2 * time.Second
@@ -116,7 +108,6 @@ func ScenarioReplay(env *Env) (Result, error) {
 	for i := range first {
 		if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
 			mismatches++
-			scenario.CountReplayMismatch()
 		}
 	}
 	if mismatches > 0 {
@@ -244,7 +235,6 @@ func servedTarget(wire, mode string) (*sweepTarget, error) {
 func sweepCell(tg *sweepTarget, plays []scenario.Record) (s scenario.Summary, elapsed time.Duration, mismatches int) {
 	pass := func() (scenario.Summary, []scenario.Outcome) {
 		return scenario.Drive(scenario.Shape{Workers: sweepConc, N: len(plays)}, func(i int) scenario.Outcome {
-			mSweepRequests.Inc()
 			return tg.issue(plays[i].Req)
 		})
 	}
@@ -322,7 +312,6 @@ func ScenarioSweep(env *Env, n int) (Result, *obs.ScenarioReport, error) {
 				}
 				s, elapsed, mismatches := sweepCell(tg, plays)
 				tg.close()
-				mSweepCells.Inc()
 
 				if s.OK == 0 {
 					return Result{}, nil, fmt.Errorf("scenariosweep %s/%s/%s: no successful requests", name, wire, mode)

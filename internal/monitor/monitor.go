@@ -22,10 +22,9 @@ import (
 
 // Sampling-path telemetry: the gap-tolerance (loss) and non-finite
 // sample paths used to swallow their casualties silently; now every
-// sample is accounted for as accepted, dropped, or rejected.
+// sample that does not land in the window is counted as dropped or
+// rejected.
 var (
-	mAccepted = obs.NewCounter(obs.MetricMonitorAccepted,
-		"platform samples recorded into monitor windows")
 	mDropped = obs.NewCounter(obs.MetricMonitorDropped,
 		"platform samples discarded by the installed loss function")
 	mRejected = obs.NewCounter(obs.MetricMonitorRejected,
@@ -98,7 +97,6 @@ func (m *Monitor) record() {
 		mDropped.Inc()
 		return
 	}
-	mAccepted.Inc()
 	s := Sample{
 		At:           m.sp.K.Now(),
 		HostBusy:     m.sp.Host.BusyTime(),

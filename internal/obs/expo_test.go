@@ -19,7 +19,7 @@ func goldenRegistry(t *testing.T) *Registry {
 	v := r.CounterVec("faults_injected_total", "injected fault events", "kind")
 	v.With("link-drop").Add(3)
 	v.With("host-stall").Inc()
-	r.Gauge("runner_tasks_in_flight", "tasks currently executing").Set(2.5)
+	r.Gauge("runner_tasks_in_flight", "tasks currently executing").SetMax(2.5)
 	h := r.Histogram("runner_task_seconds", "task wall seconds", []float64{0.001, 0.1, 1})
 	for _, x := range []float64{0.0005, 0.05, 0.05, 5} {
 		h.Observe(x)

@@ -170,33 +170,18 @@ func (m *Manifest) FillFromSnapshot(s Snapshot) {
 		Degraded: s.Counter(MetricPredictDegraded),
 	}
 
-	faults := map[string]int64{}
-	for kind, n := range s.Labelled(MetricFaultsInjected) {
-		faults[kind] = int64(n)
-	}
-	if len(faults) > 0 {
-		m.Faults = faults
-	}
+	m.Faults = counts(s, MetricFaultsInjected)
 
 	// The serving section only appears when the daemon actually handled
 	// traffic — batch experiment manifests stay unchanged.
-	if batches := s.Counter(MetricServeBatches); batches > 0 || len(s.Labelled(MetricServeRequests)) > 0 {
+	reqs := counts(s, MetricServeRequests)
+	if batches := s.Counter(MetricServeBatches); batches > 0 || reqs != nil {
 		srv := &ServingReport{
+			Requests:      reqs,
+			Outcomes:      counts(s, MetricServeResponses),
 			Batches:       batches,
 			Degraded:      s.Counter(MetricServeDegraded),
 			MaxQueueDepth: int64(s.Gauge(MetricServeQueueDepthMax)),
-		}
-		if reqs := s.Labelled(MetricServeRequests); len(reqs) > 0 {
-			srv.Requests = map[string]int64{}
-			for kind, n := range reqs {
-				srv.Requests[kind] = int64(n)
-			}
-		}
-		if outs := s.Labelled(MetricServeResponses); len(outs) > 0 {
-			srv.Outcomes = map[string]int64{}
-			for outcome, n := range outs {
-				srv.Outcomes[outcome] = int64(n)
-			}
 		}
 		for _, ms := range s.Metrics {
 			if ms.Name == MetricServeBatchSize {
@@ -214,6 +199,23 @@ func (m *Manifest) FillFromSnapshot(s Snapshot) {
 		MonitorDropped:  s.Counter(MetricMonitorDropped),
 		MonitorRejected: s.Counter(MetricMonitorRejected),
 	}
+}
+
+// counts is a labelled counter family's nonzero series by label value,
+// nil when none moved. A family may register every label it can take
+// up front, so a series that exists has not necessarily counted
+// anything.
+func counts(s Snapshot, base string) map[string]int64 {
+	var out map[string]int64
+	for v, n := range s.Labelled(base) {
+		if n != 0 {
+			if out == nil {
+				out = map[string]int64{}
+			}
+			out[v] = int64(n)
+		}
+	}
+	return out
 }
 
 // Encode renders the manifest as indented JSON with a trailing newline.

@@ -56,7 +56,7 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	r.Counter(MetricPoolTasks, "").Add(10)
 	r.Counter(MetricPoolAsync, "").Add(6)
 	r.Counter(MetricPoolInline, "").Add(4)
-	r.Gauge(MetricPoolMaxInFlight, "").Set(3)
+	r.Gauge(MetricPoolMaxInFlight, "").SetMax(3)
 	r.Counter(MetricPredictComm, "").Add(10)
 	r.Counter(MetricPredictDegraded, "").Add(1)
 	r.CounterVec(MetricFaultsInjected, "", "kind").With("link-drop").Add(5)

@@ -22,7 +22,7 @@ package obs
 import "sync/atomic"
 
 // enabled is the global switch. All record paths (Counter.Add,
-// Gauge.Set, Histogram.Observe, Tracer.Start) are no-ops while it is
+// Gauge.SetMax, Histogram.Observe, Tracer.Start) are no-ops while it is
 // false; registration, snapshots and exposition work regardless, they
 // just report zeros.
 var enabled atomic.Bool
@@ -56,11 +56,6 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 // registry.
 func NewCounterVec(name, help, label string) *CounterVec {
 	return std.CounterVec(name, help, label)
-}
-
-// NewGaugeVec returns a labelled gauge family on the default registry.
-func NewGaugeVec(name, help, label string) *GaugeVec {
-	return std.GaugeVec(name, help, label)
 }
 
 // NewHistogramVec returns a labelled histogram family on the default

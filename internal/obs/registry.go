@@ -56,33 +56,11 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous float64 value (queue depth, in-flight
-// tasks, a high-water mark). Goroutine-safe; recording is a no-op while
+// Gauge is a float64 high-water mark (the deepest batcher queue, the
+// most tasks in flight). Goroutine-safe; recording is a no-op while
 // telemetry is disabled.
 type Gauge struct {
 	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add shifts the gauge by delta (negative to decrement).
-func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
 }
 
 // SetMax raises the gauge to v if v exceeds the current value — a
@@ -308,34 +286,6 @@ func (v *CounterVec) With(value string) *Counter {
 	c := v.r.Counter(Label(v.base, v.label, value), v.help)
 	v.by[value] = c
 	return c
-}
-
-// GaugeVec is the gauge analogue of CounterVec.
-type GaugeVec struct {
-	r     *Registry
-	base  string
-	help  string
-	label string
-
-	mu sync.Mutex
-	by map[string]*Gauge
-}
-
-// GaugeVec registers a labelled gauge family.
-func (r *Registry) GaugeVec(base, help, label string) *GaugeVec {
-	return &GaugeVec{r: r, base: base, help: help, label: label, by: map[string]*Gauge{}}
-}
-
-// With returns the gauge for one label value.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.by[value]; ok {
-		return g
-	}
-	g := v.r.Gauge(Label(v.base, v.label, value), v.help)
-	v.by[value] = g
-	return g
 }
 
 // HistogramVec is the histogram analogue of CounterVec: one histogram

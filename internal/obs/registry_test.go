@@ -41,16 +41,10 @@ func TestCounterDisabledDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAddMax(t *testing.T) {
+func TestGaugeSetMax(t *testing.T) {
 	withTelemetry(t)
 	r := NewRegistry()
 	g := r.Gauge("depth", "")
-	g.Set(3)
-	g.Add(2)
-	g.Add(-4)
-	if got := g.Value(); got != 1 {
-		t.Fatalf("gauge = %v, want 1", got)
-	}
 	g.SetMax(10)
 	g.SetMax(7) // lower: ignored
 	if got := g.Value(); got != 10 {
@@ -156,7 +150,7 @@ func TestSnapshotLookups(t *testing.T) {
 	withTelemetry(t)
 	r := NewRegistry()
 	r.Counter("c_total", "").Add(7)
-	r.Gauge("g", "").Set(2.5)
+	r.Gauge("g", "").SetMax(2.5)
 	r.Histogram("h", "", []float64{1}).Observe(0.5)
 	s := r.Snapshot()
 	if s.Counter("c_total") != 7 {
@@ -180,7 +174,7 @@ func TestResetZeroesEverything(t *testing.T) {
 	withTelemetry(t)
 	r := NewRegistry()
 	r.Counter("c_total", "").Add(3)
-	r.Gauge("g", "").Set(9)
+	r.Gauge("g", "").SetMax(9)
 	r.Histogram("h", "", []float64{1}).Observe(2)
 	r.Reset()
 	s := r.Snapshot()
@@ -208,7 +202,6 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				c.Inc()
-				g.Add(1)
 				g.SetMax(float64(j))
 				h.Observe(float64(j % 5))
 				v.With([]string{"a", "b"}[i%2]).Inc()

@@ -21,7 +21,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	cv := r.CounterVec("outcomes_total", "outcomes", "outcome")
 	cv.With("ok").Add(7)
 	cv.With("error").Inc()
-	r.Gauge("up_replicas", "replicas up").Set(2.5)
+	r.Gauge("up_replicas", "replicas up").SetMax(2.5)
 	h := r.Histogram("lat_seconds", "latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.005)
 	h.Observe(5) // overflow bucket

@@ -53,8 +53,6 @@ type SLOConfig struct {
 	// AvailabilityTarget is the fraction of requests that must succeed
 	// (default 0.999).
 	AvailabilityTarget float64
-	// Registry receives the slo_* gauges; Default() when nil.
-	Registry *Registry
 }
 
 // sloBucket accumulates one time slice of the request stream.
@@ -66,18 +64,14 @@ type sloBucket struct {
 }
 
 // SLOTracker is the tracker; create with NewSLOTracker. Record works
-// whether or not telemetry is enabled — objectives gate readiness, not
-// just dashboards — but the exported gauges only move while enabled.
+// whether or not telemetry is enabled: objectives gate readiness, and
+// Status is what /readyz, /debug/fleet and the manifest read.
 type SLOTracker struct {
 	cfg SLOConfig
 
 	mu   sync.Mutex
 	ring [sloSlowBuckets]sloBucket
 	cur  int64 // absolute bucket index the cursor is on
-
-	gLatFast, gLatSlow *Gauge
-	gAvFast, gAvSlow   *Gauge
-	gBreach            *Gauge
 }
 
 // NewSLOTracker validates cfg and returns a tracker.
@@ -94,18 +88,7 @@ func NewSLOTracker(cfg SLOConfig) (*SLOTracker, error) {
 	if cfg.AvailabilityTarget < 0 || cfg.AvailabilityTarget >= 1 {
 		return nil, fmt.Errorf("obs: availability target %v outside [0,1)", cfg.AvailabilityTarget)
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = Default()
-	}
-	return &SLOTracker{
-		cfg:      cfg,
-		gLatFast: reg.Gauge(MetricSLOLatencyBurnFast, "latency SLO burn rate over the fast window"),
-		gLatSlow: reg.Gauge(MetricSLOLatencyBurnSlow, "latency SLO burn rate over the slow window"),
-		gAvFast:  reg.Gauge(MetricSLOAvailBurnFast, "availability SLO burn rate over the fast window"),
-		gAvSlow:  reg.Gauge(MetricSLOAvailBurnSlow, "availability SLO burn rate over the slow window"),
-		gBreach:  reg.Gauge(MetricSLOBreach, "1 while both burn windows exceed the alert threshold"),
-	}, nil
+	return &SLOTracker{cfg: cfg}, nil
 }
 
 // bucketIndex is the absolute index of the bucket holding now.
@@ -135,9 +118,7 @@ func (t *SLOTracker) Record(now time.Time, latencySeconds float64, ok bool) {
 }
 
 // advanceLocked moves the cursor to the bucket holding now, zeroing the
-// slices in between, and refreshes the exported gauges whenever the
-// bucket actually turns over (so gauge staleness is at most one bucket
-// width without putting an O(ring) scan on every Record).
+// slices in between.
 func (t *SLOTracker) advanceLocked(now time.Time) {
 	idx := bucketIndex(now)
 	if idx <= t.cur {
@@ -151,16 +132,6 @@ func (t *SLOTracker) advanceLocked(now time.Time) {
 		t.ring[int((t.cur+i)%int64(len(t.ring)))] = sloBucket{}
 	}
 	t.cur = idx
-	st := t.statusLocked()
-	t.gLatFast.Set(st.Fast.LatencyBurn)
-	t.gLatSlow.Set(st.Slow.LatencyBurn)
-	t.gAvFast.Set(st.Fast.AvailabilityBurn)
-	t.gAvSlow.Set(st.Slow.AvailabilityBurn)
-	if st.Breach {
-		t.gBreach.Set(1)
-	} else {
-		t.gBreach.Set(0)
-	}
 }
 
 // SLOWindowStatus is one burn window's tallies and rates.

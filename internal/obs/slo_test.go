@@ -5,15 +5,14 @@ import (
 	"time"
 )
 
-// sloHarness builds a tracker against a private registry; the tests
-// pass it virtual instants that span the 5-minute and 1-hour windows.
+// sloHarness builds a tracker; the tests pass it virtual instants that
+// span the 5-minute and 1-hour windows.
 func sloHarness(t *testing.T) *SLOTracker {
 	t.Helper()
 	tr, err := NewSLOTracker(SLOConfig{
 		LatencyThresholdSeconds: 0.1,
 		LatencyTarget:           0.9,
 		AvailabilityTarget:      0.99,
-		Registry:                NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,6 @@ func TestSLOConfigValidation(t *testing.T) {
 		{AvailabilityTarget: -0.1},
 	}
 	for i, cfg := range bad {
-		cfg.Registry = NewRegistry()
 		if _, err := NewSLOTracker(cfg); err == nil {
 			t.Errorf("case %d: config %+v accepted, want error", i, cfg)
 		}
@@ -135,28 +133,5 @@ func TestSLORecordAllocationFree(t *testing.T) {
 		tr.Record(at(1), 0.5, false)
 	}); allocs != 0 {
 		t.Fatalf("SLO Record allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestSLOGaugesExported checks the slo_* gauges move when a bucket
-// turns over while telemetry is enabled.
-func TestSLOGaugesExported(t *testing.T) {
-	withTelemetry(t)
-	reg := NewRegistry()
-	tr, err := NewSLOTracker(SLOConfig{AvailabilityTarget: 0.99, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 30; s++ {
-		tr.Record(at(s), 0.01, false)
-	}
-	tr.Status(at(31)) // advances the cursor past the last bucket → gauges refresh
-	snap := reg.Snapshot()
-	m, ok := snap.Find(MetricSLOAvailBurnFast)
-	if !ok || m.Value <= 0 {
-		t.Fatalf("%s = %+v ok=%v, want positive burn", MetricSLOAvailBurnFast, m, ok)
-	}
-	if b, ok := snap.Find(MetricSLOBreach); !ok || b.Value != 1 {
-		t.Fatalf("%s = %+v ok=%v, want 1", MetricSLOBreach, b, ok)
 	}
 }

@@ -160,9 +160,6 @@ func (s *Sampler) Sample() bool {
 	return s.n.Add(1)%s.every == 1%s.every
 }
 
-var mTraceSampled = NewCounter(MetricTraceSampled,
-	"requests that carried or started a sampled trace")
-
 // RequestTrace is one sampled request's tracing handle on a serving
 // edge — a replica or the router in front of replicas. A nil
 // *RequestTrace is the unsampled case: every method no-ops, so call
@@ -203,7 +200,6 @@ func StartRequestTrace(actor string, inband TraceContext, header string, sampler
 	if root == nil {
 		return nil, tc // telemetry disabled: propagate, record nothing
 	}
-	mTraceSampled.Inc()
 	return &RequestTrace{actor: actor, root: root, tc: child}, child
 }
 

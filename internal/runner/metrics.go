@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"time"
+	"sync/atomic"
 
 	"contention/internal/obs"
 )
@@ -18,16 +18,15 @@ var (
 		"tasks that ran inline on the goroutine that called Map")
 	mAsync = obs.NewCounter(obs.MetricPoolAsync,
 		"tasks that ran on a helper goroutine holding a pool token")
-	mInFlight = obs.NewGauge(obs.MetricPoolInFlight,
-		"tasks currently executing")
 	mMaxInFlight = obs.NewGauge(obs.MetricPoolMaxInFlight,
 		"high-water mark of concurrently executing tasks")
-	mTaskSeconds = obs.NewHistogram(obs.MetricPoolTaskSeconds,
-		"per-task wall time in seconds", obs.DefaultSecondsBuckets())
 )
 
+// inFlight counts the tasks executing now; it feeds mMaxInFlight.
+var inFlight atomic.Int64
+
 // runTask executes task with telemetry. With telemetry disabled this is
-// a direct call — no clock reads, no atomics beyond one flag load.
+// a direct call — no atomics beyond one flag load.
 func runTask(task func(), async bool) {
 	if !obs.Enabled() {
 		task()
@@ -39,10 +38,7 @@ func runTask(task func(), async bool) {
 	} else {
 		mInline.Inc()
 	}
-	mInFlight.Add(1)
-	mMaxInFlight.SetMax(mInFlight.Value())
-	start := time.Now()
+	mMaxInFlight.SetMax(float64(inFlight.Add(1)))
 	task()
-	mTaskSeconds.Observe(time.Since(start).Seconds())
-	mInFlight.Add(-1)
+	inFlight.Add(-1)
 }

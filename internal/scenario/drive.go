@@ -442,7 +442,6 @@ func VerifyReplay(recorded []Record, replayed []Outcome, report func(i int, err 
 		}
 		if err := diverges(r, replayed[i]); err != nil {
 			n++
-			mReplayDiffs.Inc()
 			if report != nil {
 				report(i, err)
 			}

@@ -560,7 +560,6 @@ func (s *Scenario) Schedule(seed int64, horizon time.Duration) ([]Item, error) {
 		rng := rand.New(rand.NewSource(cohortSeed(seed, c.Name)))
 		pool := c.Workload.pool(rng)
 		times := c.Arrivals.Times(rng, horizon.Seconds(), nil)
-		mArrivals.With(c.Name).Add(int64(len(times)))
 		for _, t := range times {
 			items = append(items, Item{
 				Offset: time.Duration(t * float64(time.Second)),

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -16,21 +17,34 @@ import (
 // postWire sends req on the named wire and decodes the 200 answer.
 func postWire(t *testing.T, ts *httptest.Server, contentType string, req *Request) Response {
 	t.Helper()
+	resp, err := tryPostWire(ts, contentType, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// tryPostWire is postWire returning its failure, for a goroutine other
+// than the test's.
+func tryPostWire(ts *httptest.Server, contentType string, req *Request) (Response, error) {
 	var body []byte
 	var err error
 	if contentType == ContentTypeBinary {
-		body = encodeReq(t, req)
-	} else if body, err = json.Marshal(req); err != nil {
-		t.Fatal(err)
+		body, err = AppendBinaryRequest(nil, req)
+	} else {
+		body, err = json.Marshal(req)
+	}
+	if err != nil {
+		return Response{}, err
 	}
 	hr, err := ts.Client().Post(ts.URL+"/v1/predict", contentType, bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return Response{}, err
 	}
 	defer hr.Body.Close()
 	raw, err := io.ReadAll(hr.Body)
 	if err != nil || hr.StatusCode != http.StatusOK {
-		t.Fatalf("status %d err %v: %s", hr.StatusCode, err, raw)
+		return Response{}, fmt.Errorf("status %d err %v: %s", hr.StatusCode, err, raw)
 	}
 	var resp Response
 	if contentType == ContentTypeBinary {
@@ -38,10 +52,7 @@ func postWire(t *testing.T, ts *httptest.Server, contentType string, req *Reques
 	} else {
 		err = json.Unmarshal(raw, &resp)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return resp, err
 }
 
 // heterogeneousRequests are off-class for any surface: mixed comm

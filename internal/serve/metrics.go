@@ -16,18 +16,31 @@ var (
 		"micro-batch flushes executed")
 	mBatchSize = obs.NewHistogram(obs.MetricServeBatchSize,
 		"requests per micro-batch flush", obs.DefaultSizeBuckets())
-	mQueueDepth = obs.NewGauge(obs.MetricServeQueueDepth,
-		"requests currently parked in the batcher")
 	mQueueDepthMax = obs.NewGauge(obs.MetricServeQueueDepthMax,
 		"high-water mark of the batcher queue depth")
 	mRequestSeconds = obs.NewHistogram(obs.MetricServeRequestSeconds,
 		"end-to-end request latency in seconds", obs.DefaultSecondsBuckets())
-	mFlushSeconds = obs.NewHistogram(obs.MetricServeFlushSeconds,
-		"micro-batch flush duration in seconds", obs.DefaultSecondsBuckets())
-	mBinaryRequests = obs.NewCounter(obs.MetricServeBinaryRequests,
-		"prediction requests arriving in the binary wire format")
-	mFastHits = obs.NewCounter(obs.MetricServeFastHits,
-		"requests answered by the batcher-bypass fast path")
-	mFastMisses = obs.NewCounter(obs.MetricServeFastMisses,
-		"fast-path attempts that fell back to the batcher pipeline")
 )
+
+// The labelled series the hot path records, resolved once: a family's
+// With takes its mutex and looks the label up on every call. The kinds
+// are the two a decoded query carries; the outcomes are outcomeOf's.
+var (
+	mRequestsComm = mRequests.With("comm")
+	mRequestsComp = mRequests.With("comp")
+
+	mOutcomeOK         = mResponses.With("ok")
+	mOutcomeBadRequest = mResponses.With("bad_request")
+	mOutcomeRejected   = mResponses.With("rejected")
+	mOutcomeTimeout    = mResponses.With("timeout")
+	mOutcomeClosed     = mResponses.With("closed")
+	mOutcomeModelError = mResponses.With("model_error")
+)
+
+// requestsOf is the requests-by-kind series of a decoded query's kind.
+func requestsOf(kind string) *obs.Counter {
+	if kind == "comm" {
+		return mRequestsComm
+	}
+	return mRequestsComp
+}

@@ -406,7 +406,7 @@ func (s *Server) degradeReason() string {
 // only read before predict parks, so it may alias pooled memory the
 // caller reuses once predict returns.
 func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
-	mRequests.With(q.kind).Inc()
+	requestsOf(q.kind).Inc()
 	admStart := s.clock.Now()
 	var expired <-chan struct{}
 	if !deadline.IsZero() {
@@ -512,7 +512,6 @@ func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 		return Response{}, false
 	}
 	if !s.adm.TryAcquire() {
-		mFastMisses.Inc()
 		return Response{}, false
 	}
 	defer s.adm.Release()
@@ -526,14 +525,12 @@ func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 		stage, hist = "compute", stCompute
 	}
 	if !ok {
-		mFastMisses.Inc()
 		return Response{}, false
 	}
 	done := s.clock.Now()
 	hist.Observe(done.Sub(start).Seconds())
 	rt.Stage(stage, start, done)
-	mFastHits.Inc()
-	mRequests.With(q.kind).Inc()
+	requestsOf(q.kind).Inc()
 	return Response{Value: v, Fast: true}, true
 }
 
@@ -573,7 +570,6 @@ func (s *Server) enqueue(req *pendingReq) (*batchFlush, error) {
 	g := s.groupLocked(h, req.key)
 	g.reqs = append(g.reqs, req)
 	s.pendingN++
-	mQueueDepth.Set(float64(s.pendingN))
 	mQueueDepthMax.SetMax(float64(s.pendingN))
 
 	var f *batchFlush
@@ -628,7 +624,6 @@ func (s *Server) detachLocked(h uint64, g *group) *batchFlush {
 	i := slices.Index(s.groups, g)
 	s.groups = slices.Delete(s.groups, i, i+1)
 	s.pendingN -= len(g.reqs)
-	mQueueDepth.Set(float64(s.pendingN))
 	f := s.newFlushLocked()
 	f.gs = append(f.gs, g)
 	return f
@@ -644,7 +639,6 @@ func (s *Server) takeLocked() *batchFlush {
 	f.gs, s.groups = s.groups, f.gs
 	clear(s.index)
 	s.pendingN = 0
-	mQueueDepth.Set(0)
 	return f
 }
 
@@ -686,12 +680,10 @@ func (s *Server) runFlush(f *batchFlush) {
 		s.flushStall()
 	}
 	span := obs.StartSpan("serve", "batch-flush")
-	start := s.clock.Now()
 	for n := len(f.gs) - 1; n > 0 && s.cfg.Pool.Help(&f.wg, f.work); n-- {
 	}
 	f.drain()
 	f.wg.Wait()
-	mFlushSeconds.Observe(s.clock.Now().Sub(start).Seconds())
 	span.End()
 	for _, g := range f.gs {
 		g.recycle()
@@ -828,25 +820,25 @@ func (s *Server) Handler() http.Handler {
 // instead of hammering an overloaded or draining instance.
 const RetryAfterSeconds = "1"
 
-// outcomeLabel classifies an error for the responses-by-outcome series.
-func outcomeLabel(err error) string {
+// outcomeOf classifies an error into its responses-by-outcome series.
+func outcomeOf(err error) *obs.Counter {
 	if err == nil {
-		return "ok"
+		return mOutcomeOK
 	}
 	// errors.As makes its target escape, so it is declared only on the
 	// error path — a success must not pay a heap allocation for it.
 	var reqErr *RequestError
 	switch {
 	case errors.As(err, &reqErr):
-		return "bad_request"
+		return mOutcomeBadRequest
 	case errors.Is(err, ErrQueueFull):
-		return "rejected"
+		return mOutcomeRejected
 	case errors.Is(err, ErrDeadline):
-		return "timeout"
+		return mOutcomeTimeout
 	case errors.Is(err, ErrClosed):
-		return "closed"
+		return mOutcomeClosed
 	default:
-		return "model_error"
+		return mOutcomeModelError
 	}
 }
 
@@ -877,7 +869,6 @@ func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspa
 	binaryReq := r.Header.Get("Content-Type") == ContentTypeBinary
 	if binaryReq {
 		wr = binaryWire{}
-		mBinaryRequests.Inc()
 	}
 	ws.tc = obs.TraceContext{}
 	rid, err := RequestID(r.Header)
@@ -929,12 +920,12 @@ func WriteAnswer(w http.ResponseWriter, body []byte, binary bool, rid string) {
 // it, and returns when its encode stage starts. A client fault (a 4xx
 // RequestError) burns no SLO error budget and is left out of both SLIs.
 func (s *Server) finished(start time.Time, err error) time.Time {
-	outcome := outcomeLabel(err)
+	outcome := outcomeOf(err)
 	done := s.clock.Now()
 	secs := done.Sub(start).Seconds()
-	mResponses.With(outcome).Inc()
+	outcome.Inc()
 	mRequestSeconds.Observe(secs)
-	if outcome != "bad_request" {
+	if outcome != mOutcomeBadRequest {
 		s.cfg.SLO.Record(done, secs, err == nil)
 	}
 	return done

@@ -375,7 +375,7 @@ func TestUnsampledWarmPathAllocationFree(t *testing.T) {
 	if err := pred.AttachSurface(surf); err != nil {
 		t.Fatal(err)
 	}
-	slo, err := obs.NewSLOTracker(obs.SLOConfig{LatencyThresholdSeconds: 0.1, Registry: obs.NewRegistry()})
+	slo, err := obs.NewSLOTracker(obs.SLOConfig{LatencyThresholdSeconds: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

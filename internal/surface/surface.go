@@ -177,8 +177,6 @@ func Build(t core.DelayTables, cfg Config) (*Surface, error) {
 		MaxRelError:   maxErr,
 		Checksum:      s.checksum,
 	}
-	mBuilds.Inc()
-	mFills.Add(int64(fills))
 	return s, nil
 }
 
