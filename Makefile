@@ -113,17 +113,23 @@ fuzz:
 #    loop), a 3-replica cluster behind the router, binary bodies through
 #    a 2-replica router, two contentiond child processes as remote
 #    members, the binary wire with the surface fast path, and a traced
-#    2-replica fleet emitting per-stage attribution;
+#    2-replica fleet emitting per-stage attribution on each wire (the
+#    trace header for JSON, the in-band trace block for binary);
 #  - a scenario run recorded to a trace file and replayed from it, every
 #    response verified against the recorded one;
-#  - contentionlb booted on a free port with -max-tries 0 and -probe 0:
-#    one JSON predict through it, SIGINT, and its manifest must record
-#    the values in force (max_tries 3, probe 250ms, suspect_after 4),
-#    not the flags as given, with the .prom sidecar beside it; the
-#    removed -spill and -heartbeat flags must be refused;
-#  - contentiond booted the same way: one predict, SIGINT, and its
-#    manifest must record the defaults in force (window 1ms, max_batch
-#    256), with the .prom sidecar beside it;
+#  - contentionlb booted on a free port with -window 0: one JSON predict
+#    through it, SIGINT, and its manifest must record the window in
+#    force (1ms), not the flag as given, with the .prom sidecar beside
+#    it;
+#  - contentiond booted the same way, with no flags: one predict,
+#    SIGINT, and its manifest must record the default window (1ms), with
+#    the .prom sidecar beside it;
+#  - the removed flags are refused: -spill and -heartbeat, and the
+#    tuning flags that became constants (contentiond's -max-batch,
+#    -max-inflight, -max-queue and -timeout; contentionlb's -max-tries,
+#    -retry-budget, -probe, -suspect-after and -timeout). Each is given
+#    its old default and a missing file to boot from, so the command
+#    exits at once, and only exit status 2 (a flag error) passes;
 #  - the fleet scrape across real processes: contentionlb over two
 #    contentiond children, scraping every 100ms; after one predict,
 #    /debug/fleet?format=json must show both members scraped within 5s;
@@ -149,10 +155,11 @@ smoke:
 	$(GO) run ./cmd/loadgen -remote 2 -exec "$$tmp/contentiond" -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -binary -surface -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -cluster 2 -trace-sample 10 -stages -duration 1s -conc 4 -warmup 100ms > /dev/null && \
+	$(GO) run ./cmd/loadgen -cluster 2 -binary -trace-sample 10 -stages -duration 1s -conc 4 -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -scenario bursty -duration 1s -binary -record "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
 	$(GO) run ./cmd/loadgen -replay "$$tmp/run.ctrc" -warmup 100ms > /dev/null && \
 	$(GO) build -o "$$tmp/contentionlb" ./cmd/contentionlb && \
-	{ "$$tmp/contentionlb" -addr 127.0.0.1:0 -replicas 2 -max-tries 0 -probe 0 -run-report "$$tmp/lb.json" 2> "$$tmp/lb.log" & } && \
+	{ "$$tmp/contentionlb" -addr 127.0.0.1:0 -replicas 2 -window 0 -run-report "$$tmp/lb.json" 2> "$$tmp/lb.log" & } && \
 	lbpid=$$! && \
 	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/lb.log" && break; sleep 0.1; done && \
 	lbaddr=$$(sed -n 's|^contentionlb on http://\([^ ]*\) .*|\1|p' "$$tmp/lb.log") && \
@@ -160,9 +167,7 @@ smoke:
 		-d '{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":0.3,"msg_words":100}]}' \
 		"http://$$lbaddr/v1/predict" > /dev/null && \
 	kill -INT $$lbpid && wait $$lbpid && lbpid= && \
-	grep -q '"max_tries": *"3"' "$$tmp/lb.json" && \
-	grep -q '"probe": *"250ms"' "$$tmp/lb.json" && \
-	grep -q '"suspect_after": *"4"' "$$tmp/lb.json" && \
+	grep -q '"window": *"1ms"' "$$tmp/lb.json" && \
 	test -f "$$tmp/lb.prom" && \
 	{ "$$tmp/contentiond" -addr 127.0.0.1:0 -run-report "$$tmp/d.json" 2> "$$tmp/d.log" & } && \
 	dpid=$$! && \
@@ -173,7 +178,6 @@ smoke:
 		"http://$$daddr/v1/predict" > /dev/null && \
 	kill -INT $$dpid && wait $$dpid && dpid= && \
 	grep -q '"window": *"1ms"' "$$tmp/d.json" && \
-	grep -q '"max_batch": *"256"' "$$tmp/d.json" && \
 	test -f "$$tmp/d.prom" && \
 	{ "$$tmp/contentionlb" -exec "$$tmp/contentiond" -replicas 2 -fleet-scrape 100ms -addr 127.0.0.1:0 2> "$$tmp/f.log" & } && \
 	fpid=$$! && \
@@ -187,6 +191,10 @@ smoke:
 	kill -INT $$fpid && wait $$fpid && fpid= && \
 	! "$$tmp/contentionlb" -spill 1 2>/dev/null && \
 	! "$$tmp/contentionlb" -heartbeat 1s 2>/dev/null && \
+	for f in 'max-batch 256' 'max-inflight 1024' 'max-queue 4096' 'timeout 2s'; do \
+		"$$tmp/contentiond" -cal "$$tmp/none.json" -$$f 2>/dev/null; test $$? -eq 2 || exit 1; done && \
+	for f in 'max-tries 3' 'retry-budget 0.2' 'probe 250ms' 'suspect-after 4' 'timeout 2s'; do \
+		"$$tmp/contentionlb" -members "$$tmp/none.json" -$$f 2>/dev/null; test $$? -eq 2 || exit 1; done && \
 	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
 	$(GO) run ./cmd/experiments -only table3 -run-report "$$tmp/x.json" > /dev/null 2>&1 && \
 	test -f "$$tmp/x.json" && test -f "$$tmp/x.prom" && \

@@ -31,7 +31,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"contention/internal/caltrust"
@@ -46,10 +45,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8123", "listen address (host:port; :0 picks a free port)")
 	calPath := flag.String("cal", "", "calibration artifact (caltrust JSON); built-in synthetic Sun/Paragon tables when empty")
 	window := flag.Duration("window", serve.DefaultWindow, "micro-batch window (0 selects the default; <0 disables batching: each request is evaluated alone as it arrives)")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "flush a batch group early at this many requests")
-	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "admission bound on concurrently served requests")
-	maxQueue := flag.Int("max-queue", serve.DefaultMaxQueue, "admission bound on requests waiting for a slot (0 selects the default)")
-	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 	useSurface := flag.Bool("surface", false, "precompute the slowdown surface at startup and enable the batcher-bypass fast path")
 	surfaceP := flag.Int("surface-max-p", 16, "largest homogeneous contender count covered by -surface")
 	surfaceCells := flag.Int("surface-cells", 512, "comm-fraction grid cells for -surface (power of two)")
@@ -102,17 +97,13 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Pred:        pred,
-		Tracker:     tracker,
-		Pool:        runner.New(0),
-		Window:      *window,
-		MaxBatch:    *maxBatch,
-		MaxInFlight: *maxInFlight,
-		MaxQueue:    *maxQueue,
-		Timeout:     *timeout,
-		FastPath:    *useSurface,
-		Sampler:     run.Sampler(),
-		SLO:         run.SLO(),
+		Pred:     pred,
+		Tracker:  tracker,
+		Pool:     runner.New(0),
+		Window:   *window,
+		FastPath: *useSurface,
+		Sampler:  run.Sampler(),
+		SLO:      run.SLO(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -131,8 +122,8 @@ func main() {
 		os.Exit(1)
 	}
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	// Zero knobs take serve's defaults: report what is in force, not the
-	// flags as given.
+	// A zero -window takes serve's default: report what is in force, not
+	// the flag as given.
 	eff := srv.Config()
 	fmt.Fprintf(os.Stderr, "contentiond on http://%s (calibration %s, trust %s, window %v)\n",
 		ln.Addr(), calSource, tracker.State(), eff.Window)
@@ -151,13 +142,9 @@ func main() {
 
 	run.Report(func() *obs.Manifest {
 		return run.Manifest(map[string]string{
-			"addr":         *addr,
-			"cal":          calSource,
-			"window":       eff.Window.String(),
-			"max_batch":    strconv.Itoa(eff.MaxBatch),
-			"max_inflight": strconv.Itoa(eff.MaxInFlight),
-			"max_queue":    strconv.Itoa(eff.MaxQueue),
-			"timeout":      eff.Timeout.String(),
+			"addr":   *addr,
+			"cal":    calSource,
+			"window": eff.Window.String(),
 		})
 	})
 }

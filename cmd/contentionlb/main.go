@@ -27,12 +27,11 @@
 //
 // With -members the balancer also (or only) fronts remote replicas on
 // other hosts: the file lists addresses and routing weights, is
-// hot-reloaded on SIGHUP and by polling, and the same -probe health
-// loop that watches local replicas moves a member with no successful
-// probe for -suspect-after periods out of the routing set until it
-// answers again. Removing a
-// member from the file drains it gracefully — it takes no new requests,
-// and those in flight finish.
+// hot-reloaded on SIGHUP and by polling, and the same health loop that
+// probes local replicas every 250 ms moves a member with no successful
+// probe for 4 periods out of the routing set until it answers again.
+// Removing a member from the file drains it gracefully — it takes no
+// new requests, and those in flight finish.
 //
 // Usage:
 //
@@ -68,13 +67,8 @@ func main() {
 	calPath := flag.String("cal", "", "calibration artifact served by every in-process replica; built-in synthetic tables when empty")
 	window := flag.Duration("window", serve.DefaultWindow, "per-replica micro-batch window (0 selects the default; <0 disables batching)")
 	hedge := flag.Duration("hedge", 0, "hedged-request delay (0 disables hedging)")
-	maxTries := flag.Int("max-tries", cluster.DefaultMaxTries, "attempt bound per request, first try + failovers (0 selects the default)")
-	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "cluster-wide retry allowance as a fraction of request volume (0 selects the default)")
-	probe := flag.Duration("probe", cluster.DefaultProbeInterval, "health-probe period for every member, local and remote; each probe is bounded by it (0 selects the default)")
 	members := flag.String("members", "", `remote members file ({"members":[{"addr":"host:port","weight":2},...]}); hot-reloaded on SIGHUP and by polling. With no explicit -replicas the local fleet is 0`)
-	suspectAfter := flag.Float64("suspect-after", cluster.DefaultSuspectAfter, "probe intervals without a successful probe before a remote member is suspect (0 selects the default)")
 	reload := flag.Duration("reload", time.Second, "members-file poll interval")
-	timeout := flag.Duration("timeout", serve.DefaultTimeout, "end-to-end request deadline (0 selects the default)")
 	fleetScrape := flag.Duration("fleet-scrape", cluster.DefaultFleetInterval, "member /metrics scrape period for the fleet_* aggregation and /debug/fleet (0 disables)")
 	run := obs.NewCommand("contentionlb")
 	run.ServingFlags()
@@ -128,16 +122,11 @@ func main() {
 	}
 
 	c, err := cluster.New(cluster.Config{
-		Replicas:      *replicas,
-		Factory:       factory,
-		HedgeDelay:    *hedge,
-		MaxTries:      *maxTries,
-		RetryBudget:   *retryBudget,
-		ProbeInterval: *probe,
-		SuspectAfter:  *suspectAfter,
-		Timeout:       *timeout,
-		Sampler:       run.Sampler(),
-		SLO:           run.SLO(),
+		Replicas:   *replicas,
+		Factory:    factory,
+		HedgeDelay: *hedge,
+		Sampler:    run.Sampler(),
+		SLO:        run.SLO(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -208,11 +197,11 @@ func main() {
 		os.Exit(1)
 	}
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	// Zero knobs take the defaults: report what is in force, not the
-	// flags as given.
-	eff, effWindow := c.Config(), serve.Config{Window: *window}.WithDefaults().Window
-	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v, max tries %d, retry budget %g, timeout %v, probe %v, suspect after %g)\n",
-		ln.Addr(), *replicas, backend, effWindow, eff.HedgeDelay, eff.MaxTries, eff.RetryBudget, eff.Timeout, eff.ProbeInterval, eff.SuspectAfter)
+	// A zero -window takes serve's default: report what is in force, not
+	// the flag as given.
+	effWindow := serve.Config{Window: *window}.WithDefaults().Window
+	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v)\n",
+		ln.Addr(), *replicas, backend, effWindow, *hedge)
 
 	obs.ServeUntilSignal(httpSrv, ln, "draining fleet")
 
@@ -231,16 +220,11 @@ func main() {
 
 	run.Report(func() *obs.Manifest {
 		return run.Manifest(map[string]string{
-			"addr":          *addr,
-			"replicas":      strconv.Itoa(*replicas),
-			"backend":       backend,
-			"window":        effWindow.String(),
-			"hedge":         eff.HedgeDelay.String(),
-			"max_tries":     strconv.Itoa(eff.MaxTries),
-			"retry_budget":  fmt.Sprintf("%g", eff.RetryBudget),
-			"timeout":       eff.Timeout.String(),
-			"probe":         eff.ProbeInterval.String(),
-			"suspect_after": fmt.Sprintf("%g", eff.SuspectAfter),
+			"addr":     *addr,
+			"replicas": strconv.Itoa(*replicas),
+			"backend":  backend,
+			"window":   effWindow.String(),
+			"hedge":    hedge.String(),
 		})
 	})
 }

@@ -26,7 +26,7 @@
 //
 // The corpus, the self-served targets, the pacers, the issue loop and
 // record/replay are internal/scenario's; this command keeps the flags,
-// the report and the trace patching.
+// the report and the trace sampling.
 //
 // Usage:
 //
@@ -42,7 +42,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -222,7 +221,8 @@ func main() {
 	}
 	contentType := scenario.ContentType(format)
 
-	bodies, traced := encodeCorpus(scenario.Workload{Mixes: 12}.Draw(rand.New(rand.NewSource(*seed)), 512), format)
+	reqs := scenario.Workload{Mixes: 12}.Draw(rand.New(rand.NewSource(*seed)), 512)
+	bodies := encodeCorpus(reqs, format)
 	if *warmup > 0 {
 		scenario.Drive(scenario.Shape{Workers: *conc, For: *warmup, N: len(bodies), Draw: true}, func(i int) scenario.Outcome {
 			return scenario.Post(client, url, contentType, "", bodies[i])
@@ -235,19 +235,17 @@ func main() {
 	}
 
 	// When sampler fires for a request, a fresh root trace context rides
-	// along — patched into the traced binary body when one exists, the
-	// trace header otherwise.
+	// along — in the binary body's trace block, which serve encodes at
+	// issue time, or in the trace header for JSON.
 	issue := func(i int) scenario.Outcome {
 		body, traceHdr := bodies[i], ""
 		if sampler.Sample() {
 			tc := obs.NewRootContext(true)
-			if traced != nil {
-				// Patch the placeholder ids in the pre-encoded trace block,
-				// which sits at a fixed offset: u32 length prefix, 4-byte
-				// header, then u64 trace id + u64 span id.
-				body = append([]byte(nil), traced[i]...)
-				binary.LittleEndian.PutUint64(body[8:], tc.TraceID)
-				binary.LittleEndian.PutUint64(body[16:], tc.SpanID)
+			if format == scenario.FormatBinary {
+				var err error
+				if body, err = serve.AppendBinaryRequestTraced(nil, reqs[i], tc); err != nil {
+					panic(err) // corpus requests are valid by construction
+				}
 			} else {
 				traceHdr = tc.String()
 			}
@@ -461,28 +459,17 @@ func selfServeRemote(n int, bin, membersPath string, window time.Duration) (tg *
 }
 
 // encodeCorpus renders the uniform-traffic requests in the run's wire
-// format. For the binary format a second, traced encoding of each body
-// is also returned: identical payload plus an in-band trace block
-// holding placeholder ids, which a sampled request patches (the block
-// sits at fixed offsets right after the 4-byte header). traced is nil
-// for JSON — sampled JSON requests carry the trace header instead.
-func encodeCorpus(reqs []*serve.Request, format string) (bodies, traced [][]byte) {
-	bodies = make([][]byte, len(reqs))
-	if format == scenario.FormatBinary {
-		traced = make([][]byte, len(reqs))
-	}
-	placeholder := obs.TraceContext{TraceID: 1, Sampled: true}
+// format, untraced: a sampled request is encoded afresh at issue time.
+func encodeCorpus(reqs []*serve.Request, format string) [][]byte {
+	bodies := make([][]byte, len(reqs))
 	for i, req := range reqs {
 		b, err := scenario.EncodeItem(scenario.Item{Req: req}, format)
-		if err == nil && traced != nil {
-			traced[i], err = serve.AppendBinaryRequestTraced(nil, req, placeholder)
-		}
 		if err != nil {
 			panic(err) // corpus requests are valid by construction
 		}
 		bodies[i] = b
 	}
-	return bodies, traced
+	return bodies
 }
 
 // stageMetrics digests the serve_stage_seconds histograms into

@@ -43,11 +43,10 @@ func (rewindBody) Close() error { return nil }
 // goroutine. A per-try context (+4) or an HTTP round
 // trip back on the hop (+60 or so) trips it.
 func TestRouterHopAllocations(t *testing.T) {
-	c, err := New(Config{
-		Replicas:      2,
-		Factory:       InProcessFactory(InProcConfig{}),
-		ProbeInterval: time.Hour,
-	})
+	c, err := newCluster(Config{
+		Replicas: 2,
+		Factory:  InProcessFactory(InProcConfig{}),
+	}, tunedWith(func(tun *tuning) { tun.probe = time.Hour }))
 	if err != nil {
 		t.Fatal(err)
 	}

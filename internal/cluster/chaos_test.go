@@ -68,14 +68,12 @@ func TestChaosGate(t *testing.T) {
 	tun := defaultTuning()
 	tun.perTry = 400 * time.Millisecond
 	tun.maxInFlight, tun.maxQueue = 64, 256
+	tun.maxTries, tun.retryBudget = 4, 1.0
+	tun.timeout, tun.probe = 3*time.Second, 30*time.Millisecond
 	c, err := newCluster(Config{
-		Replicas:      spec.Replicas,
-		Factory:       stallableFactory(InProcConfig{Window: 500 * time.Microsecond}),
-		MaxTries:      4,
-		RetryBudget:   1.0,
-		HedgeDelay:    30 * time.Millisecond,
-		Timeout:       3 * time.Second,
-		ProbeInterval: 30 * time.Millisecond,
+		Replicas:   spec.Replicas,
+		Factory:    stallableFactory(InProcConfig{Window: 500 * time.Microsecond}),
+		HedgeDelay: 30 * time.Millisecond,
 	}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -43,14 +43,6 @@ import (
 // replica can take a request.
 var ErrNoReplica = errors.New("cluster: no replica available")
 
-// Defaults applied by New for zero Config fields.
-const (
-	DefaultMaxTries      = 3
-	DefaultRetryBudget   = 0.2
-	DefaultProbeInterval = 250 * time.Millisecond
-	DefaultSuspectAfter  = 4.0
-)
-
 // retryTokenCap bounds banked retry credit (milli-tokens): bursts of
 // failures may spend at most this many stored retries before new
 // traffic must earn more.
@@ -63,30 +55,10 @@ type Config struct {
 	// Factory builds each replica incarnation. Required.
 	Factory Factory
 
-	// MaxTries bounds attempts per request (first try + failovers).
-	MaxTries int
-	// RetryBudget is the cluster-wide retry allowance as a fraction of
-	// routed requests (token bucket): retries beyond it are shed so a
-	// sick fleet is not finished off by its own retry storm.
-	RetryBudget float64
 	// HedgeDelay, when positive, launches a hedged second request to the
 	// next member if the lead has not answered within it (p99
 	// protection); first answer wins.
 	HedgeDelay time.Duration
-	// Timeout bounds the request; each attempt is also bounded by the
-	// 500 ms per-try timeout.
-	Timeout time.Duration
-	// ProbeInterval is the health loop's period: each period every up
-	// or suspect member gets one /healthz probe, and a probe may take at
-	// most one period.
-	ProbeInterval time.Duration
-	// SuspectAfter is the suspicion deadline in probe intervals: a
-	// remote member whose last successful probe is more than
-	// SuspectAfter × ProbeInterval old leaves the routing set until a
-	// probe succeeds again. Zero selects DefaultSuspectAfter; explicit
-	// values below 1 are a validation error (they would suspect members
-	// faster than one probe interval).
-	SuspectAfter float64
 	// Sampler is the head-sampling knob for request tracing: requests
 	// arriving without a trace header consult it once, and the verdict
 	// rides each forwarded record's trace block to the replicas. Nil never
@@ -95,25 +67,6 @@ type Config struct {
 	// SLO, when set, receives every front-door request outcome for
 	// burn-rate tracking (client faults excluded).
 	SLO *obs.SLOTracker
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.MaxTries <= 0 {
-		cfg.MaxTries = DefaultMaxTries
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = DefaultRetryBudget
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = serve.DefaultTimeout
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = DefaultSuspectAfter
-	}
-	return cfg
 }
 
 // Supervision: a crashed replica is respawned after
@@ -134,12 +87,26 @@ const (
 // New runs with defaultTuning; the package's tests pass others to
 // newCluster.
 type tuning struct {
-	// perTry bounds each attempt, Config.Timeout the request. It times
-	// the attempt's wait on the clock and the deadlines of the frame
+	// maxTries bounds attempts per request (first try + failovers).
+	maxTries int
+	// retryBudget is the cluster-wide retry allowance as a fraction of
+	// routed requests (token bucket): retries beyond it are shed so a
+	// sick fleet is not finished off by its own retry storm.
+	retryBudget float64
+	// timeout bounds the request, perTry each attempt. perTry times the
+	// attempt's wait on the clock and the deadlines of the frame
 	// connection it is written on, a real one: tests with members that
 	// hang on that connection shorten it.
-	perTry time.Duration
-	// Front-door admission bounds (same semantics as serve.Config).
+	timeout, perTry time.Duration
+	// probe is the health loop's period: each period every up or
+	// suspect member gets one /healthz probe, and a probe may take at
+	// most one period.
+	probe time.Duration
+	// suspectAfter is the suspicion deadline in probe periods: a remote
+	// member whose last successful probe is more than suspectAfter ×
+	// probe old leaves the routing set until a probe succeeds again.
+	suspectAfter float64
+	// Front-door admission bounds (same semantics as serve's).
 	maxInFlight, maxQueue int
 	// breaker is every member's circuit-breaker tuning.
 	breaker breakerTuning
@@ -151,21 +118,17 @@ type tuning struct {
 // defaultTuning is the tuning every command runs with.
 func defaultTuning() tuning {
 	return tuning{
-		perTry:      500 * time.Millisecond,
-		maxInFlight: serve.DefaultMaxInFlight,
-		maxQueue:    serve.DefaultMaxQueue,
-		breaker:     breakerTuning{minVolume: 10, tripRate: 0.5},
-		clock:       obs.WallClock(),
+		maxTries:     3,
+		retryBudget:  0.2,
+		timeout:      serve.DefaultTimeout,
+		perTry:       500 * time.Millisecond,
+		probe:        250 * time.Millisecond,
+		suspectAfter: 4,
+		maxInFlight:  serve.DefaultMaxInFlight,
+		maxQueue:     serve.DefaultMaxQueue,
+		breaker:      breakerTuning{minVolume: 10, tripRate: 0.5},
+		clock:        obs.WallClock(),
 	}
-}
-
-// validate rejects default-filled configurations that could not work.
-func (cfg Config) validate() error {
-	if cfg.SuspectAfter < 1 {
-		return fmt.Errorf("cluster: SuspectAfter %g would suspect members faster than one probe interval (want >= 1)",
-			cfg.SuspectAfter)
-	}
-	return nil
 }
 
 // memberState is one member's supervision state.
@@ -358,7 +321,7 @@ type Cluster struct {
 	bg       sync.WaitGroup // background hedge attempts
 }
 
-// New builds an unstarted cluster, applying defaults for zero fields.
+// New builds an unstarted cluster.
 // Replicas == 0 is a remote-only cluster: no local fleet is spawned and
 // members arrive via AddRemote / the membership manager.
 func New(cfg Config) (*Cluster, error) { return newCluster(cfg, defaultTuning()) }
@@ -370,10 +333,6 @@ func newCluster(cfg Config, tun tuning) (*Cluster, error) {
 	}
 	if cfg.Replicas > 0 && cfg.Factory == nil {
 		return nil, errors.New("cluster: Config.Factory is required for local replicas")
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
 	}
 	// No replica compresses a response, so the transport does not offer
 	// gzip: every replica would parse an Accept-Encoding it never uses.
@@ -417,9 +376,6 @@ func (c *Cluster) memberByID(id int) *member {
 	}
 	return c.members[id]
 }
-
-// Config returns the effective (default-filled) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Start spawns every replica and begins supervision. An initial spawn
 // failure tears down what started and errors out — a cluster that
@@ -520,7 +476,7 @@ func (c *Cluster) ReweightMember(id int, weight float64) error {
 	return nil
 }
 
-// healthLoop watches every member. Each ProbeInterval every up or
+// healthLoop watches every member. Each probe period every up or
 // suspect member gets one /healthz probe on its own goroutine, so a hung
 // member delays no other member's probe; a member whose last probe is
 // still in flight is skipped. Remote members are first checked against
@@ -529,10 +485,10 @@ func (c *Cluster) ReweightMember(id int, weight float64) error {
 // death.
 func (c *Cluster) healthLoop() {
 	defer c.wg.Done()
-	c.every(c.cfg.ProbeInterval, c.stop, func() {
+	c.every(c.tun.probe, c.stop, func() {
 		now := c.tun.clock.Now()
 		for _, m := range c.memberList() {
-			if m.markSuspect(now, c.cfg.ProbeInterval, c.cfg.SuspectAfter) {
+			if m.markSuspect(now, c.tun.probe, c.tun.suspectAfter) {
 				c.resync()
 			}
 			addr := m.probeAddr()
@@ -585,7 +541,7 @@ func (c *Cluster) probeMember(m *member, addr string) {
 	// The probe may take one interval. Its timer is stopped after the
 	// member is free for the next round, so the end of the probe is an
 	// event on the clock.
-	ctx, release := c.bounded(context.Background(), c.cfg.ProbeInterval)
+	ctx, release := c.bounded(context.Background(), c.tun.probe)
 	defer release()
 	defer m.probing.Store(false)
 	allowed := m.breaker.Allow(c.tun.clock.Now())
@@ -829,7 +785,7 @@ func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
 	}
 	last := tryResult{err: ErrNoReplica}
 	tries := 0
-	for k := 0; k < len(set) && tries < c.cfg.MaxTries; k++ {
+	for k := 0; k < len(set) && tries < c.tun.maxTries; k++ {
 		i := (first + k) % len(set)
 		m := set[i]
 		if m.getWeight() <= 0 || !m.up() {
@@ -1002,7 +958,7 @@ func (c *Cluster) hedged(ctx context.Context, set []*member, at int, meta *reqMe
 
 // grantRetryCredit adds one request's worth of retry budget.
 func (c *Cluster) grantRetryCredit() {
-	add := int64(c.cfg.RetryBudget * 1000)
+	add := int64(c.tun.retryBudget * 1000)
 	if add <= 0 {
 		return
 	}
@@ -1144,7 +1100,7 @@ func (c *Cluster) Members() []MemberStatus {
 		if m.state != stateUp && m.state != stateSuspect {
 			out[i].Addr = ""
 		} else if m.remote {
-			out[i].Suspicion = silence(m.lastOK, now, c.cfg.ProbeInterval)
+			out[i].Suspicion = silence(m.lastOK, now, c.tun.probe)
 		}
 		m.mu.Unlock()
 	}
@@ -1219,7 +1175,7 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// One deadline for the whole request, carried in meta; its timer is
 	// armed for admission only when a slot is not free at once. (The
 	// client's context bounds the request too, through ctx.)
-	meta.deadline = decodeDone.Add(c.cfg.Timeout)
+	meta.deadline = decodeDone.Add(c.tun.timeout)
 	if err := c.admit(r.Context(), meta.deadline, &hb.timer); err != nil {
 		done := c.tun.clock.Now()
 		c.cfg.SLO.Record(done, done.Sub(start).Seconds(), false)

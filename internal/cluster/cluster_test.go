@@ -185,6 +185,13 @@ type testConfig struct {
 	tuning
 }
 
+// tunedWith is defaultTuning as set changes it.
+func tunedWith(set func(*tuning)) tuning {
+	tun := defaultTuning()
+	set(&tun)
+	return tun
+}
+
 // breakerWith is a default-tuned breaker that may trip at minVolume
 // outcomes.
 func breakerWith(minVolume int) *Breaker {
@@ -200,14 +207,12 @@ func newTestCluster(t *testing.T, replicas int, mutate func(*testConfig)) (*Clus
 	fl := newFakeFleet()
 	cfg := testConfig{
 		Config: Config{
-			Replicas:      replicas,
-			Factory:       fl.factory,
-			Timeout:       5 * time.Second,
-			ProbeInterval: 25 * time.Millisecond,
+			Replicas: replicas,
+			Factory:  fl.factory,
 		},
 		tuning: defaultTuning(),
 	}
-	cfg.perTry = time.Second
+	cfg.timeout, cfg.perTry, cfg.probe = 5*time.Second, time.Second, 25*time.Millisecond
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -404,17 +409,17 @@ func TestRingEdgeCases(t *testing.T) {
 
 // TestRingSequence: a predict walks the routing set as a ring — the
 // lead, then the members after it in id order, wrapping — each member
-// at most once, stopping after MaxTries tries or one lap, whichever
+// at most once, stopping after maxTries tries or one lap, whichever
 // comes first.
 func TestRingSequence(t *testing.T) {
 	for _, tc := range []struct {
 		replicas, maxTries, want int
 	}{
-		{4, 3, 3},  // MaxTries ends the walk
+		{4, 3, 3},  // maxTries ends the walk
 		{3, 10, 3}, // one lap ends it
 	} {
 		c, fl, front := newTestCluster(t, tc.replicas, func(cfg *testConfig) {
-			cfg.MaxTries = tc.maxTries
+			cfg.maxTries = tc.maxTries
 			cfg.breaker.minVolume = 100
 		})
 		for id := 0; id < tc.replicas; id++ {
@@ -422,7 +427,7 @@ func TestRingSequence(t *testing.T) {
 		}
 		first := nextLead(c)
 		if code, _ := postPredict(t, front, predictBody(0)); code != http.StatusInternalServerError {
-			t.Fatalf("%d replicas, MaxTries %d: predict with every member failing = %d, want the last 500",
+			t.Fatalf("%d replicas, maxTries %d: predict with every member failing = %d, want the last 500",
 				tc.replicas, tc.maxTries, code)
 		}
 		for k := 0; k < tc.replicas; k++ {
@@ -432,7 +437,7 @@ func TestRingSequence(t *testing.T) {
 				want = 1
 			}
 			if got := fl.current(id).hits.Load(); got != want {
-				t.Errorf("%d replicas, MaxTries %d, lead %d: member %d (%d after the lead) served %d tries, want %d",
+				t.Errorf("%d replicas, maxTries %d, lead %d: member %d (%d after the lead) served %d tries, want %d",
 					tc.replicas, tc.maxTries, first, id, k, got, want)
 			}
 		}
@@ -574,11 +579,11 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 			}
 			return fl.factory(id, gen)
 		},
-		ProbeInterval: time.Hour, // no health round while the backoffs run
 	}
 	clk := newFakeClock()
 	tun := defaultTuning()
 	tun.clock = clk
+	tun.probe = time.Hour // no health round while the backoffs run
 	c, err := newCluster(cfg, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -655,7 +660,7 @@ func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
 // breakers and evict healthy replicas.
 func TestClusterClientGoneForgiven(t *testing.T) {
 	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
-		cfg.ProbeInterval = time.Hour // only request outcomes feed the breaker
+		cfg.probe = time.Hour // only request outcomes feed the breaker
 		cfg.breaker.minVolume, cfg.breaker.tripRate = 2, 0.01
 	})
 	fl.current(0).stallMS.Store(200)
@@ -737,11 +742,10 @@ func TestClusterDrainMember(t *testing.T) {
 func TestClusterShutdown(t *testing.T) {
 	fl := newFakeFleet()
 	tun := defaultTuning()
-	tun.perTry = time.Second
+	tun.perTry, tun.probe = time.Second, 25*time.Millisecond
 	c, err := newCluster(Config{
-		Replicas:      2,
-		Factory:       fl.factory,
-		ProbeInterval: 25 * time.Millisecond,
+		Replicas: 2,
+		Factory:  fl.factory,
 	}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -832,7 +836,7 @@ func TestHungMemberDelaysNoOtherProbe(t *testing.T) {
 	const n = 40
 	clk.waitArmed(func(*fakeTimer) bool { return true }) // the health loop is waiting
 	for k := 1; k <= n; k++ {
-		clk.advance(c.Config().ProbeInterval)
+		clk.advance(c.tun.probe)
 		// Round k is over for the healthy member once the loop has
 		// re-armed and the member's probe has ended.
 		clk.waitArmed(func(t *fakeTimer) bool {
@@ -912,7 +916,8 @@ func TestClusterObserveBroadcast(t *testing.T) {
 // and error envelope, not as a 503 telling the client to retry a
 // request that can never succeed. A valid one still reaches them all.
 func TestClusterObserveRefusalPassesThrough(t *testing.T) {
-	c, err := New(Config{Replicas: 2, Factory: InProcessFactory(InProcConfig{}), ProbeInterval: time.Hour})
+	c, err := newCluster(Config{Replicas: 2, Factory: InProcessFactory(InProcConfig{})},
+		tunedWith(func(tun *tuning) { tun.probe = time.Hour }))
 	if err != nil {
 		t.Fatal(err)
 	}

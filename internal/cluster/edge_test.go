@@ -49,7 +49,8 @@ func TestEdgeParity(t *testing.T) {
 		srv.Close()
 	})
 
-	c, err := New(Config{Replicas: 1, Factory: InProcessFactory(InProcConfig{}), ProbeInterval: time.Hour})
+	c, err := newCluster(Config{Replicas: 1, Factory: InProcessFactory(InProcConfig{})},
+		tunedWith(func(tun *tuning) { tun.probe = time.Hour }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func (rm *recordingMember) last(t *testing.T) hopRecord {
 // daemon at addr, with health probes out of the way.
 func newRemoteOnlyCluster(t *testing.T, addr string, timeout time.Duration) *httptest.Server {
 	t.Helper()
-	c, err := New(Config{Timeout: timeout, ProbeInterval: time.Hour})
+	c, err := newCluster(Config{}, tunedWith(func(tun *tuning) { tun.timeout, tun.probe = timeout, time.Hour }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +239,16 @@ func TestReadLimitedMatchesReadAll(t *testing.T) {
 // did nothing wrong.
 func TestClassifyRequestDeadlineForgiven(t *testing.T) {
 	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
-		cfg.Timeout = 100 * time.Millisecond
+		cfg.timeout = 100 * time.Millisecond
 		cfg.perTry = 2 * time.Second
-		cfg.ProbeInterval = time.Hour // only request outcomes feed the breaker
+		cfg.probe = time.Hour // only request outcomes feed the breaker
 		cfg.breaker.minVolume, cfg.breaker.tripRate = 1, 0.01
 	})
 	fl.current(0).stallMS.Store(500)
 	start := time.Now()
 	code, out := postPredict(t, front, predictBody(1))
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("stall past Timeout: status %d (%v), want 504", code, out)
+		t.Fatalf("stall past timeout: status %d (%v), want 504", code, out)
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("504 took %v, want about Timeout", el)
@@ -263,9 +263,9 @@ func TestClassifyRequestDeadlineForgiven(t *testing.T) {
 // failure on its breaker — and the other replica answers the retry.
 func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 	c, fl, front := newTestCluster(t, 2, func(cfg *testConfig) {
-		cfg.Timeout = 5 * time.Second
+		cfg.timeout = 5 * time.Second
 		cfg.perTry = 100 * time.Millisecond
-		cfg.ProbeInterval = time.Hour
+		cfg.probe = time.Hour
 		cfg.breaker.minVolume = 100
 	})
 	body := predictBody(3)
@@ -297,7 +297,7 @@ func TestHedgeLoserCancelledByHandlerReturn(t *testing.T) {
 	c, fl, _ := newTestCluster(t, 2, func(cfg *testConfig) {
 		cfg.HedgeDelay = 20 * time.Millisecond
 		cfg.perTry = 10 * time.Second
-		cfg.Timeout = 20 * time.Second
+		cfg.timeout = 20 * time.Second
 	})
 	h := c.Handler()
 	serveOnce := func() int {

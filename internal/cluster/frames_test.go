@@ -54,12 +54,10 @@ func TestKillSeversFrames(t *testing.T) {
 // answers.
 func TestKillMidRequestFailsOver(t *testing.T) {
 	tun := defaultTuning()
-	tun.perTry = 10 * time.Second
+	tun.timeout, tun.perTry, tun.probe = 20*time.Second, 10*time.Second, time.Hour
 	c, err := newCluster(Config{
-		Replicas:      2,
-		Factory:       InProcessFactory(InProcConfig{Window: 300 * time.Millisecond}),
-		Timeout:       20 * time.Second,
-		ProbeInterval: time.Hour,
+		Replicas: 2,
+		Factory:  InProcessFactory(InProcConfig{Window: 300 * time.Millisecond}),
 	}, tun)
 	if err != nil {
 		t.Fatal(err)
@@ -152,12 +150,10 @@ func TestSubMillisecondBudgetReachesReplica(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	t.Cleanup(func() { obs.SetEnabled(prev) })
-	c, err := New(Config{
-		Replicas:      1,
-		Factory:       InProcessFactory(InProcConfig{Window: time.Hour}),
-		Timeout:       500 * time.Microsecond,
-		ProbeInterval: time.Hour,
-	})
+	c, err := newCluster(Config{
+		Replicas: 1,
+		Factory:  InProcessFactory(InProcConfig{Window: time.Hour}),
+	}, tunedWith(func(tun *tuning) { tun.timeout, tun.probe = 500*time.Microsecond, time.Hour }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +273,7 @@ func TestFrameWriteHonoursTryDeadline(t *testing.T) {
 // and the member's breaker records no failure.
 func TestSpentTryKeepsConnection(t *testing.T) {
 	c, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
-		cfg.ProbeInterval = time.Hour
+		cfg.probe = time.Hour
 		cfg.breaker.minVolume = 100
 	})
 	if code, _ := postPredict(t, front, predictBody(0)); code != http.StatusOK {

@@ -37,11 +37,6 @@ func TestParseMembers(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	fl := newFakeFleet()
-	defer fl.closeAll()
-	if _, err := New(Config{Replicas: 1, Factory: fl.factory, SuspectAfter: 0.5}); err == nil {
-		t.Error("SuspectAfter < 1 accepted")
-	}
 	if _, err := New(Config{Replicas: 1}); err == nil {
 		t.Error("local replicas without a Factory accepted")
 	}
@@ -49,12 +44,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("negative Replicas accepted")
 	}
 	// Remote-only: no Factory needed.
-	c, err := New(Config{})
-	if err != nil {
+	if _, err := New(Config{}); err != nil {
 		t.Fatalf("remote-only New: %v", err)
-	}
-	if c.Config().SuspectAfter != DefaultSuspectAfter {
-		t.Errorf("SuspectAfter default %g, want %g", c.Config().SuspectAfter, DefaultSuspectAfter)
 	}
 }
 
@@ -103,14 +94,8 @@ func stringsHasSuffix(s, suf string) bool {
 // newRemoteCluster starts a remote-only cluster (no local fleet).
 func newRemoteCluster(t *testing.T, mutate func(*testConfig)) (*Cluster, *httptest.Server) {
 	t.Helper()
-	cfg := testConfig{
-		Config: Config{
-			Timeout:       5 * time.Second,
-			ProbeInterval: 10 * time.Millisecond,
-		},
-		tuning: defaultTuning(),
-	}
-	cfg.perTry = time.Second
+	cfg := testConfig{tuning: defaultTuning()}
+	cfg.timeout, cfg.perTry, cfg.probe = 5*time.Second, time.Second, 10*time.Millisecond
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -161,7 +146,7 @@ func TestAddRemoteRoutesAndRejectsDuplicates(t *testing.T) {
 
 // TestRemoteSuspectAndRejoin walks the probe deadline on virtual time: a
 // member whose probes fail is suspect at the first round that finds its
-// silence past SuspectAfter intervals, and the first probe that succeeds
+// silence past suspectAfter intervals, and the first probe that succeeds
 // again readmits it.
 func TestRemoteSuspectAndRejoin(t *testing.T) {
 	rf := newRemoteFleet(t, 2)
@@ -175,7 +160,7 @@ func TestRemoteSuspectAndRejoin(t *testing.T) {
 	if got := c.UpCount(); got != 2 {
 		t.Fatalf("UpCount = %d after joining both remotes, want 2", got)
 	}
-	interval := c.Config().ProbeInterval
+	interval, after := c.tun.probe, c.tun.suspectAfter
 	rounds := 0
 	clk.waitArmed(func(*fakeTimer) bool { return true }) // the health loop is waiting
 	round := func() {
@@ -189,14 +174,14 @@ func TestRemoteSuspectAndRejoin(t *testing.T) {
 		})
 	}
 
-	// Fail member 0's probes: once its silence passes SuspectAfter
+	// Fail member 0's probes: once its silence passes suspectAfter
 	// intervals it must be suspect and out of the routing set.
 	rf.reps[0].hfail.Store(true)
-	for rounds < int(DefaultSuspectAfter) {
+	for rounds < int(after) {
 		round()
 		if ms := c.Members(); ms[0].State != "up" || c.UpCount() != 2 {
 			t.Fatalf("round %d: member 0 %s, UpCount %d: suspect within %g intervals of silence",
-				rounds, ms[0].State, c.UpCount(), DefaultSuspectAfter)
+				rounds, ms[0].State, c.UpCount(), after)
 		}
 	}
 	round()
@@ -222,7 +207,7 @@ func TestMembershipReloadUnderLoad(t *testing.T) {
 	// Detection is off-topic here: the test asserts zero failed
 	// requests across reloads, and a scheduling hiccup on a loaded CI
 	// box must not fake a suspect (empty-set 503s).
-	c, front := newRemoteCluster(t, func(cfg *testConfig) { cfg.SuspectAfter = 1e9 })
+	c, front := newRemoteCluster(t, func(cfg *testConfig) { cfg.suspectAfter = 1e9 })
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "members.json")

@@ -85,14 +85,9 @@ func TestRemoteChaosGate(t *testing.T) {
 	tun := defaultTuning()
 	tun.perTry = 400 * time.Millisecond
 	tun.maxInFlight, tun.maxQueue = 64, 256
-	c, err := newCluster(Config{
-		MaxTries:      4,
-		RetryBudget:   1.0,
-		HedgeDelay:    40 * time.Millisecond,
-		Timeout:       3 * time.Second,
-		ProbeInterval: 25 * time.Millisecond,
-		SuspectAfter:  4,
-	}, tun)
+	tun.maxTries, tun.retryBudget = 4, 1.0
+	tun.timeout, tun.probe, tun.suspectAfter = 3*time.Second, 25*time.Millisecond, 4
+	c, err := newCluster(Config{HedgeDelay: 40 * time.Millisecond}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 // TestSuspect drives the suspicion rule through a member the way the
 // health loop does: before each probe the member is checked against its
 // deadline, and a successful probe resets it. Probe interval 100 ms,
-// SuspectAfter 4: a remote member silent for more than 400 ms since its
+// suspectAfter 4: a remote member silent for more than 400 ms since its
 // last success, or since it joined, is suspect.
 func TestSuspect(t *testing.T) {
 	const interval, after = 100 * time.Millisecond, 4.0

@@ -219,7 +219,7 @@ func TestLBRequestIDForwardingAndEcho(t *testing.T) {
 	// id itself — so the envelope cases below use lb-originated errors.
 	_, fl, front := newTestCluster(t, 1, func(cfg *testConfig) {
 		cfg.perTry = 100 * time.Millisecond
-		cfg.Timeout = 300 * time.Millisecond
+		cfg.timeout = 300 * time.Millisecond
 	})
 
 	do := func(rid string) *http.Response {

@@ -13,7 +13,7 @@ import (
 // TestBuildManifestFromRun is the end-to-end telemetry check: a full
 // suite run with recording on must produce a manifest whose summary
 // sections are nonzero and internally consistent — prediction tallies,
-// pool utilization from a parallel pool, one driver report per suite
+// the tasks of a parallel pool, one driver report per suite
 // driver — and the manifest must survive a write/read round trip.
 func TestBuildManifestFromRun(t *testing.T) {
 	obs.SetEnabled(true)
@@ -35,14 +35,8 @@ func TestBuildManifestFromRun(t *testing.T) {
 	if m.Pool == nil || m.Pool.Workers != 2 {
 		t.Fatalf("pool workers = %+v, want 2", m.Pool)
 	}
-	if m.Pool.Tasks == 0 || m.Pool.Tasks != m.Pool.Inline+m.Pool.Async {
-		t.Fatalf("pool task split inconsistent: %+v", m.Pool)
-	}
-	if m.Pool.Async < 1 || m.Pool.Utilization <= 0 || m.Pool.Utilization > 1 {
-		t.Fatalf("2-worker pool recorded no async work: %+v", m.Pool)
-	}
-	if m.Pool.Utilization != float64(m.Pool.Async)/float64(m.Pool.Tasks) {
-		t.Fatalf("utilization %v ≠ async/tasks (%d/%d)", m.Pool.Utilization, m.Pool.Async, m.Pool.Tasks)
+	if m.Pool.Tasks == 0 || m.Pool.MaxInFlight < 1 {
+		t.Fatalf("2-worker pool recorded no tasks: %+v", m.Pool)
 	}
 
 	// Every core driver must have a span-derived wall-time report.
@@ -94,5 +88,31 @@ func TestBuildManifestFromRun(t *testing.T) {
 	}
 	if back.Pool.Tasks != m.Pool.Tasks || back.Predictions.Comm != m.Predictions.Comm {
 		t.Fatalf("round trip changed the manifest: %+v vs %+v", back.Pool, m.Pool)
+	}
+}
+
+// TestPoolTasksRepeat: two identical passes of a driver on a parallel
+// pool report the same pool tasks. The count is the work the pass fans
+// out, not which goroutine claimed it, so scheduling cannot move it.
+func TestPoolTasksRepeat(t *testing.T) {
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
+
+	var exps []Experiment
+	for _, x := range Experiments {
+		if x.ID == "table3" {
+			exps = append(exps, x)
+		}
+	}
+	e := env(t).WithPool(runner.New(2))
+	tasks := func() int64 {
+		before := obs.Default().Snapshot().Counter(obs.MetricPoolTasks)
+		if _, err := Run(e, exps...); err != nil {
+			t.Fatal(err)
+		}
+		return obs.Default().Snapshot().Counter(obs.MetricPoolTasks) - before
+	}
+	if first, second := tasks(), tasks(); first == 0 || first != second {
+		t.Fatalf("pool tasks %d then %d over identical table3 passes, want equal and nonzero", first, second)
 	}
 }

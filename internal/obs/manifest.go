@@ -37,13 +37,7 @@ type DriverReport struct {
 type PoolReport struct {
 	Workers     int   `json:"workers"`
 	Tasks       int64 `json:"tasks"`
-	Inline      int64 `json:"inline"`
-	Async       int64 `json:"async"`
 	MaxInFlight int64 `json:"max_in_flight"`
-	// Utilization is the fraction of tasks that ran on a helper
-	// goroutine holding a pool token (the rest ran inline on the
-	// goroutine that called Map).
-	Utilization float64 `json:"utilization"`
 }
 
 // PredictionReport tallies predictor activity.
@@ -148,16 +142,9 @@ func NewManifest(command string) *Manifest {
 func (m *Manifest) FillFromSnapshot(s Snapshot) {
 	m.Metrics = s.Metrics
 
-	tasks := s.Counter(MetricPoolTasks)
-	async := s.Counter(MetricPoolAsync)
 	pool := &PoolReport{
-		Tasks:       tasks,
-		Inline:      s.Counter(MetricPoolInline),
-		Async:       async,
+		Tasks:       s.Counter(MetricPoolTasks),
 		MaxInFlight: int64(s.Gauge(MetricPoolMaxInFlight)),
-	}
-	if tasks > 0 {
-		pool.Utilization = float64(async) / float64(tasks)
 	}
 	if m.Pool != nil {
 		pool.Workers = m.Pool.Workers

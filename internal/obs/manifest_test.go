@@ -54,8 +54,6 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	withTelemetry(t)
 	r := NewRegistry()
 	r.Counter(MetricPoolTasks, "").Add(10)
-	r.Counter(MetricPoolAsync, "").Add(6)
-	r.Counter(MetricPoolInline, "").Add(4)
 	r.Gauge(MetricPoolMaxInFlight, "").SetMax(3)
 	r.Counter(MetricPredictComm, "").Add(10)
 	r.Counter(MetricPredictDegraded, "").Add(1)
@@ -67,11 +65,8 @@ func TestManifestFillDerivesSummaries(t *testing.T) {
 	m.Pool = &PoolReport{Workers: 2}
 	m.FillFromSnapshot(r.Snapshot())
 
-	if m.Pool.Tasks != 10 || m.Pool.Async != 6 || m.Pool.Inline != 4 || m.Pool.Workers != 2 {
+	if m.Pool.Tasks != 10 || m.Pool.Workers != 2 {
 		t.Fatalf("pool = %+v", m.Pool)
-	}
-	if m.Pool.Utilization != 0.6 {
-		t.Fatalf("utilization = %v, want 0.6", m.Pool.Utilization)
 	}
 	if m.Pool.MaxInFlight != 3 {
 		t.Fatalf("max in flight = %d", m.Pool.MaxInFlight)

@@ -30,8 +30,6 @@ const (
 
 	// internal/runner — the shared worker pool.
 	MetricPoolTasks       = "runner_tasks_total"
-	MetricPoolInline      = "runner_tasks_inline_total"
-	MetricPoolAsync       = "runner_tasks_async_total"
 	MetricPoolMaxInFlight = "runner_tasks_in_flight_max"
 
 	// internal/caltrust — the calibration trust layer.

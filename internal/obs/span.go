@@ -91,11 +91,10 @@ func (t *Tracer) StartCtx(actor, name string, tc TraceContext) (*Span, TraceCont
 	return s, TraceContext{TraceID: tc.TraceID, SpanID: id, Sampled: true}
 }
 
-// End closes the span and returns its duration in clock seconds
-// (0 on a nil span).
-func (s *Span) End() float64 {
+// End closes the span and records it (nothing on a nil span).
+func (s *Span) End() {
 	if s == nil {
-		return 0
+		return
 	}
 	end := s.t.now()
 	if end < s.start {
@@ -110,7 +109,6 @@ func (s *Span) End() float64 {
 		}
 	}
 	s.t.append(rec)
-	return rec.Duration()
 }
 
 // RecordSpan appends an already-measured interval as a child span of

@@ -42,10 +42,7 @@ func TestTracerVirtualTime(t *testing.T) {
 func TestTracerWallClockMonotone(t *testing.T) {
 	withTelemetry(t)
 	tr := NewTracer(WallClock(), 0)
-	sp := tr.Start("a", "x")
-	if d := sp.End(); d < 0 {
-		t.Fatalf("negative wall duration %v", d)
-	}
+	tr.Start("a", "x").End()
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].End < spans[0].Start {
 		t.Fatalf("spans = %+v", spans)
@@ -63,9 +60,7 @@ func TestTracerDisabledAndNilAreFree(t *testing.T) {
 		t.Fatal("nil tracer returned a live span")
 	}
 	var nilSpan *Span
-	if d := nilSpan.End(); d != 0 {
-		t.Fatalf("nil span duration %v", d)
-	}
+	nilSpan.End() // must not panic
 	if nilTracer.Spans() != nil || nilTracer.Dropped() != 0 {
 		t.Fatal("nil tracer not inert")
 	}

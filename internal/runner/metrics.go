@@ -6,18 +6,12 @@ import (
 	"contention/internal/obs"
 )
 
-// Pool telemetry. The pool has no wait queue — the goroutine that calls
-// Map runs whatever its helpers do not claim — so "queue depth" is
-// expressed as the inline/async split: inline tasks ran on the caller,
-// async tasks on a helper holding a token. Utilization in the run
-// manifest is async/total.
+// Pool telemetry: the tasks run and the most that ran at once. Which
+// goroutine claims a task — the caller of Map or a helper holding a
+// token — is scheduling, not work, so it is not counted.
 var (
 	mTasks = obs.NewCounter(obs.MetricPoolTasks,
-		"tasks executed through the pool, inline and async")
-	mInline = obs.NewCounter(obs.MetricPoolInline,
-		"tasks that ran inline on the goroutine that called Map")
-	mAsync = obs.NewCounter(obs.MetricPoolAsync,
-		"tasks that ran on a helper goroutine holding a pool token")
+		"tasks executed through the pool")
 	mMaxInFlight = obs.NewGauge(obs.MetricPoolMaxInFlight,
 		"high-water mark of concurrently executing tasks")
 )
@@ -27,17 +21,12 @@ var inFlight atomic.Int64
 
 // runTask executes task with telemetry. With telemetry disabled this is
 // a direct call — no atomics beyond one flag load.
-func runTask(task func(), async bool) {
+func runTask(task func()) {
 	if !obs.Enabled() {
 		task()
 		return
 	}
 	mTasks.Inc()
-	if async {
-		mAsync.Inc()
-	} else {
-		mInline.Inc()
-	}
 	mMaxInFlight.SetMax(float64(inFlight.Add(1)))
 	task()
 	inFlight.Add(-1)

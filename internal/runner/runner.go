@@ -105,7 +105,7 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 			}
 			var v Out
 			var err error
-			runTask(func() { v, err = fn(ctx, i, it) }, false)
+			runTask(func() { v, err = fn(ctx, i, it) })
 			if err != nil {
 				return nil, err
 			}
@@ -157,20 +157,20 @@ func Map[In, Out any](ctx context.Context, p *Pool, items []In, fn func(ctx cont
 	// long list of tiny items does not serialize on the counter.
 	st.unclaimed.Store(int64(len(items)))
 	chunk := int64(1 + len(items)/64)
-	claim := func(async bool) bool {
+	claim := func() bool {
 		hi := st.unclaimed.Add(-chunk) + chunk
 		for i := hi - 1; i >= max(hi-chunk, 0); i-- {
-			runTask(func() { one(int(i)) }, async)
+			runTask(func() { one(int(i)) })
 		}
 		return hi > 0
 	}
 	helper := func() {
-		for claim(true) {
+		for claim() {
 		}
 	}
 	// Before each claim of its own the caller offers the rest to every
 	// free token: one released by a sibling Map becomes a helper here.
-	for more := true; more; more = claim(false) {
+	for more := true; more; more = claim() {
 		for st.unclaimed.Load() > chunk && p.Help(&st.wg, helper) {
 		}
 	}

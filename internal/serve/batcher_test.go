@@ -76,12 +76,11 @@ func TestNoCrossTalkUnderAbandonment(t *testing.T) {
 		window      = time.Millisecond
 	)
 	reference := newTestPredictor(t)
-	s, err := New(Config{
-		Pred:     newTestPredictor(t),
-		Pool:     runner.New(4),
-		Window:   window,
-		MaxBatch: 8, // some groups also flush early
-	})
+	s, err := newServer(Config{
+		Pred:   newTestPredictor(t),
+		Pool:   runner.New(4),
+		Window: window,
+	}, tunedWith(func(tun *tuning) { tun.maxBatch = 8 })) // some groups also flush early
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +190,12 @@ func TestNoCrossTalkUnderAbandonment(t *testing.T) {
 	}
 }
 
-// TestMaxBatchFlushesOnlyTheFullGroup: a group that reaches MaxBatch
+// TestMaxBatchFlushesOnlyTheFullGroup: a group that reaches maxBatch
 // flushes alone, at once; every other parked group keeps waiting for
 // its window (here: for Close).
 func TestMaxBatchFlushesOnlyTheFullGroup(t *testing.T) {
-	s, err := New(Config{Pred: newTestPredictor(t), Window: time.Hour, MaxBatch: 3})
+	s, err := newServer(Config{Pred: newTestPredictor(t), Window: time.Hour},
+		tunedWith(func(tun *tuning) { tun.maxBatch = 3 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMaxBatchFlushesOnlyTheFullGroup(t *testing.T) {
 				t.Fatalf("full-group request %d: %+v, %v; want a batch of 3", i, r.resp, r.err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("full-group request %d was not flushed at MaxBatch", i)
+			t.Fatalf("full-group request %d was not flushed at maxBatch", i)
 		}
 	}
 	waitParked(1)

@@ -107,13 +107,20 @@ func (c *fakeClock) armed(n int) []time.Time {
 	return at
 }
 
-// newClockedServer is newTestServer on clk.
-func newClockedServer(t *testing.T, cfg Config, clk *fakeClock) (*Server, *httptest.Server) {
+// tunedWith is defaultTuning as set changes it.
+func tunedWith(set func(*tuning)) tuning {
+	tun := defaultTuning()
+	set(&tun)
+	return tun
+}
+
+// newTunedServer is newTestServer with the given tuning.
+func newTunedServer(t *testing.T, cfg Config, tun tuning) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Pred == nil {
 		cfg.Pred = newTestPredictor(t)
 	}
-	s, err := newServer(cfg, clk)
+	s, err := newServer(cfg, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -22,7 +22,9 @@ const deadlineProbeBody = `{"kind":"comp","dcomp":1,"contenders":[{"comm_fractio
 func TestPropagatedDeadlineTightensOnly(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	clk := newFakeClock()
-	_, ts := newClockedServer(t, Config{Window: time.Hour, Timeout: timeout}, clk)
+	_, ts := newTunedServer(t, Config{Window: time.Hour}, tunedWith(func(tun *tuning) {
+		tun.timeout, tun.clock = timeout, clk
+	}))
 	for _, tc := range []struct {
 		header string
 		after  time.Duration
@@ -92,7 +94,9 @@ func TestPropagatedDeadlineTightensOnly(t *testing.T) {
 // deadline, and no long-deadline request may time out.
 func TestDeadlineTimerLeavesNoStaleTick(t *testing.T) {
 	clk := newFakeClock()
-	s, err := newServer(Config{Pred: newTestPredictor(t), Window: -1, Timeout: time.Second}, clk)
+	s, err := newServer(Config{Pred: newTestPredictor(t), Window: -1}, tunedWith(func(tun *tuning) {
+		tun.timeout, tun.clock = time.Second, clk
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ const (
 	// maxBudgetMicros is the largest budget a time.Duration can hold.
 	maxBudgetMicros = math.MaxInt64 / int64(time.Microsecond)
 	// maxFramesInFlight bounds the frames one connection answers at once
-	// — as many as a default server admits and queues; past it the
-	// reader waits, and the caller's writes back up into TCP.
+	// — as many as a server admits and queues; past it the reader
+	// waits, and the caller's writes back up into TCP.
 	maxFramesInFlight = DefaultMaxInFlight + DefaultMaxQueue
 )
 
@@ -383,10 +383,10 @@ func (s *Server) closeFrames() {
 // /v1/predict, bounded by the frame's budget.
 func (s *Server) answerFrame(ctx context.Context, f *Frame, dst []byte) (int, []byte) {
 	ws := f.ws
-	start := s.clock.Now()
+	start := s.tun.clock.Now()
 	ws.tc = obs.TraceContext{}
 	err := ws.decodeBinaryFrame(f.Record)
-	timeout := s.cfg.Timeout
+	timeout := s.tun.timeout
 	if f.Budget > 0 && f.Budget < timeout {
 		timeout = f.Budget
 	}

@@ -302,3 +302,25 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestFrameBoundMatchesAdmission: one frame connection holds as many
+// frames as the server it feeds admits plus queues, so a connection
+// backs up into TCP only where admission would start refusing.
+func TestFrameBoundMatchesAdmission(t *testing.T) {
+	s, err := New(Config{Pred: newTestPredictor(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	slots := 0
+	for s.adm.TryAcquire() {
+		slots++
+	}
+	for range slots {
+		s.adm.Release()
+	}
+	if got := slots + s.tun.maxQueue; got != maxFramesInFlight {
+		t.Fatalf("admission slots %d + queue %d = %d, frame bound %d",
+			slots, s.tun.maxQueue, got, maxFramesInFlight)
+	}
+}

@@ -21,11 +21,10 @@ import (
 // answered (Close flushes the pending groups itself), and Close must
 // not return while that flush is evaluating into the predictor.
 func TestCloseFlushesParkedWindow(t *testing.T) {
-	s, err := New(Config{
-		Pred:     newTestPredictor(t),
-		Window:   10 * time.Second, // far beyond the test: only Close can flush
-		MaxBatch: 64,
-	})
+	s, err := newServer(Config{
+		Pred:   newTestPredictor(t),
+		Window: 10 * time.Second, // far beyond the test: only Close can flush
+	}, tunedWith(func(tun *tuning) { tun.maxBatch = 64 }))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -94,10 +93,9 @@ func TestCloseFlushesParkedWindow(t *testing.T) {
 func TestCloseStopsWindowTimer(t *testing.T) {
 	clk := newFakeClock()
 	s, err := newServer(Config{
-		Pred:     newTestPredictor(t),
-		Window:   20 * time.Millisecond,
-		MaxBatch: 64,
-	}, clk)
+		Pred:   newTestPredictor(t),
+		Window: 20 * time.Millisecond,
+	}, tunedWith(func(tun *tuning) { tun.maxBatch, tun.clock = 64, clk }))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -232,13 +230,12 @@ func TestReadyzStaleStaysReady(t *testing.T) {
 // admission queue refuses with Retry-After set.
 func TestRetryAfterOnOverload(t *testing.T) {
 	clk := newFakeClock()
-	s, ts := newClockedServer(t, Config{
-		Window:      time.Second, // park the first request in the window
-		MaxBatch:    64,
-		MaxInFlight: 1,
-		MaxQueue:    1,
-		Timeout:     5 * time.Second,
-	}, clk)
+	s, ts := newTunedServer(t, Config{
+		Window: time.Second, // park the first request in the window
+	}, tunedWith(func(tun *tuning) {
+		tun.maxBatch, tun.maxInFlight, tun.maxQueue = 64, 1, 1
+		tun.timeout, tun.clock = 5*time.Second, clk
+	}))
 	body := `{"kind":"comp","dcomp":1,"contenders":[{"comm_fraction":0.3,"msg_words":500}]}`
 
 	// Fill the in-flight slot and the queue slot with parked requests.

@@ -32,14 +32,16 @@ func deltaSnapshot(before, after obs.Snapshot) obs.Snapshot {
 // requests answered in another, then one degraded answer once the
 // predictor is marked stale. The batch window never fires on its own
 // (an hour on a clock the test does not advance); a group flushes when
-// it reaches MaxBatch.
+// it reaches maxBatch.
 func TestServedRunFillsManifest(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
 	t.Cleanup(func() { obs.SetEnabled(prev) })
 
 	pred := newTestPredictor(t)
-	_, ts := newClockedServer(t, Config{Pred: pred, Window: time.Hour, MaxBatch: 2}, newFakeClock())
+	_, ts := newTunedServer(t, Config{Pred: pred, Window: time.Hour}, tunedWith(func(tun *tuning) {
+		tun.maxBatch, tun.clock = 2, newFakeClock()
+	}))
 	before := obs.Default().Snapshot()
 
 	cs := []ContenderSpec{{CommFraction: 0.3, MsgWords: 500}}

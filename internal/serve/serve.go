@@ -66,10 +66,11 @@ var (
 	ErrClosed = errors.New("serve: server closed")
 )
 
-// Defaults applied by New for zero Config fields.
+// The settings every Server runs with. DefaultWindow is what a zero
+// Config.Window selects; the rest are defaultTuning's.
 const (
 	DefaultWindow      = time.Millisecond
-	DefaultMaxBatch    = 256
+	defaultMaxBatch    = 256
 	DefaultMaxInFlight = 1024
 	DefaultMaxQueue    = 4096
 	DefaultTimeout     = 2 * time.Second
@@ -90,17 +91,6 @@ type Config struct {
 	// window parks waiting for peers. 0 selects DefaultWindow; negative
 	// disables batching: each request is flushed alone as it arrives.
 	Window time.Duration
-	// MaxBatch flushes a group early when it reaches this many requests.
-	// 0 selects DefaultMaxBatch.
-	MaxBatch int
-	// MaxInFlight bounds concurrently admitted requests (0 selects
-	// DefaultMaxInFlight); MaxQueue bounds requests waiting for
-	// admission beyond that (0 selects DefaultMaxQueue).
-	MaxInFlight int
-	MaxQueue    int
-	// Timeout is the per-request deadline ceiling applied by the HTTP
-	// handler. 0 selects DefaultTimeout.
-	Timeout time.Duration
 	// FastPath enables the batcher bypass: a request that wins an
 	// admission slot without waiting is answered inline — from the
 	// precomputed surface when its key is resident there, by the exact
@@ -119,11 +109,39 @@ type Config struct {
 	SLO *obs.SLOTracker
 }
 
+// tuning holds the settings a Server runs with that no command sets.
+// New runs with defaultTuning; the package's tests pass others to
+// newServer.
+type tuning struct {
+	// maxBatch flushes a group early when it reaches this many requests.
+	maxBatch int
+	// maxInFlight bounds concurrently admitted requests, maxQueue the
+	// requests waiting for admission beyond that.
+	maxInFlight, maxQueue int
+	// timeout is the per-request deadline ceiling; a propagated upstream
+	// deadline or a frame's budget may only tighten it.
+	timeout time.Duration
+	// clock times the batch window, the request deadlines and every
+	// stage a request is attributed to.
+	clock obs.Clock
+}
+
+// defaultTuning is the tuning every command runs with.
+func defaultTuning() tuning {
+	return tuning{
+		maxBatch:    defaultMaxBatch,
+		maxInFlight: DefaultMaxInFlight,
+		maxQueue:    DefaultMaxQueue,
+		timeout:     DefaultTimeout,
+		clock:       obs.WallClock(),
+	}
+}
+
 // Server is the prediction service. Build with New; it is goroutine-safe.
 type Server struct {
-	cfg   Config
-	clock obs.Clock
-	adm   *rm.Admission
+	cfg Config
+	tun tuning
+	adm *rm.Admission
 
 	mu sync.Mutex
 	// The open window's groups: index maps a batch key's hash to its
@@ -296,45 +314,33 @@ func (f *batchFlush) drain() {
 }
 
 // New builds a server, applying defaults for zero Config fields.
-func New(cfg Config) (*Server, error) { return newServer(cfg, obs.WallClock()) }
+func New(cfg Config) (*Server, error) { return newServer(cfg, defaultTuning()) }
 
-// newServer is New on the given clock.
-func newServer(cfg Config, clock obs.Clock) (*Server, error) {
+// newServer is New with the given tuning.
+func newServer(cfg Config, tun tuning) (*Server, error) {
 	if cfg.Pred == nil {
 		return nil, errors.New("serve: Config.Pred is required")
 	}
 	cfg = cfg.WithDefaults()
 	s := &Server{
 		cfg:   cfg,
-		clock: clock,
-		adm:   rm.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		tun:   tun,
+		adm:   rm.NewAdmission(tun.maxInFlight, tun.maxQueue),
 		index: map[uint64]*group{},
 		seed:  maphash.MakeSeed(),
 	}
 	if cfg.Window > 0 {
-		s.timer = clock.AfterFunc(cfg.Window, s.flushWindow)
+		s.timer = s.tun.clock.AfterFunc(cfg.Window, s.flushWindow)
 		s.timer.Stop()
 	}
 	return s, nil
 }
 
-// WithDefaults returns cfg with every zero knob New would fill set to
-// its default: the configuration a server built from cfg runs with.
+// WithDefaults returns cfg with a zero Window set to DefaultWindow: the
+// configuration a server built from cfg runs with.
 func (cfg Config) WithDefaults() Config {
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = DefaultMaxQueue
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
 	}
 	return cfg
 }
@@ -407,10 +413,10 @@ func (s *Server) degradeReason() string {
 // caller reuses once predict returns.
 func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, deadline time.Time, tm *WaitTimer) (Response, error) {
 	requestsOf(q.kind).Inc()
-	admStart := s.clock.Now()
+	admStart := s.tun.clock.Now()
 	var expired <-chan struct{}
 	if !deadline.IsZero() {
-		expired = tm.Arm(s.clock, deadline.Sub(admStart))
+		expired = tm.Arm(s.tun.clock, deadline.Sub(admStart))
 	}
 	defer tm.Disarm(expired)
 	if err := s.adm.Acquire(ctx, expired); err != nil {
@@ -420,7 +426,7 @@ func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, de
 		return Response{}, err
 	}
 	defer s.adm.Release()
-	admDone := s.clock.Now()
+	admDone := s.tun.clock.Now()
 	stAdmission.Observe(admDone.Sub(admStart).Seconds())
 	rt.Stage("admission", admStart, admDone)
 
@@ -428,7 +434,7 @@ func (s *Server) predict(ctx context.Context, q *query, rt *obs.RequestTrace, de
 	// with the conservative worst case immediately — no batching, no DP.
 	if reason := s.degradeReason(); reason != "" {
 		resp, err := s.predictDegraded(q, reason)
-		done := s.clock.Now()
+		done := s.tun.clock.Now()
 		stCompute.Observe(done.Sub(admDone).Seconds())
 		rt.Stage("compute", admDone, done)
 		return resp, err
@@ -515,7 +521,7 @@ func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 		return Response{}, false
 	}
 	defer s.adm.Release()
-	start := s.clock.Now()
+	start := s.tun.clock.Now()
 	stage, hist := "surface", stSurface
 	v, ok := trySurface(s.cfg.Pred, q)
 	if !ok && s.degradeReason() == "" {
@@ -527,7 +533,7 @@ func (s *Server) tryFast(q *query, rt *obs.RequestTrace) (Response, bool) {
 	if !ok {
 		return Response{}, false
 	}
-	done := s.clock.Now()
+	done := s.tun.clock.Now()
 	hist.Observe(done.Sub(start).Seconds())
 	rt.Stage(stage, start, done)
 	requestsOf(q.kind).Inc()
@@ -557,7 +563,7 @@ func (s *Server) predictDegraded(q *query, reason string) (Response, error) {
 }
 
 // enqueue parks the request under its batch key. It returns a non-nil
-// flush when the caller must run it at once (the group hit MaxBatch,
+// flush when the caller must run it at once (the group hit maxBatch,
 // or batching across arrivals is disabled), and ErrClosed after Close.
 func (s *Server) enqueue(req *pendingReq) (*batchFlush, error) {
 	req.key = appendBatchKey(req.key[:0], &req.q)
@@ -574,7 +580,7 @@ func (s *Server) enqueue(req *pendingReq) (*batchFlush, error) {
 
 	var f *batchFlush
 	switch {
-	case len(g.reqs) >= s.cfg.MaxBatch:
+	case len(g.reqs) >= s.tun.maxBatch:
 		f = s.detachLocked(h, g)
 	case s.cfg.Window < 0:
 		f = s.takeLocked()
@@ -707,7 +713,7 @@ func (s *Server) evalGroup(g *group) {
 
 	// Batch rendezvous ends here: everything between enqueue and this
 	// point was time spent waiting for peers (or the window timer).
-	evalStart := s.clock.Now()
+	evalStart := s.tun.clock.Now()
 	for _, r := range g.reqs {
 		if !r.enq.IsZero() {
 			stBatchWait.Observe(evalStart.Sub(r.enq).Seconds())
@@ -741,7 +747,7 @@ func (s *Server) evalGroup(g *group) {
 	// long, so the compute stage is attributed to every member. Stages
 	// are recorded before the outcome is sent — once the handler unblocks
 	// it may end the root span.
-	evalDone := s.clock.Now()
+	evalDone := s.tun.clock.Now()
 	evalSecs := evalDone.Sub(evalStart).Seconds()
 	for i, r := range g.reqs {
 		stCompute.Observe(evalSecs)
@@ -864,7 +870,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // allocates nothing. Pipeline errors are answered as the JSON error
 // envelope on either wire (the status carries the verdict).
 func (s *Server) predictHTTP(w http.ResponseWriter, r *http.Request, ws *workspace) {
-	start := s.clock.Now()
+	start := s.tun.clock.Now()
 	var wr wire = jsonWire{}
 	binaryReq := r.Header.Get("Content-Type") == ContentTypeBinary
 	if binaryReq {
@@ -921,7 +927,7 @@ func WriteAnswer(w http.ResponseWriter, body []byte, binary bool, rid string) {
 // RequestError) burns no SLO error budget and is left out of both SLIs.
 func (s *Server) finished(start time.Time, err error) time.Time {
 	outcome := outcomeOf(err)
-	done := s.clock.Now()
+	done := s.tun.clock.Now()
 	secs := done.Sub(start).Seconds()
 	outcome.Inc()
 	mRequestSeconds.Observe(secs)
@@ -933,7 +939,7 @@ func (s *Server) finished(start time.Time, err error) time.Time {
 
 // encoded closes a request's encode stage and its trace.
 func (s *Server) encoded(rt *obs.RequestTrace, encStart time.Time) {
-	encDone := s.clock.Now()
+	encDone := s.tun.clock.Now()
 	stEncode.Observe(encDone.Sub(encStart).Seconds())
 	rt.Stage("encode", encStart, encDone)
 	rt.End()
@@ -976,12 +982,12 @@ func WriteError(w http.ResponseWriter, status int, msg, rid string) {
 // frame carries its budget in microseconds instead; see frames.go.)
 const DeadlineHeader = "X-Request-Deadline-Ms"
 
-// requestTimeout is the effective per-request budget: the configured
-// Timeout, tightened by a propagated upstream deadline if one arrived.
+// requestTimeout is the effective per-request budget: the tuning's
+// timeout, tightened by a propagated upstream deadline if one arrived.
 // An unparsable or non-positive header is ignored — a confused caller
 // must not widen or zero the local bound.
 func (s *Server) requestTimeout(r *http.Request) time.Duration {
-	d := s.cfg.Timeout
+	d := s.tun.timeout
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
 			if up := time.Duration(ms) * time.Millisecond; up < d {
@@ -1001,7 +1007,7 @@ func (s *Server) requestTimeout(r *http.Request) time.Duration {
 // context is only known after decode, so the decode stage span is
 // recorded retroactively.
 func (s *Server) servePredict(ctx context.Context, ws *workspace, decStart time.Time, decErr error, traceHeader string, timeout time.Duration) (Response, *obs.RequestTrace, error) {
-	decDone := s.clock.Now()
+	decDone := s.tun.clock.Now()
 	rt, _ := obs.StartRequestTrace("serve", ws.tc, traceHeader, s.cfg.Sampler)
 	if decErr != nil {
 		return Response{}, rt, decErr
@@ -1112,7 +1118,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			reason = "calibration degraded: " + t.Reason()
 		}
 	}
-	WriteReady(w, reason, s.cfg.SLO, s.clock.Now())
+	WriteReady(w, reason, s.cfg.SLO, s.tun.clock.Now())
 }
 
 // WriteReady answers GET /readyz: 200 {"ready":true} when reason is

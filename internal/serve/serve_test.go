@@ -259,7 +259,8 @@ func TestServeMicroBatchesSharedMix(t *testing.T) {
 }
 
 func TestServeDeadline(t *testing.T) {
-	s, err := New(Config{Pred: newTestPredictor(t), Window: time.Hour, Timeout: 20 * time.Millisecond})
+	s, err := newServer(Config{Pred: newTestPredictor(t), Window: time.Hour},
+		tunedWith(func(tun *tuning) { tun.timeout = 20 * time.Millisecond }))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -277,7 +278,9 @@ func TestServeDeadline(t *testing.T) {
 
 func TestServeAdmissionRejects(t *testing.T) {
 	pred := newTestPredictor(t)
-	s, err := New(Config{Pred: pred, Window: time.Hour, MaxInFlight: 1, MaxQueue: 1, Timeout: 50 * time.Millisecond})
+	s, err := newServer(Config{Pred: pred, Window: time.Hour}, tunedWith(func(tun *tuning) {
+		tun.maxInFlight, tun.maxQueue, tun.timeout = 1, 1, 50*time.Millisecond
+	}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -44,16 +44,15 @@ func TestSoakConcurrentTrafficWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tracker: %v", err)
 	}
-	s, err := New(Config{
-		Pred:        pred,
-		Tracker:     tracker,
-		Pool:        runner.New(0),
-		Window:      300 * time.Microsecond,
-		MaxBatch:    32,
-		MaxInFlight: maxInFlight,
-		MaxQueue:    maxQueue,
-		Timeout:     250 * time.Millisecond,
-	})
+	s, err := newServer(Config{
+		Pred:    pred,
+		Tracker: tracker,
+		Pool:    runner.New(0),
+		Window:  300 * time.Microsecond,
+	}, tunedWith(func(tun *tuning) {
+		tun.maxBatch, tun.maxInFlight, tun.maxQueue = 32, maxInFlight, maxQueue
+		tun.timeout = 250 * time.Millisecond
+	}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -199,7 +198,8 @@ func TestSoakConcurrentTrafficWithFaults(t *testing.T) {
 // documented status), and the Close call itself must not deadlock.
 func TestSoakCloseUnderLoad(t *testing.T) {
 	pred := newTestPredictor(t)
-	s, err := New(Config{Pred: pred, Window: 500 * time.Microsecond, Timeout: time.Second})
+	s, err := newServer(Config{Pred: pred, Window: 500 * time.Microsecond},
+		tunedWith(func(tun *tuning) { tun.timeout = time.Second }))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
