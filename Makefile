@@ -55,7 +55,8 @@ golden:
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # The timing tests that run on a virtual clock, 20 times each: the
-# breaker, the admission and request deadlines, the batch window, the
+# breaker (TestBreaker.* includes the router steering around a member
+# that fails every predict), the admission and request deadlines, the batch window, the
 # health loop and its probe deadline, the supervisor's backoff and the
 # SLO windows. Their clock moves only when the test moves it, so one
 # failure in twenty is a race in the code, not a slow machine. Like
@@ -127,7 +128,8 @@ fuzz:
 #  - the removed flags are refused: -spill and -heartbeat, and the
 #    tuning flags that became constants (contentiond's -max-batch,
 #    -max-inflight, -max-queue and -timeout; contentionlb's -max-tries,
-#    -retry-budget, -probe, -suspect-after and -timeout). Each is given
+#    -retry-budget, -probe, -suspect-after and -timeout), and
+#    contentionlb's -hedge, whose hedged second request is gone. Each is given
 #    its old default and a missing file to boot from, so the command
 #    exits at once, and only exit status 2 (a flag error) passes;
 #  - the fleet scrape across real processes: contentionlb over two
@@ -193,7 +195,7 @@ smoke:
 	! "$$tmp/contentionlb" -heartbeat 1s 2>/dev/null && \
 	for f in 'max-batch 256' 'max-inflight 1024' 'max-queue 4096' 'timeout 2s'; do \
 		"$$tmp/contentiond" -cal "$$tmp/none.json" -$$f 2>/dev/null; test $$? -eq 2 || exit 1; done && \
-	for f in 'max-tries 3' 'retry-budget 0.2' 'probe 250ms' 'suspect-after 4' 'timeout 2s'; do \
+	for f in 'max-tries 3' 'retry-budget 0.2' 'probe 250ms' 'suspect-after 4' 'timeout 2s' 'hedge 5ms'; do \
 		"$$tmp/contentionlb" -members "$$tmp/none.json" -$$f 2>/dev/null; test $$? -eq 2 || exit 1; done && \
 	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
 	$(GO) run ./cmd/experiments -only table3 -run-report "$$tmp/x.json" > /dev/null 2>&1 && \

@@ -19,9 +19,8 @@
 //	                    JSON with ?format=json)
 //
 // Around the pick sit the robustness layers: per-replica circuit
-// breakers over a rolling error rate, bounded retries under a
-// cluster-wide retry budget, and optional hedged second requests
-// (-hedge) for tail-latency protection.
+// breakers over a rolling error rate, and at most three sequential
+// attempts per request, each failover going to the next member.
 // SIGTERM drains: readiness flips off, in-flight requests finish, then
 // every replica shuts down gracefully.
 //
@@ -38,7 +37,7 @@
 //	contentionlb -replicas 4                      # 4 in-process replicas
 //	contentionlb -replicas 4 -exec ./contentiond  # 4 child-process daemons
 //	contentionlb -members members.json            # remote fleet on other hosts
-//	contentionlb -replicas 4 -hedge 5ms -metrics -addr :9000
+//	contentionlb -replicas 4 -metrics -addr :9000
 package main
 
 import (
@@ -66,7 +65,6 @@ func main() {
 	execBin := flag.String("exec", "", "spawn replicas as child processes of this contentiond binary (in-process replicas when empty)")
 	calPath := flag.String("cal", "", "calibration artifact served by every in-process replica; built-in synthetic tables when empty")
 	window := flag.Duration("window", serve.DefaultWindow, "per-replica micro-batch window (0 selects the default; <0 disables batching)")
-	hedge := flag.Duration("hedge", 0, "hedged-request delay (0 disables hedging)")
 	members := flag.String("members", "", `remote members file ({"members":[{"addr":"host:port","weight":2},...]}); hot-reloaded on SIGHUP and by polling. With no explicit -replicas the local fleet is 0`)
 	reload := flag.Duration("reload", time.Second, "members-file poll interval")
 	fleetScrape := flag.Duration("fleet-scrape", cluster.DefaultFleetInterval, "member /metrics scrape period for the fleet_* aggregation and /debug/fleet (0 disables)")
@@ -122,11 +120,10 @@ func main() {
 	}
 
 	c, err := cluster.New(cluster.Config{
-		Replicas:   *replicas,
-		Factory:    factory,
-		HedgeDelay: *hedge,
-		Sampler:    run.Sampler(),
-		SLO:        run.SLO(),
+		Replicas: *replicas,
+		Factory:  factory,
+		Sampler:  run.Sampler(),
+		SLO:      run.SLO(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -200,8 +197,8 @@ func main() {
 	// A zero -window takes serve's default: report what is in force, not
 	// the flag as given.
 	effWindow := serve.Config{Window: *window}.WithDefaults().Window
-	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v, hedge %v)\n",
-		ln.Addr(), *replicas, backend, effWindow, *hedge)
+	fmt.Fprintf(os.Stderr, "contentionlb on http://%s (%d replicas, backend %s, window %v)\n",
+		ln.Addr(), *replicas, backend, effWindow)
 
 	obs.ServeUntilSignal(httpSrv, ln, "draining fleet")
 
@@ -224,7 +221,6 @@ func main() {
 			"replicas": strconv.Itoa(*replicas),
 			"backend":  backend,
 			"window":   effWindow.String(),
-			"hedge":    hedge.String(),
 		})
 	})
 }

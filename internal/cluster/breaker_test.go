@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"io"
+	"net/http"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -198,4 +203,58 @@ func (b *Breaker) Stats(now time.Time) (volume int64, failRate float64) {
 	defer b.mu.Unlock()
 	b.rotateLocked(now)
 	return b.statsLocked()
+}
+
+// TestBreakerSteersAroundFailingMember: of three remote members, one
+// passes every health probe but answers every predict with a 500. Its
+// breaker is the only thing that takes it out of the rotation, since
+// the least-loaded pick favours a member that fails fast. Under
+// concurrent load every predict succeeds (the retry rule fails over to
+// a healthy member) and the failing member sees no more predicts than
+// trip its breaker: minVolume failures plus those already in flight.
+// The clock stands still, so the breaker never cools down and no health
+// probe runs.
+func TestBreakerSteersAroundFailingMember(t *testing.T) {
+	const workers, each = 8, 500
+	rf := newRemoteFleet(t, 3)
+	c, front := newRemoteCluster(t, func(cfg *testConfig) { cfg.clock = newFakeClock() })
+	for _, r := range rf.reps {
+		if _, err := c.AddRemote(r.Addr(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sick := rf.reps[1]
+	sick.fail.Store(true)
+
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+	defer client.CloseIdleConnections()
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				resp, err := client.Post(front.URL+"/v1/predict", "application/json", strings.NewReader(predictBody(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					failed.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Errorf("%d of %d predicts failed, want none", n, workers*each)
+	}
+	bound := int64(defaultTuning().breaker.minVolume + workers)
+	if n := sick.hits.Load(); n > bound {
+		t.Errorf("the failing member served %d of %d predicts, want at most %d", n, workers*each, bound)
+	}
+	t.Logf("failing member served %d of %d predicts", sick.hits.Load(), workers*each)
 }

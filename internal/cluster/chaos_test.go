@@ -8,11 +8,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"contention/internal/stats"
 )
 
 // chaosSpec is the gate's fault schedule: a pure function of the seed,
@@ -51,7 +54,8 @@ func TestChaosPlanDeterministic(t *testing.T) {
 // closed-loop workers, and a seeded schedule of kills, stalls, and
 // calibration degradations replayed mid-load. The fleet must hold
 // ≥ 99% success, never go fully dark, and every crashed replica must
-// rejoin on its own.
+// rejoin on its own. It runs the production retry rule and logs the
+// load's latency tails.
 func TestChaosGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos gate runs seconds of wall-clock load")
@@ -68,12 +72,10 @@ func TestChaosGate(t *testing.T) {
 	tun := defaultTuning()
 	tun.perTry = 400 * time.Millisecond
 	tun.maxInFlight, tun.maxQueue = 64, 256
-	tun.maxTries, tun.retryBudget = 4, 1.0
 	tun.timeout, tun.probe = 3*time.Second, 30*time.Millisecond
 	c, err := newCluster(Config{
-		Replicas:   spec.Replicas,
-		Factory:    stallableFactory(InProcConfig{Window: 500 * time.Microsecond}),
-		HedgeDelay: 30 * time.Millisecond,
+		Replicas: spec.Replicas,
+		Factory:  stallableFactory(InProcConfig{Window: 500 * time.Microsecond}),
 	}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -102,6 +104,7 @@ func TestChaosGate(t *testing.T) {
 		bucketTotal = make([]atomic.Int64, nBuckets)
 		bucketSucc  = make([]atomic.Int64, nBuckets)
 		failures    sync.Map // status/error string -> *atomic.Int64
+		latencies   = make([][]float64, workers)
 	)
 	countFailure := func(key string) {
 		v, _ := failures.LoadOrStore(key, new(atomic.Int64))
@@ -124,7 +127,9 @@ func TestChaosGate(t *testing.T) {
 				body := bodies[(w+i)%len(bodies)]
 				total.Add(1)
 				bucketTotal[bucket].Add(1)
+				sent := time.Now()
 				resp, err := client.Post(front.URL+"/v1/predict", "application/json", strings.NewReader(body))
+				latencies[w] = append(latencies[w], time.Since(sent).Seconds()*1e3)
 				if err != nil {
 					countFailure("transport: " + err.Error())
 					continue
@@ -188,6 +193,7 @@ func TestChaosGate(t *testing.T) {
 		return true
 	})
 	t.Logf("requests: %d, success: %d (%.3f%%)%s", tot, ok, 100*rate, failSummary)
+	t.Logf("latency: %s", latencyTails(latencies))
 	if rate < 0.99 {
 		t.Errorf("success rate %.3f%% < 99%%:%s", 100*rate, failSummary)
 	}
@@ -254,4 +260,16 @@ func TestChaosGate(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
+}
+
+// latencyTails formats the p50, p99, p99.9 and max of the workers'
+// request latencies, in milliseconds, so a gate's log carries the tails
+// of the load it drove.
+func latencyTails(perWorker [][]float64) string {
+	ms := slices.Concat(perWorker...)
+	q := func(p float64) float64 {
+		v, _ := stats.Quantile(ms, p) // never empty: the gate issued requests
+		return v
+	}
+	return fmt.Sprintf("p50 %.2fms, p99 %.2fms, p99.9 %.2fms, max %.2fms", q(0.5), q(0.99), q(0.999), q(1))
 }

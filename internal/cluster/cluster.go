@@ -12,11 +12,12 @@
 // Equally loaded members take turns.
 //
 // Around the pick sit the production concerns: per-replica circuit
-// breakers over a rolling error rate, bounded retries under a
-// cluster-wide retry budget, optional hedged second requests for
-// tail-latency protection, supervised restart with seeded exponential
-// backoff and a crash-loop budget, and graceful draining on shutdown or
-// replica removal.
+// breakers over a rolling error rate, one retry rule (at most maxTries
+// sequential attempts, each on the next member after the one before),
+// supervised restart with seeded exponential backoff and a crash-loop
+// budget, and graceful draining on shutdown or replica removal. The
+// front door's admission bounds how many requests the router holds, so
+// retries need no budget of their own.
 package cluster
 
 import (
@@ -43,11 +44,6 @@ import (
 // replica can take a request.
 var ErrNoReplica = errors.New("cluster: no replica available")
 
-// retryTokenCap bounds banked retry credit (milli-tokens): bursts of
-// failures may spend at most this many stored retries before new
-// traffic must earn more.
-const retryTokenCap = 20_000
-
 // Config parameterizes a Cluster.
 type Config struct {
 	// Replicas is the supervised fleet size. Required.
@@ -55,10 +51,6 @@ type Config struct {
 	// Factory builds each replica incarnation. Required.
 	Factory Factory
 
-	// HedgeDelay, when positive, launches a hedged second request to the
-	// next member if the lead has not answered within it (p99
-	// protection); first answer wins.
-	HedgeDelay time.Duration
 	// Sampler is the head-sampling knob for request tracing: requests
 	// arriving without a trace header consult it once, and the verdict
 	// rides each forwarded record's trace block to the replicas. Nil never
@@ -89,10 +81,6 @@ const (
 type tuning struct {
 	// maxTries bounds attempts per request (first try + failovers).
 	maxTries int
-	// retryBudget is the cluster-wide retry allowance as a fraction of
-	// routed requests (token bucket): retries beyond it are shed so a
-	// sick fleet is not finished off by its own retry storm.
-	retryBudget float64
 	// timeout bounds the request, perTry each attempt. perTry times the
 	// attempt's wait on the clock and the deadlines of the frame
 	// connection it is written on, a real one: tests with members that
@@ -119,7 +107,6 @@ type tuning struct {
 func defaultTuning() tuning {
 	return tuning{
 		maxTries:     3,
-		retryBudget:  0.2,
 		timeout:      serve.DefaultTimeout,
 		perTry:       500 * time.Millisecond,
 		probe:        250 * time.Millisecond,
@@ -311,14 +298,11 @@ type Cluster struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // restart jitter
 
-	retryTokens atomic.Int64 // milli-tokens
-
 	draining atomic.Bool
 	started  atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup // babysitters, the health loop and its probes
-	bg       sync.WaitGroup // background hedge attempts
 }
 
 // New builds an unstarted cluster.
@@ -350,7 +334,6 @@ func newCluster(cfg Config, tun tuning) (*Cluster, error) {
 		rng:    rand.New(rand.NewSource(restartSeed)),
 		stop:   make(chan struct{}),
 	}
-	c.retryTokens.Store(5_000) // a little starting credit so early faults can fail over
 	c.members = make([]*member, cfg.Replicas)
 	for i := range c.members {
 		c.members[i] = &member{id: i, breaker: newBreaker(tun.breaker), state: stateDown} // until Start spawns it
@@ -461,7 +444,7 @@ func (c *Cluster) AddRemote(addr string, weight float64) (int, error) {
 
 // ReweightMember changes member id's capacity share: the pick compares
 // members by requests in flight per unit of weight. Weight 0 takes the
-// member out of predict traffic — it never leads, fails over or hedges
+// member out of predict traffic — it never leads or takes a failover
 // — while it stays in the fleet: probed, sent observations, and counted
 // by UpCount.
 func (c *Cluster) ReweightMember(id int, weight float64) error {
@@ -774,9 +757,9 @@ func lead(set []*member, turn uint64) int {
 }
 
 // route sends the request to the least-loaded member, then fails over
-// along the routing set after it, with bounded retries and optional
-// hedging. ctx is the client's; meta carries the request's deadline and
-// correlation state onto every attempt's wire.
+// along the routing set after it, one attempt at a time, for at most
+// maxTries attempts. ctx is the client's; meta carries the request's
+// deadline and correlation state onto every attempt's wire.
 func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
 	set := *c.set.Load()
 	first := lead(set, c.turn.Add(1))
@@ -786,30 +769,18 @@ func (c *Cluster) route(ctx context.Context, meta *reqMeta) tryResult {
 	last := tryResult{err: ErrNoReplica}
 	tries := 0
 	for k := 0; k < len(set) && tries < c.tun.maxTries; k++ {
-		i := (first + k) % len(set)
-		m := set[i]
+		m := set[(first+k)%len(set)]
 		if m.getWeight() <= 0 || !m.up() {
 			continue
 		}
-		if tries > 0 && !c.takeRetryToken() {
-			break
-		}
 		if !m.breaker.Allow(c.tun.clock.Now()) {
-			if tries > 0 {
-				c.refundRetryToken()
-			}
 			continue
 		}
 		if tries > 0 {
 			mRetries.Inc()
 		}
 		tries++
-		var res tryResult
-		if tries == 1 && c.cfg.HedgeDelay > 0 {
-			res = c.hedged(ctx, set, i, meta)
-		} else {
-			res = c.attempt(ctx, m, meta)
-		}
+		res := c.attempt(ctx, m, meta)
 		last.release()
 		last = res
 		if !res.retryable() {
@@ -896,91 +867,6 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, 
 	return tryResult{err: err}
 }
 
-// hedged races set[at] against a delayed second request to the next
-// healthy member after it: if the primary has not answered within
-// HedgeDelay (a stall, a long batch window, a GC pause), the hedge
-// usually wins and the request rides out the hiccup at the cost of one
-// duplicate. The loser is cancelled when hedged returns, whatever ctx
-// the caller passed in.
-func (c *Cluster) hedged(ctx context.Context, set []*member, at int, meta *reqMeta) tryResult {
-	primary := set[at]
-	var backup *member
-	for k := 1; k < len(set); k++ {
-		m := set[(at+k)%len(set)]
-		if m.getWeight() > 0 && m.up() && m.breaker.State() != Open {
-			backup = m
-			break
-		}
-	}
-	if backup == nil {
-		return c.attempt(ctx, primary, meta)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// The attempts may outlive the caller's frame: they get a copy, with
-	// a record of their own (the caller's goes back to its pool).
-	mc := *meta
-	mc.rec = append([]byte(nil), meta.rec...)
-	ch := make(chan tryResult, 2)
-	c.bg.Add(1)
-	go func() {
-		defer c.bg.Done()
-		ch <- c.attempt(ctx, primary, &mc)
-	}()
-	var t serve.WaitTimer
-	hedge := t.Arm(c.tun.clock, c.cfg.HedgeDelay)
-	defer t.Disarm(hedge)
-	launched := 1
-	select {
-	case res := <-ch:
-		return res
-	case <-hedge:
-		if backup.breaker.Allow(c.tun.clock.Now()) {
-			launched = 2
-			c.bg.Add(1)
-			go func() {
-				defer c.bg.Done()
-				ch <- c.attempt(ctx, backup, &mc)
-			}()
-		}
-	}
-	// A losing answer is left to the garbage collector, not the pool.
-	res := <-ch
-	if !res.retryable() || launched == 1 {
-		return res
-	}
-	res2 := <-ch
-	if !res2.retryable() {
-		return res2
-	}
-	return res
-}
-
-// grantRetryCredit adds one request's worth of retry budget.
-func (c *Cluster) grantRetryCredit() {
-	add := int64(c.tun.retryBudget * 1000)
-	if add <= 0 {
-		return
-	}
-	if v := c.retryTokens.Add(add); v > retryTokenCap {
-		c.retryTokens.Store(retryTokenCap)
-	}
-}
-
-func (c *Cluster) takeRetryToken() bool {
-	for {
-		v := c.retryTokens.Load()
-		if v < 1000 {
-			return false
-		}
-		if c.retryTokens.CompareAndSwap(v, v-1000) {
-			return true
-		}
-	}
-}
-
-func (c *Cluster) refundRetryToken() { c.retryTokens.Add(1000) }
-
 // --- draining ----------------------------------------------------------------
 
 // DrainMember removes member id from the fleet gracefully: it leaves
@@ -1029,18 +915,6 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 		err = c.adm.Drain(ctx)
 		close(c.stop)
 		c.resync()
-
-		// Hedge losers may outlive their front-door request; wait them
-		// out (bounded by the per-try timeout) before closing replicas.
-		bgDone := make(chan struct{})
-		go func() {
-			c.bg.Wait()
-			close(bgDone)
-		}()
-		select {
-		case <-bgDone:
-		case <-ctx.Done():
-		}
 
 		for _, m := range c.memberList() {
 			m.mu.Lock()
@@ -1187,7 +1061,6 @@ func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer c.adm.Release()
-	c.grantRetryCredit()
 
 	routeStart := c.tun.clock.Now()
 	res := c.route(r.Context(), &meta)

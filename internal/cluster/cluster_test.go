@@ -444,6 +444,40 @@ func TestRingSequence(t *testing.T) {
 	}
 }
 
+// TestRetryBoundWithEveryMemberFailing: at the production tuning, with
+// every member of a four-member remote fleet failing, each of several
+// predicts in a row costs exactly maxTries attempts over the members —
+// the last as many as the first: nothing but maxTries limits retries —
+// and the client gets the last member's 500.
+func TestRetryBoundWithEveryMemberFailing(t *testing.T) {
+	rf := newRemoteFleet(t, 4)
+	c, front := newRemoteCluster(t, func(cfg *testConfig) {
+		cfg.breaker.minVolume = 100 // no breaker opens: every try reaches a member
+	})
+	for _, r := range rf.reps {
+		if _, err := c.AddRemote(r.Addr(), 1); err != nil {
+			t.Fatal(err)
+		}
+		r.fail.Store(true)
+	}
+	hits := func() (n int64) {
+		for _, r := range rf.reps {
+			n += r.hits.Load()
+		}
+		return n
+	}
+	maxTries := int64(defaultTuning().maxTries)
+	for i := 0; i < 5; i++ {
+		before := hits()
+		if code, out := postPredict(t, front, predictBody(i)); code != http.StatusInternalServerError {
+			t.Fatalf("predict %d with every member failing = %d (%v), want the last member's 500", i, code, out)
+		}
+		if got := hits() - before; got != maxTries {
+			t.Fatalf("predict %d cost %d attempts, want maxTries = %d", i, got, maxTries)
+		}
+	}
+}
+
 // TestRingWeightedOwnership: weight is a capacity share — requests
 // held in flight spread over the members in proportion to their
 // weights, within two requests each, and weight 0 holds none.
@@ -475,11 +509,9 @@ func TestRingWeightedOwnership(t *testing.T) {
 
 // TestZeroWeightTakesNoPredicts: a member reweighted to 0 stays up and
 // counted, but no predict reaches it — not as the lead, not as the
-// failover after its peer fails, not as the hedge after its peer
-// stalls.
+// failover after its peer fails.
 func TestZeroWeightTakesNoPredicts(t *testing.T) {
 	c, fl, front := newTestCluster(t, 2, func(cfg *testConfig) {
-		cfg.HedgeDelay = 5 * time.Millisecond
 		cfg.breaker.minVolume = 100
 	})
 	if err := c.ReweightMember(1, 0); err != nil {
@@ -490,7 +522,6 @@ func TestZeroWeightTakesNoPredicts(t *testing.T) {
 			t.Fatalf("predict %d = %d", i, code)
 		}
 	}
-	fl.current(0).stallMS.Store(20)
 	fl.current(0).fail.Store(true)
 	for i := 0; i < 4; i++ {
 		if code, _ := postPredict(t, front, predictBody(i)); code != http.StatusInternalServerError {
@@ -626,31 +657,6 @@ func TestClusterCrashLoopBudget(t *testing.T) {
 		if code, _ := postPredict(t, front, predictBody(i)); code != http.StatusOK {
 			t.Fatalf("predict %d failed after abandonment", i)
 		}
-	}
-}
-
-func TestClusterHedgingBeatsStalledPrimary(t *testing.T) {
-	c, fl, front := newTestCluster(t, 3, func(cfg *testConfig) {
-		cfg.HedgeDelay = 20 * time.Millisecond
-	})
-	body := predictBody(5)
-	if code, _ := postPredict(t, front, body); code != http.StatusOK {
-		t.Fatal("warmup predict failed")
-	}
-	primary := nextLead(c)
-	fl.current(primary).stallMS.Store(1500)
-
-	start := time.Now()
-	code, out := postPredict(t, front, body)
-	elapsed := time.Since(start)
-	if code != http.StatusOK {
-		t.Fatalf("hedged predict = %d (%v)", code, out)
-	}
-	if got := answeredBy(t, out); got == primary {
-		t.Fatalf("answer came from the stalled primary %d", got)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("hedged predict took %v — rode out the full stall instead of hedging", elapsed)
 	}
 }
 

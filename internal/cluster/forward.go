@@ -22,7 +22,7 @@ import (
 // call, registers it under a fresh call id, writes one request frame and
 // waits on the call's own timer for the reader goroutine to hand it the
 // matching response frame. A connection that fails fails every call
-// pending on it as a transport error, so breaker, retry and hedge rules
+// pending on it as a transport error, so breaker and retry rules
 // see exactly what a dropped HTTP connection showed them.
 
 // errTryTimeout is a try that outlived its deadline: the per-try timeout

@@ -288,43 +288,3 @@ func TestClassifyPerTryTimeoutCounts(t *testing.T) {
 		t.Fatalf("primary breaker: volume %d (was %d), fail rate %.2f — want exactly one recorded failure", vol, vol0, rate)
 	}
 }
-
-// TestHedgeLoserCancelledByHandlerReturn: a hedge loser is cancelled no
-// later than the handler's return, even when the caller's context never
-// ends — the bench ladder calls the handler directly with
-// context.Background.
-func TestHedgeLoserCancelledByHandlerReturn(t *testing.T) {
-	c, fl, _ := newTestCluster(t, 2, func(cfg *testConfig) {
-		cfg.HedgeDelay = 20 * time.Millisecond
-		cfg.perTry = 10 * time.Second
-		cfg.timeout = 20 * time.Second
-	})
-	h := c.Handler()
-	serveOnce := func() int {
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(predictBody(5)))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec.Code
-	}
-	if code := serveOnce(); code != http.StatusOK {
-		t.Fatalf("warmup predict = %d", code)
-	}
-	primary := nextLead(c)
-	// The fake never reads the body, so its server notices the cancel
-	// only when the stall ends; the stall just has to outlast the check.
-	fl.current(primary).stallMS.Store(2500)
-	if code := serveOnce(); code != http.StatusOK {
-		t.Fatalf("hedged predict = %d", code)
-	}
-	done := make(chan struct{})
-	go func() {
-		c.bg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("hedge loser still running 1s after the handler returned")
-	}
-}

@@ -51,7 +51,8 @@ func buildContentiond(t *testing.T) string {
 // stalls, and partitions mid-load. The fleet must hold ≥99% success,
 // never go fully dark in any 250ms bucket, mark partitioned members
 // suspect once past their probe deadline, and readmit them after
-// the partition heals.
+// the partition heals. It runs the production retry rule and logs the
+// load's latency tails.
 func TestRemoteChaosGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remote chaos gate builds a binary and runs seconds of wall-clock load")
@@ -85,9 +86,8 @@ func TestRemoteChaosGate(t *testing.T) {
 	tun := defaultTuning()
 	tun.perTry = 400 * time.Millisecond
 	tun.maxInFlight, tun.maxQueue = 64, 256
-	tun.maxTries, tun.retryBudget = 4, 1.0
 	tun.timeout, tun.probe, tun.suspectAfter = 3*time.Second, 25*time.Millisecond, 4
-	c, err := newCluster(Config{HedgeDelay: 40 * time.Millisecond}, tun)
+	c, err := newCluster(Config{}, tun)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -145,6 +145,7 @@ func TestRemoteChaosGate(t *testing.T) {
 		bucketTotal = make([]atomic.Int64, nBuckets)
 		bucketSucc  = make([]atomic.Int64, nBuckets)
 		failures    sync.Map
+		latencies   = make([][]float64, workers)
 	)
 	countFailure := func(key string) {
 		v, _ := failures.LoadOrStore(key, new(atomic.Int64))
@@ -166,8 +167,10 @@ func TestRemoteChaosGate(t *testing.T) {
 				bucket := int(elapsed / bucketWidth)
 				total.Add(1)
 				bucketTotal[bucket].Add(1)
+				sent := time.Now()
 				resp, err := client.Post(front.URL+"/v1/predict", "application/json",
 					strings.NewReader(bodies[(w+i)%len(bodies)]))
+				latencies[w] = append(latencies[w], time.Since(sent).Seconds()*1e3)
 				if err != nil {
 					countFailure("transport: " + err.Error())
 					continue
@@ -230,6 +233,7 @@ func TestRemoteChaosGate(t *testing.T) {
 		return true
 	})
 	t.Logf("requests: %d, success: %d (%.3f%%)%s", tot, ok, 100*rate, failSummary)
+	t.Logf("latency: %s", latencyTails(latencies))
 	if rate < 0.99 {
 		t.Errorf("success rate %.3f%% < 99%%:%s", 100*rate, failSummary)
 	}

@@ -16,7 +16,7 @@
 //	lb/request
 //	├── lb/decode
 //	├── lb/route
-//	│   └── lb/attempt            (one per try; hedges included)
+//	│   └── lb/attempt            (one per try)
 //	│       └── serve/request     (on the replica)
 //	│           ├── serve/decode ... serve/encode
 //	└── lb/encode

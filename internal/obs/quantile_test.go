@@ -99,3 +99,22 @@ func TestMetricSnapshotQuantile(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultSecondsBucketsResolveMilliseconds: a histogram on the
+// default bounds fed 1.35 ms observations reports its p50 between 1 and
+// 2 ms — within one 1-2-5 step, not anywhere in the 1–10 ms decade.
+func TestDefaultSecondsBucketsResolveMilliseconds(t *testing.T) {
+	withTelemetry(t)
+	r := NewRegistry()
+	h := r.Histogram("stage_seconds", "", DefaultSecondsBuckets())
+	for i := 0; i < 100; i++ {
+		h.Observe(1.35e-3)
+	}
+	m, ok := r.Snapshot().Find("stage_seconds")
+	if !ok {
+		t.Fatal("histogram series missing from snapshot")
+	}
+	if p50, ok := m.Quantile(0.5); !ok || p50 < 1e-3 || p50 > 2e-3 {
+		t.Fatalf("p50 = %v ok=%v, want within [1ms, 2ms]", p50, ok)
+	}
+}

@@ -120,9 +120,17 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // DefaultSecondsBuckets covers microseconds through minutes — suitable
-// for both simulated bursts and wall-clock driver runs.
+// for both simulated bursts and wall-clock experiment runs — in a 1-2-5
+// series from 1 µs to 100 s, topped by 120 s. Three bounds a decade keep
+// an interpolated quantile within a factor of 2.5 of the truth: a
+// stage that takes 1.35 ms reads between 1 and 2 ms, not somewhere in
+// 1–10 ms.
 func DefaultSecondsBuckets() []float64 {
-	return []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 30, 120}
+	return []float64{
+		1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
+		1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
+		1, 2, 5, 10, 20, 50, 100, 120,
+	}
 }
 
 // DefaultSizeBuckets covers batch/queue sizes from 1 to 4096.
