@@ -57,15 +57,15 @@ golden:
 # The timing tests that run on a virtual clock, 20 times each: the
 # breaker (TestBreaker.* includes the router steering around a member
 # that fails every predict), the admission and request deadlines, the batch window, the
-# health loop and its probe deadline, the supervisor's backoff and the
-# SLO windows. Their clock moves only when the test moves it, so one
+# health loop and its probe deadline, the supervisor's backoff, a
+# member drain's wait for its in-flight requests and the SLO windows. Their clock moves only when the test moves it, so one
 # failure in twenty is a race in the code, not a slow machine. Like
 # golden, not part of check.
 flake:
 	$(GO) test -count=20 -run '^(TestAdmissionTimeout|TestAcquireUntil)$$' ./internal/rm
 	$(GO) test -count=20 -run '^(TestSLOBreachAndRecovery|TestSLOLatencyBreach|TestTracerVirtualTime)$$' ./internal/obs
 	$(GO) test -count=20 -run '^(TestPropagatedDeadlineTightensOnly|TestDeadlineTimerLeavesNoStaleTick|TestCloseStopsWindowTimer|TestRetryAfterOnOverload)$$' ./internal/serve
-	$(GO) test -count=20 -run '^(TestBreaker.*|TestRemoteSuspectAndRejoin|TestHungMemberDelaysNoOtherProbe|TestClusterCrashLoopBudget|TestReadySLODetail)$$' ./internal/cluster
+	$(GO) test -count=20 -run '^(TestBreaker.*|TestRemoteSuspectAndRejoin|TestHungMemberDelaysNoOtherProbe|TestClusterCrashLoopBudget|TestReadySLODetail|TestDrainMemberWaitsOnClusterClock)$$' ./internal/cluster
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # Every allocation pin in internal/, printing only what each measured
@@ -120,23 +120,28 @@ fuzz:
 #    response verified against the recorded one;
 #  - contentionlb booted on a free port with -window 0: one JSON predict
 #    through it, SIGINT, and its manifest must record the window in
-#    force (1ms), not the flag as given, with the .prom sidecar beside
-#    it;
+#    force (1ms), not the flag as given, and carry the metrics snapshot,
+#    with no other file (no .prom text copy) beside it;
 #  - contentiond booted the same way, with no flags: one predict,
-#    SIGINT, and its manifest must record the default window (1ms), with
-#    the .prom sidecar beside it;
+#    SIGINT, and its manifest must record the default window (1ms) and
+#    carry the metrics snapshot, with no .prom file beside it;
 #  - the removed flags are refused: -spill and -heartbeat, and the
 #    tuning flags that became constants (contentiond's -max-batch,
 #    -max-inflight, -max-queue and -timeout; contentionlb's -max-tries,
 #    -retry-budget, -probe, -suspect-after and -timeout), and
-#    contentionlb's -hedge, whose hedged second request is gone. Each is given
-#    its old default and a missing file to boot from, so the command
-#    exits at once, and only exit status 2 (a flag error) passes;
+#    contentionlb's -hedge, whose hedged second request is gone, and
+#    the second metrics listener (-metrics-addr on both daemons) and
+#    experiments' -parallel, whose pool -workers sizes. Each is given
+#    its old default (or a free port) and a missing file to boot from or
+#    an unknown experiment id, so the command exits at once, and only
+#    exit status 2 (a flag error) passes;
 #  - the fleet scrape across real processes: contentionlb over two
 #    contentiond children, scraping every 100ms; after one predict,
-#    /debug/fleet?format=json must show both members scraped within 5s;
+#    /debug/fleet must show both members scraped within 5s, as JSON with
+#    or without ?format=json;
 #  - an unknown experiment id is refused (before anything is calibrated),
-#    and one known id writes its manifest and .prom sidecar;
+#    and one known id writes its manifest, carrying the metrics
+#    snapshot, and no .prom file;
 #  - no command, example or the façade links internal/prob: it is a test
 #    and bench reference, and the slowdown kernel is the one production DP;
 #  - bench/ is its own module, invisible to `go test ./...`: vet and test
@@ -170,7 +175,7 @@ smoke:
 		"http://$$lbaddr/v1/predict" > /dev/null && \
 	kill -INT $$lbpid && wait $$lbpid && lbpid= && \
 	grep -q '"window": *"1ms"' "$$tmp/lb.json" && \
-	test -f "$$tmp/lb.prom" && \
+	grep -q '"metrics"' "$$tmp/lb.json" && test ! -e "$$tmp/lb.prom" && \
 	{ "$$tmp/contentiond" -addr 127.0.0.1:0 -run-report "$$tmp/d.json" 2> "$$tmp/d.log" & } && \
 	dpid=$$! && \
 	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/d.log" && break; sleep 0.1; done && \
@@ -180,7 +185,7 @@ smoke:
 		"http://$$daddr/v1/predict" > /dev/null && \
 	kill -INT $$dpid && wait $$dpid && dpid= && \
 	grep -q '"window": *"1ms"' "$$tmp/d.json" && \
-	test -f "$$tmp/d.prom" && \
+	grep -q '"metrics"' "$$tmp/d.json" && test ! -e "$$tmp/d.prom" && \
 	{ "$$tmp/contentionlb" -exec "$$tmp/contentiond" -replicas 2 -fleet-scrape 100ms -addr 127.0.0.1:0 2> "$$tmp/f.log" & } && \
 	fpid=$$! && \
 	for i in $$(seq 100); do grep -q ' on http://' "$$tmp/f.log" && break; sleep 0.1; done && \
@@ -190,16 +195,19 @@ smoke:
 		"http://$$faddr/v1/predict" > /dev/null && \
 	for i in $$(seq 50); do curl -sSf "http://$$faddr/debug/fleet?format=json" | grep -q '"scraped_members": *2' && break; sleep 0.1; done && \
 	curl -sSf "http://$$faddr/debug/fleet?format=json" | grep -q '"scraped_members": *2' && \
+	curl -sSf "http://$$faddr/debug/fleet" | grep -q '"scraped_members": *2' && \
 	kill -INT $$fpid && wait $$fpid && fpid= && \
 	! "$$tmp/contentionlb" -spill 1 2>/dev/null && \
 	! "$$tmp/contentionlb" -heartbeat 1s 2>/dev/null && \
-	for f in 'max-batch 256' 'max-inflight 1024' 'max-queue 4096' 'timeout 2s'; do \
+	for f in 'max-batch 256' 'max-inflight 1024' 'max-queue 4096' 'timeout 2s' 'metrics-addr 127.0.0.1:0'; do \
 		"$$tmp/contentiond" -cal "$$tmp/none.json" -$$f 2>/dev/null; test $$? -eq 2 || exit 1; done && \
-	for f in 'max-tries 3' 'retry-budget 0.2' 'probe 250ms' 'suspect-after 4' 'timeout 2s' 'hedge 5ms'; do \
+	for f in 'max-tries 3' 'retry-budget 0.2' 'probe 250ms' 'suspect-after 4' 'timeout 2s' 'hedge 5ms' 'metrics-addr 127.0.0.1:0'; do \
 		"$$tmp/contentionlb" -members "$$tmp/none.json" -$$f 2>/dev/null; test $$? -eq 2 || exit 1; done && \
-	! $(GO) run ./cmd/experiments -only bogus 2>/dev/null && \
-	$(GO) run ./cmd/experiments -only table3 -run-report "$$tmp/x.json" > /dev/null 2>&1 && \
-	test -f "$$tmp/x.json" && test -f "$$tmp/x.prom" && \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments && \
+	{ "$$tmp/experiments" -only bogus 2>/dev/null; test $$? -eq 1; } && \
+	{ "$$tmp/experiments" -only bogus -parallel=false 2>/dev/null; test $$? -eq 2; } && \
+	"$$tmp/experiments" -only table3 -run-report "$$tmp/x.json" > /dev/null 2>&1 && \
+	grep -q '"metrics"' "$$tmp/x.json" && test ! -e "$$tmp/x.prom" && \
 	! $(GO) list -deps ./cmd/... ./examples/... . | grep -q internal/prob
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per exhibit), plus ablation benchmarks for
-// the design choices called out in DESIGN.md §5. Each benchmark reports
-// the model-vs-actual error of its experiment as a custom metric
-// (err%), alongside the usual time/op: run with
+// evaluation (one benchmark per exhibit; the design choices DESIGN.md §5
+// ablates are a test, ablation_test.go). Each benchmark reports the
+// model-vs-actual error of its experiment as a custom metric (err%),
+// alongside the usual time/op: run with
 //
 //	go test -bench=. -benchmem
 package contention_test
@@ -15,7 +15,6 @@ import (
 	"contention/internal/core"
 	"contention/internal/experiments"
 	"contention/internal/runner"
-	"contention/internal/stats"
 )
 
 // benchSerial forces the experiment benchmarks onto the serial path
@@ -33,12 +32,12 @@ var (
 	sharedEnvErr  error
 )
 
-func benchEnv(b *testing.B) *experiments.Env {
-	b.Helper()
+func benchEnv(tb testing.TB) *experiments.Env {
+	tb.Helper()
 	sharedEnvOnce.Do(func() { sharedEnv, sharedEnvErr = experiments.NewEnv() })
 	env, err := sharedEnv, sharedEnvErr
 	if err != nil {
-		b.Fatalf("calibration failed: %v", err)
+		tb.Fatalf("calibration failed: %v", err)
 	}
 	if !*benchSerial {
 		env = env.WithPool(benchPool)
@@ -108,111 +107,6 @@ func BenchmarkFigure5(b *testing.B) { benchFigure(b, experiments.Figure5, "conte
 func BenchmarkFigure6(b *testing.B) { benchFigure(b, experiments.Figure6, "contended") }
 func BenchmarkFigure7(b *testing.B) { benchFigure(b, experiments.Figure7, "j=1000") }
 func BenchmarkFigure8(b *testing.B) { benchFigure(b, experiments.Figure8, "j=500") }
-
-// --- Ablations (DESIGN.md §5) ---------------------------------------------
-
-// BenchmarkAblationPiecewiseVsSingle compares the paper's two-piece
-// communication model against a single (α, β) pair on the dedicated
-// burst data of Figure 4. The reported metric is the error *advantage*
-// of the piecewise model in percentage points.
-func BenchmarkAblationPiecewiseVsSingle(b *testing.B) {
-	env := benchEnv(b)
-	var advantage float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var measured experiments.Series
-		for _, s := range r.Series {
-			if s.Name == "sun→paragon 1-HOP" {
-				measured = s
-				break
-			}
-		}
-		if len(measured.X) == 0 {
-			b.Fatal("missing sun→paragon 1-HOP series")
-		}
-		const count = 1000
-		// Piecewise prediction from the calibration.
-		var piecewise, single []float64
-		fit, err := stats.OLS(measured.X, measured.Y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k, x := range measured.X {
-			dcomm, err := env.Cal.ToBack.Dedicated([]core.DataSet{{N: count, Words: int(x)}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			piecewise = append(piecewise, dcomm)
-			single = append(single, fit.Predict(measured.X[k]))
-		}
-		errPiece, err := stats.MAPE(piecewise, measured.Y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		errSingle, err := stats.MAPE(single, measured.Y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		advantage = errSingle - errPiece
-	}
-	b.ReportMetric(advantage, "pp-advantage")
-}
-
-// BenchmarkAblationNearestJVsWrongJ reports how much accuracy the
-// nearest-j rule buys on the Figure 7 workload: the error gap between
-// the j=1 column and the auto-selected j=1000 column.
-func BenchmarkAblationNearestJVsWrongJ(b *testing.B) {
-	env := benchEnv(b)
-	var gap float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure7(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = r.Err("j=1") - r.Err("j=1000")
-	}
-	b.ReportMetric(gap, "pp-advantage")
-}
-
-// BenchmarkAblationMixtureVsWorstCase compares the paper's
-// probabilistic-mixture computation slowdown against the naive p+1
-// worst case on the Figure 7 workload. Metric: percentage points of
-// error the mixture model saves.
-func BenchmarkAblationMixtureVsWorstCase(b *testing.B) {
-	env := benchEnv(b)
-	var advantage float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure7(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var dedicated, actual experiments.Series
-		for _, s := range r.Series {
-			switch s.Name {
-			case "dedicated":
-				dedicated = s
-			case "actual":
-				actual = s
-			}
-		}
-		worst := make([]float64, len(dedicated.Y))
-		for k, d := range dedicated.Y {
-			worst[k] = d * core.SimpleSlowdown(2) // p = 2 contenders
-		}
-		errWorst, err := stats.MAPE(worst, actual.Y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		advantage = errWorst - r.Err("j=1000")
-	}
-	b.ReportMetric(advantage, "pp-advantage")
-}
 
 // BenchmarkSlowdownEvaluation measures the run-time cost of one
 // slowdown evaluation for a 16-application system — the quantity the

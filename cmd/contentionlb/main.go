@@ -14,9 +14,8 @@
 //	GET  /readyz      — 503 while draining or with zero replicas up
 //	GET  /metrics     — Prometheus text exposition plus merged fleet_*
 //	                    member series (with -metrics)
-//	GET  /debug/fleet — fleet digest: members, weights, breakers,
-//	                    suspicion, per-stage p50/p99, SLO burn (HTML;
-//	                    JSON with ?format=json)
+//	GET  /debug/fleet — fleet digest as JSON: members, weights,
+//	                    breakers, suspicion, per-stage p50/p99, SLO burn
 //
 // Around the pick sit the robustness layers: per-replica circuit
 // breakers over a rolling error rate, and at most three sequential

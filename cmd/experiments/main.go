@@ -30,8 +30,7 @@ func main() {
 	scenarios := flag.Bool("scenarios", false, "also run the scenario sweep matrix (every builtin scenario × wire format × serving mode, with replay verification per cell)")
 	scenarioN := flag.Int("scenario-n", 60, "requests per scenario sweep cell")
 	asJSON := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
-	parallel := flag.Bool("parallel", true, "fan experiment drivers and sweeps out on a worker pool (output is byte-identical to serial)")
-	workers := flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker pool the experiment drivers and sweeps fan out on (0 = GOMAXPROCS, 1 = serial; output is byte-identical at any size)")
 	run := obs.NewCommand("experiments")
 	run.ProfileFlags()
 	flag.Parse()
@@ -74,9 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "calibration failed:", err)
 		os.Exit(1)
 	}
-	if *parallel {
-		env = env.WithPool(runner.New(*workers))
-	}
+	env = env.WithPool(runner.New(*workers))
 	results, err := experiments.Run(env, exps...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiment failed:", err)
@@ -98,7 +95,6 @@ func main() {
 			"only":       *only,
 			"extensions": strconv.FormatBool(wantExt),
 			"scenarios":  strconv.FormatBool(scenarioReport != nil),
-			"parallel":   strconv.FormatBool(*parallel),
 			"workers":    strconv.Itoa(env.Pool.Workers()),
 		})
 		m.Scenario = scenarioReport

@@ -871,7 +871,8 @@ func (c *Cluster) classifyTransportErr(ctx context.Context, deadline time.Time, 
 
 // DrainMember removes member id from the fleet gracefully: it leaves
 // the routing set immediately, requests in flight to it finish within
-// ctx, then the replica shuts down. The member is not restarted.
+// ctx (polled every millisecond on the cluster's clock), then the
+// replica shuts down. The member is not restarted.
 func (c *Cluster) DrainMember(ctx context.Context, id int) error {
 	m := c.memberByID(id)
 	if m == nil {
@@ -889,15 +890,17 @@ func (c *Cluster) DrainMember(ctx context.Context, id int) error {
 	m.mu.Unlock()
 	c.resync()
 
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
+	var poll serve.WaitTimer
 	for m.inflight.Load() > 0 {
+		tick := poll.Arm(c.tun.clock, time.Millisecond)
 		select {
 		case <-ctx.Done():
+			poll.Disarm(tick)
 			rep.Kill()
 			m.takeFrames().close()
 			return fmt.Errorf("cluster: drain member %d: %w", id, ctx.Err())
-		case <-tick.C:
+		case <-tick:
+			poll.Disarm(tick)
 		}
 	}
 	err := rep.Close(ctx)

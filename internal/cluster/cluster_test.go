@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,6 +40,7 @@ type fakeReplica struct {
 	metrics atomic.Value // string: /metrics?format=json body ("" -> 404, like a daemon without -metrics)
 	mfail   atomic.Bool  // respond 500 to /metrics
 	lastRID atomic.Value // string: X-Request-Id of the last predict served
+	killed  atomic.Bool  // Kill, not Close, ended the replica
 	done    chan struct{}
 	once    sync.Once
 }
@@ -120,6 +122,7 @@ func (f *fakeReplica) Close(ctx context.Context) error {
 
 func (f *fakeReplica) Kill() {
 	f.once.Do(func() {
+		f.killed.Store(true)
 		f.host.sever()
 		f.ts.CloseClientConnections()
 		f.ts.Close()
@@ -743,6 +746,68 @@ func TestClusterDrainMember(t *testing.T) {
 	if err := c.DrainMember(ctx, primary); err == nil {
 		t.Fatal("draining an already-drained member succeeded")
 	}
+}
+
+// TestDrainMemberWaitsOnClusterClock holds a member's in-flight count
+// above zero and drains it on a virtual clock: DrainMember polls on the
+// cluster's clock and returns only once the count reaches zero, and when
+// its ctx ends first it returns the ctx error and kills the replica.
+func TestDrainMemberWaitsOnClusterClock(t *testing.T) {
+	clk := newFakeClock()
+	c, fl, _ := newTestCluster(t, 3, func(cfg *testConfig) {
+		cfg.clock = clk
+		cfg.probe = time.Hour // no health round while the drains poll
+	})
+	hour := clk.Now().Add(time.Hour)
+	// pollArmed waits for a drain's poll timer to be armed for the n-th
+	// time: the drain has polled n-1 times and is waiting again.
+	pollArmed := func(n int) {
+		clk.waitArmed(func(t *fakeTimer) bool { return t.arms == n && t.when.Before(hour) })
+	}
+
+	t.Run("waits for in-flight", func(t *testing.T) {
+		m := c.memberByID(0)
+		m.inflight.Add(1)
+		done := make(chan error, 1)
+		go func() { done <- c.DrainMember(context.Background(), 0) }()
+		for n := 1; n <= 3; n++ {
+			pollArmed(n)
+			clk.advance(time.Millisecond)
+		}
+		pollArmed(4)
+		select {
+		case err := <-done:
+			t.Fatalf("DrainMember returned %v with a request in flight", err)
+		default:
+		}
+		m.inflight.Add(-1)
+		clk.advance(time.Millisecond)
+		if err := <-done; err != nil {
+			t.Fatalf("DrainMember: %v", err)
+		}
+		if rep := fl.current(0); rep.killed.Load() {
+			t.Fatal("a drain that finished in time killed the replica")
+		}
+	})
+
+	t.Run("ctx ends first", func(t *testing.T) {
+		m := c.memberByID(1)
+		m.inflight.Add(1)
+		defer m.inflight.Add(-1)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- c.DrainMember(ctx, 1) }()
+		pollArmed(1)
+		clk.advance(time.Millisecond)
+		pollArmed(2)
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("DrainMember = %v, want context.Canceled", err)
+		}
+		if rep := fl.current(1); !rep.killed.Load() {
+			t.Fatal("a drain cut short by its ctx left the replica running")
+		}
+	})
 }
 
 func TestClusterShutdown(t *testing.T) {

@@ -4,12 +4,11 @@
 // histogram buckets sum across members, so fleet_serve_stage_seconds is
 // the whole fleet's latency attribution in one histogram family. The
 // merged view is served two ways: appended to the balancer's own
-// /metrics exposition, and digested into /debug/fleet — a single page
-// (HTML for humans, JSON with ?format=json) answering "where is the
-// fleet spending its time" with members, routing weights, breaker states,
-// suspicion levels, per-stage p50/p99, and the cluster's SLO burn when
-// its Config.SLO is set. Each member scrape is bounded by the scrape
-// period.
+// /metrics exposition, and digested into /debug/fleet — one JSON
+// FleetStatus answering "where is the fleet spending its time" with
+// members, routing weights, breaker states, suspicion levels, per-stage
+// p50/p99, and the cluster's SLO burn when its Config.SLO is set. Each
+// member scrape is bounded by the scrape period.
 //
 // Members that do not expose /metrics (in-process replicas share this
 // process's registry; daemons started without -metrics) answer 404 and
@@ -18,8 +17,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"html"
 	"io"
 	"net/http"
 	"sort"
@@ -219,77 +216,10 @@ func stageLatencies(snap obs.Snapshot, metric, tier string) []StageLatency {
 	return out
 }
 
-// Handler serves /debug/fleet: JSON with ?format=json (or an Accept
-// header preferring it), HTML otherwise.
+// Handler serves /debug/fleet: the FleetStatus as JSON, whatever the
+// query or Accept header asks for.
 func (f *Fleet) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := f.Status()
-		if r.URL.Query().Get("format") == "json" ||
-			strings.Contains(r.Header.Get("Accept"), "application/json") {
-			serve.WriteJSON(w, http.StatusOK, st)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeFleetHTML(w, st)
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, f.Status())
 	})
-}
-
-// writeFleetHTML renders the digest as a dependency-free HTML page.
-func writeFleetHTML(w io.Writer, st FleetStatus) {
-	fmt.Fprint(w, `<!doctype html><meta charset="utf-8"><title>fleet</title>
-<style>
-body{font:14px/1.4 system-ui,sans-serif;margin:2em auto;max-width:60em;padding:0 1em}
-table{border-collapse:collapse;margin:1em 0}
-td,th{border:1px solid #ccc;padding:.3em .6em;text-align:left}
-th{background:#f3f3f3}
-.bad{color:#b00}.ok{color:#070}
-</style>
-`)
-	fmt.Fprintf(w, "<h1>fleet</h1><p>%d replicas up, %d scraped", st.ReplicasUp, st.ScrapedMembers)
-	if st.ScrapedAt != "" {
-		fmt.Fprintf(w, " at %s", html.EscapeString(st.ScrapedAt))
-	}
-	fmt.Fprint(w, "</p>\n")
-
-	if st.SLO != nil {
-		cls, verdict := "ok", "within objectives"
-		if st.SLO.Breach {
-			cls, verdict = "bad", "BREACH: "+html.EscapeString(st.SLO.Reason)
-		}
-		fmt.Fprintf(w, `<h2>slo</h2><p class=%q>%s</p>
-<table><tr><th>window</th><th>latency burn</th><th>availability burn</th><th>total</th><th>slow</th><th>failed</th></tr>
-<tr><td>fast (%gs)</td><td>%.2f</td><td>%.2f</td><td>%d</td><td>%d</td><td>%d</td></tr>
-<tr><td>slow (%gs)</td><td>%.2f</td><td>%.2f</td><td>%d</td><td>%d</td><td>%d</td></tr></table>
-`,
-			cls, verdict,
-			st.SLO.Fast.Seconds, st.SLO.Fast.LatencyBurn, st.SLO.Fast.AvailabilityBurn,
-			st.SLO.Fast.Total, st.SLO.Fast.Slow, st.SLO.Fast.Failed,
-			st.SLO.Slow.Seconds, st.SLO.Slow.LatencyBurn, st.SLO.Slow.AvailabilityBurn,
-			st.SLO.Slow.Total, st.SLO.Slow.Slow, st.SLO.Slow.Failed)
-	}
-
-	fmt.Fprint(w, `<h2>members</h2>
-<table><tr><th>id</th><th>state</th><th>addr</th><th>weight</th><th>breaker</th><th>in-flight</th><th>restarts</th><th>suspicion</th></tr>
-`)
-	for _, m := range st.Members {
-		cls := "ok"
-		if m.State != "up" {
-			cls = "bad"
-		}
-		fmt.Fprintf(w, "<tr><td>%d</td><td class=%q>%s</td><td>%s</td><td>%g</td><td>%s</td><td>%d</td><td>%d</td><td>%.2f</td></tr>\n",
-			m.ID, cls, html.EscapeString(m.State), html.EscapeString(m.Addr),
-			m.Weight, html.EscapeString(m.Breaker), m.InFlight, m.Restarts, m.Suspicion)
-	}
-	fmt.Fprint(w, "</table>\n")
-
-	if len(st.Stages) > 0 {
-		fmt.Fprint(w, `<h2>latency attribution</h2>
-<table><tr><th>tier</th><th>stage</th><th>count</th><th>p50 (ms)</th><th>p99 (ms)</th></tr>
-`)
-		for _, s := range st.Stages {
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%.3f</td><td>%.3f</td></tr>\n",
-				html.EscapeString(s.Tier), html.EscapeString(s.Stage), s.Count, s.P50ms, s.P99ms)
-		}
-		fmt.Fprint(w, "</table>\n")
-	}
 }

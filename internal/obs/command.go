@@ -10,23 +10,21 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 )
 
 // Command is the run plumbing the commands share: the telemetry flags
-// (-metrics, -metrics-addr, -run-report) every command with a run
-// report registers, the optional profile and serving flag groups, and
-// the run report written at exit. Register the flags, flag.Parse, then
-// Start; main defers Stop.
+// (-metrics, -run-report) every command with a run report registers,
+// the optional profile and serving flag groups, and the run report
+// written at exit. Register the flags, flag.Parse, then Start; main
+// defers Stop.
 type Command struct {
 	name  string
 	start time.Time
 
-	metrics     *bool
-	metricsAddr *string
-	runReport   *string
+	metrics   *bool
+	runReport *string
 
 	// Nil unless ProfileFlags registered them.
 	cpuprofile, memprofile *string
@@ -44,10 +42,9 @@ type Command struct {
 // the command called name (the manifest's "command").
 func NewCommand(name string) *Command {
 	return &Command{
-		name:        name,
-		metrics:     flag.Bool("metrics", false, "record telemetry (metrics and spans; a daemon also exposes GET /metrics); implied by -metrics-addr and -run-report"),
-		metricsAddr: flag.String("metrics-addr", "", "serve Prometheus text on http://ADDR/metrics and expvar on /debug/vars"),
-		runReport:   flag.String("run-report", "", "write a JSON run manifest to this file at exit (plus a Prometheus snapshot beside it)"),
+		name:      name,
+		metrics:   flag.Bool("metrics", false, "record telemetry (metrics and spans; a daemon also exposes GET /metrics); implied by -run-report"),
+		runReport: flag.String("run-report", "", "write a JSON run manifest, with the metrics snapshot, to this file at exit"),
 	}
 }
 
@@ -67,23 +64,16 @@ func (c *Command) ServingFlags() {
 }
 
 // Start acts on the parsed flags: it starts the run's clock, turns
-// telemetry on when any telemetry flag asks for it, serves
-// -metrics-addr, builds the head sampler and the SLO tracker and starts
-// the CPU profile. A flag it cannot act on exits 1.
+// telemetry on when any telemetry flag asks for it, builds the head
+// sampler and the SLO tracker and starts the CPU profile. A flag it
+// cannot act on exits 1.
 func (c *Command) Start() {
 	c.start = time.Now()
-	if *c.metricsAddr != "" || *c.runReport != "" {
+	if *c.runReport != "" {
 		*c.metrics = true
 	}
 	if *c.metrics {
 		SetEnabled(true)
-	}
-	if *c.metricsAddr != "" {
-		addr, err := ListenAndServe(*c.metricsAddr)
-		if err != nil {
-			fatal("metrics-addr:", err)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", addr)
 	}
 	if c.traceSample != nil {
 		c.sampler = NewSampler(*c.traceSample)
@@ -136,7 +126,7 @@ func writeHeapProfile(path string) error {
 }
 
 // Metrics reports whether telemetry is on: -metrics, or implied by
-// -metrics-addr or -run-report.
+// -run-report.
 func (c *Command) Metrics() bool { return *c.metrics }
 
 // Sampler is the head sampler -trace-sample configured; nil (never
@@ -162,9 +152,8 @@ func (c *Command) Manifest(config map[string]string) *Manifest {
 }
 
 // Report writes the run report -run-report asks for, if any: the
-// manifest build returns, stamped with the run's start and wall time,
-// and the registry's Prometheus text beside it. build runs only when a
-// report is asked for. A failed write exits 1.
+// manifest build returns, stamped with the run's start and wall time.
+// build runs only when a report is asked for. A failed write exits 1.
 func (c *Command) Report(build func() *Manifest) {
 	if *c.runReport == "" {
 		return
@@ -175,11 +164,7 @@ func (c *Command) Report(build func() *Manifest) {
 	if err := m.Write(*c.runReport); err != nil {
 		fatal("run-report:", err)
 	}
-	prom := strings.TrimSuffix(*c.runReport, ".json") + ".prom"
-	if err := os.WriteFile(prom, []byte(Default().PrometheusText()), 0o644); err != nil {
-		fatal("run-report:", err)
-	}
-	fmt.Fprintf(os.Stderr, "run manifest: %s (metrics snapshot: %s)\n", *c.runReport, prom)
+	fmt.Fprintf(os.Stderr, "run manifest: %s\n", *c.runReport)
 }
 
 // ServeUntilSignal serves hs on ln until SIGINT or SIGTERM arrives,

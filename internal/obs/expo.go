@@ -2,15 +2,12 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WritePrometheus renders the registry in the Prometheus text
@@ -72,14 +69,6 @@ func (snap Snapshot) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// PrometheusText is WritePrometheus into a string.
-func (r *Registry) PrometheusText() string {
-	var b strings.Builder
-	// strings.Builder never errors.
-	_ = r.WritePrometheus(&b)
-	return b.String()
-}
-
 // bucketLabels merges an existing {label="value"} suffix with the le
 // bucket label.
 func bucketLabels(labels, le string) string {
@@ -116,36 +105,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar publishes the default registry's snapshot under the
-// expvar name "contention" (alongside the runtime's memstats/cmdline),
-// so any /debug/vars scraper sees the same numbers as /metrics.
-// Idempotent; expvar forbids re-publishing a name.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("contention", expvar.Func(func() any { return std.Snapshot() }))
-	})
-}
-
-// ListenAndServe starts an HTTP exposition endpoint for the default
-// registry on addr: /metrics (Prometheus text, or JSON with
-// ?format=json) and /debug/vars (expvar JSON, including the published
-// registry snapshot). It returns the bound address (useful with a ":0"
-// port) and never blocks; the server lives until the process exits.
-// Errors binding the listener are returned synchronously.
-func ListenAndServe(addr string) (string, error) {
-	PublishExpvar()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", std.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), nil
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -50,16 +51,26 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// promText renders r through WritePrometheus, the path /metrics serves.
+func promText(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestPrometheusExpositionGolden pins the text exposition format: the
 // `make check` gate depends on this test by name.
 func TestPrometheusExpositionGolden(t *testing.T) {
 	r := goldenRegistry(t)
-	checkGolden(t, "exposition.golden", []byte(r.PrometheusText()))
+	checkGolden(t, "exposition.golden", []byte(promText(t, r)))
 }
 
 func TestExpositionShape(t *testing.T) {
 	r := goldenRegistry(t)
-	text := r.PrometheusText()
+	text := promText(t, r)
 	for _, want := range []string{
 		"# TYPE core_predict_comm_total counter",
 		"core_predict_comm_total 42",
@@ -84,7 +95,7 @@ func TestHistogramBucketMergesLabels(t *testing.T) {
 	withTelemetry(t)
 	r := NewRegistry()
 	r.Histogram(`lat_seconds{op="send"}`, "", []float64{1}).Observe(0.5)
-	text := r.PrometheusText()
+	text := promText(t, r)
 	if !strings.Contains(text, `lat_seconds_bucket{op="send",le="1"} 1`) {
 		t.Fatalf("labelled histogram buckets malformed:\n%s", text)
 	}
@@ -109,8 +120,8 @@ func TestHandlerServesExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
 	}
-	if string(body) != r.PrometheusText() {
-		t.Fatal("handler body differs from PrometheusText")
+	if string(body) != promText(t, r) {
+		t.Fatal("handler body differs from WritePrometheus")
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package obs is the unified telemetry layer for the contention stack:
 // a zero-dependency metrics registry (atomic counters, gauges and
-// fixed-bucket histograms with Prometheus-style text exposition and
-// expvar publishing), lightweight span tracing that is virtual-time
-// aware (a DES run and a wall-clock emulation run produce equally
-// coherent timelines), and schema-versioned JSON run manifests the
-// commands emit at exit.
+// fixed-bucket histograms, exposed on a daemon's GET /metrics as
+// Prometheus-style text or as a JSON snapshot), lightweight span tracing
+// that is virtual-time aware (a DES run and a wall-clock emulation run
+// produce equally coherent timelines), and schema-versioned JSON run
+// manifests, carrying the same snapshot, that the commands emit at exit.
 //
 // The paper's premise is that contended performance is only predictable
 // when the contention is observable; obs turns that lens on the
