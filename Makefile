@@ -45,13 +45,15 @@ race:
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # The bit-for-bit pins, once each: the suite's golden digests, a driver
-# run alone against All, the parallel pass against the serial one, and
-# the calibration against its recorded values and Run. A simulator
+# run alone against All, the parallel pass against the serial one, the
+# calibration against its recorded values and Run, and the Action
+# contenders against the process loop they replaced. A simulator
 # refactor can be checked here in seconds; race runs the same tests, so
 # check does not list this step.
 golden:
 	$(GO) test -count=1 -run '^(TestSuiteGoldenDigest|TestPaperExperimentAloneMatchesAll|TestParallelMatchesSerialByteIdentical)$$' ./internal/experiments
 	$(GO) test -count=1 -run '^(TestCalibrationMatchesParent|TestRunRobustSingleRepeatMatchesRun)$$' ./internal/calibrate
+	$(GO) test -count=1 -run '^TestContenderMatchesProcessLoop$$' ./internal/workload
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 # The timing tests that run on a virtual clock, 20 times each: the

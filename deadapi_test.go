@@ -33,6 +33,7 @@ var deadAPIAllow = map[string]string{
 	"contention/internal/cpu.MemoryConfig.Thrash":  "core TestMemoryExtensionMatchesSimulation and des TestRunAheadMatchesQueueAndPark: the paging reference's thrash factor",
 	"contention/internal/cpu.Residency.Release":    "des TestRunAheadMatchesQueueAndPark: working sets released mid-run",
 	"contention/internal/disk.Disk.BusyTime":       "workload TestAlternatorIOFractionUsesDisk: the device's busy fraction",
+	"contention/internal/disk.Disk.Op":             "workload TestContenderMatchesProcessLoop: the reference contender process's disk operations",
 	"contention/internal/mesh.Machine.FabricBusy":  "link TestStreamMatchesSendLoop: fabric occupancy of both runs",
 	"contention/internal/mesh.Machine.FabricSends": "link TestStreamMatchesSendLoop: fabric transfers of both runs",
 	// Serving hooks that cluster and serve tests drive.

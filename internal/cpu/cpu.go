@@ -1,9 +1,9 @@
 // Package cpu models a time-shared uniprocessor as an ideal
 // processor-sharing (PS) resource: CPU cycles are split equally among
-// all resident jobs of equal weight, which is precisely the scheduling
-// law the paper observed on the Sun front-ends ("CPU cycles are split
-// equally among all the processes running on the Sun with the same
-// priority"), and the origin of the slowdown = p+1 rule.
+// all resident jobs, which is precisely the scheduling law the paper
+// observed on the Sun front-ends ("CPU cycles are split equally among
+// all the processes running on the Sun with the same priority"), and the
+// origin of the slowdown = p+1 rule.
 package cpu
 
 import (
@@ -42,10 +42,12 @@ type Host struct {
 	resident int
 }
 
+// job is one resident computation: the process parked in Compute, or
+// the Action ComputeAsync calls when the work is done.
 type job struct {
 	remaining float64
-	weight    float64
 	proc      *des.Proc
+	act       des.Action
 }
 
 // NewHost returns a PS host with the given speed (work units/second).
@@ -81,24 +83,13 @@ func (h *Host) Completed() int { return h.completed }
 // Compute runs `work` units on the host under processor sharing,
 // blocking p until the work completes. Zero work yields once and returns.
 func (h *Host) Compute(p *des.Proc, work float64) {
-	h.ComputeWeighted(p, work, 1)
-}
-
-// ComputeWeighted is Compute with a relative share weight (default 1).
-// A job with weight w receives a w/Σw fraction of the processor.
-func (h *Host) ComputeWeighted(p *des.Proc, work, weight float64) {
-	if work < 0 || math.IsNaN(work) {
-		panic(fmt.Sprintf("cpu: invalid work %v", work))
-	}
-	if weight <= 0 || math.IsNaN(weight) {
-		panic(fmt.Sprintf("cpu: invalid weight %v", weight))
-	}
+	checkWork(work)
 	if work == 0 {
 		p.Delay(0)
 		return
 	}
 	h.advance()
-	h.jobs = append(h.jobs, job{remaining: work, weight: weight, proc: p})
+	h.jobs = append(h.jobs, job{remaining: work, proc: p})
 	d := h.untilNextFinish()
 	if !p.RunAhead(d, h.completion) {
 		h.arm(d)
@@ -117,6 +108,56 @@ func (h *Host) ComputeWeighted(p *des.Proc, work, weight float64) {
 		p.Delay(0)
 	} else {
 		p.Park()
+	}
+}
+
+// ComputeAsync is Compute for a caller that is not a process: the job
+// carries a, and the completion that retires it schedules a.Fire() as a
+// zero-delay Call where it would have resumed a parked process — one
+// sequence number at the same place. Zero work is Call(0, a), as it is
+// Delay(0) in Compute. ComputeAsync returns at once and never runs
+// ahead: the job's completion is always a queued event.
+func (h *Host) ComputeAsync(work float64, a des.Action) {
+	if a == nil {
+		panic("cpu: ComputeAsync with a nil Action")
+	}
+	checkWork(work)
+	if work == 0 {
+		h.k.Call(0, a)
+		return
+	}
+	h.advance()
+	h.jobs = append(h.jobs, job{remaining: work, act: a})
+	h.arm(h.untilNextFinish())
+}
+
+// SpawnJob starts a job of work units that nobody waits for: it joins
+// the host one zero-delay call from now, where a process spawned to
+// compute it would start, and leaves when it is done. A CPU-bound
+// contender is such a job of 1e18 units: it computes until the horizon.
+func (h *Host) SpawnJob(work float64) {
+	checkWork(work)
+	h.k.Call(0, &spawned{h: h, work: work})
+}
+
+// spawned is a SpawnJob job: the first call joins the host, the one
+// that ends it does nothing.
+type spawned struct {
+	h    *Host
+	work float64
+}
+
+// Fire implements des.Action.
+func (s *spawned) Fire() {
+	if h := s.h; h != nil {
+		s.h = nil
+		h.ComputeAsync(s.work, s)
+	}
+}
+
+func checkWork(work float64) {
+	if work < 0 || math.IsNaN(work) {
+		panic(fmt.Sprintf("cpu: invalid work %v", work))
 	}
 }
 
@@ -141,11 +182,10 @@ func (h *Host) advance() {
 	if effDt <= 0 {
 		return
 	}
-	total := h.totalWeight()
 	eff := h.speed / h.PagingFactor()
+	share := effDt * eff / float64(len(h.jobs))
 	for i := range h.jobs {
-		j := &h.jobs[i]
-		j.remaining -= effDt * eff * j.weight / total
+		h.jobs[i].remaining -= share
 	}
 }
 
@@ -171,14 +211,6 @@ func (h *Host) Stall(d float64) {
 // Stalls reports the number of stall windows injected so far.
 func (h *Host) Stalls() int { return h.stalls }
 
-func (h *Host) totalWeight() float64 {
-	w := 0.0
-	for _, j := range h.jobs {
-		w += j.weight
-	}
-	return w
-}
-
 // reschedule re-times the completion event — one record for the host's
 // lifetime — for the earliest finishing job given current membership.
 func (h *Host) reschedule() {
@@ -202,7 +234,7 @@ func (h *Host) arm(d float64) {
 // the rest of any stall window plus the earliest finish among the
 // resident jobs (at least one) at their current shares.
 func (h *Host) untilNextFinish() float64 {
-	total := h.totalWeight()
+	n := float64(len(h.jobs))
 	eff := h.speed / h.PagingFactor()
 	stallLeft := 0.0
 	if h.stallUntil > h.k.Now() {
@@ -210,7 +242,7 @@ func (h *Host) untilNextFinish() float64 {
 	}
 	next := math.Inf(1)
 	for _, j := range h.jobs {
-		t := j.remaining * total / (eff * j.weight)
+		t := j.remaining * n / eff
 		if t < next {
 			next = t
 		}
@@ -224,7 +256,7 @@ func (h *Host) untilNextFinish() float64 {
 		// would be re-armed forever. Work that needs no representable
 		// time is done.
 		for i := range h.jobs {
-			if j := &h.jobs[i]; j.remaining*total/(eff*j.weight) <= next {
+			if j := &h.jobs[i]; j.remaining*n/eff <= next {
 				j.remaining = 0
 			}
 		}
@@ -239,9 +271,10 @@ func (h *Host) finishDue() { h.retireDue(nil) }
 // Survivors are filtered in place and the finished jobs collected in
 // h.done, both in arrival order; the completion event is re-timed for
 // the survivors and the finished jobs' processes are woken, in that
-// order. Except self: when the completion happens in the middle of
-// self's own ComputeWeighted (run-ahead), self is running, not parked,
-// and for its job retireDue only reports true.
+// order — a job's Action is called instead. Except self: when the
+// completion happens in the middle of self's own Compute (run-ahead),
+// self is running, not parked, and for its job retireDue only reports
+// true.
 func (h *Host) retireDue(self *des.Proc) (selfDone bool) {
 	h.advance()
 	keep := h.jobs[:0]
@@ -257,9 +290,12 @@ func (h *Host) retireDue(self *des.Proc) (selfDone bool) {
 	h.reschedule()
 	for _, j := range h.done {
 		h.completed++
-		if j.proc == self {
+		switch {
+		case j.act != nil:
+			h.k.Call(0, j.act)
+		case j.proc == self:
 			selfDone = true
-		} else {
+		default:
 			j.proc.Resume()
 		}
 	}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,24 +81,6 @@ func TestSlowdownIsPPlusOne(t *testing.T) {
 	}
 }
 
-func TestWeightedSharing(t *testing.T) {
-	// Weight-2 job gets 2/3 of the CPU against a weight-1 job.
-	k := des.New()
-	h := NewHost(k, "sun", 1)
-	var doneHeavy float64
-	k.Spawn("heavy", func(p *des.Proc) {
-		h.ComputeWeighted(p, 2, 2)
-		doneHeavy = p.Now()
-	})
-	k.Spawn("light", func(p *des.Proc) {
-		h.ComputeWeighted(p, 10, 1)
-	})
-	k.RunUntil(4)
-	if !approx(doneHeavy, 3, 1e-9) {
-		t.Fatalf("heavy finished at %v, want 3", doneHeavy)
-	}
-}
-
 func TestZeroWorkReturnsImmediately(t *testing.T) {
 	k := des.New()
 	h := NewHost(k, "sun", 1)
@@ -133,9 +116,14 @@ func TestBusyTimeAndAvgLoad(t *testing.T) {
 
 func TestInvalidArgumentsPanic(t *testing.T) {
 	k := des.New()
+	h := NewHost(k, "sun", 1)
 	cases := []func(){
 		func() { NewHost(k, "x", 0) },
 		func() { NewHost(k, "x", math.NaN()) },
+		func() { h.ComputeAsync(-1, des.Action(nil)) },
+		func() { h.ComputeAsync(1, nil) },
+		func() { h.ComputeAsync(math.NaN(), actionFunc(func() {})) },
+		func() { h.SpawnJob(-1) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -147,7 +135,6 @@ func TestInvalidArgumentsPanic(t *testing.T) {
 			fn()
 		}()
 	}
-	h := NewHost(k, "sun", 1)
 	k.Spawn("bad", func(p *des.Proc) {
 		defer func() {
 			if recover() == nil {
@@ -158,6 +145,39 @@ func TestInvalidArgumentsPanic(t *testing.T) {
 	})
 	k.Run()
 }
+
+// An Action job shares the processor like a process's and is called,
+// one zero-delay event after the completion that retires it, where the
+// process would have been woken: a process and an Action job that retire
+// together run in arrival order. Zero work is one zero-delay call.
+func TestComputeAsyncSharesWithProcesses(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	h := NewHost(k, "sun", 1)
+	var fired []string
+	log := func(name string) { fired = append(fired, fmt.Sprintf("%s@%v", name, k.Now())) }
+	job := func(name string) des.Action { return actionFunc(func() { log(name) }) }
+	k.Spawn("p", func(p *des.Proc) {
+		h.Compute(p, 1)
+		log("process")
+	})
+	k.At(0, func() {
+		h.ComputeAsync(1, job("beside it"))
+		h.ComputeAsync(0, job("zero"))
+	})
+	k.At(3, func() { h.ComputeAsync(0.5, job("alone")) })
+	k.Run()
+	if got, want := fmt.Sprint(fired), "[zero@0 process@2 beside it@2 alone@3.5]"; got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	if h.Completed() != 3 || k.Procs() != 0 {
+		t.Fatalf("%d jobs completed, %d processes live; want 3 and 0", h.Completed(), k.Procs())
+	}
+}
+
+type actionFunc func()
+
+func (f actionFunc) Fire() { f() }
 
 // Property: total completion time of n equal simultaneous jobs equals
 // n × work / speed (PS conserves work), and all jobs finish together.

@@ -29,16 +29,19 @@
 // Action scheduled with Call is a callback without a closure, and one
 // queued on a Semaphore with AcquireAsync waits its turn among the
 // parked processes and is called, one zero-delay event after the Release
-// that serves it, where a process's wake would stand. Resources whose
-// actors have nothing to be charged for (link.Node's streams, the mesh's
-// service node) are state machines of such calls: whoever has a CPU to
-// charge is a process, whoever has none is an Action.
+// that serves it, where a process's wake would stand; one queued on a
+// Mailbox with RecvAsync is called the same way by the Send that serves
+// it. What is load rather than a measurement — the contenders, link's
+// streams, the mesh's service node — is a state machine of such calls,
+// charged for its CPU work through cpu.Host.ComputeAsync where it has
+// any: what is measured is a process, load is an Action.
 //
 // Failure: a panic in a callback or a process body is held by whichever
 // loop caught it and re-raised by Run on its caller's goroutine once
 // every dispatching process has parked again; the kernel stays usable.
 //
-// Lifetime: a kernel that stops with processes still parked (servers,
-// contenders that loop forever) holds one coroutine per process until
-// Close unwinds them. Every owner pairs New with a deferred Close.
+// Lifetime: a kernel that stops with processes still parked (a
+// measurement stopped mid-wait, a monitor that samples forever) holds one
+// coroutine per process until Close unwinds them. Every owner pairs New
+// with a deferred Close.
 package des

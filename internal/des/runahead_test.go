@@ -1,7 +1,7 @@
 package des_test
 
 // Run-ahead ≡ queue-and-park. A wait that runs ahead (Proc.RunAhead:
-// Delay, cpu.Host.ComputeWeighted) must leave no trace: the same things
+// Delay, cpu.Host.Compute) must leave no trace: the same things
 // happen at the same instants in the same order, having consumed the
 // same sequence numbers, as when every wait queues its wake and parks. The reference is the same kernel with the
 // fast path defeated by the test-only QueueOnly hook. The tests live in
@@ -10,6 +10,7 @@ package des_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"contention/internal/cpu"
@@ -26,9 +27,10 @@ type mixResult struct {
 	dispatched uint64
 }
 
-// mix runs a seeded random scenario — processes mixing delays, weighted
-// computation, stalls, paging, a semaphore, a mailbox and After
-// callbacks, with times drawn from a coarse grid as often as not so that
+// mix runs a seeded random scenario — processes mixing delays,
+// computation, stalls, paging, a semaphore, a mailbox, After callbacks
+// and the Actions that stand in for processes (ComputeAsync jobs, a
+// RecvAsync receiver), with times drawn from a coarse grid as often as not so that
 // ties are common — in three legs (two RunUntil horizons that waits
 // straddle, then Run to the end), journaling (time, sequence number,
 // actor, action).
@@ -65,19 +67,18 @@ func mix(seed int64, queueOnly bool) mixResult {
 	mb := des.NewMailbox[int](k, "mb")
 
 	type step struct {
-		kind         int
-		d, work, wgt float64
-		pages        int
+		kind    int
+		d, work float64
+		pages   int
 	}
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 		who := fmt.Sprintf("p%d", i)
 		steps := make([]step, 10+rng.Intn(30))
 		for j := range steps {
 			steps[j] = step{
-				kind:  rng.Intn(9),
+				kind:  rng.Intn(11),
 				d:     duration(1.5),
 				work:  duration(2) * speed,
-				wgt:   []float64{0.5, 1, 1, 2, 3}[rng.Intn(5)],
 				pages: 30 + rng.Intn(90),
 			}
 			if rng.Intn(12) == 0 {
@@ -93,8 +94,8 @@ func mix(seed int64, queueOnly bool) mixResult {
 					p.Delay(s.d)
 					log(who, "delayed %v", s.d)
 				case 2, 3:
-					h.ComputeWeighted(p, s.work, s.wgt)
-					log(who, "computed %v at weight %v, %d done", s.work, s.wgt, h.Completed())
+					h.Compute(p, s.work)
+					log(who, "computed %v, %d done", s.work, h.Completed())
 				case 4:
 					sem.Acquire(p)
 					log(who, "acquired")
@@ -122,6 +123,17 @@ func mix(seed int64, queueOnly bool) mixResult {
 						mb.Send(-j)
 						log(who, "callback stalled the host for %v", stall)
 					})
+				case 9:
+					// A job nobody waits for, and from a callback one more.
+					work, d := s.work, s.d
+					h.ComputeAsync(work, fire(func() { log(who, "async job %d computed %v, %d done", j, work, h.Completed()) }))
+					k.After(d, func() {
+						h.ComputeAsync(work/2, fire(func() { log(who, "callback's job %d done, %d done", j, h.Completed()) }))
+					})
+				case 10:
+					r := &asyncRecv{mb: mb}
+					r.got = func(v int) { log(who, "async receiver %d got %d", j, v) }
+					r.Fire()
 				}
 			}
 			log(who, "finished")
@@ -149,12 +161,36 @@ func mix(seed int64, queueOnly bool) mixResult {
 	return res
 }
 
+// fire is an Action that calls f.
+type fire func()
+
+func (f fire) Fire() { f() }
+
+// asyncRecv takes one message from mb without a process, asking again
+// each time it is called, as a woken receiver looks again.
+type asyncRecv struct {
+	mb  *des.Mailbox[int]
+	got func(int)
+}
+
+func (r *asyncRecv) Fire() {
+	if v, ok := r.mb.RecvAsync(r); ok {
+		r.got(v)
+	}
+}
+
 func TestRunAheadMatchesQueueAndPark(t *testing.T) {
 	var ahead, queued uint64
+	actions := 0
 	for seed := int64(0); seed < 300; seed++ {
 		got, want := mix(seed, false), mix(seed, true)
 		ahead += got.dispatched
 		queued += want.dispatched
+		for _, e := range want.journal {
+			if strings.Contains(e, "async") || strings.Contains(e, "callback's job") {
+				actions++
+			}
+		}
 		if len(got.journal) != len(want.journal) {
 			t.Fatalf("seed %d: %d journal entries running ahead, %d queueing", seed, len(got.journal), len(want.journal))
 		}
@@ -177,7 +213,11 @@ func TestRunAheadMatchesQueueAndPark(t *testing.T) {
 				seed, got.busy, got.load, got.completed, want.busy, want.load, want.completed)
 		}
 	}
-	// The comparison means something only if the fast path was taken.
+	// The comparison means something only if the fast path was taken,
+	// and Actions took their turns among the processes.
+	if actions < 1000 {
+		t.Errorf("only %d Action turns journaled over 300 seeds", actions)
+	}
 	if ahead*10 > queued*9 {
 		t.Errorf("%d events dispatched running ahead against %d queueing: the fast path hardly fired", ahead, queued)
 	}
@@ -387,7 +427,7 @@ func TestRunAheadDispatchesNoEvents(t *testing.T) {
 	}
 	computes := func(p *des.Proc, h *cpu.Host) {
 		for i := 0; i < 1000; i++ {
-			h.ComputeWeighted(p, 0.25, 2)
+			h.Compute(p, 0.25)
 		}
 	}
 	for name, tc := range map[string]struct {

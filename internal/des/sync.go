@@ -31,6 +31,23 @@ func (m *Mailbox[T]) Recv(p *Proc) T {
 	return v
 }
 
+// RecvAsync is Recv for a caller that is not a process. It returns the
+// oldest message and true when one is queued; otherwise it queues a,
+// FIFO among the parked receivers, and reports false: the Send that
+// serves it schedules a.Fire() as a zero-delay Call, where a parked
+// receiver's wake would stand, and a.Fire() asks again — as a woken Recv
+// looks again, and waits once more if the message has been taken.
+func (m *Mailbox[T]) RecvAsync(a Action) (v T, ok bool) {
+	if a == nil {
+		panic("des: RecvAsync with a nil Action")
+	}
+	if m.msgs.len() == 0 {
+		m.queue.push(waiter{act: a})
+		return v, false
+	}
+	return m.msgs.pop()
+}
+
 // Semaphore is a counting semaphore for processes and for the Actions
 // that stand in for them (AcquireAsync); both wait in one FIFO.
 type Semaphore struct {

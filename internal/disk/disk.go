@@ -45,8 +45,10 @@ func (c Config) validate() error {
 
 // Disk is the FCFS device.
 type Disk struct {
+	k   *des.Kernel
 	cfg Config
 	arm *des.Semaphore
+	ops []*op // finished OpAsync records awaiting reuse
 
 	busyTime float64
 }
@@ -56,7 +58,7 @@ func New(k *des.Kernel, cfg Config) (*Disk, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Disk{cfg: cfg, arm: des.NewSemaphore(k, 1)}, nil
+	return &Disk{k: k, cfg: cfg, arm: des.NewSemaphore(k, 1)}, nil
 }
 
 // OpTime returns the dedicated duration of one operation.
@@ -79,6 +81,76 @@ func (d *Disk) Op(p *des.Proc, words int) {
 	p.Delay(t)
 	d.busyTime += t
 	d.arm.Release()
+}
+
+// OpAsync is Op for a caller that is not a process: it takes Op's steps
+// at the points of the event sequence where a process calling Op at the
+// same instant would — the CPU charge as a cpu.Host.ComputeAsync job, a
+// busy device as a place in the FCFS queue (des.Semaphore.AcquireAsync),
+// the device time as a timed call where Delay queued a wake — and fires
+// done inline in the event that releases the device, where Op would
+// return. OpAsync returns at once; in steady state it allocates nothing.
+func (d *Disk) OpAsync(words int, done des.Action) {
+	t := d.OpTime(words)
+	var o *op
+	if n := len(d.ops); n > 0 {
+		o, d.ops = d.ops[n-1], d.ops[:n-1]
+	} else {
+		o = &op{d: d}
+	}
+	o.t, o.done = t, done
+	if d.cfg.Host != nil && d.cfg.CPUPerOp > 0 {
+		o.step = opCharged
+		d.cfg.Host.ComputeAsync(d.cfg.CPUPerOp, o)
+		return
+	}
+	o.acquire()
+}
+
+// op is one asynchronous operation (Disk.OpAsync): a recycled
+// timed-call record whose step names what the next Fire means.
+type op struct {
+	d    *Disk
+	t    float64
+	done des.Action
+	step opStep
+}
+
+type opStep uint8
+
+const (
+	opCharged opStep = iota // the CPU charge is done: ask for the device
+	opGranted               // a Release passed it the device
+	opDone                  // the device time has elapsed
+)
+
+func (o *op) acquire() {
+	o.step = opGranted
+	if o.d.arm.AcquireAsync(o) {
+		o.occupy()
+	}
+}
+
+func (o *op) occupy() {
+	o.step = opDone
+	o.d.k.Call(o.t, o)
+}
+
+// Fire implements des.Action.
+func (o *op) Fire() {
+	switch o.step {
+	case opCharged:
+		o.acquire()
+	case opGranted:
+		o.occupy()
+	case opDone:
+		d, done := o.d, o.done
+		d.busyTime += o.t
+		d.arm.Release()
+		o.done = nil
+		d.ops = append(d.ops, o)
+		done.Fire()
+	}
 }
 
 // BusyTime reports cumulative device occupancy.

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -136,5 +137,62 @@ func TestUtilization(t *testing.T) {
 	k.Run()
 	if got := d.BusyTime() / k.Now(); !approx(got, 0.1, 1e-9) {
 		t.Fatalf("busy fraction = %v, want 0.1", got)
+	}
+}
+
+// opChain issues n operations back to back without a process, recording
+// when each one is done.
+type opChain struct {
+	k     *des.Kernel
+	d     *Disk
+	words int
+	left  int
+	busy  bool // an operation is in flight: Fire means it is done
+	done  *[]float64
+}
+
+func (c *opChain) Fire() {
+	if c.busy {
+		*c.done = append(*c.done, c.k.Now())
+	}
+	if c.busy = c.left > 0; c.busy {
+		c.left--
+		c.d.OpAsync(c.words, c)
+	}
+}
+
+// OpAsync ≡ a process calling Op: beside a process doing the same and a
+// CPU-bound job, a chain of asynchronous operations ends each one at the
+// instant the process version does, and the host and the device account
+// the same time, to the bit.
+func TestOpAsyncMatchesOp(t *testing.T) {
+	run := func(async bool) string {
+		k := des.New()
+		defer k.Close()
+		h := cpu.NewHost(k, "sun", 1)
+		d := MustNew(k, Config{Name: "sd0", Seek: 0.01, Rate: 1000, Host: h, CPUPerOp: 0.005})
+		var mine, theirs []float64
+		k.Spawn("other", func(p *des.Proc) {
+			for i := 0; i < 6; i++ {
+				d.Op(p, 50+20*i)
+				theirs = append(theirs, p.Now())
+			}
+		})
+		k.Spawn("cpu", func(p *des.Proc) { h.Compute(p, 0.3) })
+		if async {
+			k.Call(0, &opChain{k: k, d: d, words: 70, left: 5, done: &mine})
+		} else {
+			k.Spawn("mine", func(p *des.Proc) {
+				for i := 0; i < 5; i++ {
+					d.Op(p, 70)
+					mine = append(mine, p.Now())
+				}
+			})
+		}
+		k.Run()
+		return fmt.Sprint(mine, theirs, h.BusyTime(), h.LoadIntegral(), h.Completed(), d.BusyTime(), k.Now())
+	}
+	if got, want := run(true), run(false); got != want {
+		t.Fatalf("asynchronous operations: %s\nprocess operations:     %s", got, want)
 	}
 }

@@ -50,7 +50,6 @@ func faultyBurst(params platform.ParagonParams, count, words int, rate float64, 
 
 	in := faults.NewInjector(k, seed)
 	if rate > 0 {
-		churnID := 0
 		err := in.Arm(
 			// Each transmission attempt lost with probability `rate`
 			// (70% silent drop, 30% detected corruption).
@@ -62,11 +61,7 @@ func faultyBurst(params platform.ParagonParams, count, words int, rate float64, 
 			faults.CrashRestart{Host: sp.Host, MTBF: 6, Downtime: 0.5 * rate},
 			// Transient contenders the model is never told about.
 			faults.ContenderChurn{MeanSpacing: 0.8, Perturb: func() {
-				churnID++
-				work := 0.2 * rate
-				k.Spawn(fmt.Sprintf("churn%d", churnID), func(p *des.Proc) {
-					sp.Host.Compute(p, work)
-				})
+				sp.Host.SpawnJob(0.2 * rate)
 			}},
 			// Lossy telemetry path to the resource manager.
 			faults.SampleLoss{Monitor: mon, DropProb: rate},

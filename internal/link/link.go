@@ -16,20 +16,24 @@
 //     exactly the cross-terms the slowdown model captures.
 //
 // The link is asymmetric, as the paper's platform is, and says so in its
-// types. The front-end is an Endpoint: it has a host CPU, so whoever
-// sends or receives there is a process, which is what gets charged the
-// data-format conversion — Send blocks it through conversion and wire,
-// Recv drains a port's inbox and charges the receive side to the reader.
-// The back-end is a Node: conversion there "is spread over many nodes"
-// and costs the model nothing, so there is no process to charge and none
-// exists. A Node's port is an arrival handler (Handle) that runs in the
-// delivering simulation context and keeps nothing — a port nobody
-// handles discards — and a Node sends with Stream: a burst of
-// back-to-back messages carried by timed calls on a recycled record,
-// through Send's steps at the points of the event sequence where a
-// process looping on Send would take them. Contention generators, burst
-// responders and the ping echo are therefore one process each, on the
-// front-end, and traffic that is load rather than data is never queued.
+// types. The front-end is an Endpoint: it has a host CPU, which is what
+// gets charged the data-format conversion. A measured sender or receiver
+// there is a process — Send blocks it through conversion and wire, Recv
+// drains a port's inbox and charges the receive side to the reader — and
+// a contender, whose traffic is load, takes the same steps without one:
+// Endpoint.Stream sends a burst and Endpoint.Drain receives one, each
+// conversion a cpu.Host.ComputeAsync job charged where the process would
+// have been. The back-end is a Node: conversion there "is spread over
+// many nodes" and costs the model nothing, so there is no process to
+// charge and none exists. A Node's port is an arrival handler (Handle)
+// that runs in the delivering simulation context and keeps nothing — a
+// port nobody handles discards — and a Node sends with Stream. Every
+// stream is a burst of back-to-back messages carried by timed calls on
+// one recycled record type, through Send's (or Recv's) steps at the
+// points of the event sequence where a process looping on Send (or Recv)
+// would take them. Contention generators, burst responders and the ping
+// echo are therefore no process at all, and traffic that is load rather
+// than data is never queued on the Paragon side.
 package link
 
 import (
@@ -81,8 +85,9 @@ func (c Config) validate() error {
 type EndpointConfig struct {
 	Name string
 	// Host is the CPU that pays conversion costs on this side, in the
-	// process that sends or receives. Required — Send and Recv charge it
-	// unconditionally; an end with no CPU to charge is a Node.
+	// process that sends or receives, or as a job for a stream. Required —
+	// Send, Recv, Stream and Drain charge it unconditionally; an end with
+	// no CPU to charge is a Node.
 	Host *cpu.Host
 	// SendStartup/SendPerWord are CPU work units charged to the sending
 	// process (in Send) per outgoing message and per outgoing word.
@@ -134,6 +139,8 @@ type Link struct {
 
 	fault       FaultFunc
 	retransmits int
+
+	streams []*stream // finished stream records awaiting reuse
 }
 
 // Endpoint is the CPU-backed end of a link. Applications send from and
@@ -160,7 +167,6 @@ type Node struct {
 	peer     *Endpoint
 	handlers []handler // one to three, scanned by port
 	relays   []*relay  // delivered Forward relays awaiting reuse
-	streams  []*stream // finished Stream records awaiting reuse
 }
 
 type handler struct {
@@ -395,39 +401,103 @@ func (n *Node) Stream(srcPort, dstPort string, count, words int, payload any) {
 	if count < 1 {
 		return
 	}
-	var s *stream
-	if m := len(n.streams); m > 0 {
-		s, n.streams = n.streams[m-1], n.streams[:m-1]
-	} else {
-		s = &stream{n: n}
-		s.preDone = s.acquire
-	}
+	s := n.link.newStream(n.peer, count, nil)
 	s.msg = Message{Words: words, SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-	s.left, s.wt, s.step = count, n.link.WireTime(words), streamBegin
+	s.wt, s.step = n.link.WireTime(words), streamBegin
 	n.link.k.Call(0, s)
 }
 
-// stream is a burst in flight (Node.Stream): what a process looping on
-// Send would keep on its stack, advanced by timed calls. step names what
-// the next Fire means.
+// Stream is Send, count times back to back, for a sender on the
+// front-end that is not a process — a contender, whose traffic is load:
+// it carries no payload and nobody reads it back. Each message's send
+// conversion is a cpu.Host.ComputeAsync job on this end's host, charged
+// where Send would charge the sending process; the wire is taken as
+// Node.Stream takes it; delivery goes through the Node (its Forward
+// hook, or the port's handler). The first message begins inline, as a
+// process's first Send would, each next one in the event that handed
+// over the last, and done (which may be nil) fires inline in the event
+// that hands over the final message, where the loop's next statement
+// would run. A count below one fires done at once. In steady state a
+// stream allocates nothing.
+func (e *Endpoint) Stream(srcPort, dstPort string, count, words int, done des.Action) {
+	if words < 0 {
+		panic(fmt.Sprintf("link: negative message size %d", words))
+	}
+	if count < 1 {
+		if done != nil {
+			done.Fire()
+		}
+		return
+	}
+	s := e.link.newStream(e, count, done)
+	s.fromEndpoint = true
+	s.msg = Message{Words: words, SrcPort: srcPort, DstPort: dstPort}
+	s.wt = e.link.WireTime(words)
+	s.begin()
+}
+
+// Drain is Recv, count times, for a reader on the front-end that is not
+// a process — a Paragon→Sun contender, which receives only to be
+// charged for it. It takes each message off port's inbox
+// (des.Mailbox.RecvAsync: an empty inbox queues the record among the
+// parked readers, and the delivery that serves it calls it where their
+// wake would stand) and charges its receive conversion as a
+// cpu.Host.ComputeAsync job, where Recv charges the reader; the next
+// message is asked for in the event that ended the last one's
+// conversion, and done fires there after the final one. A count below
+// one fires done at once.
+func (e *Endpoint) Drain(port string, count int, done des.Action) {
+	if count < 1 {
+		if done != nil {
+			done.Fire()
+		}
+		return
+	}
+	s := e.link.newStream(e, count, done)
+	s.inbox = e.inbox(port)
+	s.receive()
+}
+
+// newStream takes a blank record off the free list, or makes one.
+func (l *Link) newStream(e *Endpoint, count int, done des.Action) *stream {
+	var s *stream
+	if m := len(l.streams); m > 0 {
+		s, l.streams = l.streams[m-1], l.streams[:m-1]
+	} else {
+		s = &stream{}
+		s.preDone = s.acquire
+	}
+	s.e, s.left, s.done = e, count, done
+	return s
+}
+
+// stream is a burst in flight (Node.Stream, Endpoint.Stream) or being
+// drained (Endpoint.Drain): what a process looping on Send or Recv would
+// keep on its stack, advanced by timed calls. step names what the next
+// Fire means.
 type stream struct {
-	n       *Node
-	msg     Message // the message in hand
-	left    int     // messages still to send, this one included
-	wt      float64 // wire time of one attempt
-	attempt int
-	backoff float64
-	step    streamStep
-	preDone func() // s.acquire, bound when the record is made
+	e            *Endpoint // the front-end: the receiver of a Node's burst, else the sender or the reader
+	fromEndpoint bool      // Endpoint.Stream: conversion before the wire, delivery to the Node
+	msg          Message   // the message in hand
+	left         int       // messages still to move, this one included
+	wt           float64   // wire time of one attempt
+	attempt      int
+	backoff      float64
+	step         streamStep
+	inbox        *des.Mailbox[Message] // Drain's port
+	done         des.Action            // fired after the last message, if non-nil
+	preDone      func()                // s.acquire, bound when the record is made
 }
 
 type streamStep uint8
 
 const (
-	streamBegin   streamStep = iota // start the next message
-	streamAcquire                   // (re)take the wire: a backoff has elapsed
-	streamGranted                   // a Release passed it the wire
-	streamOnWire                    // the attempt's wire time has elapsed
+	streamBegin     streamStep = iota // start the next message
+	streamAcquire                     // (re)take the wire: the conversion is done or a backoff has elapsed
+	streamGranted                     // a Release passed it the wire
+	streamOnWire                      // the attempt's wire time has elapsed
+	streamReceive                     // Drain: a message may be waiting
+	streamConverted                   // Drain: the message's receive conversion is done
 )
 
 // Fire implements des.Action.
@@ -441,16 +511,31 @@ func (s *stream) Fire() {
 		s.occupy()
 	case streamOnWire:
 		s.transmitted()
+	case streamReceive:
+		s.receive()
+	case streamConverted:
+		if s.left--; s.left > 0 {
+			s.receive()
+			return
+		}
+		s.finish()
 	}
 }
 
-// begin is Send's entry for the message in hand: the send stamp and the
-// pre-wire hop, whose completion (or absence) leads to the wire.
+// begin is Send's entry for the message in hand: the send stamp, then
+// the conversion on the front-end or the Node's pre-wire hop, whose
+// completion (or absence) leads to the wire.
 func (s *stream) begin() {
-	l := s.n.link
+	l := s.e.link
 	s.msg.Sent = l.k.Now() // Queued and Arrived are stamped afresh before anyone reads them
 	s.attempt, s.backoff = 1, l.cfg.PerPacket
-	if pre := s.n.cfg.PreSend; pre != nil {
+	if s.fromEndpoint {
+		cfg := &s.e.cfg
+		s.step = streamAcquire
+		cfg.Host.ComputeAsync(cfg.SendStartup+cfg.SendPerWord*float64(s.msg.Words), s)
+		return
+	}
+	if pre := s.e.peer.cfg.PreSend; pre != nil {
 		pre(s.msg.Words, s.preDone)
 		return
 	}
@@ -459,13 +544,13 @@ func (s *stream) begin() {
 
 func (s *stream) acquire() {
 	s.step = streamGranted
-	if s.n.link.wire.AcquireAsync(s) {
+	if s.e.link.wire.AcquireAsync(s) {
 		s.occupy()
 	}
 }
 
 func (s *stream) occupy() {
-	l := s.n.link
+	l := s.e.link
 	if s.attempt == 1 {
 		s.msg.Queued = l.k.Now()
 	}
@@ -477,19 +562,46 @@ func (s *stream) occupy() {
 // wire and retries; a good one is delivered, and the next message, if
 // any, begins in the same event, as a loop's next Send would.
 func (s *stream) transmitted() {
-	n := s.n
-	if n.link.attempted(s.msg.Words, s.wt, s.attempt) {
+	l := s.e.link
+	if l.attempted(s.msg.Words, s.wt, s.attempt) {
 		s.step = streamAcquire
-		n.link.k.Call(s.backoff, s)
+		l.k.Call(s.backoff, s)
 		s.backoff *= 2
 		s.attempt++
 		return
 	}
-	n.peer.deliver(&s.msg)
+	if s.fromEndpoint {
+		s.e.peer.accept(&s.msg)
+	} else {
+		s.e.deliver(&s.msg)
+	}
 	if s.left--; s.left > 0 {
 		s.begin()
 		return
 	}
-	s.msg = Message{}
-	n.streams = append(n.streams, s)
+	s.finish()
+}
+
+// receive takes the next message off Drain's inbox, or waits for one,
+// and charges its conversion.
+func (s *stream) receive() {
+	s.step = streamReceive
+	msg, ok := s.inbox.RecvAsync(s)
+	if !ok {
+		return
+	}
+	cfg := &s.e.cfg
+	s.step = streamConverted
+	cfg.Host.ComputeAsync(cfg.RecvStartup+cfg.RecvPerWord*float64(msg.Words), s)
+}
+
+// finish recycles the record and fires done: a contender that streams
+// again from there takes this very record.
+func (s *stream) finish() {
+	l, done := s.e.link, s.done
+	*s = stream{preDone: s.preDone}
+	l.streams = append(l.streams, s)
+	if done != nil {
+		done.Fire()
+	}
 }

@@ -640,6 +640,49 @@ func TestStreamMisusePanics(t *testing.T) {
 	}
 }
 
+// doneAt records when it fires.
+type doneAt struct {
+	k     *des.Kernel
+	fired []float64
+}
+
+func (d *doneAt) Fire() { d.fired = append(d.fired, d.k.Now()) }
+
+// The front-end's asynchronous forms fire done exactly once: a stream in
+// the event that hands over its last message, a drain in the one that
+// ends its last message's conversion, and either at once for a count
+// below one. A negative size is refused before anything is scheduled.
+func TestEndpointStreamAndDrainFireDoneOnce(t *testing.T) {
+	k := des.New()
+	defer k.Close()
+	host := cpu.NewHost(k, "sun", 1)
+	_, a, b := MustNew(k, basicCfg(),
+		EndpointConfig{Name: "sun", Host: host, SendStartup: 1e-4, RecvStartup: 2e-4, RecvPerWord: 1e-6}, NodeConfig{Name: "mpp"})
+	empty := &doneAt{k: k}
+	a.Stream("x", "x", 0, 100, empty)
+	a.Drain("x", -1, empty)
+	wantLinkPanic(t, "Endpoint.Stream of a negative size", func() { a.Stream("x", "x", 1, -1, nil) })
+	if len(empty.fired) != 2 || k.Pending() != 0 {
+		t.Fatalf("empty stream and drain fired done %d times and left %d events, want 2 and 0", len(empty.fired), k.Pending())
+	}
+	var arrived []float64
+	b.Handle("x", func(msg Message) { arrived = append(arrived, msg.Arrived) })
+	sent, drained := &doneAt{k: k}, &doneAt{k: k}
+	a.Stream("x", "x", 3, 100, sent)
+	b.Stream("y", "y", 4, 500, nil)
+	a.Drain("y", 4, drained)
+	k.Run()
+	if len(arrived) != 3 || len(sent.fired) != 1 || sent.fired[0] != arrived[2] {
+		t.Fatalf("stream: arrivals %v, done fired at %v; want 3 arrivals and done once at the last", arrived, sent.fired)
+	}
+	if len(drained.fired) != 1 || drained.fired[0] != k.Now() || host.Completed() != 3+4 {
+		t.Fatalf("drain: done fired at %v, run ended at %v, %d conversions; want once, at the end, after 7", drained.fired, k.Now(), host.Completed())
+	}
+	if k.Procs() != 0 {
+		t.Fatalf("%d live processes, want none", k.Procs())
+	}
+}
+
 // Stop called by an arrival handler ends the Run at the sender's next
 // wait, however far it had been running ahead — the handler runs on the
 // sender's stack, in the middle of its Send — and the next Run carries

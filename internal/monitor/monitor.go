@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"contention/internal/core"
-	"contention/internal/des"
 	"contention/internal/obs"
 	"contention/internal/platform"
 )
@@ -51,6 +50,7 @@ type Monitor struct {
 	loss     func() bool
 	dropped  int
 	rejected int
+	started  bool // the sampler's start has been called
 }
 
 // New creates a monitor sampling every interval seconds, keeping at
@@ -65,15 +65,29 @@ func New(sp *platform.SunParagon, interval float64, maxKeep int) (*Monitor, erro
 	return &Monitor{sp: sp, interval: interval, maxKeep: maxKeep}, nil
 }
 
-// Start spawns the sampling process; it runs until the simulation ends.
+// Start records the t=0 baseline and starts sampling; it runs until the
+// simulation ends. The sampler is no process but a des.Action: its start
+// is a zero-delay call, where a spawned sampling process's first wake
+// would stand, and each sample a timed call of one interval where that
+// process's Delay queued its wake.
 func (m *Monitor) Start() {
-	m.record() // t=0 baseline
-	m.sp.K.Spawn("monitor", func(p *des.Proc) {
-		for {
-			p.Delay(m.interval)
-			m.record()
-		}
-	})
+	m.record()
+	m.sp.K.Call(0, (*sampler)(m))
+}
+
+// sampler is the monitor seen as the sampling Action, so that Fire is
+// not part of Monitor's API.
+type sampler Monitor
+
+// Fire implements des.Action: after the start, each call is a sample
+// time; every call schedules the next.
+func (s *sampler) Fire() {
+	m := (*Monitor)(s)
+	if m.started {
+		m.record()
+	}
+	m.started = true
+	m.sp.K.Call(m.interval, s)
 }
 
 // SetLossFunc installs a sample-loss decision: when f returns true the

@@ -101,14 +101,16 @@ func (s *SunCM2) TransferMessages(p *des.Proc, n, words int) {
 	}
 }
 
-// SpawnCPUHogs starts n CPU-bound contender processes on the Sun that
-// compute forever (until the simulation horizon).
-func (s *SunCM2) SpawnCPUHogs(n int) {
+// SpawnCPUHogs starts n CPU-bound contenders on the Sun that compute
+// forever (until the simulation horizon).
+func (s *SunCM2) SpawnCPUHogs(n int) { spawnHogs(s.Host, n) }
+
+// spawnHogs starts n CPU-bound contenders on host. A hog is not a
+// process but one endless cpu.Host.SpawnJob job, which joins the host
+// where a spawned process's first wake would stand.
+func spawnHogs(host *cpu.Host, n int) {
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("hog%d", i)
-		s.K.Spawn(name, func(p *des.Proc) {
-			s.Host.Compute(p, 1e18)
-		})
+		host.SpawnJob(1e18)
 	}
 }
 
@@ -286,15 +288,8 @@ func (s *SunParagon) RecvOnSun(p *des.Proc, port string) link.Message {
 	return s.SunEnd.Recv(p, port)
 }
 
-// SpawnCPUHogs starts n CPU-bound contender processes on the Sun.
-func (s *SunParagon) SpawnCPUHogs(n int) {
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("hog%d", i)
-		s.K.Spawn(name, func(p *des.Proc) {
-			s.Host.Compute(p, 1e18)
-		})
-	}
-}
+// SpawnCPUHogs starts n CPU-bound contenders on the Sun (see spawnHogs).
+func (s *SunParagon) SpawnCPUHogs(n int) { spawnHogs(s.Host, n) }
 
 // NewSunMultiParagon generalizes the platform to n back-end machines:
 // n private links and MPPs attached to ONE shared front-end CPU and

@@ -4,7 +4,10 @@
 // communication fraction and message size, burst senders (the Figure
 // 4–6 workload), the ping-pong benchmark the calibration suite runs, and
 // Measure, the one measured run the calibration probes and the exhibits
-// share.
+// share. What is measured is a process; a contention generator is load,
+// and is a des.Action that takes, event for event, the turns a process
+// looping over its cycle would, so a contended run switches into no
+// coroutine but the measured one.
 package workload
 
 import (
@@ -40,13 +43,10 @@ func (d Direction) String() string {
 	}
 }
 
-// SpawnCPUHog starts a process that computes forever on the platform
-// host — the paper's CPU-bound contention generator.
-func SpawnCPUHog(sp *platform.SunParagon, name string) {
-	sp.K.Spawn(name, func(p *des.Proc) {
-		sp.Host.Compute(p, 1e18)
-	})
-}
+// SpawnCPUHog starts a contender that computes forever on the platform
+// host — the paper's CPU-bound contention generator. It is
+// sp.SpawnCPUHogs(1): name labels the hog at the call site only.
+func SpawnCPUHog(sp *platform.SunParagon, name string) { sp.SpawnCPUHogs(1) }
 
 // AlternatorSpec describes one compute/communicate contender on the Sun.
 type AlternatorSpec struct {
@@ -137,80 +137,117 @@ func MessagesPerCycle(sp *platform.SunParagon, spec AlternatorSpec) int {
 
 // SpawnAlternator starts a contender that alternates computation with
 // communication per the spec, running until the simulation horizon.
-// The returned port name carries its traffic. A contender is one
-// process, on the Sun: the Paragon end is a link.Node, which has no CPU
-// to charge and so no processes. Nobody reads what a Sun→Paragon
-// contender sends — it exists to load the Sun's CPU and the wire — so
-// its Paragon-side port has no handler, the node discards each message
-// on arrival and a long run retains nothing per message; and what a
-// Paragon→Sun contender receives each cycle the node streams to it
-// (link.Node.Stream) the moment it asks.
+// The returned port name carries its traffic.
+//
+// A contender is load, not a measurement, so it is not a process: it is
+// one des.Action that takes, event for event, the steps a process
+// looping over the cycle would — its start one zero-delay call from now,
+// where a spawned process's first wake would stand, the phase a timed
+// call where Delay queued a wake, the computation a
+// cpu.Host.ComputeAsync job, each disk operation a disk.Disk.OpAsync, a
+// Sun→Paragon cycle's messages one link.Endpoint.Stream and a
+// Paragon→Sun cycle's one link.Node.Stream that the Sun drains
+// (link.Endpoint.Drain) — and each step begins in the event that ended
+// the one before. Nobody reads what a Sun→Paragon contender sends, so
+// its Paragon-side port has no handler and the node discards each
+// message on arrival; a long run retains nothing per message either way.
+// TestContenderMatchesProcessLoop holds the contender against that
+// process, == on every clock and counter.
 func SpawnAlternator(sp *platform.SunParagon, spec AlternatorSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
-	port := "alt:" + spec.Name
-	n := MessagesPerCycle(sp, spec)
-	computeWork := (1 - spec.CommFraction - spec.IOFraction) * spec.Period
-	ioOps, ioWords := IOOpsPerCycle(sp, spec)
-	doIO := func(p *des.Proc) {
-		for i := 0; i < ioOps; i++ {
-			sp.Disk.Op(p, ioWords)
-		}
+	a := &alternator{
+		sp:          sp,
+		spec:        spec,
+		port:        "alt:" + spec.Name,
+		msgs:        MessagesPerCycle(sp, spec),
+		computeWork: (1 - spec.CommFraction - spec.IOFraction) * spec.Period,
 	}
+	a.ioOps, a.ioWords = IOOpsPerCycle(sp, spec)
+	sp.K.Call(0, a)
+	return a.port, nil
+}
 
-	switch spec.Direction {
-	case SunToParagon:
-		sp.K.Spawn(spec.Name, func(p *des.Proc) {
-			if spec.Phase > 0 {
-				p.Delay(spec.Phase)
-			}
-			for {
-				if spec.Stop > 0 && p.Now() >= spec.Stop {
-					return
-				}
-				if computeWork > 0 {
-					sp.Host.Compute(p, computeWork)
-				}
-				doIO(p)
-				for i := 0; i < n; i++ {
-					sp.SendToParagon(p, port, spec.MsgWords)
-				}
-				if computeWork == 0 && n == 0 && ioOps == 0 {
-					return // degenerate spec: nothing to do
-				}
-			}
-		})
-	case ParagonToSun:
-		// The Sun-side process computes, then receives a burst the
-		// Paragon streams on request. The request itself has zero
-		// simulated cost — it stands for the application's own
-		// synchronization.
-		sp.K.Spawn(spec.Name, func(p *des.Proc) {
-			if spec.Phase > 0 {
-				p.Delay(spec.Phase)
-			}
-			for {
-				if spec.Stop > 0 && p.Now() >= spec.Stop {
-					return
-				}
-				if computeWork > 0 {
-					sp.Host.Compute(p, computeWork)
-				}
-				doIO(p)
-				if n > 0 {
-					sp.ParagonEnd.Stream(port, port, n, spec.MsgWords, nil)
-					for i := 0; i < n; i++ {
-						sp.RecvOnSun(p, port)
-					}
-				}
-				if computeWork == 0 && n == 0 && ioOps == 0 {
-					return
-				}
-			}
-		})
+// alternator is one running contender (SpawnAlternator); step names
+// what the next Fire means.
+type alternator struct {
+	sp          *platform.SunParagon
+	spec        AlternatorSpec
+	port        string
+	msgs        int     // messages per cycle
+	computeWork float64 // work per cycle
+	ioOps       int     // disk operations per cycle
+	ioWords     int
+	ioLeft      int // disk operations still to start this cycle
+	step        altStep
+}
+
+type altStep uint8
+
+const (
+	altStart altStep = iota // the contender's start: wait out the phase
+	altCycle                // begin a cycle
+	altDone                 // the computation or the disk operation in flight is done
+)
+
+// Fire implements des.Action.
+func (a *alternator) Fire() {
+	switch a.step {
+	case altStart:
+		a.step = altCycle
+		if a.spec.Phase > 0 {
+			a.sp.K.Call(a.spec.Phase, a)
+			return
+		}
+		a.cycle()
+	case altCycle:
+		a.cycle()
+	case altDone:
+		a.io()
 	}
-	return port, nil
+}
+
+// cycle begins a cycle, unless the contender's time is up.
+func (a *alternator) cycle() {
+	if a.spec.Stop > 0 && a.sp.K.Now() >= a.spec.Stop {
+		return
+	}
+	a.ioLeft = a.ioOps
+	if a.computeWork > 0 {
+		a.step = altDone
+		a.sp.Host.ComputeAsync(a.computeWork, a)
+		return
+	}
+	if a.msgs == 0 && a.ioOps == 0 {
+		return // degenerate spec: nothing to do
+	}
+	a.io()
+}
+
+// io starts the cycle's next disk operation, or communicates once they
+// are all done; the next cycle begins in the event that ends the
+// communication.
+func (a *alternator) io() {
+	if a.ioLeft > 0 {
+		a.ioLeft--
+		a.step = altDone
+		a.sp.Disk.OpAsync(a.ioWords, a)
+		return
+	}
+	a.step = altCycle
+	switch {
+	case a.msgs == 0:
+		a.cycle()
+	case a.spec.Direction == SunToParagon:
+		a.sp.SunEnd.Stream(a.port, a.port, a.msgs, a.spec.MsgWords, a)
+	default:
+		// The Paragon streams the burst on request; the request itself
+		// has zero simulated cost — it stands for the application's own
+		// synchronization.
+		a.sp.ParagonEnd.Stream(a.port, a.port, a.msgs, a.spec.MsgWords, nil)
+		a.sp.SunEnd.Drain(a.port, a.msgs, a)
+	}
 }
 
 // IOOpsPerCycle returns the per-cycle disk operation count and size so
@@ -328,7 +365,10 @@ func Measure[T any](k *des.Kernel, name string, warmup float64, body func(p *des
 // with deterministic pseudo-random jitter on the cycle length. Real
 // "CPU-bound" applications take such micro-pauses (page faults, brief
 // I/O), which is one source of the paper's measurement error against
-// the ideal p+1 law.
+// the ideal p+1 law. Like an alternator, the hog is a des.Action, not a
+// process: its start is a zero-delay call, its computation a
+// cpu.Host.ComputeAsync job and its idle time a timed call. name labels
+// the hog at the call site only.
 func SpawnDutyHogOnHost(k *des.Kernel, host *cpu.Host, name string, duty, period float64, seed int64) {
 	if duty <= 0 || duty > 1 || math.IsNaN(duty) {
 		panic(fmt.Sprintf("workload: duty %v out of (0,1]", duty))
@@ -336,15 +376,30 @@ func SpawnDutyHogOnHost(k *des.Kernel, host *cpu.Host, name string, duty, period
 	if period <= 0 {
 		panic(fmt.Sprintf("workload: period %v must be positive", period))
 	}
-	rng := rand.New(rand.NewSource(seed))
-	k.Spawn(name, func(p *des.Proc) {
-		for {
-			scale := 0.6 + 0.8*rng.Float64() // ±40% cycle jitter
-			cycle := period * scale
-			host.Compute(p, duty*cycle)
-			if idle := (1 - duty) * cycle; idle > 0 {
-				p.Delay(idle)
-			}
+	k.Call(0, &dutyHog{k: k, host: host, duty: duty, period: period, rng: rand.New(rand.NewSource(seed))})
+}
+
+// dutyHog is one running SpawnDutyHogOnHost contender.
+type dutyHog struct {
+	k            *des.Kernel
+	host         *cpu.Host
+	duty, period float64
+	rng          *rand.Rand
+	idle         float64 // idle time after the computation in flight
+	computing    bool    // Fire means the cycle's computation is done
+}
+
+// Fire implements des.Action.
+func (h *dutyHog) Fire() {
+	if h.computing {
+		h.computing = false
+		if h.idle > 0 {
+			h.k.Call(h.idle, h)
+			return
 		}
-	})
+	}
+	scale := 0.6 + 0.8*h.rng.Float64() // ±40% cycle jitter
+	cycle := h.period * scale
+	h.idle, h.computing = (1-h.duty)*cycle, true
+	h.host.ComputeAsync(h.duty*cycle, h)
 }
