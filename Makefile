@@ -21,17 +21,25 @@ vet:
 # internal/ must have a use in a non-test file of this module or of
 # bench/, and every exported field of an exported struct type there a
 # write in one (deadapi_test.go: interface methods, the exported methods
-# and fields of the façade's aliased types, tagged fields, a function's
-# writes to a struct it received by value — its receiver, or a Config a
-# constructor defaults — internal/prob and a short allow-list exempt).
+# and fields of the types a live façade alias denotes, tagged fields, a
+# function's writes to a struct it received by value — its receiver, or
+# a Config a constructor defaults — internal/prob and a short allow-list
+# exempt). An export of the root package is live only when a non-test
+# file outside it (examples/, cmd/, bench/) names it, or when a live
+# root export's signature or type names it, or an exported field of a
+# type a live alias denotes has its type: a façade alias nobody outside
+# reaches keeps nothing alive.
 # Code only tests call lives in those tests' _test.go files; a setting
 # only tests set is a constant. Every series name in
 # internal/obs/names.go must also have a reader there: a use other than
 # the first argument of the call that registers it (an obs.New*
 # function or a Registry method), with no allow-list
 # (TestEverySeriesHasAReader). A series nothing reads is not kept.
+# Every Test, Benchmark or Fuzz function and every make target that
+# README.md, DESIGN.md, EXPERIMENTS.md or the verify notes name must
+# exist (TestDocNamesExist).
 deadapi:
-	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$|^TestEverySeriesHasAReader$$' .
+	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$|^TestEverySeriesHasAReader$$|^TestDocNamesExist$$' .
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"
 
 test:

@@ -82,7 +82,7 @@ func nearestJAdvantage(t *testing.T, env *experiments.Env) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Err("j=1") - r.Err("j=1000")
+	return r.ModelErrPct["j=1"] - r.ModelErrPct["j=1000"]
 }
 
 // mixtureAdvantage compares the paper's probabilistic-mixture
@@ -110,5 +110,5 @@ func mixtureAdvantage(t *testing.T, env *experiments.Env) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return errWorst - r.Err("j=1000")
+	return errWorst - r.ModelErrPct["j=1000"]
 }

@@ -24,9 +24,6 @@ func SORSolve(grid [][]float64, omega float64, iters int) (float64, error) {
 // sweeps on an M×M grid (the profile behind dcomp_sun).
 func SORWork(m, iters int) float64 { return apps.SORWork(m, iters) }
 
-// SORDataSets describes transferring an M×M matrix as M row messages.
-func SORDataSets(m int) []DataSet { return apps.SORDataSets(m) }
-
 // GaussSolve performs Gaussian elimination with partial pivoting on the
 // augmented system [a | b], returning the solution vector.
 func GaussSolve(a [][]float64, b []float64) ([]float64, error) { return apps.GaussSolve(a, b) }
@@ -45,16 +42,4 @@ func GaussCM2Program(m int) CM2Program { return apps.GaussCM2Program(m) }
 // elapsed virtual time plus the back-end busy and idle times.
 func RunCM2(p *Proc, plat *SunCM2, prog CM2Program) (elapsed, busy, idle float64) {
 	return apps.RunCM2(p, plat, prog)
-}
-
-// SyntheticSpec controls random CM2 program generation (the paper's
-// synthetic benchmark suite).
-type SyntheticSpec = apps.SyntheticSpec
-
-// DefaultSyntheticSpec returns a mid-weight synthetic program skeleton.
-func DefaultSyntheticSpec(seed int64) SyntheticSpec { return apps.DefaultSyntheticSpec(seed) }
-
-// SyntheticCM2Program generates a reproducible random CM2 program.
-func SyntheticCM2Program(spec SyntheticSpec) (CM2Program, error) {
-	return apps.SyntheticCM2Program(spec)
 }

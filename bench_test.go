@@ -95,7 +95,7 @@ func benchFigure(b *testing.B, run func(*experiments.Env) (experiments.Result, e
 		last = r
 	}
 	if errLabel != "" {
-		b.ReportMetric(last.Err(errLabel), "err%")
+		b.ReportMetric(last.ModelErrPct[errLabel], "err%")
 	}
 }
 
@@ -113,20 +113,17 @@ func BenchmarkFigure8(b *testing.B) { benchFigure(b, experiments.Figure8, "j=500
 // paper argues must be negligible for on-line scheduling.
 func BenchmarkSlowdownEvaluation(b *testing.B) {
 	env := benchEnv(b)
-	sys, err := core.NewSystem(env.Cal.Tables)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if err := sys.Add(core.Contender{CommFraction: 0.4, MsgWords: 500}); err != nil {
-			b.Fatal(err)
-		}
+	cs := make([]core.Contender, 16)
+	for i := range cs {
+		cs[i] = core.Contender{CommFraction: 0.4, MsgWords: 500}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sys.CommSlowdown()
-		if _, err := sys.CompSlowdown(); err != nil {
+		if _, err := core.CommSlowdown(cs, env.Cal.Tables); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.CompSlowdown(cs, env.Cal.Tables); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,30 +186,6 @@ func BenchmarkSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemAddRemove measures building and draining the run-time
-// contender set: eight adds and eight removes on a fresh System.
-func BenchmarkSystemAddRemove(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys, err := core.NewSystem(env.Cal.Tables)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 8; j++ {
-			if err := sys.Add(core.Contender{CommFraction: 0.5, MsgWords: 200}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for j := 7; j >= 0; j-- {
-			if err := sys.Remove(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // --- Extension benchmarks ---------------------------------------------------
 
 // BenchmarkSyntheticSuite regenerates the paper's generality check over
@@ -226,7 +199,7 @@ func BenchmarkSyntheticSuite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		errPct = r.Err("suite")
+		errPct = r.ModelErrPct["suite"]
 	}
 	b.ReportMetric(errPct, "err%")
 }
@@ -242,7 +215,7 @@ func BenchmarkExtensionIOCharacteristics(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		advantage = r.Err("naive") - r.Err("extended")
+		advantage = r.ModelErrPct["naive"] - r.ModelErrPct["extended"]
 	}
 	b.ReportMetric(advantage, "pp-advantage")
 }
@@ -258,7 +231,7 @@ func BenchmarkExtensionPhased(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		advantage = r.Err("static") - r.Err("phased")
+		advantage = r.ModelErrPct["static"] - r.ModelErrPct["phased"]
 	}
 	b.ReportMetric(advantage, "pp-advantage")
 }
@@ -274,7 +247,7 @@ func BenchmarkExtensionMultiMachine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		errPct = r.Err("split")
+		errPct = r.ModelErrPct["split"]
 	}
 	b.ReportMetric(errPct, "err%")
 }
@@ -290,7 +263,7 @@ func BenchmarkExtensionOffloadDecision(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		errPct = r.Err("offload")
+		errPct = r.ModelErrPct["offload"]
 	}
 	b.ReportMetric(errPct, "err%")
 }
@@ -307,8 +280,8 @@ func BenchmarkFaultTolerance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		clean = r.Err("clean")
-		heavy = r.Err("heaviest-fault")
+		clean = r.ModelErrPct["clean"]
+		heavy = r.ModelErrPct["heaviest-fault"]
 	}
 	b.ReportMetric(clean, "clean-err%")
 	b.ReportMetric(heavy, "faulty-err%")

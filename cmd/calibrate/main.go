@@ -28,7 +28,7 @@ func main() {
 	mode := flag.String("mode", "1hop", "Sun/Paragon communication mode: 1hop or 2hops")
 	burst := flag.Int("burst", 200, "messages per ping-pong burst")
 	contenders := flag.Int("contenders", 4, "delay-table depth (max contenders)")
-	asJSON := flag.Bool("json", false, "emit the calibration as JSON (loadable with contention.LoadCalibration)")
+	asJSON := flag.Bool("json", false, "emit the calibration as JSON (loadable with -check and contentiond -cal)")
 	check := flag.String("check", "", "verify a stored calibration file (integrity + invariants) and exit")
 	save := flag.String("save", "", "write the calibration atomically to FILE as a checksummed envelope")
 	repeats := flag.Int("repeats", 1, "measurements per calibration point (robust aggregation when > 1)")

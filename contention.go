@@ -23,8 +23,10 @@
 //     probabilities that exactly i contenders compute (pcomp_i) or
 //     communicate (pcomm_i) weight measured delay tables.
 //
-// This root package is a façade: it re-exports the public surface of
-// the internal packages so downstream users need a single import.
+// This root package is a façade: it re-exports the part of the internal
+// packages that the runnable examples use, and the types their
+// signatures carry, so a program needs a single import. A name that no
+// caller outside this package reaches is not kept here (make deadapi).
 //
 //	cal, _ := contention.Calibrate(contention.DefaultCalibrationOptions(
 //	    contention.DefaultParagonParams(contention.OneHop)))
@@ -36,10 +38,8 @@ package contention
 
 import (
 	"fmt"
-	"io"
 	"math"
 
-	"contention/internal/caltrust"
 	"contention/internal/core"
 )
 
@@ -59,28 +59,14 @@ type (
 	Calibration = core.Calibration
 	// Predictor produces slowdown-adjusted cost predictions.
 	Predictor = core.Predictor
-	// System tracks a run-time contender set and evaluates its slowdowns.
-	System = core.System
-	// Direction names a transfer direction across the platform link.
-	Direction = core.Direction
 )
 
-// Transfer directions.
-const (
-	// HostToBack is front-end → back-end (the paper's Sun→CM2/Paragon).
-	HostToBack = core.HostToBack
-	// BackToHost is back-end → front-end.
-	BackToHost = core.BackToHost
-)
-
-// Uniform returns a single-piece communication model.
-func Uniform(alpha, beta float64) CommModel { return core.Uniform(alpha, beta) }
+// HostToBack is the front-end → back-end transfer direction (the
+// paper's Sun→CM2/Paragon).
+const HostToBack = core.HostToBack
 
 // NewPredictor validates a calibration and returns a predictor.
 func NewPredictor(cal Calibration) (*Predictor, error) { return core.NewPredictor(cal) }
-
-// NewSystem returns an empty run-time contender set over delay tables.
-func NewSystem(tables DelayTables) (*System, error) { return core.NewSystem(tables) }
 
 // SimpleSlowdown is the CM2-platform slowdown p+1 for p extra CPU-bound
 // processes on a fair-shared CPU. Unlike the internal helper it rejects
@@ -125,18 +111,6 @@ func CM2ExecTime(dcomp, didle, dserial float64, p int) (float64, error) {
 	return core.CM2ExecTime(dcomp, didle, dserial, p), nil
 }
 
-// CM2CommTime scales a dedicated CM2 transfer cost by the CPU slowdown.
-// Invalid inputs return an error instead of panicking.
-func CM2CommTime(dcomm float64, p int) (float64, error) {
-	if p < 0 {
-		return 0, fmt.Errorf("contention: negative contender count %d", p)
-	}
-	if dcomm < 0 || math.IsNaN(dcomm) {
-		return 0, fmt.Errorf("contention: invalid dedicated comm cost %v", dcomm)
-	}
-	return core.CM2CommTime(dcomm, p), nil
-}
-
 // ShouldOffload is the paper's Equation (1): offload a task to the
 // back-end only when tHost > tBack + cTo + cFrom.
 func ShouldOffload(tHost, tBack, cTo, cFrom float64) bool {
@@ -145,31 +119,11 @@ func ShouldOffload(tHost, tBack, cTo, cFrom float64) bool {
 
 // --- §4 extensions ---------------------------------------------------------
 
-// MemoryModel describes front-end memory for the paging extension.
-type MemoryModel = core.MemoryModel
-
-// MemorySlowdown returns the paging factor for an application sharing
-// the host with the given contender working sets.
-func MemorySlowdown(m MemoryModel, appPages int, contenderPages []int) (float64, error) {
-	return core.MemorySlowdown(m, appPages, contenderPages)
-}
-
-// CompSlowdownWithMemory combines the contention mixture with the
-// paging factor.
-func CompSlowdownWithMemory(cs []Contender, t DelayTables, m MemoryModel, appPages int, contenderPages []int) (float64, error) {
-	return core.CompSlowdownWithMemory(cs, t, m, appPages, contenderPages)
-}
-
 // Phase is one interval of a piecewise-constant contender timeline.
 type Phase = core.Phase
 
-// PredictCompPhased predicts a computation's elapsed time under a
-// dynamic job mix, re-evaluating the slowdown at every phase change.
-func PredictCompPhased(dcomp float64, phases []Phase, t DelayTables) (float64, error) {
-	return core.PredictCompPhased(dcomp, phases, t)
-}
-
-// PredictCommPhased is the communication analogue of PredictCompPhased.
+// PredictCommPhased predicts a transfer's elapsed time under a dynamic
+// job mix, re-evaluating the slowdown at every phase change.
 func PredictCommPhased(dcomm float64, phases []Phase, t DelayTables) (float64, error) {
 	return core.PredictCommPhased(dcomm, phases, t)
 }
@@ -186,48 +140,3 @@ type MultiContender = core.MultiContender
 func CommSlowdownMulti(target LinkID, cs []MultiContender, t DelayTables) (float64, error) {
 	return core.CommSlowdownMulti(target, cs, t)
 }
-
-// CompSlowdownMulti is the computation slowdown on a multi-link
-// front-end (link tags are irrelevant for computation).
-func CompSlowdownMulti(cs []MultiContender, t DelayTables) (float64, error) {
-	return core.CompSlowdownMulti(cs, t)
-}
-
-// PredictCommMulti scales a dedicated cost on the target link by the
-// multi-machine slowdown.
-func PredictCommMulti(dcomm float64, target LinkID, cs []MultiContender, t DelayTables) (float64, error) {
-	return core.PredictCommMulti(dcomm, target, cs, t)
-}
-
-// LoadCalibration reads a calibration previously written with
-// Calibration.Save and validates it — letting a scheduler start from a
-// stored calibration instead of re-running the test suite.
-func LoadCalibration(r io.Reader) (Calibration, error) { return core.LoadCalibration(r) }
-
-// SaveCalibrationFile persists the calibration to path atomically as a
-// schema-versioned, checksummed envelope (see internal/caltrust). The
-// note is free-form provenance stored alongside the payload.
-func SaveCalibrationFile(path string, cal Calibration, note string) error {
-	return caltrust.WriteFile(path, cal, caltrust.Meta{Note: note})
-}
-
-// LoadCalibrationFile reads a calibration written by SaveCalibrationFile
-// (or legacy raw `calibrate -json` output), rejecting corrupt,
-// truncated, or incompatibly-versioned files with a descriptive error.
-func LoadCalibrationFile(path string) (Calibration, error) {
-	cal, _, err := caltrust.ReadFile(path)
-	return cal, err
-}
-
-// CheckCalibration runs the trust layer's strict invariant validation —
-// delay tables monotone in contender count, comm-model pieces
-// consistent at the breakpoint — beyond the structural checks of
-// Calibration.Validate. The returned error (nil when clean) is a
-// *ValidationReport listing every violation with its parameter path.
-func CheckCalibration(cal Calibration) error {
-	return caltrust.Validate(cal, caltrust.DefaultCheckConfig()).Err()
-}
-
-// ValidationReport is the structured multi-violation error produced by
-// CheckCalibration (recover it with errors.As).
-type ValidationReport = core.ValidationReport

@@ -27,11 +27,6 @@ var deadAPIAllow = map[string]string{
 	// Simulator state that other packages' tests read back.
 	"contention/internal/cpu.Host.Load":            "link TestStopFromHandlerParksARunningAheadSender: the parked sender is the host's one job",
 	"contention/internal/cpu.Host.Completed":       "des TestRunAheadMatchesQueueAndPark: jobs served by both runs",
-	"contention/internal/cpu.Host.ConfigureMemory": "core TestMemoryExtensionMatchesSimulation: the paging reference CompSlowdownWithMemory is held to",
-	"contention/internal/cpu.Host.Reserve":         "core TestMemoryExtensionMatchesSimulation: working sets of the app and its hogs",
-	"contention/internal/cpu.MemoryConfig.Pages":   "core TestMemoryExtensionMatchesSimulation and des TestRunAheadMatchesQueueAndPark: the paging reference's page count",
-	"contention/internal/cpu.MemoryConfig.Thrash":  "core TestMemoryExtensionMatchesSimulation and des TestRunAheadMatchesQueueAndPark: the paging reference's thrash factor",
-	"contention/internal/cpu.Residency.Release":    "des TestRunAheadMatchesQueueAndPark: working sets released mid-run",
 	"contention/internal/disk.Disk.BusyTime":       "workload TestAlternatorIOFractionUsesDisk: the device's busy fraction",
 	"contention/internal/disk.Disk.Op":             "workload TestContenderMatchesProcessLoop: the reference contender process's disk operations",
 	"contention/internal/mesh.Machine.FabricBusy":  "link TestStreamMatchesSendLoop: fabric occupancy of both runs",
@@ -51,9 +46,13 @@ var deadAPIExemptPkgs = []string{
 // function or method, declared in a non-test file under internal/ that
 // no non-test file of this module or of the bench module uses, and on
 // every exported field of an exported struct type there that none of
-// them writes. Tests cannot keep code alive: a helper only tests call
-// belongs in the _test.go files of the package whose tests use it, and
-// a setting only tests set is a constant.
+// them writes. The root package's exports are held to more: one is live
+// only when a non-test file outside the root package names it, or when
+// it is reached from such a name (deadRootLive), so a façade alias does
+// not keep alive the name it aliases.
+// Tests cannot keep code alive: a helper only tests call belongs in the
+// _test.go files of the package whose tests use it, and a setting only
+// tests set is a constant.
 func TestNoDeadAPI(t *testing.T) {
 	dead, err := deadAPI(".", []string{"bench"}, deadAPIExemptPkgs, deadAPIAllow)
 	if err != nil {
@@ -88,7 +87,11 @@ func TestEverySeriesHasAReader(t *testing.T) {
 // function that takes its struct by value sets — not a String
 // method, an exported or unexported method production calls through an
 // interface, a function or field only the consumer module uses, a
-// field a pointer method writes or a tagged field.
+// field a pointer method writes or a tagged field. Of the root
+// façade's exports it must flag only the two aliases nothing outside
+// the root names (one of a type another, live alias denotes) and the
+// function only a root test calls — not an alias the consumer module
+// uses or a type only a live function's result names.
 // Of its internal/obs/names.go series the reader rule must flag only
 // the one only an obs.New* call registers, the one only a Registry
 // method registers and the one only a test reads besides its
@@ -104,7 +107,7 @@ func TestDeadAPIFixture(t *testing.T) {
 		got = append(got, d[strings.LastIndex(d, " ")+1:])
 	}
 	sort.Strings(got)
-	if want := []string{"lib.Config.Constructed", "lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"deadfix.RootTestOnly", "deadfix.Spare", "deadfix.Twin", "lib.Config.Constructed", "lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %q, want exactly %q", got, want)
 	}
 	unread, err := seriesWithoutReader(filepath.Join("testdata", "deadapi"), []string{"consumer"})
@@ -252,18 +255,19 @@ func deadLoad(root string, consumers []string) (*deadModule, error) {
 }
 
 // deadAPI returns "file:line: pkg.Name" (or pkg.Type.Method) for each
-// exported name, and each unexported function or method, declared
-// under root's internal/ that no non-test file of root's module or of a
+// exported name, and each unexported function or method, declared in
+// root's root package or under its internal/ that no non-test file of root's module or of a
 // consumer module (deadLoad) uses. Unexported consts, vars, types and
 // fields are not candidates: enum members are used only by position. A
 // use inside the name's own declaration does not count.
 // It also returns "file:line: pkg.Type.Field" for each exported,
 // untagged, non-embedded field of an exported struct type there that
 // none of them writes (deadFieldWrites); a decoder writes tagged
-// fields. Exempt are methods that satisfy an interface method some
-// non-test file calls or a deadStdIfaces interface, exported methods
-// and fields of types the root package aliases, everything in the
-// exempt packages, and the allow-list.
+// fields. The root package's exports are candidates too, decided by
+// deadRootLive alone. Exempt are methods that satisfy an interface
+// method some non-test file calls or a deadStdIfaces interface,
+// exported methods and fields of types a live root alias denotes,
+// everything in the exempt packages, and the allow-list.
 func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[string]string) ([]string, error) {
 	m, err := deadLoad(root, consumers)
 	if err != nil {
@@ -273,7 +277,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 
 	// Every use of a named object in a non-test file, and every
 	// interface whose methods are called.
-	used := map[string]bool{}
+	used, usedOutside := map[string]bool{}, map[string]bool{}
 	ifaces := map[string]*deadIface{}
 	for _, p := range m.pkgs {
 		files, info := p.files, p.info
@@ -302,6 +306,9 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 			}
 			if k := deadKey(obj); k != "" {
 				used[k] = true
+				if p.ImportPath != rootMod {
+					usedOutside[k] = true
+				}
 			}
 			if fn, ok := obj.(*types.Func); ok {
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
@@ -336,6 +343,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 	// promotion included. Types from sources and from export data are
 	// distinct objects, so keys and signatures compare as strings.
 	live := map[string]bool{}
+	rootLive := deadRootLive(m, usedOutside)
 	type cand struct {
 		key string
 		pos token.Pos
@@ -346,7 +354,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 			continue
 		}
 		pkg := p.types
-		internal := strings.HasPrefix(p.ImportPath, rootMod+"/internal/")
+		internal := p.ImportPath == rootMod || strings.HasPrefix(p.ImportPath, rootMod+"/internal/")
 		for _, ex := range exemptPkgs {
 			if p.ImportPath == ex || strings.HasPrefix(p.ImportPath, ex+"/") {
 				internal = false
@@ -354,7 +362,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		}
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
-			if p.ImportPath == rootMod {
+			if p.ImportPath == rootMod && rootLive[deadKey(obj)] {
 				if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
 					if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
 						for i := 0; i < n.NumMethods(); i++ {
@@ -412,7 +420,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 	}
 	var dead []string
 	for _, c := range cands {
-		if used[c.key] || live[c.key] || allow[c.key] != "" {
+		if rl, root := rootLive[c.key]; rl || !root && (used[c.key] || live[c.key] || allow[c.key] != "") {
 			continue
 		}
 		pos := fset.Position(c.pos)
@@ -429,6 +437,119 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 	}
 	sort.Strings(dead)
 	return dead, nil
+}
+
+// deadRootLive maps the key of every exported name of the module's root
+// package to whether it is live. A root export is live when a non-test
+// file outside the root package names it (usedOutside), or when the
+// signature or type declaration of a live root export names it, or
+// when it aliases an exported-field type of a type a live root alias
+// denotes, directly or through a composite; computed as a fixed point.
+// Uses inside the root package count for nothing else: a façade name
+// only the façade names is dead.
+func deadRootLive(m *deadModule, usedOutside map[string]bool) map[string]bool {
+	live := map[string]bool{}
+	var root *deadPkg
+	for _, p := range m.pkgs {
+		if p.ImportPath == m.mod {
+			root = p
+		}
+	}
+	if root == nil {
+		return live
+	}
+	scope := root.types.Scope()
+	decls := map[types.Object]ast.Expr{} // root name → its signature or type expression
+	for _, f := range root.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					decls[root.info.Defs[d.Name]] = d.Type
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						decls[root.info.Defs[ts.Name]] = ts.Type
+					}
+				}
+			}
+		}
+	}
+	aliases := map[string][]types.Object{} // denoted named type → its root aliases
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		live[deadKey(obj)] = false
+		if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
+			if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				k := deadKey(n.Origin().Obj())
+				aliases[k] = append(aliases[k], obj)
+			}
+		}
+	}
+	var mark func(obj types.Object)
+	// fields marks the root aliases of the named types that the exported
+	// fields of an aliased internal type reach.
+	visited := map[string]bool{}
+	var fields func(t types.Type)
+	fields = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Pointer:
+			fields(t.Elem())
+		case *types.Slice:
+			fields(t.Elem())
+		case *types.Array:
+			fields(t.Elem())
+		case *types.Map:
+			fields(t.Key())
+			fields(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					fields(t.Field(i).Type())
+				}
+			}
+		case *types.Named:
+			k := deadKey(t.Origin().Obj())
+			if visited[k] {
+				return
+			}
+			visited[k] = true
+			for _, a := range aliases[k] {
+				mark(a)
+			}
+			fields(t.Underlying())
+		}
+	}
+	mark = func(obj types.Object) {
+		k := deadKey(obj)
+		if live[k] {
+			return
+		}
+		live[k] = true
+		if e, ok := decls[obj]; ok {
+			ast.Inspect(e, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if u := root.info.Uses[id]; u != nil && u.Exported() && scope.Lookup(u.Name()) == u {
+						mark(u)
+					}
+				}
+				return true
+			})
+		}
+		if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
+			fields(types.Unalias(tn.Type()).Underlying())
+		}
+	}
+	for _, name := range scope.Names() {
+		if obj := scope.Lookup(name); obj.Exported() && usedOutside[deadKey(obj)] {
+			mark(obj)
+		}
+	}
+	return live
 }
 
 // seriesWithoutReader returns "internal/obs/names.go:line: Name" for

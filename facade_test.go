@@ -1,10 +1,7 @@
 package contention_test
 
 import (
-	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"contention"
@@ -57,9 +54,6 @@ func TestFacadeSlowdownFunctions(t *testing.T) {
 	if got, err := contention.CM2ExecTime(1, 0.5, 3, 2); err != nil || got != 9 {
 		t.Fatalf("CM2ExecTime = %v, %v, want 9", got, err)
 	}
-	if got, err := contention.CM2CommTime(2, 1); err != nil || got != 4 {
-		t.Fatalf("CM2CommTime = %v, %v, want 4", got, err)
-	}
 	// The façade rejects invalid inputs with errors, never panics.
 	if _, err := contention.SimpleSlowdown(-1); err == nil {
 		t.Fatal("SimpleSlowdown(-1) accepted")
@@ -69,9 +63,6 @@ func TestFacadeSlowdownFunctions(t *testing.T) {
 	}
 	if _, err := contention.CM2ExecTime(1, 0, 0, -2); err == nil {
 		t.Fatal("CM2ExecTime with negative p accepted")
-	}
-	if _, err := contention.CM2CommTime(-1, 0); err == nil {
-		t.Fatal("CM2CommTime with negative dcomm accepted")
 	}
 	if !contention.ShouldOffload(10, 2, 3, 3) {
 		t.Fatal("ShouldOffload(10,2,3,3) = false")
@@ -87,26 +78,6 @@ func TestFacadeSlowdownFunctions(t *testing.T) {
 	}
 	if _, err := contention.CompSlowdownWithJ(nil, tables, 500); err != nil {
 		t.Fatalf("CompSlowdownWithJ: %v", err)
-	}
-}
-
-func TestFacadeSystemLifecycle(t *testing.T) {
-	cal := facadeCalibration(t)
-	sys, err := contention.NewSystem(cal.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Add(contention.Contender{CommFraction: 0.4, MsgWords: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if sys.CommSlowdown() <= 1 {
-		t.Fatal("slowdown should exceed 1 with a contender")
-	}
-	if err := sys.Remove(0); err != nil {
-		t.Fatal(err)
-	}
-	if sys.CommSlowdown() != 1 {
-		t.Fatal("slowdown should return to 1")
 	}
 }
 
@@ -145,14 +116,6 @@ func TestFacadeSimulationRoundTrip(t *testing.T) {
 }
 
 func TestFacadeCM2RoundTrip(t *testing.T) {
-	model, err := contention.CalibrateCM2(
-		contention.DefaultCM2CalibrationOptions(contention.DefaultCM2Params()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Small.Beta <= 0 {
-		t.Fatalf("β = %v", model.Small.Beta)
-	}
 	k := contention.NewKernel()
 	plat, err := contention.NewSunCM2(k, contention.DefaultCM2Params())
 	if err != nil {
@@ -188,16 +151,6 @@ func TestFacadeApplications(t *testing.T) {
 	if contention.SORWork(102, 10) <= 0 {
 		t.Fatal("SORWork non-positive")
 	}
-	if got := contention.SORDataSets(100); len(got) != 1 {
-		t.Fatalf("SORDataSets = %v", got)
-	}
-	prog, err := contention.SyntheticCM2Program(contention.DefaultSyntheticSpec(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Segments) == 0 {
-		t.Fatal("empty synthetic program")
-	}
 }
 
 func TestFacadeScheduler(t *testing.T) {
@@ -224,32 +177,9 @@ func TestFacadeScheduler(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	m := contention.MemoryModel{Pages: 100, Thrash: 2}
-	pf, err := contention.MemorySlowdown(m, 100, []int{50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf != 2 {
-		t.Fatalf("MemorySlowdown = %v, want 2", pf)
-	}
-	s, err := contention.CompSlowdownWithMemory(
-		[]contention.Contender{{}}, contention.DelayTables{}, m, 100, []int{50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 4 {
-		t.Fatalf("CompSlowdownWithMemory = %v, want 4 (2×2)", s)
-	}
 	phases := []contention.Phase{
 		{Duration: 2, Contenders: []contention.Contender{{}}},
 		{Contenders: nil},
-	}
-	got, err := contention.PredictCompPhased(3, phases, contention.DelayTables{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("PredictCompPhased = %v, want 4", got)
 	}
 	if _, err := contention.PredictCommPhased(3, phases, contention.DelayTables{}); err != nil {
 		t.Fatal(err)
@@ -268,12 +198,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if math.Abs(ms-(1+0.6*0.5)) > 1e-12 {
 		t.Fatalf("CommSlowdownMulti = %v", ms)
 	}
-	if _, err := contention.CompSlowdownMulti(tagged, tables); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := contention.PredictCommMulti(1, 0, tagged, tables); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeMultiPlatform(t *testing.T) {
@@ -284,33 +208,6 @@ func TestFacadeMultiPlatform(t *testing.T) {
 	}
 	if len(legs) != 2 || legs[0].Host != legs[1].Host {
 		t.Fatal("legs malformed")
-	}
-}
-
-func TestFacadeExperimentEnv(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full experiment sweep")
-	}
-	env, err := contention.NewExperimentEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := contention.AllExperiments(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 11 {
-		t.Fatalf("got %d experiments, want 11", len(all))
-	}
-	ext, err := contention.ExtensionExperiments(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ext) != 8 {
-		t.Fatalf("got %d extension experiments, want 8", len(ext))
-	}
-	if ext[len(ext)-1].ID != "scenarioreplay" {
-		t.Fatalf("last extension %q, want scenarioreplay", ext[len(ext)-1].ID)
 	}
 }
 
@@ -337,47 +234,5 @@ func TestFacadeRuntimeInfrastructure(t *testing.T) {
 	}
 	if est.HostUtilization < 0.9 {
 		t.Fatalf("host utilization %v with a hog, want ≈ 1", est.HostUtilization)
-	}
-}
-
-func TestFacadeCalibrationFileRoundtrip(t *testing.T) {
-	cal := facadeCalibration(t)
-	path := filepath.Join(t.TempDir(), "cal.json")
-	if err := contention.SaveCalibrationFile(path, cal, "facade test"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := contention.LoadCalibrationFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ToBack.Threshold != cal.ToBack.Threshold {
-		t.Fatalf("roundtrip threshold %d, want %d", got.ToBack.Threshold, cal.ToBack.Threshold)
-	}
-	if err := contention.CheckCalibration(got); err != nil {
-		t.Fatalf("calibrated artifact fails invariant check: %v", err)
-	}
-	// Damage the file: the load must fail loudly, not return garbage.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := contention.LoadCalibrationFile(path); err == nil {
-		t.Fatal("truncated calibration file loaded without error")
-	}
-	// An invalid calibration is reported with parameter paths.
-	bad := cal
-	bad.Tables.CompOnComm = append([]float64(nil), cal.Tables.CompOnComm...)
-	bad.Tables.CompOnComm[1] = 0.01
-	bad.Tables.CompOnComm[0] = 3.0
-	err = contention.CheckCalibration(bad)
-	if err == nil {
-		t.Fatal("grossly non-monotone tables passed CheckCalibration")
-	}
-	var report *contention.ValidationReport
-	if !errors.As(err, &report) || len(report.Fatal()) == 0 {
-		t.Fatalf("error %T is not a recoverable ValidationReport", err)
 	}
 }

@@ -58,25 +58,18 @@ func TestPredictCompAllocationFree(t *testing.T) {
 	})
 }
 
-// TestMultiAndSystemAllocations: over the stack-scratch range, the
-// multi-link slowdown, with traffic on both links, allocates no more than
-// the package-level CommSlowdown on the same tables (whose one allocation
-// is the tables' validation), and a System's evaluations allocate nothing.
-func TestMultiAndSystemAllocations(t *testing.T) {
+// TestMultiAllocations: over the stack-scratch range, the multi-link
+// slowdown, with traffic on both links, allocates no more than the
+// package-level CommSlowdown on the same tables (whose one allocation is
+// the tables' validation).
+func TestMultiAllocations(t *testing.T) {
 	tables := fullCalibration().Tables
 	rng := rand.New(rand.NewSource(28))
 	for _, n := range []int{1, kernelSmallP, kernelSmallP + 1, kernelStackP - 1, kernelStackP} {
 		cs := randomContenders(rng, n)
 		tagged := make([]MultiContender, n)
-		sys, err := NewSystem(tables)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, c := range cs {
 			tagged[i] = MultiContender{Contender: c, Link: LinkID((i + 1) % 2)} // the first off target
-			if err := sys.Add(c); err != nil {
-				t.Fatal(err)
-			}
 		}
 		base := testing.AllocsPerRun(100, func() {
 			if _, err := CommSlowdown(cs, tables); err != nil {
@@ -89,17 +82,6 @@ func TestMultiAndSystemAllocations(t *testing.T) {
 			}
 		}); multi > base {
 			t.Errorf("p=%d: CommSlowdownMulti allocates %.1f objects/op, CommSlowdown %.1f", n, multi, base)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			_ = sys.CommSlowdown()
-			if _, err := sys.CompSlowdown(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.CompSlowdownWithJ(1000); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("p=%d: System evaluations allocate %.1f objects/op, want 0", n, allocs)
 		}
 	}
 }

@@ -124,6 +124,7 @@ func TestNearestJRule(t *testing.T) {
 		{95, 500},    // at the limit j=1 excluded
 		{200, 500},   // nearest of {500,1000}
 		{700, 500},   // nearest is 500
+		{750, 500},   // equidistant: the smaller column wins
 		{800, 1000},  // nearest is 1000
 		{5000, 1000}, // clamps to largest
 	}
@@ -134,6 +135,13 @@ func TestNearestJRule(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("NearestJ(%d) = %d, want %d", c.words, got, c.want)
+		}
+	}
+	// A table whose only column is j=1 uses it at any size.
+	only1 := DelayTables{CommOnComp: map[int][]float64{1: {0.1}}}
+	for _, words := range []int{95, 5000} {
+		if got, err := only1.NearestJ(words); err != nil || got != 1 {
+			t.Errorf("j=1 only: NearestJ(%d) = %d, %v, want 1", words, got, err)
 		}
 	}
 }

@@ -334,7 +334,9 @@ func autoJ(cs []Contender) int {
 
 // NearestJ selects the calibrated column in grid (ascending) closest to
 // the requested message size, applying the paper's footnote: the j=1
-// column is only eligible when the size is below 95 words. It is the
+// column is only eligible when the size is below 95 words, or when it
+// is the only column. A size equidistant from two columns takes the
+// smaller. It is the
 // allocation-free core of DelayTables.NearestJ, shared with the
 // precomputed-surface layer so both resolve identically.
 func NearestJ(grid []int, words int) (int, error) {

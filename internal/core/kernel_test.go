@@ -243,13 +243,6 @@ func TestKernelErrorParity(t *testing.T) {
 		{"PredictComp", func(cs []Contender) error { _, err := pred.PredictComp(2, cs); return err }},
 		{"CommSlowdown", func(cs []Contender) error { _, err := CommSlowdown(cs, cal.Tables); return err }},
 		{"CompSlowdownWithJ", func(cs []Contender) error { _, err := CompSlowdownWithJ(cs, cal.Tables, 500); return err }},
-		{"System.Add", func(cs []Contender) error {
-			sys, err := NewSystem(cal.Tables)
-			for i := 0; err == nil && i < len(cs); i++ {
-				err = sys.Add(cs[i])
-			}
-			return err
-		}},
 		{"CommSlowdownMulti", func(cs []Contender) error {
 			tagged := make([]MultiContender, len(cs))
 			for i, c := range cs {

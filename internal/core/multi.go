@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Multi-machine generalization — the paper notes "generalization of
 // these results to more than two machines is straightforward". With
 // several back-end machines attached to one front-end over separate
@@ -97,31 +95,4 @@ func CommSlowdownMulti(target LinkID, cs []MultiContender, t DelayTables) (float
 		}
 	}
 	return s, nil
-}
-
-// CompSlowdownMulti is the computation slowdown on the shared front-end
-// under the tagged contender set. Which link a contender communicates
-// over does not matter for computation — the CPU effect of conversion
-// is the same — so this reduces to the two-machine formula over the
-// untagged contenders.
-func CompSlowdownMulti(cs []MultiContender, t DelayTables) (float64, error) {
-	flat := make([]Contender, len(cs))
-	for i, c := range cs {
-		flat[i] = c.Contender
-	}
-	return CompSlowdown(flat, t)
-}
-
-// PredictCommMulti scales a dedicated communication cost on the target
-// link by the multi-machine slowdown. Dedicated costs are still per
-// ⟨application, problem size, link⟩ via each link's own CommModel.
-func PredictCommMulti(dcomm float64, target LinkID, cs []MultiContender, t DelayTables) (float64, error) {
-	if dcomm < 0 {
-		return 0, fmt.Errorf("core: negative dedicated cost %v", dcomm)
-	}
-	s, err := CommSlowdownMulti(target, cs, t)
-	if err != nil {
-		return 0, err
-	}
-	return dcomm * s, nil
 }

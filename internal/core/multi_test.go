@@ -204,41 +204,3 @@ func TestCommSlowdownMultiValidation(t *testing.T) {
 		t.Fatal("invalid tables accepted")
 	}
 }
-
-func TestCompSlowdownMultiIgnoresLinkTags(t *testing.T) {
-	cs := []Contender{
-		{CommFraction: 0.4, MsgWords: 500},
-		{CommFraction: 0.7, MsgWords: 200},
-	}
-	want, err := CompSlowdown(cs, multiTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagged := []MultiContender{
-		{Contender: cs[0], Link: 0},
-		{Contender: cs[1], Link: 3},
-	}
-	got, err := CompSlowdownMulti(tagged, multiTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(got, want, 1e-12) {
-		t.Fatalf("CompSlowdownMulti %v != CompSlowdown %v", got, want)
-	}
-}
-
-func TestPredictCommMulti(t *testing.T) {
-	tagged := []MultiContender{
-		{Contender: Contender{CommFraction: 1, MsgWords: 500}, Link: 1},
-	}
-	got, err := PredictCommMulti(10, 0, tagged, multiTables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(got, 10*(1+0.24), 1e-12) {
-		t.Fatalf("PredictCommMulti = %v", got)
-	}
-	if _, err := PredictCommMulti(-1, 0, nil, multiTables()); err == nil {
-		t.Fatal("negative dcomm accepted")
-	}
-}

@@ -10,7 +10,8 @@ import (
 // the paper stresses it is computed "just once"; saving it lets a
 // scheduler load the tables at startup instead of re-running the test
 // suite. The format is plain JSON (DelayTables' integer j keys are
-// stringified by encoding/json and restored on load).
+// stringified by encoding/json and restored on load); internal/caltrust
+// reads it back.
 
 // Save writes the calibration as JSON.
 func (c Calibration) Save(w io.Writer) error {
@@ -20,17 +21,4 @@ func (c Calibration) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(c)
-}
-
-// LoadCalibration reads a calibration written by Save and validates it.
-func LoadCalibration(r io.Reader) (Calibration, error) {
-	var c Calibration
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&c); err != nil {
-		return Calibration{}, fmt.Errorf("core: decoding calibration: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return Calibration{}, fmt.Errorf("core: loaded calibration invalid: %w", err)
-	}
-	return c, nil
 }

@@ -212,3 +212,93 @@ func TestPredictCompRejectsNaN(t *testing.T) {
 		}
 	}
 }
+
+func testTables() DelayTables {
+	return DelayTables{
+		CompOnComm: []float64{0.9, 1.8, 2.7},
+		CommOnComm: []float64{0.5, 1.0, 1.5},
+		CommOnComp: map[int][]float64{
+			1:    {0.1, 0.2, 0.3},
+			500:  {0.4, 0.8, 1.2},
+			1000: {0.7, 1.4, 2.1},
+		},
+	}
+}
+
+func TestPredictorEndToEnd(t *testing.T) {
+	cal := Calibration{
+		ToBack: CommModel{Threshold: 1024,
+			Small: CommPiece{Alpha: 0.001, Beta: 1e6},
+			Large: CommPiece{Alpha: 0.004, Beta: 8e5}},
+		ToHost:   Uniform(0.002, 9e5),
+		Tables:   testTables(),
+		Platform: "sun/paragon",
+	}
+	pr, err := NewPredictor(cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []DataSet{{N: 1000, Words: 200}}
+	dcomm, err := pr.DedicatedComm(HostToBack, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1000 * (0.001 + 200/1e6)
+	if math.Abs(dcomm-want) > 1e-9 {
+		t.Fatalf("DedicatedComm = %v, want %v", dcomm, want)
+	}
+	cs := []Contender{{CommFraction: 0.25, MsgWords: 200}, {CommFraction: 0.76, MsgWords: 200}}
+	pred, err := pr.PredictComm(HostToBack, sets, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, _ := CommSlowdown(cs, testTables())
+	if math.Abs(pred-dcomm*sd) > 1e-9 {
+		t.Fatalf("PredictComm = %v, want %v", pred, dcomm*sd)
+	}
+	comp, err := pr.PredictComp(10, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd2, _ := CompSlowdown(cs, testTables())
+	if math.Abs(comp-10*sd2) > 1e-9 {
+		t.Fatalf("PredictComp = %v, want %v", comp, 10*sd2)
+	}
+	compJ, err := pr.PredictCompWithJ(10, cs, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd3, _ := CompSlowdownWithJ(cs, testTables(), 1000)
+	if math.Abs(compJ-10*sd3) > 1e-9 {
+		t.Fatalf("PredictCompWithJ = %v, want %v", compJ, 10*sd3)
+	}
+}
+
+func TestPredictorErrors(t *testing.T) {
+	if _, err := NewPredictor(Calibration{}); err == nil {
+		t.Fatal("zero calibration accepted")
+	}
+	cal := Calibration{ToBack: Uniform(0, 1), ToHost: Uniform(0, 1), Tables: testTables()}
+	pr, err := NewPredictor(cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.DedicatedComm(Direction(9), nil); err == nil {
+		t.Fatal("unknown direction accepted")
+	}
+	if _, err := pr.PredictComp(-1, nil); err == nil {
+		t.Fatal("negative dcomp accepted")
+	}
+	if _, err := pr.PredictCompWithJ(-1, nil, 500); err == nil {
+		t.Fatal("negative dcomp accepted (WithJ)")
+	}
+}
+
+func TestDirectionString(t *testing.T) {
+	if HostToBack.String() == "" || BackToHost.String() == "" {
+		t.Fatal("empty direction strings")
+	}
+	if Direction(9).String() == "" {
+		t.Fatal("unknown direction should still render")
+	}
+}

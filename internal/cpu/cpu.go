@@ -35,11 +35,6 @@ type Host struct {
 	// resident — a stalled host is busy, not idle.
 	stallUntil float64
 	stalls     int
-
-	// Memory extension (see memory.go).
-	mem      MemoryConfig
-	hasMem   bool
-	resident int
 }
 
 // job is one resident computation: the process parked in Compute, or
@@ -182,8 +177,7 @@ func (h *Host) advance() {
 	if effDt <= 0 {
 		return
 	}
-	eff := h.speed / h.PagingFactor()
-	share := effDt * eff / float64(len(h.jobs))
+	share := effDt * h.speed / float64(len(h.jobs))
 	for i := range h.jobs {
 		h.jobs[i].remaining -= share
 	}
@@ -235,14 +229,13 @@ func (h *Host) arm(d float64) {
 // resident jobs (at least one) at their current shares.
 func (h *Host) untilNextFinish() float64 {
 	n := float64(len(h.jobs))
-	eff := h.speed / h.PagingFactor()
 	stallLeft := 0.0
 	if h.stallUntil > h.k.Now() {
 		stallLeft = h.stallUntil - h.k.Now()
 	}
 	next := math.Inf(1)
 	for _, j := range h.jobs {
-		t := j.remaining * n / eff
+		t := j.remaining * n / h.speed
 		if t < next {
 			next = t
 		}
@@ -256,7 +249,7 @@ func (h *Host) untilNextFinish() float64 {
 		// would be re-armed forever. Work that needs no representable
 		// time is done.
 		for i := range h.jobs {
-			if j := &h.jobs[i]; j.remaining*n/eff <= next {
+			if j := &h.jobs[i]; j.remaining*n/h.speed <= next {
 				j.remaining = 0
 			}
 		}

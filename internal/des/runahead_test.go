@@ -28,7 +28,7 @@ type mixResult struct {
 }
 
 // mix runs a seeded random scenario — processes mixing delays,
-// computation, stalls, paging, a semaphore, a mailbox, After callbacks
+// computation, stalls, a semaphore, a mailbox, After callbacks
 // and the Actions that stand in for processes (ComputeAsync jobs, a
 // RecvAsync receiver), with times drawn from a coarse grid as often as not so that
 // ties are common — in three legs (two RunUntil horizons that waits
@@ -58,28 +58,21 @@ func mix(seed int64, queueOnly bool) mixResult {
 
 	speed := []float64{1, 2.5, 1e3}[rng.Intn(3)]
 	h := cpu.NewHost(k, "sun", speed)
-	if rng.Intn(2) == 0 {
-		if err := h.ConfigureMemory(cpu.MemoryConfig{Pages: 100, Thrash: 2}); err != nil {
-			panic(err)
-		}
-	}
 	sem := des.NewSemaphore(k, 1+rng.Intn(2))
 	mb := des.NewMailbox[int](k, "mb")
 
 	type step struct {
 		kind    int
 		d, work float64
-		pages   int
 	}
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 		who := fmt.Sprintf("p%d", i)
 		steps := make([]step, 10+rng.Intn(30))
 		for j := range steps {
 			steps[j] = step{
-				kind:  rng.Intn(11),
-				d:     duration(1.5),
-				work:  duration(2) * speed,
-				pages: 30 + rng.Intn(90),
+				kind: rng.Intn(10),
+				d:    duration(1.5),
+				work: duration(2) * speed,
 			}
 			if rng.Intn(12) == 0 {
 				steps[j].work = 1e-10 // below the host's retirement epsilon
@@ -109,28 +102,20 @@ func mix(seed int64, queueOnly bool) mixResult {
 						log(who, "received %d", mb.Recv(p))
 					}
 				case 7:
-					r, err := h.Reserve(s.pages)
-					if err != nil {
-						panic(err)
-					}
-					h.Compute(p, s.work)
-					r.Release()
-					log(who, "computed %v holding %d pages", s.work, s.pages)
-				case 8:
 					d, stall := s.d, s.d/3
 					k.After(d, func() {
 						h.Stall(stall)
 						mb.Send(-j)
 						log(who, "callback stalled the host for %v", stall)
 					})
-				case 9:
+				case 8:
 					// A job nobody waits for, and from a callback one more.
 					work, d := s.work, s.d
 					h.ComputeAsync(work, fire(func() { log(who, "async job %d computed %v, %d done", j, work, h.Completed()) }))
 					k.After(d, func() {
 						h.ComputeAsync(work/2, fire(func() { log(who, "callback's job %d done, %d done", j, h.Completed()) }))
 					})
-				case 10:
+				case 9:
 					r := &asyncRecv{mb: mb}
 					r.got = func(v int) { log(who, "async receiver %d got %d", j, v) }
 					r.Fire()

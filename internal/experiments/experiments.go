@@ -41,9 +41,6 @@ type Result struct {
 	PaperErrPct float64
 }
 
-// Err returns the recorded model error for a comparison label.
-func (r Result) Err(label string) float64 { return r.ModelErrPct[label] }
-
 // sharedGrid reports whether every series has exactly the X grid of
 // the first (same length, same values) and a matching Y per point.
 func (r Result) sharedGrid() bool {

@@ -80,10 +80,10 @@ func TestFigure1ModelTracksActual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Err("p=0"); got > 5 {
+	if got := r.ModelErrPct["p=0"]; got > 5 {
 		t.Fatalf("dedicated error %.1f%%, want < 5%%", got)
 	}
-	if got := r.Err("p=3"); got > 15 {
+	if got := r.ModelErrPct["p=3"]; got > 15 {
 		t.Fatalf("contended error %.1f%%, want < 15%% (paper: 11%%)", got)
 	}
 	ded, _ := r.seriesByName("actual p=0")
@@ -125,7 +125,7 @@ func TestFigure3CrossoverShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Err("p=3"); got > 15 {
+	if got := r.ModelErrPct["p=3"]; got > 15 {
 		t.Fatalf("contended error %.1f%%, want < 15%% (paper quotes 15%%)", got)
 	}
 	ded, _ := r.seriesByName("actual p=0")
@@ -245,7 +245,7 @@ func TestFigure5ErrorWithinPaperBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Err("contended"); got > 20 {
+	if got := r.ModelErrPct["contended"]; got > 20 {
 		t.Fatalf("error %.1f%%, want < 20%% (paper: ≈12%%)", got)
 	}
 	// The contended series must sit clearly above dedicated.
@@ -265,7 +265,7 @@ func TestFigure6ErrorWithinPaperBand(t *testing.T) {
 	}
 	// The paper quotes ≈14% here and observes up to 30% when contenders
 	// communicate intensively.
-	if got := r.Err("contended"); got > 25 {
+	if got := r.ModelErrPct["contended"]; got > 25 {
 		t.Fatalf("error %.1f%%, want < 25%% (paper: ≈14%%)", got)
 	}
 }
@@ -275,11 +275,11 @@ func TestFigure7JSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := r.Err("j=1000")
+	best := r.ModelErrPct["j=1000"]
 	if best > 10 {
 		t.Fatalf("j=1000 error %.1f%%, want < 10%% (paper: 4%%)", best)
 	}
-	if j1 := r.Err("j=1"); j1 <= best+5 {
+	if j1 := r.ModelErrPct["j=1"]; j1 <= best+5 {
 		t.Fatalf("j=1 error %.1f%% should clearly exceed j=1000 error %.1f%% (paper: 32%% vs 4%%)", j1, best)
 	}
 }
@@ -289,11 +289,11 @@ func TestFigure8JSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := r.Err("j=500")
+	best := r.ModelErrPct["j=500"]
 	if best > 15 {
 		t.Fatalf("j=500 error %.1f%%, want < 15%% (paper: 5%%)", best)
 	}
-	if j1 := r.Err("j=1"); j1 <= best+5 {
+	if j1 := r.ModelErrPct["j=1"]; j1 <= best+5 {
 		t.Fatalf("j=1 error %.1f%% should clearly exceed j=500 error %.1f%% (paper: 25%% vs 5%%)", j1, best)
 	}
 }
@@ -375,7 +375,7 @@ func TestSyntheticSuiteWithinPaperBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Err("suite"); got > 15 {
+	if got := r.ModelErrPct["suite"]; got > 15 {
 		t.Fatalf("synthetic suite error %.1f%%, want < 15%% (paper's generality claim)", got)
 	}
 	if len(r.Series[0].Y) != 24 {

@@ -9,8 +9,8 @@ func TestIOCharacteristicsExtendedModelWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := r.Err("extended")
-	naive := r.Err("naive")
+	ext := r.ModelErrPct["extended"]
+	naive := r.ModelErrPct["naive"]
 	if ext > 10 {
 		t.Fatalf("extended-model error %.1f%%, want < 10%%", ext)
 	}
@@ -33,8 +33,8 @@ func TestPhasedContentionBeatsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phased := r.Err("phased")
-	static := r.Err("static")
+	phased := r.ModelErrPct["phased"]
+	static := r.ModelErrPct["static"]
 	if phased > 10 {
 		t.Fatalf("phased-model error %.1f%%, want < 10%%", phased)
 	}
@@ -48,10 +48,10 @@ func TestMultiMachineWithinBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Err("split"); got > 15 {
+	if got := r.ModelErrPct["split"]; got > 15 {
 		t.Fatalf("split-placement error %.1f%%, want ≤ 15%% (the paper's band)", got)
 	}
-	if got := r.Err("same"); got > 20 {
+	if got := r.ModelErrPct["same"]; got > 20 {
 		t.Fatalf("same-link error %.1f%%, want ≤ 20%%", got)
 	}
 	// Same-link placement must cost at least as much as split at small
@@ -67,7 +67,7 @@ func TestExtensionsAggregator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	results, err := Extensions(env(t))
+	results, err := extensions(env(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestOffloadDecisionAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Err("sun"); got > 15 {
+	if got := r.ModelErrPct["sun"]; got > 15 {
 		t.Fatalf("sun-side error %.1f%%, want ≤ 15%%", got)
 	}
-	if got := r.Err("offload"); got > 15 {
+	if got := r.ModelErrPct["offload"]; got > 15 {
 		t.Fatalf("offload-side error %.1f%%, want ≤ 15%%", got)
 	}
 	// Every size must be decided correctly, and both regimes must occur.
@@ -166,9 +166,9 @@ func TestCalibrationDriftDetectAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := r.Err("pre-drift")
-	during := r.Err("undetected-drift")
-	post := r.Err("post-recal")
+	pre := r.ModelErrPct["pre-drift"]
+	during := r.ModelErrPct["undetected-drift"]
+	post := r.ModelErrPct["post-recal"]
 	// Pre-drift the model is in its paper-accuracy regime.
 	if pre > 10 {
 		t.Fatalf("pre-drift error %.1f%%, want < 10%%", pre)

@@ -61,7 +61,7 @@ type dedicatedKey struct {
 // that Figure 4's 1-HOP cells and the dedicated series of Figures 5 and
 // 6 — the same simulations — run once. Each key has its own once, so
 // drivers racing on the parallel pool simulate it exactly once and read
-// the value the serial pass computes. Run (behind All and Extensions)
+// the value the serial pass computes. Run (behind All)
 // makes one per call and drops it on return: a memo that outlived the pass would answer
 // the next All from memory, which no run of cmd/experiments (one pass
 // per calibration) ever does.

@@ -221,9 +221,6 @@ func Run(env *Env, exps ...Experiment) ([]Result, error) {
 // All runs every table and figure driver in paper order.
 func All(env *Env) ([]Result, error) { return Run(env, suite(false)...) }
 
-// Extensions runs every extension driver.
-func Extensions(env *Env) ([]Result, error) { return Run(env, suite(true)...) }
-
 // suite returns the paper's drivers, or the extensions, in table order.
 func suite(extension bool) []Experiment {
 	var out []Experiment

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Digests of the concatenated Render() output of All and of Extensions,
+// Digests of the concatenated Render() output of All and of the extensions,
 // recorded on the commit before the coroutine rewrite of internal/des
 // (PR 13, 3c0fc1c). TestParallelMatchesSerialByteIdentical proves
 // parallel == serial within one commit; these prove before == after
@@ -32,6 +32,10 @@ func renderDigest(t *testing.T, run func(*Env) ([]Result, error), e *Env) string
 	return hex.EncodeToString(sum[:])
 }
 
+// extensions runs every extension driver, as cmd/experiments
+// -extensions does after the paper's suite.
+func extensions(env *Env) ([]Result, error) { return Run(env, suite(true)...) }
+
 // TestSuiteGoldenDigest pins every exhibit's rendered bytes to the
 // digests recorded on the parent of the des rewrite.
 func TestSuiteGoldenDigest(t *testing.T) {
@@ -39,7 +43,7 @@ func TestSuiteGoldenDigest(t *testing.T) {
 	if got := renderDigest(t, All, e); got != goldenAllDigest {
 		t.Errorf("All digest %s, want %s", got, goldenAllDigest)
 	}
-	if got := renderDigest(t, Extensions, e); got != goldenExtensionsDigest {
+	if got := renderDigest(t, extensions, e); got != goldenExtensionsDigest {
 		t.Errorf("Extensions digest %s, want %s", got, goldenExtensionsDigest)
 	}
 }

@@ -14,7 +14,7 @@ func renderAll(t *testing.T, e *Env) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := Extensions(e)
+	ext, err := extensions(e)
 	if err != nil {
 		t.Fatal(err)
 	}

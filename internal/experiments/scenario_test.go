@@ -33,7 +33,7 @@ func TestScenarioReplayDeterministic(t *testing.T) {
 	if _, ok := r1.seriesByName("mean slowdown"); !ok {
 		t.Fatal("no mean-slowdown series")
 	}
-	if got := r1.Err("replay"); got != 0 {
+	if got := r1.ModelErrPct["replay"]; got != 0 {
 		t.Fatalf("replay error %.3f%%, want exactly 0", got)
 	}
 	// The flash-crowd cohort must actually surge: its peak bucket rate

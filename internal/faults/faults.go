@@ -52,18 +52,6 @@ func NewInjector(k *des.Kernel, seed int64) *Injector {
 	return &Injector{k: k, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Kernel returns the kernel the injector drives.
-func (in *Injector) Kernel() *des.Kernel { return in.k }
-
-// Rand exposes the injector's RNG for fault schedules that need extra
-// draws; use only from simulation context to preserve determinism.
-func (in *Injector) Rand() *rand.Rand { return in.rng }
-
-// Log returns a copy of the injected-event log.
-func (in *Injector) Log() []Injected {
-	return append([]Injected(nil), in.log...)
-}
-
 // Count reports how many fault events of the given kind fired ("" = all).
 func (in *Injector) Count(kind string) int {
 	n := 0
@@ -85,26 +73,6 @@ func (in *Injector) exp(mean float64) float64 {
 	return in.rng.ExpFloat64() * mean
 }
 
-// Window bounds a fault schedule in virtual time. End = 0 means "until
-// the simulation stops".
-type Window struct {
-	Start, End float64
-}
-
-func (w Window) validate() error {
-	if w.Start < 0 || math.IsNaN(w.Start) {
-		return fmt.Errorf("faults: negative window start %v", w.Start)
-	}
-	if w.End != 0 && (w.End <= w.Start || math.IsNaN(w.End)) {
-		return fmt.Errorf("faults: window end %v not after start %v", w.End, w.Start)
-	}
-	return nil
-}
-
-func (w Window) contains(t float64) bool {
-	return t >= w.Start && (w.End == 0 || t < w.End)
-}
-
 // Fault is one composable fault schedule. Arm installs it on the
 // injector's kernel; the fault then drives itself from DES events.
 type Fault interface {
@@ -122,21 +90,16 @@ func (in *Injector) Arm(fs ...Fault) error {
 }
 
 // poisson schedules fn at Poisson arrivals with the given mean spacing
-// inside the window. fn fires in kernel event context.
-func (in *Injector) poisson(w Window, mean float64, fn func()) {
+// from now on. fn fires in kernel event context.
+func (in *Injector) poisson(mean float64, fn func()) {
 	var next func()
 	next = func() {
-		d := in.exp(mean)
-		at := in.k.Now() + d
-		if w.End != 0 && at >= w.End {
-			return
-		}
-		in.k.At(at, func() {
+		in.k.After(in.exp(mean), func() {
 			fn()
 			next()
 		})
 	}
-	in.k.At(w.Start, next)
+	in.k.After(0, next)
 }
 
 // LinkFaults injects transient wire faults on a DES link: each
@@ -148,7 +111,6 @@ type LinkFaults struct {
 	Link        *link.Link
 	DropProb    float64
 	CorruptProb float64
-	Window      Window
 }
 
 // Arm installs the fault decision on the link.
@@ -164,13 +126,7 @@ func (f LinkFaults) Arm(in *Injector) error {
 	if f.DropProb+f.CorruptProb > 1 {
 		return fmt.Errorf("faults: drop %v + corrupt %v probabilities exceed 1", f.DropProb, f.CorruptProb)
 	}
-	if err := f.Window.validate(); err != nil {
-		return err
-	}
 	f.Link.SetFaultFunc(func(words int) bool {
-		if !f.Window.contains(in.k.Now()) {
-			return false
-		}
 		u := in.rng.Float64()
 		switch {
 		case u < f.DropProb:
@@ -194,7 +150,6 @@ type HostStalls struct {
 	MeanSpacing float64
 	// MeanDuration is the mean stall length.
 	MeanDuration float64
-	Window       Window
 }
 
 // Arm schedules the stall process.
@@ -208,10 +163,7 @@ func (f HostStalls) Arm(in *Injector) error {
 	if f.MeanDuration <= 0 || math.IsNaN(f.MeanDuration) {
 		return fmt.Errorf("faults: stall duration %v must be positive", f.MeanDuration)
 	}
-	if err := f.Window.validate(); err != nil {
-		return err
-	}
-	in.poisson(f.Window, f.MeanSpacing, func() {
+	in.poisson(f.MeanSpacing, func() {
 		d := in.exp(f.MeanDuration)
 		in.note("host-stall", "stall %.4gs", d)
 		f.Host.Stall(d)
@@ -226,7 +178,6 @@ type CrashRestart struct {
 	Host     *cpu.Host
 	MTBF     float64
 	Downtime float64
-	Window   Window
 }
 
 // Arm schedules the crash process.
@@ -240,10 +191,7 @@ func (f CrashRestart) Arm(in *Injector) error {
 	if f.Downtime <= 0 || math.IsNaN(f.Downtime) {
 		return fmt.Errorf("faults: downtime %v must be positive", f.Downtime)
 	}
-	if err := f.Window.validate(); err != nil {
-		return err
-	}
-	in.poisson(f.Window, f.MTBF, func() {
+	in.poisson(f.MTBF, func() {
 		in.note("crash-restart", "down %.4gs", f.Downtime)
 		f.Host.Stall(f.Downtime)
 	})
@@ -259,7 +207,6 @@ type ContenderChurn struct {
 	MeanSpacing float64
 	// Perturb is invoked in kernel event context at each churn arrival.
 	Perturb func()
-	Window  Window
 }
 
 // Arm schedules the churn process.
@@ -270,10 +217,7 @@ func (f ContenderChurn) Arm(in *Injector) error {
 	if f.MeanSpacing <= 0 || math.IsNaN(f.MeanSpacing) {
 		return fmt.Errorf("faults: churn spacing %v must be positive", f.MeanSpacing)
 	}
-	if err := f.Window.validate(); err != nil {
-		return err
-	}
-	in.poisson(f.Window, f.MeanSpacing, func() {
+	in.poisson(f.MeanSpacing, func() {
 		in.note("churn", "job mix perturbed")
 		f.Perturb()
 	})
@@ -286,7 +230,6 @@ func (f ContenderChurn) Arm(in *Injector) error {
 type SampleLoss struct {
 	Monitor  *monitor.Monitor
 	DropProb float64
-	Window   Window
 }
 
 // Arm installs the loss decision on the monitor.
@@ -297,13 +240,7 @@ func (f SampleLoss) Arm(in *Injector) error {
 	if f.DropProb < 0 || f.DropProb > 1 || math.IsNaN(f.DropProb) {
 		return fmt.Errorf("faults: sample loss probability %v out of [0,1]", f.DropProb)
 	}
-	if err := f.Window.validate(); err != nil {
-		return err
-	}
 	f.Monitor.SetLossFunc(func() bool {
-		if !f.Window.contains(in.k.Now()) {
-			return false
-		}
 		if in.rng.Float64() < f.DropProb {
 			in.note("sample-loss", "monitor sample dropped")
 			return true

@@ -38,13 +38,8 @@ type (
 	HopMode = platform.HopMode
 )
 
-// Communication modes between the Sun and the Paragon.
-const (
-	// OneHop is direct TCP from the Sun to a Paragon compute node.
-	OneHop = platform.OneHop
-	// TwoHops routes through the Paragon's service node (TCP + NX).
-	TwoHops = platform.TwoHops
-)
+// OneHop is direct TCP from the Sun to a Paragon compute node.
+const OneHop = platform.OneHop
 
 // DefaultCM2Params returns era-plausible Sun/CM2 parameters.
 func DefaultCM2Params() CM2Params { return platform.DefaultCM2Params() }
@@ -109,13 +104,9 @@ func PingPongBurst(p *Proc, sp *SunParagon, port string, count, words int) (floa
 	return workload.PingPongBurst(p, sp, port, count, words), nil
 }
 
-// Calibration suite (see internal/calibrate).
-type (
-	// CalibrationOptions controls the Sun/Paragon calibration suite.
-	CalibrationOptions = calibrate.Options
-	// CM2CalibrationOptions controls the Sun/CM2 benchmarks.
-	CM2CalibrationOptions = calibrate.CM2Options
-)
+// CalibrationOptions controls the Sun/Paragon calibration suite (see
+// internal/calibrate).
+type CalibrationOptions = calibrate.Options
 
 // DefaultCalibrationOptions returns the options the experiments use.
 func DefaultCalibrationOptions(p ParagonParams) CalibrationOptions {
@@ -125,17 +116,6 @@ func DefaultCalibrationOptions(p ParagonParams) CalibrationOptions {
 // Calibrate runs the full Sun/Paragon suite: α/β fits per direction
 // plus the three delay tables.
 func Calibrate(opts CalibrationOptions) (Calibration, error) { return calibrate.Run(opts) }
-
-// DefaultCM2CalibrationOptions returns the Sun/CM2 benchmark defaults.
-func DefaultCM2CalibrationOptions(p CM2Params) CM2CalibrationOptions {
-	return calibrate.DefaultCM2Options(p)
-}
-
-// CalibrateCM2 measures the Sun/CM2 transfer model by the paper's two
-// benchmarks.
-func CalibrateCM2(opts CM2CalibrationOptions) (CommModel, error) {
-	return calibrate.CalibrateCM2(opts)
-}
 
 // Allocation scheduler (see internal/sched).
 type (

@@ -88,3 +88,7 @@ func Build(c Config) int {
 	}
 	return c.Constructed
 }
+
+// Token is live: the façade aliases it as Handle, which the consumer
+// module names.
+type Token struct{ ID int }
