@@ -23,8 +23,9 @@ vet:
 # write in one (deadapi_test.go: interface methods, the exported methods
 # and fields of the types a live façade alias denotes, tagged fields, a
 # function's writes to a struct it received by value — its receiver, or
-# a Config a constructor defaults — internal/prob and a short allow-list
-# exempt). An export of the root package is live only when a non-test
+# a Config a constructor defaults — a Default* preset's constant write
+# to its own package's type, internal/prob and a short allow-list
+# exempt; a stale allow-list entry fails). An export of the root package is live only when a non-test
 # file outside it (examples/, cmd/, bench/) names it, or when a live
 # root export's signature or type names it, or an exported field of a
 # type a live alias denotes has its type: a façade alias nobody outside
@@ -37,7 +38,8 @@ vet:
 # (TestEverySeriesHasAReader). A series nothing reads is not kept.
 # Every Test, Benchmark or Fuzz function and every make target that
 # README.md, DESIGN.md, EXPERIMENTS.md or the verify notes name must
-# exist (TestDocNamesExist).
+# exist, and every -flag README names must be registered
+# (TestDocNamesExist).
 deadapi:
 	$(GO) test -count=1 -run '^TestNoDeadAPI$$|^TestDeadAPIFixture$$|^TestEverySeriesHasAReader$$|^TestDocNamesExist$$' .
 	@echo "$@: $$(( $$(date +%s) - $(shell date +%s) ))s"

@@ -146,7 +146,7 @@ func runCheck(path string) int {
 		fmt.Fprintln(os.Stderr, "FAIL:", err)
 		return 1
 	}
-	report := caltrust.Validate(cal, caltrust.DefaultCheckConfig())
+	report := caltrust.Validate(cal)
 	for _, v := range report.Violations {
 		fmt.Fprintln(os.Stderr, " ", v.String())
 	}

@@ -72,7 +72,7 @@ func main() {
 	// with the reason in every response) rather than refused — the
 	// operator sees why on /healthz.
 	pred := core.NewPredictorLenient(cal)
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracker:", err)
 		os.Exit(1)

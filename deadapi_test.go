@@ -52,7 +52,8 @@ var deadAPIExemptPkgs = []string{
 // not keep alive the name it aliases.
 // Tests cannot keep code alive: a helper only tests call belongs in the
 // _test.go files of the package whose tests use it, and a setting only
-// tests set is a constant.
+// tests set is a constant. So is a setting only its own package's
+// Default* constructor sets, and only from a constant.
 func TestNoDeadAPI(t *testing.T) {
 	dead, err := deadAPI(".", []string{"bench"}, deadAPIExemptPkgs, deadAPIAllow)
 	if err != nil {
@@ -83,11 +84,15 @@ func TestEverySeriesHasAReader(t *testing.T) {
 // internal/lib's names it must flag only the dead exported and
 // unexported functions, the interface only a test uses, the method
 // only that interface declares, the field only a test sets, the field
-// only a value receiver's withDefaults sets and the field only a
-// function that takes its struct by value sets — not a String
-// method, an exported or unexported method production calls through an
+// only a value receiver's withDefaults sets, the field only a
+// function that takes its struct by value sets and the field only
+// lib's DefaultConfig sets from a constant — not a String method, an
+// exported or unexported method production calls through an
 // interface, a function or field only the consumer module uses, a
-// field a pointer method writes or a tagged field. Of the root
+// field a pointer method writes, a tagged field, a field DefaultConfig
+// sets from its parameter or a field another package's DefaultConfig
+// sets. Of its allow-list it must flag the key that names no
+// candidate. Of the root
 // façade's exports it must flag only the two aliases nothing outside
 // the root names (one of a type another, live alias denotes) and the
 // function only a root test calls — not an alias the consumer module
@@ -98,7 +103,8 @@ func TestEverySeriesHasAReader(t *testing.T) {
 // registration — not one a command reads or one only the consumer
 // module reads.
 func TestDeadAPIFixture(t *testing.T) {
-	dead, err := deadAPI(filepath.Join("testdata", "deadapi"), []string{"consumer"}, nil, nil)
+	allow := map[string]string{"deadfix/internal/lib.Gone": "a key whose name was deleted"}
+	dead, err := deadAPI(filepath.Join("testdata", "deadapi"), []string{"consumer"}, nil, allow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestDeadAPIFixture(t *testing.T) {
 		got = append(got, d[strings.LastIndex(d, " ")+1:])
 	}
 	sort.Strings(got)
-	if want := []string{"deadfix.RootTestOnly", "deadfix.Spare", "deadfix.Twin", "lib.Config.Constructed", "lib.Config.Defaulted", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"deadfix.RootTestOnly", "deadfix.Spare", "deadfix.Twin", "deadfix/internal/lib.Gone", "lib.Config.Constructed", "lib.Config.Defaulted", "lib.Config.Preset", "lib.Config.TestOnly", "lib.Poker", "lib.Unused", "lib.Widget.Poke", "lib.unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %q, want exactly %q", got, want)
 	}
 	unread, err := seriesWithoutReader(filepath.Join("testdata", "deadapi"), []string{"consumer"})
@@ -267,7 +273,9 @@ func deadLoad(root string, consumers []string) (*deadModule, error) {
 // deadRootLive alone. Exempt are methods that satisfy an interface
 // method some non-test file calls or a deadStdIfaces interface,
 // exported methods and fields of types a live root alias denotes,
-// everything in the exempt packages, and the allow-list.
+// everything in the exempt packages, and the allow-list. An allow-list
+// entry is reported when its key names no candidate or the name has
+// gained a non-test use.
 func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[string]string) ([]string, error) {
 	m, err := deadLoad(root, consumers)
 	if err != nil {
@@ -297,7 +305,7 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		}
 		for _, f := range files {
 			for _, d := range f.Decls {
-				deadFieldWrites(info, d, used)
+				deadFieldWrites(info, p.ImportPath, d, used)
 			}
 		}
 		for id, obj := range info.Uses {
@@ -419,7 +427,9 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		}
 	}
 	var dead []string
+	isCand := map[string]bool{}
 	for _, c := range cands {
+		isCand[c.key] = true
 		if rl, root := rootLive[c.key]; rl || !root && (used[c.key] || live[c.key] || allow[c.key] != "") {
 			continue
 		}
@@ -431,7 +441,9 @@ func deadAPI(root string, consumers []string, exemptPkgs []string, allow map[str
 		dead = append(dead, fmt.Sprintf("%s:%d: %s", rel, pos.Line, strings.TrimPrefix(c.key, rootMod+"/internal/")))
 	}
 	for k := range allow {
-		if used[k] || live[k] {
+		if !isCand[k] {
+			dead = append(dead, "allow-list entry names no candidate, drop it: "+k)
+		} else if used[k] || live[k] {
 			dead = append(dead, "allow-list entry has a non-test use now, drop it: "+k)
 		}
 	}
@@ -713,18 +725,31 @@ func deadSig(t types.Type) string {
 }
 
 // deadFieldWrites marks in used every field of a named struct type that
-// decl writes: as a composite-literal element, keyed or positional, or
-// as an assignment or ++/-- target. A function's writes to the fields of
-// a struct it receives by value, as its receiver or as a parameter, only
-// change its copy (the withDefaults idiom, and a constructor defaulting
-// its Config), so they do not count.
-func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
+// decl, declared in package pkgPath, writes: as a composite-literal
+// element, keyed or positional, or as an assignment or ++/-- target. A
+// function's writes to the fields of a struct it receives by value, as
+// its receiver or as a parameter, only change its copy (the withDefaults
+// idiom, and a constructor defaulting its Config), so they do not count.
+// Nor does a composite-literal element of a type of pkgPath inside a
+// function of pkgPath named Default* when the element's value names none
+// of that function's parameters: a value no caller chooses is a
+// constant. Another package's Default* writes count, so a preset that
+// composes another package's settings (a platform's link Config) keeps
+// them alive.
+func deadFieldWrites(info *types.Info, pkgPath string, decl ast.Decl, used map[string]bool) {
 	copies := map[types.Object]bool{}
+	var params map[types.Object]bool // a Default* function's parameters; nil elsewhere
 	if fd, ok := decl.(*ast.FuncDecl); ok {
 		sig := info.Defs[fd.Name].Type().(*types.Signature)
+		if fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default") {
+			params = map[types.Object]bool{}
+		}
 		vars := []*types.Var{sig.Recv()}
 		for i := 0; i < sig.Params().Len(); i++ {
 			vars = append(vars, sig.Params().At(i))
+			if params != nil {
+				params[sig.Params().At(i)] = true
+			}
 		}
 		for _, v := range vars {
 			if v == nil {
@@ -739,6 +764,21 @@ func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
 		if n != nil {
 			used[deadFieldKey(n, f)] = true
 		}
+	}
+	// preset reports whether the literal element value of a type of
+	// pkgPath is a Default* function's constant: it names no parameter.
+	preset := func(n *types.Named, value ast.Expr) bool {
+		if params == nil || n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != pkgPath {
+			return false
+		}
+		named := false
+		ast.Inspect(value, func(node ast.Node) bool {
+			if id, ok := node.(*ast.Ident); ok && params[info.Uses[id]] {
+				named = true
+			}
+			return !named
+		})
+		return !named
 	}
 	target := func(e ast.Expr) {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
@@ -785,10 +825,10 @@ func deadFieldWrites(info *types.Info, decl ast.Decl, used map[string]bool) {
 			}
 			for i, el := range node.Elts {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+					if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok && !preset(n, kv.Value) {
 						mark(n, f)
 					}
-				} else {
+				} else if !preset(n, el) {
 					mark(n, st.Field(i))
 				}
 			}

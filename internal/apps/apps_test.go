@@ -241,8 +241,7 @@ func TestSyntheticCM2ProgramReproducible(t *testing.T) {
 		}
 	}
 	c, err := SyntheticCM2Program(SyntheticSpec{Seed: 43, Segments: spec.Segments,
-		SerialMeanOps: spec.SerialMeanOps, ParallelMean: spec.ParallelMean,
-		Burstiness: spec.Burstiness, SyncEvery: spec.SyncEvery})
+		SerialMeanOps: spec.SerialMeanOps, ParallelMean: spec.ParallelMean, SyncEvery: spec.SyncEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,6 @@ func TestSyntheticSpecValidation(t *testing.T) {
 		{Segments: 0},
 		{Segments: 1, SerialMeanOps: -1},
 		{Segments: 1, ParallelMean: -1},
-		{Segments: 1, Burstiness: 1},
 		{Segments: 1, SyncEvery: -1},
 	}
 	for i, s := range bad {

@@ -18,9 +18,6 @@ type SyntheticSpec struct {
 	SerialMeanOps float64
 	// ParallelMean is the mean parallel instruction duration (seconds).
 	ParallelMean float64
-	// Burstiness in [0,1) controls how unevenly work spreads across
-	// segments (0 = uniform).
-	Burstiness float64
 	// SyncEvery inserts a reduction (front-end waits for the back-end)
 	// every n-th segment; 0 disables.
 	SyncEvery int
@@ -33,9 +30,6 @@ func (s SyntheticSpec) Validate() error {
 	}
 	if s.SerialMeanOps < 0 || s.ParallelMean < 0 {
 		return fmt.Errorf("apps: negative synthetic means (%v ops, %v s)", s.SerialMeanOps, s.ParallelMean)
-	}
-	if s.Burstiness < 0 || s.Burstiness >= 1 {
-		return fmt.Errorf("apps: burstiness %v out of [0,1)", s.Burstiness)
 	}
 	if s.SyncEvery < 0 {
 		return fmt.Errorf("apps: negative sync interval %d", s.SyncEvery)
@@ -50,10 +44,13 @@ func DefaultSyntheticSpec(seed int64) SyntheticSpec {
 		Segments:      80,
 		SerialMeanOps: 2000,
 		ParallelMean:  2e-3,
-		Burstiness:    0.5,
 		SyncEvery:     16,
 	}
 }
+
+// syntheticBurstiness in [0,1) controls how unevenly work spreads
+// across segments (0 = uniform).
+const syntheticBurstiness = 0.5
 
 // SyntheticCM2Program generates a reproducible random CM2 program from
 // the spec. Serial and parallel weights are drawn independently so the
@@ -69,8 +66,8 @@ func SyntheticCM2Program(spec SyntheticSpec) (CM2Program, error) {
 			return 0
 		}
 		// Uniform in [mean(1-b), mean(1+3b)]: right-skewed for b > 0.
-		lo := mean * (1 - spec.Burstiness)
-		hi := mean * (1 + 3*spec.Burstiness)
+		lo := mean * (1 - syntheticBurstiness)
+		hi := mean * (1 + 3*syntheticBurstiness)
 		return lo + rng.Float64()*(hi-lo)
 	}
 	segs := make([]Segment, 0, spec.Segments)

@@ -63,22 +63,12 @@ type Options struct {
 
 	// Repeats is the number of measurements taken per point, each with
 	// a deterministically jittered probe phase; 0 or 1 keeps the
-	// single-shot behavior. The robust aggregation below only has
+	// single-shot behavior. The robust aggregation (robust.go) only has
 	// teeth when Repeats > 1.
 	Repeats int
-	// TrimFraction is trimmed per tail when aggregating repeated
-	// measurements (0 = plain mean).
-	TrimFraction float64
-	// OutlierK rejects samples more than K MAD-equivalent standard
-	// deviations from the median before aggregation (≤ 0 disables).
-	OutlierK float64
 	// BootstrapResamples sizes the bootstrap behind each confidence
 	// interval (< 2 disables interval estimation).
 	BootstrapResamples int
-	// Confidence is the two-sided bootstrap confidence level.
-	Confidence float64
-	// Seed drives the bootstrap resampler (deterministic).
-	Seed int64
 }
 
 // DefaultOptions returns the settings used throughout the experiments.
@@ -94,11 +84,7 @@ func DefaultOptions(params platform.ParagonParams) Options {
 		Warmup:        0.5,
 
 		Repeats:            1,
-		TrimFraction:       0.2,
-		OutlierK:           3.5,
 		BootstrapResamples: 200,
-		Confidence:         0.95,
-		Seed:               1,
 	}
 }
 
@@ -129,12 +115,6 @@ func (o Options) validate() error {
 	}
 	if o.Repeats < 0 {
 		return fmt.Errorf("calibrate: negative repeats %d", o.Repeats)
-	}
-	if o.TrimFraction < 0 || o.TrimFraction >= 0.5 {
-		return fmt.Errorf("calibrate: trim fraction %v out of [0,0.5)", o.TrimFraction)
-	}
-	if o.Confidence < 0 || o.Confidence >= 1 {
-		return fmt.Errorf("calibrate: confidence %v out of [0,1)", o.Confidence)
 	}
 	return nil
 }

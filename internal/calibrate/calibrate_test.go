@@ -194,11 +194,9 @@ func TestCalibrateCM2RecoversParameters(t *testing.T) {
 
 func TestCalibrateCM2Validation(t *testing.T) {
 	params := platform.DefaultCM2Params()
-	if _, err := CalibrateCM2(CM2Options{Params: params, BigWords: 10, SmallCount: 1000}); err == nil {
-		t.Fatal("tiny big benchmark accepted")
-	}
-	if _, err := CalibrateCM2(CM2Options{Params: params, BigWords: 1e6, SmallCount: 10}); err == nil {
-		t.Fatal("tiny small benchmark accepted")
+	params.HostSpeed = 0
+	if _, err := CalibrateCM2(DefaultCM2Options(params)); err == nil {
+		t.Fatal("platform with zero host speed accepted")
 	}
 }
 

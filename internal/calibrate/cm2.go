@@ -2,7 +2,6 @@ package calibrate
 
 import (
 	"errors"
-	"fmt"
 
 	"contention/internal/core"
 	"contention/internal/des"
@@ -10,42 +9,39 @@ import (
 	"contention/internal/workload"
 )
 
+// The Sun/CM2 benchmark sizes.
+const (
+	// cm2BigWords is the large-array benchmark size (the paper uses 10⁶).
+	cm2BigWords = 1e6
+	// cm2SmallCount is the number of one-word arrays in the startup
+	// benchmark (the paper uses 10⁶; scaled down for simulation speed —
+	// per-message cost is what matters, and it is count-invariant here).
+	cm2SmallCount = 1e4
+)
+
 // CM2Options controls the Sun/CM2 calibration benchmarks.
 type CM2Options struct {
 	Params platform.CM2Params
-	// BigWords is the large-array benchmark size (the paper uses 10⁶).
-	BigWords int
-	// SmallCount is the number of one-word arrays in the startup
-	// benchmark (the paper uses 10⁶; scaled down for simulation speed —
-	// per-message cost is what matters, and it is count-invariant here).
-	SmallCount int
 }
 
 // DefaultCM2Options returns the suite defaults.
 func DefaultCM2Options(params platform.CM2Params) CM2Options {
-	return CM2Options{Params: params, BigWords: 1e6, SmallCount: 1e4}
+	return CM2Options{Params: params}
 }
 
 // CalibrateCM2 measures the Sun/CM2 communication model by the paper's
 // two benchmarks:
 //
-//  1. Transfer one array of BigWords words; with startup negligible at
-//     that size, β ≈ BigWords / elapsed.
-//  2. Transfer SmallCount one-word arrays; the per-array cost minus the
-//     one-word payload time gives α.
+//  1. Transfer one array of cm2BigWords words; with startup negligible
+//     at that size, β ≈ cm2BigWords / elapsed.
+//  2. Transfer cm2SmallCount one-word arrays; the per-array cost minus
+//     the one-word payload time gives α.
 //
 // Both run in dedicated mode on a fresh simulated platform.
 func CalibrateCM2(opts CM2Options) (core.CommModel, error) {
-	if opts.BigWords < 1000 {
-		return core.CommModel{}, fmt.Errorf("calibrate: big benchmark %d words too small", opts.BigWords)
-	}
-	if opts.SmallCount < 100 {
-		return core.CommModel{}, fmt.Errorf("calibrate: small benchmark count %d too small", opts.SmallCount)
-	}
-
 	// Benchmark 1: one large array.
 	big, err := cm2Elapsed(opts.Params, func(p *des.Proc, plat *platform.SunCM2) {
-		plat.Transfer(p, opts.BigWords)
+		plat.Transfer(p, cm2BigWords)
 	})
 	if err != nil {
 		return core.CommModel{}, err
@@ -53,14 +49,14 @@ func CalibrateCM2(opts CM2Options) (core.CommModel, error) {
 
 	// Benchmark 2: many one-word arrays.
 	small, err := cm2Elapsed(opts.Params, func(p *des.Proc, plat *platform.SunCM2) {
-		plat.TransferMessages(p, opts.SmallCount, 1)
+		plat.TransferMessages(p, cm2SmallCount, 1)
 	})
 	if err != nil {
 		return core.CommModel{}, err
 	}
 
-	beta := float64(opts.BigWords) / big
-	perSmall := small / float64(opts.SmallCount)
+	beta := cm2BigWords / big
+	perSmall := small / cm2SmallCount
 	alpha := perSmall - 1/beta
 	if alpha < 0 {
 		alpha = 0

@@ -17,6 +17,24 @@ import (
 // annotated with a bootstrap confidence interval. With Repeats = 1 every
 // resample is the data itself, so no bootstrap replicate is refitted.
 
+// The aggregation's settings.
+const (
+	// trimFraction is trimmed per tail when aggregating repeated
+	// measurements.
+	trimFraction = 0.2
+	// outlierK rejects samples more than outlierK MAD-equivalent
+	// standard deviations from the median before aggregation.
+	outlierK = 3.5
+	// confidenceLevel is the two-sided bootstrap confidence level. It
+	// is typed so that (1±confidenceLevel)/2 rounds each step to
+	// float64, as arithmetic on a float64 variable does; folded untyped,
+	// the lower tail would be exactly 0.025, six ulps from the float64
+	// (1-0.95)/2 the recorded calibration digests were computed with.
+	confidenceLevel float64 = 0.95
+	// bootstrapSeed drives the bootstrap resampler (deterministic).
+	bootstrapSeed = 1
+)
+
 // PieceCI carries confidence intervals for one comm-model piece.
 type PieceCI struct {
 	Alpha stats.Interval
@@ -59,11 +77,11 @@ func (o Options) repeats() int {
 
 // aggregate MAD-filters and trim-means one sample set.
 func (o Options) aggregate(samples []float64) (float64, int, error) {
-	kept, rejected := stats.RejectOutliersMAD(samples, o.OutlierK)
+	kept, rejected := stats.RejectOutliersMAD(samples, outlierK)
 	if len(kept) == 0 { // all rejected: fall back to the raw median
 		return stats.Median(samples), rejected, nil
 	}
-	v, err := stats.TrimmedMean(kept, o.TrimFraction)
+	v, err := stats.TrimmedMean(kept, trimFraction)
 	return v, rejected, err
 }
 
@@ -82,13 +100,13 @@ func (o Options) resampleAgg(samples []float64, rng *rand.Rand) float64 {
 }
 
 // interval turns a slice of bootstrap statistics into a confidence
-// interval at the configured level.
+// interval at confidenceLevel.
 func (o Options) interval(vals []float64) stats.Interval {
 	if len(vals) < 2 {
 		return stats.Interval{}
 	}
-	lo, errLo := stats.Quantile(vals, (1-o.Confidence)/2)
-	hi, errHi := stats.Quantile(vals, (1+o.Confidence)/2)
+	lo, errLo := stats.Quantile(vals, (1-confidenceLevel)/2)
+	hi, errHi := stats.Quantile(vals, (1+confidenceLevel)/2)
 	if errLo != nil || errHi != nil {
 		return stats.Interval{}
 	}
@@ -96,7 +114,7 @@ func (o Options) interval(vals []float64) stats.Interval {
 }
 
 func (o Options) bootstrapOn() bool {
-	return o.BootstrapResamples >= 2 && o.Confidence > 0
+	return o.BootstrapResamples >= 2
 }
 
 // replicates returns one bootstrap replicate of a statistic per
@@ -358,8 +376,8 @@ func RunRobust(opts Options) (core.Calibration, *Confidence, error) {
 	if err != nil {
 		return core.Calibration{}, nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	conf := &Confidence{Level: opts.Confidence, Repeats: opts.repeats()}
+	rng := rand.New(rand.NewSource(bootstrapSeed))
+	conf := &Confidence{Level: confidenceLevel, Repeats: opts.repeats()}
 
 	toBack, ciBack, rejB, err := opts.fitCommModelRobust(m, workload.SunToParagon, rng)
 	if err != nil {

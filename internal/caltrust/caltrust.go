@@ -68,33 +68,16 @@ func (s TrustState) String() string {
 	}
 }
 
-// TrackerConfig configures a Tracker.
-type TrackerConfig struct {
-	// Drift parameterizes the Page-Hinkley residual test.
-	Drift DriftConfig
-	// Check parameterizes the strict invariant validation.
-	Check CheckConfig
-	// OnStale, when non-nil, is invoked once at the Fresh→Stale
-	// transition — the hook a resource manager uses to request
-	// automatic recalibration.
-	OnStale func(reason string)
-}
-
-// DefaultTrackerConfig returns the settings used by the experiments.
-func DefaultTrackerConfig() TrackerConfig {
-	return TrackerConfig{Drift: DefaultDriftConfig(), Check: DefaultCheckConfig()}
-}
-
 // Tracker binds a predictor to the trust state machine: it validates
 // the calibration at adoption, watches prediction residuals for drift,
 // and flips the predictor to its degraded fallback when trust is lost.
 //
 // A Tracker is goroutine-safe: the serving daemon consults State on
-// every request while live residuals stream into Observe. The OnStale
+// every request while live residuals stream into Observe. The onStale
 // hook is invoked outside the tracker's lock, so it may safely call
 // back into the tracker (e.g. Adopt after recalibration).
 type Tracker struct {
-	cfg TrackerConfig
+	onStale func(reason string)
 
 	mu       sync.Mutex
 	pred     *core.Predictor
@@ -107,16 +90,14 @@ type Tracker struct {
 // NewTracker builds a tracker around pred. A calibration that fails
 // strict validation is adopted in the Degraded state (its predictor is
 // marked stale so robust predictions fall back to p+1) rather than
-// rejected — the trust layer reports, the caller decides.
-func NewTracker(pred *core.Predictor, cfg TrackerConfig) (*Tracker, error) {
+// rejected — the trust layer reports, the caller decides. onStale, when
+// non-nil, is invoked once at the Fresh→Stale transition — the hook a
+// resource manager uses to request automatic recalibration.
+func NewTracker(pred *core.Predictor, onStale func(reason string)) (*Tracker, error) {
 	if pred == nil {
 		return nil, errors.New("caltrust: nil predictor")
 	}
-	det, err := NewDetector(cfg.Drift)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tracker{cfg: cfg, pred: pred, det: det}
+	t := &Tracker{onStale: onStale, pred: pred, det: NewDetector()}
 	t.mu.Lock()
 	t.adopt(pred)
 	t.mu.Unlock()
@@ -129,7 +110,7 @@ func (t *Tracker) adopt(pred *core.Predictor) {
 	t.pred = pred
 	t.det.Reset()
 	t.observed = 0
-	report := Validate(pred.Calibration(), t.cfg.Check)
+	report := Validate(pred.Calibration())
 	if fatal := report.Fatal(); len(fatal) > 0 {
 		t.state = Degraded
 		t.reason = fatal[0].String()
@@ -165,7 +146,7 @@ func (t *Tracker) Predictor() *core.Predictor {
 // Observe feeds one predicted/observed cost pair (same units, both
 // positive and finite) into the drift detector. It returns true at the
 // Fresh→Stale transition: the predictor is marked stale — flipping its
-// Robust predictions to the p+1 fallback — and the OnStale hook fires.
+// Robust predictions to the p+1 fallback — and the onStale hook fires.
 // Non-finite or non-positive inputs are rejected with an error and do
 // not reach the detector.
 func (t *Tracker) Observe(predicted, observed float64) (bool, error) {
@@ -186,13 +167,13 @@ func (t *Tracker) Observe(predicted, observed float64) (bool, error) {
 	if drifted && t.state == Fresh {
 		t.state = Stale
 		t.reason = fmt.Sprintf("drift detected after %d observations (residual %+.3f, PH stat %.3f > λ %.3f)",
-			t.observed, residual, t.det.Stat(), t.cfg.Drift.Lambda)
+			t.observed, residual, t.det.Stat(), driftLambda)
 		reason := t.reason
 		mDriftAlarms.Inc()
 		t.pred.MarkStale(reason)
 		t.mu.Unlock()
-		if t.cfg.OnStale != nil {
-			t.cfg.OnStale(reason)
+		if t.onStale != nil {
+			t.onStale(reason)
 		}
 		return true, nil
 	}

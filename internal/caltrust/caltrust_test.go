@@ -24,7 +24,7 @@ func goodCalibration() core.Calibration {
 }
 
 func TestValidateAcceptsGoodCalibration(t *testing.T) {
-	report := Validate(goodCalibration(), DefaultCheckConfig())
+	report := Validate(goodCalibration())
 	if !report.OK() {
 		t.Fatalf("good calibration rejected:\n%s", report)
 	}
@@ -33,7 +33,7 @@ func TestValidateAcceptsGoodCalibration(t *testing.T) {
 func TestValidateRejectsNonMonotoneTable(t *testing.T) {
 	cal := goodCalibration()
 	cal.Tables.CompOnComm = []float64{2.0, 0.4, 2.5, 3.0} // big dip at i=2
-	report := Validate(cal, DefaultCheckConfig())
+	report := Validate(cal)
 	if report.OK() {
 		t.Fatal("non-monotone delay table passed strict validation")
 	}
@@ -48,7 +48,7 @@ func TestValidateRejectsNonMonotoneTable(t *testing.T) {
 	}
 	// A dip within the slack is absorbed as measurement jitter.
 	cal.Tables.CompOnComm = []float64{2.0, 1.95, 2.5, 3.0}
-	if report := Validate(cal, DefaultCheckConfig()); !report.OK() {
+	if report := Validate(cal); !report.OK() {
 		t.Fatalf("jitter-sized dip rejected:\n%s", report)
 	}
 }
@@ -57,7 +57,7 @@ func TestValidateWarnsOnInconsistentBreakpoint(t *testing.T) {
 	cal := goodCalibration()
 	// Large piece prices a threshold-sized message at ~4x the small piece.
 	cal.ToBack.Large = core.CommPiece{Alpha: 0.012, Beta: 2.8e5}
-	report := Validate(cal, DefaultCheckConfig())
+	report := Validate(cal)
 	if !report.OK() {
 		t.Fatalf("breakpoint mismatch should be advisory, got fatal:\n%s", report)
 	}
@@ -73,10 +73,7 @@ func TestValidateWarnsOnInconsistentBreakpoint(t *testing.T) {
 }
 
 func TestDetectorFiresOnSustainedShift(t *testing.T) {
-	d, err := NewDetector(DefaultDriftConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector()
 	// Clean residuals: small zero-mean noise must not fire.
 	noise := []float64{0.01, -0.02, 0.015, -0.01, 0.02, -0.015, 0.01, -0.005}
 	for _, x := range noise {
@@ -116,10 +113,7 @@ func TestDetectorFiresOnSustainedShift(t *testing.T) {
 }
 
 func TestDetectorTwoSided(t *testing.T) {
-	d, err := NewDetector(DefaultDriftConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector()
 	for i := 0; i < 6; i++ {
 		if _, err := d.Add(0.0); err != nil {
 			t.Fatal(err)
@@ -142,10 +136,7 @@ func TestDetectorTwoSided(t *testing.T) {
 }
 
 func TestDetectorRejectsNonFinite(t *testing.T) {
-	d, err := NewDetector(DefaultDriftConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDetector()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := d.Add(bad); err == nil {
 			t.Fatalf("Add(%v) did not error", bad)
@@ -162,9 +153,7 @@ func TestTrackerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	staleReason := ""
-	cfg := DefaultTrackerConfig()
-	cfg.OnStale = func(reason string) { staleReason = reason }
-	tr, err := NewTracker(pred, cfg)
+	tr, err := NewTracker(pred, func(reason string) { staleReason = reason })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +226,7 @@ func TestTrackerDegradedOnInvalidCalibration(t *testing.T) {
 	cal := goodCalibration()
 	cal.Tables.CompOnComm = []float64{3.0, 0.2, 3.5, 4.0} // grossly non-monotone
 	pred := core.NewPredictorLenient(cal)
-	tr, err := NewTracker(pred, DefaultTrackerConfig())
+	tr, err := NewTracker(pred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +246,7 @@ func TestTrackerObserveRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTracker(pred, DefaultTrackerConfig())
+	tr, err := NewTracker(pred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,36 +5,20 @@ import (
 	"math"
 )
 
-// DriftConfig parameterizes the Page-Hinkley drift test.
-type DriftConfig struct {
-	// Delta is the drift allowance: residual excursions below it are
-	// absorbed as noise instead of accumulating toward detection.
-	Delta float64
-	// Lambda is the detection threshold on the cumulative statistic.
-	Lambda float64
-	// MinSamples is the number of residuals required before detection
-	// may fire (the running mean needs a baseline).
-	MinSamples int
-}
-
-// DefaultDriftConfig detects a sustained ~25% residual shift within a
-// couple of observation windows while ignoring isolated noise.
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{Delta: 0.05, Lambda: 0.5, MinSamples: 3}
-}
-
-func (c DriftConfig) validate() error {
-	if c.Delta < 0 || math.IsNaN(c.Delta) || math.IsInf(c.Delta, 0) {
-		return fmt.Errorf("caltrust: drift allowance δ = %v must be non-negative and finite", c.Delta)
-	}
-	if !(c.Lambda > 0) || math.IsInf(c.Lambda, 0) {
-		return fmt.Errorf("caltrust: detection threshold λ = %v must be positive and finite", c.Lambda)
-	}
-	if c.MinSamples < 1 {
-		return fmt.Errorf("caltrust: min samples %d must be ≥ 1", c.MinSamples)
-	}
-	return nil
-}
+// The Page-Hinkley test's settings detect a sustained ~25% residual
+// shift within a couple of observation windows while ignoring isolated
+// noise.
+const (
+	// driftDelta is the drift allowance δ: residual excursions below it
+	// are absorbed as noise instead of accumulating toward detection.
+	driftDelta = 0.05
+	// driftLambda is the detection threshold λ on the cumulative
+	// statistic.
+	driftLambda = 0.5
+	// driftMinSamples is the number of residuals required before
+	// detection may fire (the running mean needs a baseline).
+	driftMinSamples = 3
+)
 
 // Detector is a two-sided Page-Hinkley (CUSUM-family) change detector
 // over a residual stream: it accumulates deviations of each residual
@@ -42,7 +26,6 @@ func (c DriftConfig) validate() error {
 // cumulative excursion exceeds λ in either direction. Once fired it
 // stays fired until Reset.
 type Detector struct {
-	cfg  DriftConfig
 	n    int
 	mean float64
 	// Upward test: mUp accumulates (x - mean - δ); the statistic is
@@ -53,12 +36,7 @@ type Detector struct {
 }
 
 // NewDetector builds a detector.
-func NewDetector(cfg DriftConfig) (*Detector, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Detector{cfg: cfg}, nil
-}
+func NewDetector() *Detector { return &Detector{} }
 
 // Add feeds one residual. It returns true while the detector considers
 // the stream drifted. Non-finite residuals are rejected — they must
@@ -69,15 +47,15 @@ func (d *Detector) Add(x float64) (bool, error) {
 	}
 	d.n++
 	d.mean += (x - d.mean) / float64(d.n)
-	d.mUp += x - d.mean - d.cfg.Delta
+	d.mUp += x - d.mean - driftDelta
 	if d.mUp < d.minUp {
 		d.minUp = d.mUp
 	}
-	d.mDown += x - d.mean + d.cfg.Delta
+	d.mDown += x - d.mean + driftDelta
 	if d.mDown > d.maxDown {
 		d.maxDown = d.mDown
 	}
-	if d.n >= d.cfg.MinSamples && d.Stat() > d.cfg.Lambda {
+	if d.n >= driftMinSamples && d.Stat() > driftLambda {
 		d.drifted = true
 	}
 	return d.drifted, nil
@@ -90,4 +68,4 @@ func (d *Detector) Stat() float64 {
 }
 
 // Reset clears all state (after recalibration).
-func (d *Detector) Reset() { *d = Detector{cfg: d.cfg} }
+func (d *Detector) Reset() { *d = Detector{} }

@@ -21,7 +21,7 @@ func TestTrustCountersMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTracker(pred, DefaultTrackerConfig())
+	tr, err := NewTracker(pred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,27 @@ func TestDecodeLegacyRawCalibration(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsInvalidCalibration: a well-formed file whose
+// calibration fails validation is refused, both as a legacy raw
+// calibration and inside an envelope whose checksum matches.
+func TestDecodeRejectsInvalidCalibration(t *testing.T) {
+	payload := []byte(`{"ToBack":{"Threshold":0}}`)
+	if _, _, err := Decode(payload); err == nil {
+		t.Fatal("invalid legacy calibration decoded")
+	}
+	sum, err := checksum(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(Envelope{Schema: SchemaVersion, Checksum: sum, Calibration: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode(data); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("invalid enveloped calibration: err %v, want a validation error", err)
+	}
+}
+
 func TestStoreVersioning(t *testing.T) {
 	store, err := NewStore(filepath.Join(t.TempDir(), "cals"))
 	if err != nil {

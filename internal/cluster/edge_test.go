@@ -35,7 +35,7 @@ type edgeAnswer struct {
 func TestEdgeParity(t *testing.T) {
 	cal := serve.SyntheticCalibration()
 	pred := core.NewPredictorLenient(cal)
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

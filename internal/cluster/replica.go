@@ -73,7 +73,7 @@ func InProcessFactory(cfg InProcConfig) Factory {
 			cal = *cfg.Cal
 		}
 		pred := core.NewPredictorLenient(cal)
-		tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+		tracker, err := caltrust.NewTracker(pred, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d/%d tracker: %w", id, gen, err)
 		}

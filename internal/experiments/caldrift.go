@@ -95,9 +95,7 @@ func CalibrationDrift(env *Env) (Result, error) {
 	}
 
 	recalRequested := ""
-	cfg := caltrust.DefaultTrackerConfig()
-	cfg.OnStale = func(reason string) { recalRequested = reason }
-	tracker, err := caltrust.NewTracker(pred, cfg)
+	tracker, err := caltrust.NewTracker(pred, func(reason string) { recalRequested = reason })
 	if err != nil {
 		return Result{}, err
 	}

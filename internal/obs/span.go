@@ -40,12 +40,8 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer reading time from clock and retaining at
-// most maxSpans spans (<= 0 selects 4096). Span times are seconds since
-// the tracer was made.
+// most maxSpans spans. Span times are seconds since the tracer was made.
 func NewTracer(clock Clock, maxSpans int) *Tracer {
-	if maxSpans <= 0 {
-		maxSpans = 4096
-	}
 	return &Tracer{clock: clock, epoch: clock.Now(), max: maxSpans}
 }
 

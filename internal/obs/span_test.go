@@ -20,7 +20,7 @@ func (virtualClock) AfterFunc(time.Duration, func()) Timer { panic("the tracer a
 func TestTracerVirtualTime(t *testing.T) {
 	withTelemetry(t)
 	k := des.New()
-	tr := NewTracer(virtualClock(k.Now), 0)
+	tr := NewTracer(virtualClock(k.Now), 4)
 	k.At(1, func() {
 		sp := tr.Start("host", "compute")
 		k.At(3.5, func() { sp.End() })
@@ -41,7 +41,7 @@ func TestTracerVirtualTime(t *testing.T) {
 
 func TestTracerWallClockMonotone(t *testing.T) {
 	withTelemetry(t)
-	tr := NewTracer(WallClock(), 0)
+	tr := NewTracer(WallClock(), 4)
 	tr.Start("a", "x").End()
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].End < spans[0].Start {
@@ -89,7 +89,7 @@ func TestTracerBounded(t *testing.T) {
 func TestTracerSortsDeterministically(t *testing.T) {
 	withTelemetry(t)
 	now := 0.0
-	tr := NewTracer(virtualClock(func() float64 { return now }), 0)
+	tr := NewTracer(virtualClock(func() float64 { return now }), 4)
 	// Same start time, distinct actors/names, finished out of order.
 	b := tr.Start("b", "second")
 	a := tr.Start("a", "first")

@@ -121,7 +121,7 @@ func TestFastPathInlineDP(t *testing.T) {
 // the full pipeline.
 func TestFastPathDegradedFallsThrough(t *testing.T) {
 	stalePred := newTestPredictor(t)
-	stale, err := caltrust.NewTracker(stalePred, caltrust.DefaultTrackerConfig())
+	stale, err := caltrust.NewTracker(stalePred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func degradedTracker(t *testing.T) (*core.Predictor, *caltrust.Tracker) {
 	cal := SyntheticCalibration()
 	cal.Tables.CompOnComm = []float64{3.0, 0.2, 3.5, 4.0, 4.1, 4.2, 4.3, 4.4} // grossly non-monotone
 	pred := core.NewPredictorLenient(cal)
-	tr, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tr, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatalf("NewTracker: %v", err)
 	}
@@ -154,7 +154,7 @@ func getReady(t *testing.T, ts *httptest.Server) *http.Response {
 
 func TestReadyzLifecycle(t *testing.T) {
 	pred := newTestPredictor(t)
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatalf("tracker: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestReadyzDegradedTracker(t *testing.T) {
 // honestly reports the degradation.
 func TestReadyzStaleStaysReady(t *testing.T) {
 	pred := newTestPredictor(t)
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatalf("tracker: %v", err)
 	}

@@ -171,7 +171,7 @@ func TestServeBadRequests(t *testing.T) {
 
 func TestServeDegradedOnStaleTracker(t *testing.T) {
 	pred := newTestPredictor(t)
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatalf("NewTracker: %v", err)
 	}

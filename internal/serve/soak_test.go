@@ -40,7 +40,7 @@ func TestSoakConcurrentTrafficWithFaults(t *testing.T) {
 		maxQueue    = 64
 	)
 	pred := newTestPredictor(t)
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatalf("tracker: %v", err)
 	}

@@ -309,7 +309,7 @@ func TestSurfaceInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := caltrust.NewTracker(pred, caltrust.DefaultTrackerConfig())
+	tracker, err := caltrust.NewTracker(pred, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

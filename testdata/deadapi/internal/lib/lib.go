@@ -60,6 +60,18 @@ type Config struct {
 	Constructed int
 	// Decoded is exempt: its tag is for a decoder, which writes it.
 	Decoded int `json:"decoded"`
+	// Preset is dead: only DefaultConfig sets it, from a constant.
+	Preset int
+	// Chosen is live: DefaultConfig sets it from its parameter.
+	Chosen int
+	// Composed is live: cmd/fix's DefaultConfig, in another package,
+	// sets it.
+	Composed int
+}
+
+// DefaultConfig is called by cmd/fix.
+func DefaultConfig(x int) Config {
+	return Config{Preset: 5, Chosen: x + 1}
 }
 
 // withDefaults fills zero fields of its copy.
@@ -77,7 +89,7 @@ func (c *Config) count() { c.Counted++ }
 func Apply(c Config) int {
 	c = c.withDefaults()
 	c.count()
-	return c.TestOnly + c.Defaulted + c.Consumer + c.Counted + c.Decoded
+	return c.TestOnly + c.Defaulted + c.Consumer + c.Counted + c.Decoded + c.Preset + c.Chosen + c.Composed
 }
 
 // Build is called by the consumer module. It defaults its own copy of
